@@ -122,7 +122,6 @@ func main() {
 	crash := flag.Bool("crash", false, "run the crash-point enumeration harness and verify the durability contract")
 	compactRun := flag.Bool("compact", false, "run the space-amplification sweep (rewrite-heavy workload, compaction, scrub scaling)")
 	rewrites := flag.Int("rewrites", 4, "with -compact: overwrite passes over the checkpoint image")
-	frameV := flag.Int("framev", 0, "with -real: frame format version to write (0=current, 1=legacy no-checksum, 2=checksummed)")
 	serverAddr := flag.String("server", "", "drive a crfsd daemon at this address with concurrent clients ('inproc' spins one up in-process)")
 	clients := flag.Int("clients", 8, "with -server: concurrent clients")
 	ops := flag.Int("ops", 64, "with -server: operations per client")
@@ -189,7 +188,7 @@ func main() {
 		if *restart {
 			err = restartBench(emit, *codecName, *size, *bs, *entropy, *readAhead, *delay)
 		} else {
-			err = realBench(emit, *codecName, *size, *bs, *entropy, *mix, *readFrac, *delay, *frameV)
+			err = realBench(emit, *codecName, *size, *bs, *entropy, *mix, *readFrac, *delay)
 		}
 		if err != nil {
 			fatal(err)
@@ -336,7 +335,7 @@ func payloadPool(bs int) []byte {
 // already-written offsets are interleaved at the given fraction; they are
 // served by the buffered-read-through overlay, so the write pipeline
 // never drains mid-run.
-func realBench(emit *emitter, codecName string, size int64, bs int, entropy float64, mix bool, readFrac float64, delay time.Duration, frameV int) error {
+func realBench(emit *emitter, codecName string, size int64, bs int, entropy float64, mix bool, readFrac float64, delay time.Duration) error {
 	if entropy < 0 || entropy > 1 {
 		return fmt.Errorf("crfsbench: -entropy %v out of range [0,1]", entropy)
 	}
@@ -350,12 +349,9 @@ func realBench(emit *emitter, codecName string, size int64, bs int, entropy floa
 	if err != nil {
 		return err
 	}
-	fs, err := crfs.Mount(memfs.New(memfs.WithWriteDelay(delay)), crfs.Options{Codec: cdc, FrameVersion: frameV})
+	fs, err := crfs.Mount(memfs.New(memfs.WithWriteDelay(delay)), crfs.Options{Codec: cdc})
 	if err != nil {
 		return err
-	}
-	if frameV == 0 {
-		frameV = crfs.FrameVersion
 	}
 	flag := crfs.OpenFlag(crfs.WriteOnly)
 	if mix {
@@ -408,8 +404,8 @@ func realBench(emit *emitter, codecName string, size int64, bs int, entropy floa
 		scenario = "mix"
 	}
 	human := []string{
-		fmt.Sprintf("real: codec=%s framev=%d wrote %d bytes, read %d bytes in %.3fs (%.1f MB/s)",
-			cdc.Name(), frameV, st.BytesWritten, st.BytesRead, el, float64(moved)/el/(1<<20)),
+		fmt.Sprintf("real: codec=%s wrote %d bytes, read %d bytes in %.3fs (%.1f MB/s)",
+			cdc.Name(), st.BytesWritten, st.BytesRead, el, float64(moved)/el/(1<<20)),
 		fmt.Sprintf("app writes: %d, backend writes: %d (aggregation %.1fx), backend bytes: %d",
 			st.Writes, st.BackendWrites, st.AggregationRatio(), st.BackendBytes),
 		writeQ.format("write_at"),
@@ -424,7 +420,6 @@ func realBench(emit *emitter, codecName string, size int64, bs int, entropy floa
 	emit.scenario(struct {
 		Scenario         string    `json:"scenario"`
 		Codec            string    `json:"codec"`
-		FrameVersion     int       `json:"frame_version"`
 		DelayUS          int64     `json:"delay_us"`
 		BytesWritten     int64     `json:"bytes_written"`
 		BytesRead        int64     `json:"bytes_read"`
@@ -439,7 +434,7 @@ func realBench(emit *emitter, codecName string, size int64, bs int, entropy floa
 		DrainsAvoided    int64     `json:"drains_avoided"`
 		WriteLatency     quantiles `json:"write_latency"`
 		BackendLatency   quantiles `json:"backend_write_latency"`
-	}{scenario, cdc.Name(), frameV, delay.Microseconds(), st.BytesWritten, st.BytesRead, el,
+	}{scenario, cdc.Name(), delay.Microseconds(), st.BytesWritten, st.BytesRead, el,
 		float64(moved) / el / (1 << 20), st.Writes, st.BackendWrites, st.AggregationRatio(),
 		st.BackendBytes, st.CompressionRatio(), st.ReadsFromBuffer, st.ReadDrainsAvoided,
 		writeQ, backendQ},

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -117,7 +118,7 @@ func serverBench(emit *emitter, addr string, nclients, ops int, objSize int64, p
 	return nil
 }
 
-// stallCheck verifies the daemon reaps a stalled client: it starts a v1
+// stallCheck verifies the daemon reaps a stalled client: it starts a
 // PUT, sends half the body, and goes silent. A healthy server hits its
 // read deadline and closes the connection well before timeout; a
 // regressed server pins the goroutine (and the staged PUT) forever.
@@ -138,16 +139,19 @@ func stallCheck(emit *emitter, addr string, timeout time.Duration) error {
 	defer nc.Close()
 	const size = 1 << 20
 	start := time.Now()
-	if _, err := fmt.Fprintf(nc, "PUT bench/stall %d\n", size); err != nil {
+	if _, err := io.WriteString(nc, server.HelloLine); err != nil {
 		return err
 	}
-	if _, err := nc.Write(make([]byte, size/2)); err != nil {
+	if err := server.WriteFrame(nc, server.FrameReq, 1, []byte(fmt.Sprintf("PUT bench/stall %d", size))); err != nil {
 		return err
 	}
-	// Go silent mid-body and wait for the server to hang up on us: it
-	// writes an ERR response for the aborted PUT, then closes. Reading
-	// until error observes the close; only our own deadline expiring
-	// (a timeout error) means the server left the connection pinned.
+	if err := server.WriteFrame(nc, server.FrameData, 1, make([]byte, size/2)); err != nil {
+		return err
+	}
+	// Go silent mid-body and wait for the server to hang up on us.
+	// Reading until error (past the server's hello frame) observes the
+	// close; only our own deadline expiring (a timeout error) means the
+	// server left the connection pinned.
 	nc.SetReadDeadline(time.Now().Add(timeout))
 	var rerr error
 	for rerr == nil {

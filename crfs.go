@@ -128,16 +128,6 @@ const (
 	DefaultIOThreads      = core.DefaultIOThreads
 )
 
-// Frame format versions for Options.FrameVersion. Version 2 headers
-// carry a CRC32-C of each frame's uncompressed payload, verified on
-// every decode path; version 1 is the legacy checksum-less layout.
-// Readers always accept both.
-const (
-	FrameVersion1 = codec.Version1
-	FrameVersion2 = codec.Version2
-	FrameVersion  = codec.Version // written by default
-)
-
 // RawCodec returns the passthrough chunk codec (the default): backend
 // output is byte-identical to a codec-less mount.
 func RawCodec() Codec { return codec.Raw() }

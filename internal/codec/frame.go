@@ -192,8 +192,10 @@ func EncodeFrame(c Codec, seq uint64, off int64, src, dst []byte) ([]byte, Heade
 
 // EncodeFrameVersion is EncodeFrame with an explicit format version:
 // Version2 (the default) stamps the payload's CRC32-C into the header;
-// Version1 writes the legacy checksum-less layout, kept for measuring
-// the checksum overhead and for feeding readers that predate v2.
+// Version1 writes the legacy checksum-less layout. No mount writes v1
+// any more; it stays as the frozen generator behind the golden
+// fixtures, the corruption matrix, the mixed-version read tests and the
+// v1-vs-v2 encode/decode benchmarks.
 func EncodeFrameVersion(c Codec, version uint8, seq uint64, off int64, src, dst []byte) ([]byte, Header, error) {
 	if version != Version1 && version != Version2 {
 		return dst, Header{}, fmt.Errorf("codec: cannot encode frame version %d", version)

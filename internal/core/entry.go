@@ -769,7 +769,7 @@ func (e *fileEntry) extendContainer(size int64) error {
 	}
 	pos := e.appendOff
 	e.appendOff += codec.HeaderSize
-	hdr := codec.Header{Version: uint8(e.fs.opts.FrameVersion), Codec: codec.RawID, Seq: e.frameSeq, Off: size, RawLen: 0, EncLen: 0}
+	hdr := codec.Header{Version: codec.Version, Codec: codec.RawID, Seq: e.frameSeq, Off: size, RawLen: 0, EncLen: 0}
 	e.frameSeq++
 	e.mu.Unlock()
 	codec.PutHeader(frame, hdr)

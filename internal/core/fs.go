@@ -247,7 +247,7 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 		encSp = fs.tracer.StartChild("crfs.encode", parent)
 	}
 	encT0 := time.Now()
-	frame, hdr, err := codec.EncodeFrameVersion(fs.opts.Codec, uint8(fs.opts.FrameVersion), c.seq, c.start, c.buf[:fill], (*bp)[:0])
+	frame, hdr, err := codec.EncodeFrame(fs.opts.Codec, c.seq, c.start, c.buf[:fill], (*bp)[:0])
 	fs.hist.encode.Observe(int64(time.Since(encT0)))
 	if encSp.Active() {
 		encSp.AttrInt("raw", fill)
@@ -291,8 +291,7 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 		// anyway.
 		pad := make([]byte, codec.HeaderSize)
 		codec.PutHeader(pad, codec.Header{
-			Version: uint8(fs.opts.FrameVersion),
-			Codec:   codec.RawID, Seq: c.seq, Off: c.start,
+			Codec: codec.RawID, Seq: c.seq, Off: c.start,
 			RawLen: 0, EncLen: uint32(len(frame) - codec.HeaderSize),
 		})
 		if _, perr := e.backendFile.WriteAt(pad, pos); perr == nil && len(frame) > codec.HeaderSize {

@@ -84,14 +84,6 @@ type Options struct {
 	// trigger policy. The zero value disables it, keeping every prior
 	// mount behavior byte-identical.
 	Compaction CompactionPolicy
-	// FrameVersion pins the frame format version new frames are written
-	// with. 0 (the default) selects the current version
-	// (codec.Version2, whose headers carry a CRC32-C of the uncompressed
-	// payload); codec.Version1 writes the legacy checksum-less layout,
-	// kept for measuring checksum overhead and for stores that older
-	// readers must still append-share. Reads always accept both versions
-	// regardless of this setting.
-	FrameVersion int
 	// Tracer receives the mount's pipeline spans (write/read/sync, chunk
 	// seal, encode, backend write, prefetch, scrub/compact). nil selects
 	// the process-wide obs.Default tracer, which starts disabled — the
@@ -155,12 +147,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Codec == nil {
 		o.Codec = codec.Raw()
 	}
-	if o.FrameVersion == 0 {
-		o.FrameVersion = codec.Version
-	}
 	if o.BufferPoolSize < 0 || o.ChunkSize <= 0 || o.IOThreads < 0 || o.ReadAhead < 0 ||
-		o.Compaction.MinDeadBytes < 0 || o.Compaction.Interval < 0 ||
-		(o.FrameVersion != codec.Version1 && o.FrameVersion != codec.Version2) {
+		o.Compaction.MinDeadBytes < 0 || o.Compaction.Interval < 0 {
 		return o, fmt.Errorf("core: invalid options %+v: %w", o, errInvalidOptions)
 	}
 	return o, nil

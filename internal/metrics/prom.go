@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 )
@@ -64,14 +63,6 @@ func StatLine(ms []PromMetric) string {
 		}
 	}
 	return b.String()
-}
-
-// WritePrometheus renders the metrics in the Prometheus text exposition
-// format (version 0.0.4): a # HELP and # TYPE line per metric followed
-// by the sample. Metrics are emitted in name order so the output is
-// deterministic and diffable; HELP text is escaped per the format rules.
-func WritePrometheus(w io.Writer, ms []PromMetric) error {
-	return WritePrometheusWith(w, ms, nil)
 }
 
 // escapeHelp escapes backslashes and newlines, the two characters the

@@ -26,10 +26,13 @@ type PromHistogram struct {
 	Count  uint64
 }
 
-// WritePrometheusWith renders counters/gauges and histogram families
-// interleaved in one name-sorted exposition, so scrape output stays
-// deterministic as families are added.
-func WritePrometheusWith(w io.Writer, ms []PromMetric, hs []PromHistogram) error {
+// WritePrometheus renders counters/gauges and histogram families in the
+// Prometheus text exposition format (version 0.0.4): a # HELP and
+// # TYPE line per family followed by its samples, HELP text escaped per
+// the format rules. Families are interleaved in one name-sorted
+// exposition, so scrape output stays deterministic and diffable as
+// families are added.
+func WritePrometheus(w io.Writer, ms []PromMetric, hs []PromHistogram) error {
 	sortedM := make([]PromMetric, len(ms))
 	copy(sortedM, ms)
 	sort.Slice(sortedM, func(i, j int) bool { return sortedM[i].Name < sortedM[j].Name })

@@ -27,7 +27,7 @@ func TestExpositionGolden(t *testing.T) {
 		Gauge("crfs_ratio", "Aggregation ratio.", 2.5),
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheusWith(&buf, ms, []PromHistogram{sampleHistogram()}); err != nil {
+	if err := WritePrometheus(&buf, ms, []PromHistogram{sampleHistogram()}); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
@@ -79,19 +79,6 @@ func TestValidateExpositionRejects(t *testing.T) {
 	}
 }
 
-func TestValidateExpositionAcceptsLegacyWriter(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, []PromMetric{
-		Counter("a_total", "A.", 1),
-		Gauge("b", "", 0.5),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateExposition(buf.Bytes()); err != nil {
-		t.Errorf("legacy writer output fails validation: %v\n%s", err, buf.String())
-	}
-}
-
 func TestStatLine(t *testing.T) {
 	ms := []PromMetric{
 		Counter("crfs_writes_total", "", 1024).WithStat("writes"),
@@ -113,7 +100,7 @@ func TestHistogramInfFromCount(t *testing.T) {
 	h.Counts = []uint64{1, 0, 0, 0}
 	h.Count = 9
 	var buf bytes.Buffer
-	if err := WritePrometheusWith(&buf, nil, []PromHistogram{h}); err != nil {
+	if err := WritePrometheus(&buf, nil, []PromHistogram{h}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateExposition(buf.Bytes()); err != nil {

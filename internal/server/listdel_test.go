@@ -1,15 +1,11 @@
 package server_test
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"fmt"
-	"io"
-	"net"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -106,51 +102,6 @@ func TestListStreamsLargeNamespace(t *testing.T) {
 		if names[i-1] >= names[i] {
 			t.Fatalf("LIST not sorted at %d: %q >= %q", i, names[i-1], names[i])
 		}
-	}
-}
-
-// TestV1ListDel exercises the legacy line-protocol forms of the new verbs.
-func TestV1ListDel(t *testing.T) {
-	e := newEnv(t, nil, server.Config{})
-	writeThrough(t, e.fs, "one", []byte("1"))
-	writeThrough(t, e.fs, "two", []byte("2"))
-
-	// v1 is one-shot: each command gets its own connection.
-	v1 := func(cmd string) (string, *bufio.Reader) {
-		t.Helper()
-		nc, err := net.DialTimeout("tcp", e.addr, 5*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { nc.Close() })
-		br := bufio.NewReader(nc)
-		fmt.Fprintf(nc, "%s\n", cmd)
-		nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-		line, err := br.ReadString('\n')
-		if err != nil {
-			t.Fatalf("%s: %v", cmd, err)
-		}
-		return line, br
-	}
-
-	line, br := v1("LIST")
-	var size int
-	if _, err := fmt.Sscanf(line, "OK %d", &size); err != nil {
-		t.Fatalf("LIST header %q: %v", line, err)
-	}
-	body := make([]byte, size)
-	if _, err := io.ReadFull(br, body); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Fields(string(body)); !reflect.DeepEqual(got, []string{"one", "two"}) {
-		t.Fatalf("v1 LIST body = %q", body)
-	}
-
-	if line, _ = v1("DEL one"); line != "OK\n" {
-		t.Fatalf("v1 DEL response %q", line)
-	}
-	if _, err := e.fs.Open("one", vfs.ReadOnly); !errors.Is(err, vfs.ErrNotExist) {
-		t.Fatalf("Open after v1 DEL: %v, want not-exist", err)
 	}
 }
 

@@ -60,11 +60,10 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_checksum_failed_total", "Frame payloads that failed their checksum (proven bit rot).", st.ChecksumFailed).WithStat("checksum_failed"),
 		metrics.Counter("crfs_checksum_skipped_total", "Decoded payloads that carried no checksum (v1 frames).", st.ChecksumSkipped).WithStat("checksum_skipped"),
 		// Server.
-		metrics.Counter("crfsd_conns_accepted_total", "Accepted connections, both protocol versions.", sv.ConnsAccepted),
+		metrics.Counter("crfsd_conns_accepted_total", "Accepted connections.", sv.ConnsAccepted),
 		metrics.Gauge("crfsd_conns_active", "Connections currently being served.", float64(sv.ConnsActive)),
-		metrics.Counter("crfsd_conns_v1_total", "Connections served with the legacy v1 protocol.", sv.ConnsV1),
 		metrics.Counter("crfsd_accept_retries_total", "Accept-loop errors survived with backoff.", sv.AcceptRetries),
-		metrics.Counter("crfsd_requests_total", "Requests started, any verb and version.", sv.Requests),
+		metrics.Counter("crfsd_requests_total", "Requests started, any verb.", sv.Requests),
 		metrics.Counter("crfsd_request_errors_total", "Requests that failed with an error response.", sv.RequestErrors),
 		metrics.Counter("crfsd_protocol_errors_total", "Connections torn down for wire violations.", sv.ProtocolErrors),
 		metrics.Counter("crfsd_inflight_capped_total", "Requests rejected by the per-client in-flight cap.", sv.InFlightCapped),
@@ -114,6 +113,6 @@ func (s *Server) Histograms() []metrics.PromHistogram {
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		metrics.WritePrometheusWith(w, s.Metrics(), s.Histograms())
+		metrics.WritePrometheus(w, s.Metrics(), s.Histograms())
 	})
 }

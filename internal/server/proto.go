@@ -1,7 +1,6 @@
 // Package server implements crfsd's network face: the protocol-v2
-// framed, multiplexed checkpoint transfer protocol and the legacy
-// protocol-v1 one-shot line protocol, served over persistent TCP
-// connections against a CRFS mount.
+// framed, multiplexed checkpoint transfer protocol, served over
+// persistent TCP connections against a CRFS mount.
 //
 // # Protocol v2
 //
@@ -30,9 +29,9 @@
 // connection are handled concurrently up to the server's advertised
 // in-flight cap.
 //
-// Anything else on the first line is served as a protocol-v1 request
-// (one request per connection, line header, raw body) and the
-// connection is closed afterwards.
+// Anything else on the first line is refused: the server answers one
+// "ERR ...\n" line naming the required protocol and closes the
+// connection.
 package server
 
 import (
@@ -174,8 +173,7 @@ func TraceField(id uint64) string {
 	return fmt.Sprintf("T=%016x", id)
 }
 
-// ParseRequest parses and validates a verb line (shared by both
-// protocol versions; the v1 line arrives without a frame around it).
+// ParseRequest parses and validates a verb line.
 func ParseRequest(line string) (Request, error) {
 	fields := strings.Fields(strings.TrimSpace(line))
 	var req Request

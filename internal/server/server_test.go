@@ -312,22 +312,12 @@ func TestPartialPutDisconnectLeavesNothing(t *testing.T) {
 
 func TestStalledClientReaped(t *testing.T) {
 	e := newEnv(t, nil, server.Config{ReadTimeout: 200 * time.Millisecond})
-	nc, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	// Legacy v1 client stalls mid-body.
-	fmt.Fprintf(nc, "PUT stalled 1048576\n")
-	nc.Write(make([]byte, 1000))
-	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	var rerr error
-	for rerr == nil {
-		_, rerr = nc.Read(make([]byte, 256))
-	}
-	if ne, ok := rerr.(net.Error); ok && ne.Timeout() {
-		t.Fatal("server left the stalled connection pinned")
-	}
+	r := dialRaw(t, e.addr)
+	// The client stalls mid-body.
+	r.send(server.FrameReq, 1, []byte("PUT stalled 1048576"))
+	r.send(server.FrameData, 1, make([]byte, 1000))
+	// Reaped at ReadTimeout, not the (5m default) IdleTimeout.
+	r.expectClosed()
 	waitForCleanStore(t, e, "stalled")
 }
 
@@ -373,65 +363,9 @@ func findStaging(t *testing.T, fs *core.FS, dir string) string {
 	return ""
 }
 
-// TestV1GetMidStreamFailure proves the v1 bugfix: whatever read the
-// injected fault lands on, the bytes after the "OK <size>" header are
-// always a prefix of the real content — never "ERR ..." text — and a
-// short stream ends in a closed connection, not a silent truncation
-// passed off as success.
-func TestV1GetMidStreamFailure(t *testing.T) {
-	const size = 256 << 10
-	want := testPattern(size)
-	midStream := false
-	for failAfter := 0; failAfter <= 40; failAfter++ {
-		resp := v1GetWithReadFault(t, failAfter, want)
-		header, rest, found := strings.Cut(string(resp), "\n")
-		if !found {
-			t.Fatalf("failAfter=%d: no header line in %d-byte response", failAfter, len(resp))
-		}
-		switch {
-		case strings.HasPrefix(header, "ERR "):
-			if rest != "" {
-				t.Fatalf("failAfter=%d: bytes after ERR line", failAfter)
-			}
-		case header == fmt.Sprintf("OK %d", size):
-			if !bytes.HasPrefix(want, []byte(rest)) {
-				t.Fatalf("failAfter=%d: body is not a content prefix (%d bytes): %.60q",
-					failAfter, len(rest), rest)
-			}
-			if len(rest) > 0 && len(rest) < size {
-				midStream = true
-			}
-		default:
-			t.Fatalf("failAfter=%d: unexpected header %q", failAfter, header)
-		}
-	}
-	if !midStream {
-		t.Fatal("no iteration produced a mid-stream failure; injection range too narrow")
-	}
-}
-
-// v1GetWithReadFault builds a fresh store whose backend fails every
-// read after the first failAfter, writes the pattern, and returns the
-// complete raw v1 GET response.
-func v1GetWithReadFault(t *testing.T, failAfter int, content []byte) []byte {
-	t.Helper()
-	backend := memfs.New(memfs.WithReadError(failAfter, errors.New("media gone bad")))
-	e := newEnv(t, backend, server.Config{})
-	writeThrough(t, e.fs, "img", content)
-	nc, err := net.Dial("tcp", e.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(20 * time.Second))
-	fmt.Fprintf(nc, "GET img\n")
-	resp, _ := io.ReadAll(nc)
-	return resp
-}
-
-// TestV2GetMidStreamFailure is the same sweep over the framed protocol:
-// the client either gets the full content or an error — and the sink
-// only ever holds a prefix of the real content.
+// TestV2GetMidStreamFailure sweeps a backend read fault over every read
+// of a GET: the client either gets the full content or an error — and
+// the sink only ever holds a prefix of the real content.
 func TestV2GetMidStreamFailure(t *testing.T) {
 	const size = 256 << 10
 	want := testPattern(size)
@@ -841,36 +775,42 @@ func writeThrough(t *testing.T, fs *core.FS, name string, data []byte) {
 	}
 }
 
-// TestV1Protocol exercises the legacy line protocol end to end.
-func TestV1Protocol(t *testing.T) {
+// TestNonHelloFirstLineRefused: a connection that does not open with the
+// protocol hello — here two well-formed requests of the retired line
+// protocol — gets exactly one ERR line and a hang-up. Nothing is served,
+// counted as a request, or staged.
+func TestNonHelloFirstLineRefused(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
-	roundtrip := func(send string, body []byte) string {
-		t.Helper()
-		nc, err := net.Dial("tcp", e.addr)
+	for _, send := range []string{"STAT\n", "PUT x 10\n0123456789"} {
+		before := e.srv.Stats()
+		nc, err := net.DialTimeout("tcp", e.addr, 5*time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer nc.Close()
-		nc.SetDeadline(time.Now().Add(20 * time.Second))
-		io.WriteString(nc, send)
-		nc.Write(body)
-		resp, _ := io.ReadAll(nc)
-		return string(resp)
+		t.Cleanup(func() { nc.Close() })
+		nc.SetDeadline(time.Now().Add(10 * time.Second))
+		if _, err := io.WriteString(nc, send); err != nil {
+			t.Fatal(err)
+		}
+		br := bufio.NewReader(nc)
+		line, err := br.ReadString('\n')
+		if err != nil || !strings.HasPrefix(line, "ERR ") || !strings.Contains(line, "CRFS/2") {
+			t.Fatalf("%q: response %q, %v; want one ERR line naming CRFS/2", send, line, err)
+		}
+		rest, err := io.ReadAll(br)
+		if ne, ok := err.(net.Error); ok && ne.Timeout() {
+			t.Fatalf("%q: connection still open after the ERR line", send)
+		}
+		if len(rest) != 0 {
+			t.Fatalf("%q: %d bytes after the ERR line: %.60q", send, len(rest), rest)
+		}
+		after := e.srv.Stats()
+		if got := after.ProtocolErrors - before.ProtocolErrors; got != 1 {
+			t.Errorf("%q: ProtocolErrors rose by %d, want 1", send, got)
+		}
+		if after.Requests != before.Requests || after.PutsCommitted != before.PutsCommitted {
+			t.Errorf("%q: refused connection was served: before %+v after %+v", send, before, after)
+		}
 	}
-	content := testPattern(100000)
-	if resp := roundtrip(fmt.Sprintf("PUT v1file %d\n", len(content)), content); resp != fmt.Sprintf("OK %d\n", len(content)) {
-		t.Fatalf("v1 PUT: %q", resp)
-	}
-	if resp := roundtrip("GET v1file\n", nil); resp != fmt.Sprintf("OK %d\n%s", len(content), content) {
-		t.Fatalf("v1 GET: %d bytes", len(resp))
-	}
-	if resp := roundtrip("STAT\n", nil); !strings.Contains(resp, "writes=") {
-		t.Fatalf("v1 STAT: %q", resp)
-	}
-	if resp := roundtrip("SCRUB\n", nil); !strings.HasPrefix(resp, "OK containers=") {
-		t.Fatalf("v1 SCRUB: %q", resp)
-	}
-	if resp := roundtrip("FROB x\n", nil); !strings.HasPrefix(resp, "ERR ") {
-		t.Fatalf("v1 unknown verb: %q", resp)
-	}
+	waitForCleanStore(t, e, "x")
 }

@@ -56,18 +56,11 @@ func DialNode(addr string, redials int) (*ClientNode, error) {
 func (n *ClientNode) ID() string { return n.addr }
 
 func (n *ClientNode) Put(name string, r io.Reader, size int64) error {
-	return n.c.Put(name, r, size)
+	return n.PutTraced(name, r, size, obs.SpanContext{})
 }
 
 func (n *ClientNode) Get(name string, w io.Writer) (int64, error) {
-	nn, err := n.c.Get(name, w)
-	// The wire protocol carries error strings, not types; this is the
-	// normalization boundary for absence.
-	var re *client.RemoteError
-	if errors.As(err, &re) && strings.Contains(re.Msg, "not exist") {
-		return nn, fmt.Errorf("stripe: node %s: GET %s: %w", n.addr, name, ErrNotExist)
-	}
-	return nn, err
+	return n.GetTraced(name, w, obs.SpanContext{})
 }
 
 func (n *ClientNode) Delete(name string) error { return n.c.Delete(name) }
@@ -83,6 +76,8 @@ func (n *ClientNode) PutTraced(name string, r io.Reader, size int64, ctx obs.Spa
 // GetTraced is the traced variant of Get (see PutTraced).
 func (n *ClientNode) GetTraced(name string, w io.Writer, ctx obs.SpanContext) (int64, error) {
 	nn, err := n.c.GetTraced(name, w, ctx)
+	// The wire protocol carries error strings, not types; this is the
+	// normalization boundary for absence.
 	var re *client.RemoteError
 	if errors.As(err, &re) && strings.Contains(re.Msg, "not exist") {
 		return nn, fmt.Errorf("stripe: node %s: GET %s: %w", n.addr, name, ErrNotExist)

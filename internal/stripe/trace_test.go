@@ -21,8 +21,20 @@ type tracedNode struct {
 	addr string
 	fs   *crfs.FS
 	srv  *server.Server
-	node *stripe.ClientNode
+	node fixedIDNode
 }
+
+// fixedIDNode gives a ClientNode a placement identity that does not
+// change from run to run: ClientNode.ID() is the daemon's address, the
+// listen port here is ephemeral, and HRW placement hashes the ID. The
+// concrete type is embedded so the traced upgrades (PutTraced,
+// GetTraced, TraceDump) stay reachable.
+type fixedIDNode struct {
+	*stripe.ClientNode
+	id string
+}
+
+func (n fixedIDNode) ID() string { return n.id }
 
 func (n *tracedNode) stop() {
 	n.node.Close()
@@ -32,7 +44,7 @@ func (n *tracedNode) stop() {
 	n.fs.Unmount()
 }
 
-func startTracedNode(t *testing.T) *tracedNode {
+func startTracedNode(t *testing.T, id string) *tracedNode {
 	t.Helper()
 	tr := obs.New(4096)
 	tr.SetEnabled(true)
@@ -53,7 +65,7 @@ func startTracedNode(t *testing.T) *tracedNode {
 		fs.Unmount()
 		t.Fatal(err)
 	}
-	return &tracedNode{addr: ln.Addr().String(), fs: fs, srv: srv, node: node}
+	return &tracedNode{addr: ln.Addr().String(), fs: fs, srv: srv, node: fixedIDNode{node, id}}
 }
 
 // collectTrace merges the client tracer's ring with every daemon's
@@ -93,9 +105,12 @@ func collectTrace(s *stripe.Store, ctr *obs.Tracer, trace obs.TraceID, want []st
 // pipelines — stitched together solely by the trace IDs propagated on
 // the wire.
 func TestTracePropagation(t *testing.T) {
+	// With these IDs every node is the primary of at least one of the
+	// object's 8 chunks (3/2/3), so the restore — which reads primaries
+	// only — reaches every daemon.
 	var daemons []*tracedNode
-	for i := 0; i < 3; i++ {
-		d := startTracedNode(t)
+	for _, id := range []string{"node-0", "node-1", "node-2"} {
+		d := startTracedNode(t, id)
 		defer d.stop()
 		daemons = append(daemons, d)
 	}
@@ -154,8 +169,8 @@ func TestTracePropagation(t *testing.T) {
 				nd++
 			}
 		}
-		// 8 chunks x 2 replicas over 3 nodes: placement is deterministic
-		// for a fixed object name, and every node holds some replica.
+		// 8 chunks x 2 replicas over 3 nodes with fixed IDs: every node
+		// holds some replica and serves some primary.
 		if nd != len(daemons) {
 			t.Errorf("%s: trace %x covers %d of %d daemons (procs %v)", op, trace, nd, len(daemons), keys(procs))
 		}
