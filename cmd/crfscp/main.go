@@ -25,7 +25,10 @@
 // fingerprint, failing over between replicas, so any single node can
 // be down or corrupted without affecting the restored bytes. -scrub
 // verifies every replica on every node and repairs bad copies from
-// good ones.
+// good ones. A node is listed as host:port, or as id=host:port to give
+// it an identity of its own: placement hashes the identity (the address
+// when none is given), so a daemon listed as n1=... keeps its chunks
+// when it moves to another host or port.
 //
 // -repair enables crash recovery on open: a frame container with a torn
 // tail (a power cut mid-checkpoint) is truncated to its longest intact
@@ -152,7 +155,7 @@ func main() {
 	readAhead := flag.Int("readahead", 8, "with -restore: read-ahead depth in chunks/frames (0 disables)")
 	repair := flag.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
 	serverAddr := flag.String("server", "", "copy to/from a crfsd daemon at this address instead of a local mount")
-	nodesList := flag.String("nodes", "", "comma-separated crfsd addresses: stripe across these daemons instead of a single server")
+	nodesList := flag.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
 	replicas := flag.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
 	stripeChunk := flag.Int64("stripe-chunk", stripe.DefaultChunkSize, "with -nodes: stripe unit in bytes")
 	scrub := flag.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies")
@@ -435,7 +438,7 @@ func clientDump(c *client.Client) func(obs.TraceID) []obs.SpanRecord {
 // durability story.
 func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials int, args []string, trun *traceRun) error {
 	if !scrub && (len(args) < 1 || (restore && len(args) < 2)) {
-		fmt.Fprintln(os.Stderr, "usage: crfscp -nodes a:9000,b:9000,... SRC...")
+		fmt.Fprintln(os.Stderr, "usage: crfscp -nodes a:9000,b:9000,... SRC...          (a node is host:port or id=host:port)")
 		fmt.Fprintln(os.Stderr, "       crfscp -nodes a:9000,b:9000,... -restore NAME... DSTDIR")
 		fmt.Fprintln(os.Stderr, "       crfscp -nodes a:9000,b:9000,... -scrub")
 		os.Exit(2)
@@ -451,7 +454,15 @@ func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials
 		if addr == "" {
 			continue
 		}
-		n, err := stripe.DialNode(addr, redials)
+		// "id=host:port" names the node; a bare address is its own name.
+		id := addr
+		if name, rest, ok := strings.Cut(addr, "="); ok {
+			if name == "" {
+				return fmt.Errorf("crfscp: -nodes entry %q: empty node id", addr)
+			}
+			id, addr = name, rest
+		}
+		n, err := stripe.DialNodeID(id, addr, redials)
 		if err != nil {
 			// An unreachable node must not fail the whole operation:
 			// surviving replicas are exactly what replication buys.

@@ -326,10 +326,27 @@ type session struct {
 	err     error
 }
 
-// frame is one routed response frame (payload already copied).
+// frameQueueDepth is how many response frames the demux reader may queue
+// for one request: per in-flight GET the client holds at most this many
+// frame buffers, plus one in the reader's hand and one in the sink's.
+const frameQueueDepth = 2
+
+// frame is one routed response frame. The payload is a buffer from the
+// server package's frame free list, owned by whoever receives the frame:
+// it calls free (or text) when done with the bytes.
 type frame struct {
 	typ     uint8
 	payload []byte
+}
+
+// free returns the frame's payload buffer to the free list.
+func (f frame) free() { server.PutFrameBuf(f.payload) }
+
+// text copies the payload out as a string and frees the buffer.
+func (f frame) text() string {
+	s := string(f.payload)
+	f.free()
+	return s
 }
 
 // dialSession connects and completes the hello exchange.
@@ -340,7 +357,7 @@ func dialSession(addr string, cfg Config) (*session, error) {
 	}
 	s := &session{
 		nc:        nc,
-		br:        bufio.NewReaderSize(nc, 64<<10),
+		br:        bufio.NewReaderSize(nc, server.ConnBufSize),
 		ioTimeout: cfg.IOTimeout,
 		done:      make(chan struct{}),
 		pending:   make(map[uint32]chan frame),
@@ -444,21 +461,20 @@ func (s *session) poison(err error) error {
 	return err
 }
 
-// reader is the demux goroutine: it routes every incoming frame to the
-// request that owns it.
+// reader is the demux goroutine: it reads every incoming frame into a
+// free-list buffer and hands it to the request that owns it.
 func (s *session) reader() {
-	var buf []byte
 	for {
-		hdr, payload, err := s.readFrame(buf)
+		hdr, payload, err := s.readFrame()
 		if err != nil {
 			s.fail(fmt.Errorf("client: connection lost: %w", err))
 			s.nc.Close()
 			return
 		}
-		buf = payload[:0]
+		f := frame{typ: hdr.Type, payload: payload}
 		if hdr.ReqID == 0 {
 			// Connection-level error (protocol violation report): fatal.
-			s.fail(fmt.Errorf("client: server closed the session: %s", payload))
+			s.fail(fmt.Errorf("client: server closed the session: %s", f.text()))
 			s.nc.Close()
 			return
 		}
@@ -467,22 +483,24 @@ func (s *session) reader() {
 		s.mu.Unlock()
 		if ch == nil {
 			// A response for a request we already gave up on; drop it.
+			f.free()
 			continue
 		}
 		select {
-		case ch <- frame{typ: hdr.Type, payload: append([]byte(nil), payload...)}:
+		case ch <- f:
 		case <-s.done:
+			f.free()
 			return
 		}
 	}
 }
 
 // readFrame reads one frame under the optional IO deadline.
-func (s *session) readFrame(buf []byte) (server.Header, []byte, error) {
+func (s *session) readFrame() (server.Header, []byte, error) {
 	if s.ioTimeout > 0 {
 		s.nc.SetReadDeadline(time.Now().Add(s.ioTimeout))
 	}
-	return server.ReadFrame(s.br, buf)
+	return server.ReadFrameBuf(s.br)
 }
 
 // begin registers a new request and sends its req frame.
@@ -498,7 +516,10 @@ func (s *session) begin(line string) (uint32, chan frame, error) {
 		s.nextID = 1
 	}
 	id := s.nextID
-	ch := make(chan frame, 16)
+	// Lets the reader run ahead of a GET's sink by a frame or two without
+	// stalling the other requests multiplexed on the connection. A PUT
+	// never has more than its one response queued.
+	ch := make(chan frame, frameQueueDepth)
 	s.pending[id] = ch
 	s.mu.Unlock()
 	if err := s.writeFrame(server.FrameReq, id, []byte(line)); err != nil {
@@ -514,8 +535,8 @@ func (s *session) forget(id uint32) {
 	s.mu.Unlock()
 }
 
-// writeFrame writes one frame atomically (header and payload under one
-// lock hold) and flushes it to the wire. A write failure kills the
+// writeFrame writes one frame atomically (header and payload in one
+// vectored write, under one lock hold). A write failure kills the
 // session: the peer's view of the stream is unknowable past a short
 // write.
 func (s *session) writeFrame(typ uint8, id uint32, payload []byte) error {
@@ -557,11 +578,12 @@ func (s *session) wait(id uint32, ch chan frame) (string, error) {
 	if err != nil {
 		return "", err
 	}
+	text := f.text()
 	switch f.typ {
 	case server.FrameEnd:
-		return string(f.payload), nil
+		return text, nil
 	case server.FrameErr:
-		return "", &RemoteError{Msg: string(f.payload)}
+		return "", &RemoteError{Msg: text}
 	default:
 		return "", s.poison(fmt.Errorf("client: unexpected frame type %#x: %w", f.typ, server.ErrProtocol))
 	}
@@ -590,7 +612,10 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 	if err != nil {
 		return false, err
 	}
-	buf := make([]byte, server.DataChunk)
+	// The staging buffer is reusable as soon as writeFrame returns: the
+	// kernel has the bytes by then.
+	buf := server.GetFrameBuf(server.DataChunk)
+	defer server.PutFrameBuf(buf)
 	var sent int64
 	for sent < size {
 		// An early error response (cap exceeded, draining, bad name) means
@@ -598,9 +623,10 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 		select {
 		case f := <-ch:
 			s.forget(id)
+			msg := f.text()
 			if f.typ == server.FrameErr {
 				s.writeFrame(server.FrameEnd, id, nil)
-				return consumed, &RemoteError{Msg: string(f.payload)}
+				return consumed, &RemoteError{Msg: msg}
 			}
 			return consumed, s.poison(fmt.Errorf("client: PUT %s: early frame type %#x: %w", name, f.typ, server.ErrProtocol))
 		case <-s.done:
@@ -657,6 +683,7 @@ func (s *session) get(name string, w io.Writer, ctx obs.SpanContext) (int64, err
 		switch f.typ {
 		case server.FrameData:
 			wn, werr := w.Write(f.payload)
+			f.free()
 			n += int64(wn)
 			if werr != nil {
 				// The sink failed; the server keeps streaming. Poison the
@@ -665,15 +692,16 @@ func (s *session) get(name string, w io.Writer, ctx obs.SpanContext) (int64, err
 				return n, fmt.Errorf("client: GET %s: writing body: %w", name, werr)
 			}
 		case server.FrameEnd:
-			line := string(f.payload)
+			line := f.text()
 			var size int64
 			if _, err := fmt.Sscanf(line, "OK %d", &size); err != nil || size != n {
 				return n, s.poison(fmt.Errorf("client: GET %s: got %d bytes, trailer %q: %w", name, n, line, server.ErrProtocol))
 			}
 			return n, nil
 		case server.FrameErr:
-			return n, &RemoteError{Msg: string(f.payload)}
+			return n, &RemoteError{Msg: f.text()}
 		default:
+			f.free()
 			return n, s.poison(fmt.Errorf("client: GET %s: unexpected frame type %#x: %w", name, f.typ, server.ErrProtocol))
 		}
 	}
@@ -698,10 +726,12 @@ func (s *session) list() ([]string, error) {
 		switch f.typ {
 		case server.FrameData:
 			body.Write(f.payload)
+			f.free()
 		case server.FrameEnd:
 			var count int
-			if _, err := fmt.Sscanf(string(f.payload), "OK %d", &count); err != nil {
-				return nil, s.poison(fmt.Errorf("client: LIST: bad trailer %q: %w", f.payload, server.ErrProtocol))
+			line := f.text()
+			if _, err := fmt.Sscanf(line, "OK %d", &count); err != nil {
+				return nil, s.poison(fmt.Errorf("client: LIST: bad trailer %q: %w", line, server.ErrProtocol))
 			}
 			names := make([]string, 0, count)
 			for _, ln := range strings.Split(body.String(), "\n") {
@@ -714,8 +744,9 @@ func (s *session) list() ([]string, error) {
 			}
 			return names, nil
 		case server.FrameErr:
-			return nil, &RemoteError{Msg: string(f.payload)}
+			return nil, &RemoteError{Msg: f.text()}
 		default:
+			f.free()
 			return nil, s.poison(fmt.Errorf("client: LIST: unexpected frame type %#x: %w", f.typ, server.ErrProtocol))
 		}
 	}
@@ -747,10 +778,12 @@ func (s *session) traceDump(trace obs.TraceID) ([]obs.SpanRecord, error) {
 		switch f.typ {
 		case server.FrameData:
 			body.Write(f.payload)
+			f.free()
 		case server.FrameEnd:
 			var count int
-			if _, err := fmt.Sscanf(string(f.payload), "OK %d", &count); err != nil {
-				return nil, s.poison(fmt.Errorf("client: TRACE: bad trailer %q: %w", f.payload, server.ErrProtocol))
+			line := f.text()
+			if _, err := fmt.Sscanf(line, "OK %d", &count); err != nil {
+				return nil, s.poison(fmt.Errorf("client: TRACE: bad trailer %q: %w", line, server.ErrProtocol))
 			}
 			recs, err := obs.ParseRecords(body.Bytes())
 			if err != nil {
@@ -761,8 +794,9 @@ func (s *session) traceDump(trace obs.TraceID) ([]obs.SpanRecord, error) {
 			}
 			return recs, nil
 		case server.FrameErr:
-			return nil, &RemoteError{Msg: string(f.payload)}
+			return nil, &RemoteError{Msg: f.text()}
 		default:
+			f.free()
 			return nil, s.poison(fmt.Errorf("client: TRACE: unexpected frame type %#x: %w", f.typ, server.ErrProtocol))
 		}
 	}

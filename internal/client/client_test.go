@@ -16,11 +16,18 @@ import (
 	"crfs/internal/core"
 	"crfs/internal/memfs"
 	"crfs/internal/server"
+	"crfs/internal/vfs"
 )
 
 func startServer(t *testing.T) string {
 	t.Helper()
-	fs, err := core.Mount(memfs.New(), core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
+	return startDaemon(t, memfs.New())
+}
+
+// startDaemon serves a mount over back on loopback until the test ends.
+func startDaemon(t testing.TB, back vfs.FS) string {
+	t.Helper()
+	fs, err := core.Mount(back, core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +147,9 @@ func TestCloseDuringStreamingGetDoesNotPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	// 4 MiB = 64 data frames, far beyond the per-request channel buffer,
-	// so the server is still streaming when the sink stalls.
-	body := make([]byte, 4<<20)
+	// 32 data frames, twice the per-request channel buffer, so the server
+	// is still streaming when the sink stalls.
+	body := make([]byte, 32*server.DataChunk)
 	if err := c.Put("big", bytes.NewReader(body), int64(len(body))); err != nil {
 		t.Fatalf("put: %v", err)
 	}

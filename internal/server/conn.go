@@ -20,6 +20,24 @@ import (
 // seven bytes, so anything longer is garbage.
 const maxRequestLine = 4096
 
+// Queue depths, in frames. Together with the in-flight cap they bound the
+// frame buffers one connection can hold (DESIGN.md, "crfsd protocol v2"):
+// MaxInFlight × bodyQueueDepth inbound plus outQueueDepth outbound, each
+// up to DataChunk bytes. They are as shallow as overlap needs — one stage
+// fills a frame while the next empties one. Every further slot is another
+// 256 KiB a transfer may cycle through, and how full a deep queue runs,
+// so how much memory and cache a transfer touches, is up to the
+// scheduler; deeper queues measured no faster (EXPERIMENTS.md, "Wire data
+// path").
+const (
+	// bodyQueueDepth is the slack between the connection reader and one
+	// PUT handler's WriteAt.
+	bodyQueueDepth = 1
+	// outQueueDepth is the slack between the GET handlers of a connection
+	// and its writer.
+	outQueueDepth = 4
+)
+
 // maxRejectedIDs bounds the set of request ids whose body frames are
 // being drained after an early error response; a client pushing past it
 // is abusing the protocol and the connection is dropped.
@@ -45,8 +63,10 @@ type srvConn struct {
 	handlers sync.WaitGroup
 }
 
-// outFrame is one queued frame toward the client. last marks the
-// graceful-close sentinel: flush everything written so far, then close.
+// outFrame is one queued frame toward the client. A data frame's payload
+// is a free-list buffer the writer owns from the moment it is queued and
+// returns once written. last marks the graceful-close sentinel: flush
+// everything written so far, then close.
 type outFrame struct {
 	typ     uint8
 	reqID   uint32
@@ -62,7 +82,8 @@ type inReq struct {
 	bodyDone   bool
 }
 
-// bodyItem is one routed body frame (or the end-of-body marker).
+// bodyItem is one routed body frame (or the end-of-body marker). data is
+// a free-list buffer; the handler that receives the item owns it.
 type bodyItem struct {
 	data []byte
 	end  bool
@@ -75,8 +96,8 @@ func (s *Server) handleConn(nc net.Conn) {
 	c := &srvConn{
 		srv:      s,
 		nc:       nc,
-		br:       bufio.NewReaderSize(nc, 64<<10),
-		out:      make(chan outFrame, 16),
+		br:       bufio.NewReaderSize(nc, ConnBufSize),
+		out:      make(chan outFrame, outQueueDepth),
 		dead:     make(chan struct{}),
 		inFlight: make(map[uint32]*inReq),
 		rejected: make(map[uint32]bool),
@@ -149,13 +170,29 @@ func (c *srvConn) sendFrame(f outFrame) bool {
 	}
 }
 
+// sendData queues buf, a free-list buffer, as one body data frame of
+// request id. Ownership passes to the writer; if the connection is gone
+// the buffer is returned here.
+func (c *srvConn) sendData(id uint32, buf []byte) bool {
+	n := len(buf)
+	if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf}) {
+		PutFrameBuf(buf)
+		return false
+	}
+	c.srv.c.bytesOut.Add(int64(n))
+	return true
+}
+
 // writer is the single goroutine writing the connection: it serializes
-// frames from every handler, applies the write deadline, flushes when
-// the queue momentarily empties, and keeps the read deadline pushed
-// forward while it is making progress (a connection busy streaming a
-// long GET must not be reaped as idle).
+// frames from every handler, applies the write deadline, and keeps the
+// read deadline pushed forward while it is making progress (a connection
+// busy streaming a long GET must not be reaped as idle). Control frames
+// collect in a small buffer flushed when the queue momentarily empties;
+// a data frame goes out as one vectored write of header and payload,
+// after a flush so frames stay in queue order, and its buffer returns to
+// the free list.
 func (c *srvConn) writer() {
-	bw := bufio.NewWriterSize(c.nc, 64<<10)
+	bw := bufio.NewWriterSize(c.nc, ConnBufSize)
 	cfg := &c.srv.cfg
 	for {
 		select {
@@ -166,16 +203,23 @@ func (c *srvConn) writer() {
 				c.close()
 				return
 			}
-			if err := WriteFrame(bw, f.typ, f.reqID, f.payload); err != nil {
+			var err error
+			if f.typ == FrameData {
+				if err = bw.Flush(); err == nil {
+					err = WriteFrame(c.nc, f.typ, f.reqID, f.payload)
+				}
+				PutFrameBuf(f.payload)
+			} else {
+				err = WriteFrame(bw, f.typ, f.reqID, f.payload)
+			}
+			if err == nil && len(c.out) == 0 {
+				if err = bw.Flush(); err == nil {
+					c.bumpReadDeadline()
+				}
+			}
+			if err != nil {
 				c.close()
 				return
-			}
-			if len(c.out) == 0 {
-				if err := bw.Flush(); err != nil {
-					c.close()
-					return
-				}
-				c.bumpReadDeadline()
 			}
 		case <-c.dead:
 			return
@@ -209,17 +253,15 @@ func (c *srvConn) serve() {
 	if !c.sendFrame(outFrame{typ: FrameHello, payload: []byte(hello)}) {
 		return
 	}
-	var buf []byte
 	for {
 		c.bumpReadDeadline()
-		hdr, payload, err := ReadFrame(c.br, buf)
+		hdr, payload, err := ReadFrameBuf(c.br)
 		if err != nil {
 			if errors.Is(err, ErrProtocol) {
 				c.fatal(err.Error())
 			}
 			return
 		}
-		buf = payload[:0]
 		if !c.dispatch(hdr, payload) {
 			return
 		}
@@ -234,17 +276,20 @@ func (c *srvConn) fatal(msg string) {
 	c.queueClose()
 }
 
-// dispatch routes one incoming frame; false tears the connection down.
+// dispatch routes one incoming frame, whose payload buffer it owns: a
+// data frame's buffer is handed on to routeBody, every other frame's is
+// returned here. false tears the connection down.
 func (c *srvConn) dispatch(hdr Header, payload []byte) bool {
+	if hdr.Type == FrameData && len(payload) > 0 {
+		return c.routeBody(hdr.ReqID, payload, false)
+	}
+	defer PutFrameBuf(payload)
 	switch hdr.Type {
 	case FrameReq:
 		return c.handleReq(hdr.ReqID, string(payload))
 	case FrameData:
-		if len(payload) == 0 {
-			c.fatal("server: empty data frame")
-			return false
-		}
-		return c.routeBody(hdr.ReqID, payload, false)
+		c.fatal("server: empty data frame")
+		return false
 	case FrameEnd:
 		if hdr.Len != 0 {
 			c.fatal("server: end frame with payload")
@@ -302,7 +347,7 @@ func (c *srvConn) handleReq(id uint32, line string) bool {
 	}
 	r := &inReq{expectBody: req.Verb == "PUT"}
 	if r.expectBody {
-		r.body = make(chan bodyItem, 4)
+		r.body = make(chan bodyItem, bodyQueueDepth)
 		r.abort = make(chan struct{})
 		c.expectBody++
 	}
@@ -319,24 +364,26 @@ func (c *srvConn) handleReq(id uint32, line string) bool {
 
 // routeBody delivers a data/end frame to its request handler, applying
 // backpressure: a full body queue blocks the reader (and therefore the
-// TCP window) until the handler catches up.
+// TCP window) until the handler catches up. It owns data, a free-list
+// buffer: delivery hands it to the handler, every other exit returns it.
 func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 	c.mu.Lock()
 	r, ok := c.inFlight[id]
 	if !ok {
-		if c.rejected[id] {
-			if end {
-				delete(c.rejected, id)
-			}
-			c.mu.Unlock()
-			return true
+		drained := c.rejected[id]
+		if drained && end {
+			delete(c.rejected, id)
 		}
 		c.mu.Unlock()
-		c.fatal(fmt.Sprintf("server: body frame for unknown request %d", id))
-		return false
+		PutFrameBuf(data)
+		if !drained {
+			c.fatal(fmt.Sprintf("server: body frame for unknown request %d", id))
+		}
+		return drained
 	}
 	if !r.expectBody || r.bodyDone {
 		c.mu.Unlock()
+		PutFrameBuf(data)
 		c.fatal(fmt.Sprintf("server: unexpected body frame for request %d", id))
 		return false
 	}
@@ -345,19 +392,17 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 		c.expectBody--
 	}
 	c.mu.Unlock()
-	item := bodyItem{end: end}
-	if !end {
-		item.data = append([]byte(nil), data...)
-		c.srv.c.bytesIn.Add(int64(len(data)))
-	}
+	c.srv.c.bytesIn.Add(int64(len(data)))
 	select {
-	case r.body <- item:
+	case r.body <- bodyItem{data: data, end: end}:
 		return true
 	case <-r.abort:
 		// The handler retired this request before the body finished;
 		// complete() registered the id for draining, so drop the frame.
+		PutFrameBuf(data)
 		return true
 	case <-c.dead:
+		PutFrameBuf(data)
 		return false
 	}
 }
@@ -470,14 +515,11 @@ func (c *srvConn) runTrace(id uint32, req Request) {
 		return
 	}
 	for off := 0; off < len(body); off += DataChunk {
-		end := off + DataChunk
-		if end > len(body) {
-			end = len(body)
-		}
-		if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: body[off:end]}) {
+		buf := GetFrameBuf(min(DataChunk, len(body)-off))
+		copy(buf, body[off:])
+		if !c.sendData(id, buf) {
 			return
 		}
-		c.srv.c.bytesOut.Add(int64(end - off))
 	}
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", len(recs))))
 }
@@ -490,30 +532,23 @@ func (c *srvConn) runList(id uint32) {
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
 	}
+	// The writer owns a payload once it is queued, so each frame is
+	// filled in its own free-list buffer.
 	var buf []byte
-	flush := func() bool {
-		if len(buf) == 0 {
-			return true
-		}
-		// The writer consumes payloads by reference, so each frame gets
-		// its own slice.
-		if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf}) {
-			return false
-		}
-		c.srv.c.bytesOut.Add(int64(len(buf)))
-		buf = nil
-		return true
-	}
 	for _, n := range names {
 		if len(buf)+len(n)+1 > DataChunk {
-			if !flush() {
+			if !c.sendData(id, buf) {
 				return
 			}
+			buf = nil
+		}
+		if buf == nil {
+			buf = GetFrameBuf(DataChunk)[:0]
 		}
 		buf = append(buf, n...)
 		buf = append(buf, '\n')
 	}
-	if !flush() {
+	if buf != nil && !c.sendData(id, buf) {
 		return
 	}
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", len(names))))
@@ -542,15 +577,14 @@ func (c *srvConn) runGet(id uint32, name string, ctx obs.SpanContext) {
 		if size-off < want {
 			want = size - off
 		}
-		buf := make([]byte, want)
+		buf := GetFrameBuf(int(want))
 		n, rerr := f.ReadAt(buf, off)
-		if n > 0 {
-			if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf[:n]}) {
-				return
-			}
-			off += int64(n)
-			c.srv.c.bytesOut.Add(int64(n))
+		if n == 0 {
+			PutFrameBuf(buf)
+		} else if !c.sendData(id, buf[:n]) {
+			return
 		}
+		off += int64(n)
 		if rerr != nil && !errors.Is(rerr, io.EOF) {
 			c.complete(id, FrameErr, []byte(rerr.Error()))
 			return
@@ -592,7 +626,9 @@ func (c *srvConn) runPut(id uint32, req Request, r *inReq, ctx obs.SpanContext) 
 // stagePut streams a PUT body into a staging temp and renames it over
 // the target only after a clean close, so a failed or abandoned PUT
 // never leaves a partial file visible under the target name. src yields
-// successive body slices and io.EOF at the end of the stream.
+// successive body slices and io.EOF at the end of the stream; each slice
+// is a free-list buffer stagePut owns and returns once it is written (or
+// refused).
 func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), ctx obs.SpanContext) (int64, error) {
 	if dir, _ := vfs.Split(name); dir != "." {
 		if err := s.fs.MkdirAll(dir); err != nil {
@@ -629,13 +665,17 @@ func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), c
 		if err != nil {
 			return abort(err)
 		}
-		if off+int64(len(chunk)) > size {
+		n := int64(len(chunk))
+		if off+n > size {
+			PutFrameBuf(chunk)
 			return abort(fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol))
 		}
-		if _, werr := f.WriteAt(chunk, off); werr != nil {
+		_, werr := f.WriteAt(chunk, off)
+		PutFrameBuf(chunk)
+		if werr != nil {
 			return abort(fmt.Errorf("server: PUT %s: %w", name, werr))
 		}
-		off += int64(len(chunk))
+		off += n
 	}
 	if off != size {
 		return abort(fmt.Errorf("server: PUT %s: short body: %d of %d bytes: %w", name, off, size, vfs.ErrInvalid))

@@ -85,10 +85,14 @@ func TestListExcludesStagingTemps(t *testing.T) {
 // data frames and checks the count trailer agrees.
 func TestListStreamsLargeNamespace(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
-	const n = 3000
+	// Long names, and enough of them that the body spans more than two
+	// DataChunk frames.
+	const (
+		nameLen = 240
+		n       = 2*server.DataChunk/(nameLen+1) + 100
+	)
 	for i := 0; i < n; i++ {
-		// Long names so the body spans multiple DataChunk frames.
-		writeThrough(t, e.fs, fmt.Sprintf("checkpoint-with-a-rather-long-name-%06d", i), []byte("x"))
+		writeThrough(t, e.fs, fmt.Sprintf("checkpoint-with-a-rather-long-name-%0*d", nameLen-35, i), []byte("x"))
 	}
 	c := e.client(t)
 	names, err := c.List()

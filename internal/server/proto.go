@@ -39,8 +39,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"unicode"
 
 	"crfs/internal/vfs"
@@ -77,9 +80,87 @@ const (
 	// across frames. The bound keeps per-request buffering small, so a
 	// connection's memory cost is capped no matter the declared sizes.
 	MaxFramePayload = 1 << 20
-	// DataChunk is the payload size senders use for body data frames.
-	DataChunk = 64 << 10
+	// DataChunk is the payload size senders use for body data frames,
+	// and the size of every buffer on the frame free list. Receivers
+	// accept any size up to MaxFramePayload, so it is not part of the
+	// protocol: peers built with another value interoperate.
+	DataChunk = 256 << 10
+	// ConnBufSize sizes the bufio buffers both ends put on a connection.
+	// Small on purpose: they serve headers, verb lines and control
+	// frames; a data payload larger than the buffer is read past it,
+	// straight into its free-list buffer (ReadFrameBuf), and written past
+	// it (WriteFrame on the connection).
+	ConnBufSize = 4 << 10
 )
+
+// The frame free list. One body byte crosses client, wire and daemon in
+// buffers taken from it and handed off by ownership: a buffer has exactly
+// one holder at a time — whoever took it from GetFrameBuf or was handed
+// it — and the last holder returns it with PutFrameBuf. Nobody touches a
+// buffer after handing it off or returning it, which is why the list
+// needs no reference counts. Dropping a buffer instead of returning it is
+// always safe (the collector takes it); teardown paths do.
+//
+// The list is process-wide because client and daemon ends of a loopback
+// pair, and every connection of a daemon, draw from the same steady-state
+// working set. It is a stack: the buffer returned last is taken next, so
+// the memory a transfer cycles through is the buffers actually in flight
+// rather than every buffer the list holds. It retains at most
+// frameBufsKept idle buffers (16 MiB): with the queue depths of this
+// package and of internal/client a dozen concurrent chunk transfers hold
+// up to 36 at a time, so a steady load allocates none.
+const frameBufsKept = 64
+
+var frameBufs struct {
+	sync.Mutex
+	idle [][]byte
+}
+
+// poisonFrameBufs makes PutFrameBuf overwrite every returned buffer, so a
+// holder that kept reading one after giving it up sees 0xDB instead of
+// plausible bytes. Tests set it.
+var poisonFrameBufs atomic.Bool
+
+// GetFrameBuf returns a buffer of length n owned by the caller: from the
+// free list when n fits a data frame, a one-off allocation otherwise (a
+// peer may send up to MaxFramePayload).
+func GetFrameBuf(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if n > DataChunk {
+		return make([]byte, n)
+	}
+	frameBufs.Lock()
+	if last := len(frameBufs.idle) - 1; last >= 0 {
+		b := frameBufs.idle[last]
+		frameBufs.idle = frameBufs.idle[:last]
+		frameBufs.Unlock()
+		return b[:n]
+	}
+	frameBufs.Unlock()
+	return make([]byte, n, DataChunk)
+}
+
+// PutFrameBuf gives b up to the free list. Buffers that did not come from
+// it (oversized one-offs, nil) are left to the collector.
+func PutFrameBuf(b []byte) {
+	if cap(b) != DataChunk {
+		return
+	}
+	b = b[:DataChunk]
+	if poisonFrameBufs.Load() {
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
+	frameBufs.Lock()
+	if len(frameBufs.idle) < frameBufsKept {
+		frameBufs.idle = append(frameBufs.idle, b)
+	}
+	frameBufs.Unlock()
+}
 
 // ErrProtocol reports a violation of the frame format itself (bad
 // header, oversized payload, data for an unknown request): the
@@ -121,29 +202,34 @@ func ParseFrameHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// WriteFrame writes one frame (header + payload) to w.
+// WriteFrame writes one frame (header + payload) to w as one vectored
+// write: a single writev when w is a TCP or Unix connection, the header
+// and the payload one after the other on any other writer. The payload
+// is not retained.
 func WriteFrame(w io.Writer, typ uint8, reqID uint32, payload []byte) error {
 	var hdr [HeaderLen]byte
 	PutHeader(hdr[:], Header{Type: typ, ReqID: reqID, Len: uint32(len(payload))})
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	bufs := net.Buffers{hdr[:], payload}
+	if len(payload) == 0 {
+		bufs = bufs[:1]
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	_, err := bufs.WriteTo(w)
+	return err
+}
+
+// readHeader reads and validates one frame header.
+func readHeader(r io.Reader) (Header, error) {
+	var hdr [HeaderLen]byte
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return Header{}, err
 	}
-	return nil
+	return ParseFrameHeader(hdr[:])
 }
 
 // ReadFrame reads one frame from r, appending the payload to buf[:0]
 // (which is grown as needed) and returning the header and payload.
 func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
-	var hdr [HeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Header{}, nil, err
-	}
-	h, err := ParseFrameHeader(hdr[:])
+	h, err := readHeader(r)
 	if err != nil {
 		return h, nil, err
 	}
@@ -152,6 +238,24 @@ func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
 	}
 	buf = buf[:h.Len]
 	if _, err := io.ReadFull(r, buf); err != nil {
+		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
+	}
+	return h, buf, nil
+}
+
+// ReadFrameBuf reads one frame from r into a buffer from the free list.
+// The caller owns the returned payload: it hands it on or returns it with
+// PutFrameBuf, and the next ReadFrameBuf never reuses it. When r is a
+// bufio.Reader smaller than the payload, all but the payload's first and
+// last few KiB are read from the connection straight into the buffer.
+func ReadFrameBuf(r io.Reader) (Header, []byte, error) {
+	h, err := readHeader(r)
+	if err != nil {
+		return h, nil, err
+	}
+	buf := GetFrameBuf(int(h.Len))
+	if _, err := io.ReadFull(r, buf); err != nil {
+		PutFrameBuf(buf)
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
 	return h, buf, nil

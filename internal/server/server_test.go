@@ -365,12 +365,18 @@ func findStaging(t *testing.T, fs *core.FS, dir string) string {
 
 // TestV2GetMidStreamFailure sweeps a backend read fault over every read
 // of a GET: the client either gets the full content or an error — and
-// the sink only ever holds a prefix of the real content.
+// the sink only ever holds a prefix of the real content. The object spans
+// several data frames, so a fault can land after some were delivered.
 func TestV2GetMidStreamFailure(t *testing.T) {
-	const size = 256 << 10
+	const (
+		frames = 4
+		size   = frames * server.DataChunk
+	)
 	want := testPattern(size)
 	midStream := false
-	for failAfter := 0; failAfter <= 40; failAfter++ {
+	// A GET issues one backend read per frame, so the sweep covers a fault
+	// before the first byte, after each frame, and runs that succeed.
+	for failAfter := 0; failAfter <= 2*frames; failAfter++ {
 		backend := memfs.New(memfs.WithReadError(failAfter, errors.New("media gone bad")))
 		e := newEnv(t, backend, server.Config{})
 		writeThrough(t, e.fs, "img", want)

@@ -137,7 +137,7 @@ func DecodeManifest(data []byte) (*Manifest, error) {
 
 	m := &Manifest{}
 	sc := bufio.NewScanner(bytes.NewReader(data[:sumAt]))
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20) // a line may be this long; the buffer grows to what the lines need
 	line := func() (string, error) {
 		if !sc.Scan() {
 			if err := sc.Err(); err != nil {

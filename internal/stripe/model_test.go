@@ -2,6 +2,7 @@ package stripe
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -98,6 +99,27 @@ func TestModelDifferential(t *testing.T) {
 		}
 		verify(step, s)
 	}
+
+	// One node refuses its manifest copy: the Put fails naming that node,
+	// and the same Put after the node heals commits — the store then
+	// matches the model again, the half-committed attempt forgotten.
+	fn := &faultNode{MemNode: nodes[2]}
+	s.Join(fn)
+	fn.refusing(func(name string) bool {
+		_, _, kind := ParseObjectName(name)
+		return kind == KindManifest
+	})
+	body := make([]byte, 7*chunkSize+11)
+	rng.Read(body)
+	err := s.Put("e.ckpt", bytes.NewReader(body), int64(len(body)))
+	var nf *nodeFault
+	if !errors.As(err, &nf) || nf.node != fn.ID() || nf.name != ManifestName("e.ckpt") {
+		t.Fatalf("PUT with one node refusing its manifest copy: %v", err)
+	}
+	fn.refusing(nil)
+	mustPut(t, s, "e.ckpt", body)
+	model["e.ckpt"] = body
+	verify("manifest copy refused, then retried", s)
 
 	// Remount: a brand-new coordinator over the same nodes must see the
 	// identical store — all state lives in manifests, none in the

@@ -21,7 +21,8 @@ import (
 // injection.
 type Node interface {
 	// ID is the node's stable identity; placement hashes it, so it must
-	// not change across reconnects (use the address, not the socket).
+	// not change for as long as the node holds chunks — across
+	// reconnects, and across a move to another address.
 	ID() string
 	Put(name string, r io.Reader, size int64) error
 	Get(name string, w io.Writer) (int64, error)
@@ -39,21 +40,30 @@ var ErrNotExist = errors.New("stripe: object does not exist")
 // underlying client redials and retries idempotent requests, so a
 // bounced daemon looks like a slow request, not a dead node.
 type ClientNode struct {
+	id   string
 	addr string
 	c    *client.Client
 }
 
-// DialNode connects to a crfsd daemon as a stripe node. redials bounds
-// automatic reconnects for the node's lifetime (see client.Config).
+// DialNode connects to a crfsd daemon as a stripe node whose identity is
+// its address. redials bounds automatic reconnects for the node's
+// lifetime (see client.Config).
 func DialNode(addr string, redials int) (*ClientNode, error) {
+	return DialNodeID(addr, addr, redials)
+}
+
+// DialNodeID is DialNode with an identity of the caller's choosing.
+// Placement hashes the ID, not the address, so a daemon given a fixed ID
+// keeps its chunks when it comes back on another host or port.
+func DialNodeID(id, addr string, redials int) (*ClientNode, error) {
 	c, err := client.Dial(addr, client.Config{Redials: redials})
 	if err != nil {
 		return nil, fmt.Errorf("stripe: node %s: %w", addr, err)
 	}
-	return &ClientNode{addr: addr, c: c}, nil
+	return &ClientNode{id: id, addr: addr, c: c}, nil
 }
 
-func (n *ClientNode) ID() string { return n.addr }
+func (n *ClientNode) ID() string { return n.id }
 
 func (n *ClientNode) Put(name string, r io.Reader, size int64) error {
 	return n.PutTraced(name, r, size, obs.SpanContext{})

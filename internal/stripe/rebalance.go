@@ -90,6 +90,7 @@ func (s *Store) Rebalance() (RebalanceReport, error) {
 				rep.ChunksMoved++
 				s.c.chunksMoved.Add(1)
 			}
+			s.putBuf(buf)
 			for _, id := range c.Nodes {
 				if !contains(want, id) {
 					drops = append(drops, drop{node: id, chunk: idx})

@@ -95,12 +95,59 @@ type Store struct {
 	cfg    Config
 	tracer *obs.Tracer
 
-	nmu      sync.Mutex // guards nodes/draining; never held across node IO
+	nmu      sync.Mutex // guards nodes/draining/slots/bufs; never held across node IO
 	nodes    map[string]Node
 	draining map[string]bool
 	slots    map[string]chan struct{} // per-node in-flight caps
+	bufs     [][]byte                 // free ChunkSize buffers (see getBuf)
 
 	c storeCounters
+}
+
+// poisonChunkBufs makes putBuf overwrite every returned buffer, so a
+// holder that kept using one after giving it up sees 0xDB instead of
+// plausible bytes. Tests set it.
+var poisonChunkBufs atomic.Bool
+
+// getBuf returns a buffer of length n owned by the caller: from the
+// Store's free list of ChunkSize buffers, or a one-off allocation for a
+// chunk of an object striped with a larger unit. A buffer has one holder
+// at a time — Put's reader then the chunk's pusher, Get's fetcher then
+// the in-order writer — and the last one returns it with putBuf. Every
+// holder sits inside an operation's in-flight window, which is what
+// bounds the buffers alive.
+func (s *Store) getBuf(n int64) []byte {
+	if n > s.cfg.ChunkSize {
+		return make([]byte, n)
+	}
+	s.nmu.Lock()
+	defer s.nmu.Unlock()
+	if last := len(s.bufs) - 1; last >= 0 {
+		b := s.bufs[last]
+		s.bufs = s.bufs[:last]
+		return b[:n]
+	}
+	return make([]byte, n, s.cfg.ChunkSize)
+}
+
+// putBuf gives b up to the free list, which keeps as many idle buffers
+// as one operation's window uses; the rest go to the collector.
+func (s *Store) putBuf(b []byte) {
+	if int64(cap(b)) != s.cfg.ChunkSize {
+		return
+	}
+	b = b[:cap(b)]
+	if poisonChunkBufs.Load() {
+		b[0] = 0xDB
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
+	s.nmu.Lock()
+	defer s.nmu.Unlock()
+	if len(s.bufs) < len(s.nodes)*s.cfg.PerNodeInFlight {
+		s.bufs = append(s.bufs, b)
+	}
 }
 
 // New returns a coordinator over the given nodes.
@@ -249,9 +296,10 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	}
 
 	// The body must be read sequentially, but uploads overlap: each
-	// chunk is buffered, fingerprinted, and handed to goroutines that
-	// push its k replicas under the per-node caps. The window bounds
-	// buffered memory to inflight × ChunkSize.
+	// chunk is read into a free-list buffer, fingerprinted, and handed to
+	// a goroutine that pushes its k replicas under the per-node caps and
+	// then returns the buffer. A window slot is held from before the read
+	// until then, so buffered memory is at most inflight × ChunkSize.
 	inflight := len(placeable) * s.cfg.PerNodeInFlight
 	window := make(chan struct{}, inflight)
 	var wg sync.WaitGroup
@@ -278,8 +326,11 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		if rem := size - int64(idx)*s.cfg.ChunkSize; rem < length {
 			length = rem
 		}
-		buf := make([]byte, length)
+		window <- struct{}{}
+		buf := s.getBuf(length)
 		if _, err := io.ReadFull(r, buf); err != nil {
+			s.putBuf(buf)
+			<-window
 			setErr(fmt.Errorf("stripe: PUT %s: reading body chunk %d: %w", name, idx, err))
 			break
 		}
@@ -291,11 +342,13 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		}
 		m.Chunks[idx] = chunk
 
-		window <- struct{}{}
 		wg.Add(1)
 		go func(idx int, buf []byte, chunk Chunk) {
 			defer wg.Done()
-			defer func() { <-window }()
+			defer func() {
+				s.putBuf(buf)
+				<-window
+			}()
 			cname := ChunkName(name, idx)
 			for _, id := range chunk.Nodes {
 				node := all[id]
@@ -327,17 +380,33 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 }
 
 // writeManifest commits m to every attached node (draining included:
-// reads route through drained nodes until rebalancing finishes).
+// reads route through drained nodes until rebalancing finishes). The
+// copies go out in parallel, each under its node's in-flight cap; every
+// node is attempted, and the error reported is that of the first failing
+// node in ID order.
 func (s *Store) writeManifest(all map[string]Node, m *Manifest) error {
 	enc := m.Encode()
 	mname := ManifestName(m.Object)
-	var firstErr error
-	for _, id := range sortedIDs(all) {
-		if err := all[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("stripe: manifest %s to %s: %w", mname, id, err)
+	ids := sortedIDs(all)
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, id string) {
+			defer wg.Done()
+			defer s.slot(id)()
+			if err := all[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err != nil {
+				errs[i] = fmt.Errorf("stripe: manifest %s to %s: %w", mname, id, err)
+			}
+		}(i, id)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return firstErr
+	return nil
 }
 
 // readManifest fetches and decodes the first intact manifest copy,
@@ -403,7 +472,10 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 		results[i] = make(chan result, 1)
 	}
 	// One fetcher per chunk, gated by a global window and the per-node
-	// caps; the writer drains results strictly in order.
+	// caps; the writer drains results strictly in order. Slots are taken
+	// in chunk order and a chunk's slot is held until its bytes are
+	// written, so at most inflight chunk buffers are alive however far
+	// the sink falls behind.
 	inflight := len(all) * s.cfg.PerNodeInFlight
 	window := make(chan struct{}, inflight)
 	done := make(chan struct{})
@@ -416,11 +488,11 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 				return
 			}
 			go func(idx int) {
-				defer func() { <-window }()
 				buf, err := s.fetchChunk(all, m, idx, ctx)
 				select {
 				case results[idx] <- result{buf: buf, err: err}:
 				case <-done:
+					s.putBuf(buf)
 				}
 			}(idx)
 		}
@@ -433,6 +505,8 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 			return n, res.err
 		}
 		wn, werr := w.Write(res.buf)
+		s.putBuf(res.buf)
+		<-window
 		n += int64(wn)
 		if werr != nil {
 			return n, fmt.Errorf("stripe: GET %s: writing chunk %d: %w", name, idx, werr)
@@ -446,11 +520,30 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	return n, nil
 }
 
+// chunkSink collects one fetched chunk in a fixed buffer. Bytes past its
+// end — a replica longer than the manifest says — are counted but not
+// stored, so the length check refuses the replica without failing the
+// transfer it arrived on.
+type chunkSink struct {
+	buf []byte
+	n   int64
+}
+
+func (w *chunkSink) Write(p []byte) (int, error) {
+	if w.n < int64(len(w.buf)) {
+		copy(w.buf[w.n:], p)
+	}
+	w.n += int64(len(p))
+	return len(p), nil
+}
+
 // fetchChunk returns fingerprint-verified bytes for chunk idx, trying
-// replicas in placement order.
+// replicas in placement order. The bytes are in a free-list buffer the
+// caller owns and returns with putBuf.
 func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
 	c := m.Chunks[idx]
 	cname := ChunkName(m.Object, idx)
+	buf := s.getBuf(c.Length)
 	var lastErr error
 	for tries, id := range c.Nodes {
 		node, ok := all[id]
@@ -465,10 +558,9 @@ func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.Sp
 			csp.Attr("node", id)
 			csp.AttrInt("bytes", c.Length)
 		}
-		var buf bytes.Buffer
-		buf.Grow(int(c.Length))
+		sink := chunkSink{buf: buf}
 		release := s.slot(id)
-		_, err := nodeGet(node, cname, &buf, csp.Context())
+		_, err := nodeGet(node, cname, &sink, csp.Context())
 		release()
 		csp.End()
 		if err != nil {
@@ -478,17 +570,18 @@ func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.Sp
 			}
 			continue
 		}
-		if int64(buf.Len()) != c.Length || codec.Checksum(buf.Bytes()) != c.CRC {
+		if sink.n != c.Length || codec.Checksum(buf) != c.CRC {
 			s.c.checksumFailed.Add(1)
 			lastErr = fmt.Errorf("stripe: GET %s on %s: %d bytes, fingerprint mismatch: %w",
-				cname, id, buf.Len(), codec.ErrChecksum)
+				cname, id, sink.n, codec.ErrChecksum)
 			if tries < len(c.Nodes)-1 {
 				s.c.replicaFallbacks.Add(1)
 			}
 			continue
 		}
-		return buf.Bytes(), nil
+		return buf, nil
 	}
+	s.putBuf(buf)
 	return nil, fmt.Errorf("%w: %s: last error: %w", ErrChunkLost, cname, lastErr)
 }
 

@@ -21,20 +21,8 @@ type tracedNode struct {
 	addr string
 	fs   *crfs.FS
 	srv  *server.Server
-	node fixedIDNode
+	node *stripe.ClientNode
 }
-
-// fixedIDNode gives a ClientNode a placement identity that does not
-// change from run to run: ClientNode.ID() is the daemon's address, the
-// listen port here is ephemeral, and HRW placement hashes the ID. The
-// concrete type is embedded so the traced upgrades (PutTraced,
-// GetTraced, TraceDump) stay reachable.
-type fixedIDNode struct {
-	*stripe.ClientNode
-	id string
-}
-
-func (n fixedIDNode) ID() string { return n.id }
 
 func (n *tracedNode) stop() {
 	n.node.Close()
@@ -60,12 +48,14 @@ func startTracedNode(t *testing.T, id string) *tracedNode {
 	}
 	tr.SetProcess("crfsd:" + ln.Addr().String())
 	go srv.Serve(ln)
-	node, err := stripe.DialNode(ln.Addr().String(), 2)
+	// A fixed ID, not the ephemeral listen address: HRW placement hashes
+	// it, and the test depends on which node is primary for which chunk.
+	node, err := stripe.DialNodeID(id, ln.Addr().String(), 2)
 	if err != nil {
 		fs.Unmount()
 		t.Fatal(err)
 	}
-	return &tracedNode{addr: ln.Addr().String(), fs: fs, srv: srv, node: fixedIDNode{node, id}}
+	return &tracedNode{addr: ln.Addr().String(), fs: fs, srv: srv, node: node}
 }
 
 // collectTrace merges the client tracer's ring with every daemon's

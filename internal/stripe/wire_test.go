@@ -1,0 +1,188 @@
+package stripe_test
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"io"
+	"math"
+	"net"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	crfs "crfs"
+	"crfs/internal/osfs"
+	"crfs/internal/server"
+	"crfs/internal/stripe"
+)
+
+// startOSDaemon serves a default mount over a real directory (memfs would
+// dominate both time and allocations) on loopback until the test ends.
+func startOSDaemon(tb testing.TB) string {
+	tb.Helper()
+	back, err := osfs.New(tb.TempDir())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs, err := crfs.Mount(back, crfs.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	srv := server.New(fs, server.Config{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		fs.Unmount()
+		tb.Fatal(err)
+	}
+	go srv.Serve(ln)
+	tb.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		fs.Unmount()
+	})
+	return ln.Addr().String()
+}
+
+// dialCluster dials one node per address under the IDs n0, n1, ...
+func dialCluster(tb testing.TB, cfg stripe.Config, addrs ...string) *stripe.Store {
+	tb.Helper()
+	nodes := make([]stripe.Node, len(addrs))
+	for i, addr := range addrs {
+		n, err := stripe.DialNodeID(fmt.Sprintf("n%d", i), addr, 0)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		tb.Cleanup(func() { n.Close() })
+		nodes[i] = n
+	}
+	return stripe.New(cfg, nodes...)
+}
+
+// TestNodeIdentityIsNotItsAddress: placement follows the ID a node was
+// dialed under, so the same IDs on other ports place every chunk the
+// same way; a node dialed by address alone keeps the address as its ID.
+func TestNodeIdentityIsNotItsAddress(t *testing.T) {
+	cfg := stripe.Config{ChunkSize: 16 << 10, Replicas: 2}
+	body := make([]byte, 20*cfg.ChunkSize)
+	placement := func() map[string][]string {
+		s := dialCluster(t, cfg, startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
+		if err := s.Put("ckpt", bytes.NewReader(body), int64(len(body))); err != nil {
+			t.Fatal(err)
+		}
+		held := map[string][]string{}
+		for _, id := range []string{"n0", "n1", "n2"} {
+			names, err := s.Remove(id).List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			held[id] = names
+		}
+		return held
+	}
+	if a, b := placement(), placement(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("the same node IDs on other ports hold different objects:\n%v\n%v", a, b)
+	}
+
+	addr := startOSDaemon(t)
+	n, err := stripe.DialNode(addr, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if n.ID() != addr {
+		t.Fatalf("DialNode(%s).ID() = %q, want the address", addr, n.ID())
+	}
+}
+
+const (
+	benchObject = 32 << 20
+	benchChunk  = 1 << 20
+)
+
+func benchBody() []byte {
+	body := make([]byte, benchObject)
+	for i := range body {
+		body[i] = byte(i ^ i>>11)
+	}
+	return body
+}
+
+// sliceSink restores into a preallocated buffer, so the sink itself
+// allocates nothing.
+type sliceSink struct {
+	buf []byte
+	n   int
+}
+
+func (w *sliceSink) Write(p []byte) (int, error) {
+	if w.n+len(p) > len(w.buf) {
+		return 0, io.ErrShortBuffer
+	}
+	w.n += copy(w.buf[w.n:], p)
+	return len(p), nil
+}
+
+// putGet stripes body over s and restores it into sink.
+func putGet(tb testing.TB, s *stripe.Store, body []byte, r *bytes.Reader, sink *sliceSink) {
+	r.Reset(body)
+	if err := s.Put("ckpt", r, int64(len(body))); err != nil {
+		tb.Fatal(err)
+	}
+	sink.n = 0
+	if _, err := s.Get("ckpt", sink); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkPutGet3Nodes is one checkpoint and one restore of a 32 MiB
+// object over three loopback daemons, two replicas per chunk.
+func BenchmarkPutGet3Nodes(b *testing.B) {
+	s := dialCluster(b, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
+		startOSDaemon(b), startOSDaemon(b), startOSDaemon(b))
+	body := benchBody()
+	sink := sliceSink{buf: make([]byte, benchObject)}
+	var r bytes.Reader
+	b.SetBytes(2 * benchObject)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		putGet(b, s, body, &r, &sink)
+	}
+}
+
+// maxStripeAllocKiBPerMiB is the CI floor on what the striped path —
+// coordinator, three client connections, three daemons and their mounts
+// — may allocate per MiB of object checkpointed and restored. Fresh
+// chunk buffers alone would be 2048 KiB per MiB.
+const maxStripeAllocKiBPerMiB = 64
+
+func TestStripeAllocsPerMiB(t *testing.T) {
+	s := dialCluster(t, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
+		startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
+	body := benchBody()
+	sink := sliceSink{buf: make([]byte, benchObject)}
+	var r bytes.Reader
+	putGet(t, s, body, &r, &sink) // warm-up: fills the free lists
+	// The free lists grow to the high-water mark of buffers in flight at
+	// once, which depends on scheduling and which a later cycle may still
+	// raise by a buffer or two. The floor is about the steady state, so it
+	// judges the quietest of three cycles.
+	quietest := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		putGet(t, s, body, &r, &sink)
+		runtime.ReadMemStats(&after)
+		if !bytes.Equal(sink.buf, body) {
+			t.Fatal("restored bytes differ")
+		}
+		quietest = min(quietest, float64(after.TotalAlloc-before.TotalAlloc)/1024/(benchObject>>20))
+	}
+	t.Logf("%.2f KiB allocated per MiB of object", quietest)
+	if quietest > maxStripeAllocKiBPerMiB {
+		t.Fatalf("%.1f KiB allocated per MiB of object, floor is %d", quietest, maxStripeAllocKiBPerMiB)
+	}
+}
