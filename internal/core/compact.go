@@ -195,12 +195,7 @@ func (fs *FS) compactEntry(e *fileEntry, force bool) error {
 		// now reads an orphaned file. Fail-stop the entry rather than
 		// serve a container the path no longer means.
 		e.mu.Lock()
-		if e.firstErr == nil {
-			e.firstErr = err
-		}
-		if e.pendingErr == nil {
-			e.pendingErr = err
-		}
+		e.failLocked(err)
 		e.mu.Unlock()
 		fs.mu.Unlock()
 		return fmt.Errorf("core: compact %s: reopen: %w", name, err)

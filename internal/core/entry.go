@@ -5,6 +5,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crfs/internal/chunker"
@@ -21,10 +22,16 @@ import (
 type fileEntry struct {
 	fs *FS
 
+	// calls is the entry's shard of the per-call counters and latency
+	// histograms (see callShard). Immutable after newFileEntry.
+	calls *callShard
+
 	// writeMu serializes the write/flush path of this file so that the
 	// aggregation ops of one write are applied atomically even when the
-	// writer must block on the buffer pool.
+	// writer must block on the buffer pool. ops is the aggregation-op
+	// scratch the write path reuses under it.
 	writeMu sync.Mutex
+	ops     []chunker.Op
 
 	// truncMu serializes truncation (exclusive) against the overlay read
 	// path (shared): see readAt. Lock order: truncMu before writeMu
@@ -56,8 +63,11 @@ type fileEntry struct {
 	// the next Sync or Close (across all handles) returns it exactly
 	// once, so callers that retry after handling a failure are not fed
 	// the same completion error forever. A later failure re-arms it.
+	// failed mirrors firstErr != nil so the write path can check the
+	// sticky error without taking mu; all three are set by failLocked.
 	firstErr   error
 	pendingErr error
+	failed     atomic.Bool
 
 	// Frame-container state (framed entries only, guarded by mu). A
 	// framed entry's backend file is a sequence of codec frames rather
@@ -114,6 +124,7 @@ type backendHandle interface {
 func newFileEntry(fs *FS, name string, backend backendHandle, chunkSize int64) *fileEntry {
 	e := &fileEntry{
 		fs:            fs,
+		calls:         newCallShard(),
 		name:          name,
 		backendFile:   backend,
 		agg:           chunker.NewFileAgg(chunkSize),
@@ -135,12 +146,11 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 
-	e.mu.Lock()
-	if err := e.firstErr; err != nil {
-		e.mu.Unlock()
-		return 0, err
+	if e.failed.Load() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return 0, e.firstErr
 	}
-	e.mu.Unlock()
 
 	if e.pf != nil && len(p) > 0 {
 		// Invalidate read-ahead before the first byte enters the pipeline:
@@ -149,22 +159,20 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 		e.pf.invalidate()
 	}
 
-	ops := e.agg.Write(off, int64(len(p)), nil)
-	for _, op := range ops {
+	e.ops = e.agg.Write(off, int64(len(p)), e.ops[:0])
+	for _, op := range e.ops {
 		switch op.Kind {
 		case chunker.OpNewChunk:
 			// May block (pool backpressure); under pressure the mount
-			// flushes other files' partial chunks and drops read-ahead
-			// caches to free buffers.
-			c := e.fs.pool.get(func() {
-				e.fs.flushPartials(e)
-				e.fs.dropPrefetched()
-			})
+			// flushes other files' partial chunks and takes back the
+			// read-ahead that competes unfairly (reclaimPool).
+			c := e.fs.pool.get(e)
 			c.entry = e
 			c.ctx = ctx
 			e.mu.Lock()
 			e.active = c
 			e.mu.Unlock()
+			e.fs.partials.Add(1)
 		case chunker.OpCopy:
 			c := e.active
 			if op.Pos == 0 {
@@ -185,9 +193,22 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 		e.logicalSize = end
 	}
 	e.mu.Unlock()
-	e.fs.stats.bytesWritten.Add(int64(len(p)))
-	e.fs.stats.writes.Add(1)
+	e.calls.bytesWritten.Add(int64(len(p)))
+	e.calls.writes.Add(1)
 	return len(p), nil
+}
+
+// failLocked records a failure of the entry's backend: the first one
+// fail-stops the entry, and the next Sync or Close owes the application
+// one report of it. Caller holds mu.
+func (e *fileEntry) failLocked(err error) {
+	if e.firstErr == nil {
+		e.firstErr = err
+		e.failed.Store(true)
+	}
+	if e.pendingErr == nil {
+		e.pendingErr = err
+	}
 }
 
 // enqueueActive hands the active chunk to the work queue and bumps the
@@ -206,6 +227,7 @@ func (e *fileEntry) enqueueActive() {
 	e.frameSeq++
 	e.inflight = append(e.inflight, c)
 	e.mu.Unlock()
+	e.fs.partials.Add(-1)
 	e.fs.stats.chunksFlushed.Add(1)
 	c.enqueuedAt = time.Now().UnixNano()
 	e.fs.enqueue(c)
@@ -292,12 +314,7 @@ func (e *fileEntry) complete(c *chunk, err error) []*chunk {
 	e.mu.Lock()
 	e.doneChunks++
 	if err != nil {
-		if e.firstErr == nil {
-			e.firstErr = err
-		}
-		if e.pendingErr == nil {
-			e.pendingErr = err
-		}
+		e.failLocked(err)
 	}
 	c.done = true
 	var retired []*chunk
@@ -488,7 +505,11 @@ func (e *fileEntry) planRead(off, end int64) (plan readPlan, size int64, framed,
 // phantom errors, or (worst) old frame headers reinterpreted over a
 // rewritten container. Reads take it shared, so they never serialize
 // against each other; only the rare truncate excludes them.
-func (e *fileEntry) readAt(p []byte, off int64) (int, error) {
+//
+// stream says the calling handle recognised this read as part of a
+// sequential stream; it only matters to the read-ahead cache of a plain
+// file (prefetcher.readBase).
+func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	e.truncMu.RLock()
 	defer e.truncMu.RUnlock()
 	plan, size, framed, dirty, err := e.planRead(off, off+int64(len(p)))
@@ -529,6 +550,10 @@ func (e *fileEntry) readAt(p []byte, off int64) (int, error) {
 	if base {
 		if framed {
 			err = e.readFramedInto(p, off)
+		} else if e.pf != nil {
+			// Rule 2 of the read pipeline: nothing is fetched into the
+			// read-ahead cache while the write pipeline is dirty.
+			err = e.pf.readBase(p, off, size, stream && !dirty)
 		} else {
 			err = e.readPlainInto(p, off)
 		}
@@ -551,12 +576,8 @@ func (e *fileEntry) readAt(p []byte, off int64) (int, error) {
 
 // readPlainInto fills p from the backend at off, reading bytes the
 // backend has and zero-filling the rest (buffered-but-unlanded extents
-// read as holes until the overlays above patch them in). With read-ahead
-// enabled, chunk-aligned segments are served from the prefetch cache.
+// read as holes until the overlays above patch them in).
 func (e *fileEntry) readPlainInto(p []byte, off int64) error {
-	if e.pf != nil {
-		return e.pf.readBase(p, off)
-	}
 	n, err := e.backendFile.ReadAt(p, off)
 	if err != nil && err != io.EOF {
 		return err

@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crfs/internal/obs"
@@ -18,8 +18,9 @@ type file struct {
 	name  string
 	flag  vfs.OpenFlag
 
-	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool
+
+	mu sync.Mutex
 
 	// Sequential-read detection (restart read pipeline). Detection is
 	// per-handle — two restart readers interleaving offsets on shared
@@ -27,6 +28,7 @@ type file struct {
 	// prefetched data itself is cached on the shared entry. Guarded by mu.
 	seqEnd int64 // end offset of the last read
 	seqRun int   // consecutive reads that continued exactly at seqEnd
+	planAt int64 // stream offset at which read-ahead is next planned
 
 	// traceCtx parents this handle's pipeline spans (set by the daemon
 	// from the request's propagated trace ID). Guarded by mu; read only
@@ -54,9 +56,7 @@ func (f *file) spanCtx() obs.SpanContext {
 func (f *file) Name() string { return f.name }
 
 func (f *file) checkOpen() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.closed {
+	if f.closed.Load() {
 		return fmt.Errorf("core: %s: %w", f.name, vfs.ErrClosed)
 	}
 	return nil
@@ -80,9 +80,9 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 		sp.AttrInt("off", off)
 		sp.AttrInt("bytes", int64(len(p)))
 	}
-	t0 := time.Now()
+	t0 := f.fs.monotonic()
 	n, err := f.entry.write(p, off, sp.Context())
-	f.fs.hist.writeAt.Observe(int64(time.Since(t0)))
+	f.entry.calls.writeAt.Observe(f.fs.monotonic() - t0)
 	sp.End()
 	return n, err
 }
@@ -115,42 +115,57 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		sp.AttrInt("off", off)
 		sp.AttrInt("bytes", int64(len(p)))
 	}
-	t0 := time.Now()
-	n, err := f.entry.readAt(p, off)
-	f.fs.hist.readAt.Observe(int64(time.Since(t0)))
+	t0 := f.fs.monotonic()
+	stream, plan := f.noteRead(off, int64(len(p)))
+	n, err := f.entry.readAt(p, off, stream)
+	calls := f.entry.calls
+	calls.readAt.Observe(f.fs.monotonic() - t0)
 	sp.End()
-	f.fs.stats.reads.Add(1)
-	f.fs.stats.bytesRead.Add(int64(n))
-	if n > 0 && (err == nil || err == io.EOF) {
-		f.noteRead(off, int64(n))
+	calls.reads.Add(1)
+	calls.bytesRead.Add(int64(n))
+	if plan && n > 0 {
+		f.planReadAhead(off + int64(n))
 	}
 	return n, err
 }
 
-// noteRead feeds the handle's sequential detector and, once seqThreshold
-// back-to-back sequential reads are seen, schedules read-ahead of what
-// follows on the IO workers.
-func (f *file) noteRead(off, n int64) {
-	pf := f.entry.pf
-	if pf == nil {
-		return
+// noteRead feeds the handle's sequential detector with a read of n bytes
+// at off, before the read runs (the detector assumes the read will be
+// full; a short one simply breaks the run). stream reports that the read
+// is at least the seqThreshold-th back-to-back sequential one — a
+// recognised stream — and plan that read-ahead is due to be planned once
+// it has been served: when the stream is first recognised, and from then
+// on each time it enters a new unit of planning (planReadAhead), never
+// per call.
+func (f *file) noteRead(off, n int64) (stream, plan bool) {
+	if f.entry.pf == nil {
+		return false, false
 	}
 	f.mu.Lock()
 	if off == f.seqEnd {
 		f.seqRun++
 	} else {
-		f.seqRun = 1
+		f.seqRun, f.planAt = 1, 0
 	}
 	f.seqEnd = off + n
-	run := f.seqRun
+	stream = f.seqRun >= seqThreshold
+	plan = stream && f.seqEnd >= f.planAt
 	f.mu.Unlock()
-	if run >= seqThreshold {
-		var ctx obs.SpanContext
-		if f.fs.tracer.Enabled() {
-			ctx = f.spanCtx()
-		}
-		pf.schedule(off+n, ctx)
+	return stream, plan
+}
+
+// planReadAhead schedules read-ahead of what follows from on the IO
+// workers and records where the stream must have got to before it is
+// planned again.
+func (f *file) planReadAhead(from int64) {
+	var ctx obs.SpanContext
+	if f.fs.tracer.Enabled() {
+		ctx = f.spanCtx()
 	}
+	next := f.entry.pf.schedule(from, ctx)
+	f.mu.Lock()
+	f.planAt = next
+	f.mu.Unlock()
 }
 
 // Truncate implements vfs.File.
@@ -215,13 +230,9 @@ func (f *file) Stat() (vfs.FileInfo, error) {
 // until "complete chunk count" equals "write chunk count" (§IV-C), then
 // drop the table reference.
 func (f *file) Close() error {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
+	if f.closed.Swap(true) {
 		return fmt.Errorf("core: close %s: %w", f.name, vfs.ErrClosed)
 	}
-	f.closed = true
-	f.mu.Unlock()
 
 	var sp obs.Span
 	if f.fs.tracer.Enabled() {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crfs/internal/codec"
@@ -44,10 +45,19 @@ type FS struct {
 	bgStop chan struct{}
 	bgDone chan struct{}
 
-	mu      sync.Mutex
-	files   map[string]*fileEntry // open-file hash table, keyed by clean path
-	closed  bool
-	workers sync.WaitGroup
+	mu     sync.Mutex
+	files  map[string]*fileEntry // open-file hash table, keyed by clean path
+	closed bool
+	// live is every entry with an open handle: the table's entries plus
+	// those Remove or Unmount unlinked from it that have not seen their
+	// last close. It is what pool reclaim walks (an unlinked entry still
+	// pins chunks) and what callTotals sums; closedCalls is the fold of the
+	// shards of entries that left it. raShare is the read-ahead share
+	// that follows from len(live), kept for readers that hold no fs.mu.
+	live        map[*fileEntry]struct{}
+	closedCalls *callShard
+	raShare     atomic.Int32
+	workers     sync.WaitGroup
 
 	// statMu guards the closed-file probe cache: Stat of a closed file
 	// must sniff for the frame container magic (to report logical sizes),
@@ -60,11 +70,26 @@ type FS struct {
 
 	stats statCounters
 
+	// partials counts entries holding a partly filled active chunk and
+	// raChunks the pool chunks read-ahead holds (cached or being fetched):
+	// the two kinds of chunk reclaimPool can free, counted so a blocked
+	// writer knows without walking the table whether a walk is worth it.
+	partials atomic.Int32
+	raChunks atomic.Int32
+
 	// tracer records pipeline spans (Options.Tracer, defaulting to
 	// obs.Default); hist holds the always-on per-stage histograms.
 	tracer *obs.Tracer
 	hist   *fsHistograms
+
+	// epoch is the mount time. Per-call latencies are differences of
+	// time.Since(epoch), which reads the monotonic clock only; time.Now
+	// reads the wall clock as well.
+	epoch time.Time
 }
+
+// monotonic returns nanoseconds since the mount, for latency arithmetic.
+func (fs *FS) monotonic() int64 { return int64(time.Since(fs.epoch)) }
 
 // statProbe caches one closed-file sniff result.
 type statProbe struct {
@@ -86,14 +111,19 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	fs := &FS{
 		backend: backend,
 		opts:    opts,
-		pool:    newBufferPool(opts.BufferPoolSize, opts.ChunkSize),
 		files:   make(map[string]*fileEntry),
 		tracer:  opts.Tracer,
 		hist:    newFSHistograms(),
+		epoch:   time.Now(),
+
+		live:        make(map[*fileEntry]struct{}),
+		closedCalls: newCallShard(),
 	}
 	if fs.tracer == nil {
 		fs.tracer = obs.Default
 	}
+	fs.pool = newBufferPool(opts.BufferPoolSize, opts.ChunkSize, fs.reclaimPool)
+	fs.liveChangedLocked() // nothing is open, and nothing else can see fs yet
 	fs.encBufs.New = func() any {
 		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)
 		return &b
@@ -307,21 +337,46 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 	return nil
 }
 
-// flushPartials flushes the partial buffer chunks of every open file
-// except skip (the caller, whose writeMu is held), releasing pool chunks
-// pinned as partial buffers. Called under pool pressure.
-func (fs *FS) flushPartials(skip *fileEntry) {
+// reclaimPool is what a writer blocked on the buffer pool runs on every
+// reclaim tick. It does only what can free a chunk: it flushes other
+// files' partial chunks (skip is the caller, whose writeMu is held) when
+// any exist, and takes back read-ahead when read-ahead holds chunks —
+// from each open file only what competes unfairly (prefetcher.reclaim),
+// and everything only when read-ahead holds the whole pool, the one state
+// in which no write chunk is on its way back to the writer. When neither
+// kind of chunk exists the tick is two atomic loads, and the writer is
+// simply waiting for an IO worker.
+func (fs *FS) reclaimPool(skip *fileEntry) {
+	flush, readAhead := fs.partials.Load() > 0, fs.raChunks.Load()
+	if !flush && readAhead == 0 {
+		return
+	}
 	fs.mu.Lock()
-	entries := make([]*fileEntry, 0, len(fs.files))
-	for _, e := range fs.files {
-		if e != skip {
-			entries = append(entries, e)
-		}
+	entries := make([]*fileEntry, 0, len(fs.live))
+	for e := range fs.live {
+		entries = append(entries, e)
 	}
 	fs.mu.Unlock()
+	share, all := fs.readAheadShare(), int(readAhead) >= fs.pool.total
 	for _, e := range entries {
-		e.tryFlushTail()
+		if flush && e != skip {
+			e.tryFlushTail()
+		}
+		if readAhead > 0 && e.pf != nil {
+			e.pf.reclaim(share, all)
+		}
 	}
+}
+
+// readAheadShare is how many pool chunks one entry's read-ahead may hold,
+// cached and being fetched together: an even share of the pool among the
+// entries with an open handle, and never less than one.
+func (fs *FS) readAheadShare() int { return int(fs.raShare.Load()) }
+
+// liveChangedLocked recomputes the share after fs.live gained or lost an
+// entry. Caller holds fs.mu.
+func (fs *FS) liveChangedLocked() {
+	fs.raShare.Store(int32(max(1, fs.pool.total/max(1, len(fs.live)))))
 }
 
 // enqueue hands a filled chunk to the work queue.
@@ -465,6 +520,8 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	}
 	entry.refs = 1
 	fs.files[key] = entry
+	fs.live[entry] = struct{}{}
+	fs.liveChangedLocked()
 	fs.mu.Unlock()
 	fs.stats.opens.Add(1)
 	return &file{fs: fs, entry: entry, name: key, flag: flag}, nil
@@ -631,27 +688,35 @@ func probeContainer(r backendHandle, size int64) (containerProbe, error) {
 	return p, nil
 }
 
-// releaseEntry decrements the entry's refcount and, on the last close,
-// removes it from the table and closes the backend handle. The delete is
+// releaseEntry drops one handle's reference and, on the last close,
+// unlinks the entry and closes the backend handle. Whether this close is
+// the last is decided under fs.mu, the lock Open shares entries under: an
+// Open that finds the entry in the table therefore finds it with a
+// reference that is still counted, never one whose releaser is already on
+// its way to close the backend handle (the last-close/open race behind
+// the TestConcurrentClientsSharedNames flake). The table delete is
 // guarded by identity: a Remove may have evicted the entry already, and a
 // later Open may have installed a fresh entry under the same path — that
 // entry must not be torn down by this close.
 func (fs *FS) releaseEntry(entry *fileEntry) error {
+	fs.mu.Lock()
 	entry.mu.Lock()
 	entry.refs--
 	last := entry.refs == 0
-	entry.mu.Unlock()
-	if !last {
-		return nil
-	}
-	fs.mu.Lock()
-	entry.mu.Lock()
 	name := entry.name
-	if fs.files[name] == entry {
-		delete(fs.files, name)
+	if last {
+		if fs.files[name] == entry {
+			delete(fs.files, name)
+		}
+		delete(fs.live, entry)
+		fs.liveChangedLocked()
+		fs.closedCalls.merge(entry.calls)
 	}
 	entry.mu.Unlock()
 	fs.mu.Unlock()
+	if !last {
+		return nil
+	}
 	if entry.pf != nil {
 		// Return the read-ahead cache's pool chunks before the backend
 		// handle goes away; in-flight jobs die on the generation bump.
@@ -733,7 +798,7 @@ func (fs *FS) Rename(oldName, newName string) error {
 	// the rename could buffer a chunk after the drain and have it land
 	// under the old path on backends whose handles do not follow a
 	// rename. Taking fs.mu while holding a writeMu matches the existing
-	// pool-reclaim lock order (write path → flushPartials → fs.mu). The
+	// pool-reclaim lock order (write path → reclaimPool → fs.mu). The
 	// loop re-checks under fs.mu that the entry we drained is still the
 	// table's entry for oldKey — a close+reopen race could swap in a
 	// fresh, un-drained entry, which must not be re-keyed unexcluded.

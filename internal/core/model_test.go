@@ -131,7 +131,41 @@ func (h *modelHarness) step() string {
 	name := modelNames[h.rng.Intn(len(modelNames))]
 	_, exists := h.model.files[name]
 	open := h.handles[name] != nil
-	switch op := h.rng.Intn(100); {
+	switch op := h.rng.Intn(112); {
+	case op >= 106: // Hand the file over: open a second handle, then close the first
+		if !open {
+			return h.step()
+		}
+		old := h.handles[name]
+		h.open(name) // shares the entry; the model keeps using the new handle
+		if err := old.Close(); err != nil {
+			h.t.Fatalf("Close(%s) of the older of two handles: %v", name, err)
+		}
+		h.pending[name] = nil // Close drains
+		return fmt.Sprintf("Handoff(%s)", name)
+	case op >= 100: // A run of small sequential reads: the stream read-ahead recognises
+		if !exists || len(h.model.files[name]) == 0 {
+			return h.step()
+		}
+		if !open {
+			h.open(name)
+		}
+		want := h.model.files[name]
+		n := h.rng.Intn(48) + 8
+		off := h.rng.Int63n(int64(len(want)))
+		calls := h.rng.Intn(40) + 4
+		got := make([]byte, n)
+		for i := 0; i < calls && off < int64(len(want)); i++ {
+			gotN, err := h.handles[name].ReadAt(got, off)
+			if err != nil && err != io.EOF {
+				h.t.Fatalf("stream ReadAt(%s, %d): %v", name, off, err)
+			}
+			if wantN := copy(make([]byte, n), want[off:]); gotN != wantN || !bytes.Equal(got[:gotN], want[off:off+int64(gotN)]) {
+				h.t.Fatalf("stream ReadAt(%s, off=%d, n=%d): %d bytes, model %d, or content mismatch", name, off, n, gotN, wantN)
+			}
+			off += int64(gotN)
+		}
+		return fmt.Sprintf("StreamRead(%s, n=%d, calls=%d)", name, n, calls)
 	case op < 40: // WriteAt
 		if !open {
 			h.open(name)
@@ -424,6 +458,11 @@ func TestModelDifferential(t *testing.T) {
 							t.Fatalf("final close %s: %v", name, err)
 						}
 					}
+				}
+				if st := fs.Stats(); tc.readAhead > 0 && !h.framed && st.PrefetchSelfFetched == 0 {
+					// The stale-bytes hunt only hunts if readers did fetch
+					// blocks for themselves between the mutations.
+					t.Errorf("seed %d: no stream read fetched its own block: %+v", seed, st.Prefetch())
 				}
 				// Remount: the durable state alone must still read back
 				// byte-identical (containers reindexed from scratch).

@@ -5,14 +5,14 @@ import (
 	"crfs/internal/obs"
 )
 
-// fsHistograms are the mount's always-on latency/size histograms, one
-// per pipeline stage the ICPP'11 write path (and our restart read path)
-// flows through. All are lock-free (obs.Histogram); the per-op cost is
-// a clock read and three atomic adds, which is the entire overhead
-// budget of leaving them unconditionally enabled.
+// fsHistograms are the mount's always-on latency/size histograms of the
+// per-chunk and per-operation stages the ICPP'11 write path (and our
+// restart read path) flows through; the two per-call ones (WriteAt,
+// ReadAt) live in the per-entry callShard. All are lock-free
+// (obs.Histogram); an observation costs two monotonic clock reads and
+// three atomic adds, which is the entire overhead budget of leaving them
+// unconditionally enabled.
 type fsHistograms struct {
-	writeAt           *obs.Histogram // WriteAt call latency (aggregation + any pool stall)
-	readAt            *obs.Histogram // ReadAt call latency (overlay + decode + backend)
 	sync              *obs.Histogram // Sync call latency (drain + backend fsync)
 	encode            *obs.Histogram // codec frame encode latency
 	backendWrite      *obs.Histogram // backend WriteAt latency per chunk/frame
@@ -25,8 +25,6 @@ type fsHistograms struct {
 func newFSHistograms() *fsHistograms {
 	lat := func() *obs.Histogram { return obs.NewHistogram(obs.LatencyBounds) }
 	return &fsHistograms{
-		writeAt:           lat(),
-		readAt:            lat(),
 		sync:              lat(),
 		encode:            lat(),
 		backendWrite:      lat(),
@@ -67,11 +65,11 @@ func promHistogram(name, help string, h *obs.Histogram, scale float64) metrics.P
 // Prometheus text exposition. Latencies are exported in seconds (the
 // Prometheus base unit), sizes in bytes.
 func (fs *FS) PromHistograms() []metrics.PromHistogram {
-	h := fs.hist
+	h, calls := fs.hist, fs.callTotals()
 	const ns = 1e9
 	return []metrics.PromHistogram{
-		promHistogram("crfs_write_latency_seconds", "WriteAt call latency: aggregation copy plus any buffer-pool stall.", h.writeAt, ns),
-		promHistogram("crfs_read_latency_seconds", "ReadAt call latency through the buffered-read-through overlay.", h.readAt, ns),
+		promHistogram("crfs_write_latency_seconds", "WriteAt call latency: aggregation copy plus any buffer-pool stall.", calls.writeAt, ns),
+		promHistogram("crfs_read_latency_seconds", "ReadAt call latency through the buffered-read-through overlay.", calls.readAt, ns),
 		promHistogram("crfs_sync_latency_seconds", "Sync call latency: pipeline drain plus backend fsync.", h.sync, ns),
 		promHistogram("crfs_encode_latency_seconds", "Codec frame encode latency on the IO workers.", h.encode, ns),
 		promHistogram("crfs_backend_write_latency_seconds", "Backend WriteAt latency per chunk or frame.", h.backendWrite, ns),
@@ -85,10 +83,10 @@ func (fs *FS) PromHistograms() []metrics.PromHistogram {
 // Histograms exposes the stage histograms for in-process consumers
 // (crfsbench percentiles) keyed by stage name.
 func (fs *FS) Histograms() map[string]obs.HistogramSnapshot {
-	h := fs.hist
+	h, calls := fs.hist, fs.callTotals()
 	return map[string]obs.HistogramSnapshot{
-		"write_at":            h.writeAt.Snapshot(),
-		"read_at":             h.readAt.Snapshot(),
+		"write_at":            calls.writeAt.Snapshot(),
+		"read_at":             calls.readAt.Snapshot(),
 		"sync":                h.sync.Snapshot(),
 		"encode":              h.encode.Snapshot(),
 		"backend_write":       h.backendWrite.Snapshot(),

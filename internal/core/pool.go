@@ -78,9 +78,20 @@ type bufferPool struct {
 	chunkSize int64
 	total     int
 	waits     atomic.Int64 // Get calls that had to block
+
+	// reclaim is what a blocked get runs every reclaimTick (the mount's
+	// reclaimPool). skip is the blocked writer's own entry, whose writeMu
+	// it holds.
+	reclaim func(skip *fileEntry)
 }
 
-func newBufferPool(poolSize, chunkSize int64) *bufferPool {
+// reclaimTick is how often a writer blocked on the pool re-runs reclaim.
+// A freed chunk wakes the writer at once; the tick only exists because
+// what reclaim could free may appear after the writer blocked (another
+// file's writer leaves a partial chunk behind and goes quiet).
+const reclaimTick = 200 * time.Microsecond
+
+func newBufferPool(poolSize, chunkSize int64, reclaim func(skip *fileEntry)) *bufferPool {
 	n := int(poolSize / chunkSize)
 	if n < 1 {
 		n = 1
@@ -89,6 +100,7 @@ func newBufferPool(poolSize, chunkSize int64) *bufferPool {
 		free:      make(chan *chunk, n),
 		chunkSize: chunkSize,
 		total:     n,
+		reclaim:   reclaim,
 	}
 	for i := 0; i < n; i++ {
 		p.free <- &chunk{buf: make([]byte, chunkSize), pool: p}
@@ -96,29 +108,27 @@ func newBufferPool(poolSize, chunkSize int64) *bufferPool {
 	return p
 }
 
-// get returns a free chunk holding its pipeline reference, blocking until
-// one is available. While blocked it periodically invokes reclaim, which
-// flushes other files' partial chunks: with more concurrently written
-// files than pool chunks, every chunk can be pinned as some file's partial
-// buffer, and without reclamation writers would deadlock (a corner the
-// paper's design leaves open).
-func (p *bufferPool) get(reclaim func()) *chunk {
-	select {
-	case c := <-p.free:
-		c.refs.Store(1)
+// get returns a free chunk holding its pipeline reference, blocking on
+// the free list until one is available. While blocked it runs reclaim on
+// every tick of one timer: with more concurrently written files than pool
+// chunks, every chunk can be pinned as some file's partial buffer, and
+// without reclamation writers would deadlock (a corner the paper's design
+// leaves open).
+func (p *bufferPool) get(skip *fileEntry) *chunk {
+	if c := p.tryGet(); c != nil {
 		return c
-	default:
 	}
 	p.waits.Add(1)
+	tick := time.NewTimer(reclaimTick)
+	defer tick.Stop()
 	for {
 		select {
 		case c := <-p.free:
 			c.refs.Store(1)
 			return c
-		case <-time.After(200 * time.Microsecond):
-			if reclaim != nil {
-				reclaim()
-			}
+		case <-tick.C:
+			p.reclaim(skip)
+			tick.Reset(reclaimTick)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"crfs/internal/codec"
@@ -24,27 +25,43 @@ import (
 //     truncate, container reset, rename, and, decisively, every chunk
 //     *retirement* (the moment the overlay hands an extent's authority
 //     to the durable base) — bumps the prefetch generation and drops
-//     the cache. A job captures the generation at schedule time and
+//     the cache. A fetch captures the generation before it reads and
 //     publishes only if it is unchanged, so a fetch that raced a
 //     mutation is discarded, never served. The retirement bump is the
-//     one that makes the rule airtight: a job scheduled inside write()'s
+//     one that makes the rule airtight: a fetch begun inside write()'s
 //     own window (generation already bumped, payload not yet buffered)
-//     can fetch and publish pre-write bytes, but they die no later than
-//     the moment the write's chunk leaves the overlay.
-//  2. Clean-pipeline fetch. A job fetches backend bytes only while the
-//     entry's write pipeline is fully drained (no active or in-flight
-//     chunks); fetching alongside buffered writes would only produce
-//     blocks that rule 1 is about to discard.
+//     can publish pre-write bytes, but they die no later than the moment
+//     the write's chunk leaves the overlay.
+//  2. Clean-pipeline fetch. Backend bytes are fetched into the cache
+//     only while the entry's write pipeline is fully drained (no active
+//     or in-flight chunks); fetching alongside buffered writes would only
+//     produce blocks that rule 1 is about to discard.
+//
+// Both rules bind the two kinds of fetch alike: a job an IO worker runs
+// ahead of the stream, and the rest of the block a stream of small reads
+// is inside, which the reader fetches itself on a miss (fetchSelf) —
+// read-ahead only ever covers blocks *past* the reader, so without it
+// every block a worker did not finish in time would be read 512 bytes at
+// a time.
 //
 // Plain-file blocks are fetched into buffer-pool chunks taken with the
-// non-blocking tryGet — prefetch never steals buffers from a blocked
-// writer, and pool pressure reclaims the read-ahead cache (dropPrefetched)
-// before any writer can deadlock. Decoded frames live on the heap, like
-// the one-frame decode cache they feed.
+// non-blocking tryGet — read-ahead never steals buffers from a blocked
+// writer. One entry's read-ahead holds at most an even share of the pool
+// (FS.readAheadShare), so the second restart reader finds chunks left,
+// and a writer blocked on the pool takes back only what competes
+// unfairly (reclaim). Decoded frames live on the heap, like the one-frame
+// decode cache they feed.
 
 // seqThreshold is how many back-to-back sequential reads a handle must
-// issue before read-ahead starts.
+// issue before it counts as a stream and read-ahead starts.
 const seqThreshold = 2
+
+// selfFetchMax is the largest read that makes its reader fetch the rest of
+// its block: the fetch costs one more copy of every byte it serves, which
+// is cheaper than a backend call per read only while reads are small (a
+// call into a page-cache backend costs about what copying 16 KiB does).
+// Larger reads go straight to the backend into the caller's buffer.
+const selfFetchMax = 16 << 10
 
 // prefetched is one completed read-ahead extent in an entry's cache.
 type prefetched struct {
@@ -62,20 +79,29 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond              // broadcast whenever ready/pending change
-	gen     uint64                  // bumped by invalidate; stale jobs don't publish
+	gen     uint64                  // bumped by invalidate; stale fetches don't publish
 	ready   map[int64]*prefetched   // completed fetches, keyed by block start (plain) or frame pos (framed)
 	order   []int64                 // ready keys in publish order, for FIFO capacity eviction
-	pending map[int64]*pendingFetch // keys with a job scheduled but not yet published
+	pending map[int64]*pendingFetch // keys with a fetch scheduled or running, not yet published
+	pos     int64                   // block a reader last hit or fetched: where the stream is
+
+	// idle counts the reclaim ticks of blocked writers since a read last
+	// consulted the plain-block cache (which zeroes it): the age, in
+	// ticks, of a stream that may have gone quiet.
+	idle atomic.Int32
 }
 
-// pendingFetch tracks one scheduled job. started flips when a worker
-// picks the job up: readers wait only for started fetches (bounded by
-// one backend round-trip / decode) and *steal* unstarted ones — a job
-// starved behind a sustained checkpoint write stream must never turn
-// read-ahead into a read dependency. A stolen job is cancelled: the
-// worker finds its pending marker gone and skips the fetch entirely.
+// pendingFetch tracks one fetch that has not published yet. started flips
+// when a worker picks the job up (a reader's own fetch is born started):
+// readers wait only for started fetches (bounded by one backend
+// round-trip / decode) and *steal* unstarted ones — a job starved behind a
+// sustained checkpoint write stream must never turn read-ahead into a
+// read dependency. A stolen job is cancelled: the worker finds its
+// pending marker gone and skips the fetch entirely. pooled marks a fetch
+// that lands in a pool chunk and so counts against the entry's share.
 type pendingFetch struct {
 	started bool
+	pooled  bool
 }
 
 func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
@@ -92,23 +118,45 @@ func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
 // depth returns the configured read-ahead depth (chunks/frames).
 func (pf *prefetcher) depth() int { return pf.fs.opts.ReadAhead }
 
-// invalidate drops every cached and in-flight prefetch of the entry:
-// jobs already scheduled will see the bumped generation and discard
-// their fetch instead of publishing it. The pending set is cleared too —
-// readers must not keep waiting on jobs that may never run again (the
-// workers drain the write queue first, and at unmount they stop) — so a
-// waiting reader wakes and falls back to its own synchronous fetch.
+// getChunk takes a pool chunk for a plain-block fetch without blocking;
+// release gives back the chunk a cached or failed fetch held. Together
+// they keep FS.raChunks, the count reclaimPool consults.
+func (pf *prefetcher) getChunk() *chunk {
+	c := pf.fs.pool.tryGet()
+	if c != nil {
+		pf.fs.raChunks.Add(1)
+	}
+	return c
+}
+
+func (pf *prefetcher) release(c *chunk) {
+	if c != nil {
+		pf.fs.raChunks.Add(-1)
+		c.unpin()
+	}
+}
+
+// invalidate bumps the generation and drops every cached and in-flight
+// prefetch of the entry: fetches under way will see the bumped generation
+// and discard their bytes instead of publishing them. The pending set is
+// cleared too — readers must not keep waiting on jobs that may never run
+// again (the workers drain the write queue first, and at unmount they
+// stop) — so a waiting reader wakes and falls back to its own synchronous
+// fetch. It runs on every write call, so with nothing cached or scheduled
+// (a checkpoint stream nobody reads) it is the generation bump alone.
 func (pf *prefetcher) invalidate() {
 	pf.mu.Lock()
 	pf.gen++
+	if len(pf.ready)+len(pf.pending) == 0 {
+		pf.mu.Unlock()
+		return
+	}
 	var wasted int64
 	for _, pr := range pf.ready {
 		if !pr.hit {
 			wasted++
 		}
-		if pr.c != nil {
-			pr.c.unpin()
-		}
+		pf.release(pr.c)
 	}
 	clear(pf.ready)
 	clear(pf.pending)
@@ -121,10 +169,15 @@ func (pf *prefetcher) invalidate() {
 }
 
 // schedule plans read-ahead past a sequential read that ended at from,
-// enqueueing up to depth() block- or frame-fetch jobs on the IO workers.
-// ctx parents the resulting fetch spans (zero when tracing is off).
-// Called with no locks held.
-func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
+// enqueueing block- or frame-fetch jobs on the IO workers: up to depth()
+// of them, and for a plain file no more than the entry's share of the
+// pool has room for. ctx parents the resulting fetch spans (zero when
+// tracing is off). It returns the stream offset at which the handle
+// should plan again: the next block boundary for a plain file — one plan
+// per block entered, whatever the size of the calls — and the very next
+// call for a container, whose frames have no fixed size. Called with no
+// locks held.
+func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) (next int64) {
 	e := pf.e
 	e.mu.Lock()
 	framed := e.framed
@@ -139,6 +192,7 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 	pf.mu.Lock()
 	gen := pf.gen
 	if framed {
+		next = from + 1
 		for _, fr := range locs {
 			if len(pf.pending) >= pf.depth() {
 				break
@@ -149,14 +203,17 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 			if _, ok := pf.pending[fr.Pos]; ok {
 				continue
 			}
-			pf.pending[fr.Pos] = &pendingFetch{}
-			jobs = append(jobs, prefetchJob{e: e, gen: gen, key: fr.Pos, framed: true, fr: fr, ctx: ctx})
+			ps := &pendingFetch{}
+			pf.pending[fr.Pos] = ps
+			jobs = append(jobs, prefetchJob{e: e, gen: gen, ps: ps, key: fr.Pos, framed: true, fr: fr, ctx: ctx})
 		}
 	} else {
 		bs := pf.fs.opts.ChunkSize
+		next = (from/bs + 1) * bs
 		first := ((from + bs - 1) / bs) * bs // first whole block past the read
+		share, held := pf.fs.readAheadShare(), pf.pooledLocked()
 		for b := first; b < first+int64(pf.depth())*bs && b < size; b += bs {
-			if len(pf.pending) >= pf.depth() {
+			if len(pf.pending) >= pf.depth() || held >= share {
 				break
 			}
 			if _, ok := pf.ready[b]; ok {
@@ -165,8 +222,10 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 			if _, ok := pf.pending[b]; ok {
 				continue
 			}
-			pf.pending[b] = &pendingFetch{}
-			jobs = append(jobs, prefetchJob{e: e, gen: gen, key: b, n: bs, ctx: ctx})
+			ps := &pendingFetch{pooled: true}
+			pf.pending[b] = ps
+			held++
+			jobs = append(jobs, prefetchJob{e: e, gen: gen, ps: ps, key: b, n: bs, ctx: ctx})
 		}
 	}
 	pf.mu.Unlock()
@@ -175,6 +234,7 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 			pf.drop(j.key)
 		}
 	}
+	return next
 }
 
 // nextFramesLocked returns up to n frames starting at or past from, in
@@ -196,6 +256,101 @@ func (e *fileEntry) nextFramesLocked(from int64, n int) []codec.FrameInfo {
 	return out
 }
 
+// pooledLocked counts the pool chunks the entry's read-ahead holds or is
+// about to: cached plain blocks plus plain fetches not yet published.
+// Caller holds pf.mu.
+func (pf *prefetcher) pooledLocked() (n int) {
+	for _, pr := range pf.ready {
+		if pr.c != nil {
+			n++
+		}
+	}
+	for _, ps := range pf.pending {
+		if ps.pooled {
+			n++
+		}
+	}
+	return n
+}
+
+// evictLocked gives pool chunks back until the entry's read-ahead holds
+// at most limit: it drops cached plain blocks and cancels fetches no
+// worker has started (the worker finds the marker gone and skips the
+// job), whichever is farthest from the stream's position first, and never
+// the block starting at keep (-1: none is exempt). A fetch under way
+// cannot be taken back, so the count may stay above limit. It returns how
+// many blocks and jobs it dropped. Caller holds pf.mu.
+func (pf *prefetcher) evictLocked(limit int, keep int64) (dropped int) {
+	var wasted int64
+	for held := pf.pooledLocked(); held > limit; held-- {
+		far, dist := int64(-1), int64(-1)
+		farther := func(k int64) {
+			if d := max(k-pf.pos, pf.pos-k); k != keep && d > dist {
+				far, dist = k, d
+			}
+		}
+		for k, pr := range pf.ready {
+			if pr.c != nil {
+				farther(k)
+			}
+		}
+		for k, ps := range pf.pending {
+			if ps.pooled && !ps.started {
+				farther(k)
+			}
+		}
+		if far < 0 {
+			break
+		}
+		if pr, ok := pf.ready[far]; ok {
+			if !pr.hit {
+				wasted++
+			}
+			pf.release(pr.c)
+			pf.removeLocked(far)
+		} else {
+			delete(pf.pending, far)
+		}
+		dropped++
+	}
+	if wasted > 0 {
+		pf.fs.stats.prefetchWasted.Add(wasted)
+	}
+	return dropped
+}
+
+// idleTicks is how many reclaim ticks of a blocked writer (reclaimTick
+// apart) a stream may go unread before its read-ahead counts as abandoned:
+// about 10 ms, the longest the runtime lets a runnable reader wait for a
+// processor behind busy goroutines. Anything shorter takes the cache from
+// under streams that are merely descheduled, and the backend then reads
+// the rest of their blocks twice.
+const idleTicks = 50
+
+// reclaim is one open file's part of a blocked writer's reclaim tick
+// (FS.reclaimPool). Checkpoint writes outrank restart read-ahead for pool
+// buffers, but a stream that is being read keeps its share of them: only
+// blocks held beyond share go back, unless no read came by the cache for
+// idleTicks ticks or read-ahead holds the whole pool (all) — then every
+// cached block does. Decoded frames live on the heap and are left alone,
+// and the generation is not bumped: the evicted blocks were valid, just
+// expensive to keep.
+func (pf *prefetcher) reclaim(share int, all bool) {
+	pf.mu.Lock()
+	if len(pf.ready) == 0 {
+		pf.mu.Unlock()
+		return
+	}
+	if pf.idle.Add(1) > idleTicks || all {
+		share = 0
+	}
+	dropped := pf.evictLocked(share, -1)
+	pf.mu.Unlock()
+	if dropped > 0 {
+		pf.fs.stats.prefetchReclaimed.Add(int64(dropped))
+	}
+}
+
 // drop removes a pending marker (job skipped or failed), releasing any
 // reader waiting for that key to duplicate the fetch itself.
 func (pf *prefetcher) drop(key int64) {
@@ -206,25 +361,23 @@ func (pf *prefetcher) drop(key int64) {
 }
 
 // publish installs a completed fetch, unless the generation moved while
-// the job ran — then the bytes are discarded as wasted. The cache is
-// capped at twice the depth; overflow evicts the oldest entry.
+// it ran — then the bytes are discarded as wasted. The cache is capped at
+// twice the depth; overflow evicts the oldest entry.
 func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	pf.mu.Lock()
 	delete(pf.pending, key)
 	if gen != pf.gen {
 		pf.cond.Broadcast()
 		pf.mu.Unlock()
-		if pr.c != nil {
-			pr.c.unpin()
+		pf.release(pr.c)
+		if !pr.hit {
+			pf.fs.stats.prefetchWasted.Add(1)
 		}
-		pf.fs.stats.prefetchWasted.Add(1)
 		return
 	}
 	if old, ok := pf.ready[key]; ok {
 		// Shouldn't happen (pending excludes re-schedule), but never leak.
-		if old.c != nil {
-			old.c.unpin()
-		}
+		pf.release(old.c)
 	} else {
 		pf.order = append(pf.order, key)
 	}
@@ -237,9 +390,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 			if !old.hit {
 				wasted++
 			}
-			if old.c != nil {
-				old.c.unpin()
-			}
+			pf.release(old.c)
 			delete(pf.ready, k)
 		}
 	}
@@ -262,18 +413,27 @@ func (pf *prefetcher) removeLocked(key int64) {
 	}
 }
 
-// readBase fills p (at logical offset off) for a plain entry, serving
-// each chunk-aligned segment from the read-ahead cache when present and
-// from the backend otherwise. It preserves readPlainInto's contract:
-// bytes the backend does not have read as zeros.
-func (pf *prefetcher) readBase(p []byte, off int64) error {
+// readBase fills p (at logical offset off) for a plain entry of logical
+// size size, serving each chunk-aligned segment from the read-ahead cache
+// when present and from the backend otherwise. It preserves
+// readPlainInto's contract: bytes the backend does not have read as
+// zeros. stream says the read belongs to a recognised sequential stream
+// over a clean write pipeline, which is what lets a miss fetch the rest
+// of its block into the cache (copyPlain) — if the read is a small one
+// (selfFetchMax) inside one block: the bytes of a large read go straight
+// from the backend into the caller's buffer.
+func (pf *prefetcher) readBase(p []byte, off, size int64, stream bool) error {
 	bs := pf.fs.opts.ChunkSize
 	end := off + int64(len(p))
 	for cur := off; cur < end; {
 		bstart := cur - cur%bs
 		segEnd := min(bstart+bs, end)
 		seg := p[cur-off : segEnd-off]
-		if !pf.copyPlain(seg, cur, bstart) {
+		fetchEnd := cur
+		if stream && len(seg) == len(p) && len(p) <= selfFetchMax {
+			fetchEnd = min(bstart+bs, size)
+		}
+		if !pf.copyPlain(seg, cur, bstart, fetchEnd) {
 			n, err := pf.e.backendFile.ReadAt(seg, cur)
 			if err != nil && err != io.EOF {
 				return err
@@ -290,30 +450,46 @@ func (pf *prefetcher) readBase(p []byte, off int64) error {
 // awaited rather than refetched — duplicating the backend read would
 // waste exactly the bandwidth read-ahead is trying to overlap — but a
 // job still queued is stolen (awaitOrSteal) so a starved queue never
-// blocks a read. A block whose fetch stopped short of the segment
-// (backend EOF at fetch time) is a miss: the backend read is the
-// authority on bytes the fetch did not capture. A segment that reaches
-// the end of the cached block consumes it — sequential readers pass
-// each block exactly once, so keeping it would only displace fresh
-// blocks.
-func (pf *prefetcher) copyPlain(seg []byte, cur, bstart int64) bool {
+// blocks a read. A cached extent that does not cover the segment — the
+// fetch stopped short of it (backend EOF at fetch time), or a reader
+// fetched it for itself from an offset past this one — is a miss: the
+// backend read is the authority on bytes the fetch did not capture. A
+// segment that reaches the end of the cached block consumes it —
+// sequential readers pass each block exactly once, so keeping it would
+// only displace fresh blocks.
+//
+// On a miss with nothing cached or under way for the block, a reader
+// fetches [cur, fetchEnd) — the rest of the block it is inside — for
+// itself (fetchEnd == cur: not a stream of small reads, don't), if the
+// entry's share of the pool has a chunk free.
+func (pf *prefetcher) copyPlain(seg []byte, cur, bstart, fetchEnd int64) bool {
+	segEnd := cur + int64(len(seg))
+	if pf.idle.Load() != 0 {
+		pf.idle.Store(0)
+	}
 	pf.mu.Lock()
+	if share := pf.fs.readAheadShare(); len(pf.ready)+len(pf.pending) > share {
+		// The share shrank (more files were opened): the stream gives the
+		// excess back at its next read, farthest block first.
+		pf.evictLocked(share, bstart)
+	}
 	pr, ok := pf.ready[bstart]
-	for !ok {
-		if !pf.awaitOrStealLocked(bstart) {
-			pf.mu.Unlock()
-			pf.fs.stats.prefetchMisses.Add(1)
-			return false
-		}
+	for !ok && pf.awaitOrStealLocked(bstart) {
 		pr, ok = pf.ready[bstart]
 	}
-	if cur+int64(len(seg)) > pr.start+int64(len(pr.buf)) {
+	if !ok || cur < pr.start || segEnd > pr.start+int64(len(pr.buf)) {
+		var c *chunk
+		gen := pf.gen
+		if !ok && fetchEnd > segEnd {
+			c = pf.reserveSelfLocked(bstart)
+		}
 		pf.mu.Unlock()
-		pf.fs.stats.prefetchMisses.Add(1)
-		return false
+		pf.e.calls.prefetchMisses.Add(1)
+		return c != nil && pf.fetchSelf(c, gen, seg, cur, bstart, fetchEnd)
 	}
 	pr.hit = true
-	consumed := cur+int64(len(seg)) == pr.start+int64(len(pr.buf))
+	pf.pos = bstart
+	consumed := segEnd == pr.start+int64(len(pr.buf))
 	if consumed {
 		pf.removeLocked(bstart)
 	}
@@ -324,10 +500,59 @@ func (pf *prefetcher) copyPlain(seg []byte, cur, bstart int64) bool {
 	}
 	pf.mu.Unlock()
 	copy(seg, pr.buf[cur-pr.start:])
-	if pr.c != nil {
-		pr.c.unpin() // reader pin, or the cache ref if consumed
+	if consumed {
+		pf.release(pr.c) // the cache's reference, transferred to us
+	} else if pr.c != nil {
+		pr.c.unpin()
 	}
-	pf.fs.stats.prefetchHits.Add(1)
+	pf.e.calls.prefetchHits.Add(1)
+	return true
+}
+
+// reserveSelfLocked takes the pool chunk for a reader's own fetch of the
+// block at bstart and marks the fetch pending, so a second reader of the
+// block waits for it instead of fetching again. It returns nil — the
+// reader then reads from the backend directly, as it would without
+// read-ahead — when the pool has no chunk free or the entry's share is
+// used up by blocks that are not farther from the stream than this one.
+// Caller holds pf.mu.
+func (pf *prefetcher) reserveSelfLocked(bstart int64) *chunk {
+	pf.pos = bstart
+	share := pf.fs.readAheadShare()
+	if pf.pooledLocked()-pf.evictLocked(share-1, bstart) >= share {
+		return nil
+	}
+	c := pf.getChunk()
+	if c != nil {
+		pf.pending[bstart] = &pendingFetch{started: true, pooled: true}
+	}
+	return c
+}
+
+// fetchSelf reads [cur, fetchEnd) — the rest of the block a stream of
+// small reads is inside — into c, serves seg from it, and publishes the
+// extent under gen, the generation loaded before the fetch (rule 1; rule
+// 2 was the caller's: it asks only over a clean pipeline). The reader is
+// inside its read (truncMu held shared), so the bytes are as good for
+// seg as a direct backend read even when the publish is refused. It
+// returns false, leaving seg to that direct read, when the backend
+// failed or has less than seg.
+func (pf *prefetcher) fetchSelf(c *chunk, gen uint64, seg []byte, cur, bstart, fetchEnd int64) bool {
+	n, err := pf.e.backendFile.ReadAt(c.buf[:fetchEnd-cur], cur)
+	if (err != nil && err != io.EOF) || n < len(seg) {
+		pf.release(c)
+		pf.drop(bstart)
+		return false
+	}
+	copy(seg, c.buf)
+	if n == len(seg) {
+		// The backend had nothing past seg: there is no block to cache.
+		pf.release(c)
+		pf.drop(bstart)
+		return true
+	}
+	pf.fs.stats.prefetchSelf.Add(1)
+	pf.publish(bstart, &prefetched{start: cur, buf: c.buf[:n], c: c, hit: true}, gen)
 	return true
 }
 
@@ -345,12 +570,12 @@ func (pf *prefetcher) takeFrame(pos int64) []byte {
 			pr.hit = true
 			pf.removeLocked(pos)
 			pf.mu.Unlock()
-			pf.fs.stats.prefetchHits.Add(1)
+			pf.e.calls.prefetchHits.Add(1)
 			return pr.buf
 		}
 		if !pf.awaitOrStealLocked(pos) {
 			pf.mu.Unlock()
-			pf.fs.stats.prefetchMisses.Add(1)
+			pf.e.calls.prefetchMisses.Add(1)
 			return nil
 		}
 	}
@@ -382,9 +607,10 @@ func (pf *prefetcher) awaitOrStealLocked(key int64) bool {
 // decode (containers).
 type prefetchJob struct {
 	e      *fileEntry
-	gen    uint64 // prefetch generation at schedule time
-	key    int64  // cache key: block start (plain) or frame pos (framed)
-	n      int64  // plain: block length to fetch
+	gen    uint64        // prefetch generation at schedule time
+	ps     *pendingFetch // the job's pending marker; gone or replaced: the job was cancelled
+	key    int64         // cache key: block start (plain) or frame pos (framed)
+	n      int64         // plain: block length to fetch
 	framed bool
 	fr     codec.FrameInfo // framed: the frame to decode
 
@@ -411,12 +637,14 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	pf := j.e.pf
 	e := j.e
 	pf.mu.Lock()
-	ps, ok := pf.pending[j.key]
-	if !ok || pf.gen != j.gen {
+	if pf.pending[j.key] != j.ps {
+		// Stolen by a reader, cancelled for room, or invalidated while
+		// queued. (A marker under the same key may be a reader's own fetch
+		// of the block: identity, not presence, is what the job claims.)
 		pf.mu.Unlock()
-		return // stolen by a reader, or invalidated while queued
+		return
 	}
-	ps.started = true
+	j.ps.started = true
 	pf.mu.Unlock()
 	e.mu.Lock()
 	clean := e.doneChunks == e.writeChunks && (e.active == nil || e.active.fill.Load() == 0)
@@ -445,7 +673,7 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 		pf.publish(j.key, &prefetched{start: j.fr.Header.Off, buf: raw}, j.gen)
 		return
 	}
-	c := fs.pool.tryGet()
+	c := pf.getChunk()
 	if c == nil {
 		// Pool exhausted by writers: read-ahead yields rather than compete.
 		pf.drop(j.key)
@@ -453,61 +681,11 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	}
 	n, err := bf.ReadAt(c.buf[:j.n], j.key)
 	if (err != nil && err != io.EOF) || n == 0 {
-		c.unpin()
+		pf.release(c)
 		pf.drop(j.key)
 		return
 	}
 	pf.publish(j.key, &prefetched{start: j.key, buf: c.buf[:n], c: c}, j.gen)
-}
-
-// dropPrefetched evicts every open entry's pool-chunk-backed prefetches,
-// returning their buffers. Called under buffer-pool pressure: checkpoint
-// writes outrank restart read-ahead for pool buffers. It runs every
-// reclaim tick of a blocked writer, so it must free only what actually
-// competes for the pool: decoded frames live on the heap and are left
-// alone (wiping them would repeatedly destroy container read-ahead
-// while freeing zero buffers), and the generation is not bumped — the
-// evicted entries were valid, just expensive to keep.
-func (fs *FS) dropPrefetched() {
-	fs.mu.Lock()
-	entries := make([]*fileEntry, 0, len(fs.files))
-	for _, e := range fs.files {
-		if e.pf != nil {
-			entries = append(entries, e)
-		}
-	}
-	fs.mu.Unlock()
-	for _, e := range entries {
-		e.pf.releasePooled()
-	}
-}
-
-// releasePooled evicts the cache's pool-chunk-backed entries only.
-func (pf *prefetcher) releasePooled() {
-	pf.mu.Lock()
-	var wasted int64
-	kept := pf.order[:0]
-	for _, k := range pf.order {
-		pr, ok := pf.ready[k]
-		if !ok {
-			continue
-		}
-		if pr.c == nil {
-			kept = append(kept, k)
-			continue
-		}
-		if !pr.hit {
-			wasted++
-		}
-		pr.c.unpin()
-		delete(pf.ready, k)
-	}
-	pf.order = kept
-	pf.cond.Broadcast()
-	pf.mu.Unlock()
-	if wasted > 0 {
-		pf.fs.stats.prefetchWasted.Add(wasted)
-	}
 }
 
 // enqueuePrefetch hands a job to the IO workers without blocking: a full

@@ -1,0 +1,381 @@
+package core
+
+import (
+	"bytes"
+	"io"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"crfs/internal/codec"
+	"crfs/internal/memfs"
+	"crfs/internal/vfs"
+)
+
+// Stale-bytes hunts for the restart read pipeline's small-read paths. A
+// stream of small sequential reads leaves the rest of the block it is
+// inside in the entry's cache (raw mounts: the reader fetched it itself;
+// containers: the decoded frame); every way the entry can change under
+// the stream must kill that extent before the stream's next read.
+
+// streamHunt is one mount with a file being streamed in small reads while
+// the test mutates it; model is what the file must read as.
+type streamHunt struct {
+	t     *testing.T
+	fs    *FS
+	f     vfs.File // the streaming handle, ReadWrite
+	model []byte
+	off   int64
+}
+
+const (
+	huntChunk = 4096
+	huntRead  = 64
+)
+
+func newStreamHunt(t *testing.T, cdc codec.Codec) *streamHunt {
+	t.Helper()
+	back := memfs.New()
+	model := writeThroughMountChunk(t, back, cdc, "img", 6*huntChunk, huntChunk)
+	fs := mount(t, back, Options{
+		ChunkSize: huntChunk, BufferPoolSize: 16 * huntChunk, IOThreads: 3,
+		ReadAhead: 4, Codec: cdc,
+	})
+	f, err := fs.Open("img", vfs.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return &streamHunt{t: t, fs: fs, f: f, model: model}
+}
+
+// stream issues calls small sequential reads through f, continuing where
+// the stream stands, and compares each with the model (EOF included).
+func (h *streamHunt) stream(f vfs.File, calls int) {
+	h.t.Helper()
+	buf := make([]byte, huntRead)
+	for i := 0; i < calls; i++ {
+		n, err := f.ReadAt(buf, h.off)
+		if err != nil && err != io.EOF {
+			h.t.Fatalf("read at %d: %v", h.off, err)
+		}
+		wantN := 0
+		if h.off < int64(len(h.model)) {
+			wantN = copy(make([]byte, huntRead), h.model[h.off:])
+		}
+		if n != wantN || (err == io.EOF) != (h.off+huntRead > int64(len(h.model))) {
+			h.t.Fatalf("read at %d: n=%d err=%v, model has %d of %d bytes there", h.off, n, err, wantN, len(h.model))
+		}
+		if !bytes.Equal(buf[:n], h.model[h.off:h.off+int64(n)]) {
+			h.t.Fatalf("stale or wrong bytes at %d", h.off)
+		}
+		h.off += int64(n)
+	}
+}
+
+// warm puts the stream a few reads into the block starting at block and
+// checks that the raw mount's reader did fetch the rest of it.
+func (h *streamHunt) warm(block int64, framed bool) {
+	h.t.Helper()
+	before := h.fs.Stats().PrefetchSelfFetched
+	h.off = block * huntChunk
+	h.stream(h.f, 6)
+	if !framed && h.fs.Stats().PrefetchSelfFetched == before {
+		h.t.Fatalf("the stream did not fetch block %d for itself: %+v", block, h.fs.Stats().Prefetch())
+	}
+}
+
+func (h *streamHunt) write(p []byte, off int64) {
+	h.t.Helper()
+	if _, err := h.f.WriteAt(p, off); err != nil {
+		h.t.Fatal(err)
+	}
+	if end := off + int64(len(p)); end > int64(len(h.model)) {
+		h.model = append(h.model, make([]byte, end-int64(len(h.model)))...)
+	}
+	copy(h.model[off:], p)
+}
+
+func TestStreamReadsNeverOutliveGeneration(t *testing.T) {
+	patch := bytes.Repeat([]byte{0xA7}, 300)
+	for _, tc := range []struct {
+		name string
+		cdc  codec.Codec
+	}{
+		{"raw", nil},
+		{"deflate", codec.Deflate()},
+	} {
+		framed := tc.cdc != nil
+		t.Run(tc.name+"/write", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			h.warm(1, framed)
+			h.write(patch, h.off+2*huntRead) // lands in the cached rest of the block
+			h.stream(h.f, 12)                // buffered: the overlay must win
+			if err := h.f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			h.off -= 6 * huntRead
+			h.stream(h.f, 12) // durable: the base must be fresh
+		})
+		t.Run(tc.name+"/write-other-handle", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			h.warm(2, framed)
+			w, err := h.fs.Open("img", vfs.WriteOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := h.off + huntRead
+			if _, err := w.WriteAt(patch, at); err != nil {
+				t.Fatal(err)
+			}
+			copy(h.model[at:], patch)
+			if err := w.Close(); err != nil { // drains: the chunk retires to the base
+				t.Fatal(err)
+			}
+			h.stream(h.f, 12)
+		})
+		t.Run(tc.name+"/truncate", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			h.warm(1, framed)
+			if framed {
+				// A container can only be reset: the stream then reads EOF,
+				// and fresh bytes once they are written.
+				if err := h.f.Truncate(0); err != nil {
+					t.Fatal(err)
+				}
+				h.model = h.model[:0]
+				h.stream(h.f, 2)
+				h.write(bytes.Repeat([]byte{0x3C}, 2*huntChunk), 0)
+				h.stream(h.f, 12)
+				return
+			}
+			// Cut the file inside the cached extent, then grow it back: the
+			// bytes past the cut now read as zeros.
+			cut := h.off + huntRead/2
+			if err := h.f.Truncate(cut); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.f.Truncate(int64(len(h.model))); err != nil {
+				t.Fatal(err)
+			}
+			clear(h.model[cut:])
+			h.stream(h.f, 12)
+		})
+		t.Run(tc.name+"/rename", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			h.warm(3, framed)
+			if err := h.fs.Rename("img", "moved"); err != nil {
+				t.Fatal(err)
+			}
+			// The old name gets other content; the handle follows the file.
+			other := bytes.Repeat([]byte{0x11}, len(h.model))
+			if err := vfs.WriteFile(h.fs, "img", other); err != nil {
+				t.Fatal(err)
+			}
+			h.stream(h.f, 12)
+			g, err := h.fs.Open("img", vfs.ReadOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			moved := h.model
+			h.model, h.off = other, 3*huntChunk
+			h.stream(g, 12)
+			h.model = moved
+		})
+		t.Run(tc.name+"/remove", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			h.warm(1, framed)
+			if err := h.fs.Remove("img"); err != nil {
+				t.Fatal(err)
+			}
+			other := bytes.Repeat([]byte{0x22}, len(h.model))
+			if err := vfs.WriteFile(h.fs, "img", other); err != nil {
+				t.Fatal(err)
+			}
+			h.stream(h.f, 12) // the orphan keeps reading the removed file
+			g, err := h.fs.Open("img", vfs.ReadOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			h.model, h.off = other, huntChunk
+			h.stream(g, 12) // the new file shares nothing with it
+		})
+		if !framed {
+			continue
+		}
+		t.Run(tc.name+"/compaction-swap", func(t *testing.T) {
+			h := newStreamHunt(t, tc.cdc)
+			for i := 0; i < 3; i++ { // dead frames for the rewrite to drop
+				h.write(bytes.Repeat([]byte{byte(0x40 + i)}, huntChunk), 0)
+				if err := h.f.Sync(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h.warm(2, framed)
+			before := h.fs.Stats().ContainersCompacted
+			if err := h.fs.Compact("img"); err != nil {
+				t.Fatal(err)
+			}
+			if h.fs.Stats().ContainersCompacted == before {
+				t.Fatal("Compact rewrote nothing; the swap is not under test")
+			}
+			h.stream(h.f, 40) // frame positions moved under the stream
+		})
+	}
+}
+
+// TestSmallReadStressNoStaleReads is TestPrefetchStressNoStaleReads for
+// the small-read paths, with the assertions of that test: readers stream
+// the file in 64 B calls — each raw-mount reader fetching the block it is
+// inside for itself — against a writer that rewrites the file in place
+// with rising version bytes and from time to time resets it, renames it
+// away and back, and (containers) compacts it. After the writer publishes
+// version v (write + Sync), no byte may ever read below v again. Run with
+// -race.
+func TestSmallReadStressNoStaleReads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cdc  codec.Codec
+	}{
+		{"raw", nil},
+		{"deflate", codec.Deflate()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const (
+				fileSize = 8 * huntChunk
+				rounds   = 40
+				readers  = 3
+			)
+			back := memfs.New(memfs.WithReadDelay(20 * time.Microsecond))
+			fs := mount(t, back, Options{
+				ChunkSize: huntChunk, BufferPoolSize: 16 * huntChunk, IOThreads: 4,
+				ReadAhead: 4, Codec: tc.cdc,
+			})
+			w, err := fs.Open("ckpt", vfs.ReadWrite|vfs.Create|vfs.Trunc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var version atomic.Int64
+			var done atomic.Bool
+			var wg sync.WaitGroup
+			fail := func(format string, args ...any) {
+				t.Helper()
+				t.Errorf(format, args...)
+				done.Store(true)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer done.Store(true)
+				buf := make([]byte, 1024)
+				for v := int64(1); v <= rounds && !done.Load(); v++ {
+					switch {
+					case v%10 == 0:
+						// Reset: readers see EOF or fresh bytes, never old.
+						if err := w.Truncate(0); err != nil {
+							fail("truncate: %v", err)
+							return
+						}
+					case v%7 == 0:
+						// Away and back: the handles follow the file.
+						if err := fs.Rename("ckpt", "ckpt.away"); err != nil {
+							fail("rename away: %v", err)
+							return
+						}
+						if err := fs.Rename("ckpt.away", "ckpt"); err != nil {
+							fail("rename back: %v", err)
+							return
+						}
+					case v%5 == 0 && tc.cdc != nil:
+						if err := fs.Compact("ckpt"); err != nil {
+							fail("compact: %v", err)
+							return
+						}
+					}
+					for i := range buf {
+						buf[i] = byte(v)
+					}
+					for off := 0; off < fileSize; off += len(buf) {
+						if _, err := w.WriteAt(buf, int64(off)); err != nil {
+							fail("write v%d: %v", v, err)
+							return
+						}
+					}
+					if err := w.Sync(); err != nil {
+						fail("sync v%d: %v", v, err)
+						return
+					}
+					version.Store(v)
+					time.Sleep(200 * time.Microsecond) // a quiet spell: streams get going
+				}
+			}()
+			for r := 0; r < readers; r++ {
+				wg.Add(1)
+				go func(r int) {
+					defer wg.Done()
+					f, err := fs.Open("ckpt", vfs.ReadOnly)
+					if err != nil {
+						fail("reader open: %v", err)
+						return
+					}
+					defer f.Close()
+					rng := rand.New(rand.NewSource(int64(r)))
+					buf := make([]byte, huntRead)
+					for !done.Load() {
+						// Streams start anywhere, so a block is met both by a
+						// reader before a cached extent and by one inside it.
+						start := rng.Intn(fileSize/huntRead) * huntRead
+						for off := start; off < fileSize && !done.Load(); off += len(buf) {
+							floor := version.Load()
+							n, err := f.ReadAt(buf, int64(off))
+							if err != nil && err != io.EOF {
+								fail("reader %d at %d: %v", r, off, err)
+								return
+							}
+							for i := 0; i < n; i++ {
+								if int64(buf[i]) < floor {
+									fail("reader %d: stale byte %d at %d (floor v%d)", r, buf[i], off+i, floor)
+									return
+								}
+							}
+						}
+					}
+				}(r)
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			final := byte(version.Load())
+			f, err := fs.Open("ckpt", vfs.ReadOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, huntRead)
+			for pass := 0; pass < 2; pass++ {
+				for off := 0; off < fileSize; off += len(buf) {
+					n, err := f.ReadAt(buf, int64(off))
+					if err != nil && err != io.EOF {
+						t.Fatal(err)
+					}
+					for i := 0; i < n; i++ {
+						if buf[i] != final {
+							t.Fatalf("pass %d: byte %d at %d, want v%d", pass, buf[i], off+i, final)
+						}
+					}
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st := fs.Stats(); tc.cdc == nil && st.PrefetchSelfFetched == 0 {
+				t.Log("note: no reader fetched a block for itself (the writer kept the pipeline dirty)")
+			}
+		})
+	}
+}

@@ -6,17 +6,70 @@ import (
 
 	"crfs/internal/codec"
 	"crfs/internal/metrics"
+	"crfs/internal/obs"
 )
 
-// statCounters aggregates mount-wide activity with atomics so the hot
-// write path never takes a statistics lock.
+// callShard holds everything that is bumped on every application WriteAt
+// or ReadAt: the per-call counters and the two call-latency histograms.
+// Each open-file entry owns one, so the callers of two files never write
+// the same cache line (with one mount-wide set, two 512 B writers on two
+// cores spent more time passing those lines back and forth than copying).
+// Nothing is lost to the sharding: callTotals sums the live shards and the
+// fold of the closed ones at read time, so every total is exact at every
+// read.
+type callShard struct {
+	writes         atomic.Int64
+	bytesWritten   atomic.Int64
+	reads          atomic.Int64
+	bytesRead      atomic.Int64
+	prefetchHits   atomic.Int64
+	prefetchMisses atomic.Int64
+
+	writeAt *obs.Histogram // WriteAt call latency (aggregation + any pool stall)
+	readAt  *obs.Histogram // ReadAt call latency (overlay + decode + backend)
+}
+
+func newCallShard() *callShard {
+	return &callShard{
+		writeAt: obs.NewHistogram(obs.LatencyBounds),
+		readAt:  obs.NewHistogram(obs.LatencyBounds),
+	}
+}
+
+// merge adds o into s.
+func (s *callShard) merge(o *callShard) {
+	s.writes.Add(o.writes.Load())
+	s.bytesWritten.Add(o.bytesWritten.Load())
+	s.reads.Add(o.reads.Load())
+	s.bytesRead.Add(o.bytesRead.Load())
+	s.prefetchHits.Add(o.prefetchHits.Load())
+	s.prefetchMisses.Add(o.prefetchMisses.Load())
+	s.writeAt.Merge(o.writeAt)
+	s.readAt.Merge(o.readAt)
+}
+
+// callTotals sums the per-call shards: that of every live entry (open, or
+// unlinked from the table by Remove or Unmount but not yet closed) plus
+// the fold of the entries that closed. An entry joins fs.live and leaves
+// it for the fold under fs.mu, so a shard is counted exactly once at every
+// instant.
+func (fs *FS) callTotals() *callShard {
+	total := newCallShard()
+	fs.mu.Lock()
+	total.merge(fs.closedCalls)
+	for e := range fs.live {
+		total.merge(e.calls)
+	}
+	fs.mu.Unlock()
+	return total
+}
+
+// statCounters aggregates the mount-wide activity that is bumped per
+// chunk, block or operation — not per call, see callShard — with atomics,
+// so no path takes a statistics lock.
 type statCounters struct {
 	opens         atomic.Int64
-	writes        atomic.Int64
-	reads         atomic.Int64
 	syncs         atomic.Int64
-	bytesWritten  atomic.Int64
-	bytesRead     atomic.Int64
 	chunksFlushed atomic.Int64
 	backendWrites atomic.Int64
 	backendBytes  atomic.Int64
@@ -36,10 +89,10 @@ type statCounters struct {
 	salvageFramesDropped  atomic.Int64
 	salvageBytesTruncated atomic.Int64
 
-	prefetchHits   atomic.Int64
-	prefetchMisses atomic.Int64
-	prefetchWasted atomic.Int64
-	prefetchBytes  atomic.Int64
+	prefetchWasted    atomic.Int64
+	prefetchBytes     atomic.Int64
+	prefetchSelf      atomic.Int64
+	prefetchReclaimed atomic.Int64
 
 	containersCompacted   atomic.Int64
 	compactFramesDropped  atomic.Int64
@@ -125,6 +178,19 @@ type Stats struct {
 	PrefetchWasted int64
 	// PrefetchedBytes is the total bytes published into read-ahead caches.
 	PrefetchedBytes int64
+	// PrefetchSelfFetched counts plain-file blocks a sequential reader of
+	// small reads fetched for itself: the rest of the block it was inside,
+	// read into a pool chunk on a cache miss and published like a worker's
+	// fetch. (Each also counts one PrefetchMiss — the read that fetched.)
+	PrefetchSelfFetched int64
+	// PrefetchReclaimed counts cached read-ahead blocks given back to a
+	// writer blocked on the buffer pool: blocks held beyond the entry's
+	// even share of the pool, the blocks of a stream nobody has read for
+	// about 10 ms of the writer's waiting, or — only when read-ahead held
+	// every chunk of the pool — all of them. Read-ahead being evicted
+	// under mixed load shows up as this counter rising with
+	// PrefetchWasted.
+	PrefetchReclaimed int64
 	// FailedChunks counts aggregation chunks whose backend write failed;
 	// each failure is reported to the application exactly once, at the
 	// next Sync or Close of the file.
@@ -263,13 +329,14 @@ func (s Stats) Integrity() metrics.IntegrityStats {
 
 // Stats returns a snapshot of the mount's counters.
 func (fs *FS) Stats() Stats {
+	calls := fs.callTotals()
 	return Stats{
 		Opens:             fs.stats.opens.Load(),
-		Writes:            fs.stats.writes.Load(),
-		Reads:             fs.stats.reads.Load(),
+		Writes:            calls.writes.Load(),
+		Reads:             calls.reads.Load(),
 		Syncs:             fs.stats.syncs.Load(),
-		BytesWritten:      fs.stats.bytesWritten.Load(),
-		BytesRead:         fs.stats.bytesRead.Load(),
+		BytesWritten:      calls.bytesWritten.Load(),
+		BytesRead:         calls.bytesRead.Load(),
 		ChunksFlushed:     fs.stats.chunksFlushed.Load(),
 		BackendWrites:     fs.stats.backendWrites.Load(),
 		BackendBytes:      fs.stats.backendBytes.Load(),
@@ -280,10 +347,13 @@ func (fs *FS) Stats() Stats {
 		RawFrames:         fs.stats.rawFrames.Load(),
 		ReadsFromBuffer:   fs.stats.readsFromBuffer.Load(),
 		ReadDrainsAvoided: fs.stats.readDrainsAvoided.Load(),
-		PrefetchHits:      fs.stats.prefetchHits.Load(),
-		PrefetchMisses:    fs.stats.prefetchMisses.Load(),
+		PrefetchHits:      calls.prefetchHits.Load(),
+		PrefetchMisses:    calls.prefetchMisses.Load(),
 		PrefetchWasted:    fs.stats.prefetchWasted.Load(),
 		PrefetchedBytes:   fs.stats.prefetchBytes.Load(),
+
+		PrefetchSelfFetched: fs.stats.prefetchSelf.Load(),
+		PrefetchReclaimed:   fs.stats.prefetchReclaimed.Load(),
 
 		FailedChunks:          fs.stats.failedChunks.Load(),
 		ContainersScanned:     fs.stats.containersScanned.Load(),

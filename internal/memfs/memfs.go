@@ -380,13 +380,19 @@ func (m *FS) truncateLocked(n *node, size int64) {
 			n.data = n.data[:size]
 		case size > int64(len(n.data)):
 			m.used += size - int64(len(n.data))
-			grown := make([]byte, size)
-			copy(grown, n.data)
-			n.data = grown
+			n.data = extend(n.data, size)
 		}
 	}
 	n.size = size
 	n.modTime = m.now()
+}
+
+// extend grows data to size bytes, zero-filling the new tail. Capacity
+// grows geometrically (append's policy), so a file extended by many small
+// writes costs amortized O(bytes) instead of one full copy per write; the
+// zero-fill also covers capacity a previous shrink left behind.
+func extend(data []byte, size int64) []byte {
+	return append(data, make([]byte, size-int64(len(data)))...)
 }
 
 // SyncAll implements vfs.Syncer; memfs is always "stable".
@@ -457,9 +463,7 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 				return 0, fmt.Errorf("memfs: write %s: %w", f.name, vfs.ErrNoSpace)
 			}
 			m.used += grow
-			grown := make([]byte, end)
-			copy(grown, f.node.data)
-			f.node.data = grown
+			f.node.data = extend(f.node.data, end)
 		}
 		copy(f.node.data[off:end], p)
 	}

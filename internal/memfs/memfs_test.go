@@ -3,6 +3,7 @@ package memfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"math/rand"
 	"sync"
@@ -416,5 +417,75 @@ func TestReadErrorInjection(t *testing.T) {
 		if _, err := f.ReadAt(buf, 4); !errors.Is(err, rot) {
 			t.Errorf("read after fault: %v, want bit rot", err)
 		}
+	}
+}
+
+// TestExtendAfterShrinkReadsZeros pins the zero-fill of geometric growth:
+// bytes a shrink left in the slice's spare capacity must never resurface
+// when a later write or truncate extends the file again.
+func TestExtendAfterShrinkReadsZeros(t *testing.T) {
+	m := New(WithCapacity(64))
+	vfs.WriteFile(m, "f", bytes.Repeat([]byte{0xEE}, 32))
+	if err := m.Truncate("f", 4); err != nil {
+		t.Fatal(err)
+	}
+	f, _ := m.Open("f", vfs.ReadWrite)
+	defer f.Close()
+	if _, err := f.WriteAt([]byte{1}, 19); err != nil { // sparse write inside the old capacity
+		t.Fatal(err)
+	}
+	got, _ := vfs.ReadFile(m, "f")
+	want := append(bytes.Repeat([]byte{0xEE}, 4), make([]byte, 16)...)
+	want[19] = 1
+	if !bytes.Equal(got, want) {
+		t.Fatalf("after shrink+extend: %v", got)
+	}
+	// Accounting follows the file's length, never its capacity: 20 of 64
+	// bytes are used, so exactly 44 more fit.
+	if _, err := f.WriteAt(make([]byte, 45), 20); !errors.Is(err, vfs.ErrNoSpace) {
+		t.Errorf("write past capacity: %v, want ErrNoSpace", err)
+	}
+	if _, err := f.WriteAt(make([]byte, 44), 20); err != nil {
+		t.Errorf("write up to capacity: %v", err)
+	}
+}
+
+// TestSmallAppendsGrowGeometrically is the regression test for the
+// quadratic extend: appending n small writes must reallocate O(log n)
+// times, not once per write.
+func TestSmallAppendsGrowGeometrically(t *testing.T) {
+	m := New()
+	const writes = 4096
+	p := make([]byte, 64)
+	run := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		run++ // a fresh file per run: the warm-up run must not pre-grow it
+		f, _ := m.Open(fmt.Sprintf("f%d", run), vfs.WriteOnly|vfs.Create)
+		defer f.Close()
+		for i := 0; i < writes; i++ {
+			if _, err := f.WriteAt(p, int64(i*len(p))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("%d appending writes made %.0f allocations; growth is not amortized", writes, allocs)
+	}
+}
+
+// BenchmarkAppendSmallWrites extends one file to 16 MiB in 4 KiB writes —
+// the shape every unit test and fault harness above memfs produces.
+func BenchmarkAppendSmallWrites(b *testing.B) {
+	p := make([]byte, 4096)
+	b.SetBytes(16 << 20)
+	for i := 0; i < b.N; i++ {
+		m := New()
+		f, _ := m.Open("f", vfs.WriteOnly|vfs.Create)
+		for off := int64(0); off < 16<<20; off += int64(len(p)) {
+			if _, err := f.WriteAt(p, off); err != nil {
+				b.Fatal(err)
+			}
+		}
+		f.Close()
 	}
 }

@@ -1,7 +1,7 @@
 package obs
 
 import (
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -25,11 +25,27 @@ type Histogram struct {
 // bounds. The bounds slice is copied; an extra +Inf bucket is implied.
 func NewHistogram(bounds []int64) *Histogram {
 	b := append([]int64(nil), bounds...)
-	sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+	slices.Sort(b)
+	// The bucket array is allocated in whole cache lines (8 words), so it
+	// lands in a size class that never shares a line with a neighbouring
+	// object: histograms sharded per caller (one per open file in
+	// internal/core) then really are private to their caller's core.
+	n := len(b) + 1
 	return &Histogram{
 		bounds: b,
-		counts: make([]atomic.Int64, len(b)+1),
+		counts: make([]atomic.Int64, n, (n+7)&^7),
 	}
+}
+
+// Merge adds o's observations into h; both must have been built over the
+// same bounds. Sharded histograms are summed this way at read time, so a
+// total is exact whenever no Observe is in flight.
+func (h *Histogram) Merge(o *Histogram) {
+	for i := range o.counts {
+		h.counts[i].Add(o.counts[i].Load())
+	}
+	h.sum.Add(o.sum.Load())
+	h.count.Add(o.count.Load())
 }
 
 // Observe records one value. Lock-free and allocation-free.

@@ -176,6 +176,31 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+func TestHistogramMerge(t *testing.T) {
+	bounds := []int64{10, 100, 1000}
+	a, b, total := NewHistogram(bounds), NewHistogram(bounds), NewHistogram(bounds)
+	for _, v := range []int64{1, 50, 5000} {
+		a.Observe(v)
+	}
+	for _, v := range []int64{7, 10, 999} {
+		b.Observe(v)
+	}
+	total.Merge(a)
+	total.Merge(b)
+	s := total.Snapshot()
+	if len(s.Counts) != len(bounds)+1 {
+		t.Fatalf("snapshot has %d buckets, want %d", len(s.Counts), len(bounds)+1)
+	}
+	for i, w := range []int64{3, 1, 1, 1} {
+		if s.Counts[i] != w {
+			t.Errorf("merged bucket %d = %d, want %d", i, s.Counts[i], w)
+		}
+	}
+	if s.Count != 6 || s.Sum != 1+50+5000+7+10+999 {
+		t.Errorf("merged count=%d sum=%d", s.Count, s.Sum)
+	}
+}
+
 func TestHistogramObserveNoAlloc(t *testing.T) {
 	h := NewHistogram(LatencyBounds)
 	allocs := testing.AllocsPerRun(1000, func() { h.Observe(123456) })

@@ -41,6 +41,8 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_prefetch_misses_total", "Base-read segments that fell back to a synchronous fetch.", st.PrefetchMisses),
 		metrics.Counter("crfs_prefetch_wasted_total", "Prefetched extents discarded unread.", st.PrefetchWasted),
 		metrics.Counter("crfs_prefetch_bytes_total", "Bytes published into read-ahead caches.", st.PrefetchedBytes),
+		metrics.Counter("crfs_prefetch_self_fetched_total", "Blocks a sequential reader of small reads fetched for itself on a miss.", st.PrefetchSelfFetched).WithStat("prefetch_self"),
+		metrics.Counter("crfs_prefetch_reclaimed_total", "Cached read-ahead blocks given back to writers blocked on the pool.", st.PrefetchReclaimed).WithStat("prefetch_reclaimed"),
 		// Mount: recovery.
 		metrics.Counter("crfs_failed_chunks_total", "Aggregation chunks whose backend write failed.", st.FailedChunks).WithStat("failed_chunks"),
 		metrics.Counter("crfs_containers_scanned_total", "Opens that probed a frame container.", st.ContainersScanned).WithStat("scanned"),
