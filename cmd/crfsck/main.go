@@ -22,8 +22,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"crfs/internal/compact"
@@ -31,30 +33,56 @@ import (
 )
 
 func main() {
-	workers := flag.Int("workers", 4, "parallel frame verifiers")
-	repair := flag.Bool("repair", false, "truncate damaged containers to their longest verified frame prefix")
-	doCompact := flag.Bool("compact", false, "compact containers after scrubbing (rewrites reclaim dead frames and torn junk)")
-	ratio := flag.Float64("ratio", 0, "with -compact: only compact containers whose dead-byte ratio is at least this (0 = any reclaimable bytes)")
-	flag.Parse()
-	if flag.NArg() == 0 {
-		fmt.Fprintln(os.Stderr, "usage: crfsck [-workers N] [-repair] [-compact [-ratio R]] DIR...")
-		os.Exit(1)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command; it returns the exit status documented above.
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("crfsck", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	workers := fl.Int("workers", 4, "parallel frame verifiers")
+	repair := fl.Bool("repair", false, "truncate damaged containers to their longest verified frame prefix")
+	doCompact := fl.Bool("compact", false, "compact containers after scrubbing (rewrites reclaim dead frames and torn junk)")
+	ratio := fl.Float64("ratio", 0, "with -compact: only compact containers whose dead-byte ratio is at least this (0 = any reclaimable bytes)")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 1
 	}
-	defects, opErrs := false, false
-	for _, dir := range flag.Args() {
+	if fl.NArg() == 0 {
+		fmt.Fprintln(stderr, "usage: crfsck [-workers N] [-repair] [-compact [-ratio R]] DIR...")
+		return 1
+	}
+	defects, opErrs, err := check(stdout, fl.Args(), compact.ScrubOptions{Workers: *workers, Repair: *repair}, *doCompact, *ratio)
+	switch {
+	case err != nil:
+		fmt.Fprintln(stderr, "crfsck:", err)
+		return 1
+	case defects:
+		return 2
+	case opErrs:
+		return 1
+	}
+	return 0
+}
+
+// check scrubs (and with doCompact compacts) every dir, printing one
+// report each. defects is proven damage (corrupt frames, torn
+// containers); opErrs is a file that could not be verified at all
+// (backend open/read failure), never reported as corruption; the error
+// is a directory that could not be walked, which stops the run.
+func check(stdout io.Writer, dirs []string, o compact.ScrubOptions, doCompact bool, ratio float64) (defects, opErrs bool, _ error) {
+	for _, dir := range dirs {
 		fsys, err := osfs.New(dir)
 		if err != nil {
-			fatal(err)
+			return defects, opErrs, err
 		}
-		rep, err := compact.Scrub(fsys, ".", compact.ScrubOptions{Workers: *workers, Repair: *repair})
+		rep, err := compact.Scrub(fsys, ".", o)
 		if err != nil {
-			fatal(err)
+			return defects, opErrs, err
 		}
-		fmt.Printf("%s: %s", dir, rep.Format())
-		// Exit-code classification: proven damage (corrupt frames, torn
-		// containers) is a defect; a file that could not be verified at
-		// all (backend open/read failure) is an operational error, never
-		// reported as corruption.
+		fmt.Fprintf(stdout, "%s: %s", dir, rep.Format())
 		if rep.CorruptFrames > 0 || rep.TornContainers > 0 {
 			defects = true
 		}
@@ -63,26 +91,16 @@ func main() {
 				opErrs = true
 			}
 		}
-		if *doCompact {
-			crep, err := compact.CompactDir(fsys, ".", compact.CompactOptions{MinDeadRatio: *ratio})
+		if doCompact {
+			crep, err := compact.CompactDir(fsys, ".", compact.CompactOptions{MinDeadRatio: ratio})
 			if err != nil {
-				fatal(err)
+				return defects, opErrs, err
 			}
-			fmt.Printf("%s: %s", dir, crep.Format())
+			fmt.Fprintf(stdout, "%s: %s", dir, crep.Format())
 			if len(crep.Problems) > 0 {
 				opErrs = true
 			}
 		}
 	}
-	switch {
-	case defects:
-		os.Exit(2)
-	case opErrs:
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crfsck:", err)
-	os.Exit(1)
+	return defects, opErrs, nil
 }

@@ -54,6 +54,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -76,16 +77,17 @@ type traceRun struct {
 	tr     *obs.Tracer
 	traces []obs.TraceID
 	file   string
+	out    io.Writer // where the summary line goes
 }
 
-func newTraceRun(file string) *traceRun {
+func newTraceRun(file string, out io.Writer) *traceRun {
 	if file == "" {
 		return nil
 	}
 	tr := obs.New(obs.DefaultRingCapacity)
 	tr.SetProcess("crfscp")
 	tr.SetEnabled(true)
-	return &traceRun{tr: tr, file: file}
+	return &traceRun{tr: tr, file: file, out: out}
 }
 
 // tracer returns the run's tracer, nil when tracing is off (nil
@@ -130,7 +132,11 @@ func (t *traceRun) write(dump func(obs.TraceID) []obs.SpanRecord) error {
 	if err := os.WriteFile(t.file, obs.ChromeTrace(recs), 0o644); err != nil {
 		return fmt.Errorf("writing trace: %w", err)
 	}
-	fmt.Printf("trace: %d spans -> %s\n", len(recs), t.file)
+	procs := make(map[string]bool)
+	for _, r := range recs {
+		procs[r.Proc] = true
+	}
+	fmt.Fprintf(t.out, "trace: %d spans from %d processes -> %s\n", len(recs), len(procs), t.file)
 	return nil
 }
 
@@ -145,92 +151,117 @@ func setSpanContext(f crfs.File, ctx obs.SpanContext) {
 	}
 }
 
+// usageError is a wrong argument count for the selected mode: run prints
+// the text as is and exits 2.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
 func main() {
-	chunk := flag.Int64("chunk", crfs.DefaultChunkSize, "CRFS chunk size in bytes")
-	pool := flag.Int64("pool", crfs.DefaultBufferPoolSize, "CRFS buffer pool size in bytes")
-	threads := flag.Int("threads", crfs.DefaultIOThreads, "CRFS IO threads")
-	bs := flag.Int("bs", 8192, "copy block size (simulates small checkpoint writes)")
-	codecName := flag.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
-	restore := flag.Bool("restore", false, "restore direction: read SRC files through a CRFS mount, write plain copies to DSTDIR")
-	readAhead := flag.Int("readahead", 8, "with -restore: read-ahead depth in chunks/frames (0 disables)")
-	repair := flag.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
-	serverAddr := flag.String("server", "", "copy to/from a crfsd daemon at this address instead of a local mount")
-	nodesList := flag.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
-	replicas := flag.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
-	stripeChunk := flag.Int64("stripe-chunk", stripe.DefaultChunkSize, "with -nodes: stripe unit in bytes")
-	scrub := flag.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies")
-	redials := flag.Int("redials", 2, "network modes: automatic reconnects per daemon connection")
-	traceFile := flag.String("trace", "", "write a chrome://tracing JSON of the whole operation — crfscp's spans merged with every participating daemon's — to this file")
-	flag.Parse()
-	args := flag.Args()
-	trun := newTraceRun(*traceFile)
-	if *nodesList != "" {
-		err := stripedMode(strings.Split(*nodesList, ","), *restore, *scrub, stripe.Config{
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the whole command: it parses args, runs the selected mode with
+// its summaries on stdout, and returns the exit code (0 done, 1 the
+// operation failed, 2 usage).
+func run(args []string, stdout, stderr io.Writer) int {
+	fl := flag.NewFlagSet("crfscp", flag.ContinueOnError)
+	fl.SetOutput(stderr)
+	chunk := fl.Int64("chunk", crfs.DefaultChunkSize, "CRFS chunk size in bytes")
+	pool := fl.Int64("pool", crfs.DefaultBufferPoolSize, "CRFS buffer pool size in bytes")
+	threads := fl.Int("threads", crfs.DefaultIOThreads, "CRFS IO threads")
+	bs := fl.Int("bs", 8192, "copy block size (simulates small checkpoint writes)")
+	codecName := fl.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
+	restore := fl.Bool("restore", false, "restore direction: read SRC files through a CRFS mount, write plain copies to DSTDIR")
+	readAhead := fl.Int("readahead", 8, "with -restore: read-ahead depth in chunks/frames (0 disables)")
+	repair := fl.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
+	serverAddr := fl.String("server", "", "copy to/from a crfsd daemon at this address instead of a local mount")
+	nodesList := fl.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
+	replicas := fl.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
+	stripeChunk := fl.Int64("stripe-chunk", stripe.DefaultChunkSize, "with -nodes: stripe unit in bytes")
+	scrub := fl.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies")
+	redials := fl.Int("redials", 2, "network modes: automatic reconnects per daemon connection")
+	traceFile := fl.String("trace", "", "write a chrome://tracing JSON of the whole operation — crfscp's spans merged with every participating daemon's — to this file")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	args = fl.Args()
+	trun := newTraceRun(*traceFile, stdout)
+	var err error
+	switch {
+	case *nodesList != "":
+		err = stripedMode(stdout, stderr, strings.Split(*nodesList, ","), *restore, *scrub, stripe.Config{
 			ChunkSize: *stripeChunk, Replicas: *replicas, Tracer: trun.tracer(),
 		}, *redials, args, trun)
-		if err != nil {
-			fatal(err)
+	case *serverAddr != "":
+		err = serverMode(stdout, *serverAddr, *restore, *redials, args, trun)
+	case len(args) < 2:
+		err = usageError("usage: crfscp [flags] SRC... DSTDIR")
+	default:
+		opts := crfs.Options{
+			ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads,
+			RepairOnOpen: *repair, Tracer: trun.tracer(),
 		}
-		return
-	}
-	if *serverAddr != "" {
-		if err := serverMode(*serverAddr, *restore, *redials, args, trun); err != nil {
-			fatal(err)
+		srcs, dst := args[:len(args)-1], args[len(args)-1]
+		if *restore {
+			opts.ReadAhead = *readAhead
+			err = restoreAll(stdout, srcs, dst, *bs, opts, trun)
+		} else if opts.Codec, err = crfs.LookupCodec(*codecName); err == nil {
+			err = copyAll(stdout, srcs, dst, *bs, opts, trun)
 		}
-		return
 	}
-	if len(args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: crfscp [flags] SRC... DSTDIR")
-		os.Exit(2)
+	var usage usageError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &usage):
+		fmt.Fprintln(stderr, usage)
+		return 2
 	}
-	dst := args[len(args)-1]
-	srcs := args[:len(args)-1]
+	fmt.Fprintln(stderr, "crfscp:", err)
+	return 1
+}
+
+// copyAll copies each src into a CRFS mount over dst.
+func copyAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Options, trun *traceRun) error {
 	if err := os.MkdirAll(dst, 0o755); err != nil {
-		fatal(err)
+		return err
 	}
-	if *restore {
-		if err := restoreAll(srcs, dst, *bs, *chunk, *pool, *threads, *readAhead, *repair, trun); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	cdc, err := crfs.LookupCodec(*codecName)
+	fs, err := crfs.MountDir(dst, opts)
 	if err != nil {
-		fatal(err)
-	}
-	fs, err := crfs.MountDir(dst, crfs.Options{
-		ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads, Codec: cdc,
-		RepairOnOpen: *repair, Tracer: trun.tracer(),
-	})
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	start := time.Now()
 	var total int64
 	for _, src := range srcs {
 		sp := trun.span("crfscp.copy", src)
-		n, err := copyOne(fs, src, *bs, sp.Context())
+		n, err := copyOne(fs, src, bs, sp.Context())
 		sp.End()
 		if err != nil {
 			fs.Unmount()
-			fatal(err)
+			return err
 		}
 		total += n
 	}
 	if err := fs.Unmount(); err != nil {
-		fatal(err)
+		return err
 	}
 	if err := trun.write(nil); err != nil {
-		fatal(err)
+		return err
 	}
 	el := time.Since(start).Seconds()
 	st := fs.Stats()
-	fmt.Printf("copied %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
-	fmt.Printf("app writes: %d, backend writes: %d (aggregation %.1fx), pool waits: %d\n",
+	fmt.Fprintf(stdout, "copied %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+	fmt.Fprintf(stdout, "app writes: %d, backend writes: %d (aggregation %.1fx), pool waits: %d\n",
 		st.Writes, st.BackendWrites, st.AggregationRatio(), st.PoolWaits)
-	if cs := st.Codec(); cs.Frames > 0 {
-		fmt.Println(cs.Format())
+	if st.Frames > 0 {
+		fmt.Fprintf(stdout, "codec: in=%d out=%d ratio=%.2fx frames=%d raw-frames=%d\n",
+			st.CodecBytesIn, st.CodecBytesOut, st.CompressionRatio(), st.Frames, st.RawFrames)
 	}
+	return nil
 }
 
 func copyOne(fs *crfs.FS, src string, bs int, ctx obs.SpanContext) (int64, error) {
@@ -269,7 +300,10 @@ func copyOne(fs *crfs.FS, src string, bs int, ctx obs.SpanContext) (int64, error
 // restoreAll copies each src out of a CRFS mount over its directory into
 // dst as a plain file. Mounts are shared per source directory, so the
 // per-mount stats aggregate all files restored from that directory.
-func restoreAll(srcs []string, dst string, bs int, chunk, pool int64, threads, readAhead int, repair bool, trun *traceRun) error {
+func restoreAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Options, trun *traceRun) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
 	mounts := make(map[string]*crfs.FS)
 	defer func() {
 		for _, fs := range mounts {
@@ -283,10 +317,7 @@ func restoreAll(srcs []string, dst string, bs int, chunk, pool int64, threads, r
 		fs, ok := mounts[dir]
 		if !ok {
 			var err error
-			fs, err = crfs.MountDir(dir, crfs.Options{
-				ChunkSize: chunk, BufferPoolSize: pool, IOThreads: threads, ReadAhead: readAhead,
-				RepairOnOpen: repair, Tracer: trun.tracer(),
-			})
+			fs, err = crfs.MountDir(dir, opts)
 			if err != nil {
 				return err
 			}
@@ -301,7 +332,7 @@ func restoreAll(srcs []string, dst string, bs int, chunk, pool int64, threads, r
 		total += n
 	}
 	el := time.Since(start).Seconds()
-	fmt.Printf("restored %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+	fmt.Fprintf(stdout, "restored %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
 	for dir, fs := range mounts {
 		if err := fs.Unmount(); err != nil {
 			delete(mounts, dir)
@@ -309,9 +340,16 @@ func restoreAll(srcs []string, dst string, bs int, chunk, pool int64, threads, r
 		}
 		delete(mounts, dir)
 		st := fs.Stats()
-		fmt.Printf("%s: reads=%d bytes=%d, %s\n", dir, st.Reads, st.BytesRead, st.Prefetch().Format())
-		if rc := st.Recovery(); rc.Salvaged > 0 || rc.Repaired > 0 {
-			fmt.Printf("%s: %s\n", dir, rc.Format())
+		var hitPct float64
+		if lookups := st.PrefetchHits + st.PrefetchMisses; lookups > 0 {
+			hitPct = 100 * float64(st.PrefetchHits) / float64(lookups)
+		}
+		fmt.Fprintf(stdout, "%s: reads=%d bytes=%d, prefetch: hits=%d misses=%d (%.1f%% hit) wasted=%d bytes=%d\n",
+			dir, st.Reads, st.BytesRead, st.PrefetchHits, st.PrefetchMisses, hitPct, st.PrefetchWasted, st.PrefetchedBytes)
+		if st.ContainersSalvaged > 0 || st.ContainersRepaired > 0 {
+			fmt.Fprintf(stdout, "%s: recovery: scanned=%d salvaged=%d repaired=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d\n",
+				dir, st.ContainersScanned, st.ContainersSalvaged, st.ContainersRepaired,
+				st.SalvageFramesDropped, st.SalvageBytesTruncated, st.FailedChunks)
 		}
 	}
 	return trun.write(nil)
@@ -355,11 +393,10 @@ func restoreOne(fs *crfs.FS, name, dst string, bs int, ctx obs.SpanContext) (int
 
 // serverMode moves files over the wire to/from a crfsd daemon on one
 // persistent protocol-v2 connection.
-func serverMode(addr string, restore bool, redials int, args []string, trun *traceRun) error {
+func serverMode(stdout io.Writer, addr string, restore bool, redials int, args []string, trun *traceRun) error {
 	if len(args) < 1 || (restore && len(args) < 2) {
-		fmt.Fprintln(os.Stderr, "usage: crfscp -server host:port SRC...")
-		fmt.Fprintln(os.Stderr, "       crfscp -server host:port -restore NAME... DSTDIR")
-		os.Exit(2)
+		return usageError("usage: crfscp -server host:port SRC...\n" +
+			"       crfscp -server host:port -restore NAME... DSTDIR")
 	}
 	c, err := client.Dial(addr, client.Config{Redials: redials})
 	if err != nil {
@@ -390,7 +427,7 @@ func serverMode(addr string, restore bool, redials int, args []string, trun *tra
 			total += n
 		}
 		el := time.Since(start).Seconds()
-		fmt.Printf("fetched %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+		fmt.Fprintf(stdout, "fetched %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
 		return trun.write(clientDump(c))
 	}
 	for _, src := range args {
@@ -413,9 +450,9 @@ func serverMode(addr string, restore bool, redials int, args []string, trun *tra
 		total += info.Size()
 	}
 	el := time.Since(start).Seconds()
-	fmt.Printf("uploaded %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+	fmt.Fprintf(stdout, "uploaded %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
 	if line, err := c.Stat(); err == nil {
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	return trun.write(clientDump(c))
 }
@@ -436,12 +473,11 @@ func clientDump(c *client.Client) func(obs.TraceID) []obs.SpanRecord {
 // chunks fan out to (and stream back from) every listed daemon in
 // parallel, with replication and manifest fingerprints carrying the
 // durability story.
-func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials int, args []string, trun *traceRun) error {
+func stripedMode(stdout, stderr io.Writer, addrs []string, restore, scrub bool, cfg stripe.Config, redials int, args []string, trun *traceRun) error {
 	if !scrub && (len(args) < 1 || (restore && len(args) < 2)) {
-		fmt.Fprintln(os.Stderr, "usage: crfscp -nodes a:9000,b:9000,... SRC...          (a node is host:port or id=host:port)")
-		fmt.Fprintln(os.Stderr, "       crfscp -nodes a:9000,b:9000,... -restore NAME... DSTDIR")
-		fmt.Fprintln(os.Stderr, "       crfscp -nodes a:9000,b:9000,... -scrub")
-		os.Exit(2)
+		return usageError("usage: crfscp -nodes a:9000,b:9000,... SRC...          (a node is host:port or id=host:port)\n" +
+			"       crfscp -nodes a:9000,b:9000,... -restore NAME... DSTDIR\n" +
+			"       crfscp -nodes a:9000,b:9000,... -scrub")
 	}
 	nodes := make([]stripe.Node, 0, len(addrs))
 	defer func() {
@@ -467,7 +503,7 @@ func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials
 			// An unreachable node must not fail the whole operation:
 			// surviving replicas are exactly what replication buys.
 			// New puts place only on the nodes that answered.
-			fmt.Fprintf(os.Stderr, "crfscp: node %s unreachable, continuing without it: %v\n", addr, err)
+			fmt.Fprintf(stderr, "crfscp: node %s unreachable, continuing without it: %v\n", addr, err)
 			continue
 		}
 		nodes = append(nodes, n)
@@ -480,7 +516,7 @@ func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials
 	start := time.Now()
 	if scrub {
 		rep, err := s.Scrub()
-		fmt.Printf("scrub over %d nodes in %.3fs: %s\n", len(nodes), time.Since(start).Seconds(), rep)
+		fmt.Fprintf(stdout, "scrub over %d nodes in %.3fs: %s\n", len(nodes), time.Since(start).Seconds(), rep)
 		if err == nil {
 			err = trun.write(s.TraceDumps)
 		}
@@ -510,8 +546,8 @@ func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials
 		}
 		el := time.Since(start).Seconds()
 		st := s.Stats()
-		fmt.Printf("restored %d bytes from %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
-		fmt.Printf("chunks=%d fallbacks=%d checksum_failures=%d\n", st.ChunksGot, st.ReplicaFallbacks, st.ChecksumFailed)
+		fmt.Fprintf(stdout, "restored %d bytes from %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
+		fmt.Fprintf(stdout, "chunks=%d fallbacks=%d checksum_failures=%d\n", st.ChunksGot, st.ReplicaFallbacks, st.ChecksumFailed)
 		return trun.write(s.TraceDumps)
 	}
 	for _, src := range args {
@@ -535,12 +571,7 @@ func stripedMode(addrs []string, restore, scrub bool, cfg stripe.Config, redials
 	}
 	el := time.Since(start).Seconds()
 	st := s.Stats()
-	fmt.Printf("striped %d bytes to %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
-	fmt.Printf("chunk replicas=%d replica bytes=%d\n", st.ChunksPut, st.BytesPut)
+	fmt.Fprintf(stdout, "striped %d bytes to %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
+	fmt.Fprintf(stdout, "chunk replicas=%d replica bytes=%d\n", st.ChunksPut, st.BytesPut)
 	return trun.write(s.TraceDumps)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "crfscp:", err)
-	os.Exit(1)
 }

@@ -1,0 +1,174 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	crfs "crfs"
+	"crfs/internal/obs"
+	"crfs/internal/server"
+)
+
+// daemon is an in-process crfsd: a traced mount over a directory, served
+// on a loopback port.
+type daemon struct {
+	id, dir, addr string
+	fs            *crfs.FS
+	srv           *server.Server
+	stopped       bool
+}
+
+func startDaemon(t *testing.T, id, dir string) *daemon {
+	t.Helper()
+	tr := obs.New(obs.DefaultRingCapacity)
+	tr.SetProcess("crfsd:" + id)
+	tr.SetEnabled(true)
+	fs, err := crfs.MountDir(dir, crfs.Options{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &daemon{id: id, dir: dir, addr: ln.Addr().String(), fs: fs, srv: server.New(fs, server.Config{Tracer: tr})}
+	go d.srv.Serve(ln)
+	return d
+}
+
+func (d *daemon) stop(t *testing.T) {
+	t.Helper()
+	if d.stopped {
+		return
+	}
+	d.stopped = true
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := d.srv.Shutdown(ctx); err != nil {
+		t.Errorf("stopping node %s: %v", d.id, err)
+	}
+	if err := d.fs.Unmount(); err != nil {
+		t.Errorf("unmounting node %s: %v", d.id, err)
+	}
+}
+
+// crfscp runs the command in-process and returns what it printed.
+func crfscp(t *testing.T, wantCode int, args ...string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(args, &stdout, &stderr); code != wantCode {
+		t.Fatalf("crfscp %s: exit %d, want %d\nstdout: %sstderr: %s", strings.Join(args, " "), code, wantCode, &stdout, &stderr)
+	}
+	return stdout.String() + stderr.String()
+}
+
+// TestStripedPutKillRestoreScrub is the operator's flow against three
+// daemons: stripe a checkpoint, lose a node, restore it byte-identical
+// from the survivors, bring the node back with a rotted replica, and let
+// scrub repair it to zero residual defects.
+func TestStripedPutKillRestoreScrub(t *testing.T) {
+	tmp := t.TempDir()
+	nodes := make([]*daemon, 3)
+	for i := range nodes {
+		dir := filepath.Join(tmp, fmt.Sprintf("n%d", i))
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		nodes[i] = startDaemon(t, fmt.Sprintf("n%d", i), dir)
+	}
+	// Nodes are listed by id, so a restarted daemon keeps its placement
+	// on whatever port it comes back on.
+	nodeList := func() string {
+		var l []string
+		for _, d := range nodes {
+			l = append(l, d.id+"="+d.addr)
+		}
+		return strings.Join(l, ",")
+	}
+	t.Cleanup(func() {
+		for _, d := range nodes {
+			d.stop(t)
+		}
+	})
+
+	image := make([]byte, 8<<20)
+	rand.New(rand.NewSource(1)).Read(image)
+	src := filepath.Join(tmp, "ckpt.img")
+	if err := os.WriteFile(src, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	restored := filepath.Join(tmp, "restored")
+	restore := func(when string, extra ...string) string {
+		t.Helper()
+		out := crfscp(t, 0, append(append([]string{"-nodes", nodeList(), "-restore"}, extra...), "ckpt.img", restored)...)
+		got, err := os.ReadFile(filepath.Join(restored, "ckpt.img"))
+		if err != nil || !bytes.Equal(got, image) {
+			t.Fatalf("%s: restored image differs from the checkpoint (%d bytes, err %v)", when, len(got), err)
+		}
+		return out
+	}
+
+	// One trace covers the client and all three daemons, both ways.
+	trace := filepath.Join(tmp, "trace.json")
+	if out := crfscp(t, 0, "-nodes", nodeList(), "-stripe-chunk", "1048576", "-trace", trace, src); !strings.Contains(out, "from 4 processes -> "+trace) {
+		t.Errorf("striped put trace summary: %q", out)
+	}
+	if out := restore("all nodes up", "-trace", trace); !strings.Contains(out, "from 4 processes -> "+trace) {
+		t.Errorf("striped restore trace summary: %q", out)
+	}
+
+	nodes[1].stop(t)
+	if out := restore("one node down"); !strings.Contains(out, "checksum_failures=0") {
+		t.Errorf("restore through a dead node: %q", out)
+	}
+
+	// Rot one replica on the stopped node's disk, then bring the node
+	// back: it serves the rotted bytes until scrub repairs them from the
+	// surviving replica.
+	chunks, err := filepath.Glob(filepath.Join(nodes[1].dir, "ckpt.img.s????????"))
+	if err != nil || len(chunks) == 0 {
+		t.Fatalf("no chunk replica on the stopped node (err %v)", err)
+	}
+	replica, err := os.ReadFile(chunks[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica[1000] ^= 0xFF
+	if err := os.WriteFile(chunks[0], replica, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	nodes[1] = startDaemon(t, nodes[1].id, nodes[1].dir)
+	restore("one replica rotted")
+	if out := crfscp(t, 0, "-nodes", nodeList(), "-scrub"); !strings.Contains(out, " repaired=1 ") {
+		t.Errorf("first scrub did not repair exactly the rotted replica: %q", out)
+	}
+	if out := crfscp(t, 0, "-nodes", nodeList(), "-scrub"); !strings.Contains(out, " repaired=0 ") || !strings.Contains(out, " lost_chunks=0 ") {
+		t.Errorf("second scrub found residual defects: %q", out)
+	}
+}
+
+// TestUsageErrorsExitTwo: a mode given too few arguments prints its usage
+// and exits 2 without dialing anything.
+func TestUsageErrorsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"only-one-arg"},
+		{"-server", "127.0.0.1:1"},
+		{"-server", "127.0.0.1:1", "-restore", "name"},
+		{"-nodes", "127.0.0.1:1"},
+		{"-nodes", "127.0.0.1:1", "-restore", "name"},
+		{"-no-such-flag"},
+	} {
+		if out := crfscp(t, 2, args...); !strings.Contains(strings.ToLower(out), "usage") {
+			t.Errorf("crfscp %v: no usage text in %q", args, out)
+		}
+	}
+}

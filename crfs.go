@@ -38,11 +38,11 @@
 // frame container torn by a crash mid-append is salvaged at open — reads
 // serve the longest intact frame prefix instead of failing the file —
 // and Options.RepairOnOpen additionally truncates the backend file to
-// that prefix. Stats.Recovery() reports salvage activity, and backend
-// write failures surface exactly once, at the next Sync or Close. The
-// contract is enforced by a crash-point enumeration harness
-// (internal/crashfs, `crfsbench -crash`) that replays a power cut at
-// every byte boundary of a workload's backend writes.
+// that prefix. The Containers* and Salvage* fields of Stats report
+// salvage activity, and backend write failures surface exactly once, at
+// the next Sync or Close. The contract is enforced by a crash-point
+// enumeration harness (internal/crashfs, TestCrashPoints*) that replays
+// a power cut at every byte boundary of a workload's backend writes.
 //
 // Containers are log-structured and last-writer-wins, so rewrite-heavy
 // checkpoint workloads accumulate dead frames without bound. Online

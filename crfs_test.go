@@ -88,7 +88,7 @@ func TestMountDirDeflateRoundtrip(t *testing.T) {
 	}
 	st := w.Stats()
 	if st.CompressionRatio() <= 1 || st.Frames == 0 {
-		t.Errorf("no compression recorded: %+v", st.Codec())
+		t.Errorf("no compression recorded: %+v", st)
 	}
 	if err := w.Unmount(); err != nil {
 		t.Fatal(err)

@@ -1,5 +1,5 @@
-// Package client is the protocol-v2 client used by crfscp, crfsbench,
-// and the striped store coordinator: one persistent connection carrying
+// Package client is the protocol-v2 client used by crfscp and the
+// striped store coordinator: one persistent connection carrying
 // many framed requests, multiplexed up to the server's advertised
 // in-flight cap. All methods are safe for concurrent use; each blocks
 // until its request completes.

@@ -3,7 +3,9 @@ package compact
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	"crfs/internal/codec"
 	"crfs/internal/memfs"
@@ -329,5 +331,98 @@ func TestScrubRepairNeverTruncatesOnBackendError(t *testing.T) {
 	}
 	if got, _ := vfs.ReadFile(m, "ckpt/a.crfc"); !bytes.Equal(got, box) {
 		t.Fatal("container bytes changed")
+	}
+}
+
+// meterFS counts how many frame-payload reads (a read that starts at one
+// of the payloadAt offsets) are inside the backend at once. With meet
+// set, the first such read stays in the backend until a second one joins
+// it, so "the scrub reads in parallel" needs no stopwatch.
+type meterFS struct {
+	vfs.FS
+	payloadAt map[int64]bool
+	meet      bool
+	joined    chan struct{} // closed once two reads are inside together
+	once      sync.Once
+
+	mu                  sync.Mutex
+	reads, inside, peak int
+}
+
+type meterFile struct {
+	vfs.File
+	m *meterFS
+}
+
+func (m *meterFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
+	inner, err := m.FS.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return meterFile{inner, m}, nil
+}
+
+func (f meterFile) ReadAt(p []byte, off int64) (int, error) {
+	m := f.m
+	if !m.payloadAt[off] {
+		return f.File.ReadAt(p, off)
+	}
+	m.mu.Lock()
+	m.reads++
+	first := m.reads == 1
+	m.inside++
+	if m.inside > m.peak {
+		m.peak = m.inside
+	}
+	if m.inside >= 2 {
+		m.once.Do(func() { close(m.joined) })
+	}
+	m.mu.Unlock()
+	if first && m.meet {
+		select {
+		case <-m.joined:
+		case <-time.After(10 * time.Second): // a serial scrub: let it finish and fail on the peak
+		}
+	}
+	n, err := f.File.ReadAt(p, off)
+	m.mu.Lock()
+	m.inside--
+	m.mu.Unlock()
+	return n, err
+}
+
+// TestScrubReadsInParallel: Workers is how many frame payloads the scrub
+// reads from the backend at once — two or more with four workers, never
+// more than one with one.
+func TestScrubReadsInParallel(t *testing.T) {
+	m := memfs.New()
+	var extents [][2]int
+	for i := 0; i < 16; i++ {
+		extents = append(extents, [2]int{i * 400, 400})
+	}
+	box := buildContainer(t, codec.Deflate(), extents...)
+	if err := vfs.WriteFile(m, "big.crfc", box); err != nil {
+		t.Fatal(err)
+	}
+	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	payloadAt := make(map[int64]bool)
+	for _, fr := range frames {
+		payloadAt[fr.Pos+codec.HeaderSize] = true
+	}
+	for _, tc := range []struct {
+		workers  int
+		parallel bool
+	}{{1, false}, {4, true}} {
+		meter := &meterFS{FS: m, payloadAt: payloadAt, meet: tc.parallel, joined: make(chan struct{})}
+		rep, err := Scrub(meter, ".", ScrubOptions{Workers: tc.workers})
+		if err != nil || !rep.Clean() || rep.Frames != int64(len(frames)) {
+			t.Fatalf("workers=%d: scrub of a healthy container: %+v err=%v", tc.workers, rep, err)
+		}
+		if tc.parallel && meter.peak < 2 {
+			t.Errorf("workers=%d: at most %d payload read in the backend at once, want >= 2", tc.workers, meter.peak)
+		}
+		if !tc.parallel && meter.peak != 1 {
+			t.Errorf("workers=%d: %d payload reads in the backend at once, want exactly 1", tc.workers, meter.peak)
+		}
 	}
 }

@@ -132,8 +132,8 @@ func TestCoreAllocsPerCall(t *testing.T) {
 	if perRead != 0 {
 		t.Errorf("ReadAt allocates %.0f times per call, want 0", perRead)
 	}
-	if st := fs.Stats(); st.Prefetch().HitRate() < 0.99 {
-		t.Errorf("the measured reads were not served by read-ahead: %s", st.Prefetch().Format())
+	if st := fs.Stats(); float64(st.PrefetchHits) < 0.99*float64(st.PrefetchHits+st.PrefetchMisses) {
+		t.Errorf("the measured reads were not served by read-ahead: hits %d, misses %d", st.PrefetchHits, st.PrefetchMisses)
 	}
 }
 
@@ -187,7 +187,7 @@ func TestReadAheadFairShare(t *testing.T) {
 		}
 	}
 	if st := fs.Stats(); st.PrefetchSelfFetched == 0 {
-		t.Errorf("no block was fetched by its reader: %+v", st.Prefetch())
+		t.Errorf("no block was fetched by its reader: %+v", st)
 	}
 }
 
@@ -256,7 +256,7 @@ func TestReadAheadSurvivesWriterPressure(t *testing.T) {
 	if st.PrefetchReclaimed != 0 || st.PrefetchWasted != 0 {
 		t.Errorf("a live stream within its share lost read-ahead to the writer: reclaimed %d, wasted %d", st.PrefetchReclaimed, st.PrefetchWasted)
 	}
-	t.Logf("pool waits %d, self-fetched %d, %s", st.PoolWaits, st.PrefetchSelfFetched, st.Prefetch().Format())
+	t.Logf("pool waits %d, self-fetched %d, hits %d, misses %d", st.PoolWaits, st.PrefetchSelfFetched, st.PrefetchHits, st.PrefetchMisses)
 }
 
 // TestIdleReadAheadYieldsToWriter is the other half of the reclaim rule:
@@ -285,7 +285,7 @@ func TestIdleReadAheadYieldsToWriter(t *testing.T) {
 	for off, deadline := int64(0), time.Now().Add(10*time.Second); fs.raChunks.Load() > 0; off = (off + chunk) % (8 * chunk) {
 		if time.Now().After(deadline) {
 			t.Fatalf("a writer under pool pressure never got the idle stream's %d chunks back: %+v",
-				fs.raChunks.Load(), fs.Stats().Prefetch())
+				fs.raChunks.Load(), fs.Stats())
 		}
 		if _, err := w.WriteAt(p, off); err != nil {
 			t.Fatal(err)
@@ -295,7 +295,7 @@ func TestIdleReadAheadYieldsToWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := fs.Stats(); st.PrefetchReclaimed == 0 {
-		t.Errorf("read-ahead went away without a reclaim: %+v", st.Prefetch())
+		t.Errorf("read-ahead went away without a reclaim: %+v", st)
 	}
 	streamRead(t, r, want, chunk/2, 512) // the stream picks up where it stopped, correctly
 }
@@ -345,7 +345,7 @@ func TestReadAheadReclaimedWhenItHoldsThePool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st := fs.Stats(); st.PrefetchReclaimed == 0 {
-		t.Errorf("the chunk came back without a reclaim: %+v", st.Prefetch())
+		t.Errorf("the chunk came back without a reclaim: %+v", st)
 	}
 	// The reader carries on, correctly, from the backend or a new fetch.
 	readSequential(t, r, want, len(buf))
@@ -403,22 +403,23 @@ func TestCallCountersExactAcrossShards(t *testing.T) {
 	p := make([]byte, 100)
 	check := func(when string, wantW, wantR int64) {
 		t.Helper()
-		st, hs := fs.Stats(), fs.Histograms()
+		st := fs.Stats()
 		if st.Writes != wantW || st.BytesWritten != wantW*100 {
 			t.Errorf("%s: Writes=%d BytesWritten=%d, want %d and %d", when, st.Writes, st.BytesWritten, wantW, wantW*100)
 		}
 		if st.Reads != wantR || st.BytesRead != wantR*100 {
 			t.Errorf("%s: Reads=%d BytesRead=%d, want %d and %d", when, st.Reads, st.BytesRead, wantR, wantR*100)
 		}
-		if got := hs["write_at"].Count; got != st.Writes {
-			t.Errorf("%s: write_at.Count=%d, Stats().Writes=%d", when, got, st.Writes)
-		}
-		if got := hs["read_at"].Count; got != st.Reads {
-			t.Errorf("%s: read_at.Count=%d, Stats().Reads=%d", when, got, st.Reads)
-		}
 		for _, ph := range fs.PromHistograms() {
-			if ph.Name == "crfs_write_latency_seconds" && int64(ph.Count) != wantW {
-				t.Errorf("%s: crfs_write_latency_seconds_count=%d, want %d", when, ph.Count, wantW)
+			switch ph.Name {
+			case "crfs_write_latency_seconds":
+				if int64(ph.Count) != wantW {
+					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantW)
+				}
+			case "crfs_read_latency_seconds":
+				if int64(ph.Count) != wantR {
+					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantR)
+				}
 			}
 		}
 	}

@@ -79,7 +79,7 @@ func TestRawMountBackendIdentical(t *testing.T) {
 		}
 		st := fs.Stats()
 		if st.Frames != 0 || st.CodecBytesIn != 0 {
-			t.Errorf("raw mount recorded codec activity: %+v", st.Codec())
+			t.Errorf("raw mount recorded codec activity: %+v", st)
 		}
 	}
 }
@@ -447,7 +447,7 @@ func TestTornContainerPolicy(t *testing.T) {
 	}
 	st := fs.Stats()
 	if st.ContainersSalvaged == 0 || st.SalvageBytesTruncated != int64(len("garbage tail!!")) {
-		t.Fatalf("RecoveryStats = %+v, want salvage of %d bytes", st.Recovery(), len("garbage tail!!"))
+		t.Fatalf("RecoveryStats = %+v, want salvage of %d bytes", st, len("garbage tail!!"))
 	}
 	if st.ContainersRepaired != 0 {
 		t.Fatalf("repaired %d containers without RepairOnOpen", st.ContainersRepaired)

@@ -74,7 +74,8 @@ func readBack(t *testing.T, fs *FS, name string, n int64) []byte {
 }
 
 // TestCompactExplicit proves the core contract: an explicit Compact of
-// an open rewrite-heavy container reclaims backend bytes and reads stay
+// an open rewrite-heavy container reclaims every dead byte the rewrites
+// accumulated (at least a tenth of the container) and reads stay
 // byte-identical — through the live handle and after remount — across
 // raw and deflate, with and without read-ahead.
 func TestCompactExplicit(t *testing.T) {
@@ -103,14 +104,26 @@ func TestCompactExplicit(t *testing.T) {
 			st := fs.Stats()
 			if tc.cdc == nil {
 				if st.ContainersCompacted != 0 || after != before {
-					t.Fatalf("raw mount compacted: %d -> %d bytes, stats %+v", before, after, st.Compaction())
+					t.Fatalf("raw mount compacted: %d -> %d bytes, stats %+v", before, after, st)
 				}
 			} else {
 				if st.ContainersCompacted != 1 || st.CompactFramesDropped == 0 || after >= before {
-					t.Fatalf("compaction ineffective: %d -> %d bytes, %s", before, after, st.Compaction().Format())
+					t.Fatalf("compaction ineffective: %d -> %d bytes, stats %+v", before, after, st)
 				}
 				if st.CompactBytesReclaimed != before-after {
 					t.Fatalf("reclaimed %d, backend shrank by %d", st.CompactBytesReclaimed, before-after)
+				}
+				// The rewrite passes must have left real garbage behind, and
+				// one compaction must leave none: a second one over the now
+				// minimal container has nothing to reclaim.
+				if dead := float64(before-after) / float64(before); dead < 0.1 {
+					t.Fatalf("the rewrite workload accumulated only %.1f%% dead bytes", 100*dead)
+				}
+				if err := fs.Compact("ckpt.img"); err != nil {
+					t.Fatal(err)
+				}
+				if left := float64(after-backendSize(t, back, "ckpt.img")) / float64(after); left > 0.01 {
+					t.Fatalf("compaction left %.2f%% dead bytes, want ~0", 100*left)
 				}
 			}
 			if got := readBack(t, fs, "ckpt.img", int64(len(content))); !bytes.Equal(got, content) {
@@ -183,7 +196,7 @@ func TestCompactPolicyTriggers(t *testing.T) {
 		Compaction: CompactionPolicy{MinDeadRatio: 0.25, MinDeadBytes: 1024}})
 	content := rewriteWorkload(t, fs, "auto.img", 8<<10, 512, 3) // Syncs inside
 	if st := fs.Stats(); st.ContainersCompacted == 0 {
-		t.Fatalf("policy never fired: %s", st.Compaction().Format())
+		t.Fatalf("policy never fired: %+v", st)
 	}
 	if got := readBack(t, fs, "auto.img", int64(len(content))); !bytes.Equal(got, content) {
 		t.Fatal("content changed under policy-driven compaction")
@@ -236,7 +249,7 @@ func TestCompactBackgroundInterval(t *testing.T) {
 	deadline := time.Now().Add(5 * time.Second)
 	for fs.Stats().ContainersCompacted == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background compactor never fired: %s", fs.Stats().Compaction().Format())
+			t.Fatalf("background compactor never fired: %+v", fs.Stats())
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -377,7 +390,7 @@ func TestScrubOnline(t *testing.T) {
 		t.Fatalf("clean scrub: %+v err=%v", rep, err)
 	}
 	if st := fs.Stats(); st.FramesVerified != rep.Frames || st.ScrubCorruptions != 0 {
-		t.Fatalf("stats not threaded: %s vs report frames %d", st.Scrub().Format(), rep.Frames)
+		t.Fatalf("stats not threaded: verified %d corruptions %d vs report frames %d", st.FramesVerified, st.ScrubCorruptions, rep.Frames)
 	}
 
 	// Corrupt a payload byte of the closed b.img behind the mount's back.

@@ -57,10 +57,10 @@ func TestReadAtChecksumMatrix(t *testing.T) {
 		}
 		st := fs.Stats()
 		if ver == codec.Version2 && (st.ChecksumVerified == 0 || st.ChecksumFailed != 0) {
-			t.Fatalf("v2 clean read counters: %+v", st.Integrity())
+			t.Fatalf("v2 clean read counters: %+v", st)
 		}
 		if ver == codec.Version1 && (st.ChecksumSkipped == 0 || st.ChecksumVerified != 0) {
-			t.Fatalf("v1 clean read counters: %+v", st.Integrity())
+			t.Fatalf("v1 clean read counters: %+v", st)
 		}
 		// Rot frame 1's payload behind the open handle's back.
 		frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
@@ -76,7 +76,7 @@ func TestReadAtChecksumMatrix(t *testing.T) {
 				t.Fatalf("v2 read of rotted frame: %v, want ErrChecksum", err)
 			}
 			if st := fs.Stats(); st.ChecksumFailed == 0 {
-				t.Fatalf("v2 rot not counted: %+v", st.Integrity())
+				t.Fatalf("v2 rot not counted: %+v", st)
 			}
 		case codec.Version1:
 			// The v1 gap, pinned: the read succeeds and serves rot.
@@ -87,7 +87,7 @@ func TestReadAtChecksumMatrix(t *testing.T) {
 				t.Fatal("rot did not change the bytes; the flip was lost")
 			}
 			if st := fs.Stats(); st.ChecksumFailed != 0 {
-				t.Fatalf("v1 frame cannot fail a checksum it does not carry: %+v", st.Integrity())
+				t.Fatalf("v1 frame cannot fail a checksum it does not carry: %+v", st)
 			}
 		}
 		if err := f.Close(); err != nil {
@@ -123,13 +123,13 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 		readSequential(t, f, content, 2048)
 		st := fs.Stats()
 		if st.PrefetchedBytes == 0 {
-			t.Fatalf("v%d: sequential read never prefetched: %+v", ver, st.Prefetch())
+			t.Fatalf("v%d: sequential read never prefetched: %+v", ver, st)
 		}
 		if ver == codec.Version2 && (st.ChecksumVerified == 0 || st.ChecksumFailed != 0) {
-			t.Fatalf("v2 prefetch counters: %+v", st.Integrity())
+			t.Fatalf("v2 prefetch counters: %+v", st)
 		}
 		if ver == codec.Version1 && (st.ChecksumSkipped == 0 || st.ChecksumVerified != 0) {
-			t.Fatalf("v1 prefetch counters: %+v", st.Integrity())
+			t.Fatalf("v1 prefetch counters: %+v", st)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 		t.Fatalf("sequential read over rot: %v, want ErrChecksum", readErr)
 	}
 	if st := fs.Stats(); st.ChecksumFailed == 0 {
-		t.Fatalf("rot under prefetch not counted: %+v", st.Integrity())
+		t.Fatalf("rot under prefetch not counted: %+v", st)
 	}
 }
 
@@ -206,7 +206,7 @@ func TestScrubCountsChecksums(t *testing.T) {
 	st := fs.Stats()
 	if st.ChecksumVerified < rep.ChecksumVerified || st.ChecksumSkipped < rep.ChecksumSkipped {
 		t.Fatalf("scrub counters not folded into Stats: %+v vs report verified=%d skipped=%d",
-			st.Integrity(), rep.ChecksumVerified, rep.ChecksumSkipped)
+			st, rep.ChecksumVerified, rep.ChecksumSkipped)
 	}
 }
 
@@ -233,9 +233,9 @@ func TestOpenSalvageCountsChecksumFailure(t *testing.T) {
 	st := fs.Stats()
 	if st.ContainersSalvaged != 1 || st.ChecksumFailed != 1 {
 		t.Fatalf("open-time rot: %+v / %+v, want 1 salvage + 1 checksum failure",
-			st.Recovery(), st.Integrity())
+			st, st)
 	}
 	if st.ChecksumVerified < 2 {
-		t.Fatalf("intact prefix frames not counted verified: %+v", st.Integrity())
+		t.Fatalf("intact prefix frames not counted verified: %+v", st)
 	}
 }

@@ -340,7 +340,7 @@ func (h *modelHarness) scrubAfterCorruption(back vfs.FS) {
 	}
 	st := h.fs.Stats()
 	if st.ChecksumFailed < 1 {
-		h.t.Fatalf("scrub checksum failure missing from Stats: %+v", st.Integrity())
+		h.t.Fatalf("scrub checksum failure missing from Stats: %+v", st)
 	}
 	if err := back.Remove("victim.crfc"); err != nil {
 		h.t.Fatal(err)
@@ -462,7 +462,7 @@ func TestModelDifferential(t *testing.T) {
 				if st := fs.Stats(); tc.readAhead > 0 && !h.framed && st.PrefetchSelfFetched == 0 {
 					// The stale-bytes hunt only hunts if readers did fetch
 					// blocks for themselves between the mutations.
-					t.Errorf("seed %d: no stream read fetched its own block: %+v", seed, st.Prefetch())
+					t.Errorf("seed %d: no stream read fetched its own block: %+v", seed, st)
 				}
 				// Remount: the durable state alone must still read back
 				// byte-identical (containers reindexed from scratch).

@@ -39,28 +39,6 @@ func newFSHistograms() *fsHistograms {
 // process default).
 func (fs *FS) Tracer() *obs.Tracer { return fs.tracer }
 
-// promHistogram converts one latency/size histogram to its exposition
-// form. scale divides raw observed values into the exported unit
-// (1e9 for ns→seconds, 1 for bytes).
-func promHistogram(name, help string, h *obs.Histogram, scale float64) metrics.PromHistogram {
-	s := h.Snapshot()
-	out := metrics.PromHistogram{
-		Name:   name,
-		Help:   help,
-		Bounds: make([]float64, len(s.Bounds)),
-		Counts: make([]uint64, len(s.Counts)),
-		Sum:    float64(s.Sum) / scale,
-		Count:  uint64(s.Count),
-	}
-	for i, b := range s.Bounds {
-		out.Bounds[i] = float64(b) / scale
-	}
-	for i, c := range s.Counts {
-		out.Counts[i] = uint64(c)
-	}
-	return out
-}
-
 // PromHistograms renders the mount's stage histograms for the
 // Prometheus text exposition. Latencies are exported in seconds (the
 // Prometheus base unit), sizes in bytes.
@@ -68,31 +46,14 @@ func (fs *FS) PromHistograms() []metrics.PromHistogram {
 	h, calls := fs.hist, fs.callTotals()
 	const ns = 1e9
 	return []metrics.PromHistogram{
-		promHistogram("crfs_write_latency_seconds", "WriteAt call latency: aggregation copy plus any buffer-pool stall.", calls.writeAt, ns),
-		promHistogram("crfs_read_latency_seconds", "ReadAt call latency through the buffered-read-through overlay.", calls.readAt, ns),
-		promHistogram("crfs_sync_latency_seconds", "Sync call latency: pipeline drain plus backend fsync.", h.sync, ns),
-		promHistogram("crfs_encode_latency_seconds", "Codec frame encode latency on the IO workers.", h.encode, ns),
-		promHistogram("crfs_backend_write_latency_seconds", "Backend WriteAt latency per chunk or frame.", h.backendWrite, ns),
-		promHistogram("crfs_frame_bytes", "Encoded frame size as appended to containers.", h.frameBytes, 1),
-		promHistogram("crfs_queue_wait_write_seconds", "Chunk dwell time in the write queue before an IO worker picks it up.", h.queueWaitWrite, ns),
-		promHistogram("crfs_queue_wait_prefetch_seconds", "Read-ahead job dwell time in the prefetch queue.", h.queueWaitPrefetch, ns),
-		promHistogram("crfs_queue_wait_job_seconds", "Maintenance job dwell time in the background job queue.", h.queueWaitJob, ns),
-	}
-}
-
-// Histograms exposes the stage histograms for in-process consumers
-// (crfsbench percentiles) keyed by stage name.
-func (fs *FS) Histograms() map[string]obs.HistogramSnapshot {
-	h, calls := fs.hist, fs.callTotals()
-	return map[string]obs.HistogramSnapshot{
-		"write_at":            calls.writeAt.Snapshot(),
-		"read_at":             calls.readAt.Snapshot(),
-		"sync":                h.sync.Snapshot(),
-		"encode":              h.encode.Snapshot(),
-		"backend_write":       h.backendWrite.Snapshot(),
-		"frame_bytes":         h.frameBytes.Snapshot(),
-		"queue_wait_write":    h.queueWaitWrite.Snapshot(),
-		"queue_wait_prefetch": h.queueWaitPrefetch.Snapshot(),
-		"queue_wait_job":      h.queueWaitJob.Snapshot(),
+		metrics.PromHistogramOf("crfs_write_latency_seconds", "WriteAt call latency: aggregation copy plus any buffer-pool stall.", calls.writeAt, ns),
+		metrics.PromHistogramOf("crfs_read_latency_seconds", "ReadAt call latency through the buffered-read-through overlay.", calls.readAt, ns),
+		metrics.PromHistogramOf("crfs_sync_latency_seconds", "Sync call latency: pipeline drain plus backend fsync.", h.sync, ns),
+		metrics.PromHistogramOf("crfs_encode_latency_seconds", "Codec frame encode latency on the IO workers.", h.encode, ns),
+		metrics.PromHistogramOf("crfs_backend_write_latency_seconds", "Backend WriteAt latency per chunk or frame.", h.backendWrite, ns),
+		metrics.PromHistogramOf("crfs_frame_bytes", "Encoded frame size as appended to containers.", h.frameBytes, 1),
+		metrics.PromHistogramOf("crfs_queue_wait_write_seconds", "Chunk dwell time in the write queue before an IO worker picks it up.", h.queueWaitWrite, ns),
+		metrics.PromHistogramOf("crfs_queue_wait_prefetch_seconds", "Read-ahead job dwell time in the prefetch queue.", h.queueWaitPrefetch, ns),
+		metrics.PromHistogramOf("crfs_queue_wait_job_seconds", "Maintenance job dwell time in the background job queue.", h.queueWaitJob, ns),
 	}
 }

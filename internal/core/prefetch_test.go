@@ -113,7 +113,7 @@ func TestReadAheadDisabledIsInert(t *testing.T) {
 	readSequential(t, f, want, 4096)
 	st := fs.Stats()
 	if st.PrefetchedBytes != 0 || st.PrefetchHits != 0 || st.PrefetchMisses != 0 {
-		t.Errorf("ReadAhead=0 mount recorded prefetch activity: %+v", st.Prefetch())
+		t.Errorf("ReadAhead=0 mount recorded prefetch activity: %+v", st)
 	}
 }
 
@@ -145,7 +145,7 @@ func TestReadAheadRandomReadsDoNotPrefetch(t *testing.T) {
 		}
 	}
 	if st := fs.Stats(); st.PrefetchedBytes != 0 {
-		t.Errorf("random reads triggered read-ahead: %+v", st.Prefetch())
+		t.Errorf("random reads triggered read-ahead: %+v", st)
 	}
 }
 

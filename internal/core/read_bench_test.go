@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crfs/internal/memfs"
+	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
 
@@ -67,3 +68,75 @@ func BenchmarkMixedReadWriteOverlay(b *testing.B) { benchmarkMixedReadWrite(b, f
 // BenchmarkMixedReadWriteDrain emulates the pre-overlay read path, which
 // collapsed the asynchronous pipeline on every read of a dirty file.
 func BenchmarkMixedReadWriteDrain(b *testing.B) { benchmarkMixedReadWrite(b, true) }
+
+// tracedMixRun writes a 256 MiB image in 8 KiB calls over an undelayed
+// in-memory backend (a delay would hide span cost), every second
+// operation on average a read of an offset already written, and returns
+// the MiB/s moved. traced selects whether the mount's tracer records
+// spans; both arms pay the same Options plumbing, so the pair isolates
+// the span fast path.
+func tracedMixRun(b *testing.B, traced bool) float64 {
+	const size, bs = 256 << 20, 8192
+	tr := obs.New(obs.DefaultRingCapacity)
+	tr.SetEnabled(traced)
+	fs, err := Mount(memfs.New(), Options{Tracer: tr})
+	if err != nil {
+		b.Fatal(err)
+	}
+	f, err := fs.Open("bench.img", vfs.ReadWrite|vfs.Create)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Half of every write is fresh bytes from a sliding window over a
+	// chunk-sized random pool.
+	pool := make([]byte, DefaultChunkSize+bs)
+	rng := rand.New(rand.NewSource(1))
+	rng.Read(pool)
+	wbuf, rbuf := make([]byte, bs), make([]byte, bs)
+	start := time.Now()
+	for off := int64(0); off < size; {
+		if off > 0 && rng.Float64() < 0.5 {
+			if _, err := f.ReadAt(rbuf, rng.Int63n(off)); err != nil && err != io.EOF {
+				b.Fatal(err)
+			}
+			continue
+		}
+		copy(wbuf[:bs/2], pool[off%DefaultChunkSize:])
+		if _, err := f.WriteAt(wbuf, off); err != nil {
+			b.Fatal(err)
+		}
+		off += bs
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		b.Fatal(err)
+	}
+	el := time.Since(start).Seconds()
+	st := fs.Stats()
+	return float64(st.BytesWritten+st.BytesRead) / el / (1 << 20)
+}
+
+// BenchmarkTracingOverhead is the gate for "tracing is cheap enough to
+// leave compiled in": the mix with the tracer disabled against the same
+// mix with every pipeline span recorded may differ by at most 5 %. Each
+// arm counts its best of three runs, taken alternately so that a drifting
+// machine slows both. It compares wall clocks, which is why it is a
+// benchmark CI runs by name (-benchtime 1x) and not a test.
+func BenchmarkTracingOverhead(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		var off, on float64
+		for run := 0; run < 3; run++ {
+			off = max(off, tracedMixRun(b, false))
+			on = max(on, tracedMixRun(b, true))
+		}
+		pct := (off - on) / off * 100
+		b.ReportMetric(off, "off-MiB/s")
+		b.ReportMetric(on, "on-MiB/s")
+		b.ReportMetric(pct, "overhead-%")
+		if pct > 5 {
+			b.Fatalf("tracing overhead %.2f%% exceeds 5%% (off %.1f MiB/s, on %.1f MiB/s)", pct, off, on)
+		}
+	}
+}

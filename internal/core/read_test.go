@@ -855,7 +855,7 @@ func TestMixedWorkloadStress(t *testing.T) {
 			}
 			st := fs.Stats()
 			if st.ReadsFromBuffer == 0 || st.ReadDrainsAvoided == 0 {
-				t.Errorf("overlay path not exercised: %+v", st.ReadPath())
+				t.Errorf("overlay path not exercised: %+v", st)
 			}
 		})
 	}

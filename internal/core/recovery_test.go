@@ -40,7 +40,7 @@ func TestSalvageOnOpenServesIntactPrefix(t *testing.T) {
 		}
 		st := fs.Stats()
 		if st.ContainersScanned == 0 || st.ContainersSalvaged != 1 {
-			t.Fatalf("codec %s: recovery stats %+v", cdc.Name(), st.Recovery())
+			t.Fatalf("codec %s: recovery stats %+v", cdc.Name(), st)
 		}
 		if st.SalvageBytesTruncated != int64(len("power cut here")) {
 			t.Fatalf("codec %s: truncated %d bytes, want %d",
@@ -64,7 +64,7 @@ func TestRepairOnOpenTruncatesBackend(t *testing.T) {
 	}
 	st := fs.Stats()
 	if st.ContainersSalvaged != 1 || st.ContainersRepaired != 1 {
-		t.Fatalf("recovery stats %+v, want 1 salvaged + 1 repaired", st.Recovery())
+		t.Fatalf("recovery stats %+v, want 1 salvaged + 1 repaired", st)
 	}
 	after, err := back.Stat("ck.img")
 	if err != nil {
@@ -80,7 +80,7 @@ func TestRepairOnOpenTruncatesBackend(t *testing.T) {
 		t.Fatal("post-repair read differs")
 	}
 	if st := fs2.Stats(); st.ContainersSalvaged != 0 {
-		t.Fatalf("repaired container salvaged again: %+v", st.Recovery())
+		t.Fatalf("repaired container salvaged again: %+v", st)
 	}
 }
 
@@ -152,7 +152,7 @@ func TestSalvageTornFirstFrame(t *testing.T) {
 		t.Fatalf("read = (%d, %v), want clean EOF", n, err)
 	}
 	if st := fs.Stats(); st.ContainersSalvaged != 1 {
-		t.Fatalf("recovery stats %+v", st.Recovery())
+		t.Fatalf("recovery stats %+v", st)
 	}
 }
 

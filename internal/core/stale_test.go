@@ -83,7 +83,7 @@ func (h *streamHunt) warm(block int64, framed bool) {
 	h.off = block * huntChunk
 	h.stream(h.f, 6)
 	if !framed && h.fs.Stats().PrefetchSelfFetched == before {
-		h.t.Fatalf("the stream did not fetch block %d for itself: %+v", block, h.fs.Stats().Prefetch())
+		h.t.Fatalf("the stream did not fetch block %d for itself: %+v", block, h.fs.Stats())
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"crfs/internal/codec"
-	"crfs/internal/metrics"
 	"crfs/internal/obs"
 )
 
@@ -251,80 +250,11 @@ func (s Stats) AggregationRatio() float64 {
 
 // CompressionRatio returns raw bytes per framed backend byte — the codec
 // subsystem's IO-volume saving. 0 means no frames were written.
-func (s Stats) CompressionRatio() float64 { return s.Codec().Ratio() }
-
-// Codec returns the codec activity as a metrics.CodecStats summary.
-func (s Stats) Codec() metrics.CodecStats {
-	return metrics.CodecStats{
-		BytesIn:   s.CodecBytesIn,
-		BytesOut:  s.CodecBytesOut,
-		Frames:    s.Frames,
-		RawFrames: s.RawFrames,
+func (s Stats) CompressionRatio() float64 {
+	if s.CodecBytesOut == 0 {
+		return 0
 	}
-}
-
-// ReadPath returns the buffered-read-through activity as a
-// metrics.ReadPathStats summary.
-func (s Stats) ReadPath() metrics.ReadPathStats {
-	return metrics.ReadPathStats{
-		Reads:         s.Reads,
-		FromBuffer:    s.ReadsFromBuffer,
-		DrainsAvoided: s.ReadDrainsAvoided,
-	}
-}
-
-// Prefetch returns the restart read pipeline's activity as a
-// metrics.PrefetchStats summary.
-func (s Stats) Prefetch() metrics.PrefetchStats {
-	return metrics.PrefetchStats{
-		Hits:   s.PrefetchHits,
-		Misses: s.PrefetchMisses,
-		Wasted: s.PrefetchWasted,
-		Bytes:  s.PrefetchedBytes,
-	}
-}
-
-// Recovery returns the crash-recovery activity as a
-// metrics.RecoveryStats summary.
-func (s Stats) Recovery() metrics.RecoveryStats {
-	return metrics.RecoveryStats{
-		Scanned:        s.ContainersScanned,
-		Salvaged:       s.ContainersSalvaged,
-		Repaired:       s.ContainersRepaired,
-		FramesDropped:  s.SalvageFramesDropped,
-		BytesTruncated: s.SalvageBytesTruncated,
-		FailedChunks:   s.FailedChunks,
-	}
-}
-
-// Compaction returns the online compaction activity as a
-// metrics.CompactionStats summary.
-func (s Stats) Compaction() metrics.CompactionStats {
-	return metrics.CompactionStats{
-		Compacted:      s.ContainersCompacted,
-		FramesDropped:  s.CompactFramesDropped,
-		BytesReclaimed: s.CompactBytesReclaimed,
-	}
-}
-
-// Scrub returns the scrub engine's activity as a metrics.ScrubStats
-// summary.
-func (s Stats) Scrub() metrics.ScrubStats {
-	return metrics.ScrubStats{
-		FramesVerified: s.FramesVerified,
-		Corruptions:    s.ScrubCorruptions,
-		Repaired:       s.ScrubRepaired,
-	}
-}
-
-// Integrity returns the per-frame checksum activity as a
-// metrics.IntegrityStats summary.
-func (s Stats) Integrity() metrics.IntegrityStats {
-	return metrics.IntegrityStats{
-		Verified: s.ChecksumVerified,
-		Failed:   s.ChecksumFailed,
-		Skipped:  s.ChecksumSkipped,
-	}
+	return float64(s.CodecBytesIn) / float64(s.CodecBytesOut)
 }
 
 // Stats returns a snapshot of the mount's counters.

@@ -12,7 +12,7 @@ func runHarness(t *testing.T, cfg HarnessConfig) *HarnessResult {
 	t.Helper()
 	if testing.Short() {
 		// Short mode (CI smoke): subsample crash points; the full sweep
-		// runs in the default mode and in `crfsbench -crash`.
+		// runs in the default mode.
 		if cfg.Stride == 0 {
 			cfg.Stride = 7
 		}
@@ -35,61 +35,63 @@ func runHarness(t *testing.T, cfg HarnessConfig) *HarnessResult {
 	return res
 }
 
-func TestCrashPointsRaw(t *testing.T) {
-	res := runHarness(t, HarnessConfig{Codec: codec.Raw(), Torn: true})
-	t.Logf("raw: %d mutations, %d points, %d salvaged", res.Mutations, res.Points, res.Salvaged)
+// crashMatrix is the codec × repair × compaction sweep over the mixed
+// write/sync/overwrite workload, torn cuts included. Raw mounts write
+// plain files, so only the deflate rows have containers to salvage.
+var crashMatrix = map[string]HarnessConfig{
+	"raw":                    {Codec: codec.Raw(), Torn: true},
+	"raw+repair":             {Codec: codec.Raw(), Torn: true, Repair: true},
+	"deflate":                {Codec: codec.Deflate(), Torn: true},
+	"deflate+repair":         {Codec: codec.Deflate(), Torn: true, Repair: true},
+	"deflate+compact":        {Codec: codec.Deflate(), Torn: true, Compaction: true},
+	"deflate+compact+repair": {Codec: codec.Deflate(), Torn: true, Compaction: true, Repair: true},
 }
 
-func TestCrashPointsDeflate(t *testing.T) {
-	res := runHarness(t, HarnessConfig{Codec: codec.Deflate(), Torn: true})
-	t.Logf("deflate: %d mutations, %d points, salvaged=%d truncated=%d bytes, checksums verified=%d skipped=%d",
-		res.Mutations, res.Points, res.Salvaged, res.BytesTruncated, res.ChecksumVerified, res.ChecksumSkipped)
-	// Torn cuts inside frame writes must exercise salvage: the contract
-	// holds *because* torn containers are recovered, not refused.
-	if res.Salvaged == 0 {
-		t.Error("torn-cut sweep on a deflate mount never salvaged a container")
+// crashRow sweeps one row of crashMatrix and checks what its
+// configuration promises beyond zero violations.
+func crashRow(t *testing.T, row string) {
+	cfg := crashMatrix[row]
+	res := runHarness(t, cfg)
+	t.Logf("%s: %d mutations, %d points, salvaged=%d repaired=%d truncated=%d bytes, compactions record=%d point=%d, checksums verified=%d skipped=%d",
+		row, res.Mutations, res.Points, res.Salvaged, res.Repaired, res.BytesTruncated,
+		res.RecordCompactions, res.PointCompactions, res.ChecksumVerified, res.ChecksumSkipped)
+	if cfg.Codec.Name() != "raw" {
+		// Torn cuts inside frame writes must exercise salvage: the contract
+		// holds *because* torn containers are recovered, not refused.
+		if res.Salvaged == 0 {
+			t.Error("torn-cut sweep on a framed mount never salvaged a container")
+		}
+		// The record mount writes v2 frames, so the verify mounts and the
+		// rule-5 scrubs must actually prove checksums, not just skip them.
+		if res.ChecksumVerified == 0 {
+			t.Error("crash sweep never verified a v2 payload checksum; rule 5 proved nothing")
+		}
+		if cfg.Repair && res.Repaired == 0 {
+			t.Error("repair sweep on a framed mount never repaired a container")
+		}
 	}
-	// The record mount writes v2 frames, so the verify mounts and the
-	// rule-5 scrubs must actually prove checksums, not just skip them.
-	if res.ChecksumVerified == 0 {
-		t.Error("crash sweep never verified a v2 payload checksum; rule 5 proved nothing")
-	}
-}
-
-func TestCrashPointsDeflateRepair(t *testing.T) {
-	res := runHarness(t, HarnessConfig{Codec: codec.Deflate(), Torn: true, Repair: true})
-	if res.Salvaged == 0 || res.Repaired == 0 {
-		t.Errorf("repair sweep: salvaged=%d repaired=%d, want both > 0", res.Salvaged, res.Repaired)
-	}
-	if res.Repaired != res.Salvaged {
+	if cfg.Repair && res.Repaired != res.Salvaged {
 		t.Errorf("RepairOnOpen repaired %d of %d salvages", res.Repaired, res.Salvaged)
 	}
-}
-
-func TestCrashPointsDeflateCompaction(t *testing.T) {
 	// Compaction enabled: the record mount's policy rewrites containers
-	// mid-workload (temp-write + rename mutations land in the crash
-	// log), and every point compacts each crash-state container and
-	// re-reads it. Zero violations proves compaction never breaks the
+	// mid-workload (temp-write + rename mutations land in the crash log),
+	// and every point compacts each crash-state container and re-reads
+	// it. Zero violations then proves compaction never breaks the
 	// durability contract at any crash point.
-	res := runHarness(t, HarnessConfig{Codec: codec.Deflate(), Torn: true, Compaction: true})
-	if res.RecordCompactions == 0 {
+	if cfg.Compaction && res.RecordCompactions == 0 {
 		t.Error("record mount never compacted; the policy should fire on the mixed workload's overwrites")
 	}
-	if res.PointCompactions == 0 {
+	if cfg.Compaction && res.PointCompactions == 0 {
 		t.Error("no crash-state compactions ran")
 	}
-	t.Logf("compaction: %d mutations, %d points, record-compactions=%d point-compactions=%d salvaged=%d",
-		res.Mutations, res.Points, res.RecordCompactions, res.PointCompactions, res.Salvaged)
 }
 
-func TestCrashPointsCompactionRepair(t *testing.T) {
-	res := runHarness(t, HarnessConfig{Codec: codec.Deflate(), Torn: true, Compaction: true, Repair: true})
-	if res.RecordCompactions == 0 || res.PointCompactions == 0 {
-		t.Errorf("compaction+repair sweep: record=%d point=%d, want both > 0",
-			res.RecordCompactions, res.PointCompactions)
-	}
-}
+func TestCrashPointsRaw(t *testing.T)               { crashRow(t, "raw") }
+func TestCrashPointsRawRepair(t *testing.T)         { crashRow(t, "raw+repair") }
+func TestCrashPointsDeflate(t *testing.T)           { crashRow(t, "deflate") }
+func TestCrashPointsDeflateRepair(t *testing.T)     { crashRow(t, "deflate+repair") }
+func TestCrashPointsDeflateCompaction(t *testing.T) { crashRow(t, "deflate+compact") }
+func TestCrashPointsCompactionRepair(t *testing.T)  { crashRow(t, "deflate+compact+repair") }
 
 func TestCrashPointsBoundariesOnly(t *testing.T) {
 	// Every write boundary of the mixed workload, no torn cuts: the

@@ -1,7 +1,8 @@
 // Package metrics collects and summarizes per-write measurements from
 // simulated checkpoint runs: the write-size/time histogram of Table I, the
 // per-process cumulative write-time curves of Figs. 3 and 11, and basic
-// summary statistics used throughout the evaluation.
+// summary statistics used throughout the evaluation. It also holds the
+// Prometheus text exposition writer behind crfsd's STAT line and /metrics.
 package metrics
 
 import (
@@ -179,170 +180,4 @@ func FormatHistogram(rows []HistRow) string {
 		fmt.Fprintf(&b, "%-10s %10.2f %10.2f %10.2f\n", r.Label, r.PctWrite, r.PctData, r.PctTime)
 	}
 	return b.String()
-}
-
-// CodecStats summarizes chunk-codec activity of a real CRFS mount: the
-// raw bytes IO workers handed to the codec versus the framed bytes that
-// reached the backend, the new measurable axis (IO volume) the codec
-// subsystem opens next to the paper's aggregation ratio.
-type CodecStats struct {
-	BytesIn   int64 // raw chunk bytes handed to the codec
-	BytesOut  int64 // framed bytes (headers + encoded payloads) written
-	Frames    int64 // frames appended to containers
-	RawFrames int64 // frames stored raw by the incompressible bailout
-}
-
-// Ratio returns raw bytes per framed backend byte (>1 means the codec
-// shrank the checkpoint IO volume). 0 means no frames were written.
-func (c CodecStats) Ratio() float64 {
-	if c.BytesOut == 0 {
-		return 0
-	}
-	return float64(c.BytesIn) / float64(c.BytesOut)
-}
-
-// SavedBytes returns the backend IO volume the codec avoided.
-func (c CodecStats) SavedBytes() int64 { return c.BytesIn - c.BytesOut }
-
-// Format renders the summary as a one-line report.
-func (c CodecStats) Format() string {
-	return fmt.Sprintf("codec: in=%d out=%d ratio=%.2fx frames=%d raw-frames=%d",
-		c.BytesIn, c.BytesOut, c.Ratio(), c.Frames, c.RawFrames)
-}
-
-// ReadPathStats summarizes the buffered-read-through overlay of a real
-// CRFS mount: how many reads were served from buffered (not yet durable)
-// data, and how many arrived while the write pipeline was busy — each of
-// the latter is a drain stall the pre-overlay read path would have paid.
-type ReadPathStats struct {
-	Reads         int64 // application ReadAt calls
-	FromBuffer    int64 // reads served at least partially from buffered chunks
-	DrainsAvoided int64 // reads that found the pipeline dirty and did not drain it
-}
-
-// BufferHitRate returns the fraction of reads served from buffered data.
-// 0 means every read came from durable bytes (or there were no reads).
-func (r ReadPathStats) BufferHitRate() float64 {
-	if r.Reads == 0 {
-		return 0
-	}
-	return float64(r.FromBuffer) / float64(r.Reads)
-}
-
-// Format renders the summary as a one-line report.
-func (r ReadPathStats) Format() string {
-	return fmt.Sprintf("readpath: reads=%d from-buffer=%d (%.1f%%) drains-avoided=%d",
-		r.Reads, r.FromBuffer, 100*r.BufferHitRate(), r.DrainsAvoided)
-}
-
-// PrefetchStats summarizes the restart read pipeline of a real CRFS
-// mount: how much sequential read-ahead the IO workers performed and how
-// much of it reads actually consumed. Restart is the half of the C/R
-// story the paper's write pipeline leaves untouched; these counters make
-// its new axis — overlap between backend fetch/decode and the
-// application's sequential reads — measurable.
-type PrefetchStats struct {
-	Hits   int64 // base-read segments served from the read-ahead cache
-	Misses int64 // base-read segments that fell back to a synchronous fetch
-	Wasted int64 // prefetched extents discarded unread (invalidated/evicted/stale)
-	Bytes  int64 // bytes published into read-ahead caches
-}
-
-// RecoveryStats summarizes the crash-recovery subsystem of a real CRFS
-// mount: how many frame containers were probed at open, how many had a
-// torn tail salvaged back to their longest intact frame prefix, how many
-// were repaired in place (RepairOnOpen), and what the tears cost. It is
-// the observability face of the durability contract: a checkpoint store
-// that salvages instead of refusing keeps every intact frame a crash
-// left behind.
-type RecoveryStats struct {
-	Scanned        int64 // containers probed at open (magic matched, scan ran)
-	Salvaged       int64 // containers with a torn tail served from the intact prefix
-	Repaired       int64 // salvaged containers truncated to the prefix on the backend
-	FramesDropped  int64 // frames lost past the tears (best-effort resync count)
-	BytesTruncated int64 // container bytes dropped past the intact prefixes
-	FailedChunks   int64 // chunk writes that failed (each reported once at Sync/Close)
-}
-
-// SalvageRate returns the fraction of scanned containers that needed
-// salvage. 0 means every container scanned clean (or none were scanned).
-func (r RecoveryStats) SalvageRate() float64 {
-	if r.Scanned == 0 {
-		return 0
-	}
-	return float64(r.Salvaged) / float64(r.Scanned)
-}
-
-// Format renders the summary as a one-line report.
-func (r RecoveryStats) Format() string {
-	return fmt.Sprintf("recovery: scanned=%d salvaged=%d repaired=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d",
-		r.Scanned, r.Salvaged, r.Repaired, r.FramesDropped, r.BytesTruncated, r.FailedChunks)
-}
-
-// CompactionStats summarizes the container-compaction engine of a real
-// CRFS mount: how many log-structured frame containers were rewritten to
-// their minimal equivalent, and what the rewrites reclaimed. It is the
-// observability face of the space-amplification story: a rewrite-heavy
-// checkpoint stream (in-place incremental checkpointing) accumulates
-// dead frames forever without it.
-type CompactionStats struct {
-	Compacted      int64 // containers rewritten to their minimal equivalent
-	FramesDropped  int64 // dead frames dropped by the rewrites
-	BytesReclaimed int64 // backend bytes reclaimed (dead frames + torn junk)
-}
-
-// Format renders the summary as a one-line report.
-func (c CompactionStats) Format() string {
-	return fmt.Sprintf("compaction: compacted=%d frames-dropped=%d bytes-reclaimed=%d",
-		c.Compacted, c.FramesDropped, c.BytesReclaimed)
-}
-
-// ScrubStats summarizes the parallel scrub engine of a real CRFS mount:
-// how many container frames were re-verified (read back and decode-
-// checked) after the open-time salvage scan, and what the verification
-// found.
-type ScrubStats struct {
-	FramesVerified int64 // frames whose payload re-verified intact
-	Corruptions    int64 // frames that failed verification (bit rot, tears)
-	Repaired       int64 // containers truncated to their verified prefix
-}
-
-// Format renders the summary as a one-line report.
-func (s ScrubStats) Format() string {
-	return fmt.Sprintf("scrub: frames-verified=%d corruptions=%d repaired=%d",
-		s.FramesVerified, s.Corruptions, s.Repaired)
-}
-
-// IntegrityStats summarizes the per-frame payload checksums of a real
-// CRFS mount: every decode path (reads, prefetch, salvage, scrub,
-// compaction) verifies the v2 header's CRC32-C over the uncompressed
-// payload, so a mismatch is proven bit rot rather than data served.
-// Skipped counts legacy v1 frames, which carry no checksum — a nonzero
-// value is the signal that a container population still awaits the
-// compaction-driven upgrade to v2.
-type IntegrityStats struct {
-	Verified int64 // frame payloads whose CRC32-C matched
-	Failed   int64 // payloads that decoded but failed their checksum
-	Skipped  int64 // v1 payloads decoded without a checksum to check
-}
-
-// Format renders the summary as a one-line report.
-func (i IntegrityStats) Format() string {
-	return fmt.Sprintf("integrity: checksum-verified=%d checksum-failed=%d checksum-skipped=%d",
-		i.Verified, i.Failed, i.Skipped)
-}
-
-// HitRate returns the fraction of cache-consulting base reads served
-// from prefetched data. 0 means read-ahead never served a byte.
-func (p PrefetchStats) HitRate() float64 {
-	if p.Hits+p.Misses == 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(p.Hits+p.Misses)
-}
-
-// Format renders the summary as a one-line report.
-func (p PrefetchStats) Format() string {
-	return fmt.Sprintf("prefetch: hits=%d misses=%d (%.1f%% hit) wasted=%d bytes=%d",
-		p.Hits, p.Misses, 100*p.HitRate(), p.Wasted, p.Bytes)
 }

@@ -114,36 +114,3 @@ func TestFormatHistogram(t *testing.T) {
 		t.Error("empty format")
 	}
 }
-
-func TestCodecStats(t *testing.T) {
-	var zero CodecStats
-	if zero.Ratio() != 0 {
-		t.Errorf("zero ratio = %v, want 0", zero.Ratio())
-	}
-	cs := CodecStats{BytesIn: 4000, BytesOut: 1000, Frames: 3, RawFrames: 1}
-	if got := cs.Ratio(); got != 4.0 {
-		t.Errorf("Ratio = %v, want 4.0", got)
-	}
-	if got := cs.SavedBytes(); got != 3000 {
-		t.Errorf("SavedBytes = %d, want 3000", got)
-	}
-	want := "codec: in=4000 out=1000 ratio=4.00x frames=3 raw-frames=1"
-	if got := cs.Format(); got != want {
-		t.Errorf("Format = %q, want %q", got, want)
-	}
-}
-
-func TestReadPathStats(t *testing.T) {
-	var zero ReadPathStats
-	if zero.BufferHitRate() != 0 {
-		t.Errorf("zero hit rate = %v, want 0", zero.BufferHitRate())
-	}
-	rp := ReadPathStats{Reads: 200, FromBuffer: 50, DrainsAvoided: 120}
-	if got := rp.BufferHitRate(); got != 0.25 {
-		t.Errorf("BufferHitRate = %v, want 0.25", got)
-	}
-	want := "readpath: reads=200 from-buffer=50 (25.0%) drains-avoided=120"
-	if got := rp.Format(); got != want {
-		t.Errorf("Format = %q, want %q", got, want)
-	}
-}

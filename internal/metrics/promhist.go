@@ -10,6 +10,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"crfs/internal/obs"
 )
 
 // PromHistogram is one histogram family of the Prometheus text
@@ -24,6 +26,28 @@ type PromHistogram struct {
 	Counts []uint64  // len(Bounds)+1; last entry is the +Inf bucket
 	Sum    float64
 	Count  uint64
+}
+
+// PromHistogramOf converts one lock-free latency/size histogram to its
+// exposition form. scale divides raw observed values into the exported
+// unit (1e9 for ns→seconds, 1 for bytes).
+func PromHistogramOf(name, help string, h *obs.Histogram, scale float64) PromHistogram {
+	s := h.Snapshot()
+	out := PromHistogram{
+		Name:   name,
+		Help:   help,
+		Bounds: make([]float64, len(s.Bounds)),
+		Counts: make([]uint64, len(s.Counts)),
+		Sum:    float64(s.Sum) / scale,
+		Count:  uint64(s.Count),
+	}
+	for i, b := range s.Bounds {
+		out.Bounds[i] = float64(b) / scale
+	}
+	for i, c := range s.Counts {
+		out.Counts[i] = uint64(c)
+	}
+	return out
 }
 
 // WritePrometheus renders counters/gauges and histogram families in the

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"crfs/internal/metrics"
-	"crfs/internal/obs"
 )
 
 // Metrics renders the mount's full Stats tree plus the server's own
@@ -82,32 +81,9 @@ func (s *Server) Metrics() []metrics.PromMetric {
 // Histograms renders the mount's pipeline latency/size distributions
 // plus the server's own request latencies as Prometheus histograms.
 func (s *Server) Histograms() []metrics.PromHistogram {
-	hs := s.fs.PromHistograms()
-	for _, h := range []struct {
-		name, help string
-		hist       *obs.Histogram
-	}{
-		{"crfsd_put_latency_seconds", "End-to-end PUT handling latency (body stream to commit).", s.putSeconds},
-		{"crfsd_get_latency_seconds", "End-to-end GET handling latency (open to last byte).", s.getSeconds},
-	} {
-		snap := h.hist.Snapshot()
-		ph := metrics.PromHistogram{
-			Name:   h.name,
-			Help:   h.help,
-			Bounds: make([]float64, len(snap.Bounds)),
-			Counts: make([]uint64, len(snap.Counts)),
-			Sum:    float64(snap.Sum) / 1e9,
-			Count:  uint64(snap.Count),
-		}
-		for i, b := range snap.Bounds {
-			ph.Bounds[i] = float64(b) / 1e9
-		}
-		for i, c := range snap.Counts {
-			ph.Counts[i] = uint64(c)
-		}
-		hs = append(hs, ph)
-	}
-	return hs
+	return append(s.fs.PromHistograms(),
+		metrics.PromHistogramOf("crfsd_put_latency_seconds", "End-to-end PUT handling latency (body stream to commit).", s.putSeconds, 1e9),
+		metrics.PromHistogramOf("crfsd_get_latency_seconds", "End-to-end GET handling latency (open to last byte).", s.getSeconds, 1e9))
 }
 
 // MetricsHandler serves the Prometheus text exposition of Metrics and
