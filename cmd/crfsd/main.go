@@ -41,6 +41,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"log"
 	"net"
@@ -58,35 +59,53 @@ import (
 )
 
 func main() {
-	dir := flag.String("dir", ".", "backing directory")
-	addr := flag.String("addr", "127.0.0.1:9000", "listen address")
-	chunk := flag.Int64("chunk", crfs.DefaultChunkSize, "chunk size")
-	pool := flag.Int64("pool", crfs.DefaultBufferPoolSize, "buffer pool size")
-	threads := flag.Int("threads", crfs.DefaultIOThreads, "IO threads")
-	codecName := flag.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
-	readAhead := flag.Int("readahead", 8, "read-ahead depth for GET streams, in chunks/frames (0 disables)")
-	repair := flag.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
-	compactRatio := flag.Float64("compact-ratio", 0, "dead-byte ratio that triggers online container compaction after PUTs (0 disables)")
-	compactMin := flag.Int64("compact-min-bytes", 1<<20, "minimum reclaimable bytes before a container is compacted")
-	compactEvery := flag.Duration("compact-interval", 0, "background re-check cadence for open containers (0 disables the background pass)")
-	metricsAddr := flag.String("metrics", "", "serve Prometheus metrics on this address at /metrics (empty disables)")
-	debugAddr := flag.String("debug-addr", "", "serve live introspection on this address: /metrics, /debug/pprof/, /debug/trace (empty disables)")
-	trace := flag.Bool("trace", false, "record pipeline and request spans into the in-memory trace ring")
-	traceRing := flag.Int("trace-ring", obs.DefaultRingCapacity, "trace ring capacity in spans (oldest evicted first)")
-	slowMS := flag.Int("slow-ms", 0, "log any traced request slower than this many milliseconds, with its span tree (0 disables)")
-	maxConns := flag.Int("max-conns", server.DefaultMaxConns, "cap on concurrently served connections")
-	maxInFlight := flag.Int("max-inflight", server.DefaultMaxInFlight, "cap on concurrent requests per connection")
-	maxPutBytes := flag.Int64("max-put-bytes", 0, "reject PUTs declaring a larger body (0 = unlimited)")
-	readTimeout := flag.Duration("read-timeout", server.DefaultReadTimeout, "per-read deadline while a request body is being streamed")
-	writeTimeout := flag.Duration("write-timeout", server.DefaultWriteTimeout, "per-write deadline toward clients")
-	idleTimeout := flag.Duration("idle-timeout", server.DefaultIdleTimeout, "close connections idle this long")
-	sweepInterval := flag.Duration("sweep-interval", server.DefaultSweepInterval, "background cadence for removing aborted-PUT staging temps (negative disables)")
-	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight requests")
-	flag.Parse()
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, syscall.SIGTERM, syscall.SIGINT)
+	os.Exit(run(os.Args[1:], stop))
+}
+
+// run is the whole command: it serves until a signal arrives on stop or
+// the accept loop fails, and returns the exit code (0 drained cleanly, 1
+// a startup, serve or unmount failure, 2 usage). Whatever it mounted or
+// bound it releases before returning.
+func run(args []string, stop <-chan os.Signal) (code int) {
+	fl := flag.NewFlagSet("crfsd", flag.ContinueOnError)
+	fl.SetOutput(log.Writer())
+	dir := fl.String("dir", ".", "backing directory")
+	addr := fl.String("addr", "127.0.0.1:9000", "listen address")
+	chunk := fl.Int64("chunk", crfs.DefaultChunkSize, "chunk size")
+	pool := fl.Int64("pool", crfs.DefaultBufferPoolSize, "buffer pool size")
+	threads := fl.Int("threads", crfs.DefaultIOThreads, "IO threads")
+	codecName := fl.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
+	readAhead := fl.Int("readahead", 8, "read-ahead depth for GET streams, in chunks/frames (0 disables)")
+	repair := fl.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
+	compactRatio := fl.Float64("compact-ratio", 0, "dead-byte ratio that triggers online container compaction after PUTs (0 disables)")
+	compactMin := fl.Int64("compact-min-bytes", 1<<20, "minimum reclaimable bytes before a container is compacted")
+	compactEvery := fl.Duration("compact-interval", 0, "background re-check cadence for open containers (0 disables the background pass)")
+	metricsAddr := fl.String("metrics", "", "serve Prometheus metrics on this address at /metrics (empty disables)")
+	debugAddr := fl.String("debug-addr", "", "serve live introspection on this address: /metrics, /debug/pprof/, /debug/trace (empty disables)")
+	trace := fl.Bool("trace", false, "record pipeline and request spans into the in-memory trace ring")
+	traceRing := fl.Int("trace-ring", obs.DefaultRingCapacity, "trace ring capacity in spans (oldest evicted first)")
+	slowMS := fl.Int("slow-ms", 0, "log any traced request slower than this many milliseconds, with its span tree (0 disables)")
+	maxConns := fl.Int("max-conns", server.DefaultMaxConns, "cap on concurrently served connections")
+	maxInFlight := fl.Int("max-inflight", server.DefaultMaxInFlight, "cap on concurrent requests per connection")
+	maxPutBytes := fl.Int64("max-put-bytes", 0, "reject PUTs declaring a larger body (0 = unlimited)")
+	readTimeout := fl.Duration("read-timeout", server.DefaultReadTimeout, "per-read deadline while a request body is being streamed")
+	writeTimeout := fl.Duration("write-timeout", server.DefaultWriteTimeout, "per-write deadline toward clients")
+	idleTimeout := fl.Duration("idle-timeout", server.DefaultIdleTimeout, "close connections idle this long")
+	sweepInterval := fl.Duration("sweep-interval", server.DefaultSweepInterval, "background cadence for removing aborted-PUT staging temps (negative disables)")
+	drainTimeout := fl.Duration("drain-timeout", 30*time.Second, "how long a graceful shutdown waits for in-flight requests")
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	cdc, err := crfs.LookupCodec(*codecName)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
 	// One tracer spans the whole daemon: the mount's IO pipeline and the
 	// server's request handling land in the same ring, so a TRACE dump
@@ -107,8 +126,17 @@ func main() {
 		Tracer: tr,
 	})
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
+	// Deferred calls run last-in first-out: the listeners below close
+	// before the mount under them goes away.
+	defer func() {
+		if err := fs.Unmount(); err != nil {
+			log.Printf("crfsd: unmount: %v", err)
+			code = 1
+		}
+	}()
 	srv := server.New(fs, server.Config{
 		Tracer:        tr,
 		MaxConns:      *maxConns,
@@ -127,36 +155,27 @@ func main() {
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		log.Fatal(err)
+		log.Print(err)
+		return 1
 	}
+	defer ln.Close() // for the early returns; Shutdown has closed it by then otherwise
 
-	var msrv *http.Server
 	if *metricsAddr != "" {
-		mln, err := net.Listen("tcp", *metricsAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", srv.MetricsHandler())
-		msrv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := msrv.Serve(mln); err != nil && err != http.ErrServerClosed {
-				log.Printf("crfsd: metrics server: %v", err)
-			}
-		}()
-		log.Printf("crfsd: metrics on http://%s/metrics", mln.Addr())
+		msrv, err := serveHTTP("metrics", *metricsAddr, mux)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		defer msrv.Close()
 	}
 
 	// The debug endpoint is live introspection for a running daemon: the
 	// Prometheus exposition (counters + latency histograms), the Go
 	// pprof profiles, and the trace ring rendered as a chrome://tracing
 	// document.
-	var dsrv *http.Server
 	if *debugAddr != "" {
-		dln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			log.Fatal(err)
-		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", srv.MetricsHandler())
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -168,13 +187,12 @@ func main() {
 			w.Header().Set("Content-Type", "application/json")
 			w.Write(obs.ChromeTrace(tr.Snapshot()))
 		})
-		dsrv = &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
-		go func() {
-			if err := dsrv.Serve(dln); err != nil && err != http.ErrServerClosed {
-				log.Printf("crfsd: debug server: %v", err)
-			}
-		}()
-		log.Printf("crfsd: debug on http://%s (/metrics /debug/pprof/ /debug/trace)", dln.Addr())
+		dsrv, err := serveHTTP("debug", *debugAddr, mux)
+		if err != nil {
+			log.Print(err)
+			return 1
+		}
+		defer dsrv.Close()
 	}
 
 	log.Printf("crfsd: serving %s on %s (chunk=%d pool=%d threads=%d codec=%s readahead=%d repair=%v compact-ratio=%v max-conns=%d max-inflight=%d)",
@@ -182,14 +200,12 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
-
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
-	case sig := <-sigc:
+	case sig := <-stop:
 		log.Printf("crfsd: %v: draining (timeout %v)", sig, *drainTimeout)
 	case err := <-errc:
-		log.Fatalf("crfsd: serve: %v", err)
+		log.Printf("crfsd: serve: %v", err)
+		code = 1
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
@@ -197,14 +213,23 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Printf("crfsd: drain incomplete, connections torn down: %v", err)
 	}
-	if msrv != nil {
-		msrv.Close()
-	}
-	if dsrv != nil {
-		dsrv.Close()
-	}
-	if err := fs.Unmount(); err != nil {
-		log.Fatalf("crfsd: unmount: %v", err)
-	}
 	log.Printf("crfsd: drained, exiting")
+	return code
+}
+
+// serveHTTP binds addr and serves mux on it in the background; the caller
+// closes the returned server.
+func serveHTTP(what, addr string, mux *http.ServeMux) (*http.Server, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	hs := &http.Server{Handler: mux, ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := hs.Serve(ln); err != nil && err != http.ErrServerClosed {
+			log.Printf("crfsd: %s server: %v", what, err)
+		}
+	}()
+	log.Printf("crfsd: %s on http://%s", what, ln.Addr())
+	return hs, nil
 }

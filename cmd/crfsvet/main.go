@@ -4,16 +4,12 @@
 // (errwrap), checksum-verified decode paths (decodeverify), and the
 // IO-worker priority model (workerqueue).
 //
-// Standalone usage (the CI path):
+// Usage (the CI path; `go test ./...` runs the same suite over the same
+// module as internal/analysis/suite's TestModuleInvariants):
 //
 //	go run ./cmd/crfsvet ./...          # whole module, tests included
 //	go run ./cmd/crfsvet ./internal/core
 //	go run ./cmd/crfsvet -analyzers lockorder,errwrap ./...
-//
-// It can also serve as a vet tool over export data:
-//
-//	go build -o /tmp/crfsvet ./cmd/crfsvet
-//	go vet -vettool=/tmp/crfsvet ./...
 //
 // Exit codes are fsck-style, matching crfsck: 0 clean, 2 findings,
 // 1 operational error. Waived findings (//crfsvet:ignore with a reason)
@@ -43,21 +39,6 @@ func main() {
 }
 
 func run(args []string) int {
-	// go vet's tool protocol probes -V=full and -flags before handing
-	// over a unit config; intercept those before normal flag parsing.
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full" || args[0] == "--V=full":
-			fmt.Printf("crfsvet version v1.0.0\n")
-			return exitClean
-		case args[0] == "-flags" || args[0] == "--flags":
-			fmt.Println("[]")
-			return exitClean
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runUnit(args[0])
-		}
-	}
-
 	fs := flag.NewFlagSet("crfsvet", flag.ContinueOnError)
 	var (
 		list      = fs.Bool("list", false, "list analyzers and exit")

@@ -54,17 +54,6 @@ func TestWaivedFindingsExitClean(t *testing.T) {
 	}
 }
 
-// TestVetProtocolProbes covers the two probe invocations cmd/go makes
-// before using a vet tool.
-func TestVetProtocolProbes(t *testing.T) {
-	if got := run([]string{"-V=full"}); got != exitClean {
-		t.Fatalf("-V=full: exit %d", got)
-	}
-	if got := run([]string{"-flags"}); got != exitClean {
-		t.Fatalf("-flags: exit %d", got)
-	}
-}
-
 func TestListAndBadAnalyzer(t *testing.T) {
 	if got := run([]string{"-list"}); got != exitClean {
 		t.Fatalf("-list: exit %d", got)

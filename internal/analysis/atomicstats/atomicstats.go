@@ -3,25 +3,16 @@
 // a statistics lock, so every counter field must be safe to touch
 // concurrently without one.
 //
-// Two complementary rules cover the two ways a counter struct can be
-// written:
-//
-//  1. Typed-atomic structs: a struct with at least one sync/atomic
-//     typed field (atomic.Int64 & co.) is a counter struct when its
-//     name says so (stat/counter/metric) or when counters are all it
-//     holds, and every one of its integer fields must then be a
-//     sync/atomic type. A plain int64 slipped in next to forty
-//     atomic.Int64s compiles fine, races silently, and is exactly the
-//     regression this rule breaks the build on. Mixed data structures
-//     that pair an atomic field with mutex- or channel-guarded state
-//     (core's chunk, bufferPool) are out of scope: their plain fields
-//     are guarded by the documented locks, not by atomics.
-//
-//  2. Call-style atomics: a field whose address is ever passed to a
-//     sync/atomic function (atomic.AddInt64(&s.n, 1)) is an atomic
-//     field, and every other access to it must also go through
-//     sync/atomic — a plain load `s.n` (a dropped `atomic.` qualifier)
-//     is flagged.
+// A struct with at least one sync/atomic typed field (atomic.Int64 &
+// co.) is a counter struct when its name says so (stat/counter/metric)
+// or when counters are all it holds, and every one of its integer
+// fields must then be a sync/atomic type. A plain int64 slipped in next
+// to forty atomic.Int64s compiles fine, races silently, and is exactly
+// the regression this rule breaks the build on. Mixed data structures
+// that pair an atomic field with mutex- or channel-guarded state (core's
+// chunk, bufferPool) are out of scope: their plain fields are guarded by
+// the documented locks, not by atomics. Call-style atomics
+// (atomic.AddInt64(&s.n, 1)) are not policed: the module has none.
 package atomicstats
 
 import (
@@ -35,14 +26,8 @@ import (
 // Analyzer is the atomicstats check.
 var Analyzer = &analysis.Analyzer{
 	Name: "atomicstats",
-	Doc:  "counter-struct fields must be sync/atomic typed (or exclusively atomic-accessed); no mixed plain counters",
+	Doc:  "counter-struct fields must be sync/atomic typed; no mixed plain counters",
 	Run:  run,
-}
-
-func run(pass *analysis.Pass) error {
-	checkTypedAtomicStructs(pass)
-	checkCallStyleAtomics(pass)
-	return nil
 }
 
 // isAtomicType reports whether t is one of sync/atomic's typed atomics.
@@ -64,7 +49,7 @@ func isPlainCounterType(t types.Type) bool {
 }
 
 // counterStructName matches type names that declare themselves counter
-// holders; such structs are held to rule 1 even when they also carry
+// holders; such structs are held to the rule even when they also carry
 // non-counter fields (labels, parents).
 func counterStructName(name string) bool {
 	lower := strings.ToLower(name)
@@ -73,10 +58,10 @@ func counterStructName(name string) bool {
 		strings.Contains(lower, "metric")
 }
 
-// checkTypedAtomicStructs flags plain integer/bool fields inside counter
-// structs: structs carrying sync/atomic typed fields that are either
-// named as counter holders or hold nothing but counters.
-func checkTypedAtomicStructs(pass *analysis.Pass) {
+// run flags plain integer/bool fields inside counter structs: structs
+// carrying sync/atomic typed fields that are either named as counter
+// holders or hold nothing but counters.
+func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
@@ -98,7 +83,7 @@ func checkTypedAtomicStructs(pass *analysis.Pass) {
 				case isAtomicType(tv.Type):
 					hasAtomic = true
 				case isPlainCounterType(tv.Type):
-					// counter-shaped; rule 1 decides below
+					// counter-shaped; the name or purity decides below
 				default:
 					pureCounters = false
 				}
@@ -120,76 +105,5 @@ func checkTypedAtomicStructs(pass *analysis.Pass) {
 			return true
 		})
 	}
-}
-
-// checkCallStyleAtomics finds fields used as &x.f arguments to
-// sync/atomic functions and flags every plain (non-atomic) access to
-// the same fields anywhere else in the package.
-func checkCallStyleAtomics(pass *analysis.Pass) {
-	// Pass A: collect fields atomically accessed, and remember which
-	// selector expressions were the atomic arguments themselves.
-	atomicFields := make(map[*types.Var]bool)
-	blessed := make(map[*ast.SelectorExpr]bool)
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isAtomicCall(pass, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				un, ok := arg.(*ast.UnaryExpr)
-				if !ok {
-					continue
-				}
-				sel, ok := un.X.(*ast.SelectorExpr)
-				if !ok {
-					continue
-				}
-				if fld := fieldOf(pass, sel); fld != nil {
-					atomicFields[fld] = true
-					blessed[sel] = true
-				}
-			}
-			return true
-		})
-	}
-	if len(atomicFields) == 0 {
-		return
-	}
-	// Pass B: any other selector reaching those fields is a plain access.
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			sel, ok := n.(*ast.SelectorExpr)
-			if !ok || blessed[sel] {
-				return true
-			}
-			fld := fieldOf(pass, sel)
-			if fld == nil || !atomicFields[fld] {
-				return true
-			}
-			pass.Reportf(sel.Sel.Pos(),
-				"plain access to %s, elsewhere accessed via sync/atomic: racy torn read/write (use atomic.Load/Store/Add)",
-				fld.Name())
-			return true
-		})
-	}
-}
-
-func isAtomicCall(pass *analysis.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
-	return ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic"
-}
-
-// fieldOf resolves a selector to the struct field it reads, or nil.
-func fieldOf(pass *analysis.Pass, sel *ast.SelectorExpr) *types.Var {
-	s, ok := pass.Info.Selections[sel]
-	if !ok || s.Kind() != types.FieldVal {
-		return nil
-	}
-	v, _ := s.Obj().(*types.Var)
-	return v
+	return nil
 }

@@ -1,5 +1,4 @@
-// Package a exercises the atomicstats analyzer: mixed counter structs
-// and legacy call-style atomics with plain accesses.
+// Package a exercises the atomicstats analyzer: mixed counter structs.
 package a
 
 import "sync/atomic"
@@ -28,7 +27,7 @@ type tallies struct {
 
 // chunk mirrors core's buffer-pool chunk: an atomic refcount next to
 // mutex-guarded plain fields. Neither counter-named nor counters-only,
-// so rule 1 stays out of its way.
+// so the rule stays out of its way.
 type chunk struct {
 	buf  []byte
 	refs atomic.Int32
@@ -38,33 +37,4 @@ type chunk struct {
 
 func snapshot(c *statCounters) Stats {
 	return Stats{Writes: c.writes.Load(), Reads: c.reads.Load()}
-}
-
-// legacyStats uses call-style atomics on plain fields.
-type legacyStats struct {
-	n     int64
-	other int64
-	name  string
-}
-
-func bump(l *legacyStats) {
-	atomic.AddInt64(&l.n, 1)
-}
-
-func loadRace(l *legacyStats) int64 {
-	return l.n // want `plain access to n, elsewhere accessed via sync/atomic`
-}
-
-func storeRace(l *legacyStats) {
-	l.n = 0 // want `plain access to n, elsewhere accessed via sync/atomic`
-}
-
-func loadOK(l *legacyStats) int64 {
-	return atomic.LoadInt64(&l.n)
-}
-
-// other is never touched atomically, so plain access is fine.
-func plainOK(l *legacyStats) int64 {
-	l.other++
-	return l.other
 }

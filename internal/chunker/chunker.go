@@ -83,14 +83,6 @@ func (a *FileAgg) ChunkSize() int64 { return a.chunkSize }
 // Active reports whether a partially filled chunk is buffered.
 func (a *FileAgg) Active() bool { return a.active && a.fill > 0 }
 
-// Buffered returns the number of bytes currently held in the active chunk.
-func (a *FileAgg) Buffered() int64 {
-	if !a.active {
-		return 0
-	}
-	return a.fill
-}
-
 // Write feeds a positional write of n bytes at file offset off and appends
 // the resulting operations to ops, returning the extended slice. n == 0
 // produces no operations.

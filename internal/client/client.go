@@ -220,16 +220,11 @@ func (c *Client) GetTraced(name string, w io.Writer, ctx obs.SpanContext) (int64
 // Delete removes name from the store. Deleting a name that does not
 // exist succeeds (the verb is idempotent), so Delete retries freely.
 func (c *Client) Delete(name string) error {
-	return c.DeleteTraced(name, obs.SpanContext{})
-}
-
-// DeleteTraced is Delete carrying a trace context (see PutTraced).
-func (c *Client) DeleteTraced(name string, ctx obs.SpanContext) error {
 	if err := server.ValidateName(name); err != nil {
 		return fmt.Errorf("client: DEL: %w", err)
 	}
 	return c.retry(func(s *session) error {
-		_, err := s.simple("DEL " + name + s.traceSuffix(ctx))
+		_, err := s.simple("DEL " + name)
 		return err
 	})
 }
@@ -250,26 +245,6 @@ func (c *Client) Stat() (string, error) { return c.simpleRetry("STAT") }
 
 // Scrub runs a scrub pass on the server and returns its summary line.
 func (c *Client) Scrub() (string, error) { return c.simpleRetry("SCRUB") }
-
-// ScrubTraced is Scrub carrying a trace context (see PutTraced).
-func (c *Client) ScrubTraced(ctx obs.SpanContext) (string, error) {
-	var line string
-	err := c.retry(func(s *session) error {
-		var err error
-		line, err = s.simple("SCRUB" + s.traceSuffix(ctx))
-		return err
-	})
-	return line, err
-}
-
-// TraceCapable reports whether the current session's server advertised
-// trace support (the "trace=1" hello field): whether TraceDump works
-// and traced requests actually propagate their IDs.
-func (c *Client) TraceCapable() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sess.traceCap
-}
 
 // TraceDump fetches the server's span ring — filtered to one trace
 // when trace is nonzero, the whole ring otherwise — as decoded span

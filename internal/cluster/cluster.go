@@ -79,14 +79,6 @@ type Result struct {
 	CRFSStats simcrfs.Stats
 }
 
-// Speedup returns other.AvgTime / r.AvgTime.
-func (r Result) Speedup(other Result) float64 {
-	if r.AvgTime == 0 {
-		return 0
-	}
-	return other.AvgTime / r.AvgTime
-}
-
 // RunCheckpoint executes one coordinated checkpoint and returns its
 // measurements. It is deterministic in Config (including Seed).
 func RunCheckpoint(cfg Config) Result {

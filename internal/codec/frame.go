@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"math"
 )
@@ -97,11 +96,6 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // checksum v2 headers carry. Checksum(nil) is 0, so zero-extent marker
 // and pad frames carry a zero checksum naturally.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
-
-// NewChecksum returns a streaming CRC32-C (Castagnoli) hash producing
-// the same value as Checksum, for callers that fingerprint data too
-// large to hold in one buffer (e.g. striped-store chunk transfers).
-func NewChecksum() hash.Hash32 { return crc32.New(castagnoli) }
 
 // Header is the decoded form of a frame header.
 type Header struct {

@@ -227,7 +227,6 @@ func (fs *FS) compactEntry(e *fileEntry, force bool) error {
 		// a job that raced the swap dies on the generation bump.
 		e.pf.invalidate()
 	}
-	fs.invalidateProbe(name)
 	fs.stats.containersCompacted.Add(1)
 	fs.stats.compactFramesDropped.Add(int64(st.FramesDropped))
 	fs.stats.compactBytesReclaimed.Add(total - st.BytesOut)
@@ -356,11 +355,7 @@ func (fs *FS) scrubOne(path string, size int64, o ScrubOptions) compact.FileRepo
 		}
 		return fr
 	}
-	fr := compact.ScrubFile(fs.backend, path, size, compact.ScrubOptions{Repair: o.Repair}, fs.submitJob)
-	if fr.Repaired {
-		fs.invalidateProbe(path)
-	}
-	return fr
+	return compact.ScrubFile(fs.backend, path, size, compact.ScrubOptions{Repair: o.Repair}, fs.submitJob)
 }
 
 // submitJob hands one maintenance unit to the IO workers' lowest-

@@ -59,15 +59,6 @@ type FS struct {
 	raShare     atomic.Int32
 	workers     sync.WaitGroup
 
-	// statMu guards the closed-file probe cache: Stat of a closed file
-	// must sniff for the frame container magic (to report logical sizes),
-	// and without a cache a directory walk would pay a backend open+read
-	// per file per pass. Entries are keyed by path and validated against
-	// the backend size and mtime; writes through this mount invalidate
-	// explicitly on last close.
-	statMu    sync.Mutex
-	statCache map[string]statProbe
-
 	stats statCounters
 
 	// partials counts entries holding a partly filled active chunk and
@@ -90,14 +81,6 @@ type FS struct {
 
 // monotonic returns nanoseconds since the mount, for latency arithmetic.
 func (fs *FS) monotonic() int64 { return int64(time.Since(fs.epoch)) }
-
-// statProbe caches one closed-file sniff result.
-type statProbe struct {
-	size    int64 // backend (encoded) size the probe saw
-	modTime int64 // backend mtime (UnixNano) the probe saw
-	logical int64 // logical size (== size for plain files)
-	framed  bool
-}
 
 // Mount stacks CRFS over backend with the given options.
 func Mount(backend vfs.FS, opts Options) (*FS, error) {
@@ -128,7 +111,6 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)
 		return &b
 	}
-	fs.statCache = make(map[string]statProbe)
 	fs.queue = make(chan *chunk, fs.pool.total)
 	fs.prefetchq = make(chan prefetchJob, fs.pool.total+opts.ReadAhead)
 	fs.jobq = make(chan func(), 4*opts.IOThreads)
@@ -502,7 +484,6 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 		}
 		entry.pendingRepair = -1
 		fs.stats.containersRepaired.Add(1)
-		fs.invalidateProbe(key)
 	}
 	if trunc {
 		// Apply the deferred truncation while the entry is still private
@@ -722,7 +703,6 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 		// handle goes away; in-flight jobs die on the generation bump.
 		entry.pf.invalidate()
 	}
-	fs.invalidateProbe(name)
 	entry.closeRetired()
 	return entry.backendFile.Close()
 }
@@ -777,7 +757,6 @@ func (fs *FS) Remove(name string) error {
 		entry.mu.Unlock()
 		fs.mu.Unlock()
 	}
-	fs.invalidateProbe(name)
 	return err
 }
 
@@ -824,9 +803,6 @@ func (fs *FS) Rename(oldName, newName string) error {
 		fs.mu.Unlock()
 		if entry != nil {
 			entry.writeMu.Unlock()
-		}
-		if err == nil {
-			fs.invalidateProbe(oldName, newName)
 		}
 		return err
 	}
@@ -885,100 +861,30 @@ func (fs *FS) Stat(name string) (vfs.FileInfo, error) {
 	if err == nil && !info.IsDir && info.Size >= codec.HeaderSize {
 		// No open entry: sniff for a frame container so Stat reports the
 		// decoded size the mount's reads will serve.
-		if logical, framed := fs.sniffLogicalSize(name, info); framed {
-			info.Size = logical
+		if p, perr := fs.probeClosed(name); perr == nil && p.ok {
+			info.Size = p.logical
 		}
 	}
 	return info, err
 }
 
-// sniffLogicalSize probes a closed file for the frame container magic and,
-// when found, scans the index to compute the logical size. The scan reads
-// one header per frame; results are cached per path (validated against
-// backend size and mtime) so stat-heavy walks pay the probe once per file,
-// for plain and framed files alike.
-//
-// The probe re-stats the file after scanning: a direct backend write
-// landing between the caller's Stat and the scan would otherwise produce
-// a result derived from the *new* bytes (or a scan bounded by the stale
-// size) cached under the *old* identity — a cache entry that is wrong
-// the moment it is written and, worse, self-consistent on later hits. A
-// changed identity retries against the fresh one; a file that keeps
-// churning returns best-effort without caching.
-func (fs *FS) sniffLogicalSize(name string, info vfs.FileInfo) (int64, bool) {
-	key := vfs.Clean(name)
-	for attempt := 0; ; attempt++ {
-		mod := info.ModTime.UnixNano()
-		fs.statMu.Lock()
-		if p, ok := fs.statCache[key]; ok && p.size == info.Size && p.modTime == mod {
-			fs.statMu.Unlock()
-			return p.logical, p.framed
-		}
-		fs.statMu.Unlock()
-
-		// Negative results (plain files, unprobeable files) are cached too:
-		// a stat-heavy walk must not re-open every such file on every pass.
-		probe := statProbe{size: info.Size, modTime: mod, logical: info.Size}
-		if f, err := fs.backend.Open(key, vfs.ReadOnly); err == nil {
-			// Salvaged verdicts count here too: Stat must report the
-			// logical size the mount's reads will serve, which for a torn
-			// container is the intact prefix. The probe never mutates —
-			// repair happens only on the Open path.
-			if p, perr := probeContainer(f, info.Size); perr == nil && p.ok {
-				probe.logical, probe.framed = p.logical, true
-			}
-			f.Close()
-		}
-		if after, err := fs.backend.Stat(key); err == nil &&
-			(after.Size != info.Size || after.ModTime.UnixNano() != mod) {
-			if attempt < 2 {
-				info = after
-				continue
-			}
-			return probe.logical, probe.framed // churning; don't cache
-		} else if err != nil {
-			return probe.logical, probe.framed // vanished mid-probe; don't cache
-		}
-		fs.statMu.Lock()
-		if len(fs.statCache) >= 4096 {
-			// Bounded: evict one arbitrary entry rather than wiping the map,
-			// so walks over trees larger than the bound keep a high hit rate.
-			for k := range fs.statCache {
-				delete(fs.statCache, k)
-				break
-			}
-		}
-		fs.statCache[key] = probe
-		fs.statMu.Unlock()
-		return probe.logical, probe.framed
+// probeClosed probes a closed file for a frame container: open, probe,
+// close. The scan is bounded by the size the opened handle itself reports,
+// so a direct backend write landing after the caller's Stat cannot leave
+// it reading new bytes against a stale bound. A torn container probes as
+// its intact prefix, the size the mount's reads will serve; the probe
+// never mutates — repair happens only on the Open path.
+func (fs *FS) probeClosed(name string) (containerProbe, error) {
+	f, err := fs.backend.Open(name, vfs.ReadOnly)
+	if err != nil {
+		return containerProbe{}, err
 	}
-}
-
-// InvalidateStatCache drops the cached closed-file probe results for the
-// given paths (all of them when none are given). The cache is normally
-// validated by backend size and mtime; a caller that mutates files
-// directly in the backend — behind the mount's back — on a backend with
-// coarse or frozen timestamps can use this to force fresh probes, the
-// same escape hatch NFS-style attribute caches provide.
-func (fs *FS) InvalidateStatCache(names ...string) {
-	if len(names) == 0 {
-		fs.statMu.Lock()
-		clear(fs.statCache)
-		fs.statMu.Unlock()
-		return
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return containerProbe{}, err
 	}
-	fs.invalidateProbe(names...)
-}
-
-// invalidateProbe drops a path's cached closed-file probe; called when
-// this mount may have changed the file (last close, rename, remove,
-// truncate).
-func (fs *FS) invalidateProbe(names ...string) {
-	fs.statMu.Lock()
-	for _, n := range names {
-		delete(fs.statCache, vfs.Clean(n))
-	}
-	fs.statMu.Unlock()
+	return probeContainer(f, info.Size)
 }
 
 // ReadDir implements vfs.FS (passthrough).
@@ -995,7 +901,6 @@ func (fs *FS) Truncate(name string, size int64) error {
 	if err := fs.checkOpen(); err != nil {
 		return err
 	}
-	fs.invalidateProbe(name)
 	if entry := fs.lookupEntry(name); entry != nil {
 		entry.flushTail()
 		if err := entry.waitDrained(); err != nil {
@@ -1005,19 +910,11 @@ func (fs *FS) Truncate(name string, size int64) error {
 	}
 	// Closed file: cutting a frame container's encoded stream mid-frame
 	// would corrupt it permanently, so probe first and apply the same
-	// contract as open framed entries. The probe is fresh (not the Stat
-	// cache) and a probe failure refuses the truncate rather than
-	// guessing plain — the same policy indexEntry applies to opens.
+	// contract as open framed entries. A probe failure refuses the
+	// truncate rather than guessing plain — the same policy indexEntry
+	// applies to opens.
 	if info, serr := fs.backend.Stat(name); serr == nil && !info.IsDir && info.Size >= codec.HeaderSize {
-		var ok bool
-		var logical int64
-		f, err := fs.backend.Open(name, vfs.ReadOnly)
-		if err == nil {
-			var p containerProbe
-			p, err = probeContainer(f, info.Size)
-			ok, logical = p.ok, p.logical
-			f.Close()
-		}
+		p, err := fs.probeClosed(name)
 		if err != nil {
 			// Unprobeable: a codec mount refuses rather than risk cutting
 			// a container mid-frame; a raw mount keeps seed passthrough
@@ -1025,8 +922,8 @@ func (fs *FS) Truncate(name string, size int64) error {
 			if fs.opts.framedWrites() {
 				return fmt.Errorf("core: truncate %s: cannot probe for frame container: %w", name, err)
 			}
-		} else if ok {
-			act, err := containerTruncateAction(name, size, logical)
+		} else if p.ok {
+			act, err := containerTruncateAction(name, size, p.logical)
 			if err != nil {
 				return err
 			}

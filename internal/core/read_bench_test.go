@@ -118,12 +118,15 @@ func tracedMixRun(b *testing.B, traced bool) float64 {
 	return float64(st.BytesWritten+st.BytesRead) / el / (1 << 20)
 }
 
-// BenchmarkTracingOverhead is the gate for "tracing is cheap enough to
-// leave compiled in": the mix with the tracer disabled against the same
-// mix with every pipeline span recorded may differ by at most 5 %. Each
-// arm counts its best of three runs, taken alternately so that a drifting
-// machine slows both. It compares wall clocks, which is why it is a
-// benchmark CI runs by name (-benchtime 1x) and not a test.
+// BenchmarkTracingOverhead reports what recording every pipeline span
+// costs: the mix with the tracer disabled against the same mix with it
+// enabled. Each arm counts its best of three runs, taken alternately so
+// that a drifting machine slows both. It compares wall clocks on a mix
+// bound by memory speed, so one run resolves nothing and it gates
+// nothing: the disabled path is held by TestDisabledSpanIsFree,
+// TestHistogramObserveNoAlloc, TestCoreAllocsPerCall and the obshot
+// analyzer, the enabled cost is read from the repo benchmark's
+// trace.overhead_pct.
 func BenchmarkTracingOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var off, on float64
@@ -131,12 +134,8 @@ func BenchmarkTracingOverhead(b *testing.B) {
 			off = max(off, tracedMixRun(b, false))
 			on = max(on, tracedMixRun(b, true))
 		}
-		pct := (off - on) / off * 100
 		b.ReportMetric(off, "off-MiB/s")
 		b.ReportMetric(on, "on-MiB/s")
-		b.ReportMetric(pct, "overhead-%")
-		if pct > 5 {
-			b.Fatalf("tracing overhead %.2f%% exceeds 5%% (off %.1f MiB/s, on %.1f MiB/s)", pct, off, on)
-		}
+		b.ReportMetric((off-on)/off*100, "overhead-%")
 	}
 }

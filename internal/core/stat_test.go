@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -9,10 +10,10 @@ import (
 	"crfs/internal/vfs"
 )
 
-// These tests cover the closed-file probe cache (probeContainer /
-// sniffLogicalSize) against files mutated behind the mount's back with a
-// direct backend write — the one mutation path that bypasses every
-// invalidation hook the mount itself has.
+// These tests cover Stat of a closed file (probeClosed / probeContainer)
+// against files mutated behind the mount's back with a direct backend
+// write: every Stat probes afresh, so each must report the container that
+// is there now. Some names date from a probe cache Stat no longer has.
 
 // rawContainer builds a one-frame raw container whose logical size is
 // off+len(payload); its encoded size is HeaderSize+len(payload)
@@ -52,7 +53,7 @@ func TestStatCacheInvalidatedBySizeChange(t *testing.T) {
 		t.Fatalf("container logical size = %d, want 500", got)
 	}
 	// Behind-the-back growth: append a second frame extending the
-	// container. The probe must re-run and report the new logical size.
+	// container. Stat must report the new logical size.
 	frame2, _, err := codec.EncodeFrame(codec.Raw(), 1, 500, make([]byte, 200), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestStatCacheInvalidatedBySizeChange(t *testing.T) {
 
 func TestStatCacheInvalidatedByMtimeChange(t *testing.T) {
 	// A manual clock makes the mtime deterministic: the rewrite keeps the
-	// size identical, so mtime is the only signal the cache has.
+	// encoded size identical and moves only the mtime.
 	now := time.Unix(1000, 0)
 	back := memfs.New(memfs.WithClock(func() time.Time { return now }))
 	fs := mount(t, back, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2})
@@ -101,10 +102,10 @@ func TestStatCacheInvalidatedByMtimeChange(t *testing.T) {
 	}
 }
 
-func TestStatCacheFrozenClockNeedsExplicitInvalidate(t *testing.T) {
-	// With a frozen backend clock and an identical encoded size, the
-	// cache has no signal at all — the documented limitation — and
-	// InvalidateStatCache is the escape hatch.
+func TestStatFrozenClockSeesRewrite(t *testing.T) {
+	// A frozen backend clock and an identical encoded size leave the
+	// backend's own Stat unchanged across the rewrite; only the bytes say
+	// the logical size moved.
 	now := time.Unix(2000, 0)
 	back := memfs.New(memfs.WithClock(func() time.Time { return now }))
 	fs := mount(t, back, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2})
@@ -113,26 +114,41 @@ func TestStatCacheFrozenClockNeedsExplicitInvalidate(t *testing.T) {
 		t.Fatalf("container logical size = %d, want 300", got)
 	}
 	backendWrite(t, back, "ckpt", rawContainer(t, 700, make([]byte, 300)))
-	if got := statSize(t, fs, "ckpt"); got != 300 {
-		// Not a requirement — just documentation: if this starts failing
-		// the cache grew a content signal and the test should be updated.
-		t.Logf("frozen-clock rewrite was detected anyway (size %d)", got)
-	}
-	fs.InvalidateStatCache("ckpt")
 	if got := statSize(t, fs, "ckpt"); got != 1000 {
-		t.Fatalf("after InvalidateStatCache: size = %d, want 1000", got)
+		t.Fatalf("after same-size rewrite on a frozen clock: size = %d, want 1000", got)
 	}
-	// The no-argument form wipes everything.
-	backendWrite(t, back, "ckpt", rawContainer(t, 1200, make([]byte, 300)))
-	fs.InvalidateStatCache()
-	if got := statSize(t, fs, "ckpt"); got != 1500 {
-		t.Fatalf("after full InvalidateStatCache: size = %d, want 1500", got)
+}
+
+// TestStatTornContainerDoesNotRepair: Stat of a torn container reports the
+// intact prefix's logical size and leaves the backend file alone even on a
+// RepairOnOpen mount — only the Open path repairs.
+func TestStatTornContainerDoesNotRepair(t *testing.T) {
+	back, payload := tornBackend(t, "ck.img", 40<<10, "torn tail garbage bytes")
+	before, err := vfs.ReadFile(back, "ck.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := mount(t, back, Options{
+		ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate(), RepairOnOpen: true,
+	})
+	if got := statSize(t, fs, "ck.img"); got != int64(len(payload)) {
+		t.Fatalf("Stat of torn container = %d, want intact prefix %d", got, len(payload))
+	}
+	after, err := vfs.ReadFile(back, "ck.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("Stat changed the backend file: %d bytes before, %d after", len(before), len(after))
+	}
+	if st := fs.Stats(); st.ContainersRepaired != 0 {
+		t.Fatalf("Stat repaired a container: %+v", st)
 	}
 }
 
 // mutatingBackend fires a one-shot mutation the moment the probe opens
-// its target — reproducing a direct backend write landing inside the
-// stat-then-scan window.
+// its target — reproducing a direct backend write landing between Stat's
+// backend stat and its scan.
 type mutatingBackend struct {
 	vfs.FS
 	t      *testing.T
@@ -151,10 +167,9 @@ func (m *mutatingBackend) Open(name string, flag vfs.OpenFlag) (vfs.File, error)
 
 func TestStatProbeRacingBackendWrite(t *testing.T) {
 	// The file is plain when Stat snapshots it, and becomes a (larger)
-	// container while the probe runs. Without the post-probe re-stat the
-	// scan — bounded by the stale size — would cache "plain, 100 bytes"
-	// under the new identity's path; with it, Stat reports the fresh
-	// container's logical size.
+	// container before the probe opens it. The scan is bounded by the
+	// size the opened handle reports, not the stale snapshot, so Stat
+	// reports the fresh container's logical size.
 	back := memfs.New()
 	mb := &mutatingBackend{FS: back, t: t, target: "ckpt"}
 	fs := mount(t, mb, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2})
@@ -164,16 +179,14 @@ func TestStatProbeRacingBackendWrite(t *testing.T) {
 	if got := statSize(t, fs, "ckpt"); got != 1000 {
 		t.Fatalf("Stat racing a backend write = %d, want the fresh container's 1000", got)
 	}
-	// And the cache must now hold the fresh result, not a stale hybrid.
 	if got := statSize(t, fs, "ckpt"); got != 1000 {
-		t.Fatalf("cached result after the race = %d, want 1000", got)
+		t.Fatalf("Stat after the race = %d, want 1000", got)
 	}
 }
 
 // TestOpenSeesBehindTheBackContainer pins the open path's behavior for
 // the same mutation: a container swapped in behind the mount's back is
-// indexed fresh on every open of a closed file (opens never consult the
-// stat cache).
+// indexed fresh on every open of a closed file.
 func TestOpenSeesBehindTheBackContainer(t *testing.T) {
 	back := memfs.New()
 	fs := mount(t, back, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2})

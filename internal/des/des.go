@@ -120,12 +120,6 @@ func (h eventHeap) Less(i, j int) bool {
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
 func (h *eventHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-func (h eventHeap) Peek() (Time, bool) { // earliest event time
-	if len(h) == 0 {
-		return 0, false
-	}
-	return h[0].t, true
-}
 
 // Env is a simulation environment: one virtual clock, one event heap, and
 // the set of live processes. Not safe for concurrent use; the scheduler
@@ -150,9 +144,6 @@ func New() *Env {
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
-
-// Pending returns the number of scheduled events.
-func (e *Env) Pending() int { return len(e.heap) }
 
 // Live returns the number of processes that have not finished.
 func (e *Env) Live() int { return len(e.alive) }
@@ -214,29 +205,6 @@ func (e *Env) Run() Time {
 	e.running = true
 	defer func() { e.running = false }()
 	for len(e.heap) > 0 {
-		ev := heap.Pop(&e.heap).(event)
-		if ev.p.state == stateDone {
-			continue
-		}
-		e.now = ev.t
-		ev.p.res <- tokenRun
-		<-e.yielded
-	}
-	return e.now
-}
-
-// RunUntil executes events with time <= deadline, then returns. The clock
-// ends at min(deadline, last event time).
-func (e *Env) RunUntil(deadline Time) Time {
-	if e.running {
-		panic("des: Run reentered")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		if t, _ := e.heap.Peek(); t > deadline {
-			break
-		}
 		ev := heap.Pop(&e.heap).(event)
 		if ev.p.state == stateDone {
 			continue

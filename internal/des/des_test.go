@@ -212,21 +212,6 @@ func TestQueueCloseWakesGetters(t *testing.T) {
 	}
 }
 
-func TestTryPut(t *testing.T) {
-	env := New()
-	q := NewQueue(env, 1)
-	if !q.TryPut(1) {
-		t.Fatal("TryPut into empty bounded queue failed")
-	}
-	if q.TryPut(2) {
-		t.Fatal("TryPut into full queue succeeded")
-	}
-	q.Close()
-	if q.TryPut(3) {
-		t.Fatal("TryPut into closed queue succeeded")
-	}
-}
-
 func TestGateBarrier(t *testing.T) {
 	env := New()
 	g := NewGate(env)
@@ -320,32 +305,13 @@ func TestShutdownKillsBlocked(t *testing.T) {
 	env.Spawn("q-blocked", func(p *Proc) { q.Get(p) })
 	env.Spawn("r-holder", func(p *Proc) { r.Acquire(p, 1); p.Wait(1000) })
 	env.Spawn("r-blocked", func(p *Proc) { p.Wait(1); r.Acquire(p, 1) })
-	env.RunUntil(10)
+	env.Run()
 	if env.Live() == 0 {
 		t.Fatal("expected live processes")
 	}
 	env.Shutdown()
 	if env.Live() != 0 {
 		t.Fatalf("%d processes survived shutdown", env.Live())
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	env := New()
-	var last Time
-	env.Spawn("ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Wait(10)
-			last = p.Now()
-		}
-	})
-	env.RunUntil(55)
-	if last != 50 {
-		t.Fatalf("last tick at %d, want 50", last)
-	}
-	env.Run() // finish the rest
-	if last != 1000 {
-		t.Fatalf("after full run last = %d", last)
 	}
 }
 

@@ -29,9 +29,6 @@ func NewResource(env *Env, capacity int64) *Resource {
 	return &Resource{env: env, capacity: capacity, avail: capacity}
 }
 
-// Capacity returns the configured capacity.
-func (r *Resource) Capacity() int64 { return r.capacity }
-
 // Available returns the unreserved capacity.
 func (r *Resource) Available() int64 { return r.avail }
 
@@ -88,8 +85,6 @@ type Queue struct {
 	getters []*Proc
 	putters []*queuePut
 	closed  bool
-	// MaxLen tracks the high-water mark of queued items.
-	MaxLen int
 }
 
 type queuePut struct {
@@ -105,9 +100,6 @@ func NewQueue(env *Env, capacity int) *Queue {
 
 // Len returns the number of buffered items.
 func (q *Queue) Len() int { return len(q.items) }
-
-// Closed reports whether Close has been called.
-func (q *Queue) Closed() bool { return q.closed }
 
 // Put appends item, blocking while the queue is full. Put on a closed
 // queue panics (a modelling error, like sending on a closed channel).
@@ -130,33 +122,6 @@ func (q *Queue) Put(p *Proc, item any) {
 		return
 	}
 	q.items = append(q.items, item)
-	if len(q.items) > q.MaxLen {
-		q.MaxLen = len(q.items)
-	}
-}
-
-// TryPut appends item without blocking, reporting success. It is safe to
-// call from outside any process (e.g. while wiring up a scenario).
-func (q *Queue) TryPut(item any) bool {
-	if q.closed {
-		return false
-	}
-	if len(q.getters) > 0 {
-		g := q.getters[0]
-		q.getters = q.getters[1:]
-		g.handoff = item
-		g.ok = true
-		q.env.schedule(q.env.now, g)
-		return true
-	}
-	if q.cap > 0 && len(q.items) >= q.cap {
-		return false
-	}
-	q.items = append(q.items, item)
-	if len(q.items) > q.MaxLen {
-		q.MaxLen = len(q.items)
-	}
-	return true
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
@@ -212,9 +177,6 @@ type Gate struct {
 
 // NewGate returns an unfired gate.
 func NewGate(env *Env) *Gate { return &Gate{env: env} }
-
-// Fired reports whether the gate has fired.
-func (g *Gate) Fired() bool { return g.fired }
 
 // Wait blocks until the gate fires.
 func (g *Gate) Wait(p *Proc) {

@@ -515,15 +515,6 @@ func fmtSize(n int64) string {
 
 func fuseSmall() fuse.Config { return fuse.Config{MaxWrite: fuse.DefaultMaxWrite} }
 
-// RunAll executes every experiment and returns the reports in order.
-func RunAll() []Report {
-	out := make([]Report, 0, len(drivers))
-	for _, d := range drivers {
-		out = append(out, d.run())
-	}
-	return out
-}
-
 // SortedIDs returns experiment ids sorted alphabetically (for docs).
 func SortedIDs() []string {
 	ids := IDs()

@@ -538,27 +538,6 @@ func (f *file) Read(p *des.Proc, off, n int64) {
 	p.Wait(pr.VFSBase + des.Duration(float64(n)/float64(pr.CopyBps)*float64(des.Second)))
 }
 
-// ReadFromDisk charges a read that misses the page cache (restart path):
-// the file's layout runs overlapping [off, off+n) are read from disk.
-func (f *file) ReadFromDisk(p *des.Proc, off, n int64) {
-	end := off + n
-	for _, r := range f.ino.runs {
-		if r.fileOff+r.len <= off || r.fileOff >= end {
-			continue
-		}
-		lo, hi := r.fileOff, r.fileOff+r.len
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
-		f.fs.dsk.Read(p, r.pos+(lo-r.fileOff), hi-lo, f.ino.name)
-	}
-	pr := f.fs.params
-	p.Wait(pr.VFSBase + des.Duration(float64(n)/float64(pr.CopyBps)*float64(des.Second)))
-}
-
 // Sync implements simio.File: synchronously write back this file's dirty
 // extents.
 func (f *file) Sync(p *des.Proc) {

@@ -253,23 +253,6 @@ func TestDrainWaitsForCompetingWriteback(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestReadFromDiskUsesLayout(t *testing.T) {
-	env := des.New()
-	fs := New(env, "n0", Params{HardDirtyLimit: 1 << 30, BgThresh: 1 << 29})
-	env.Spawn("w", func(p *des.Proc) {
-		f := fs.Open(p, "a").(*file)
-		f.Write(p, 0, 2<<20)
-		f.Sync(p)
-		before := fs.Disk().Stats().BytesRead
-		f.ReadFromDisk(p, 0, 1<<20)
-		if got := fs.Disk().Stats().BytesRead - before; got != 1<<20 {
-			t.Errorf("disk read %d bytes, want 1MB", got)
-		}
-	})
-	env.Run()
-	env.Shutdown()
-}
-
 func TestMoreDirtiersLowerThreshold(t *testing.T) {
 	env := des.New()
 	fs := New(env, "n0", Params{})

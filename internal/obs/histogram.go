@@ -97,42 +97,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile estimates the q-quantile (0 ≤ q ≤ 1) by linear
-// interpolation within the containing bucket, Prometheus
-// histogram_quantile style. Returns 0 on an empty histogram; values in
-// the +Inf bucket clamp to the last finite bound.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 || len(s.Counts) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	rank := q * float64(s.Count)
-	var cum float64
-	for i, c := range s.Counts {
-		prev := cum
-		cum += float64(c)
-		if cum < rank || c == 0 {
-			continue
-		}
-		if i >= len(s.Bounds) {
-			// +Inf bucket: no upper edge to interpolate toward.
-			return float64(s.Bounds[len(s.Bounds)-1])
-		}
-		var lower float64
-		if i > 0 {
-			lower = float64(s.Bounds[i-1])
-		}
-		upper := float64(s.Bounds[i])
-		return lower + (upper-lower)*((rank-prev)/float64(c))
-	}
-	return float64(s.Bounds[len(s.Bounds)-1])
-}
-
 // LatencyBounds is the standard latency ladder in nanoseconds:
 // 1µs .. 5s in a 1/2.5/5 progression. 13 finite buckets.
 var LatencyBounds = []int64{

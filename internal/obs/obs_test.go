@@ -209,32 +209,6 @@ func TestHistogramObserveNoAlloc(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	h := NewHistogram([]int64{100, 200, 300, 400})
-	for i := int64(1); i <= 400; i++ {
-		h.Observe(i)
-	}
-	s := h.Snapshot()
-	for _, tc := range []struct {
-		q    float64
-		want float64
-		tol  float64
-	}{
-		{0.5, 200, 5},
-		{0.95, 380, 5},
-		{0.99, 396, 5},
-	} {
-		got := s.Quantile(tc.q)
-		if got < tc.want-tc.tol || got > tc.want+tc.tol {
-			t.Errorf("q%.2f = %.1f, want ~%.1f", tc.q, got, tc.want)
-		}
-	}
-	var empty HistogramSnapshot
-	if empty.Quantile(0.5) != 0 {
-		t.Error("empty histogram quantile not 0")
-	}
-}
-
 func TestConcurrentStress(t *testing.T) {
 	tr := New(256)
 	tr.SetEnabled(true)

@@ -163,9 +163,6 @@ func TestTraceVerbPropagation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if !c.TraceCapable() {
-		t.Fatal("server hello did not advertise trace capability")
-	}
 
 	ctx := obs.SpanContext{Trace: 0xabcdef0123456789, Span: 1}
 	payload := bytes.Repeat([]byte("traced"), 16<<10)

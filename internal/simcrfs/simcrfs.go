@@ -152,9 +152,6 @@ func (m *Mount) Options() Options { return m.opts }
 // Stats returns a snapshot of the mount counters.
 func (m *Mount) Stats() Stats { return m.stats }
 
-// QueueHighWater returns the work queue's maximum depth.
-func (m *Mount) QueueHighWater() int { return m.queue.MaxLen }
-
 func (m *Mount) ioWorker(p *des.Proc) {
 	for {
 		item, ok := m.queue.Get(p)
