@@ -7,14 +7,12 @@
 //
 // Usage:
 //
-//	crfsck [-workers 4] DIR...              scrub (verify only)
-//	crfsck -repair DIR...                   scrub, truncating damaged
-//	                                        containers to their longest
-//	                                        verified frame prefix
-//	crfsck -compact [-ratio 0.0] DIR...     scrub, then compact every
-//	                                        container at or above the
-//	                                        dead-byte ratio (also sweeps
-//	                                        stray compaction temps)
+//	crfsck DIR...             scrub (verify only)
+//	crfsck -repair DIR...     scrub, truncating damaged containers to
+//	                          their longest verified frame prefix
+//	crfsck -compact DIR...    scrub, then compact every container with
+//	                          anything to reclaim (also sweeps stray
+//	                          compaction temps)
 //
 // Exit status follows fsck convention: 0 when every container is clean
 // (and nothing needed compaction repair), 2 when defects were found,
@@ -32,6 +30,9 @@ import (
 	"crfs/internal/osfs"
 )
 
+// scrubWorkers is the number of parallel frame verifiers.
+const scrubWorkers = 4
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -40,10 +41,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("crfsck", flag.ContinueOnError)
 	fl.SetOutput(stderr)
-	workers := fl.Int("workers", 4, "parallel frame verifiers")
 	repair := fl.Bool("repair", false, "truncate damaged containers to their longest verified frame prefix")
 	doCompact := fl.Bool("compact", false, "compact containers after scrubbing (rewrites reclaim dead frames and torn junk)")
-	ratio := fl.Float64("ratio", 0, "with -compact: only compact containers whose dead-byte ratio is at least this (0 = any reclaimable bytes)")
 	if err := fl.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -51,10 +50,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	if fl.NArg() == 0 {
-		fmt.Fprintln(stderr, "usage: crfsck [-workers N] [-repair] [-compact [-ratio R]] DIR...")
+		fmt.Fprintln(stderr, "usage: crfsck [-repair] [-compact] DIR...")
 		return 1
 	}
-	defects, opErrs, err := check(stdout, fl.Args(), compact.ScrubOptions{Workers: *workers, Repair: *repair}, *doCompact, *ratio)
+	defects, opErrs, err := check(stdout, fl.Args(), compact.ScrubOptions{Workers: scrubWorkers, Repair: *repair}, *doCompact)
 	switch {
 	case err != nil:
 		fmt.Fprintln(stderr, "crfsck:", err)
@@ -72,7 +71,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // containers); opErrs is a file that could not be verified at all
 // (backend open/read failure), never reported as corruption; the error
 // is a directory that could not be walked, which stops the run.
-func check(stdout io.Writer, dirs []string, o compact.ScrubOptions, doCompact bool, ratio float64) (defects, opErrs bool, _ error) {
+func check(stdout io.Writer, dirs []string, o compact.ScrubOptions, doCompact bool) (defects, opErrs bool, _ error) {
 	for _, dir := range dirs {
 		fsys, err := osfs.New(dir)
 		if err != nil {
@@ -92,7 +91,7 @@ func check(stdout io.Writer, dirs []string, o compact.ScrubOptions, doCompact bo
 			}
 		}
 		if doCompact {
-			crep, err := compact.CompactDir(fsys, ".", compact.CompactOptions{MinDeadRatio: ratio})
+			crep, err := compact.CompactDir(fsys, ".")
 			if err != nil {
 				return defects, opErrs, err
 			}

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -60,5 +62,23 @@ func TestExitStatus(t *testing.T) {
 		if got := run(tc.args, &stdout, &stderr); got != tc.want {
 			t.Errorf("%s: crfsck %v exited %d, want %d\nstdout: %sstderr: %s", tc.name, tc.args, got, tc.want, &stdout, &stderr)
 		}
+	}
+}
+
+// TestFlagSurface pins the command's flags. A new row here has to name
+// the two callers that need different values (or say why it is a
+// deployment setting); otherwise the value is a constant.
+func TestFlagSurface(t *testing.T) {
+	want := []string{"compact", "repair"}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("crfsck -h: exit %d\n%s", code, &stderr)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(stderr.String(), -1) {
+		got = append(got, m[1])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("crfsck -h lists flags\n%v, want\n%v", got, want)
 	}
 }

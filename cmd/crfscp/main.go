@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crfscp [-chunk 4194304] [-pool 16777216] [-threads 4] [-bs 8192] [-codec raw|deflate] SRC... DSTDIR
-//	crfscp -restore [-readahead 8] [-repair] SRC... DSTDIR
+//	crfscp -restore [-repair] SRC... DSTDIR
 //	crfscp -server host:9000 SRC...           (upload to a crfsd daemon)
 //	crfscp -server host:9000 -restore NAME... DSTDIR
 //	crfscp -nodes host1:9000,host2:9000,host3:9000 [-replicas 2] SRC...
@@ -48,7 +48,7 @@
 //
 // -restore runs the opposite direction (the restart half of C/R): each
 // SRC is read sequentially *through* a CRFS mount over its directory —
-// decoding frame containers transparently, with -readahead chunks/frames
+// decoding frame containers transparently, with the next chunks/frames
 // prefetched in parallel on the IO workers — and written to DSTDIR as a
 // plain file.
 package main
@@ -157,6 +157,10 @@ type usageError string
 
 func (e usageError) Error() string { return string(e) }
 
+// redials is how many times a daemon connection reconnects after a
+// transport failure before the operation fails.
+const redials = 2
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -173,14 +177,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bs := fl.Int("bs", 8192, "copy block size (simulates small checkpoint writes)")
 	codecName := fl.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
 	restore := fl.Bool("restore", false, "restore direction: read SRC files through a CRFS mount, write plain copies to DSTDIR")
-	readAhead := fl.Int("readahead", 8, "with -restore: read-ahead depth in chunks/frames (0 disables)")
 	repair := fl.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
 	serverAddr := fl.String("server", "", "copy to/from a crfsd daemon at this address instead of a local mount")
 	nodesList := fl.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
 	replicas := fl.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
 	stripeChunk := fl.Int64("stripe-chunk", stripe.DefaultChunkSize, "with -nodes: stripe unit in bytes")
 	scrub := fl.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies")
-	redials := fl.Int("redials", 2, "network modes: automatic reconnects per daemon connection")
 	traceFile := fl.String("trace", "", "write a chrome://tracing JSON of the whole operation — crfscp's spans merged with every participating daemon's — to this file")
 	if err := fl.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -195,9 +197,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	case *nodesList != "":
 		err = stripedMode(stdout, stderr, strings.Split(*nodesList, ","), *restore, *scrub, stripe.Config{
 			ChunkSize: *stripeChunk, Replicas: *replicas, Tracer: trun.tracer(),
-		}, *redials, args, trun)
+		}, args, trun)
 	case *serverAddr != "":
-		err = serverMode(stdout, *serverAddr, *restore, *redials, args, trun)
+		err = serverMode(stdout, *serverAddr, *restore, args, trun)
 	case len(args) < 2:
 		err = usageError("usage: crfscp [flags] SRC... DSTDIR")
 	default:
@@ -207,7 +209,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		srcs, dst := args[:len(args)-1], args[len(args)-1]
 		if *restore {
-			opts.ReadAhead = *readAhead
+			opts.ReadAhead = crfs.RestoreReadAhead
 			err = restoreAll(stdout, srcs, dst, *bs, opts, trun)
 		} else if opts.Codec, err = crfs.LookupCodec(*codecName); err == nil {
 			err = copyAll(stdout, srcs, dst, *bs, opts, trun)
@@ -393,7 +395,7 @@ func restoreOne(fs *crfs.FS, name, dst string, bs int, ctx obs.SpanContext) (int
 
 // serverMode moves files over the wire to/from a crfsd daemon on one
 // persistent protocol-v2 connection.
-func serverMode(stdout io.Writer, addr string, restore bool, redials int, args []string, trun *traceRun) error {
+func serverMode(stdout io.Writer, addr string, restore bool, args []string, trun *traceRun) error {
 	if len(args) < 1 || (restore && len(args) < 2) {
 		return usageError("usage: crfscp -server host:port SRC...\n" +
 			"       crfscp -server host:port -restore NAME... DSTDIR")
@@ -473,7 +475,7 @@ func clientDump(c *client.Client) func(obs.TraceID) []obs.SpanRecord {
 // chunks fan out to (and stream back from) every listed daemon in
 // parallel, with replication and manifest fingerprints carrying the
 // durability story.
-func stripedMode(stdout, stderr io.Writer, addrs []string, restore, scrub bool, cfg stripe.Config, redials int, args []string, trun *traceRun) error {
+func stripedMode(stdout, stderr io.Writer, addrs []string, restore, scrub bool, cfg stripe.Config, args []string, trun *traceRun) error {
 	if !scrub && (len(args) < 1 || (restore && len(args) < 2)) {
 		return usageError("usage: crfscp -nodes a:9000,b:9000,... SRC...          (a node is host:port or id=host:port)\n" +
 			"       crfscp -nodes a:9000,b:9000,... -restore NAME... DSTDIR\n" +

@@ -8,6 +8,8 @@ import (
 	"net"
 	"os"
 	"path/filepath"
+	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -170,5 +172,22 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		if out := crfscp(t, 2, args...); !strings.Contains(strings.ToLower(out), "usage") {
 			t.Errorf("crfscp %v: no usage text in %q", args, out)
 		}
+	}
+}
+
+// TestFlagSurface pins the command's flags. A new row here has to name
+// the two callers that need different values (or say why it is a
+// deployment setting); otherwise the value is a constant.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"bs", "chunk", "codec", "nodes", "pool", "repair", "replicas",
+		"restore", "scrub", "server", "stripe-chunk", "threads", "trace",
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(crfscp(t, 0, "-h"), -1) {
+		got = append(got, m[1])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("crfscp -h lists flags\n%v, want\n%v", got, want)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"runtime"
 	"strings"
@@ -148,5 +149,26 @@ func TestStopSignalDrainsAndUnmounts(t *testing.T) {
 	}
 	if got, err := os.ReadFile(filepath.Join(dir, "ckpt.img")); err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("ckpt.img after exit: %d bytes, err %v; want the %d put", len(got), err, len(payload))
+	}
+}
+
+// TestFlagSurface pins the daemon's flags. A new row here has to name the
+// two callers that need different values (or say why it is a deployment
+// setting); otherwise the value is a constant.
+func TestFlagSurface(t *testing.T) {
+	want := []string{
+		"addr", "chunk", "codec", "debug-addr", "dir", "max-conns",
+		"max-put-bytes", "pool", "repair", "slow-ms", "threads", "trace",
+	}
+	logs := captureLog(t)
+	if code := run([]string{"-h"}, make(chan os.Signal)); code != 0 {
+		t.Fatalf("crfsd -h: exit %d\n%s", code, logs)
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(logs.String(), -1) {
+		got = append(got, m[1])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("crfsd -h lists flags\n%v, want\n%v", got, want)
 	}
 }

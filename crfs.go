@@ -10,9 +10,13 @@
 // backend concurrency. Close and Sync block until every outstanding chunk
 // of the file has landed, so a file written via CRFS can be read directly
 // from the backend afterwards — no layout is changed (with the default raw
-// codec). Reads are read-your-writes without stalling the pipeline: data
-// still buffered or in flight is served from the chunk buffers themselves
-// (the buffered-read-through overlay), so mixed read/write workloads and
+// codec). Close does not flush the backend's own cache, as in the paper;
+// a caller that needs that calls Sync before Close. The tunables are the
+// paper's three (Options.BufferPoolSize, ChunkSize, IOThreads).
+//
+// Reads are read-your-writes without stalling the pipeline: data still
+// buffered or in flight is served from the chunk buffers themselves (the
+// buffered-read-through overlay), so mixed read/write workloads and
 // restart-while-checkpointing never collapse the asynchronous write path
 // the way a drain-before-read would.
 //
@@ -102,7 +106,7 @@ type (
 	OpenFlag = vfs.OpenFlag
 	// CompactionPolicy configures online container compaction
 	// (Options.Compaction): dead-byte thresholds checked after Sync and
-	// Close, plus an optional background re-check interval.
+	// Close.
 	CompactionPolicy = core.CompactionPolicy
 	// ScrubOptions configures FS.Scrub, the parallel container verifier.
 	ScrubOptions = core.ScrubOptions
@@ -127,6 +131,11 @@ const (
 	DefaultChunkSize      = core.DefaultChunkSize
 	DefaultIOThreads      = core.DefaultIOThreads
 )
+
+// RestoreReadAhead is the Options.ReadAhead depth the tools mount with
+// wherever checkpoints are read back (crfsd GET streams, crfscp
+// -restore; the repository benchmark writes the same 8).
+const RestoreReadAhead = 8
 
 // RawCodec returns the passthrough chunk codec (the default): backend
 // output is byte-identical to a codec-less mount.

@@ -28,10 +28,11 @@ import (
 	"crfs/internal/server"
 )
 
+// dialTimeout bounds the TCP connect plus hello exchange.
+const dialTimeout = 10 * time.Second
+
 // Config tunes a Client. The zero value is usable.
 type Config struct {
-	// DialTimeout bounds the TCP connect plus hello exchange. Default 10s.
-	DialTimeout time.Duration
 	// IOTimeout, when positive, bounds each frame read/write on the wire.
 	// Zero means no per-frame deadline.
 	IOTimeout time.Duration
@@ -73,9 +74,6 @@ type Client struct {
 // Dial connects to a protocol-v2 server and completes the hello
 // exchange.
 func Dial(addr string, cfg Config) (*Client, error) {
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
-	}
 	s, err := dialSession(addr, cfg)
 	if err != nil {
 		return nil, err
@@ -85,7 +83,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 
 // session returns a live session to run a request on, redialing within
 // the budget when the current one is dead. The dial happens under the
-// Client lock — bounded by DialTimeout — so concurrent requests agree
+// Client lock — bounded by dialTimeout — so concurrent requests agree
 // on one replacement session instead of racing to dial their own.
 func (c *Client) session() (*session, error) {
 	c.mu.Lock()
@@ -326,7 +324,7 @@ func (f frame) text() string {
 
 // dialSession connects and completes the hello exchange.
 func dialSession(addr string, cfg Config) (*session, error) {
-	nc, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+	nc, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +335,7 @@ func dialSession(addr string, cfg Config) (*session, error) {
 		done:      make(chan struct{}),
 		pending:   make(map[uint32]chan frame),
 	}
-	nc.SetDeadline(time.Now().Add(cfg.DialTimeout))
+	nc.SetDeadline(time.Now().Add(dialTimeout))
 	if _, err := io.WriteString(nc, server.HelloLine); err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)

@@ -58,7 +58,7 @@ func TestDialRejectsMalformedHello(t *testing.T) {
 		"maxinflight=-1",
 	} {
 		addr := fakeHelloServer(t, hello)
-		c, err := client.Dial(addr, client.Config{DialTimeout: 5 * time.Second})
+		c, err := client.Dial(addr, client.Config{})
 		if err == nil {
 			c.Close()
 			t.Errorf("Dial succeeded against hello %q, want protocol error", hello)

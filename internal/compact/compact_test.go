@@ -190,7 +190,7 @@ func TestCompactDir(t *testing.T) {
 	m, boxes := tree(t)
 	wantA := replay(t, boxes["ckpt/a.crfc"])
 	wantB := replay(t, boxes["ckpt/sub/b.crfc"])
-	rep, err := CompactDir(m, ".", CompactOptions{})
+	rep, err := CompactDir(m, ".")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,15 +219,9 @@ func TestCompactDir(t *testing.T) {
 		t.Fatal("minimal b.crfc was rewritten or changed")
 	}
 	// Idempotence at the directory level.
-	rep2, err := CompactDir(m, ".", CompactOptions{})
+	rep2, err := CompactDir(m, ".")
 	if err != nil || rep2.Compacted != 0 {
 		t.Fatalf("second pass compacted %d (err %v), want 0", rep2.Compacted, err)
-	}
-	// Threshold: a huge MinDeadRatio compacts nothing.
-	m2, _ := tree(t)
-	rep3, err := CompactDir(m2, ".", CompactOptions{MinDeadRatio: 0.99})
-	if err != nil || rep3.Compacted != 0 {
-		t.Fatalf("threshold ignored: %+v (err %v)", rep3, err)
 	}
 }
 
@@ -242,7 +236,7 @@ func TestCompactRepairsTornContainer(t *testing.T) {
 	if err := vfs.WriteFile(m, "ckpt/a.crfc", torn); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CompactDir(m, ".", CompactOptions{})
+	rep, err := CompactDir(m, ".")
 	if err != nil || rep.Compacted < 1 {
 		t.Fatalf("%+v (err %v)", rep, err)
 	}
@@ -268,7 +262,7 @@ func TestCompactLeavesCorruptContainerAlone(t *testing.T) {
 	if err := vfs.WriteFile(m, "ckpt/a.crfc", box); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := CompactDir(m, ".", CompactOptions{})
+	rep, err := CompactDir(m, ".")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,21 +14,12 @@ import (
 // handles mounts with open files; this engine is for cold checkpoint
 // stores — the crfsck use case.
 
-// CompactOptions configures an offline compaction pass.
-type CompactOptions struct {
-	// MinDeadRatio compacts only containers whose reclaimable fraction
-	// (dead frame bytes plus torn-tail junk, over the file size) is at
-	// least this. 0 compacts any container with something to reclaim.
-	MinDeadRatio float64
-}
-
 // CompactFileReport describes one container's compaction outcome.
 type CompactFileReport struct {
 	Path          string
 	Compacted     bool
 	FramesDropped int
 	Reclaimed     int64 // file bytes reclaimed (dead frames + torn junk)
-	DeadRatio     float64
 	Err           string
 }
 
@@ -55,10 +46,10 @@ func (r *CompactReport) Format() string {
 }
 
 // CompactDir sweeps stray temporaries, then walks every container under
-// root and rewrites those at or above the dead-byte threshold. The
-// returned error reports walk-level failures; per-file failures are
-// collected in the report.
-func CompactDir(fsys vfs.FS, root string, o CompactOptions) (*CompactReport, error) {
+// root and rewrites those with anything to reclaim. The returned error
+// reports walk-level failures; per-file failures are collected in the
+// report.
+func CompactDir(fsys vfs.FS, root string) (*CompactReport, error) {
 	rep := &CompactReport{}
 	swept, err := SweepTemps(fsys, root)
 	rep.TempsSwept = swept
@@ -66,7 +57,7 @@ func CompactDir(fsys vfs.FS, root string, o CompactOptions) (*CompactReport, err
 		return rep, err
 	}
 	err = Walk(fsys, root, func(path string, size int64) error {
-		fr := CompactPath(fsys, path, size, o)
+		fr := CompactPath(fsys, path, size)
 		rep.Containers++
 		if fr.Compacted {
 			rep.Compacted++
@@ -86,7 +77,7 @@ func CompactDir(fsys vfs.FS, root string, o CompactOptions) (*CompactReport, err
 // from its longest intact frame prefix — the rewrite repairs the tear as
 // a side effect, exactly like open-time salvage followed by repair. A
 // container whose live payloads fail verification is left untouched.
-func CompactPath(fsys vfs.FS, path string, size int64, o CompactOptions) CompactFileReport {
+func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 	rep := CompactFileReport{Path: path}
 	f, err := fsys.Open(path, vfs.ReadOnly)
 	if err != nil {
@@ -106,8 +97,7 @@ func CompactPath(fsys vfs.FS, path string, size int64, o CompactOptions) Compact
 	if lv.NeedMarker {
 		reclaimable -= codec.HeaderSize // the synthesized marker costs one header
 	}
-	rep.DeadRatio = float64(reclaimable) / float64(size)
-	if reclaimable <= 0 || rep.DeadRatio < o.MinDeadRatio {
+	if reclaimable <= 0 {
 		f.Close()
 		return rep
 	}

@@ -36,9 +36,9 @@ import (
 
 // maybeCompact applies the mount's compaction policy to e: a cheap
 // liveness check on the in-memory frame index, then the full rewrite
-// when the thresholds are crossed. Called after Sync and writable Close
-// (and by the background compactor); a policy-triggered rewrite failure
-// is not the caller's error — the container is simply left uncompacted.
+// when the thresholds are crossed. Called after Sync and writable Close;
+// a policy-triggered rewrite failure is not the caller's error — the
+// container is simply left uncompacted.
 func (fs *FS) maybeCompact(e *fileEntry) {
 	if !fs.opts.Compaction.enabled() {
 		return
@@ -233,39 +233,6 @@ func (fs *FS) compactEntry(e *fileEntry, force bool) error {
 	fs.stats.checksumVerified.Add(int64(st.ChecksumVerified))
 	fs.stats.checksumSkipped.Add(int64(st.FramesUpgraded))
 	return nil
-}
-
-// backgroundCompactor periodically re-checks every open framed file
-// against the compaction policy (Options.Compaction.Interval), catching
-// long-lived handles that overwrite heavily but rarely Sync or Close.
-func (fs *FS) backgroundCompactor() {
-	defer close(fs.bgDone)
-	ticker := time.NewTicker(fs.opts.Compaction.Interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-fs.bgStop:
-			return
-		case <-ticker.C:
-		}
-		fs.mu.Lock()
-		keys := make([]string, 0, len(fs.files))
-		for k := range fs.files {
-			keys = append(keys, k)
-		}
-		fs.mu.Unlock()
-		for _, k := range keys {
-			select {
-			case <-fs.bgStop:
-				return
-			default:
-			}
-			if e := fs.pinEntry(k); e != nil {
-				fs.maybeCompact(e)
-				fs.releaseEntry(e)
-			}
-		}
-	}
 }
 
 // ScrubOptions configures an online scrub pass.

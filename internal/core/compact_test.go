@@ -222,46 +222,6 @@ func TestCompactPolicyTriggers(t *testing.T) {
 	}
 }
 
-// TestCompactBackgroundInterval: the background goroutine compacts a
-// long-lived handle that never Syncs.
-func TestCompactBackgroundInterval(t *testing.T) {
-	back := memfs.New()
-	fs := mount(t, back, Options{ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 2,
-		Codec:      codec.Deflate(),
-		Compaction: CompactionPolicy{MinDeadRatio: 0.2, Interval: 5 * time.Millisecond}})
-	f, err := fs.Open("bg.img", vfs.ReadWrite|vfs.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	content := make([]byte, 4<<10)
-	rng := rand.New(rand.NewSource(3))
-	rng.Read(content)
-	for pass := 0; pass < 4; pass++ {
-		if _, err := f.WriteAt(content, 0); err != nil { // same extent, all dead but last
-			t.Fatal(err)
-		}
-	}
-	// Drain without Sync so only the background tick can trigger.
-	if err := fs.lookupEntry("bg.img").waitDrained(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for fs.Stats().ContainersCompacted == 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("background compactor never fired: %+v", fs.Stats())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	got := make([]byte, len(content))
-	if _, err := f.ReadAt(got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, content) {
-		t.Fatal("content changed under background compaction")
-	}
-}
-
 // TestCompactConcurrentReaders races readers (and a writer on a second
 // file) against repeated compactions; run under -race in CI.
 func TestCompactConcurrentReaders(t *testing.T) {

@@ -242,9 +242,6 @@ func (f *file) Close() error {
 	e := f.entry
 	e.flushTail()
 	drainErr := e.drainReport()
-	if drainErr == nil && f.fs.opts.SyncOnClose && f.flag.Writable() {
-		drainErr = e.backend().Sync()
-	}
 	if drainErr == nil && f.flag.Writable() {
 		// Post-close compaction check (the policy's natural trigger: a
 		// checkpoint rewrite just finished). Runs before the table

@@ -40,11 +40,6 @@ type FS struct {
 	jobsClosed bool
 	encBufs    sync.Pool // *[]byte frame encode scratch, one per in-flight encode
 
-	// bgStop/bgDone bracket the background compaction goroutine
-	// (Options.Compaction.Interval); nil when it is not running.
-	bgStop chan struct{}
-	bgDone chan struct{}
-
 	mu     sync.Mutex
 	files  map[string]*fileEntry // open-file hash table, keyed by clean path
 	closed bool
@@ -117,11 +112,6 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	fs.workers.Add(opts.IOThreads)
 	for i := 0; i < opts.IOThreads; i++ {
 		go fs.ioWorker()
-	}
-	if opts.Compaction.enabled() && opts.Compaction.Interval > 0 {
-		fs.bgStop = make(chan struct{})
-		fs.bgDone = make(chan struct{})
-		go fs.backgroundCompactor()
 	}
 	return fs, nil
 }
@@ -1002,12 +992,6 @@ func (fs *FS) Unmount() error {
 	fs.files = make(map[string]*fileEntry)
 	fs.mu.Unlock()
 
-	if fs.bgStop != nil {
-		// Stop the background compactor before tearing entries down: a
-		// compaction racing the drain below would swap handles under it.
-		close(fs.bgStop)
-		<-fs.bgDone
-	}
 	var firstErr error
 	for _, e := range entries {
 		e.flushTail()

@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"crfs/internal/codec"
 	"crfs/internal/obs"
@@ -47,10 +46,6 @@ type Options struct {
 	// queue; it throttles concurrent writes reaching the backend.
 	// Defaults to 4.
 	IOThreads int
-	// SyncOnClose additionally calls Sync on the backend file during
-	// Close, after all chunks have landed. The paper's CRFS does not
-	// (checkpoint time excludes backend page-cache flush); off by default.
-	SyncOnClose bool
 	// ReadAhead enables the restart read pipeline and sets its depth: a
 	// file handle detected reading sequentially triggers prefetch of the
 	// next ReadAhead chunks (plain files) or frames (containers), fetched
@@ -97,10 +92,10 @@ type Options struct {
 // and the superseded ones stay on the backend, so rewrite-heavy
 // checkpoint workloads amplify space without bound. When enabled, the
 // mount checks each framed file's dead-byte accounting after every Sync
-// and writable Close (and, with Interval set, periodically) and rewrites
-// containers past the thresholds to their minimal equivalent via a
-// crash-safe temp-write + rename replace. Compaction never changes what
-// reads return — only the container bytes that back them.
+// and writable Close and rewrites containers past the thresholds to
+// their minimal equivalent via a crash-safe temp-write + rename replace.
+// Compaction never changes what reads return — only the container bytes
+// that back them.
 type CompactionPolicy struct {
 	// MinDeadRatio triggers compaction when the reclaimable fraction of
 	// a container (dead frame bytes plus unrepaired torn junk, over the
@@ -110,11 +105,6 @@ type CompactionPolicy struct {
 	// MinDeadBytes additionally requires at least this many reclaimable
 	// bytes, so tiny containers are not churned for a handful of bytes.
 	MinDeadBytes int64
-	// Interval, when positive, starts a background goroutine that
-	// re-checks every open framed file against the policy at this
-	// cadence — catching long-lived handles that overwrite heavily but
-	// rarely Sync. The goroutine stops at Unmount.
-	Interval time.Duration
 }
 
 // enabled reports whether policy-driven compaction is on.
@@ -148,7 +138,7 @@ func (o Options) withDefaults() (Options, error) {
 		o.Codec = codec.Raw()
 	}
 	if o.BufferPoolSize < 0 || o.ChunkSize <= 0 || o.IOThreads < 0 || o.ReadAhead < 0 ||
-		o.Compaction.MinDeadBytes < 0 || o.Compaction.Interval < 0 {
+		o.Compaction.MinDeadBytes < 0 {
 		return o, fmt.Errorf("core: invalid options %+v: %w", o, errInvalidOptions)
 	}
 	return o, nil

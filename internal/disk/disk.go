@@ -61,7 +61,6 @@ type Op struct {
 	Start des.Time     // virtual time the transfer began service
 	Pos   int64        // byte address of the first byte
 	Len   int64        // transfer length
-	Write bool         // write vs read
 	Seek  des.Duration // positioning cost charged (0 if sequential)
 	Tag   string       // issuing stream, e.g. "node3/proc5" or "crfs-io2"
 }
@@ -71,7 +70,6 @@ type Stats struct {
 	Ops          int64
 	SeqOps       int64 // ops that continued the previous stream
 	Seeks        int64 // ops that paid positioning cost
-	BytesRead    int64
 	BytesWritten int64
 	BusyTime     des.Duration // total service time
 	SeekTime     des.Duration // portion spent positioning
@@ -141,15 +139,6 @@ func (d *Disk) seekCost(pos int64) des.Duration {
 // Write transfers len bytes to byte address pos, blocking the calling
 // process for queueing, positioning, and media time.
 func (d *Disk) Write(p *des.Proc, pos, length int64, tag string) {
-	d.access(p, pos, length, true, tag)
-}
-
-// Read transfers len bytes from byte address pos.
-func (d *Disk) Read(p *des.Proc, pos, length int64, tag string) {
-	d.access(p, pos, length, false, tag)
-}
-
-func (d *Disk) access(p *des.Proc, pos, length int64, write bool, tag string) {
 	if length <= 0 {
 		return
 	}
@@ -170,12 +159,8 @@ func (d *Disk) access(p *des.Proc, pos, length int64, write bool, tag string) {
 		d.stats.SeekTime += seek
 	}
 	d.stats.BusyTime += seek + transfer
-	if write {
-		d.stats.BytesWritten += length
-	} else {
-		d.stats.BytesRead += length
-	}
+	d.stats.BytesWritten += length
 	if d.Trace != nil {
-		d.Trace(Op{Start: start, Pos: pos, Len: length, Write: write, Seek: seek, Tag: tag})
+		d.Trace(Op{Start: start, Pos: pos, Len: length, Seek: seek, Tag: tag})
 	}
 }

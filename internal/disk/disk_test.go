@@ -39,10 +39,10 @@ func TestStatsAndSequentiality(t *testing.T) {
 	env := des.New()
 	d := New(env, Params{})
 	env.Spawn("w", func(p *des.Proc) {
-		d.Write(p, 0, 1<<20, "a")          // first op: positioning charged
-		d.Write(p, 1<<20, 1<<20, "a")      // sequential
-		d.Write(p, 10<<30, 1<<20, "b")     // seek
-		d.Read(p, 10<<30+1<<20, 4096, "b") // sequential read
+		d.Write(p, 0, 1<<20, "a")           // first op: positioning charged
+		d.Write(p, 1<<20, 1<<20, "a")       // sequential
+		d.Write(p, 10<<30, 1<<20, "b")      // seek
+		d.Write(p, 10<<30+1<<20, 4096, "b") // sequential
 	})
 	env.Run()
 	env.Shutdown()
@@ -50,7 +50,7 @@ func TestStatsAndSequentiality(t *testing.T) {
 	if st.Ops != 4 || st.SeqOps != 2 || st.Seeks != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if st.BytesWritten != 3<<20 || st.BytesRead != 4096 {
+	if st.BytesWritten != 3<<20+4096 {
 		t.Fatalf("bytes = %+v", st)
 	}
 	if s := st.Sequentiality(); s != 0.5 {
@@ -72,7 +72,7 @@ func TestTraceCapture(t *testing.T) {
 	if len(ops) != 2 {
 		t.Fatalf("traced %d ops", len(ops))
 	}
-	if ops[0].Pos != 100 || ops[0].Len != 200 || !ops[0].Write || ops[0].Tag != "t1" {
+	if ops[0].Pos != 100 || ops[0].Len != 200 || ops[0].Tag != "t1" {
 		t.Errorf("op0 = %+v", ops[0])
 	}
 	if ops[1].Seek != 0 {

@@ -4,24 +4,17 @@
 // CRFS relies on FUSE for exactly two behaviours, both captured here:
 //
 //  1. Interception: application filesystem calls are routed to the
-//     user-level filesystem. In this library that is a function-call
-//     dispatch (Wrap), and in the simulator a latency-charged hop.
+//     user-level filesystem. In this library that is a plain function
+//     call, and in the simulator a latency-charged hop.
 //  2. Request granularity: the FUSE kernel module splits reads and writes
 //     into requests of at most MaxWrite bytes — 4 KB by default on the
 //     paper's Linux 2.6.30, or 128 KB when the "big_writes" mount option
 //     is enabled (§V-A: "We enable the big writes option for FUSE ... to
 //     deliver full performance").
 //
-// The cost model (CrossingCost, per-byte copy cost) is shared with the
-// simulator so that real-library behaviour and simulated behaviour stay in
-// agreement about what FUSE charges per request.
+// The simulator (internal/simcrfs) splits transfers at RequestSize and
+// charges each piece the cost model below.
 package fuse
-
-import (
-	"sync/atomic"
-
-	"crfs/internal/vfs"
-)
 
 // Request size limits of the FUSE kernel module.
 const (
@@ -73,157 +66,3 @@ func (c Config) RequestSize() int {
 	}
 	return DefaultMaxWrite
 }
-
-// Requests returns how many FUSE requests a transfer of n bytes needs
-// under config c.
-func (c Config) Requests(n int64) int64 {
-	rs := int64(c.RequestSize())
-	if n <= 0 {
-		return 1 // metadata-only request
-	}
-	return (n + rs - 1) / rs
-}
-
-// Stats counts FUSE traffic through a Wrap mount.
-type Stats struct {
-	Requests     int64 // total requests dispatched
-	WriteReqs    int64 // write requests
-	ReadReqs     int64 // read requests
-	BytesIn      int64 // payload bytes written through the mount
-	BytesOut     int64 // payload bytes read through the mount
-	MetadataReqs int64 // non-IO requests
-}
-
-// FS wraps an inner filesystem with FUSE request-splitting semantics: every
-// read and write is delivered to the inner filesystem in request-size
-// pieces, exactly as a FUSE user-level filesystem daemon observes them.
-type FS struct {
-	inner vfs.FS
-	cfg   Config
-
-	requests     atomic.Int64
-	writeReqs    atomic.Int64
-	readReqs     atomic.Int64
-	bytesIn      atomic.Int64
-	bytesOut     atomic.Int64
-	metadataReqs atomic.Int64
-}
-
-// Wrap returns fsys exposed through a modelled FUSE transport.
-func Wrap(fsys vfs.FS, cfg Config) *FS {
-	return &FS{inner: fsys, cfg: cfg}
-}
-
-// Config returns the mount configuration.
-func (f *FS) Config() Config { return f.cfg }
-
-// Stats returns a snapshot of the request counters.
-func (f *FS) Stats() Stats {
-	return Stats{
-		Requests:     f.requests.Load(),
-		WriteReqs:    f.writeReqs.Load(),
-		ReadReqs:     f.readReqs.Load(),
-		BytesIn:      f.bytesIn.Load(),
-		BytesOut:     f.bytesOut.Load(),
-		MetadataReqs: f.metadataReqs.Load(),
-	}
-}
-
-func (f *FS) meta() {
-	f.requests.Add(1)
-	f.metadataReqs.Add(1)
-}
-
-// Open implements vfs.FS.
-func (f *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
-	f.meta()
-	inner, err := f.inner.Open(name, flag)
-	if err != nil {
-		return nil, err
-	}
-	return &file{fs: f, inner: inner}, nil
-}
-
-// Mkdir implements vfs.FS.
-func (f *FS) Mkdir(name string) error { f.meta(); return f.inner.Mkdir(name) }
-
-// MkdirAll implements vfs.FS.
-func (f *FS) MkdirAll(name string) error { f.meta(); return f.inner.MkdirAll(name) }
-
-// Remove implements vfs.FS.
-func (f *FS) Remove(name string) error { f.meta(); return f.inner.Remove(name) }
-
-// Rename implements vfs.FS.
-func (f *FS) Rename(o, n string) error { f.meta(); return f.inner.Rename(o, n) }
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(name string) (vfs.FileInfo, error) { f.meta(); return f.inner.Stat(name) }
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(name string) ([]vfs.DirEntry, error) { f.meta(); return f.inner.ReadDir(name) }
-
-// Truncate implements vfs.FS.
-func (f *FS) Truncate(name string, size int64) error { f.meta(); return f.inner.Truncate(name, size) }
-
-type file struct {
-	fs    *FS
-	inner vfs.File
-}
-
-func (fl *file) Name() string { return fl.inner.Name() }
-
-// WriteAt splits the payload into FUSE-request-sized pieces and delivers
-// each to the inner filesystem, as the kernel module would.
-func (fl *file) WriteAt(p []byte, off int64) (int, error) {
-	rs := fl.fs.cfg.RequestSize()
-	var done int
-	for done < len(p) || len(p) == 0 {
-		n := len(p) - done
-		if n > rs {
-			n = rs
-		}
-		fl.fs.requests.Add(1)
-		fl.fs.writeReqs.Add(1)
-		w, err := fl.inner.WriteAt(p[done:done+n], off+int64(done))
-		done += w
-		fl.fs.bytesIn.Add(int64(w))
-		if err != nil {
-			return done, err
-		}
-		if len(p) == 0 {
-			break
-		}
-	}
-	return done, nil
-}
-
-// ReadAt splits the read into request-sized pieces.
-func (fl *file) ReadAt(p []byte, off int64) (int, error) {
-	rs := fl.fs.cfg.RequestSize()
-	var done int
-	for done < len(p) {
-		n := len(p) - done
-		if n > rs {
-			n = rs
-		}
-		fl.fs.requests.Add(1)
-		fl.fs.readReqs.Add(1)
-		r, err := fl.inner.ReadAt(p[done:done+n], off+int64(done))
-		done += r
-		fl.fs.bytesOut.Add(int64(r))
-		if err != nil {
-			return done, err
-		}
-	}
-	return done, nil
-}
-
-func (fl *file) Truncate(size int64) error { fl.fs.meta(); return fl.inner.Truncate(size) }
-func (fl *file) Sync() error               { fl.fs.meta(); return fl.inner.Sync() }
-func (fl *file) Close() error              { fl.fs.meta(); return fl.inner.Close() }
-func (fl *file) Stat() (vfs.FileInfo, error) {
-	fl.fs.meta()
-	return fl.inner.Stat()
-}
-
-var _ vfs.FS = (*FS)(nil)

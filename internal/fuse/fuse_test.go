@@ -1,12 +1,6 @@
 package fuse
 
-import (
-	"bytes"
-	"testing"
-
-	"crfs/internal/memfs"
-	"crfs/internal/vfs"
-)
+import "testing"
 
 func TestRequestSize(t *testing.T) {
 	if (Config{}).RequestSize() != DefaultMaxWrite {
@@ -20,112 +14,11 @@ func TestRequestSize(t *testing.T) {
 	}
 }
 
-func TestRequests(t *testing.T) {
-	c := Config{MaxWrite: 100}
-	cases := []struct {
-		n    int64
-		want int64
-	}{{0, 1}, {1, 1}, {100, 1}, {101, 2}, {1000, 10}, {1001, 11}}
-	for _, tc := range cases {
-		if got := c.Requests(tc.n); got != tc.want {
-			t.Errorf("Requests(%d) = %d, want %d", tc.n, got, tc.want)
-		}
-	}
-}
-
 func TestRequestCostMonotone(t *testing.T) {
 	if RequestCostNs(0) <= 0 {
 		t.Error("zero-byte request should still cost crossings")
 	}
 	if RequestCostNs(1<<20) <= RequestCostNs(1<<10) {
 		t.Error("cost not monotone in payload size")
-	}
-}
-
-func TestWriteSplitting(t *testing.T) {
-	back := memfs.New()
-	ffs := Wrap(back, Config{MaxWrite: 64})
-	f, err := ffs.Open("f", vfs.WriteOnly|vfs.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := make([]byte, 300)
-	for i := range payload {
-		payload[i] = byte(i)
-	}
-	n, err := f.WriteAt(payload, 0)
-	if err != nil || n != 300 {
-		t.Fatalf("WriteAt = (%d,%v)", n, err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := ffs.Stats()
-	if st.WriteReqs != 5 { // ceil(300/64)
-		t.Errorf("WriteReqs = %d, want 5", st.WriteReqs)
-	}
-	if st.BytesIn != 300 {
-		t.Errorf("BytesIn = %d", st.BytesIn)
-	}
-	// The inner FS observed the split: 5 separate writes.
-	if back.Stats().Writes != 5 {
-		t.Errorf("inner writes = %d, want 5", back.Stats().Writes)
-	}
-	got, _ := vfs.ReadFile(back, "f")
-	if !bytes.Equal(got, payload) {
-		t.Error("payload corrupted by splitting")
-	}
-}
-
-func TestReadSplitting(t *testing.T) {
-	back := memfs.New()
-	want := make([]byte, 250)
-	for i := range want {
-		want[i] = byte(i * 3)
-	}
-	vfs.WriteFile(back, "f", want)
-	ffs := Wrap(back, Config{MaxWrite: 100})
-	f, err := ffs.Open("f", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	got := make([]byte, 250)
-	if _, err := f.ReadAt(got, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("read corrupted")
-	}
-	if ffs.Stats().ReadReqs != 3 { // ceil(250/100)
-		t.Errorf("ReadReqs = %d, want 3", ffs.Stats().ReadReqs)
-	}
-}
-
-func TestMetadataCounting(t *testing.T) {
-	ffs := Wrap(memfs.New(), Config{})
-	ffs.MkdirAll("a/b")
-	ffs.Stat("a")
-	ffs.ReadDir("a")
-	ffs.Rename("a/b", "a/c")
-	ffs.Remove("a/c")
-	if st := ffs.Stats(); st.MetadataReqs != 5 {
-		t.Errorf("MetadataReqs = %d, want 5", st.MetadataReqs)
-	}
-}
-
-func TestZeroLengthWrite(t *testing.T) {
-	ffs := Wrap(memfs.New(), Config{})
-	f, err := ffs.Open("f", vfs.WriteOnly|vfs.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	n, err := f.WriteAt(nil, 0)
-	if n != 0 || err != nil {
-		t.Fatalf("zero write = (%d,%v)", n, err)
-	}
-	if ffs.Stats().WriteReqs != 1 {
-		t.Errorf("zero write should cost one request, got %d", ffs.Stats().WriteReqs)
 	}
 }

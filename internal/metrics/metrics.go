@@ -6,10 +6,8 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"crfs/internal/des"
 )
@@ -170,14 +168,4 @@ func WriteTimes(logs []*ProcLog) []float64 {
 		out[i] = des.Seconds(pl.Duration())
 	}
 	return out
-}
-
-// FormatHistogram renders Table I-style rows as a fixed-width table.
-func FormatHistogram(rows []HistRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-10s %10s %10s %10s\n", "Write Size", "% Writes", "% Data", "% Time")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %10.2f %10.2f %10.2f\n", r.Label, r.PctWrite, r.PctData, r.PctTime)
-	}
-	return b.String()
 }

@@ -107,10 +107,3 @@ func TestProcLogHelpers(t *testing.T) {
 		t.Errorf("WriteTimes = %v", times)
 	}
 }
-
-func TestFormatHistogram(t *testing.T) {
-	out := FormatHistogram(Histogram(nil))
-	if len(out) == 0 {
-		t.Error("empty format")
-	}
-}

@@ -122,7 +122,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	if hello := strings.TrimRight(HelloLine, "\n"); strings.TrimRight(line, "\r\n") != hello {
 		// Not a frame: a peer that did not say hello cannot parse one.
 		s.c.protocolErrors.Add(1)
-		nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		fmt.Fprintf(nc, "ERR server: protocol %s required: the first line must be the hello\n", hello)
 		return
 	}
@@ -193,11 +193,10 @@ func (c *srvConn) sendData(id uint32, buf []byte) bool {
 // the free list.
 func (c *srvConn) writer() {
 	bw := bufio.NewWriterSize(c.nc, ConnBufSize)
-	cfg := &c.srv.cfg
 	for {
 		select {
 		case f := <-c.out:
-			c.nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
+			c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 			if f.last {
 				bw.Flush()
 				c.close()
@@ -229,14 +228,14 @@ func (c *srvConn) writer() {
 
 // readWindow returns how long the reader may wait for the next frame:
 // the (short) ReadTimeout while a request body is owed, the (long)
-// IdleTimeout otherwise.
+// idleTimeout otherwise.
 func (c *srvConn) readWindow() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.expectBody > 0 {
 		return c.srv.cfg.ReadTimeout
 	}
-	return c.srv.cfg.IdleTimeout
+	return idleTimeout
 }
 
 func (c *srvConn) bumpReadDeadline() {
@@ -479,8 +478,8 @@ func (c *srvConn) run(id uint32, req Request, r *inReq) {
 		c.runList(id)
 	case "DEL":
 		// Idempotent: deleting a name that is already gone succeeds, so
-		// distributed cleanup (stripe rebalance, stray GC) can retry and
-		// race freely.
+		// distributed cleanup (stripe delete, stray GC) can retry and race
+		// freely.
 		if err := c.srv.fs.Remove(req.Name); err != nil && !errors.Is(err, vfs.ErrNotExist) {
 			c.complete(id, FrameErr, []byte(err.Error()))
 			return

@@ -14,7 +14,7 @@ import (
 )
 
 // TestListDelRoundtrip exercises the v2 LIST and DEL verbs the striped
-// store's scrub and rebalance passes depend on.
+// store's scrub and delete passes depend on.
 func TestListDelRoundtrip(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	c := e.client(t)

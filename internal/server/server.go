@@ -31,12 +31,6 @@ type Config struct {
 	// stalled client hits it and the connection is torn down, aborting
 	// its staged PUTs. Default 1m.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds each frame/segment write toward the client; a
-	// client that stops draining its GET hits it. Default 1m.
-	WriteTimeout time.Duration
-	// IdleTimeout closes a connection with no request in flight after
-	// this long. Default 5m.
-	IdleTimeout time.Duration
 	// MaxPutBytes rejects PUTs declaring a larger body (0 = unlimited).
 	MaxPutBytes int64
 	// SweepInterval is the cadence of the background staging sweep that
@@ -57,9 +51,16 @@ const (
 	DefaultMaxConns      = 256
 	DefaultMaxInFlight   = 8
 	DefaultReadTimeout   = time.Minute
-	DefaultWriteTimeout  = time.Minute
-	DefaultIdleTimeout   = 5 * time.Minute
 	DefaultSweepInterval = 5 * time.Minute
+)
+
+const (
+	// writeTimeout bounds each frame/segment write toward the client; a
+	// client that stops draining its GET hits it.
+	writeTimeout = time.Minute
+	// idleTimeout closes a connection with no request in flight after
+	// this long.
+	idleTimeout = 5 * time.Minute
 )
 
 // withDefaults fills zero Config fields.
@@ -72,12 +73,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = DefaultReadTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = DefaultIdleTimeout
 	}
 	if c.SweepInterval == 0 {
 		c.SweepInterval = DefaultSweepInterval

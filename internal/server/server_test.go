@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"crfs/internal/client"
+	"crfs/internal/codec"
 	"crfs/internal/core"
 	"crfs/internal/memfs"
 	"crfs/internal/server"
@@ -31,10 +32,16 @@ type env struct {
 
 func newEnv(t *testing.T, backend vfs.FS, cfg server.Config) *env {
 	t.Helper()
+	return newCodecEnv(t, backend, nil, cfg)
+}
+
+// newCodecEnv is newEnv over a mount writing with cdc (nil: raw).
+func newCodecEnv(t *testing.T, backend vfs.FS, cdc codec.Codec, cfg server.Config) *env {
+	t.Helper()
 	if backend == nil {
 		backend = memfs.New()
 	}
-	fs, err := core.Mount(backend, core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
+	fs, err := core.Mount(backend, core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20, Codec: cdc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,9 +323,60 @@ func TestStalledClientReaped(t *testing.T) {
 	// The client stalls mid-body.
 	r.send(server.FrameReq, 1, []byte("PUT stalled 1048576"))
 	r.send(server.FrameData, 1, make([]byte, 1000))
-	// Reaped at ReadTimeout, not the (5m default) IdleTimeout.
+	// Reaped at ReadTimeout, not the 5m idle timeout.
 	r.expectClosed()
 	waitForCleanStore(t, e, "stalled")
+}
+
+// TestPutOverwritesLeaveNoDeadBytes is why crfsd mounts without a
+// compaction policy: every PUT streams once, front to back, into a fresh
+// staging file that replaces the object by rename, so however often a
+// name is overwritten — or a PUT dies mid-body — its container holds no
+// dead frame and no torn tail. It fails the day stagePut writes into a
+// file that already has frames.
+func TestPutOverwritesLeaveNoDeadBytes(t *testing.T) {
+	back := memfs.New()
+	e := newCodecEnv(t, back, codec.Deflate(), server.Config{})
+	c := e.client(t)
+	var last []byte
+	for i := 0; i < 5; i++ {
+		// Longer and shorter than the one before, several chunks each.
+		last = testPattern((5-i%2*3)*64<<10 + 1000*i)
+		for j := range last {
+			last[j] ^= byte(i)
+		}
+		if err := c.Put("ckpt.img", bytes.NewReader(last), int64(len(last))); err != nil {
+			t.Fatalf("PUT %d: %v", i, err)
+		}
+	}
+	r := dialRaw(t, e.addr)
+	r.send(server.FrameReq, 1, []byte("PUT ckpt.img 1048576"))
+	r.send(server.FrameData, 1, make([]byte, 100<<10))
+	r.nc.Close()
+	// The abort is counted before its staging temp is removed.
+	for deadline := time.Now().Add(10 * time.Second); e.srv.Stats().PutsAborted != 1 || findStaging(t, e.fs, ".") != ""; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("the PUT cut mid-body did not abort and remove its staging temp (%q left): %+v",
+				findStaging(t, e.fs, "."), e.srv.Stats())
+		}
+	}
+	box, err := vfs.ReadFile(back, "ckpt.img")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, intact, stopErr := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	if stopErr != nil || intact != int64(len(box)) || len(frames) < 2 {
+		t.Fatalf("container scan: %d frames, %d of %d bytes intact, %v", len(frames), intact, len(box), stopErr)
+	}
+	lv := codec.Analyze(frames)
+	if reclaimable := int64(len(box)) - lv.LiveBytes; reclaimable != 0 || len(lv.Dead) != 0 || lv.NeedMarker {
+		t.Errorf("container of an overwritten object has %d reclaimable bytes (%d dead frames, need marker %v), want none",
+			reclaimable, len(lv.Dead), lv.NeedMarker)
+	}
+	var got bytes.Buffer
+	if _, err := c.Get("ckpt.img", &got); err != nil || !bytes.Equal(got.Bytes(), last) {
+		t.Errorf("GET after the overwrites: %d bytes, err %v; want the last body's %d", got.Len(), err, len(last))
+	}
 }
 
 // waitForCleanStore polls until the target name does not exist and no

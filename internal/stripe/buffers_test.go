@@ -71,12 +71,26 @@ func (n *faultNode) refusing(match func(name string) bool) {
 	n.refuse.Store(&match)
 }
 
+// storeOver is a store over nodes with those at the wrap indexes behind
+// fault injectors, returned in wrap's order.
+func storeOver(cfg Config, nodes []*MemNode, wrap ...int) (*Store, []*faultNode) {
+	ns := make([]Node, len(nodes))
+	for i, n := range nodes {
+		ns[i] = n
+	}
+	fns := make([]*faultNode, len(wrap))
+	for j, i := range wrap {
+		fns[j] = &faultNode{MemNode: nodes[i]}
+		ns[i] = fns[j]
+	}
+	return New(cfg, ns...), fns
+}
+
 // faultCluster is memCluster with node 1 wrapped for Put faults.
 func faultCluster(cfg Config) (*Store, []*MemNode, *faultNode) {
-	s, nodes := memCluster(3, cfg)
-	fn := &faultNode{MemNode: nodes[1]}
-	s.Join(fn) // same ID: replaces the plain node
-	return s, nodes, fn
+	_, nodes := memCluster(3, cfg)
+	s, fns := storeOver(cfg, nodes, 1)
+	return s, nodes, fns[0]
 }
 
 // checkStoredChunks demands that every chunk replica any node holds for
@@ -141,7 +155,7 @@ func TestOwnedChunkBuffersBadReplicas(t *testing.T) {
 	mustPut(t, s, "ckpt", body)
 
 	// Damage each chunk's primary a different way, by index.
-	m, err := s.readManifest(map[string]Node{nodes[0].ID(): nodes[0]}, "ckpt")
+	m, err := s.readManifest("ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,15 +229,14 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // failing node in ID order, whichever failed first on the clock.
 func TestManifestCopiesAllAttempted(t *testing.T) {
 	noLeaks(t)
-	s, nodes := memCluster(4, Config{ChunkSize: 4 << 10, Replicas: 2})
-	manifests := func(name string) bool {
-		_, _, kind := ParseObjectName(name)
-		return kind == KindManifest
-	}
-	for _, i := range []int{3, 1} {
-		fn := &faultNode{MemNode: nodes[i]}
-		fn.refusing(manifests)
-		s.Join(fn)
+	cfg := Config{ChunkSize: 4 << 10, Replicas: 2}
+	_, nodes := memCluster(4, cfg)
+	s, fns := storeOver(cfg, nodes, 3, 1)
+	for _, fn := range fns {
+		fn.refusing(func(name string) bool {
+			_, _, kind := ParseObjectName(name)
+			return kind == KindManifest
+		})
 	}
 	body := payload(13, 9<<10)
 	err := s.Put("ckpt", bytes.NewReader(body), int64(len(body)))

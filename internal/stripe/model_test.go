@@ -25,7 +25,8 @@ func TestModelDifferential(t *testing.T) {
 		ops       = 120
 	)
 	rng := rand.New(rand.NewSource(42))
-	s, nodes := memCluster(nNodes, Config{ChunkSize: chunkSize, Replicas: replicas})
+	cfg := Config{ChunkSize: chunkSize, Replicas: replicas}
+	s, nodes := memCluster(nNodes, cfg)
 	model := map[string][]byte{}
 
 	names := []string{"a.ckpt", "b.ckpt", "dir/c.ckpt", "d.ckpt"}
@@ -103,8 +104,8 @@ func TestModelDifferential(t *testing.T) {
 	// One node refuses its manifest copy: the Put fails naming that node,
 	// and the same Put after the node heals commits — the store then
 	// matches the model again, the half-committed attempt forgotten.
-	fn := &faultNode{MemNode: nodes[2]}
-	s.Join(fn)
+	s, fns := storeOver(cfg, nodes, 2)
+	fn := fns[0]
 	fn.refusing(func(name string) bool {
 		_, _, kind := ParseObjectName(name)
 		return kind == KindManifest
@@ -124,11 +125,7 @@ func TestModelDifferential(t *testing.T) {
 	// Remount: a brand-new coordinator over the same nodes must see the
 	// identical store — all state lives in manifests, none in the
 	// coordinator.
-	ns := make([]Node, nNodes)
-	for i := range nodes {
-		ns[i] = nodes[i]
-	}
-	s2 := New(Config{ChunkSize: chunkSize, Replicas: replicas}, ns...)
+	s2, _ := storeOver(cfg, nodes)
 	verify("remount", s2)
 
 	// And a final scrub on the remounted store must find nothing wrong.

@@ -5,8 +5,9 @@
 // node. It is the stdchk-style scale-out layer over protocol v2: PUTs
 // and restores stripe across nodes in parallel, scrub verifies every
 // replica against its manifest fingerprint and repairs bad copies from
-// good ones, and nodes can join, drain, and leave with only the minimal
-// chunk movement rendezvous hashing implies.
+// good ones. A store's membership is fixed when it is built; placement
+// is by rendezvous hashing, so a store built over one node more or less
+// places all but about k/N of the chunks where the old one did.
 package stripe
 
 import (

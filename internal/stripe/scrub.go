@@ -32,7 +32,7 @@ func (r Report) String() string {
 // chunk replica against its manifest fingerprint, rewrites bad or
 // missing replicas from a clean copy, re-replicates manifests to nodes
 // missing an intact copy, and garbage-collects chunk replicas no
-// manifest references on that node (leftovers of rebalancing or failed
+// manifest references on that node (leftovers of failed puts and
 // repairs). Chunks whose object has no manifest anywhere are counted
 // as orphans but left alone: they may belong to a Put that has not
 // committed its manifest yet, so Scrub must not run concurrently with
@@ -48,16 +48,15 @@ func (s *Store) Scrub() (Report, error) {
 		sp = s.tracer.Start("stripe.scrub")
 		defer sp.End()
 	}
-	all, _ := s.members()
-	if len(all) == 0 {
+	if len(s.ids) == 0 {
 		return rep, ErrNoNodes
 	}
 
 	// Inventory every reachable node's namespace.
 	listings := make(map[string][]string) // node id -> object names
 	objects := make(map[string]bool)      // object names with a manifest somewhere
-	for _, id := range sortedIDs(all) {
-		names, err := all[id].List()
+	for _, id := range s.ids {
+		names, err := s.nodes[id].List()
 		if err != nil {
 			rep.UnreachableNodes++
 			continue
@@ -73,7 +72,7 @@ func (s *Store) Scrub() (Report, error) {
 	var firstLoss error
 	manifests := make(map[string]*Manifest)
 	for _, obj := range sortedKeys(objects) {
-		m := s.scrubObject(all, listings, obj, &rep)
+		m := s.scrubObject(listings, obj, &rep)
 		if m == nil {
 			rep.LostManifests++
 			if firstLoss == nil {
@@ -86,7 +85,7 @@ func (s *Store) Scrub() (Report, error) {
 	}
 
 	// Stray GC: a chunk replica on a node its manifest does not place it
-	// on is dead weight (rebalance leftovers, repair races).
+	// on is dead weight (failed-put leftovers, repair races).
 	for id, names := range listings {
 		for _, n := range names {
 			obj, idx, kind := ParseObjectName(n)
@@ -103,7 +102,7 @@ func (s *Store) Scrub() (Report, error) {
 			if idx < len(m.Chunks) && contains(m.Chunks[idx].Nodes, id) {
 				continue
 			}
-			if err := all[id].Delete(n); err == nil {
+			if err := s.nodes[id].Delete(n); err == nil {
 				rep.StraysDeleted++
 				s.c.straysDeleted.Add(1)
 			}
@@ -119,8 +118,8 @@ func (s *Store) Scrub() (Report, error) {
 // scrubObject repairs one object: its manifest replication, then every
 // chunk replica. Returns the canonical manifest, or nil if no copy
 // decoded intact.
-func (s *Store) scrubObject(all map[string]Node, listings map[string][]string, obj string, rep *Report) *Manifest {
-	m, err := s.readManifest(all, obj)
+func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Report) *Manifest {
+	m, err := s.readManifest(obj)
 	if err != nil {
 		return nil
 	}
@@ -130,10 +129,10 @@ func (s *Store) scrubObject(all map[string]Node, listings map[string][]string, o
 	mname := ManifestName(obj)
 	for id := range listings {
 		var buf bytes.Buffer
-		if _, err := all[id].Get(mname, &buf); err == nil && bytes.Equal(buf.Bytes(), enc) {
+		if _, err := s.nodes[id].Get(mname, &buf); err == nil && bytes.Equal(buf.Bytes(), enc) {
 			continue
 		}
-		if err := all[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err == nil {
+		if err := s.nodes[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err == nil {
 			rep.ManifestsFixed++
 			s.c.manifestsFixed.Add(1)
 		}
@@ -146,7 +145,7 @@ func (s *Store) scrubObject(all map[string]Node, listings map[string][]string, o
 		var bad []string // reachable replicas needing a rewrite
 		var unreachable int
 		for _, id := range c.Nodes {
-			node, ok := all[id]
+			node, ok := s.nodes[id]
 			if !ok {
 				unreachable++
 				continue
@@ -179,7 +178,7 @@ func (s *Store) scrubObject(all map[string]Node, listings map[string][]string, o
 			continue
 		}
 		for _, id := range bad {
-			if err := all[id].Put(cname, bytes.NewReader(good), c.Length); err == nil {
+			if err := s.nodes[id].Put(cname, bytes.NewReader(good), c.Length); err == nil {
 				rep.ChunksRepaired++
 				s.c.chunksRepaired.Add(1)
 			}

@@ -22,17 +22,16 @@ const DefaultChunkSize = 4 << 20
 // DefaultReplicas is the chunk replication factor.
 const DefaultReplicas = 2
 
-// DefaultPerNodeInFlight caps concurrent chunk transfers per node. The
-// cap is what makes striping scale honestly: a coordinator over N nodes
+// perNodeInFlight caps concurrent chunk transfers per node. The cap is
+// what makes striping scale honestly: a coordinator over N nodes
 // sustains N times the in-flight chunk transfers of a single node, no
 // matter how many goroutines the caller throws at it.
-const DefaultPerNodeInFlight = 4
+const perNodeInFlight = 4
 
 // Config tunes a Store. The zero value gets defaults.
 type Config struct {
-	ChunkSize       int64
-	Replicas        int
-	PerNodeInFlight int
+	ChunkSize int64
+	Replicas  int
 	// Tracer receives the coordinator's spans (put/get/scrub and their
 	// per-chunk transfers). nil selects the process-wide obs.Default
 	// tracer, which starts disabled.
@@ -46,13 +45,10 @@ func (c Config) withDefaults() Config {
 	if c.Replicas <= 0 {
 		c.Replicas = DefaultReplicas
 	}
-	if c.PerNodeInFlight <= 0 {
-		c.PerNodeInFlight = DefaultPerNodeInFlight
-	}
 	return c
 }
 
-// ErrNoNodes reports an operation on a store with no placeable nodes.
+// ErrNoNodes reports an operation on a store with no nodes.
 var ErrNoNodes = errors.New("stripe: no nodes")
 
 // ErrChunkLost reports a chunk none of whose replicas could produce
@@ -71,7 +67,6 @@ type storeCounters struct {
 	chunksRepaired   atomic.Int64
 	manifestsFixed   atomic.Int64
 	straysDeleted    atomic.Int64
-	chunksMoved      atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of coordinator counters.
@@ -85,21 +80,21 @@ type Stats struct {
 	ChunksRepaired   int64 // bad or missing replicas rewritten from good copies
 	ManifestsFixed   int64 // manifest copies rewritten by scrub
 	StraysDeleted    int64 // unreferenced objects garbage-collected
-	ChunksMoved      int64 // replicas relocated by rebalancing
 }
 
 // Store is the striped-store coordinator. It is safe for concurrent
-// use; node membership changes serialize against each other but not
-// against data-path operations, which snapshot the member list.
+// use. Membership is fixed at New: nodes, ids and slots are never
+// written afterwards.
 type Store struct {
 	cfg    Config
 	tracer *obs.Tracer
 
-	nmu      sync.Mutex // guards nodes/draining/slots/bufs; never held across node IO
-	nodes    map[string]Node
-	draining map[string]bool
-	slots    map[string]chan struct{} // per-node in-flight caps
-	bufs     [][]byte                 // free ChunkSize buffers (see getBuf)
+	nodes map[string]Node
+	ids   []string                 // node IDs, sorted
+	slots map[string]chan struct{} // per-node in-flight caps
+
+	bmu  sync.Mutex // guards bufs
+	bufs [][]byte   // free ChunkSize buffers (see getBuf)
 
 	c storeCounters
 }
@@ -120,8 +115,8 @@ func (s *Store) getBuf(n int64) []byte {
 	if n > s.cfg.ChunkSize {
 		return make([]byte, n)
 	}
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
+	s.bmu.Lock()
+	defer s.bmu.Unlock()
 	if last := len(s.bufs) - 1; last >= 0 {
 		b := s.bufs[last]
 		s.bufs = s.bufs[:last]
@@ -143,28 +138,33 @@ func (s *Store) putBuf(b []byte) {
 			copy(b[n:], b[:n])
 		}
 	}
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	if len(s.bufs) < len(s.nodes)*s.cfg.PerNodeInFlight {
+	s.bmu.Lock()
+	defer s.bmu.Unlock()
+	if len(s.bufs) < len(s.nodes)*perNodeInFlight {
 		s.bufs = append(s.bufs, b)
 	}
 }
 
-// New returns a coordinator over the given nodes.
+// New returns a coordinator over the given nodes. A node listed twice
+// under one ID counts once, as its last listing.
 func New(cfg Config, nodes ...Node) *Store {
 	s := &Store{
-		cfg:      cfg.withDefaults(),
-		tracer:   cfg.Tracer,
-		nodes:    make(map[string]Node),
-		draining: make(map[string]bool),
-		slots:    make(map[string]chan struct{}),
+		cfg:    cfg.withDefaults(),
+		tracer: cfg.Tracer,
+		nodes:  make(map[string]Node),
+		slots:  make(map[string]chan struct{}),
 	}
 	if s.tracer == nil {
 		s.tracer = obs.Default
 	}
 	for _, n := range nodes {
-		s.Join(n)
+		if _, ok := s.nodes[n.ID()]; !ok {
+			s.ids = append(s.ids, n.ID())
+			s.slots[n.ID()] = make(chan struct{}, perNodeInFlight)
+		}
+		s.nodes[n.ID()] = n
 	}
+	sort.Strings(s.ids)
 	return s
 }
 
@@ -180,73 +180,13 @@ func (s *Store) Stats() Stats {
 		ChunksRepaired:   s.c.chunksRepaired.Load(),
 		ManifestsFixed:   s.c.manifestsFixed.Load(),
 		StraysDeleted:    s.c.straysDeleted.Load(),
-		ChunksMoved:      s.c.chunksMoved.Load(),
 	}
 }
 
-// Join adds a node to the membership. New placements include it
-// immediately; existing objects migrate onto it only when Rebalance
-// runs.
-func (s *Store) Join(n Node) {
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	s.nodes[n.ID()] = n
-	delete(s.draining, n.ID())
-	if _, ok := s.slots[n.ID()]; !ok {
-		s.slots[n.ID()] = make(chan struct{}, s.cfg.PerNodeInFlight)
-	}
-}
-
-// Drain marks a node as leaving: it stops receiving new placements but
-// keeps serving reads. Run Rebalance to migrate its replicas away, then
-// Remove it.
-func (s *Store) Drain(id string) {
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	if _, ok := s.nodes[id]; ok {
-		s.draining[id] = true
-	}
-}
-
-// Remove detaches a node from the membership without closing it. Data
-// still on it is no longer reachable through the store; a prior
-// Drain+Rebalance makes that set empty.
-func (s *Store) Remove(id string) Node {
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	n := s.nodes[id]
-	delete(s.nodes, id)
-	delete(s.draining, id)
-	delete(s.slots, id)
-	return n
-}
-
-// members snapshots the data-path view: all attached nodes, plus the
-// IDs eligible for new placement (non-draining), sorted for determinism.
-func (s *Store) members() (all map[string]Node, placeable []string) {
-	s.nmu.Lock()
-	defer s.nmu.Unlock()
-	all = make(map[string]Node, len(s.nodes))
-	for id, n := range s.nodes {
-		all[id] = n
-		if !s.draining[id] {
-			placeable = append(placeable, id)
-		}
-	}
-	sort.Strings(placeable)
-	return all, placeable
-}
-
-// slot acquires an in-flight slot on node id, returning the release.
-// Unknown ids (node removed mid-operation) get a no-op slot; the IO
-// will fail on its own terms.
+// slot acquires an in-flight slot on member node id, returning the
+// release.
 func (s *Store) slot(id string) func() {
-	s.nmu.Lock()
-	ch, ok := s.slots[id]
-	s.nmu.Unlock()
-	if !ok {
-		return func() {}
-	}
+	ch := s.slots[id]
 	ch <- struct{}{}
 	return func() { <-ch }
 }
@@ -277,13 +217,12 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		defer sp.End()
 	}
 	ctx := sp.Context()
-	all, placeable := s.members()
-	if len(placeable) == 0 {
+	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
 	k := s.cfg.Replicas
-	if k > len(placeable) {
-		k = len(placeable)
+	if k > len(s.ids) {
+		k = len(s.ids)
 	}
 
 	nchunks := int((size + s.cfg.ChunkSize - 1) / s.cfg.ChunkSize)
@@ -300,7 +239,7 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	// a goroutine that pushes its k replicas under the per-node caps and
 	// then returns the buffer. A window slot is held from before the read
 	// until then, so buffered memory is at most inflight × ChunkSize.
-	inflight := len(placeable) * s.cfg.PerNodeInFlight
+	inflight := len(s.ids) * perNodeInFlight
 	window := make(chan struct{}, inflight)
 	var wg sync.WaitGroup
 	var fmu sync.Mutex
@@ -338,7 +277,7 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 			Offset: int64(idx) * s.cfg.ChunkSize,
 			Length: length,
 			CRC:    codec.Checksum(buf),
-			Nodes:  Place(placeable, ChunkName(name, idx), k),
+			Nodes:  Place(s.ids, ChunkName(name, idx), k),
 		}
 		m.Chunks[idx] = chunk
 
@@ -351,7 +290,7 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 			}()
 			cname := ChunkName(name, idx)
 			for _, id := range chunk.Nodes {
-				node := all[id]
+				node := s.nodes[id]
 				var csp obs.Span
 				if s.tracer.Enabled() && ctx.Valid() {
 					csp = s.tracer.StartChild("stripe.chunk.put", ctx)
@@ -376,26 +315,23 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	if failed() {
 		return firstErr
 	}
-	return s.writeManifest(all, m)
+	return s.writeManifest(m)
 }
 
-// writeManifest commits m to every attached node (draining included:
-// reads route through drained nodes until rebalancing finishes). The
-// copies go out in parallel, each under its node's in-flight cap; every
-// node is attempted, and the error reported is that of the first failing
-// node in ID order.
-func (s *Store) writeManifest(all map[string]Node, m *Manifest) error {
+// writeManifest commits m to every node. The copies go out in parallel,
+// each under its node's in-flight cap; every node is attempted, and the
+// error reported is that of the first failing node in ID order.
+func (s *Store) writeManifest(m *Manifest) error {
 	enc := m.Encode()
 	mname := ManifestName(m.Object)
-	ids := sortedIDs(all)
-	errs := make([]error, len(ids))
+	errs := make([]error, len(s.ids))
 	var wg sync.WaitGroup
-	for i, id := range ids {
+	for i, id := range s.ids {
 		wg.Add(1)
 		go func(i int, id string) {
 			defer wg.Done()
 			defer s.slot(id)()
-			if err := all[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err != nil {
+			if err := s.nodes[id].Put(mname, bytes.NewReader(enc), int64(len(enc))); err != nil {
 				errs[i] = fmt.Errorf("stripe: manifest %s to %s: %w", mname, id, err)
 			}
 		}(i, id)
@@ -412,12 +348,12 @@ func (s *Store) writeManifest(all map[string]Node, m *Manifest) error {
 // readManifest fetches and decodes the first intact manifest copy,
 // preferring placement order of the manifest name so repeated reads hit
 // the same copies.
-func (s *Store) readManifest(all map[string]Node, name string) (*Manifest, error) {
+func (s *Store) readManifest(name string) (*Manifest, error) {
 	mname := ManifestName(name)
 	var lastErr error = fmt.Errorf("stripe: GET %s: %w", mname, ErrNoNodes)
-	for _, id := range sortedIDs(all) {
+	for _, id := range s.ids {
 		var buf bytes.Buffer
-		if _, err := all[id].Get(mname, &buf); err != nil {
+		if _, err := s.nodes[id].Get(mname, &buf); err != nil {
 			lastErr = err
 			continue
 		}
@@ -454,11 +390,10 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 		defer sp.End()
 	}
 	ctx := sp.Context()
-	all, _ := s.members()
-	if len(all) == 0 {
+	if len(s.ids) == 0 {
 		return 0, ErrNoNodes
 	}
-	m, err := s.readManifest(all, name)
+	m, err := s.readManifest(name)
 	if err != nil {
 		return 0, err
 	}
@@ -476,7 +411,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	// in chunk order and a chunk's slot is held until its bytes are
 	// written, so at most inflight chunk buffers are alive however far
 	// the sink falls behind.
-	inflight := len(all) * s.cfg.PerNodeInFlight
+	inflight := len(s.ids) * perNodeInFlight
 	window := make(chan struct{}, inflight)
 	done := make(chan struct{})
 	defer close(done)
@@ -488,7 +423,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 				return
 			}
 			go func(idx int) {
-				buf, err := s.fetchChunk(all, m, idx, ctx)
+				buf, err := s.fetchChunk(m, idx, ctx)
 				select {
 				case results[idx] <- result{buf: buf, err: err}:
 				case <-done:
@@ -540,13 +475,13 @@ func (w *chunkSink) Write(p []byte) (int, error) {
 // fetchChunk returns fingerprint-verified bytes for chunk idx, trying
 // replicas in placement order. The bytes are in a free-list buffer the
 // caller owns and returns with putBuf.
-func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
+func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
 	c := m.Chunks[idx]
 	cname := ChunkName(m.Object, idx)
 	buf := s.getBuf(c.Length)
 	var lastErr error
 	for tries, id := range c.Nodes {
-		node, ok := all[id]
+		node, ok := s.nodes[id]
 		if !ok {
 			lastErr = fmt.Errorf("stripe: GET %s: replica node %s detached", cname, id)
 			continue
@@ -589,16 +524,15 @@ func (s *Store) fetchChunk(all map[string]Node, m *Manifest, idx int, ctx obs.Sp
 // references, then every manifest copy. Missing pieces are fine — the
 // verb is idempotent end to end.
 func (s *Store) Delete(name string) error {
-	all, _ := s.members()
-	if len(all) == 0 {
+	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
-	m, err := s.readManifest(all, name)
+	m, err := s.readManifest(name)
 	if err == nil {
 		for idx, c := range m.Chunks {
 			cname := ChunkName(name, idx)
 			for _, id := range c.Nodes {
-				if node, ok := all[id]; ok {
+				if node, ok := s.nodes[id]; ok {
 					if derr := node.Delete(cname); derr != nil && err == nil {
 						err = derr
 					}
@@ -609,8 +543,8 @@ func (s *Store) Delete(name string) error {
 		err = nil
 	}
 	mname := ManifestName(name)
-	for _, id := range sortedIDs(all) {
-		if derr := all[id].Delete(mname); derr != nil && err == nil {
+	for _, id := range s.ids {
+		if derr := s.nodes[id].Delete(mname); derr != nil && err == nil {
 			err = derr
 		}
 	}
@@ -620,11 +554,10 @@ func (s *Store) Delete(name string) error {
 // List returns the store's object names — the union of manifests
 // visible on reachable nodes — sorted.
 func (s *Store) List() ([]string, error) {
-	all, _ := s.members()
 	seen := make(map[string]bool)
 	var reachable int
-	for _, id := range sortedIDs(all) {
-		names, err := all[id].List()
+	for _, id := range s.ids {
+		names, err := s.nodes[id].List()
 		if err != nil {
 			continue
 		}
@@ -635,7 +568,7 @@ func (s *Store) List() ([]string, error) {
 			}
 		}
 	}
-	if reachable == 0 && len(all) > 0 {
+	if reachable == 0 && len(s.ids) > 0 {
 		return nil, fmt.Errorf("stripe: LIST: %w", ErrNoNodes)
 	}
 	out := make([]string, 0, len(seen))
@@ -652,10 +585,9 @@ func (s *Store) List() ([]string, error) {
 // dump — or fail to — are skipped: a trace is a diagnostic, not a
 // durability contract.
 func (s *Store) TraceDumps(trace obs.TraceID) []obs.SpanRecord {
-	all, _ := s.members()
 	var recs []obs.SpanRecord
-	for _, id := range sortedIDs(all) {
-		td, ok := all[id].(interface {
+	for _, id := range s.ids {
+		td, ok := s.nodes[id].(interface {
 			TraceDump(obs.TraceID) ([]obs.SpanRecord, error)
 		})
 		if !ok {
@@ -666,13 +598,4 @@ func (s *Store) TraceDumps(trace obs.TraceID) []obs.SpanRecord {
 		}
 	}
 	return recs
-}
-
-func sortedIDs(all map[string]Node) []string {
-	ids := make([]string, 0, len(all))
-	for id := range all {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
 }

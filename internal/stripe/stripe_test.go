@@ -13,12 +13,11 @@ import (
 // modest payloads still stripe widely.
 func memCluster(n int, cfg Config) (*Store, []*MemNode) {
 	nodes := make([]*MemNode, n)
-	ns := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = NewMemNode(fmt.Sprintf("mem-%02d", i))
-		ns[i] = nodes[i]
 	}
-	return New(cfg, ns...), nodes
+	s, _ := storeOver(cfg, nodes)
+	return s, nodes
 }
 
 func payload(seed, n int) []byte {
@@ -215,98 +214,6 @@ func TestDeleteRemovesEverything(t *testing.T) {
 		t.Fatalf("List after delete = %v, %v", names, err)
 	}
 	mustGet(t, s, "spared", payload(23, 16<<10))
-}
-
-// TestJoinRebalance: a node joining an existing cluster picks up its
-// rendezvous share of replicas, and the donors drop theirs, leaving a
-// clean scrub.
-func TestJoinRebalance(t *testing.T) {
-	s, _ := memCluster(3, Config{ChunkSize: 4 << 10, Replicas: 2})
-	bodies := map[string][]byte{}
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("jr/obj-%d", i)
-		bodies[name] = payload(100+i, 64<<10)
-		mustPut(t, s, name, bodies[name])
-	}
-	joined := NewMemNode("mem-99")
-	s.Join(joined)
-	rep, err := s.Rebalance()
-	if err != nil {
-		t.Fatalf("rebalance: %v (%s)", err, rep)
-	}
-	if rep.ChunksMoved == 0 {
-		t.Fatalf("join moved no chunks: %s", rep)
-	}
-	if rep.ChunksMoved != rep.ChunksDropped {
-		t.Errorf("moved %d != dropped %d (replication factor drifted)", rep.ChunksMoved, rep.ChunksDropped)
-	}
-	if len(joined.Objects()) == 0 {
-		t.Error("joined node received nothing")
-	}
-	// Placement is now converged: a second rebalance is a no-op, and a
-	// scrub finds nothing to fix.
-	rep, err = s.Rebalance()
-	if err != nil || rep.ChunksMoved != 0 {
-		t.Errorf("second rebalance not idempotent: %s err=%v", rep, err)
-	}
-	srep, err := s.Scrub()
-	if err != nil || srep.ChunksRepaired != 0 || srep.StraysDeleted != 0 {
-		t.Errorf("post-rebalance scrub not clean: %s err=%v", srep, err)
-	}
-	for name, body := range bodies {
-		mustGet(t, s, name, body)
-	}
-}
-
-// TestDrainRebalanceRemove is the node-leave protocol: drain, migrate,
-// detach — every object must survive with full replication on the
-// remaining nodes.
-func TestDrainRebalanceRemove(t *testing.T) {
-	s, nodes := memCluster(4, Config{ChunkSize: 4 << 10, Replicas: 2})
-	bodies := map[string][]byte{}
-	for i := 0; i < 6; i++ {
-		name := fmt.Sprintf("dr/obj-%d", i)
-		bodies[name] = payload(200+i, 48<<10)
-		mustPut(t, s, name, bodies[name])
-	}
-	victim := nodes[2]
-	s.Drain(victim.ID())
-	// Draining nodes still serve reads but receive no new placements.
-	mustPut(t, s, "dr/late", payload(999, 32<<10))
-	bodies["dr/late"] = payload(999, 32<<10)
-	for _, obj := range victim.Objects() {
-		if o, _, kind := ParseObjectName(obj); kind == KindChunk && o == "dr/late" {
-			t.Errorf("draining node received new chunk %s", obj)
-		}
-	}
-
-	if _, err := s.Rebalance(); err != nil {
-		t.Fatalf("rebalance: %v", err)
-	}
-	// No chunk replica remains on the drained node (manifest copies may,
-	// until Remove).
-	for _, obj := range victim.Objects() {
-		if _, _, kind := ParseObjectName(obj); kind == KindChunk {
-			t.Errorf("drained node still holds chunk %s", obj)
-		}
-	}
-	s.Remove(victim.ID())
-	victim.SetDown(true) // it is really gone
-
-	for name, body := range bodies {
-		mustGet(t, s, name, body)
-	}
-	// Replication is intact without the removed node: any single
-	// remaining node can die and restores still work.
-	nodes[0].SetDown(true)
-	for name, body := range bodies {
-		mustGet(t, s, name, body)
-	}
-	nodes[0].SetDown(false)
-	rep, err := s.Scrub()
-	if err != nil || rep.LostChunks > 0 {
-		t.Fatalf("post-remove scrub: %v (%s)", err, rep)
-	}
 }
 
 // TestPutFailsCleanly: a Put that cannot complete (a node dies

@@ -47,7 +47,7 @@ func startOSDaemon(tb testing.TB) string {
 }
 
 // dialCluster dials one node per address under the IDs n0, n1, ...
-func dialCluster(tb testing.TB, cfg stripe.Config, addrs ...string) *stripe.Store {
+func dialCluster(tb testing.TB, cfg stripe.Config, addrs ...string) (*stripe.Store, []stripe.Node) {
 	tb.Helper()
 	nodes := make([]stripe.Node, len(addrs))
 	for i, addr := range addrs {
@@ -58,7 +58,7 @@ func dialCluster(tb testing.TB, cfg stripe.Config, addrs ...string) *stripe.Stor
 		tb.Cleanup(func() { n.Close() })
 		nodes[i] = n
 	}
-	return stripe.New(cfg, nodes...)
+	return stripe.New(cfg, nodes...), nodes
 }
 
 // TestNodeIdentityIsNotItsAddress: placement follows the ID a node was
@@ -68,17 +68,17 @@ func TestNodeIdentityIsNotItsAddress(t *testing.T) {
 	cfg := stripe.Config{ChunkSize: 16 << 10, Replicas: 2}
 	body := make([]byte, 20*cfg.ChunkSize)
 	placement := func() map[string][]string {
-		s := dialCluster(t, cfg, startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
+		s, nodes := dialCluster(t, cfg, startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
 		if err := s.Put("ckpt", bytes.NewReader(body), int64(len(body))); err != nil {
 			t.Fatal(err)
 		}
 		held := map[string][]string{}
-		for _, id := range []string{"n0", "n1", "n2"} {
-			names, err := s.Remove(id).List()
+		for _, n := range nodes {
+			names, err := n.List()
 			if err != nil {
 				t.Fatal(err)
 			}
-			held[id] = names
+			held[n.ID()] = names
 		}
 		return held
 	}
@@ -140,7 +140,7 @@ func putGet(tb testing.TB, s *stripe.Store, body []byte, r *bytes.Reader, sink *
 // BenchmarkPutGet3Nodes is one checkpoint and one restore of a 32 MiB
 // object over three loopback daemons, two replicas per chunk.
 func BenchmarkPutGet3Nodes(b *testing.B) {
-	s := dialCluster(b, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
+	s, _ := dialCluster(b, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
 		startOSDaemon(b), startOSDaemon(b), startOSDaemon(b))
 	body := benchBody()
 	sink := sliceSink{buf: make([]byte, benchObject)}
@@ -160,7 +160,7 @@ func BenchmarkPutGet3Nodes(b *testing.B) {
 const maxStripeAllocKiBPerMiB = 64
 
 func TestStripeAllocsPerMiB(t *testing.T) {
-	s := dialCluster(t, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
+	s, _ := dialCluster(t, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
 		startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
 	body := benchBody()
 	sink := sliceSink{buf: make([]byte, benchObject)}
