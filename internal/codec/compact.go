@@ -208,7 +208,7 @@ func CompactContainer(r io.ReaderAt, frames []FrameInfo, dst []byte) ([]byte, []
 	base := len(dst)
 	index := make([]FrameInfo, 0, len(lv.Live)+1)
 	hdr := make([]byte, HeaderSize)
-	var payload []byte
+	var payload, raw []byte // reused across frames: the pass allocates O(largest frame)
 	var seq uint64
 	for _, fr := range lv.Live {
 		h := fr.Header
@@ -228,8 +228,8 @@ func CompactContainer(r io.ReaderAt, frames []FrameInfo, dst []byte) ([]byte, []
 			}
 		}
 		if h.RawLen > 0 {
-			raw, err := DecodeFrame(h, payload, nil)
-			if err != nil {
+			var err error
+			if raw, err = DecodeFrame(h, payload, raw[:0]); err != nil {
 				return dst[:base], nil, CompactStats{}, fmt.Errorf("codec: compact: frame at %d: %w", fr.Pos, err)
 			}
 			if h.Version >= Version2 {

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -13,7 +14,7 @@ import (
 // much to rebuild for every 4 MB chunk crossing the IO workers.
 type deflateCodec struct {
 	writers sync.Pool // *flate.Writer
-	readers sync.Pool // io.ReadCloser with flate.Resetter
+	readers sync.Pool // *inflater
 }
 
 func newDeflate() *deflateCodec { return &deflateCodec{} }
@@ -64,31 +65,61 @@ func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
 	return sw.b, nil
 }
 
+// inflater is the pooled decode state: the flate reader and the
+// bytes.Reader it pulls the payload through, kept together so a decode
+// into a presized buffer allocates nothing.
+type inflater struct {
+	src bytes.Reader
+	fr  io.ReadCloser // flate reader over &src; implements flate.Resetter
+	end [1]byte       // where the byte past the declared size would land
+}
+
+// maxInflate is DEFLATE's best case: a 258-byte match costs two bits.
+// A header declaring more than this many raw bytes per payload byte lies,
+// and is refused before a buffer is sized from it.
+const maxInflate = 1032
+
+// Decode inflates src into the spare capacity of dst — or into one new
+// buffer of the declared size when dst is short — and then reads one byte
+// more to prove the stream ends where the header says it does.
 func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
-	br := bytes.NewReader(src)
-	var fr io.ReadCloser
-	if v := c.readers.Get(); v != nil {
-		fr = v.(io.ReadCloser)
-		if err := fr.(flate.Resetter).Reset(br, nil); err != nil {
-			return dst, fmt.Errorf("codec: deflate reset: %w", err)
-		}
-	} else {
-		fr = flate.NewReader(br)
+	if rawLen > maxInflate*int64(len(src)) {
+		return dst, fmt.Errorf("%w: declared size %d impossible for a %d-byte deflate stream", ErrCorrupt, rawLen, len(src))
 	}
-	defer c.readers.Put(fr)
-	sw := &sliceWriter{b: dst}
-	// Read at most one byte past the declared size: a stream that keeps
-	// going is corrupt, and bounding it here stops a damaged frame from
-	// ballooning memory (deflate expands up to ~1032x).
-	n, err := io.Copy(sw, io.LimitReader(fr, rawLen+1))
-	if err != nil {
+	z, _ := c.readers.Get().(*inflater)
+	if z == nil {
+		z = &inflater{}
+		z.fr = flate.NewReader(&z.src)
+	}
+	defer func() {
+		z.src.Reset(nil) // don't retain src
+		c.readers.Put(z)
+	}()
+	z.src.Reset(src)
+	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
+		return dst, fmt.Errorf("codec: deflate reset: %w", err)
+	}
+	base, end := len(dst), len(dst)+int(rawLen)
+	out := slices.Grow(dst, int(rawLen))[:end]
+	for n := base; n < end; {
+		m, err := z.fr.Read(out[n:])
+		n += m
+		if err == io.EOF && n < end {
+			return dst, fmt.Errorf("%w: deflate stream is %d bytes, shorter than declared size %d", ErrCorrupt, n-base, rawLen)
+		}
+		if err != nil && err != io.EOF {
+			return dst, fmt.Errorf("codec: deflate decode: %w", err)
+		}
+	}
+	switch _, err := io.ReadFull(z.fr, z.end[:]); err {
+	case io.EOF:
+	case nil:
+		return dst, fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
+	default:
 		return dst, fmt.Errorf("codec: deflate decode: %w", err)
 	}
-	if n > rawLen {
-		return dst, fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
-	}
-	if err := fr.Close(); err != nil {
+	if err := z.fr.Close(); err != nil {
 		return dst, fmt.Errorf("codec: deflate close: %w", err)
 	}
-	return sw.b, nil
+	return out, nil
 }

@@ -64,6 +64,14 @@ func FuzzFrameDecode(f *testing.F) {
 	v3[4] = 3
 	f.Add(v3)
 
+	// One of each way a deflate stream can disagree with its header
+	// (TestPresizedDecodeRejects): longer, shorter, cut mid-block, rotted.
+	for _, bf := range badDeflateFrames(f) {
+		hdr := make([]byte, HeaderSize)
+		PutHeader(hdr, bf.h)
+		f.Add(append(hdr, bf.payload...))
+	}
+
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := ParseHeader(b)
 		if err != nil {

@@ -107,7 +107,7 @@ func ScanPrefix(r io.ReaderAt, size int64) (frames []FrameInfo, intact int64, st
 
 func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, intact int64, verified, skipped int, stopErr error) {
 	hdr := make([]byte, HeaderSize)
-	var payload []byte
+	var payload, raw []byte // reused across frames
 	fail := func(off int64, err error) ([]FrameInfo, int64, int, int, error) {
 		return frames, off, verified, skipped, err
 	}
@@ -145,7 +145,7 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 			if _, err := r.ReadAt(payload, off+HeaderSize); err != nil && !errors.Is(err, io.EOF) {
 				return fail(off, fmt.Errorf("codec: frame payload at %d: %w", off, err))
 			}
-			if _, err := DecodeFrame(h, payload, nil); err != nil {
+			if raw, err = DecodeFrame(h, payload, raw[:0]); err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					// Preserves ErrChecksum identity: a CRC mismatch must
 					// stay distinguishable from a structural tear.

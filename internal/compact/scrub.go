@@ -128,17 +128,26 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// VerifyFrame reads one frame's payload through r and proves it decodes
+// frameScratch is the payload and decode buffer one verification unit
+// works in. A pass recycles them through a free list of its own, so
+// scrubbing a container allocates O(workers × largest frame), not a
+// buffer per frame.
+type frameScratch struct{ payload, raw []byte }
+
+// verifyFrame reads one frame's payload through r and proves it decodes
 // to exactly the length its header declares — and, for v2 frames, that
 // the decoded bytes match the header's CRC32-C. The returned error wraps
 // codec.ErrCorrupt for payload damage (codec.ErrChecksum for the CRC
 // case specifically) and is the backend's own error when the bytes could
 // not be read at all.
-func VerifyFrame(r io.ReaderAt, fr codec.FrameInfo) error {
+func verifyFrame(r io.ReaderAt, fr codec.FrameInfo, sc *frameScratch) error {
 	if fr.Header.RawLen == 0 {
 		return nil // pads and markers carry no decodable payload
 	}
-	payload := make([]byte, fr.Header.EncLen)
+	if cap(sc.payload) < int(fr.Header.EncLen) {
+		sc.payload = make([]byte, fr.Header.EncLen)
+	}
+	payload := sc.payload[:fr.Header.EncLen]
 	n, err := r.ReadAt(payload, fr.Pos+codec.HeaderSize)
 	if n != len(payload) {
 		if err == nil || errors.Is(err, io.EOF) {
@@ -146,7 +155,7 @@ func VerifyFrame(r io.ReaderAt, fr codec.FrameInfo) error {
 		}
 		return fmt.Errorf("frame payload at %d: %w", fr.Pos, err)
 	}
-	if _, err := codec.DecodeFrame(fr.Header, payload, nil); err != nil {
+	if sc.raw, err = codec.DecodeFrame(fr.Header, payload, sc.raw[:0]); err != nil {
 		if !errors.Is(err, codec.ErrCorrupt) {
 			err = fmt.Errorf("%w: %v", codec.ErrCorrupt, err)
 		}
@@ -227,12 +236,15 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 	var firstErr string
 	var wg sync.WaitGroup
 	intact := make([]bool, len(frames))
+	scratch := sync.Pool{New: func() any { return new(frameScratch) }} // one per unit running at once
 	for i := range frames {
 		i, fr := i, frames[i]
 		wg.Add(1)
 		submit(func() {
 			defer wg.Done()
-			switch err := VerifyFrame(r, fr); {
+			sc := scratch.Get().(*frameScratch)
+			defer scratch.Put(sc)
+			switch err := verifyFrame(r, fr, sc); {
 			case err == nil:
 				ok.Add(1)
 				okBytes.Add(int64(fr.Header.RawLen))

@@ -200,10 +200,7 @@ func (fs *FS) compactEntry(e *fileEntry, force bool) error {
 		fs.mu.Unlock()
 		return fmt.Errorf("core: compact %s: reopen: %w", name, err)
 	}
-	e.decMu.Lock()
-	e.decHave = false
-	e.decGen++ // frame positions restart; cached pos must not alias
-	e.decMu.Unlock()
+	e.dropDecoded(true) // frame positions restart; cached pos must not alias
 	sort.Slice(newFrames, func(i, j int) bool {
 		a, b := newFrames[i].Header, newFrames[j].Header
 		return a.Off < b.Off || (a.Off == b.Off && a.Seq < b.Seq)

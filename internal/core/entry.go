@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -96,16 +98,18 @@ type fileEntry struct {
 	retired []interface{ Close() error }
 
 	// decMu guards the one-frame decode cache, which makes sequential
-	// small reads of a container cheap. Cached buffers are immutable
-	// once published, so readers use them after dropping the lock and
+	// small reads of a container cheap. The cache holds the read-path
+	// reference of the decode buffer its frame (dec, at container offset
+	// decPos) lives in: a reader pins the frame under decMu, copies after dropping
+	// the lock, and unpins — the write overlay's rule — so replacing or
+	// dropping the cached frame never recycles a buffer under a copy, and
 	// concurrent reads of different frames decode in parallel. decGen
 	// bumps on container reset so an in-flight decode can't republish a
 	// pre-reset frame into the cache.
-	decMu   sync.Mutex
-	decPos  int64
-	decBuf  []byte
-	decHave bool
-	decGen  uint64
+	decMu  sync.Mutex
+	dec    *prefetched
+	decPos int64
+	decGen uint64
 
 	// pf is the entry's read-ahead state (restart read pipeline), nil
 	// when Options.ReadAhead is 0. Immutable after newFileEntry.
@@ -408,12 +412,13 @@ func (e *fileEntry) setFrames(frames []codec.FrameInfo) {
 	}
 }
 
-// overlapFrames returns the frames intersecting [off, end) in sequence
-// order. The index is sorted by offset and no raw extent exceeds
+// overlapFrames appends the frames intersecting [off, end) to buf, in
+// sequence order. The index is sorted by offset and no raw extent exceeds
 // maxRawLen, so a frame overlapping the range must start after
-// off-maxRawLen: binary search there and scan forward to end.
-func (e *fileEntry) overlapFrames(off, end int64) []codec.FrameInfo {
-	overlap := make([]codec.FrameInfo, 0, 4)
+// off-maxRawLen: binary search there and scan forward to end. A read
+// rarely touches more than two frames, so a caller's small array as buf
+// keeps the call off the heap.
+func (e *fileEntry) overlapFrames(buf []codec.FrameInfo, off, end int64) []codec.FrameInfo {
 	e.mu.Lock()
 	lo := sort.Search(len(e.frames), func(i int) bool {
 		return e.frames[i].Header.Off > off-e.maxRawLen
@@ -422,12 +427,12 @@ func (e *fileEntry) overlapFrames(off, end int64) []codec.FrameInfo {
 		fr := e.frames[i]
 		// RawLen == 0 skips pad frames (stamped over failed writes).
 		if fr.Header.RawLen > 0 && fr.Header.Off+int64(fr.Header.RawLen) > off {
-			overlap = append(overlap, fr)
+			buf = append(buf, fr)
 		}
 	}
 	e.mu.Unlock()
-	sort.Slice(overlap, func(i, j int) bool { return overlap[i].Header.Seq < overlap[j].Header.Seq })
-	return overlap
+	slices.SortFunc(buf, func(a, b codec.FrameInfo) int { return cmp.Compare(a.Header.Seq, b.Header.Seq) })
+	return buf
 }
 
 // overlay is one pinned extent of buffered data to copy over the durable
@@ -507,8 +512,8 @@ func (e *fileEntry) planRead(off, end int64) (plan readPlan, size int64, framed,
 // against each other; only the rare truncate excludes them.
 //
 // stream says the calling handle recognised this read as part of a
-// sequential stream; it only matters to the read-ahead cache of a plain
-// file (prefetcher.readBase).
+// sequential stream; it only matters to read-ahead (prefetcher.readBase
+// for a plain file, decodeFrame for a container).
 func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	e.truncMu.RLock()
 	defer e.truncMu.RUnlock()
@@ -549,7 +554,7 @@ func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	}
 	if base {
 		if framed {
-			err = e.readFramedInto(p, off)
+			err = e.readFramedInto(p, off, stream && !dirty)
 		} else if e.pf != nil {
 			// Rule 2 of the read pipeline: nothing is fetched into the
 			// read-ahead cache while the write pipeline is dirty.
@@ -589,8 +594,10 @@ func (e *fileEntry) readPlainInto(p []byte, off int64) error {
 // readFramedInto fills p from a frame container: zero-fill (holes read as
 // zeros, like sparse files), then overlay every overlapping frame's
 // decoded bytes in sequence order so later writes shadow earlier ones.
-func (e *fileEntry) readFramedInto(p []byte, off int64) error {
-	overlap := e.overlapFrames(off, off+int64(len(p)))
+// stream is readAt's, less a dirty pipeline (rule 2 of the read pipeline).
+func (e *fileEntry) readFramedInto(p []byte, off int64, stream bool) error {
+	var few [4]codec.FrameInfo
+	overlap := e.overlapFrames(few[:0], off, off+int64(len(p)))
 	if !(len(overlap) == 1 && overlap[0].Header.Off <= off &&
 		overlap[0].Header.Off+int64(overlap[0].Header.RawLen) >= off+int64(len(p))) {
 		// Only zero-fill when one frame doesn't cover the whole range —
@@ -598,64 +605,86 @@ func (e *fileEntry) readFramedInto(p []byte, off int64) error {
 		clear(p)
 	}
 	for _, fr := range overlap {
-		raw, err := e.decodeFrame(fr)
+		pr, err := e.decodeFrame(fr, stream)
 		if err != nil {
 			return err
 		}
 		lo := max(fr.Header.Off, off)
 		hi := min(fr.Header.Off+int64(fr.Header.RawLen), off+int64(len(p)))
-		copy(p[lo-off:hi-off], raw[lo-fr.Header.Off:hi-fr.Header.Off])
+		copy(p[lo-off:hi-off], pr.buf[lo-fr.Header.Off:hi-fr.Header.Off])
+		pr.c.unpin()
 	}
 	return nil
 }
 
-// decodeFrame returns a frame's raw bytes, serving from the one-frame
-// cache when a previous read hit the same frame. Misses decode into a
-// fresh buffer outside any lock (concurrent readers of different frames
-// don't serialize behind one inflater) and publish it to the cache;
-// published buffers are never mutated, so the slice stays valid after
-// the lock drops.
-func (e *fileEntry) decodeFrame(fr codec.FrameInfo) ([]byte, error) {
+// decodeFrame returns a frame's decoded bytes, pinned for the caller's
+// copy (the caller unpins). It serves from the one-frame cache when a
+// previous read hit the same frame, then from the read-ahead cache, and
+// otherwise decodes outside any lock (concurrent readers of different
+// frames don't serialize behind one inflater); either way the frame ends
+// up in the one-frame cache. A stream plans its read-ahead here, as it
+// enters a frame: the workers then inflate the next frames while this one
+// is decoded and copied, however few calls the stream reads it in.
+func (e *fileEntry) decodeFrame(fr codec.FrameInfo, stream bool) (*prefetched, error) {
 	e.decMu.Lock()
-	if e.decHave && e.decPos == fr.Pos {
-		raw := e.decBuf
+	if pr := e.dec; pr != nil && e.decPos == fr.Pos {
+		pr.c.pin() // the cache's reference is held under decMu, so refs > 0
 		e.decMu.Unlock()
-		return raw, nil
+		return pr, nil
 	}
 	gen := e.decGen
 	e.decMu.Unlock()
+	// The stream leaves the cached frame: its buffer goes back first, so
+	// the next decode can take it.
+	e.dropDecoded(false)
+	var pr *prefetched
 	if e.pf != nil {
-		if raw := e.pf.takeFrame(fr.Pos); raw != nil {
-			// A worker already fetched and decoded this frame; promote it
-			// into the one-frame cache (decoded frames are immutable, so
-			// ownership transfers) under the same generation guard as a
-			// fresh decode.
-			e.decMu.Lock()
-			if e.decGen == gen {
-				e.decBuf, e.decPos, e.decHave = raw, fr.Pos, true
-			}
-			e.decMu.Unlock()
-			return raw, nil
+		pr = e.pf.takeFrame(fr.Pos) // a worker may have decoded it already
+		if stream {
+			e.pf.schedule(fr.Header.Off+1, obs.SpanContext{})
 		}
 	}
-	enc := make([]byte, fr.Header.EncLen)
-	if _, err := e.backendFile.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
-		return nil, fmt.Errorf("core: frame payload at %d: %w", fr.Pos, err)
+	if pr == nil {
+		var err error
+		if pr, err = e.fs.fetchFrame(e.backendFile, fr); err != nil {
+			return nil, fmt.Errorf("core: %s: %w", e.pathName(), err)
+		}
 	}
-	raw, err := codec.DecodeFrame(fr.Header, enc, nil)
-	e.fs.stats.checksumResult(fr.Header.Version, err)
-	if err != nil {
-		return nil, fmt.Errorf("core: %s: %w", e.pathName(), err)
-	}
+	// The frame's read-path reference moves to the one-frame cache; the
+	// caller copies under a pin of its own. If the container was reset
+	// since gen was loaded the frame is not cached — positions restart
+	// from zero after a truncate, so pos alone would alias old and new
+	// frames — and only that pin remains.
+	pr.c.pin()
+	old := pr
 	e.decMu.Lock()
 	if e.decGen == gen {
-		// Don't poison the cache if the container was reset while we
-		// decoded: positions restart from zero after a truncate, so pos
-		// alone would alias old and new frames.
-		e.decBuf, e.decPos, e.decHave = raw, fr.Pos, true
+		old, e.dec, e.decPos = e.dec, pr, fr.Pos
 	}
 	e.decMu.Unlock()
-	return raw, nil
+	if old != nil {
+		e.fs.putReadChunk(old.c)
+	}
+	return pr, nil
+}
+
+// dropDecoded empties the one-frame decode cache and gives its buffer back
+// (a reader still copying from it holds a pin; the last unpin recycles).
+// invalidate says the container's frame positions are about to mean
+// something else (reset, compaction swap, last close): the generation
+// bump keeps a decode that is under way from publishing a frame of the
+// old layout.
+func (e *fileEntry) dropDecoded(invalidate bool) {
+	e.decMu.Lock()
+	old := e.dec
+	e.dec = nil
+	if invalidate {
+		e.decGen++
+	}
+	e.decMu.Unlock()
+	if old != nil {
+		e.fs.putReadChunk(old.c)
+	}
 }
 
 // truncate resizes a drained entry. Raw entries pass through. A frame
@@ -726,10 +755,7 @@ func (e *fileEntry) resetContainer() error {
 	// alias it), and the generation bump keeps any decode that is *not*
 	// under truncMu — a prefetch job's publish racing this reset — from
 	// repopulating caches with pre-reset data.
-	e.decMu.Lock()
-	e.decHave = false
-	e.decGen++
-	e.decMu.Unlock()
+	e.dropDecoded(true)
 	if err := e.backendFile.Truncate(0); err != nil {
 		return err
 	}

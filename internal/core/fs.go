@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,6 +40,10 @@ type FS struct {
 	jobMu      sync.RWMutex
 	jobsClosed bool
 	encBufs    sync.Pool // *[]byte frame encode scratch, one per in-flight encode
+	// decBufs is the free list of buffers frames are decoded into on the
+	// read path (fetchFrame). It keeps idle what one stream's read-ahead
+	// can hold — ReadAhead frames and the one the stream is inside.
+	decBufs *bufferPool
 
 	mu     sync.Mutex
 	files  map[string]*fileEntry // open-file hash table, keyed by clean path
@@ -101,6 +106,7 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 		fs.tracer = obs.Default
 	}
 	fs.pool = newBufferPool(opts.BufferPoolSize, opts.ChunkSize, fs.reclaimPool)
+	fs.decBufs = newFreeList(opts.ReadAhead+1, opts.ChunkSize)
 	fs.liveChangedLocked() // nothing is open, and nothing else can see fs yet
 	fs.encBufs.New = func() any {
 		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)
@@ -338,6 +344,64 @@ func (fs *FS) reclaimPool(skip *fileEntry) {
 			e.pf.reclaim(share, all)
 		}
 	}
+}
+
+// getReadChunk takes a pool chunk for a read-ahead block without blocking;
+// putReadChunk drops the reference a chunk of the read path came with — a
+// block's pool chunk or a decoded frame's buffer (nil, a frame on the
+// heap, has none). Together they keep FS.raChunks, the pool chunks
+// reclaimPool can ask read-ahead for.
+func (fs *FS) getReadChunk() *chunk {
+	c := fs.pool.tryGet()
+	if c != nil {
+		fs.raChunks.Add(1)
+	}
+	return c
+}
+
+func (fs *FS) putReadChunk(c *chunk) {
+	if c == nil {
+		return
+	}
+	if c.pool == fs.pool {
+		fs.raChunks.Add(-1)
+	}
+	c.unpin()
+}
+
+// fetchFrame reads one frame's payload through bf into the mount's encode
+// scratch and decodes it into a buffer from the decode free list, whose
+// reference the returned frame holds (putReadChunk). A buffer is allocated
+// only when none is idle — more frames are decoded and not yet read than
+// the list keeps — and for a frame larger than a chunk (one written by a
+// mount with bigger chunks), which gets a heap slice of its own; both
+// count in Stats.DecodeHeapFallbacks. Called with no locks held.
+func (fs *FS) fetchFrame(bf backendHandle, fr codec.FrameInfo) (*prefetched, error) {
+	bp := fs.encBufs.Get().(*[]byte)
+	defer fs.encBufs.Put(bp)
+	enc := slices.Grow((*bp)[:0], int(fr.Header.EncLen))[:fr.Header.EncLen]
+	*bp = enc // a frame from a mount with bigger chunks grew it: keep that
+	if _, err := bf.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
+		return nil, fmt.Errorf("frame payload at %d: %w", fr.Pos, err)
+	}
+	pr := &prefetched{start: fr.Header.Off}
+	var dst []byte
+	fresh := true
+	if int64(fr.Header.RawLen) <= fs.opts.ChunkSize {
+		pr.c, fresh = fs.decBufs.take()
+		dst = pr.c.buf[:0]
+	}
+	if fresh {
+		fs.stats.decodeHeapFallbacks.Add(1)
+	}
+	var err error
+	pr.buf, err = codec.DecodeFrame(fr.Header, enc, dst)
+	fs.stats.checksumResult(fr.Header.Version, err)
+	if err != nil {
+		fs.putReadChunk(pr.c)
+		return nil, err
+	}
+	return pr, nil
 }
 
 // readAheadShare is how many pool chunks one entry's read-ahead may hold,
@@ -688,9 +752,10 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 	if !last {
 		return nil
 	}
+	// Return the buffers the read path holds before the backend handle
+	// goes away; in-flight jobs die on the generation bump.
+	entry.dropDecoded(true)
 	if entry.pf != nil {
-		// Return the read-ahead cache's pool chunks before the backend
-		// handle goes away; in-flight jobs die on the generation bump.
 		entry.pf.invalidate()
 	}
 	entry.closeRetired()
@@ -1000,6 +1065,7 @@ func (fs *FS) Unmount() error {
 		if err := e.drainReport(); err != nil && firstErr == nil {
 			firstErr = err
 		}
+		e.dropDecoded(true)
 		if e.pf != nil {
 			e.pf.invalidate()
 		}

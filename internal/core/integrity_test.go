@@ -93,6 +93,7 @@ func TestReadAtChecksumMatrix(t *testing.T) {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
+		waitPoolWhole(t, fs) // the failed decode gave its buffer back
 	}
 }
 
@@ -153,7 +154,6 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	rotted := bytes.Clone(box)
 	rotted[frames[6].Pos+codec.HeaderSize+50] ^= 0x01
@@ -179,6 +179,20 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 	if st := fs.Stats(); st.ChecksumFailed == 0 {
 		t.Fatalf("rot under prefetch not counted: %+v", st)
 	}
+	// The failed decode published nothing and kept nothing: the rotted
+	// frame is not in the read-ahead cache, and once the handle is closed
+	// every chunk and decode buffer is back on its free list.
+	pf := f.(*file).entry.pf
+	pf.mu.Lock()
+	_, cached := pf.ready[frames[6].Pos]
+	pf.mu.Unlock()
+	if cached {
+		t.Fatal("a frame that failed its checksum sits in the read-ahead cache")
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitPoolWhole(t, fs)
 }
 
 // TestScrubCountsChecksums pins the online scrub's counter threading: a

@@ -156,6 +156,15 @@ func (h *modelHarness) step() string {
 		calls := h.rng.Intn(40) + 4
 		got := make([]byte, n)
 		for i := 0; i < calls && off < int64(len(want)); i++ {
+			if h.framed && i == calls/2 {
+				// Mid-stream close and reopen: the last close drops the decode
+				// cache's pin with the entry, and the stream takes it up again.
+				if err := h.handles[name].Close(); err != nil {
+					h.t.Fatalf("mid-stream Close(%s): %v", name, err)
+				}
+				h.pending[name] = nil
+				h.open(name)
+			}
 			gotN, err := h.handles[name].ReadAt(got, off)
 			if err != nil && err != io.EOF {
 				h.t.Fatalf("stream ReadAt(%s, %d): %v", name, off, err)
@@ -459,6 +468,7 @@ func TestModelDifferential(t *testing.T) {
 						}
 					}
 				}
+				waitPoolWhole(t, fs) // every handle is closed: no pin or read-path reference is left
 				if st := fs.Stats(); tc.readAhead > 0 && !h.framed && st.PrefetchSelfFetched == 0 {
 					// The stale-bytes hunt only hunts if readers did fetch
 					// blocks for themselves between the mutations.

@@ -59,13 +59,19 @@ func (c *chunk) reset() {
 
 // pin takes a reader reference. Callers must guarantee the chunk is still
 // reachable from its entry (hold entry.mu while it is the active chunk or
-// on the in-flight list): reachability implies the pipeline reference is
-// still held, so refs cannot concurrently hit zero.
-func (c *chunk) pin() { c.refs.Add(1) }
+// on the in-flight list, decMu or the prefetcher's mutex while a cache of
+// the read path holds it): reachability implies the owner's reference is
+// still held, so refs cannot concurrently hit zero. A nil chunk stands for
+// a heap slice (a decoded frame larger than a chunk): nothing to pin.
+func (c *chunk) pin() {
+	if c != nil {
+		c.refs.Add(1)
+	}
+}
 
 // unpin drops a reference; the last one recycles the chunk.
 func (c *chunk) unpin() {
-	if c.refs.Add(-1) == 0 {
+	if c != nil && c.refs.Add(-1) == 0 {
 		c.pool.put(c)
 	}
 }
@@ -146,10 +152,45 @@ func (p *bufferPool) tryGet() *chunk {
 	}
 }
 
+// poisonChunks makes put overwrite every recycled buffer, so a reader
+// that kept copying from a chunk after its last pin was dropped sees 0xDB
+// instead of plausible bytes. Tests set it.
+var poisonChunks atomic.Bool
+
 // put returns a chunk to the pool. It never blocks: the pool's capacity
-// equals the number of chunks in existence. Callers release chunks via
-// unpin; put is only called once refs reached zero.
+// equals the number of chunks in existence, and a free list (newFreeList)
+// that is full leaves the chunk to the collector. Callers release chunks
+// via unpin; put is only called once refs reached zero.
 func (p *bufferPool) put(c *chunk) {
 	c.reset()
-	p.free <- c
+	if poisonChunks.Load() {
+		c.buf[0] = 0xDB
+		for n := 1; n < len(c.buf); n *= 2 {
+			copy(c.buf[n:], c.buf[:n])
+		}
+	}
+	select {
+	case p.free <- c:
+	default:
+	}
+}
+
+// newFreeList returns a bufferPool that owns no fixed set of chunks: take
+// allocates one when none is idle, and put keeps at most keep of them
+// idle. The mount's decode buffers live in one (FS.decBufs): they are
+// recycled like pool chunks, by the last unpin, but nobody ever waits for
+// one, so they are not the write path's to run short of.
+func newFreeList(keep int, chunkSize int64) *bufferPool {
+	return &bufferPool{free: make(chan *chunk, keep), chunkSize: chunkSize}
+}
+
+// take returns an idle chunk of a free list, or a new one when none is
+// idle (fresh reports which), holding one reference either way.
+func (p *bufferPool) take() (c *chunk, fresh bool) {
+	if c = p.tryGet(); c != nil {
+		return c, false
+	}
+	c = &chunk{buf: make([]byte, p.chunkSize), pool: p}
+	c.refs.Store(1)
+	return c, true
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"io"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,13 +46,21 @@ import (
 // every block a worker did not finish in time would be read 512 bytes at
 // a time.
 //
-// Plain-file blocks are fetched into buffer-pool chunks taken with the
+// Nothing the read path holds lives on the bare heap in steady state: a
+// reader copies under a pin and the last unpin recycles the buffer. Plain-
+// file blocks are fetched into buffer-pool chunks taken with the
 // non-blocking tryGet — read-ahead never steals buffers from a blocked
 // writer. One entry's read-ahead holds at most an even share of the pool
 // (FS.readAheadShare), so the second restart reader finds chunks left,
 // and a writer blocked on the pool takes back only what competes
-// unfairly (reclaim). Decoded frames live on the heap, like the one-frame
-// decode cache they feed.
+// unfairly (reclaim). Frames are decoded into buffers of the mount's
+// decode free list (FS.decBufs), like the one-frame decode cache they
+// feed: they are not the pool's, so a container is read ahead to the full
+// depth however small the pool is — every frame a stream will need is on
+// a worker at once, and a restore keeps all cores busy to its last frame
+// whichever of its files runs ahead. Only a frame that finds the free
+// list empty, or is larger than a chunk, is decoded into fresh memory
+// (Stats.DecodeHeapFallbacks).
 
 // seqThreshold is how many back-to-back sequential reads a handle must
 // issue before it counts as a stream and read-ahead starts.
@@ -63,11 +73,12 @@ const seqThreshold = 2
 // Larger reads go straight to the backend into the caller's buffer.
 const selfFetchMax = 16 << 10
 
-// prefetched is one completed read-ahead extent in an entry's cache.
+// prefetched is one fetched extent — a plain block or a decoded frame —
+// in an entry's read-ahead cache or its one-frame decode cache.
 type prefetched struct {
 	start int64  // logical offset of buf[0]
-	buf   []byte // prefetched bytes (never mutated once published)
-	c     *chunk // pool chunk backing buf; nil for decoded frames (heap)
+	buf   []byte // the bytes (never mutated once published)
+	c     *chunk // pool chunk (block) or decode buffer (frame) backing buf; nil for a frame on the heap
 	hit   bool   // served at least one read (distinguishes wasted fetches)
 }
 
@@ -118,24 +129,6 @@ func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
 // depth returns the configured read-ahead depth (chunks/frames).
 func (pf *prefetcher) depth() int { return pf.fs.opts.ReadAhead }
 
-// getChunk takes a pool chunk for a plain-block fetch without blocking;
-// release gives back the chunk a cached or failed fetch held. Together
-// they keep FS.raChunks, the count reclaimPool consults.
-func (pf *prefetcher) getChunk() *chunk {
-	c := pf.fs.pool.tryGet()
-	if c != nil {
-		pf.fs.raChunks.Add(1)
-	}
-	return c
-}
-
-func (pf *prefetcher) release(c *chunk) {
-	if c != nil {
-		pf.fs.raChunks.Add(-1)
-		c.unpin()
-	}
-}
-
 // invalidate bumps the generation and drops every cached and in-flight
 // prefetch of the entry: fetches under way will see the bumped generation
 // and discard their bytes instead of publishing them. The pending set is
@@ -156,7 +149,7 @@ func (pf *prefetcher) invalidate() {
 		if !pr.hit {
 			wasted++
 		}
-		pf.release(pr.c)
+		pf.fs.putReadChunk(pr.c)
 	}
 	clear(pf.ready)
 	clear(pf.pending)
@@ -174,9 +167,10 @@ func (pf *prefetcher) invalidate() {
 // pool has room for. ctx parents the resulting fetch spans (zero when
 // tracing is off). It returns the stream offset at which the handle
 // should plan again: the next block boundary for a plain file — one plan
-// per block entered, whatever the size of the calls — and the very next
-// call for a container, whose frames have no fixed size. Called with no
-// locks held.
+// per block entered, whatever the size of the calls — and never for a
+// container, whose stream plans again by itself each time it enters a
+// frame (decodeFrame). Called with no locks of the entry held but
+// truncMu, shared.
 func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) (next int64) {
 	e := pf.e
 	e.mu.Lock()
@@ -192,40 +186,55 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) (next int64) {
 	pf.mu.Lock()
 	gen := pf.gen
 	if framed {
-		next = from + 1
+		// A cached frame that is not among the next ones — a seek or a
+		// second handle's stream left it behind — would hold its buffer
+		// for nothing: an entry keeps at most depth frames ahead.
+		for k, pr := range pf.ready {
+			if slices.ContainsFunc(locs, func(fr codec.FrameInfo) bool { return fr.Pos == k }) {
+				continue
+			}
+			if !pr.hit {
+				pf.fs.stats.prefetchWasted.Add(1)
+			}
+			pf.fs.putReadChunk(pr.c)
+			pf.removeLocked(k)
+		}
+	}
+	share, held := pf.fs.readAheadShare(), pf.pooledLocked()
+	// add schedules the fetch of j.key unless it is cached or under way,
+	// and reports whether there is room to go on. Only a plain block
+	// takes a pool chunk, and so room in the entry's share.
+	add := func(j prefetchJob) bool {
+		if len(pf.pending) >= pf.depth() || (!framed && held >= share) {
+			return false
+		}
+		if _, ok := pf.ready[j.key]; ok {
+			return true
+		}
+		if _, ok := pf.pending[j.key]; ok {
+			return true
+		}
+		j.e, j.gen, j.ctx, j.ps = e, gen, ctx, &pendingFetch{pooled: !framed}
+		pf.pending[j.key] = j.ps
+		held++
+		jobs = append(jobs, j)
+		return true
+	}
+	if framed {
+		next = math.MaxInt64
 		for _, fr := range locs {
-			if len(pf.pending) >= pf.depth() {
+			if !add(prefetchJob{key: fr.Pos, framed: true, fr: fr}) {
 				break
 			}
-			if _, ok := pf.ready[fr.Pos]; ok {
-				continue
-			}
-			if _, ok := pf.pending[fr.Pos]; ok {
-				continue
-			}
-			ps := &pendingFetch{}
-			pf.pending[fr.Pos] = ps
-			jobs = append(jobs, prefetchJob{e: e, gen: gen, ps: ps, key: fr.Pos, framed: true, fr: fr, ctx: ctx})
 		}
 	} else {
 		bs := pf.fs.opts.ChunkSize
 		next = (from/bs + 1) * bs
 		first := ((from + bs - 1) / bs) * bs // first whole block past the read
-		share, held := pf.fs.readAheadShare(), pf.pooledLocked()
 		for b := first; b < first+int64(pf.depth())*bs && b < size; b += bs {
-			if len(pf.pending) >= pf.depth() || held >= share {
+			if !add(prefetchJob{key: b, n: bs}) {
 				break
 			}
-			if _, ok := pf.ready[b]; ok {
-				continue
-			}
-			if _, ok := pf.pending[b]; ok {
-				continue
-			}
-			ps := &pendingFetch{pooled: true}
-			pf.pending[b] = ps
-			held++
-			jobs = append(jobs, prefetchJob{e: e, gen: gen, ps: ps, key: b, n: bs, ctx: ctx})
 		}
 	}
 	pf.mu.Unlock()
@@ -256,12 +265,18 @@ func (e *fileEntry) nextFramesLocked(from int64, n int) []codec.FrameInfo {
 	return out
 }
 
+// pooled reports whether pr lives in a chunk of the buffer pool (a plain
+// block) rather than a decode buffer or the heap (a frame).
+func (pf *prefetcher) pooled(pr *prefetched) bool {
+	return pr.c != nil && pr.c.pool == pf.fs.pool
+}
+
 // pooledLocked counts the pool chunks the entry's read-ahead holds or is
 // about to: cached plain blocks plus plain fetches not yet published.
 // Caller holds pf.mu.
 func (pf *prefetcher) pooledLocked() (n int) {
 	for _, pr := range pf.ready {
-		if pr.c != nil {
+		if pf.pooled(pr) {
 			n++
 		}
 	}
@@ -290,7 +305,7 @@ func (pf *prefetcher) evictLocked(limit int, keep int64) (dropped int) {
 			}
 		}
 		for k, pr := range pf.ready {
-			if pr.c != nil {
+			if pf.pooled(pr) {
 				farther(k)
 			}
 		}
@@ -306,7 +321,7 @@ func (pf *prefetcher) evictLocked(limit int, keep int64) (dropped int) {
 			if !pr.hit {
 				wasted++
 			}
-			pf.release(pr.c)
+			pf.fs.putReadChunk(pr.c)
 			pf.removeLocked(far)
 		} else {
 			delete(pf.pending, far)
@@ -332,9 +347,9 @@ const idleTicks = 50
 // buffers, but a stream that is being read keeps its share of them: only
 // blocks held beyond share go back, unless no read came by the cache for
 // idleTicks ticks or read-ahead holds the whole pool (all) — then every
-// cached block does. Decoded frames live on the heap and are left alone,
-// and the generation is not bumped: the evicted blocks were valid, just
-// expensive to keep.
+// cached block does. Decoded frames are not in pool chunks and are left
+// alone, and the generation is not bumped: the evicted blocks were valid,
+// just expensive to keep.
 func (pf *prefetcher) reclaim(share int, all bool) {
 	pf.mu.Lock()
 	if len(pf.ready) == 0 {
@@ -369,7 +384,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	if gen != pf.gen {
 		pf.cond.Broadcast()
 		pf.mu.Unlock()
-		pf.release(pr.c)
+		pf.fs.putReadChunk(pr.c)
 		if !pr.hit {
 			pf.fs.stats.prefetchWasted.Add(1)
 		}
@@ -377,7 +392,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	}
 	if old, ok := pf.ready[key]; ok {
 		// Shouldn't happen (pending excludes re-schedule), but never leak.
-		pf.release(old.c)
+		pf.fs.putReadChunk(old.c)
 	} else {
 		pf.order = append(pf.order, key)
 	}
@@ -390,7 +405,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 			if !old.hit {
 				wasted++
 			}
-			pf.release(old.c)
+			pf.fs.putReadChunk(old.c)
 			delete(pf.ready, k)
 		}
 	}
@@ -495,14 +510,14 @@ func (pf *prefetcher) copyPlain(seg []byte, cur, bstart, fetchEnd int64) bool {
 	}
 	// Pin for the copy while the entry is still reachable (cache ref held
 	// or just transferred to us); the buffer cannot recycle under the copy.
-	if pr.c != nil && !consumed {
+	if !consumed {
 		pr.c.pin()
 	}
 	pf.mu.Unlock()
 	copy(seg, pr.buf[cur-pr.start:])
 	if consumed {
-		pf.release(pr.c) // the cache's reference, transferred to us
-	} else if pr.c != nil {
+		pf.fs.putReadChunk(pr.c) // the cache's reference, transferred to us
+	} else {
 		pr.c.unpin()
 	}
 	pf.e.calls.prefetchHits.Add(1)
@@ -522,7 +537,7 @@ func (pf *prefetcher) reserveSelfLocked(bstart int64) *chunk {
 	if pf.pooledLocked()-pf.evictLocked(share-1, bstart) >= share {
 		return nil
 	}
-	c := pf.getChunk()
+	c := pf.fs.getReadChunk()
 	if c != nil {
 		pf.pending[bstart] = &pendingFetch{started: true, pooled: true}
 	}
@@ -540,14 +555,14 @@ func (pf *prefetcher) reserveSelfLocked(bstart int64) *chunk {
 func (pf *prefetcher) fetchSelf(c *chunk, gen uint64, seg []byte, cur, bstart, fetchEnd int64) bool {
 	n, err := pf.e.backendFile.ReadAt(c.buf[:fetchEnd-cur], cur)
 	if (err != nil && err != io.EOF) || n < len(seg) {
-		pf.release(c)
+		pf.fs.putReadChunk(c)
 		pf.drop(bstart)
 		return false
 	}
 	copy(seg, c.buf)
 	if n == len(seg) {
 		// The backend had nothing past seg: there is no block to cache.
-		pf.release(c)
+		pf.fs.putReadChunk(c)
 		pf.drop(bstart)
 		return true
 	}
@@ -560,10 +575,10 @@ func (pf *prefetcher) fetchSelf(c *chunk, gen uint64, seg []byte, cur, bstart, f
 // frame actively decoding on a worker is awaited — a synchronous
 // duplicate decode of a multi-megabyte frame costs far more CPU than
 // the wait — while a job still queued is stolen so a starved queue
-// never blocks a read. Decoded frames are heap buffers and immutable,
-// so ownership transfers to the caller (typically into the entry's
-// one-frame decode cache).
-func (pf *prefetcher) takeFrame(pos int64) []byte {
+// never blocks a read. The cache's reference on the frame's buffer
+// transfers to the caller (who hands it to the entry's one-frame decode
+// cache).
+func (pf *prefetcher) takeFrame(pos int64) *prefetched {
 	pf.mu.Lock()
 	for {
 		if pr, ok := pf.ready[pos]; ok {
@@ -571,7 +586,7 @@ func (pf *prefetcher) takeFrame(pos int64) []byte {
 			pf.removeLocked(pos)
 			pf.mu.Unlock()
 			pf.e.calls.prefetchHits.Add(1)
-			return pr.buf
+			return pr
 		}
 		if !pf.awaitOrStealLocked(pos) {
 			pf.mu.Unlock()
@@ -659,21 +674,14 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 		return
 	}
 	if j.framed {
-		enc := make([]byte, j.fr.Header.EncLen)
-		if _, err := bf.ReadAt(enc, j.fr.Pos+codec.HeaderSize); err != nil {
+		if pr, err := fs.fetchFrame(bf, j.fr); err != nil {
 			pf.drop(j.key)
-			return
+		} else {
+			pf.publish(j.key, pr, j.gen)
 		}
-		raw, err := codec.DecodeFrame(j.fr.Header, enc, nil)
-		fs.stats.checksumResult(j.fr.Header.Version, err)
-		if err != nil {
-			pf.drop(j.key)
-			return
-		}
-		pf.publish(j.key, &prefetched{start: j.fr.Header.Off, buf: raw}, j.gen)
 		return
 	}
-	c := pf.getChunk()
+	c := pf.fs.getReadChunk()
 	if c == nil {
 		// Pool exhausted by writers: read-ahead yields rather than compete.
 		pf.drop(j.key)
@@ -681,7 +689,7 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	}
 	n, err := bf.ReadAt(c.buf[:j.n], j.key)
 	if (err != nil && err != io.EOF) || n == 0 {
-		pf.release(c)
+		pf.fs.putReadChunk(c)
 		pf.drop(j.key)
 		return
 	}

@@ -93,6 +93,8 @@ type statCounters struct {
 	prefetchSelf      atomic.Int64
 	prefetchReclaimed atomic.Int64
 
+	decodeHeapFallbacks atomic.Int64
+
 	containersCompacted   atomic.Int64
 	compactFramesDropped  atomic.Int64
 	compactBytesReclaimed atomic.Int64
@@ -190,6 +192,12 @@ type Stats struct {
 	// under mixed load shows up as this counter rising with
 	// PrefetchWasted.
 	PrefetchReclaimed int64
+	// DecodeHeapFallbacks counts frames decoded into freshly allocated
+	// memory rather than a recycled decode buffer: the mount's free list
+	// had none idle (its first restores, or more frames decoded and not
+	// yet read than it keeps), or the frame is larger than the mount's
+	// ChunkSize. Warm restores should leave it where it is.
+	DecodeHeapFallbacks int64
 	// FailedChunks counts aggregation chunks whose backend write failed;
 	// each failure is reported to the application exactly once, at the
 	// next Sync or Close of the file.
@@ -284,6 +292,7 @@ func (fs *FS) Stats() Stats {
 
 		PrefetchSelfFetched: fs.stats.prefetchSelf.Load(),
 		PrefetchReclaimed:   fs.stats.prefetchReclaimed.Load(),
+		DecodeHeapFallbacks: fs.stats.decodeHeapFallbacks.Load(),
 
 		FailedChunks:          fs.stats.failedChunks.Load(),
 		ContainersScanned:     fs.stats.containersScanned.Load(),

@@ -42,6 +42,7 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_prefetch_bytes_total", "Bytes published into read-ahead caches.", st.PrefetchedBytes),
 		metrics.Counter("crfs_prefetch_self_fetched_total", "Blocks a sequential reader of small reads fetched for itself on a miss.", st.PrefetchSelfFetched).WithStat("prefetch_self"),
 		metrics.Counter("crfs_prefetch_reclaimed_total", "Cached read-ahead blocks given back to writers blocked on the pool.", st.PrefetchReclaimed).WithStat("prefetch_reclaimed"),
+		metrics.Counter("crfs_decode_heap_fallbacks_total", "Frames decoded into fresh memory because the decode free list was empty or the frame exceeds a chunk.", st.DecodeHeapFallbacks).WithStat("decode_heap_fallbacks"),
 		// Mount: recovery.
 		metrics.Counter("crfs_failed_chunks_total", "Aggregation chunks whose backend write failed.", st.FailedChunks).WithStat("failed_chunks"),
 		metrics.Counter("crfs_containers_scanned_total", "Opens that probed a frame container.", st.ContainersScanned).WithStat("scanned"),
