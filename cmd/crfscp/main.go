@@ -8,6 +8,7 @@
 //	crfscp -restore [-repair] SRC... DSTDIR
 //	crfscp -server host:9000 SRC...           (upload to a crfsd daemon)
 //	crfscp -server host:9000 -restore NAME... DSTDIR
+//	crfscp -server host:9000 -scrub           (verify the daemon's store)
 //	crfscp -nodes host1:9000,host2:9000,host3:9000 [-replicas 2] SRC...
 //	crfscp -nodes host1:9000,host2:9000,host3:9000 -restore NAME... DSTDIR
 //	crfscp -nodes host1:9000,host2:9000,host3:9000 -scrub
@@ -15,7 +16,9 @@
 // -server switches to network mode: sources are streamed to a crfsd
 // daemon over one persistent protocol-v2 connection instead of a local
 // mount. With -restore, each NAME is fetched from the daemon into
-// DSTDIR.
+// DSTDIR. With -scrub, the daemon re-verifies every frame of every
+// container it stores; crfscp prints its summary line and exits 1
+// unless it reads clean=true.
 //
 // -nodes switches to striped mode: each source is split into
 // -stripe-chunk sized chunks placed across the listed crfsd daemons
@@ -182,7 +185,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	nodesList := fl.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
 	replicas := fl.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
 	stripeChunk := fl.Int64("stripe-chunk", stripe.DefaultChunkSize, "with -nodes: stripe unit in bytes")
-	scrub := fl.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies")
+	scrub := fl.Bool("scrub", false, "with -nodes: verify every replica against its manifest fingerprint and repair bad copies; with -server: have the daemon verify every stored frame, exit 1 on defects")
 	traceFile := fl.String("trace", "", "write a chrome://tracing JSON of the whole operation — crfscp's spans merged with every participating daemon's — to this file")
 	if err := fl.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -199,7 +202,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ChunkSize: *stripeChunk, Replicas: *replicas, Tracer: trun.tracer(),
 		}, args, trun)
 	case *serverAddr != "":
-		err = serverMode(stdout, *serverAddr, *restore, args, trun)
+		err = serverMode(stdout, *serverAddr, *restore, *scrub, args, trun)
+	case *scrub:
+		err = usageError("usage: crfscp -server host:port -scrub\n" +
+			"       crfscp -nodes a:9000,b:9000,... -scrub          (a local directory is scrubbed by crfsck)")
 	case len(args) < 2:
 		err = usageError("usage: crfscp [flags] SRC... DSTDIR")
 	default:
@@ -395,16 +401,28 @@ func restoreOne(fs *crfs.FS, name, dst string, bs int, ctx obs.SpanContext) (int
 
 // serverMode moves files over the wire to/from a crfsd daemon on one
 // persistent protocol-v2 connection.
-func serverMode(stdout io.Writer, addr string, restore bool, args []string, trun *traceRun) error {
-	if len(args) < 1 || (restore && len(args) < 2) {
+func serverMode(stdout io.Writer, addr string, restore, scrub bool, args []string, trun *traceRun) error {
+	if scrub != (len(args) == 0) || (restore && (scrub || len(args) < 2)) {
 		return usageError("usage: crfscp -server host:port SRC...\n" +
-			"       crfscp -server host:port -restore NAME... DSTDIR")
+			"       crfscp -server host:port -restore NAME... DSTDIR\n" +
+			"       crfscp -server host:port -scrub")
 	}
 	c, err := client.Dial(addr, client.Config{Redials: redials})
 	if err != nil {
 		return err
 	}
 	defer c.Close()
+	if scrub {
+		line, err := c.Scrub()
+		if err != nil {
+			return fmt.Errorf("SCRUB: %w", err)
+		}
+		fmt.Fprintln(stdout, line)
+		if !strings.Contains(line, " clean=true") {
+			return fmt.Errorf("scrub on %s found defects", addr)
+		}
+		return trun.write(clientDump(c))
+	}
 	start := time.Now()
 	var total int64
 	if restore {

@@ -157,6 +157,76 @@ func TestStripedPutKillRestoreScrub(t *testing.T) {
 	}
 }
 
+// TestServerScrub: -server -scrub has the daemon verify its store, prints
+// the daemon's line, and exits by what the line says — 0 over a clean
+// store, 1 once a payload byte of a stored container has rotted.
+func TestServerScrub(t *testing.T) {
+	dir := t.TempDir()
+	deflate, err := crfs.LookupCodec("deflate")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := crfs.MountDir(dir, crfs.Options{Codec: deflate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Open("ckpt.img", crfs.WriteOnly|crfs.Create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte("checkpoint "), 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil {
+		t.Fatal(err)
+	}
+	d := startDaemon(t, "n0", dir)
+	t.Cleanup(func() { d.stop(t) })
+
+	if out := crfscp(t, 0, "-server", d.addr, "-scrub"); !strings.Contains(out, " containers=1 ") || !strings.Contains(out, " clean=true") {
+		t.Errorf("scrub of a clean store: %q", out)
+	}
+	stored := filepath.Join(dir, "ckpt.img")
+	box, err := os.ReadFile(stored)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box[len(box)/2] ^= 0x01 // one frame holds the whole image: this is payload
+	if err := os.WriteFile(stored, box, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out := crfscp(t, 1, "-server", d.addr, "-scrub"); !strings.Contains(out, " corrupt_frames=1 ") || !strings.Contains(out, " clean=false") {
+		t.Errorf("scrub of a rotted store: %q", out)
+	}
+}
+
+// TestScrubNeedsADaemon: -scrub is a request to a daemon or a striped
+// store; without -server or -nodes it is a usage error, not a copy that
+// quietly skips the scrub.
+func TestScrubNeedsADaemon(t *testing.T) {
+	tmp := t.TempDir()
+	src := filepath.Join(tmp, "src")
+	if err := os.WriteFile(src, []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(tmp, "dst")
+	for _, args := range [][]string{
+		{"-scrub"},
+		{"-scrub", src, dst},
+		{"-scrub", "-restore", src, dst},
+	} {
+		if out := crfscp(t, 2, args...); !strings.Contains(out, "usage: crfscp -server host:port -scrub") {
+			t.Errorf("crfscp %v: %q", args, out)
+		}
+	}
+	if _, err := os.Stat(dst); err == nil {
+		t.Error("a refused -scrub still copied")
+	}
+}
+
 // TestUsageErrorsExitTwo: a mode given too few arguments prints its usage
 // and exits 2 without dialing anything.
 func TestUsageErrorsExitTwo(t *testing.T) {
@@ -165,6 +235,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"only-one-arg"},
 		{"-server", "127.0.0.1:1"},
 		{"-server", "127.0.0.1:1", "-restore", "name"},
+		{"-server", "127.0.0.1:1", "-scrub", "src"}, // used to upload src and skip the scrub
 		{"-nodes", "127.0.0.1:1"},
 		{"-nodes", "127.0.0.1:1", "-restore", "name"},
 		{"-no-such-flag"},

@@ -28,9 +28,10 @@
 // slower than the threshold with its full span tree.
 //
 // A PUT is staged in a fresh file written once, front to back, so a
-// daemon's containers hold no dead frames and the mount runs without a
-// compaction policy; crfsck -compact is the offline tool for containers
-// written by other mounts.
+// daemon's containers hold no dead frames; compaction is offline work
+// (crfsck -compact, for containers rewritten in place by other mounts).
+// The SCRUB verb (crfscp -server ADDR -scrub) verifies every stored
+// frame on the live mount and only reports; crfsck -repair repairs.
 //
 // Usage:
 //

@@ -49,14 +49,13 @@
 // a power cut at every byte boundary of a workload's backend writes.
 //
 // Containers are log-structured and last-writer-wins, so rewrite-heavy
-// checkpoint workloads accumulate dead frames without bound. Online
-// compaction (Options.Compaction, FS.Compact) rewrites a container to
-// its minimal equivalent — byte-identical reads, dead bytes reclaimed —
-// via a crash-safe temp-write + rename replace, checked against the
-// policy after every Sync and Close. FS.Scrub re-verifies every frame of
-// every container on the mount, fanning the per-frame decode checks
-// across the IO workers at the lowest priority; the crfsck command runs
-// both engines offline over a backing directory.
+// checkpoint workloads accumulate dead frames without bound. Compaction
+// is offline work: crfsck -compact rewrites each container under a
+// backing directory to its minimal equivalent — byte-identical reads,
+// dead bytes reclaimed — via a crash-safe temp-write + rename replace.
+// FS.Scrub re-verifies every frame of every container on a live mount
+// over a worker pool of its own; crfsck runs the same verifier offline
+// and, with -repair, truncates damage to the verified prefix.
 //
 // Quick start:
 //
@@ -104,13 +103,7 @@ type (
 	DirEntry = vfs.DirEntry
 	// OpenFlag selects open modes.
 	OpenFlag = vfs.OpenFlag
-	// CompactionPolicy configures online container compaction
-	// (Options.Compaction): dead-byte thresholds checked after Sync and
-	// Close.
-	CompactionPolicy = core.CompactionPolicy
-	// ScrubOptions configures FS.Scrub, the parallel container verifier.
-	ScrubOptions = core.ScrubOptions
-	// ScrubReport is a scrub pass's findings (per-frame verification
+	// ScrubReport is an FS.Scrub pass's findings (per-frame verification
 	// totals and the containers with defects).
 	ScrubReport = compact.Report
 )

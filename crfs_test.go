@@ -3,9 +3,14 @@ package crfs_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	crfs "crfs"
+	"crfs/internal/client"
+	"crfs/internal/compact"
+	"crfs/internal/server"
+	"crfs/internal/stripe"
 )
 
 func TestMountDirRoundtrip(t *testing.T) {
@@ -137,5 +142,32 @@ func TestErrorsExported(t *testing.T) {
 	defer fs.Unmount()
 	if _, err := fs.Open("missing", crfs.ReadOnly); !errors.Is(err, crfs.ErrNotExist) {
 		t.Errorf("open missing = %v, want ErrNotExist", err)
+	}
+}
+
+// TestOptionsSurface pins the configuration fields of every layer, the
+// way each command's TestFlagSurface pins its flags: together they are
+// the settable values of the system (21 fields here). A new name here
+// has to come with the two callers that need different values (or say
+// why it is a deployment setting); otherwise the value is a constant.
+func TestOptionsSurface(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  any
+		want []string
+	}{
+		{crfs.Options{}, []string{"BufferPoolSize", "ChunkSize", "IOThreads", "ReadAhead", "RepairOnOpen", "Codec", "Tracer"}},
+		{server.Config{}, []string{"MaxConns", "MaxInFlight", "ReadTimeout", "MaxPutBytes", "SweepInterval", "Logf", "Tracer"}},
+		{client.Config{}, []string{"IOTimeout", "Redials"}},
+		{stripe.Config{}, []string{"ChunkSize", "Replicas", "Tracer"}},
+		{compact.ScrubOptions{}, []string{"Workers", "Repair"}},
+	} {
+		typ := reflect.TypeOf(tc.cfg)
+		var got []string
+		for i := 0; i < typ.NumField(); i++ {
+			got = append(got, typ.Field(i).Name)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s has fields\n%v, want\n%v", typ, got, tc.want)
+		}
 	}
 }

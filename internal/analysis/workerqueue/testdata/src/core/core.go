@@ -21,7 +21,7 @@ func (fs *FS) ioWorker() {
 	}
 }
 
-// Scrub must fan out through the job queue, not raw goroutines.
+// Scrub must fan out through a pool, not raw goroutines.
 func (fs *FS) Scrub() {
 	go fs.ioWorker() // want `raw goroutine spawn in Scrub outside the worker-pool bootstrap`
 }

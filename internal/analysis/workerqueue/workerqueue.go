@@ -1,12 +1,12 @@
 // Package workerqueue protects the IO-worker priority model. All
 // asynchronous work in internal/core and internal/compact flows through
-// the worker pools started at mount/pool construction — the FS job
-// queues drain in strict priority order (checkpoint writes, then
-// read-ahead, then maintenance), which is only true while those workers
-// are the sole consumers of background work. A raw `go` statement
-// anywhere else creates unprioritized concurrency the model cannot see:
-// scrub work that outruns writes, maintenance that steals read-ahead
-// bandwidth.
+// the worker pools started at mount/pool construction — the FS queues
+// drain in strict priority order over two tiers (checkpoint writes, then
+// read-ahead), which is only true while those workers are the sole
+// consumers of the mount's background work; a scrub pass brings a
+// bounded pool of its own (compact.NewPool). A raw `go` statement
+// anywhere else creates unbounded, unprioritized concurrency the model
+// cannot see.
 //
 // The analyzer forbids `go` statements in the core and compact packages
 // outside the named bootstrap functions that start the pools.
@@ -33,7 +33,7 @@ var Analyzer = &analysis.Analyzer{
 // element), the functions allowed to spawn: the pool constructors.
 var Bootstrap = map[string]map[string]bool{
 	"core":    {"Mount": true},
-	"compact": {"newPool": true},
+	"compact": {"NewPool": true},
 }
 
 func run(pass *analysis.Pass) error {
@@ -53,7 +53,7 @@ func run(pass *analysis.Pass) error {
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {
 					pass.Reportf(g.Pos(),
-						"raw goroutine spawn in %s outside the worker-pool bootstrap (%s): route work through the prioritized worker queues (writes > read-ahead > maintenance)",
+						"raw goroutine spawn in %s outside the worker-pool bootstrap (%s): route work through the worker queues (writes > read-ahead) or a scrub pass's pool",
 						fd.Name.Name, bootstrapNames(allowed))
 				}
 				return true

@@ -225,6 +225,73 @@ func TestCompactDir(t *testing.T) {
 	}
 }
 
+// TestCompactPathInputs runs CompactPath over the two container shapes
+// only a mount's write path produces and the tree's fixtures lack: the
+// in-place incremental checkpoint (16 extents, then four passes that
+// overwrite every other one), whose rewrite must leave exactly no dead
+// byte, and an ftruncate-extended container, whose zero-extent marker
+// must keep carrying the logical size.
+func TestCompactPathInputs(t *testing.T) {
+	var rewrites [][2]int
+	for off := 0; off < 16*512; off += 512 {
+		rewrites = append(rewrites, [2]int{off, 512})
+	}
+	for pass := 0; pass < 4; pass++ {
+		for off := 0; off < 16*512; off += 1024 {
+			rewrites = append(rewrites, [2]int{off, 512})
+		}
+	}
+	// A payload, its overwrite (a dead frame), then the extension marker.
+	extended := buildContainer(t, codec.Deflate(), [2]int{0, 600}, [2]int{0, 600})
+	marker := make([]byte, codec.HeaderSize)
+	codec.PutHeader(marker, codec.Header{Version: codec.Version, Codec: codec.RawID, Seq: 2, Off: 9000})
+	extended = append(extended, marker...)
+
+	for _, tc := range []struct {
+		name    string
+		box     []byte
+		logical int
+	}{
+		{"rewritten", buildContainer(t, codec.Deflate(), rewrites...), 16 * 512},
+		{"extended", extended, 9000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := memfs.New()
+			if err := vfs.WriteFile(m, "c.crfc", tc.box); err != nil {
+				t.Fatal(err)
+			}
+			want := replay(t, tc.box)
+			if len(want) != tc.logical {
+				t.Fatalf("fixture serves %d bytes, want %d", len(want), tc.logical)
+			}
+			rep := CompactPath(m, "c.crfc", int64(len(tc.box)))
+			got, err := vfs.ReadFile(m, "c.crfc")
+			if err != nil || rep.Err != "" || !rep.Compacted || rep.FramesDropped == 0 {
+				t.Fatalf("%+v (err %v)", rep, err)
+			}
+			if rep.Reclaimed != int64(len(tc.box)-len(got)) {
+				t.Fatalf("reported %d reclaimed, file shrank by %d", rep.Reclaimed, len(tc.box)-len(got))
+			}
+			if dead := float64(rep.Reclaimed) / float64(len(tc.box)); dead < 0.1 {
+				t.Fatalf("the fixture carried only %.1f%% dead bytes", 100*dead)
+			}
+			frames, intact, serr := codec.ScanPrefix(bytes.NewReader(got), int64(len(got)))
+			if serr != nil || intact != int64(len(got)) {
+				t.Fatalf("rewritten container does not scan clean: intact=%d err=%v", intact, serr)
+			}
+			if lv := codec.Analyze(frames); lv.DeadBytes != 0 || lv.NeedMarker || lv.LiveBytes != int64(len(got)) {
+				t.Fatalf("rewritten container is not minimal: %d dead, %d live of %d bytes", lv.DeadBytes, lv.LiveBytes, len(got))
+			}
+			if !bytes.Equal(replay(t, got), want) {
+				t.Fatal("content or logical size changed by compaction")
+			}
+			if rep2 := CompactPath(m, "c.crfc", int64(len(got))); rep2.Compacted || rep2.Err != "" {
+				t.Fatalf("second pass over a minimal container: %+v", rep2)
+			}
+		})
+	}
+}
+
 func TestCompactRepairsTornContainer(t *testing.T) {
 	m, boxes := tree(t)
 	torn := append([]byte(nil), boxes["ckpt/a.crfc"]...)

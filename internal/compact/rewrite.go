@@ -9,10 +9,11 @@ import (
 	"crfs/internal/vfs"
 )
 
-// The offline compaction engine: rewrite each container under a backing
-// directory to its minimal equivalent. Online compaction (internal/core)
-// handles mounts with open files; this engine is for cold checkpoint
-// stores — the crfsck use case.
+// The compaction engine: rewrite each container under a backing
+// directory to its minimal equivalent. It is offline — for cold
+// checkpoint stores whose files are closed, the crfsck use case — and
+// the only place the crash-safe replace lives; a mount never rewrites a
+// container.
 
 // CompactFileReport describes one container's compaction outcome.
 type CompactFileReport struct {
@@ -108,7 +109,7 @@ func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 		return rep
 	}
 	tmp := path + TempSuffix
-	err = StageReplacement(fsys, tmp, box)
+	err = stageReplacement(fsys, tmp, box)
 	if err == nil {
 		err = fsys.Rename(tmp, path)
 	}
@@ -123,12 +124,11 @@ func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 	return rep
 }
 
-// StageReplacement writes box whole to tmp and syncs it — the first
-// half of the crash-safe replace protocol, shared by the offline engine
-// and online compaction (which performs its rename under the mount's
-// table lock): a cut before the rename leaves the original untouched
-// plus an inert temporary, a cut after leaves the complete replacement.
-func StageReplacement(fsys vfs.FS, tmp string, box []byte) error {
+// stageReplacement writes box whole to tmp and syncs it — the first
+// half of the crash-safe replace protocol: a cut before the rename
+// leaves the original untouched plus an inert temporary, a cut after
+// leaves the complete replacement.
+func stageReplacement(fsys vfs.FS, tmp string, box []byte) error {
 	tf, err := fsys.Open(tmp, vfs.WriteOnly|vfs.Create|vfs.Trunc)
 	if err != nil {
 		return err

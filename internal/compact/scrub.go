@@ -64,6 +64,22 @@ type FileReport struct {
 	Err string
 }
 
+// Record enters one VerifyFrames pass over the container's frames into
+// the report. Backend failures make the file unverifiable (Err), not
+// corrupt: the bytes may be fine and the backend transiently sick, so
+// nothing is ever repaired on them.
+func (f *FileReport) Record(res VerifyResult) {
+	f.Frames = res.Verified
+	f.Bytes = res.Bytes
+	f.CorruptFrames = res.Corrupt
+	f.ChecksumFailures = res.ChecksumFailed
+	f.ChecksumVerified = res.ChecksumVerified
+	f.ChecksumSkipped = res.ChecksumSkipped
+	if res.Failed > 0 {
+		f.Err = res.Err
+	}
+}
+
 // Damaged reports whether the container has any defect.
 func (f FileReport) Damaged() bool {
 	return f.CorruptFrames > 0 || f.TornBytes > 0 || f.Err != ""
@@ -169,19 +185,20 @@ func verifyFrame(r io.ReaderAt, fr codec.FrameInfo, sc *frameScratch) error {
 // submitted unit. nil means run inline (serial verification).
 type Submit func(func())
 
-// pool is the offline engines' worker pool: a fixed set of goroutines
-// draining a job channel. Online scrub substitutes the mount's IO
-// workers instead.
-type pool struct {
+// Pool is the worker pool of one scrub pass, offline (Scrub) or over a
+// live mount (core.FS.Scrub): a fixed set of goroutines draining a job
+// channel.
+type Pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
 }
 
-func newPool(workers int) *pool {
+// NewPool starts workers goroutines (minimum 1); Close stops them.
+func NewPool(workers int) *Pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &pool{jobs: make(chan func())}
+	p := &Pool{jobs: make(chan func())}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -194,9 +211,11 @@ func newPool(workers int) *pool {
 	return p
 }
 
-func (p *pool) submit(j func()) { p.jobs <- j }
+// Submit hands j to a worker, blocking until one takes it.
+func (p *Pool) Submit(j func()) { p.jobs <- j }
 
-func (p *pool) close() {
+// Close waits for every submitted unit and stops the workers.
+func (p *Pool) Close() {
 	close(p.jobs)
 	p.wg.Wait()
 }
@@ -300,19 +319,19 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 // prefix. The returned error reports walk-level failures only; per-file
 // defects and failures are data, collected in the report.
 func Scrub(fsys vfs.FS, root string, o ScrubOptions) (*Report, error) {
-	p := newPool(o.Workers)
-	defer p.close()
+	p := NewPool(o.Workers)
+	defer p.Close()
 	rep := &Report{}
 	err := Walk(fsys, root, func(path string, size int64) error {
-		rep.Add(ScrubFile(fsys, path, size, o, p.submit))
+		rep.Add(ScrubFile(fsys, path, size, o.Repair, p.Submit))
 		return nil
 	})
 	return rep, err
 }
 
 // ScrubFile verifies one container, fanning per-frame work through
-// submit, and optionally repairs it.
-func ScrubFile(fsys vfs.FS, path string, size int64, o ScrubOptions, submit Submit) FileReport {
+// submit, and with repair truncates it to its verified prefix.
+func ScrubFile(fsys vfs.FS, path string, size int64, repair bool, submit Submit) FileReport {
 	fr := FileReport{Path: path}
 	f, err := fsys.Open(path, vfs.ReadOnly)
 	if err != nil {
@@ -329,18 +348,8 @@ func ScrubFile(fsys vfs.FS, path string, size int64, o ScrubOptions, submit Subm
 		fr.TornBytes = size - intact
 	}
 	res := VerifyFrames(f, frames, submit)
-	fr.Frames = res.Verified
-	fr.Bytes = res.Bytes
-	fr.CorruptFrames = res.Corrupt
-	fr.ChecksumFailures = res.ChecksumFailed
-	fr.ChecksumVerified = res.ChecksumVerified
-	fr.ChecksumSkipped = res.ChecksumSkipped
-	if res.Failed > 0 {
-		// Backend failures make the file unverifiable; never repair on
-		// them (the bytes may be fine and the backend transiently sick).
-		fr.Err = res.Err
-	}
-	if !o.Repair || !fr.Damaged() || fr.Err != "" {
+	fr.Record(res)
+	if !repair || !fr.Damaged() || fr.Err != "" {
 		return fr
 	}
 	// Prefix repair: keep everything up to the first defect. A corrupt

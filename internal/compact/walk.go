@@ -5,10 +5,11 @@
 // container, fanned out across workers pFSCK-style — sharing one
 // container-walk core.
 //
-// The engines in this package operate offline on a backing directory
-// exposed as a vfs.FS (the crfsck command); internal/core drives the same
-// codec primitives online, under the mount's concurrency invariants, and
-// fans its scrub across the mount's IO workers.
+// The engines in this package operate on a backing directory exposed as
+// a vfs.FS (the crfsck command). The compactor is offline only. The
+// scrub also runs over a live mount: core.FS.Scrub verifies open files
+// from their in-memory index with VerifyFrames and closed ones with
+// ScrubFile, on a Pool of its own for the pass.
 //
 // Compaction replaces containers crash-safely: the compacted image is
 // written to a temporary sibling (TempSuffix), synced, and renamed over

@@ -155,8 +155,7 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 // reads inside one frame, whole-frame reads, reads across frames — run
 // against a mutator that rewrites the file with rising version bytes
 // through two writer handles and, between versions, resets it
-// (Truncate(0)), renames it away and back, and compacts it, over a pool of
-// four chunks. The test binary poisons every recycled pool chunk and
+// (Truncate(0)) and renames it away and back, over a pool of four chunks. The test binary poisons every recycled pool chunk and
 // decode buffer (TestMain), so a byte read from a buffer
 // after its last pin was dropped is 0xDB — above every version — and a
 // byte from before the last published version is below it: every byte
@@ -212,11 +211,6 @@ func TestDecodedFramePinnedUnderReaders(t *testing.T) {
 				}
 				if err := fs.Rename("ckpt.away", "ckpt"); err != nil {
 					fail("rename back: %v", err)
-					return
-				}
-			case v%4 == 0:
-				if err := fs.Compact("ckpt"); err != nil {
-					fail("compact: %v", err)
 					return
 				}
 			}

@@ -25,8 +25,11 @@ type fileEntry struct {
 	fs *FS
 
 	// calls is the entry's shard of the per-call counters and latency
-	// histograms (see callShard). Immutable after newFileEntry.
-	calls *callShard
+	// histograms (see callShard); backendFile is the backend handle every
+	// handle of the path shares. Both are immutable from newFileEntry to
+	// the last close, so workers, Sync and Close read them with no lock.
+	calls       *callShard
+	backendFile backendHandle
 
 	// writeMu serializes the write/flush path of this file so that the
 	// aggregation ops of one write are applied atomically even when the
@@ -51,7 +54,6 @@ type fileEntry struct {
 	name string
 
 	refs        int // open handles
-	backendFile backendHandle
 	agg         *chunker.FileAgg
 	active      *chunk   // chunk currently being filled, nil if none
 	inflight    []*chunk // enqueued, not yet completed; flush (seq) order
@@ -88,14 +90,6 @@ type fileEntry struct {
 	// once the entry wins the table race (Options.RepairOnOpen); -1
 	// means no repair is due.
 	pendingRepair int64
-
-	// retired holds backend handles replaced by compaction (the rewrite
-	// swaps in a handle to the renamed replacement). They are closed at
-	// the entry's last close, not at swap time: a stale snapshot taken
-	// just before the swap (a prefetch job, a Sync) may still issue one
-	// more operation on the old handle, which must hit a valid — if
-	// orphaned — file rather than a closed one. Guarded by mu.
-	retired []interface{ Close() error }
 
 	// decMu guards the one-frame decode cache, which makes sequential
 	// small reads of a container cheap. The cache holds the read-path
@@ -341,29 +335,6 @@ func (e *fileEntry) pathName() string {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.name
-}
-
-// backend returns the entry's current backend handle. Compaction can
-// swap the handle (the rewrite renames a replacement file over the
-// original), so any access outside mu/truncMu must go through a
-// snapshot; a stale snapshot still points at an open, orphaned handle
-// (see retired).
-func (e *fileEntry) backend() backendHandle {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.backendFile
-}
-
-// closeRetired closes the backend handles compaction retired. Called at
-// the entry's last close and at unmount.
-func (e *fileEntry) closeRetired() {
-	e.mu.Lock()
-	retired := e.retired
-	e.retired = nil
-	e.mu.Unlock()
-	for _, h := range retired {
-		h.Close()
-	}
 }
 
 // frameExtent computes the logical size and next sequence number of a
@@ -671,9 +642,8 @@ func (e *fileEntry) decodeFrame(fr codec.FrameInfo, stream bool) (*prefetched, e
 // dropDecoded empties the one-frame decode cache and gives its buffer back
 // (a reader still copying from it holds a pin; the last unpin recycles).
 // invalidate says the container's frame positions are about to mean
-// something else (reset, compaction swap, last close): the generation
-// bump keeps a decode that is under way from publishing a frame of the
-// old layout.
+// something else (reset, last close): the generation bump keeps a decode
+// that is under way from publishing a frame of the old layout.
 func (e *fileEntry) dropDecoded(invalidate bool) {
 	e.decMu.Lock()
 	old := e.dec

@@ -206,14 +206,7 @@ func (f *file) Sync() error {
 		return err
 	}
 	f.fs.stats.syncs.Add(1)
-	// The handle is snapshotted under mu (compaction can swap it); a
-	// sync that races a swap fsyncs the retired handle, which is already
-	// fully durable — the replacement was synced before the rename.
-	if err := e.backend().Sync(); err != nil {
-		return err
-	}
-	f.fs.maybeCompact(e)
-	return nil
+	return e.backendFile.Sync()
 }
 
 // Stat implements vfs.File. It resolves the entry's *current* table key,
@@ -242,12 +235,6 @@ func (f *file) Close() error {
 	e := f.entry
 	e.flushTail()
 	drainErr := e.drainReport()
-	if drainErr == nil && f.flag.Writable() {
-		// Post-close compaction check (the policy's natural trigger: a
-		// checkpoint rewrite just finished). Runs before the table
-		// reference drops, so the entry machinery is still pinned.
-		f.fs.maybeCompact(e)
-	}
 	releaseErr := f.fs.releaseEntry(e)
 	if drainErr != nil {
 		return drainErr

@@ -29,17 +29,7 @@ type FS struct {
 	// queue; workers prefer write chunks, and producers never block on it
 	// (a full queue drops the job — read-ahead is best-effort).
 	prefetchq chan prefetchJob
-	// jobq feeds maintenance work (scrub frame verification) to the same
-	// IO workers at the lowest priority: write chunks first, read-ahead
-	// second, maintenance last — the pool is idle-capable, so scrubbing
-	// rides on whatever capacity checkpoint traffic leaves free. jobMu
-	// and jobsClosed form the shutdown handshake: senders hold the read
-	// half across their (blocking) send, Unmount takes the write half
-	// before closing the channel (see enqueueJob).
-	jobq       chan func()
-	jobMu      sync.RWMutex
-	jobsClosed bool
-	encBufs    sync.Pool // *[]byte frame encode scratch, one per in-flight encode
+	encBufs   sync.Pool // *[]byte frame encode scratch, one per in-flight encode
 	// decBufs is the free list of buffers frames are decoded into on the
 	// read path (fetchFrame). It keeps idle what one stream's read-ahead
 	// can hold — ReadAhead frames and the one the stream is inside.
@@ -114,7 +104,6 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	}
 	fs.queue = make(chan *chunk, fs.pool.total)
 	fs.prefetchq = make(chan prefetchJob, fs.pool.total+opts.ReadAhead)
-	fs.jobq = make(chan func(), 4*opts.IOThreads)
 	fs.workers.Add(opts.IOThreads)
 	for i := 0; i < opts.IOThreads; i++ {
 		go fs.ioWorker()
@@ -139,12 +128,10 @@ func (fs *FS) Backend() vfs.FS { return fs.backend }
 func (fs *FS) ioWorker() {
 	defer fs.workers.Done()
 	// Local copies are nil-ed as each queue closes: a worker exits only
-	// once every tier is closed *and* drained, so maintenance jobs
-	// buffered in jobq when Unmount closes the write queue still run
-	// (their waiters would otherwise hang forever). A nil channel never
-	// fires in a select, which is exactly the drop-the-tier semantics.
-	queue, prefetchq, jobq := fs.queue, fs.prefetchq, fs.jobq
-	for queue != nil || prefetchq != nil || jobq != nil {
+	// once both tiers are closed *and* drained. A nil channel never fires
+	// in a select, which is exactly the drop-the-tier semantics.
+	queue, prefetchq := fs.queue, fs.prefetchq
+	for queue != nil || prefetchq != nil {
 		if queue != nil {
 			select {
 			case c, ok := <-queue:
@@ -157,31 +144,7 @@ func (fs *FS) ioWorker() {
 			default:
 			}
 		}
-		if prefetchq != nil {
-			select {
-			case j, ok := <-prefetchq:
-				if ok {
-					fs.runPrefetch(j)
-				} else {
-					prefetchq = nil
-				}
-				continue
-			default:
-			}
-		}
-		if jobq != nil {
-			select {
-			case j, ok := <-jobq:
-				if ok {
-					j()
-				} else {
-					jobq = nil
-				}
-				continue
-			default:
-			}
-		}
-		// Every tier idle: block until any live one has work.
+		// No write chunk waiting: block until either live tier has work.
 		select {
 		case c, ok := <-queue:
 			if ok {
@@ -194,12 +157,6 @@ func (fs *FS) ioWorker() {
 				fs.runPrefetch(j)
 			} else {
 				prefetchq = nil
-			}
-		case j, ok := <-jobq:
-			if ok {
-				j()
-			} else {
-				jobq = nil
 			}
 		}
 	}
@@ -758,7 +715,6 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 	if entry.pf != nil {
 		entry.pf.invalidate()
 	}
-	entry.closeRetired()
 	return entry.backendFile.Close()
 }
 
@@ -1069,21 +1025,12 @@ func (fs *FS) Unmount() error {
 		if e.pf != nil {
 			e.pf.invalidate()
 		}
-		e.closeRetired()
 		if err := e.backendFile.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	close(fs.queue)
 	close(fs.prefetchq)
-	// The write lock waits out any scrubber blocked in a jobq send (the
-	// workers are still draining, so those sends complete); after it,
-	// new submissions are refused and run inline, and the close below
-	// cannot race a send.
-	fs.jobMu.Lock()
-	fs.jobsClosed = true
-	fs.jobMu.Unlock()
-	close(fs.jobq)
 	fs.workers.Wait()
 	return firstErr
 }

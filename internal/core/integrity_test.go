@@ -206,7 +206,7 @@ func TestScrubCountsChecksums(t *testing.T) {
 	}
 	fs := mount(t, back, Options{ChunkSize: 8 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
 	writeThrough(t, fs, "new.img", compressiblePayload(24<<10, 7), 8<<10)
-	rep, err := fs.Scrub(ScrubOptions{})
+	rep, err := fs.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}

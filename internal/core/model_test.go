@@ -17,10 +17,7 @@ import (
 // byte-identical visible state after every single operation. The model
 // is deliberately dumb — a map of byte slices with POSIX extend/truncate
 // semantics — so any divergence indicts the mount's aggregation,
-// framing, overlay, prefetch, compaction, or table-lifecycle machinery.
-// Compaction appears both as an explicit random op and (in the
-// compaction flavour) as the policy firing behind random Syncs/Closes,
-// interleaved with writes, truncates, renames, and remounts.
+// framing, overlay, prefetch, or table-lifecycle machinery.
 
 // modelFS is the reference model: name -> contents.
 type modelFS struct {
@@ -266,15 +263,6 @@ func (h *modelHarness) step() string {
 		}
 		h.pending[name] = nil
 		return fmt.Sprintf("Sync(%s)", name)
-	case op < 78: // Compact (open or closed; no-op on raw mounts)
-		if !exists {
-			return h.step()
-		}
-		if err := h.fs.Compact(name); err != nil {
-			h.t.Fatalf("Compact(%s): %v", name, err)
-		}
-		h.pending[name] = nil // compaction drains the pipeline first
-		return fmt.Sprintf("Compact(%s)", name)
 	case op < 88: // Close / reopen
 		if open {
 			if err := h.handles[name].Close(); err != nil {
@@ -340,7 +328,7 @@ func (h *modelHarness) scrubAfterCorruption(back vfs.FS) {
 	if err := vfs.WriteFile(back, "victim.crfc", box); err != nil {
 		h.t.Fatal(err)
 	}
-	rep, err := h.fs.Scrub(ScrubOptions{})
+	rep, err := h.fs.Scrub()
 	if err != nil {
 		h.t.Fatalf("scrub after corruption: %v", err)
 	}
@@ -431,15 +419,11 @@ func TestModelDifferential(t *testing.T) {
 		name      string
 		cdc       codec.Codec
 		readAhead int
-		policy    CompactionPolicy
 	}{
-		{"raw", nil, 0, CompactionPolicy{}},
-		{"raw/readahead", nil, 4, CompactionPolicy{}},
-		{"deflate", codec.Deflate(), 0, CompactionPolicy{}},
-		{"deflate/readahead", codec.Deflate(), 4, CompactionPolicy{}},
-		// Policy-driven compaction interleaves with every Sync/Close the
-		// op sequence performs, on top of the explicit Compact op.
-		{"deflate/compaction", codec.Deflate(), 4, CompactionPolicy{MinDeadRatio: 0.05, MinDeadBytes: 1}},
+		{"raw", nil, 0},
+		{"raw/readahead", nil, 4},
+		{"deflate", codec.Deflate(), 0},
+		{"deflate/readahead", codec.Deflate(), 4},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -448,7 +432,7 @@ func TestModelDifferential(t *testing.T) {
 				back := memfs.New()
 				fs := mount(t, back, Options{
 					ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 3,
-					Codec: tc.cdc, ReadAhead: tc.readAhead, Compaction: tc.policy,
+					Codec: tc.cdc, ReadAhead: tc.readAhead,
 				})
 				h := &modelHarness{
 					t: t, fs: fs, model: newModelFS(),

@@ -19,7 +19,6 @@ type fsHistograms struct {
 	frameBytes        *obs.Histogram // encoded frame size on the backend
 	queueWaitWrite    *obs.Histogram // chunk dwell in the write queue (enqueue → worker pickup)
 	queueWaitPrefetch *obs.Histogram // read-ahead job dwell in the prefetch queue
-	queueWaitJob      *obs.Histogram // maintenance job dwell in the job queue
 }
 
 func newFSHistograms() *fsHistograms {
@@ -31,7 +30,6 @@ func newFSHistograms() *fsHistograms {
 		frameBytes:        obs.NewHistogram(obs.SizeBounds),
 		queueWaitWrite:    lat(),
 		queueWaitPrefetch: lat(),
-		queueWaitJob:      lat(),
 	}
 }
 
@@ -54,6 +52,5 @@ func (fs *FS) PromHistograms() []metrics.PromHistogram {
 		metrics.PromHistogramOf("crfs_frame_bytes", "Encoded frame size as appended to containers.", h.frameBytes, 1),
 		metrics.PromHistogramOf("crfs_queue_wait_write_seconds", "Chunk dwell time in the write queue before an IO worker picks it up.", h.queueWaitWrite, ns),
 		metrics.PromHistogramOf("crfs_queue_wait_prefetch_seconds", "Read-ahead job dwell time in the prefetch queue.", h.queueWaitPrefetch, ns),
-		metrics.PromHistogramOf("crfs_queue_wait_job_seconds", "Maintenance job dwell time in the background job queue.", h.queueWaitJob, ns),
 	}
 }

@@ -75,48 +75,12 @@ type Options struct {
 	// incompressible chunks fall back to raw frames, and reads through
 	// any CRFS mount decode containers transparently.
 	Codec codec.Codec
-	// Compaction enables online container compaction and sets its
-	// trigger policy. The zero value disables it, keeping every prior
-	// mount behavior byte-identical.
-	Compaction CompactionPolicy
 	// Tracer receives the mount's pipeline spans (write/read/sync, chunk
-	// seal, encode, backend write, prefetch, scrub/compact). nil selects
+	// seal, encode, backend write, prefetch, scrub). nil selects
 	// the process-wide obs.Default tracer, which starts disabled — the
 	// per-span cost is then one atomic load. Latency histograms are
 	// independent of the tracer and always on.
 	Tracer *obs.Tracer
-}
-
-// CompactionPolicy configures online container compaction. Containers
-// are log-structured and last-writer-wins: overwrites append new frames
-// and the superseded ones stay on the backend, so rewrite-heavy
-// checkpoint workloads amplify space without bound. When enabled, the
-// mount checks each framed file's dead-byte accounting after every Sync
-// and writable Close and rewrites containers past the thresholds to
-// their minimal equivalent via a crash-safe temp-write + rename replace.
-// Compaction never changes what reads return — only the container bytes
-// that back them.
-type CompactionPolicy struct {
-	// MinDeadRatio triggers compaction when the reclaimable fraction of
-	// a container (dead frame bytes plus unrepaired torn junk, over the
-	// backend file size) reaches it. <= 0 disables compaction entirely;
-	// explicit FS.Compact calls work regardless.
-	MinDeadRatio float64
-	// MinDeadBytes additionally requires at least this many reclaimable
-	// bytes, so tiny containers are not churned for a handful of bytes.
-	MinDeadBytes int64
-}
-
-// enabled reports whether policy-driven compaction is on.
-func (p CompactionPolicy) enabled() bool { return p.MinDeadRatio > 0 }
-
-// due reports whether a container with the given reclaimable bytes out
-// of total backend bytes crosses the policy thresholds.
-func (p CompactionPolicy) due(reclaimable, total int64) bool {
-	if !p.enabled() || total <= 0 || reclaimable <= 0 || reclaimable < p.MinDeadBytes {
-		return false
-	}
-	return float64(reclaimable)/float64(total) >= p.MinDeadRatio
 }
 
 // framedWrites reports whether new files are written as frame containers.
@@ -137,8 +101,7 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Codec == nil {
 		o.Codec = codec.Raw()
 	}
-	if o.BufferPoolSize < 0 || o.ChunkSize <= 0 || o.IOThreads < 0 || o.ReadAhead < 0 ||
-		o.Compaction.MinDeadBytes < 0 {
+	if o.BufferPoolSize < 0 || o.ChunkSize <= 0 || o.IOThreads < 0 || o.ReadAhead < 0 {
 		return o, fmt.Errorf("core: invalid options %+v: %w", o, errInvalidOptions)
 	}
 	return o, nil

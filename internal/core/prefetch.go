@@ -663,18 +663,13 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	pf.mu.Unlock()
 	e.mu.Lock()
 	clean := e.doneChunks == e.writeChunks && (e.active == nil || e.active.fill.Load() == 0)
-	// Snapshot the handle under mu: compaction can swap it, and a stale
-	// snapshot must keep pointing at an open (retired) handle. A fetch
-	// that raced the swap publishes nothing — the swap bumped the
-	// generation.
-	bf := e.backendFile
 	e.mu.Unlock()
 	if !clean {
 		pf.drop(j.key)
 		return
 	}
 	if j.framed {
-		if pr, err := fs.fetchFrame(bf, j.fr); err != nil {
+		if pr, err := fs.fetchFrame(e.backendFile, j.fr); err != nil {
 			pf.drop(j.key)
 		} else {
 			pf.publish(j.key, pr, j.gen)
@@ -687,7 +682,7 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 		pf.drop(j.key)
 		return
 	}
-	n, err := bf.ReadAt(c.buf[:j.n], j.key)
+	n, err := e.backendFile.ReadAt(c.buf[:j.n], j.key)
 	if (err != nil && err != io.EOF) || n == 0 {
 		pf.fs.putReadChunk(c)
 		pf.drop(j.key)

@@ -95,12 +95,8 @@ type statCounters struct {
 
 	decodeHeapFallbacks atomic.Int64
 
-	containersCompacted   atomic.Int64
-	compactFramesDropped  atomic.Int64
-	compactBytesReclaimed atomic.Int64
-	framesVerified        atomic.Int64
-	scrubCorruptions      atomic.Int64
-	scrubRepaired         atomic.Int64
+	framesVerified   atomic.Int64
+	scrubCorruptions atomic.Int64
 
 	checksumVerified atomic.Int64
 	checksumFailed   atomic.Int64
@@ -217,26 +213,14 @@ type Stats struct {
 	// SalvageBytesTruncated is the container bytes dropped past the
 	// intact prefixes of salvaged containers.
 	SalvageBytesTruncated int64
-	// ContainersCompacted counts frame containers rewritten to their
-	// minimal equivalent by the online compaction engine.
-	ContainersCompacted int64
-	// CompactFramesDropped counts dead frames (fully shadowed extents,
-	// pads, superseded markers) dropped by those rewrites.
-	CompactFramesDropped int64
-	// CompactBytesReclaimed is the backend bytes the rewrites reclaimed
-	// (dead frames plus any unrepaired torn junk the rewrite absorbed).
-	CompactBytesReclaimed int64
 	// FramesVerified counts container frames whose payload the scrub
 	// engine read back and decode-verified intact.
 	FramesVerified int64
 	// ScrubCorruptions counts frames that failed scrub verification.
 	ScrubCorruptions int64
-	// ScrubRepaired counts containers the scrub truncated to their
-	// longest verified frame prefix (ScrubOptions.Repair).
-	ScrubRepaired int64
 	// ChecksumVerified counts frame payloads whose v2 CRC32-C matched at
 	// decode time, on any decode path: reads, prefetch, open-time
-	// salvage, scrub, and compaction.
+	// salvage, and scrub.
 	ChecksumVerified int64
 	// ChecksumFailed counts payloads that decoded to the declared length
 	// but failed their v2 checksum — proven bit rot surfaced as
@@ -301,12 +285,8 @@ func (fs *FS) Stats() Stats {
 		SalvageFramesDropped:  fs.stats.salvageFramesDropped.Load(),
 		SalvageBytesTruncated: fs.stats.salvageBytesTruncated.Load(),
 
-		ContainersCompacted:   fs.stats.containersCompacted.Load(),
-		CompactFramesDropped:  fs.stats.compactFramesDropped.Load(),
-		CompactBytesReclaimed: fs.stats.compactBytesReclaimed.Load(),
-		FramesVerified:        fs.stats.framesVerified.Load(),
-		ScrubCorruptions:      fs.stats.scrubCorruptions.Load(),
-		ScrubRepaired:         fs.stats.scrubRepaired.Load(),
+		FramesVerified:   fs.stats.framesVerified.Load(),
+		ScrubCorruptions: fs.stats.scrubCorruptions.Load(),
 
 		ChecksumVerified: fs.stats.checksumVerified.Load(),
 		ChecksumFailed:   fs.stats.checksumFailed.Load(),

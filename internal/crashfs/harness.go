@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"crfs/internal/codec"
+	"crfs/internal/compact"
 	"crfs/internal/core"
 	"crfs/internal/vfs"
 )
@@ -73,12 +74,14 @@ type HarnessConfig struct {
 	ChunkSize int64
 	// Repair sets RepairOnOpen on the verify mounts.
 	Repair bool
-	// Compaction enables online container compaction: the record mount
-	// runs an aggressive policy (so the workload's overwrites trigger
-	// rewrites whose temp-write + rename mutations land in the crash
-	// log), and every crash point additionally compacts each file after
-	// the first read and re-reads it — proving compaction of any
-	// crash-state container never changes the readable bytes.
+	// Compaction runs the offline compactor (compact.CompactDir) over
+	// the recorded store after the workload's final acknowledgment, so
+	// the replace protocol's mutations (temporary created, written,
+	// renamed over the original) land in the crash log, and at every
+	// crash point compacts the crash state after the first read and
+	// re-reads it — proving compaction of any crash-state container
+	// never changes the readable bytes, and that stray temporaries are
+	// inert and swept.
 	Compaction bool
 	// Torn adds intra-write cuts (first byte, mid-payload, last-byte-
 	// short) to the enumerated boundaries, exercising torn frames.
@@ -95,8 +98,8 @@ type HarnessResult struct {
 	Violations []string // durability contract violations (nil = proven)
 	// Recovery totals across all verify mounts.
 	Salvaged, Repaired, FramesDropped, BytesTruncated int64
-	// Compaction totals: rewrites by the record mount's policy and by
-	// the per-point compact-and-reread check.
+	// Compaction totals: containers rewritten in the recorded store and
+	// by the per-point compact-and-reread check.
 	RecordCompactions, PointCompactions int64
 	// Integrity totals across all verify mounts (reads plus the rule-5
 	// per-point scrub): v2 payloads whose checksum matched, payloads that
@@ -146,7 +149,7 @@ func MixedWorkload() []Step {
 		{StepWrite, "ckpt/b.img", 240, 100},
 		{StepClose, "ckpt/b.img", 0, 0},
 		{StepWrite, "ckpt/a.img", 0, 192}, // full-chunk rewrite: whole frames go dead
-		{StepSync, "ckpt/a.img", 0, 0},    // compaction policy (when enabled) fires here
+		{StepSync, "ckpt/a.img", 0, 0},
 		{StepWrite, "ckpt/a.img", 420, 100},
 		{StepClose, "ckpt/a.img", 0, 0},
 	}
@@ -170,12 +173,6 @@ func RunHarness(cfg HarnessConfig, steps []Step) (*HarnessResult, error) {
 		BufferPoolSize: 16 * cfg.ChunkSize,
 		IOThreads:      1,
 		Codec:          cfg.Codec,
-	}
-	if cfg.Compaction {
-		// Aggressive thresholds so the mixed workload's overwrites make
-		// the record mount compact at its Sync/Close points, injecting
-		// the rewrite protocol's mutations into the crash log.
-		opts.Compaction = core.CompactionPolicy{MinDeadRatio: 0.01, MinDeadBytes: 1}
 	}
 	fs, err := core.Mount(crash, opts)
 	if err != nil {
@@ -258,6 +255,20 @@ func RunHarness(cfg HarnessConfig, steps []Step) (*HarnessResult, error) {
 	}
 	// Unmount drains everything: a global acknowledgment.
 	acks = append(acks, ack{file: "", logLen: crash.Len(), step: len(steps) - 1})
+	var recordCompactions int64
+	if cfg.Compaction {
+		// Everything is acknowledged; the overwrites left dead frames.
+		// Rewrite them in the recorded store, so every step of the replace
+		// protocol is a crash point below.
+		rep, err := compact.CompactDir(crash, ".")
+		if err != nil {
+			return nil, err
+		}
+		if len(rep.Problems) > 0 {
+			return nil, fmt.Errorf("crashfs: compacting the recorded store: %s", rep.Format())
+		}
+		recordCompactions = int64(rep.Compacted)
+	}
 
 	// Enumerate crash points.
 	points := crash.Boundaries()
@@ -279,7 +290,7 @@ func RunHarness(cfg HarnessConfig, steps []Step) (*HarnessResult, error) {
 	res := &HarnessResult{
 		Mutations:         crash.Len(),
 		Points:            len(points),
-		RecordCompactions: fs.Stats().ContainersCompacted,
+		RecordCompactions: recordCompactions,
 	}
 	for _, p := range points {
 		if err := verifyPoint(crash, cfg, p, snaps, acks, res); err != nil {
@@ -315,6 +326,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 	}
 	framed := cfg.Codec != nil && cfg.Codec.ID() != codec.RawID
 	last := len(snaps) - 1
+	first := map[string][]byte{} // what each file read as, before the crash state is compacted
 	for name := range snaps[last] {
 		ackStep := -1
 		for _, a := range acks {
@@ -371,20 +383,29 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 				break
 			}
 		}
-		if cfg.Compaction {
-			// Compact the crash-state container — whatever shape the cut
-			// left it in (clean, torn-and-salvaged, mid-replace) — and
-			// prove the readable bytes are untouched.
-			if cerr := vfs2.Compact(name); cerr != nil {
-				violate("%s: compaction at crash state failed: %v", name, cerr)
-				continue
-			}
+		first[name] = got
+	}
+	if cfg.Compaction {
+		// Compact the crash state — whatever shape the cut left each
+		// container in (clean, torn, mid-replace with a stray temporary) —
+		// under the mount, which holds no file open, and prove the
+		// readable bytes are untouched and no temporary survives.
+		rep, cerr := compact.CompactDir(replayed, ".")
+		if cerr != nil {
+			return cerr
+		}
+		res.PointCompactions += int64(rep.Compacted)
+		for _, pr := range rep.Problems {
+			violate("%s: compaction at crash state failed: %s", pr.Path, pr.Err)
+		}
+		if n, _ := compact.SweepTemps(replayed, "."); n > 0 {
+			violate("%d compaction temporaries survived CompactDir's sweep", n)
+		}
+		for name, got := range first {
 			again, rerr := readAll(vfs2, name)
 			if rerr != nil {
 				violate("%s: unreadable after crash-state compaction: %v", name, rerr)
-				continue
-			}
-			if !bytes.Equal(again, got) {
+			} else if !bytes.Equal(again, got) {
 				violate("%s: crash-state compaction changed readable bytes (%d -> %d)", name, len(got), len(again))
 			}
 		}
@@ -395,7 +416,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		// nothing acknowledged). Tears are expected debris — salvage has
 		// already bounded them — but a corrupt or checksum-failing frame
 		// cannot come from a cut: the log only ever loses its tail.
-		srep, serr := vfs2.Scrub(core.ScrubOptions{})
+		srep, serr := vfs2.Scrub()
 		if serr != nil {
 			return serr
 		}
@@ -416,7 +437,6 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 	res.Repaired += st.ContainersRepaired
 	res.FramesDropped += st.SalvageFramesDropped
 	res.BytesTruncated += st.SalvageBytesTruncated
-	res.PointCompactions += st.ContainersCompacted
 	return nil
 }
 

@@ -737,7 +737,7 @@ func setSpanContext(f vfs.File, ctx obs.SpanContext) {
 
 // scrubLine runs a scrub pass and renders its one-line summary.
 func scrubLine(fs *core.FS) (string, error) {
-	rep, err := fs.Scrub(core.ScrubOptions{})
+	rep, err := fs.Scrub()
 	if err != nil {
 		return "", err
 	}

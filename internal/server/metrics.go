@@ -51,12 +51,8 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_salvage_frames_dropped_total", "Frames lost past the tears of salvaged containers.", st.SalvageFramesDropped).WithStat("salvage_frames_dropped"),
 		metrics.Counter("crfs_salvage_bytes_truncated_total", "Container bytes dropped past intact prefixes.", st.SalvageBytesTruncated).WithStat("salvage_bytes_truncated"),
 		// Mount: compaction and scrub.
-		metrics.Counter("crfs_containers_compacted_total", "Containers rewritten by the compaction engine.", st.ContainersCompacted).WithStat("compacted"),
-		metrics.Counter("crfs_compact_frames_dropped_total", "Dead frames dropped by compaction rewrites.", st.CompactFramesDropped).WithStat("compact_frames_dropped"),
-		metrics.Counter("crfs_compact_bytes_reclaimed_total", "Backend bytes reclaimed by compaction.", st.CompactBytesReclaimed).WithStat("compact_bytes_reclaimed"),
 		metrics.Counter("crfs_frames_verified_total", "Frames decode-verified intact by the scrub engine.", st.FramesVerified).WithStat("frames_verified"),
 		metrics.Counter("crfs_scrub_corruptions_total", "Frames that failed scrub verification.", st.ScrubCorruptions).WithStat("scrub_corruptions"),
-		metrics.Counter("crfs_scrub_repaired_total", "Containers truncated by scrub repair.", st.ScrubRepaired).WithStat("scrub_repaired"),
 		// Mount: integrity.
 		metrics.Counter("crfs_checksum_verified_total", "Frame payloads whose CRC32-C matched at decode time.", st.ChecksumVerified).WithStat("checksum_verified"),
 		metrics.Counter("crfs_checksum_failed_total", "Frame payloads that failed their checksum (proven bit rot).", st.ChecksumFailed).WithStat("checksum_failed"),
