@@ -139,7 +139,11 @@ func (t *traceRun) write(dump func(obs.TraceID) []obs.SpanRecord) error {
 	for _, r := range recs {
 		procs[r.Proc] = true
 	}
-	fmt.Fprintf(t.out, "trace: %d spans from %d processes -> %s\n", len(recs), len(procs), t.file)
+	fmt.Fprintf(t.out, "trace: %d spans from %d processes -> %s", len(recs), len(procs), t.file)
+	if n := t.tr.Overwritten(); n > 0 {
+		fmt.Fprintf(t.out, ", %d spans overwritten", n)
+	}
+	fmt.Fprintln(t.out)
 	return nil
 }
 

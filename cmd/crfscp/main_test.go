@@ -262,3 +262,32 @@ func TestFlagSurface(t *testing.T) {
 		t.Fatalf("crfscp -h lists flags\n%v, want\n%v", got, want)
 	}
 }
+
+// TestTraceSummaryCountsOverwrittenSpans: the trace summary line says how
+// many spans the run's ring overwrote, and nothing when it overwrote none.
+func TestTraceSummaryCountsOverwrittenSpans(t *testing.T) {
+	var out bytes.Buffer
+	run := &traceRun{tr: obs.New(2), file: filepath.Join(t.TempDir(), "trace.json"), out: &out}
+	run.tr.SetEnabled(true)
+	spans := func(n int) {
+		for i := 0; i < n; i++ {
+			sp := run.span("op", "f")
+			sp.End()
+		}
+	}
+	spans(2)
+	if err := run.write(nil); err != nil {
+		t.Fatal(err)
+	}
+	if line := out.String(); strings.Contains(line, "overwritten") {
+		t.Errorf("a ring that lost nothing: %q", line)
+	}
+	out.Reset()
+	spans(3)
+	if err := run.write(nil); err != nil {
+		t.Fatal(err)
+	}
+	if line, want := out.String(), "trace: 2 spans from 1 processes -> "+run.file+", 3 spans overwritten\n"; line != want {
+		t.Errorf("summary %q, want %q", line, want)
+	}
+}

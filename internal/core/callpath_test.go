@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crfs/internal/memfs"
+	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
 
@@ -395,13 +397,20 @@ func TestSelfFetchedExtentStartsMidBlock(t *testing.T) {
 // TestCallCountersExactAcrossShards: the per-call counters and the two
 // call histograms are sharded per entry and summed at read time; N calls
 // must read back as exactly N while every handle is still open, after
-// some close, and for an entry Remove unlinked from the table.
+// some close, and for an entry Remove unlinked from the table. Each
+// histogram counts the sampled calls: the first of every callSampleStride
+// on each shard, ⌈n/callSampleStride⌉ for n calls from one caller.
 func TestCallCountersExactAcrossShards(t *testing.T) {
 	fs := mount(t, memfs.New(), Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2, ReadAhead: 4})
-	const files, writesPer, readsPer = 5, 37, 23
+	const (
+		files     = 5
+		writesPer = 2 * callSampleStride // the next write on a shard is sampled
+		readsPer  = callSampleStride     // ... and so is the next read
+	)
+	sampled := func(n int64) int64 { return (n + callSampleStride - 1) / callSampleStride }
 	handles := make([]vfs.File, files)
 	p := make([]byte, 100)
-	check := func(when string, wantW, wantR int64) {
+	check := func(when string, wantW, wantR, wantSampledW, wantSampledR int64) {
 		t.Helper()
 		st := fs.Stats()
 		if st.Writes != wantW || st.BytesWritten != wantW*100 {
@@ -413,13 +422,18 @@ func TestCallCountersExactAcrossShards(t *testing.T) {
 		for _, ph := range fs.PromHistograms() {
 			switch ph.Name {
 			case "crfs_write_latency_seconds":
-				if int64(ph.Count) != wantW {
-					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantW)
+				if int64(ph.Count) != wantSampledW {
+					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantSampledW)
 				}
 			case "crfs_read_latency_seconds":
-				if int64(ph.Count) != wantR {
-					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantR)
+				if int64(ph.Count) != wantSampledR {
+					t.Errorf("%s: %s_count=%d, want %d", when, ph.Name, ph.Count, wantSampledR)
 				}
+			default:
+				continue
+			}
+			if want := fmt.Sprintf("one call in %d per open file", callSampleStride); !strings.Contains(ph.Help, want) {
+				t.Errorf("%s HELP %q does not say %q", ph.Name, ph.Help, want)
 			}
 		}
 	}
@@ -440,28 +454,161 @@ func TestCallCountersExactAcrossShards(t *testing.T) {
 			}
 		}
 	}
-	check("all handles open", files*writesPer, files*readsPer)
+	sw, sr := files*sampled(writesPer), files*sampled(readsPer)
+	check("all handles open", files*writesPer, files*readsPer, sw, sr)
 	if err := fs.Remove("f0"); err != nil { // f0's entry leaves the table but stays live
 		t.Fatal(err)
 	}
 	if _, err := handles[0].WriteAt(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	check("after Remove of an open file", files*writesPer+1, files*readsPer)
+	sw += sampled(writesPer+1) - sampled(writesPer)
+	check("after Remove of an open file", files*writesPer+1, files*readsPer, sw, sr)
 	for _, f := range handles[:3] {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("after three closes", files*writesPer+1, files*readsPer)
+	check("after three closes", files*writesPer+1, files*readsPer, sw, sr)
 	if _, err := handles[4].ReadAt(p, 0); err != nil {
 		t.Fatal(err)
 	}
-	check("one more read", files*writesPer+1, files*readsPer+1)
+	sr += sampled(readsPer+1) - sampled(readsPer)
+	check("one more read", files*writesPer+1, files*readsPer+1, sw, sr)
 	for _, f := range handles[3:] {
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	check("all closed", files*writesPer+1, files*readsPer+1)
+	check("all closed", files*writesPer+1, files*readsPer+1, sw, sr)
+}
+
+// countClockReads substitutes a clock for fs's that counts how often it
+// is read. Call it before the mount's first IO.
+func countClockReads(fs *FS) *atomic.Int64 {
+	var reads atomic.Int64
+	clock := fs.monotonic
+	fs.monotonic = func() int64 {
+		reads.Add(1)
+		return clock()
+	}
+	return &reads
+}
+
+// TestUnsampledCallsReadNoClock: a WriteAt or ReadAt that is not sampled
+// reads no clock. 61×100 calls each way, none of which fills a chunk or
+// plans read-ahead (the only other readers of the clock), read it twice
+// per sampled call: 200 times, where timing every call read it 12,200.
+func TestUnsampledCallsReadNoClock(t *testing.T) {
+	const (
+		sampled = 100
+		calls   = sampled * callSampleStride
+		bs      = 8
+		limit   = 2 * (sampled + 1)
+	)
+	fs := mount(t, memfs.New(), Options{ChunkSize: 64 << 10}) // calls*bs fits one chunk; no read-ahead
+	clockReads := countClockReads(fs)
+	f, err := fs.Open("img", vfs.ReadWrite|vfs.Create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p := make([]byte, bs)
+	for i := 0; i < calls; i++ {
+		p[0] = byte(i)
+		if _, err := f.WriteAt(p, int64(i*bs)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := clockReads.Swap(0); got > limit {
+		t.Errorf("%d WriteAt calls read the clock %d times, want <= %d", calls, got, limit)
+	}
+	for i := 0; i < calls; i++ {
+		if _, err := f.ReadAt(p, int64(i*bs)); err != nil || p[0] != byte(i) {
+			t.Fatalf("read %d: got %d, %v", i, p[0], err)
+		}
+	}
+	if got := clockReads.Load(); got > limit {
+		t.Errorf("%d ReadAt calls read the clock %d times, want <= %d", calls, got, limit)
+	}
+	shard := f.(*file).entry.calls
+	if w, r := shard.writeAt.Snapshot().Count, shard.readAt.Snapshot().Count; w != sampled || r != sampled {
+		t.Errorf("histograms hold %d writes and %d reads, want %d sampled calls each", w, r, sampled)
+	}
+}
+
+// TestQueueDwellOnMonotonicClock: the two queue-dwell histograms measure
+// on the mount's monotonic clock — the enqueue stamp and the pickup both
+// read it, so no dwell is negative whatever the wall clock does — and
+// they observe every chunk and read-ahead job that went through the
+// queues.
+func TestQueueDwellOnMonotonicClock(t *testing.T) {
+	const chunk = 64 << 10
+	tr := obs.New(1 << 12) // holds every span of the cycle
+	tr.SetEnabled(true)
+	fs, err := Mount(memfs.New(), Options{ChunkSize: chunk, BufferPoolSize: 8 * chunk, IOThreads: 2, ReadAhead: 4, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clockReads := countClockReads(fs)
+	want := make([]byte, 16*chunk)
+	for i := range want {
+		want[i] = byte(i * 13)
+	}
+	w, err := fs.Open("img", vfs.WriteOnly|vfs.Create|vfs.Trunc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for off := 0; off < len(want); off += chunk {
+		if _, err := w.WriteAt(want[off:off+chunk], int64(off)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := fs.Open("img", vfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readSequential(t, r, want, 4096)
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.Unmount(); err != nil { // the workers drain both queues
+		t.Fatal(err)
+	}
+	if n := tr.Overwritten(); n != 0 {
+		t.Fatalf("the trace ring overwrote %d spans; the job count below would be short", n)
+	}
+	jobs := int64(0)
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "crfs.prefetch" {
+			jobs++
+		}
+	}
+	if jobs == 0 {
+		t.Fatal("the restore ran no read-ahead job")
+	}
+	calls := fs.callTotals()
+	observed := calls.writeAt.Snapshot().Count + calls.readAt.Snapshot().Count
+	for _, q := range []struct {
+		name  string
+		h     *obs.Histogram
+		count int64
+	}{
+		{"write queue", fs.hist.queueWaitWrite, fs.Stats().ChunksFlushed},
+		{"prefetch queue", fs.hist.queueWaitPrefetch, jobs},
+	} {
+		s := q.h.Snapshot()
+		if s.Sum < 0 || s.Count != q.count {
+			t.Errorf("%s dwell: sum %d ns over %d observations, want >= 0 over %d", q.name, s.Sum, s.Count, q.count)
+		}
+		observed += s.Count
+	}
+	// Every observation read the mount's clock twice (a read-ahead job the
+	// full queue dropped read it once more, at its stamp).
+	if got := clockReads.Load(); got < 2*observed {
+		t.Errorf("the mount's clock was read %d times for %d observations, want >= %d: a dwell was measured on another clock", got, observed, 2*observed)
+	}
 }

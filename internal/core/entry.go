@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crfs/internal/chunker"
 	"crfs/internal/codec"
@@ -227,7 +226,7 @@ func (e *fileEntry) enqueueActive() {
 	e.mu.Unlock()
 	e.fs.partials.Add(-1)
 	e.fs.stats.chunksFlushed.Add(1)
-	c.enqueuedAt = time.Now().UnixNano()
+	c.enqueuedAt = e.fs.monotonic()
 	e.fs.enqueue(c)
 }
 

@@ -80,11 +80,33 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 		sp.AttrInt("off", off)
 		sp.AttrInt("bytes", int64(len(p)))
 	}
-	t0 := f.fs.monotonic()
+	calls := f.entry.calls
+	t0, timed := f.fs.sampleStart(calls.writes.Load())
 	n, err := f.entry.write(p, off, sp.Context())
-	f.entry.calls.writeAt.Observe(f.fs.monotonic() - t0)
+	if timed {
+		calls.writeAt.Observe(f.fs.monotonic() - t0)
+	}
 	sp.End()
 	return n, err
+}
+
+// callSampleStride is how often a WriteAt or ReadAt is timed into its
+// shard's latency histogram. Timing a call costs two clock reads and the
+// histogram's atomics, more than the copy a 512 B call is for, so only the
+// calls whose shard count before them is a multiple of the stride pay it:
+// the histograms are a uniform sample, the call counters stay exact. The
+// stride is prime so the sample never locks onto power-of-two geometry (a
+// 512 B stream opens a 4 MiB chunk every 8192 calls; a stride of 64 would
+// time every one of those stalls).
+const callSampleStride = 61
+
+// sampleStart decides whether a call that finds count calls already on
+// its shard is timed, and if so reads the clock it starts at.
+func (fs *FS) sampleStart(count int64) (t0 int64, timed bool) {
+	if count%callSampleStride != 0 {
+		return 0, false
+	}
+	return fs.monotonic(), true
 }
 
 // ReadAt implements vfs.File. The paper passes reads straight through
@@ -115,11 +137,13 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 		sp.AttrInt("off", off)
 		sp.AttrInt("bytes", int64(len(p)))
 	}
-	t0 := f.fs.monotonic()
+	calls := f.entry.calls
+	t0, timed := f.fs.sampleStart(calls.reads.Load())
 	stream, plan := f.noteRead(off, int64(len(p)))
 	n, err := f.entry.readAt(p, off, stream)
-	calls := f.entry.calls
-	calls.readAt.Observe(f.fs.monotonic() - t0)
+	if timed {
+		calls.readAt.Observe(f.fs.monotonic() - t0)
+	}
 	sp.End()
 	calls.reads.Add(1)
 	calls.bytesRead.Add(int64(n))

@@ -63,14 +63,23 @@ type FS struct {
 	tracer *obs.Tracer
 	hist   *fsHistograms
 
-	// epoch is the mount time. Per-call latencies are differences of
-	// time.Since(epoch), which reads the monotonic clock only; time.Now
-	// reads the wall clock as well.
-	epoch time.Time
+	// epoch is the mount time. monotonic is the clock of sampled call
+	// latencies and queue dwell: sinceMount, set at Mount (a test may
+	// substitute a counting clock before the first IO) and only read
+	// after. (With both fields FS stays in the 512-byte size class, whose
+	// slots are cache-line aligned; at 472 bytes it fell into the 480-byte
+	// class and the daemon benchmark workloads spent ~5 % more CPU — see
+	// EXPERIMENTS.md.)
+	epoch     time.Time
+	monotonic func() int64
 }
 
-// monotonic returns nanoseconds since the mount, for latency arithmetic.
-func (fs *FS) monotonic() int64 { return int64(time.Since(fs.epoch)) }
+// sinceMount returns nanoseconds since the mount plus one. time.Since
+// reads the monotonic clock only, where time.Now().UnixNano() is the wall
+// clock, which an NTP step or a VM resume moves; the one keeps the clock
+// from reading 0 at the mount instant, so a zero enqueue time means "not
+// stamped".
+func (fs *FS) sinceMount() int64 { return int64(time.Since(fs.epoch)) + 1 }
 
 // Mount stacks CRFS over backend with the given options.
 func Mount(backend vfs.FS, opts Options) (*FS, error) {
@@ -92,6 +101,7 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 		live:        make(map[*fileEntry]struct{}),
 		closedCalls: newCallShard(),
 	}
+	fs.monotonic = fs.sinceMount
 	if fs.tracer == nil {
 		fs.tracer = obs.Default
 	}
@@ -166,7 +176,7 @@ func (fs *FS) ioWorker() {
 func (fs *FS) writeChunk(c *chunk) {
 	fs.stats.queueDepth.Add(-1)
 	if c.enqueuedAt != 0 {
-		fs.hist.queueWaitWrite.Observe(time.Now().UnixNano() - c.enqueuedAt)
+		fs.hist.queueWaitWrite.Observe(fs.monotonic() - c.enqueuedAt)
 	}
 	var sp obs.Span
 	if fs.tracer.Enabled() {

@@ -11,7 +11,9 @@ import (
 // ReadAt) live in the per-entry callShard. All are lock-free
 // (obs.Histogram); an observation costs two monotonic clock reads and
 // three atomic adds, which is the entire overhead budget of leaving them
-// unconditionally enabled.
+// unconditionally enabled. That is paid per chunk, block or operation
+// here, and per sampled call — one in callSampleStride — for the two
+// per-call histograms, where it would otherwise rival a small call's copy.
 type fsHistograms struct {
 	sync              *obs.Histogram // Sync call latency (drain + backend fsync)
 	encode            *obs.Histogram // codec frame encode latency
@@ -44,8 +46,8 @@ func (fs *FS) PromHistograms() []metrics.PromHistogram {
 	h, calls := fs.hist, fs.callTotals()
 	const ns = 1e9
 	return []metrics.PromHistogram{
-		metrics.PromHistogramOf("crfs_write_latency_seconds", "WriteAt call latency: aggregation copy plus any buffer-pool stall.", calls.writeAt, ns),
-		metrics.PromHistogramOf("crfs_read_latency_seconds", "ReadAt call latency through the buffered-read-through overlay.", calls.readAt, ns),
+		metrics.PromHistogramOf("crfs_write_latency_seconds", "WriteAt call latency, one call in 61 per open file: aggregation copy plus any buffer-pool stall.", calls.writeAt, ns),
+		metrics.PromHistogramOf("crfs_read_latency_seconds", "ReadAt call latency, one call in 61 per open file, through the buffered-read-through overlay.", calls.readAt, ns),
 		metrics.PromHistogramOf("crfs_sync_latency_seconds", "Sync call latency: pipeline drain plus backend fsync.", h.sync, ns),
 		metrics.PromHistogramOf("crfs_encode_latency_seconds", "Codec frame encode latency on the IO workers.", h.encode, ns),
 		metrics.PromHistogramOf("crfs_backend_write_latency_seconds", "Backend WriteAt latency per chunk or frame.", h.backendWrite, ns),

@@ -39,8 +39,9 @@ type chunk struct {
 	// them out of order.
 	done bool
 
-	// enqueuedAt (UnixNano) stamps the hand-off to the work queue so the
-	// draining worker can observe queue dwell time; ctx parents the
+	// enqueuedAt (fs.monotonic(), 0 while not stamped) stamps the hand-off
+	// to the work queue so the draining worker can observe queue dwell
+	// time on the clock that never steps; ctx parents the
 	// chunk's pipeline spans under the write that sealed it. Both are
 	// written before enqueue and read only by the draining worker.
 	enqueuedAt int64

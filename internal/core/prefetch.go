@@ -7,7 +7,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"crfs/internal/codec"
 	"crfs/internal/obs"
@@ -629,7 +628,7 @@ type prefetchJob struct {
 	framed bool
 	fr     codec.FrameInfo // framed: the frame to decode
 
-	enqueuedAt int64           // UnixNano at enqueue, for queue-wait dwell
+	enqueuedAt int64           // fs.monotonic() at enqueue (0: not stamped), for queue-wait dwell
 	ctx        obs.SpanContext // parents the fetch span under the triggering read
 }
 
@@ -641,7 +640,7 @@ type prefetchJob struct {
 // (rule 1).
 func (fs *FS) runPrefetch(j prefetchJob) {
 	if j.enqueuedAt != 0 {
-		fs.hist.queueWaitPrefetch.Observe(time.Now().UnixNano() - j.enqueuedAt)
+		fs.hist.queueWaitPrefetch.Observe(fs.monotonic() - j.enqueuedAt)
 	}
 	var sp obs.Span
 	if fs.tracer.Enabled() {
@@ -701,7 +700,7 @@ func (fs *FS) enqueuePrefetch(j prefetchJob) (ok bool) {
 			ok = false
 		}
 	}()
-	j.enqueuedAt = time.Now().UnixNano()
+	j.enqueuedAt = fs.monotonic()
 	select {
 	case fs.prefetchq <- j:
 		return true

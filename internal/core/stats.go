@@ -8,14 +8,17 @@ import (
 	"crfs/internal/obs"
 )
 
-// callShard holds everything that is bumped on every application WriteAt
-// or ReadAt: the per-call counters and the two call-latency histograms.
-// Each open-file entry owns one, so the callers of two files never write
-// the same cache line (with one mount-wide set, two 512 B writers on two
-// cores spent more time passing those lines back and forth than copying).
-// Nothing is lost to the sharding: callTotals sums the live shards and the
-// fold of the closed ones at read time, so every total is exact at every
-// read.
+// callShard holds everything that is bumped by application WriteAt and
+// ReadAt calls: the per-call counters, bumped on every call, and the two
+// call-latency histograms, which observe one call in callSampleStride (the
+// call whose shard count before it is a multiple of the stride, so a
+// shard's first call is always timed). Each open-file entry owns one, so
+// the callers of two files never write the same cache line (with one
+// mount-wide set, two 512 B writers on two cores spent more time passing
+// those lines back and forth than copying). Nothing is lost to the
+// sharding: callTotals sums the live shards and the fold of the closed
+// ones at read time, so every counter is exact at every read, and each
+// histogram count is the sum of its shards' sampled calls.
 type callShard struct {
 	writes         atomic.Int64
 	bytesWritten   atomic.Int64
@@ -24,8 +27,8 @@ type callShard struct {
 	prefetchHits   atomic.Int64
 	prefetchMisses atomic.Int64
 
-	writeAt *obs.Histogram // WriteAt call latency (aggregation + any pool stall)
-	readAt  *obs.Histogram // ReadAt call latency (overlay + decode + backend)
+	writeAt *obs.Histogram // sampled WriteAt call latency (aggregation + any pool stall)
+	readAt  *obs.Histogram // sampled ReadAt call latency (overlay + decode + backend)
 }
 
 func newCallShard() *callShard {

@@ -81,12 +81,13 @@ type Tracer struct {
 	seeded  atomic.Bool
 	slowNs  atomic.Int64
 
-	mu   sync.Mutex
-	ring []SpanRecord
-	n    int // ring entries filled (≤ cap)
-	next int // next write slot
-	proc string
-	logf func(format string, args ...any)
+	mu          sync.Mutex
+	ring        []SpanRecord
+	n           int   // ring entries filled (≤ cap)
+	next        int   // next write slot
+	overwritten int64 // finished spans a full ring evicted
+	proc        string
+	logf        func(format string, args ...any)
 }
 
 // DefaultRingCapacity is the span ring size when none is configured.
@@ -294,6 +295,8 @@ func (s *Span) End() {
 	t.next = (t.next + 1) % len(t.ring)
 	if t.n < len(t.ring) {
 		t.n++
+	} else {
+		t.overwritten++
 	}
 	logf := t.logf
 	var tree []SpanRecord
@@ -321,6 +324,18 @@ func (t *Tracer) Snapshot() []SpanRecord {
 	out = append(out, t.ring[t.next:]...)
 	out = append(out, t.ring[:t.next]...)
 	return out
+}
+
+// Overwritten returns how many finished spans the ring has evicted to
+// make room for newer ones: a trace assembled from a ring that overwrote
+// any may be missing spans.
+func (t *Tracer) Overwritten() int64 {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.overwritten
 }
 
 // TraceSpans returns the ring's records belonging to one trace, oldest

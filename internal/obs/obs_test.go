@@ -96,12 +96,24 @@ func TestStartRemoteJoinsTrace(t *testing.T) {
 	}
 }
 
+// TestRingEviction: a full ring keeps the newest spans, oldest first, and
+// counts every span it overwrote.
 func TestRingEviction(t *testing.T) {
 	tr := New(4)
 	tr.SetEnabled(true)
 	for i := 0; i < 10; i++ {
 		sp := tr.Start(fmt.Sprintf("op%d", i))
 		sp.End()
+		if i == 3 && tr.Overwritten() != 0 {
+			t.Errorf("a ring of 4 holding 4 spans reports %d overwritten, want 0", tr.Overwritten())
+		}
+	}
+	if got := tr.Overwritten(); got != 6 {
+		t.Errorf("Overwritten() = %d after 10 spans through a ring of 4, want 6", got)
+	}
+	var nilTracer *Tracer
+	if got := nilTracer.Overwritten(); got != 0 {
+		t.Errorf("nil tracer: Overwritten() = %d, want 0", got)
 	}
 	recs := tr.Snapshot()
 	if len(recs) != 4 {

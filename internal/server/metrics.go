@@ -57,6 +57,8 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_checksum_verified_total", "Frame payloads whose CRC32-C matched at decode time.", st.ChecksumVerified).WithStat("checksum_verified"),
 		metrics.Counter("crfs_checksum_failed_total", "Frame payloads that failed their checksum (proven bit rot).", st.ChecksumFailed).WithStat("checksum_failed"),
 		metrics.Counter("crfs_checksum_skipped_total", "Decoded payloads that carried no checksum (v1 frames).", st.ChecksumSkipped).WithStat("checksum_skipped"),
+		// Tracing: the span ring's own losses.
+		metrics.Counter("crfs_trace_spans_overwritten_total", "Finished spans the full trace ring overwrote; a trace dump may be missing them.", s.tracer.Overwritten()),
 		// Server.
 		metrics.Counter("crfsd_conns_accepted_total", "Accepted connections.", sv.ConnsAccepted),
 		metrics.Gauge("crfsd_conns_active", "Connections currently being served.", float64(sv.ConnsActive)),

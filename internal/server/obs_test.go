@@ -105,8 +105,9 @@ func TestMetricsExposition(t *testing.T) {
 			}
 		}
 	}
-	// The PUT and GET above must have been observed.
-	for _, want := range []string{"crfsd_put_latency_seconds_count 1", "crfsd_get_latency_seconds_count 1"} {
+	// The PUT and GET above must have been observed, and the tracer
+	// reports its ring's losses (none: tracing is off here).
+	for _, want := range []string{"crfsd_put_latency_seconds_count 1", "crfsd_get_latency_seconds_count 1", "crfs_trace_spans_overwritten_total 0"} {
 		if !bytes.Contains(body, []byte(want)) {
 			t.Errorf("exposition missing %q", want)
 		}
