@@ -1,9 +1,9 @@
 // Package analysis is a minimal, dependency-free reimplementation of the
 // golang.org/x/tools/go/analysis vocabulary, built on the standard
 // library's go/parser and go/types only. It exists because the crfsvet
-// analyzers (see the sibling packages lockorder, atomicstats, errwrap,
-// decodeverify, workerqueue) must run in hermetic build environments
-// where the x/tools module is unavailable.
+// analyzers (the sibling packages lockorder and errwrap, driven over the
+// module by suite.TestModuleInvariants) must run in hermetic build
+// environments where the x/tools module is unavailable.
 //
 // The shape mirrors x/tools deliberately — an Analyzer owns a Run
 // function that receives a Pass with the package's syntax trees and type
@@ -29,11 +29,9 @@ import (
 )
 
 // An Analyzer describes one invariant check. Name appears in diagnostic
-// output and must be a valid identifier; Doc's first line is the
-// one-sentence summary shown by `crfsvet -list`.
+// output and must be a valid identifier.
 type Analyzer struct {
 	Name string
-	Doc  string
 
 	// SkipTestFiles drops diagnostics positioned in _test.go files.
 	// Checks that constrain production concurrency structure (lock

@@ -29,7 +29,6 @@ import (
 // Analyzer is the errwrap check.
 var Analyzer = &analysis.Analyzer{
 	Name: "errwrap",
-	Doc:  "module error sentinels must be wrapped with %w and tested with errors.Is, never == or string matching",
 	Run:  run,
 }
 

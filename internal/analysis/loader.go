@@ -147,10 +147,9 @@ func (l *Loader) ModulePackages() ([]string, error) {
 	return paths, nil
 }
 
-// A Package is one type-checked analysis unit. With test files
-// included, a directory yields up to two units: the package itself
-// (production plus in-package _test.go files) and, when present, the
-// external <pkg>_test package.
+// A Package is one type-checked analysis unit. A directory yields up to
+// two units: the package itself (production plus in-package _test.go
+// files) and, when present, the external <pkg>_test package.
 type Package struct {
 	Path  string
 	Dir   string
@@ -160,18 +159,11 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Load type-checks the module package at importPath. With tests set,
+// Load type-checks the module package at importPath, tests included:
 // in-package _test.go files are folded into the unit and an external
 // _test package becomes a second unit.
-func (l *Loader) Load(importPath string, tests bool) ([]*Package, error) {
+func (l *Loader) Load(importPath string) ([]*Package, error) {
 	dir := l.dirOf(importPath)
-	if !tests {
-		pkg, err := l.checkDir(dir, importPath, false)
-		if err != nil {
-			return nil, err
-		}
-		return []*Package{pkg}, nil
-	}
 	pkg, err := l.checkDir(dir, importPath, true)
 	if err != nil {
 		return nil, err

@@ -45,7 +45,7 @@ func TestLoaderTypeChecksCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	units, err := l.Load("crfs/internal/core", true)
+	units, err := l.Load("crfs/internal/core")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,6 @@ import (
 // Analyzer is the lockorder check.
 var Analyzer = &analysis.Analyzer{
 	Name:          "lockorder",
-	Doc:           "enforce the truncMu→writeMu→FS.mu→mu→decMu order and the no-IO-under-mu rule from DESIGN.md",
 	SkipTestFiles: true,
 	Run:           run,
 }

@@ -1,43 +1,18 @@
-// Package suite registers the crfsvet analyzers: one per mechanically
-// enforced invariant of DESIGN.md's "Concurrency invariants" and
-// integrity contracts. cmd/crfsvet drives this list; the suite self-test
-// runs it over the whole module so `go test ./...` breaks on invariant
-// regressions even without the CI job.
+// Package suite registers the crfsvet analyzers: the two DESIGN.md
+// invariants no test can stand in for, a lock-order inversion (lockorder)
+// and an identity test of a wrapped sentinel (errwrap). Its
+// TestModuleInvariants is the one driver: it runs the list over the whole
+// module, so `go test ./...` breaks on an invariant regression.
 package suite
 
 import (
 	"crfs/internal/analysis"
-	"crfs/internal/analysis/atomicstats"
-	"crfs/internal/analysis/decodeverify"
 	"crfs/internal/analysis/errwrap"
 	"crfs/internal/analysis/lockorder"
-	"crfs/internal/analysis/obshot"
-	"crfs/internal/analysis/workerqueue"
 )
 
 // All is the crfsvet analyzer suite, in diagnostic-output order.
 var All = []*analysis.Analyzer{
 	lockorder.Analyzer,
-	atomicstats.Analyzer,
 	errwrap.Analyzer,
-	decodeverify.Analyzer,
-	workerqueue.Analyzer,
-	obshot.Analyzer,
-}
-
-// ByName returns the named analyzers (comma-separated) from All, or All
-// when names is empty.
-func ByName(names []string) []*analysis.Analyzer {
-	if len(names) == 0 {
-		return All
-	}
-	var out []*analysis.Analyzer
-	for _, n := range names {
-		for _, a := range All {
-			if a.Name == n {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }

@@ -6,11 +6,10 @@ import (
 	"crfs/internal/analysis"
 )
 
-// TestModuleInvariants runs the full crfsvet suite over every package of
-// the module, tests included — the same sweep as `go run ./cmd/crfsvet
-// ./...`. Any unwaived finding is a build-breaking invariant regression,
-// so `go test ./...` enforces the DESIGN.md invariants even where the CI
-// static-analysis job is not wired up.
+// TestModuleInvariants runs the crfsvet suite over every package of the
+// module, tests included. Any unwaived finding fails it; waived findings
+// are logged one per line, and the closing summary line counts both, so a
+// waiver is visible, never silent.
 func TestModuleInvariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -25,7 +24,7 @@ func TestModuleInvariants(t *testing.T) {
 	}
 	var units []*analysis.Package
 	for _, p := range paths {
-		u, err := loader.Load(p, true)
+		u, err := loader.Load(p)
 		if err != nil {
 			t.Fatalf("loading %s: %v", p, err)
 		}
@@ -35,23 +34,13 @@ func TestModuleInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range res.Findings() {
+	findings, waived := res.Findings(), res.Suppressed()
+	for _, d := range findings {
 		t.Errorf("%s", d)
 	}
-	for _, d := range res.Suppressed() {
+	for _, d := range waived {
 		t.Logf("waived: %s: [%s] %s (reason: %s)", d.Pos, d.Analyzer, d.Message, d.Reason)
 	}
-}
-
-func TestByName(t *testing.T) {
-	if got := ByName(nil); len(got) != len(All) {
-		t.Fatalf("ByName(nil) = %d analyzers, want all %d", len(got), len(All))
-	}
-	got := ByName([]string{"errwrap", "lockorder"})
-	if len(got) != 2 || got[0].Name != "errwrap" || got[1].Name != "lockorder" {
-		t.Fatalf("ByName(errwrap,lockorder) = %v", got)
-	}
-	if got := ByName([]string{"nosuch"}); len(got) != 0 {
-		t.Fatalf("ByName(nosuch) = %v, want empty", got)
-	}
+	t.Logf("crfsvet: %d packages, %d findings, %d waived (//crfsvet:ignore)",
+		len(paths), len(findings), len(waived))
 }

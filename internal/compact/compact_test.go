@@ -396,13 +396,14 @@ func TestScrubRepairNeverTruncatesOnBackendError(t *testing.T) {
 }
 
 // meterFS counts how many frame-payload reads (a read that starts at one
-// of the payloadAt offsets) are inside the backend at once. With meet
-// set, the first such read stays in the backend until a second one joins
-// it, so "the scrub reads in parallel" needs no stopwatch.
+// of the payloadAt offsets) are inside the backend at once. The first such
+// read stays in the backend until a second one joins it or hold passes,
+// so neither "the scrub reads in parallel" nor "it never does" hangs on
+// how the reads happen to fall in time.
 type meterFS struct {
 	vfs.FS
 	payloadAt map[int64]bool
-	meet      bool
+	hold      time.Duration
 	joined    chan struct{} // closed once two reads are inside together
 	once      sync.Once
 
@@ -439,10 +440,10 @@ func (f meterFile) ReadAt(p []byte, off int64) (int, error) {
 		m.once.Do(func() { close(m.joined) })
 	}
 	m.mu.Unlock()
-	if first && m.meet {
+	if first {
 		select {
 		case <-m.joined:
-		case <-time.After(10 * time.Second): // a serial scrub: let it finish and fail on the peak
+		case <-time.After(m.hold):
 		}
 	}
 	n, err := f.File.ReadAt(p, off)
@@ -473,8 +474,12 @@ func TestScrubReadsInParallel(t *testing.T) {
 	for _, tc := range []struct {
 		workers  int
 		parallel bool
-	}{{1, false}, {4, true}} {
-		meter := &meterFS{FS: m, payloadAt: payloadAt, meet: tc.parallel, joined: make(chan struct{})}
+		hold     time.Duration // how long the first read waits for a second
+	}{
+		{1, false, 50 * time.Millisecond}, // room for a read nothing should issue
+		{4, true, 10 * time.Second},       // a serial scrub: let it finish and fail on the peak
+	} {
+		meter := &meterFS{FS: m, payloadAt: payloadAt, hold: tc.hold, joined: make(chan struct{})}
 		rep, err := Scrub(meter, ".", ScrubOptions{Workers: tc.workers})
 		if err != nil || !rep.Clean() || rep.Frames != int64(len(frames)) {
 			t.Fatalf("workers=%d: scrub of a healthy container: %+v err=%v", tc.workers, rep, err)

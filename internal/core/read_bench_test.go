@@ -124,9 +124,8 @@ func tracedMixRun(b *testing.B, traced bool) float64 {
 // that a drifting machine slows both. It compares wall clocks on a mix
 // bound by memory speed, so one run resolves nothing and it gates
 // nothing: the disabled path is held by TestDisabledSpanIsFree,
-// TestHistogramObserveNoAlloc, TestCoreAllocsPerCall and the obshot
-// analyzer, the enabled cost is read from the repo benchmark's
-// trace.overhead_pct.
+// TestHistogramObserveNoAlloc and TestCoreAllocsPerCall, the enabled cost
+// is read from the repo benchmark's trace.overhead_pct.
 func BenchmarkTracingOverhead(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var off, on float64

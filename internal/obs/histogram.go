@@ -15,7 +15,7 @@ import (
 // so the hot paths pay one Observe unconditionally. That cost (tens of
 // nanoseconds) is the whole overhead budget for latency metrics.
 type Histogram struct {
-	bounds []int64 // immutable after New; crfsvet obshot relies on this
+	bounds []int64 // immutable after New, so Observe reads it without a lock
 	counts []atomic.Int64
 	sum    atomic.Int64
 	count  atomic.Int64

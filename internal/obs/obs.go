@@ -1,9 +1,9 @@
 // Package obs is the CRFS observability subsystem: lightweight span
 // tracing, fixed-bucket atomic histograms, and chrome://tracing export.
 // It is always compiled in; the runtime cost when tracing is disabled
-// is one atomic bool load per span site and zero allocation (the
-// disabled-path invariant is machine-enforced by the crfsvet obshot
-// analyzer).
+// is one atomic bool load per span site and zero allocation
+// (TestDisabledSpanIsFree calls every fast-path method, on a disabled
+// and on a nil Tracer, and fails on a single allocation).
 //
 // Spans form trees: a root span (Start) mints a fresh trace ID, child
 // spans (StartChild) inherit it, and a span arriving from another

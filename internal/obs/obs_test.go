@@ -9,26 +9,49 @@ import (
 	"time"
 )
 
+// TestDisabledSpanIsFree is the allocation floor of every method an
+// instrumented hot path calls whether or not tracing is on: the three
+// Start variants (each with and without an inbound context), the span's
+// methods, and Enabled. A disabled and a nil Tracer must both get through
+// them without allocating and without recording anything.
 func TestDisabledSpanIsFree(t *testing.T) {
-	tr := New(16)
-	allocs := testing.AllocsPerRun(1000, func() {
-		sp := tr.Start("op")
-		sp.Attr("k", "v")
-		sp.AttrInt("n", 42)
-		_ = sp.Context()
-		sp.End()
-	})
-	if allocs != 0 {
-		t.Fatalf("disabled span path allocated %.1f times per op, want 0", allocs)
-	}
-	var nilTracer *Tracer
-	if nilTracer.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
-	sp := nilTracer.Start("op")
-	sp.End() // must not panic
-	if got := nilTracer.Snapshot(); got != nil {
-		t.Fatalf("nil tracer snapshot = %v, want nil", got)
+	parent := SpanContext{Trace: 7, Span: 9}
+	for _, tc := range []struct {
+		name string
+		tr   *Tracer
+	}{
+		{"disabled", New(16)},
+		{"nil", nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := tc.tr
+			allocs := testing.AllocsPerRun(1000, func() {
+				if tr.Enabled() {
+					t.Fatal("tracer reports enabled")
+				}
+				for _, sp := range [...]Span{
+					tr.Start("op"),
+					tr.StartChild("child", parent),
+					tr.StartChild("orphan", SpanContext{}),
+					tr.StartRemote("remote", parent.Trace),
+					tr.StartRemote("fresh", 0),
+				} {
+					if sp.Active() {
+						t.Fatal("disabled tracer started an active span")
+					}
+					sp.Attr("k", "v")
+					sp.AttrInt("n", 42)
+					_ = sp.Context()
+					sp.End()
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("disabled span path allocated %.1f times per op, want 0", allocs)
+			}
+			if got := tr.Snapshot(); len(got) != 0 {
+				t.Fatalf("disabled tracer recorded %d spans, want none", len(got))
+			}
+		})
 	}
 }
 
