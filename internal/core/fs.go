@@ -510,15 +510,14 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 		// Apply the deferred truncation while the entry is still private
 		// and fs.mu excludes sharers: published-then-truncated would let
 		// a racing opener's acknowledged writes be wiped by the reset.
-		// Taking the private entry's locks under fs.mu cannot deadlock
-		// (nobody else can hold them), and the cost is one backend
-		// ftruncate.
-		//crfsvet:ignore DESIGN.md Trunc-open exception: entry is unpublished, its locks are uncontended under fs.mu
-		if err := entry.truncate(0); err != nil {
+		// The entry has no frames, cache or read-ahead yet, so the reset
+		// is one backend ftruncate and its size; no entry lock is taken.
+		if err := bf.Truncate(0); err != nil {
 			fs.mu.Unlock()
 			bf.Close()
 			return nil, err
 		}
+		entry.logicalSize = 0
 	}
 	entry.refs = 1
 	fs.files[key] = entry

@@ -18,25 +18,77 @@
 // the fall-through path, loops are analyzed once, and branches are
 // assumed lock-balanced. That bias trades missed exotic flows for zero
 // tolerance on the straight-line orderings the DESIGN.md rules describe.
-// The one documented exception — a Trunc open applying its deferred
-// truncate to a still-private entry under FS.mu — must carry a counted
-// //crfsvet:ignore waiver at the call site.
+// There are no exceptions and no waivers: a fresh, still-private entry
+// is held to the order like any other.
 package lockorder
 
 import (
+	"fmt"
 	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/token"
 	"go/types"
+	"os"
+	"path/filepath"
+	"sort"
 	"strings"
-
-	"crfs/internal/analysis"
 )
 
-// Analyzer is the lockorder check.
-var Analyzer = &analysis.Analyzer{
-	Name:          "lockorder",
-	SkipTestFiles: true,
-	Run:           run,
+// A Finding is one violation, at the position of the offending call.
+type Finding struct {
+	Pos     token.Position
+	Message string
+}
+
+func (f Finding) String() string { return f.Pos.String() + ": " + f.Message }
+
+// Check type-checks the package in dir from its non-test Go files (imports
+// resolve from source through go/importer, so nothing is compiled) and
+// applies both rules. It returns the findings in source order and the
+// number of function bodies it summarized.
+func Check(dir string) ([]Finding, int, error) {
+	fset := token.NewFileSet()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, 0, err
+	}
+	var files []*ast.File
+	for _, e := range ents {
+		name := e.Name()
+		if !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, 0, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, 0, fmt.Errorf("lockorder: no Go files in %s", dir)
+	}
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+	}
+	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
+	pkg, err := conf.Check(files[0].Name.Name, fset, files, info)
+	if err != nil {
+		return nil, 0, fmt.Errorf("lockorder: type-checking %s: %w", dir, err)
+	}
+	c := &checker{fset: fset, pkg: pkg, info: info, funcs: make(map[*types.Func]*summary)}
+	c.run(files)
+	sort.Slice(c.findings, func(i, j int) bool {
+		a, b := c.findings[i].Pos, c.findings[j].Pos
+		if a.Filename != b.Filename {
+			return a.Filename < b.Filename
+		}
+		return a.Offset < b.Offset
+	})
+	return c.findings, len(c.funcs), nil
 }
 
 // lockClass identifies a ranked mutex by the named struct that owns it
@@ -58,7 +110,7 @@ var ranks = map[lockClass]int{
 	{"fileEntry", "decMu"}:   4,
 }
 
-// orderDoc is appended to order-violation diagnostics.
+// orderDoc is appended to order-violation findings.
 const orderDoc = "documented order: truncMu → writeMu → FS.mu → mu → decMu"
 
 // ioLocks are the classes that must never be held across encode/decode
@@ -90,20 +142,25 @@ type summary struct {
 }
 
 type checker struct {
-	pass  *analysis.Pass
-	funcs map[*types.Func]*summary
+	fset     *token.FileSet
+	pkg      *types.Package
+	info     *types.Info
+	funcs    map[*types.Func]*summary
+	findings []Finding
 }
 
-func run(pass *analysis.Pass) error {
-	c := &checker{pass: pass, funcs: make(map[*types.Func]*summary)}
+func (c *checker) reportf(pos token.Pos, format string, args ...any) {
+	c.findings = append(c.findings, Finding{Pos: c.fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+}
 
+func (c *checker) run(files []*ast.File) {
 	// Pass 1: per-function direct facts (locks acquired, IO called,
 	// same-package callees).
-	for _, f := range pass.Files {
+	for _, f := range files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
-				if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+				if obj, ok := c.info.Defs[fd.Name].(*types.Func); ok {
 					c.funcs[obj] = c.collect(fd)
 				}
 			}
@@ -138,7 +195,6 @@ func run(pass *analysis.Pass) error {
 		h := newHeld()
 		c.stmts(s.decl.Body.List, h)
 	}
-	return nil
 }
 
 func (c *checker) collect(fd *ast.FuncDecl) *summary {
@@ -155,7 +211,7 @@ func (c *checker) collect(fd *ast.FuncDecl) *summary {
 		if callee := c.callee(call); callee != nil {
 			if c.isCodecIO(callee) || c.isBackendIO(call, callee) {
 				s.doesIO = true
-			} else if callee.Pkg() == c.pass.Pkg {
+			} else if callee.Pkg() == c.pkg {
 				s.callees = append(s.callees, callee)
 			}
 		}
@@ -199,11 +255,11 @@ func (c *checker) lockOp(call *ast.CallExpr) (lockClass, lockOp, bool) {
 	if !ok {
 		return lockClass{}, opNone, false
 	}
-	tv, ok := c.pass.Info.Types[sel.X]
+	tv, ok := c.info.Types[sel.X]
 	if !ok || !isSyncMutex(tv.Type) {
 		return lockClass{}, opNone, false
 	}
-	owner, ok := c.pass.Info.Types[inner.X]
+	owner, ok := c.info.Types[inner.X]
 	if !ok {
 		return lockClass{}, opNone, false
 	}
@@ -239,18 +295,18 @@ func namedName(t types.Type) string {
 func (c *checker) callee(call *ast.CallExpr) *types.Func {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
-		if f, ok := c.pass.Info.Uses[fun].(*types.Func); ok {
+		if f, ok := c.info.Uses[fun].(*types.Func); ok {
 			return f
 		}
 	case *ast.SelectorExpr:
-		if selInfo, ok := c.pass.Info.Selections[fun]; ok {
+		if selInfo, ok := c.info.Selections[fun]; ok {
 			if f, ok := selInfo.Obj().(*types.Func); ok {
 				return f
 			}
 			return nil
 		}
 		// Package-qualified call: codec.DecodeFrame(...).
-		if f, ok := c.pass.Info.Uses[fun.Sel].(*types.Func); ok {
+		if f, ok := c.info.Uses[fun.Sel].(*types.Func); ok {
 			return f
 		}
 	}
@@ -281,7 +337,7 @@ func (c *checker) isBackendIO(call *ast.CallExpr, f *types.Func) bool {
 	if !ok {
 		return false
 	}
-	selInfo, ok := c.pass.Info.Selections[sel]
+	selInfo, ok := c.info.Selections[sel]
 	if !ok {
 		return false
 	}
@@ -527,7 +583,7 @@ func (c *checker) call(call *ast.CallExpr, h *heldSet) {
 		return
 	}
 	if cls, held := h.anyIOLock(); held && (c.isCodecIO(callee) || c.isBackendIO(call, callee)) {
-		c.pass.Reportf(call.Pos(),
+		c.reportf(call.Pos(),
 			"call to %s while holding %s: encode/decode and backend IO must run outside mu/decMu",
 			callee.Name(), cls)
 		return
@@ -542,14 +598,14 @@ func (c *checker) checkCalleeSummary(call *ast.CallExpr, callee *types.Func, s *
 	if any {
 		for cls := range s.acquires {
 			if h.locks[cls] == nil && ranks[cls] < heldRank {
-				c.pass.Reportf(call.Pos(),
+				c.reportf(call.Pos(),
 					"call to %s may acquire %s (rank %d) while holding %s (rank %d); %s",
 					callee.Name(), cls, ranks[cls], heldCls, heldRank, orderDoc)
 			}
 		}
 	}
 	if cls, held := h.anyIOLock(); held && s.doesIO {
-		c.pass.Reportf(call.Pos(),
+		c.reportf(call.Pos(),
 			"call to %s while holding %s: callee transitively performs encode/decode or backend IO",
 			callee.Name(), cls)
 	}
@@ -560,13 +616,13 @@ func (c *checker) checkCalleeSummary(call *ast.CallExpr, callee *types.Func, s *
 func (c *checker) acquire(cls lockClass, pos token.Pos, h *heldSet) {
 	rank := ranks[cls]
 	if _, held := h.locks[cls]; held {
-		c.pass.Reportf(pos, "re-acquires %s already held (self-deadlock on the same instance)", cls)
+		c.reportf(pos, "re-acquires %s already held (self-deadlock on the same instance)", cls)
 	}
 	for other, l := range h.locks {
 		if ranks[other] > rank {
-			c.pass.Reportf(pos,
+			c.reportf(pos,
 				"acquires %s (rank %d) while holding %s (rank %d, locked at %s); %s",
-				cls, rank, other, ranks[other], c.pass.Fset.Position(l.pos), orderDoc)
+				cls, rank, other, ranks[other], c.fset.Position(l.pos), orderDoc)
 		}
 	}
 	h.locks[cls] = &heldLock{pos: pos}

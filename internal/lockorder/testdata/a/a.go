@@ -1,6 +1,6 @@
-// Package a exercises the lockorder analyzer against the internal/core
+// Package a exercises the lockorder check against the internal/core
 // lock vocabulary: the struct and field names below shadow the real
-// ones, so the analyzer's (type, field) → rank table applies unchanged.
+// ones, so the check's (type, field) → rank table applies unchanged.
 package a
 
 import (
@@ -177,6 +177,25 @@ func earlyExitKeepsHeld(fs *FS, e *fileEntry, bail bool) {
 	e.truncMu.Lock() // want `acquires fileEntry\.truncMu \(rank 0\) while holding FS\.mu \(rank 2`
 	e.truncMu.Unlock()
 	fs.mu.Unlock()
+}
+
+// truncate has the shape of fileEntry.truncate: it takes truncMu, then mu.
+func (e *fileEntry) truncate() {
+	e.truncMu.Lock()
+	defer e.truncMu.Unlock()
+	e.mu.Lock()
+	e.mu.Unlock()
+}
+
+// truncOpen: a fresh entry, not yet in fs.files, gets no exemption —
+// calling its truncMu-taking method under FS.mu is still the inversion.
+func truncOpen(fs *FS, name string) *fileEntry {
+	e := &fileEntry{}
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	e.truncate() // want `call to truncate may acquire fileEntry\.truncMu \(rank 0\) while holding FS\.mu \(rank 2`
+	fs.files[name] = e
+	return e
 }
 
 // readLockCounts: RLock participates in the order like Lock.

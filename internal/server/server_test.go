@@ -491,6 +491,102 @@ func TestFailedPutPreservesPreviousVersion(t *testing.T) {
 	}
 }
 
+// parkReadsFS parks every backend read of one name past offset 0 until
+// release is closed, closing parked at the first: a GET of that name then
+// holds the file open mid-stream. It closes staged when a PUT's staging
+// temp is closed, the step right before the commit.
+type parkReadsFS struct {
+	vfs.FS
+	name                    string
+	parked, staged, release chan struct{}
+	parkedOnce, stagedOnce  sync.Once
+}
+
+func (p *parkReadsFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
+	f, err := p.FS.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return &parkReadsFile{File: f, p: p, dest: name == p.name, temp: server.IsStagingName(name)}, nil
+}
+
+type parkReadsFile struct {
+	vfs.File
+	p          *parkReadsFS
+	dest, temp bool
+}
+
+func (f *parkReadsFile) ReadAt(b []byte, off int64) (int, error) {
+	if f.dest && off > 0 {
+		f.p.parkedOnce.Do(func() { close(f.p.parked) })
+		<-f.p.release
+	}
+	return f.File.ReadAt(b, off)
+}
+
+func (f *parkReadsFile) Close() error {
+	if f.temp {
+		f.p.stagedOnce.Do(func() { close(f.p.staged) })
+	}
+	return f.File.Close()
+}
+
+// TestPutCommitsAfterReaderCloses: a PUT whose destination a GET holds
+// open cannot commit yet (core.ErrDestinationOpen). The commit must
+// retry rather than fail, land once the GET closes the file, and read
+// back byte-identical; the GET itself serves the old version whole.
+func TestPutCommitsAfterReaderCloses(t *testing.T) {
+	const name = "ckpt"
+	backend := &parkReadsFS{FS: memfs.New(), name: name,
+		parked: make(chan struct{}), staged: make(chan struct{}), release: make(chan struct{})}
+	e := newEnv(t, backend, server.Config{})
+	var releaseOnce sync.Once
+	release := func() { releaseOnce.Do(func() { close(backend.release) }) }
+	t.Cleanup(release) // runs before the env's drain, so a failed run never strands the GET
+	await := func(ch chan struct{}, what string) {
+		select {
+		case <-ch:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+
+	old := versionedBody(name, 1, 300<<10)
+	next := versionedBody(name, 2, 200<<10)
+	writeThrough(t, e.fs, name, old)
+	getter, putter := e.client(t), e.client(t)
+
+	var got bytes.Buffer
+	getDone := make(chan error, 1)
+	go func() {
+		_, err := getter.Get(name, &got)
+		getDone <- err
+	}()
+	await(backend.parked, "the GET to hold the destination open")
+	putDone := make(chan error, 1)
+	go func() { putDone <- putter.Put(name, bytes.NewReader(next), int64(len(next))) }()
+	await(backend.staged, "the PUT to stage its body")
+	// The first rename follows the staging close at once; no event marks
+	// it, so it gets a window, well inside the commit's retry budget.
+	select {
+	case err := <-putDone:
+		t.Fatalf("PUT returned while a GET held its destination open: %v", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+
+	if err := <-getDone; err != nil || !bytes.Equal(got.Bytes(), old) {
+		t.Fatalf("GET of the open destination: err=%v, old version intact=%v", err, bytes.Equal(got.Bytes(), old))
+	}
+	if err := <-putDone; err != nil {
+		t.Fatalf("PUT after the reader closed: %v", err)
+	}
+	var back bytes.Buffer
+	if _, err := getter.Get(name, &back); err != nil || !bytes.Equal(back.Bytes(), next) {
+		t.Fatalf("read-back: err=%v, byte-identical=%v", err, bytes.Equal(back.Bytes(), next))
+	}
+}
+
 // TestAbortedPutMidBodyDoesNotWedge: the PUT handler aborts mid-body —
 // the sixth chunk exceeds the declared size — while the client keeps
 // blasting the rest of the body, so the cap-4 body queue is full when
