@@ -139,6 +139,73 @@ func TestCorruptionMatrixPayloadFlips(t *testing.T) {
 	}
 }
 
+// storedBlockFlips returns sampled byte offsets of a deflate frame's
+// stored blocks, located by the flat pages of src they carry verbatim:
+// the four LEN/NLEN bytes in front of each, a few bytes of its data, and
+// the LEN/NLEN of the empty final block a frame ending in a flat page
+// closes with. (A header byte's padding bits are not sampled: inflaters
+// skip them, so a flip there is benign.)
+func storedBlockFlips(t *testing.T, frame, src []byte) (lenNlen, data []int) {
+	t.Helper()
+	for off := 0; off+pageSize <= len(src); off += pageSize {
+		if !flatPage(src[off:]) {
+			continue
+		}
+		at := bytes.Index(frame, src[off:off+pageSize])
+		if at < 4 {
+			t.Fatalf("flat page at %d is not stored in the frame", off)
+		}
+		lenNlen = append(lenNlen, at-4, at-3, at-2, at-1)
+		data = append(data, at, at+1, at+pageSize/2, at+pageSize-1)
+	}
+	if flatPage(src[len(src)-pageSize:]) {
+		for i := len(frame) - 4; i < len(frame); i++ {
+			lenNlen = append(lenNlen, i)
+		}
+	}
+	return lenNlen, data
+}
+
+// TestCorruptionMatrixStoredBlocks: the flat pages of a v2 deflate frame
+// travel as stored blocks, which inflate at any contents — the same
+// exposure as a raw payload. A flip in a block's LEN/NLEN (the final empty
+// block's included) must fail the stream itself, as ErrCorrupt; a flip in its
+// data must fail the CRC, as ErrChecksum. Either way every codec-level
+// path — decode, salvage, compaction — refuses the frame and none of them
+// hands back a byte.
+func TestCorruptionMatrixStoredBlocks(t *testing.T) {
+	src := pages("TRTR", 8)
+	box, h, err := EncodeFrame(Deflate(), 0, 0, src, nil)
+	if err != nil || h.Codec != DeflateID {
+		t.Fatalf("frame: codec %d, %v", h.Codec, err)
+	}
+	fr := FrameInfo{Header: h}
+	lenNlen, data := storedBlockFlips(t, box, src)
+	for _, set := range []struct {
+		name string
+		at   []int
+		want error
+	}{
+		{"len-nlen", lenNlen, ErrCorrupt},
+		{"data", data, ErrChecksum},
+	} {
+		for _, at := range set.at {
+			for _, bit := range []byte{0x01, 0x80} {
+				box[at] ^= bit
+				out, err := DecodeFrame(h, box[HeaderSize:], nil)
+				if !errors.Is(err, set.want) || errors.Is(err, ErrChecksum) != (set.want == ErrChecksum) || out != nil {
+					t.Fatalf("%s flip %#x at %d: %d bytes, %v; want %v", set.name, bit, at, len(out), err, set.want)
+				}
+				if v := runPaths(t, box, fr); !v.decode || !v.salvage || !v.compact {
+					t.Fatalf("%s flip %#x at %d passed a path: %+v", set.name, bit, at, v)
+				}
+				box[at] ^= bit
+			}
+		}
+	}
+	t.Logf("%d LEN/NLEN and %d data bytes flipped, each two ways", len(lenNlen), len(data))
+}
+
 // TestCorruptionMatrixHeaderFields flips the low bit of every header
 // field of the first frame and pins the verdict per format version:
 // structural fields (magic, version, lengths) are caught by parsing or

@@ -35,6 +35,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frameBytes(f, Raw(), 0, 0, []byte("abcd")))
 	f.Add(frameBytes(f, Raw(), 7, 4096, bytes.Repeat([]byte{0xAA}, 100)))
 	f.Add(frameBytes(f, Deflate(), 1, 0, bytes.Repeat([]byte("compressible "), 40)))
+	f.Add(frameBytes(f, Deflate(), 2, 0, pages("TRTR", 1))) // carries stored blocks
 	// Lying EncLen: header promises more payload than follows.
 	lying := frameBytes(f, Raw(), 0, 0, []byte("abcdefgh"))
 	f.Add(lying[:HeaderSize+3])
@@ -116,6 +117,12 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte("hello checkpoint"), int64(4096))
 	f.Add(bytes.Repeat([]byte{0}, 1000), int64(0))
 	f.Add(bytes.Repeat([]byte("ab"), 500), int64(1<<40))
+	// Mixed pages, so mutations start from streams that splice stored and
+	// compressed runs: a flat run first, last, and twice in between, with
+	// and without a partial page behind it.
+	f.Add(pages("RT", 1), int64(0))
+	f.Add(pages("TR", 2), int64(0))
+	f.Add(append(pages("TRTR", 3), "partial page"...), int64(8192))
 	f.Fuzz(func(t *testing.T, payload []byte, off int64) {
 		if off < 0 || off > MaxLogicalOff {
 			return
@@ -126,8 +133,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				if err != nil {
 					t.Fatalf("%s/v%d: EncodeFrame: %v", c.Name(), ver, err)
 				}
-				if len(frame) > HeaderSize+len(payload) {
-					t.Fatalf("%s/v%d: frame grew the payload: %d > %d", c.Name(), ver, len(frame), HeaderSize+len(payload))
+				if len(frame) > HeaderSize+len(payload) || hdr.EncLen > hdr.RawLen {
+					t.Fatalf("%s/v%d: frame grew the payload: %d > %d (EncLen %d, RawLen %d)",
+						c.Name(), ver, len(frame), HeaderSize+len(payload), hdr.EncLen, hdr.RawLen)
 				}
 				reparsed, err := ParseHeader(frame)
 				if err != nil {

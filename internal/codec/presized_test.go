@@ -8,9 +8,7 @@ import (
 )
 
 // badFrame is a deflate frame whose stream disagrees with its header in
-// one way; want is the class DecodeFrame must report it under (nil: the
-// inflater's own error, which wraps nothing — Salvage and scrub class it
-// as corruption themselves).
+// one way; want is the class DecodeFrame must report it under.
 type badFrame struct {
 	name    string
 	h       Header
@@ -35,7 +33,7 @@ func badDeflateFrames(t testing.TB) []badFrame {
 	return []badFrame{
 		{"longer", longer, payload, ErrCorrupt},
 		{"shorter", shorter, payload, ErrCorrupt},
-		{"truncated", cut, payload[:cut.EncLen], nil},
+		{"truncated", cut, payload[:cut.EncLen], ErrCorrupt},
 		{"crc", rot, payload, ErrChecksum},
 		{"impossible", absurd, payload, ErrCorrupt},
 	}
@@ -68,7 +66,7 @@ func TestPresizedDecodeRejects(t *testing.T) {
 				if err == nil {
 					t.Fatal("decoded")
 				}
-				if bf.want != nil && !errors.Is(err, bf.want) {
+				if !errors.Is(err, bf.want) {
 					t.Fatalf("error %v, want %v", err, bf.want)
 				}
 				if errors.Is(err, ErrChecksum) != errors.Is(bf.want, ErrChecksum) {

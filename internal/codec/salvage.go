@@ -152,7 +152,7 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 					return fail(off, fmt.Errorf("frame at %d: payload does not verify: %w", off, err))
 				}
 				// Otherwise classed as corruption, whatever the decoder
-				// said (flate's own errors wrap nothing): an undecodable
+				// said (an unknown codec ID wraps nothing): an undecodable
 				// payload behind a parseable header is the torn-tail
 				// shape, not a backend failure.
 				return fail(off, fmt.Errorf("%w: frame at %d: payload does not decode: %v", ErrCorrupt, off, err))

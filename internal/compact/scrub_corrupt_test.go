@@ -2,6 +2,7 @@ package compact
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -72,6 +73,53 @@ func TestScrubChecksumMatrix(t *testing.T) {
 			if !strings.Contains(rep.Format(), "checksum-failures=1") {
 				t.Fatalf("report does not surface the failure:\n%s", rep.Format())
 			}
+		}
+	}
+}
+
+// mixedPages returns n 4 KiB pages, odd ones random bytes and even ones
+// text: a deflate frame of them carries the random pages verbatim, as
+// stored blocks.
+func mixedPages(n int, seed int64) []byte {
+	rng := rand.New(rand.NewSource(seed))
+	out := bytes.Repeat([]byte("vma: registers heap stack signal state\n"), n*4096/39+1)[:n*4096]
+	for off := 4096; off < len(out); off += 2 * 4096 {
+		rng.Read(out[off : off+4096])
+	}
+	return out
+}
+
+// TestScrubStoredBlockFlips is the scrub arm of the stored-block matrix
+// (internal/codec TestCorruptionMatrixStoredBlocks): a flip in a stored
+// block's LEN/NLEN is a corrupt frame, a flip in its data a checksum
+// failure, and the scrub reports each.
+func TestScrubStoredBlockFlips(t *testing.T) {
+	src := mixedPages(4, 1)
+	box, h, err := codec.EncodeFrame(codec.Deflate(), 0, 0, src, nil)
+	if err != nil || h.Codec != codec.DeflateID {
+		t.Fatalf("frame: codec %d, %v", h.Codec, err)
+	}
+	at := bytes.Index(box, src[4096:2*4096]) // the first random page's stored data
+	if at < 4 {
+		t.Fatal("the random page is not stored verbatim")
+	}
+	for _, off := range []int{at - 4, at - 3, at - 2, at - 1, at, at + 2048, at + 4095} {
+		mut := bytes.Clone(box)
+		mut[off] ^= 0x01
+		m := memfs.New()
+		if err := vfs.WriteFile(m, "rot.crfc", mut); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Scrub(m, ".", ScrubOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSum := int64(0)
+		if off >= at {
+			wantSum = 1
+		}
+		if rep.Clean() || rep.CorruptFrames != 1 || rep.ChecksumFailures != wantSum {
+			t.Fatalf("flip at %d (stored data at %d): %+v, want 1 corrupt frame, %d checksum failures", off, at, rep, wantSum)
 		}
 	}
 }

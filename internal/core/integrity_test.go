@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -193,6 +194,143 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitPoolWhole(t, fs)
+}
+
+// storedFrameContainer builds a v2 deflate container of `frames` extents,
+// each of 4 KiB pages alternating text and random bytes, so every frame
+// carries its random pages as stored blocks, which inflate at any
+// contents. It returns the container, its content and, for frame `rot`,
+// sampled offsets into its first stored block: the four LEN/NLEN bytes,
+// then two data bytes.
+func storedFrameContainer(t *testing.T, frames, extent, rot int) (box, content []byte, flips []int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(frames)))
+	for i := 0; i < frames; i++ {
+		part := compressiblePayload(extent, int64(i+1))
+		for off := 4096; off < extent; off += 2 * 4096 {
+			rng.Read(part[off : off+4096])
+		}
+		start := len(box)
+		var h codec.Header
+		var err error
+		box, h, err = codec.EncodeFrame(codec.Deflate(), uint64(i), int64(i*extent), part, box)
+		if err != nil || h.Codec != codec.DeflateID {
+			t.Fatalf("frame %d: codec %d, %v", i, h.Codec, err)
+		}
+		if i == rot {
+			at := bytes.Index(box[start:], part[4096:2*4096])
+			if at < 4 {
+				t.Fatalf("frame %d: its first random page is not stored verbatim", i)
+			}
+			at += start
+			flips = []int{at - 4, at - 3, at - 2, at - 1, at, at + 4095}
+		}
+		content = append(content, part...)
+	}
+	return box, content, flips
+}
+
+// TestReadAtStoredBlockFlips is the read-path arm of the stored-block
+// matrix (internal/codec TestCorruptionMatrixStoredBlocks): a flip in a
+// stored block's LEN/NLEN fails the read as ErrCorrupt, a flip in its data
+// as ErrChecksum, the frames around it still read back, and no read hands
+// back a rotted byte.
+func TestReadAtStoredBlockFlips(t *testing.T) {
+	const extent = 16 << 10
+	box, content, flips := storedFrameContainer(t, 3, extent, 1)
+	for i, at := range flips {
+		rotted := bytes.Clone(box)
+		rotted[at] ^= 0x01
+		back := memfs.New()
+		if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
+			t.Fatal(err)
+		}
+		fs := mount(t, back, Options{ChunkSize: extent, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
+		f, err := fs.Open("ck.img", vfs.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, extent)
+		for frame := 0; frame < 3; frame++ {
+			off := int64(frame * extent)
+			_, err := f.ReadAt(got, off)
+			if frame != 1 {
+				if err != nil || !bytes.Equal(got, content[off:off+extent]) {
+					t.Fatalf("flip %d: intact frame %d: %v", i, frame, err)
+				}
+				continue
+			}
+			dataFlip := i >= 4
+			if !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, codec.ErrChecksum) != dataFlip {
+				t.Fatalf("flip %d at %d: read of the rotted frame: %v", i, at, err)
+			}
+			if st := fs.Stats(); (st.ChecksumFailed != 0) != dataFlip {
+				t.Fatalf("flip %d at %d: %d checksum failures counted", i, at, st.ChecksumFailed)
+			}
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitPoolWhole(t, fs)
+	}
+}
+
+// TestPrefetchStoredBlockFlips is the read-ahead arm: rot in a late
+// frame's stored block, found by a prefetch or by the read itself, fails
+// the sequential read there with ErrCorrupt, every byte before it is
+// right, and the frame never enters the read-ahead cache.
+func TestPrefetchStoredBlockFlips(t *testing.T) {
+	const extent = 8 << 10
+	box, content, flips := storedFrameContainer(t, 8, extent, 6)
+	for _, at := range []int{flips[0], flips[len(flips)-1]} {
+		rotted := bytes.Clone(box)
+		rotted[at] ^= 0x01
+		back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
+		if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
+			t.Fatal(err)
+		}
+		fs := mount(t, back, Options{
+			ChunkSize: extent, BufferPoolSize: 64 << 10, IOThreads: 4,
+			ReadAhead: 4, Codec: codec.Deflate(),
+		})
+		f, err := fs.Open("ck.img", vfs.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, 2048)
+		var readErr error
+		for off := int64(0); off < int64(len(content)); off += int64(len(buf)) {
+			n, err := f.ReadAt(buf, off)
+			if err != nil {
+				if off != 6*extent {
+					t.Fatalf("flip at %d: read failed at %d, the rotted frame starts at %d: %v", at, off, 6*extent, err)
+				}
+				readErr = err
+				break
+			}
+			if !bytes.Equal(buf[:n], content[off:off+int64(n)]) {
+				t.Fatalf("flip at %d: read at %d served wrong bytes", at, off)
+			}
+		}
+		if !errors.Is(readErr, codec.ErrCorrupt) {
+			t.Fatalf("flip at %d: sequential read over rot: %v, want ErrCorrupt", at, readErr)
+		}
+		if st := fs.Stats(); st.PrefetchedBytes == 0 {
+			t.Fatalf("flip at %d: the read never prefetched: %+v", at, st)
+		}
+		frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+		pf := f.(*file).entry.pf
+		pf.mu.Lock()
+		_, cached := pf.ready[frames[6].Pos]
+		pf.mu.Unlock()
+		if cached {
+			t.Fatalf("flip at %d: the rotted frame sits in the read-ahead cache", at)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitPoolWhole(t, fs)
+	}
 }
 
 // TestScrubCountsChecksums pins the online scrub's counter threading: a
