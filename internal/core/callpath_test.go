@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"crfs/internal/memfs"
 	"crfs/internal/obs"
@@ -139,11 +140,35 @@ func TestCoreAllocsPerCall(t *testing.T) {
 	}
 }
 
+// TestSizeClasses pins the allocation size classes of two structs whose
+// layout was measured. FS must stay in the 512-byte class, whose slots
+// are cache-line aligned: at 472 bytes it fell into the 480-byte class and
+// daemon-mixed spent ~7 % more CPU. A file is allocated per open, and
+// stripe-gen opens one per chunk: it stays in the 96-byte class, which a
+// streamCopy pointer fits only because seqRun fills mu's padding.
+func TestSizeClasses(t *testing.T) {
+	if n := unsafe.Sizeof(FS{}); n <= 480 || n > 512 {
+		t.Errorf("FS is %d bytes, want 481..512 (the 512-byte size class)", n)
+	}
+	if n := unsafe.Sizeof(file{}); n > 96 {
+		t.Errorf("file is %d bytes, want at most 96 (the 96-byte size class)", n)
+	}
+}
+
 // TestReadAheadFairShare runs two concurrent restart readers of small
 // reads over a pool of four chunks. Each entry's read-ahead is entitled to
-// half the pool, so neither reader starves the other: both are served
-// almost entirely from the cache, and the backend sees each block about
-// once — not one read per call from the reader that came second.
+// half the pool, so neither reader starves the other: the backend sees
+// each block about once — not one read per call from the reader that came
+// second — and the reads that reach the cache mostly hit it.
+//
+// Hits and misses count base reads, and a stream's 512 B calls reach the
+// base only to refill the handle's 16 KiB copy: four times per 64 KiB
+// block. A block no worker read ahead costs its reader one miss (the
+// refill that fetches the rest of the block) and three hits, so a reader
+// that fetched every block itself — still one backend read per block,
+// still fair — reads 0.75, less the stream's first reads. A reader denied
+// its share reads the backend at every refill and misses them all. Hence
+// 0.7.
 func TestReadAheadFairShare(t *testing.T) {
 	const (
 		chunk  = 64 << 10
@@ -181,8 +206,8 @@ func TestReadAheadFairShare(t *testing.T) {
 	for i, name := range names {
 		calls := handles[i].(*file).entry.calls
 		hits, misses := calls.prefetchHits.Load(), calls.prefetchMisses.Load()
-		if frac := float64(hits) / float64(hits+misses); frac < 0.9 {
-			t.Errorf("%s: %d hits, %d misses (%.3f), want >= 0.9", name, hits, misses, frac)
+		if frac := float64(hits) / float64(hits+misses); frac < 0.7 {
+			t.Errorf("%s: %d hits, %d misses (%.3f), want >= 0.7", name, hits, misses, frac)
 		}
 		if n, _ := back.reads(name); n > blocks+4 {
 			t.Errorf("%s: %d backend reads for %d blocks, want <= %d", name, n, blocks, blocks+4)

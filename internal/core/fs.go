@@ -72,6 +72,12 @@ type FS struct {
 	// EXPERIMENTS.md.)
 	epoch     time.Time
 	monotonic func() int64
+
+	// copies is the free list of the copies handles serve streams of small
+	// reads from (streamCopy). It keeps one per pool chunk idle: as many
+	// streams as read-ahead can give a share of the pool, at 1/256 of a
+	// default chunk each.
+	copies chan *streamCopy
 }
 
 // sinceMount returns nanoseconds since the mount plus one. time.Since
@@ -107,6 +113,7 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	}
 	fs.pool = newBufferPool(opts.BufferPoolSize, opts.ChunkSize, fs.reclaimPool)
 	fs.decBufs = newFreeList(opts.ReadAhead+1, opts.ChunkSize)
+	fs.copies = make(chan *streamCopy, fs.pool.total)
 	fs.liveChangedLocked() // nothing is open, and nothing else can see fs yet
 	fs.encBufs.New = func() any {
 		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)

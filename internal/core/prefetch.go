@@ -87,9 +87,13 @@ type prefetcher struct {
 	fs *FS
 	e  *fileEntry
 
+	// gen is bumped by invalidate, under mu; stale fetches don't publish.
+	// It is atomic so a handle can check its copy (streamCopy) against it
+	// without taking mu.
+	gen atomic.Uint64
+
 	mu      sync.Mutex
 	cond    *sync.Cond              // broadcast whenever ready/pending change
-	gen     uint64                  // bumped by invalidate; stale fetches don't publish
 	ready   map[int64]*prefetched   // completed fetches, keyed by block start (plain) or frame pos (framed)
 	order   []int64                 // ready keys in publish order, for FIFO capacity eviction
 	pending map[int64]*pendingFetch // keys with a fetch scheduled or running, not yet published
@@ -138,7 +142,7 @@ func (pf *prefetcher) depth() int { return pf.fs.opts.ReadAhead }
 // (a checkpoint stream nobody reads) it is the generation bump alone.
 func (pf *prefetcher) invalidate() {
 	pf.mu.Lock()
-	pf.gen++
+	pf.gen.Add(1)
 	if len(pf.ready)+len(pf.pending) == 0 {
 		pf.mu.Unlock()
 		return
@@ -183,7 +187,7 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) (next int64) {
 
 	var jobs []prefetchJob
 	pf.mu.Lock()
-	gen := pf.gen
+	gen := pf.gen.Load()
 	if framed {
 		// A cached frame that is not among the next ones — a seek or a
 		// second handle's stream left it behind — would hold its buffer
@@ -380,7 +384,7 @@ func (pf *prefetcher) drop(key int64) {
 func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	pf.mu.Lock()
 	delete(pf.pending, key)
-	if gen != pf.gen {
+	if gen != pf.gen.Load() {
 		pf.cond.Broadcast()
 		pf.mu.Unlock()
 		pf.fs.putReadChunk(pr.c)
@@ -493,7 +497,7 @@ func (pf *prefetcher) copyPlain(seg []byte, cur, bstart, fetchEnd int64) bool {
 	}
 	if !ok || cur < pr.start || segEnd > pr.start+int64(len(pr.buf)) {
 		var c *chunk
-		gen := pf.gen
+		gen := pf.gen.Load()
 		if !ok && fetchEnd > segEnd {
 			c = pf.reserveSelfLocked(bstart)
 		}
