@@ -15,6 +15,7 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
@@ -585,44 +586,24 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 	if err != nil {
 		return false, err
 	}
-	// The staging buffer is reusable as soon as writeFrame returns: the
-	// kernel has the bytes by then.
-	buf := server.GetFrameBuf(server.DataChunk)
-	defer server.PutFrameBuf(buf)
-	var sent int64
-	for sent < size {
-		// An early error response (cap exceeded, draining, bad name) means
-		// the server is discarding the body: stop streaming, close it out.
-		select {
-		case f := <-ch:
-			s.forget(id)
-			msg := f.text()
-			if f.typ == server.FrameErr {
-				s.writeFrame(server.FrameEnd, id, nil)
-				return consumed, &RemoteError{Msg: msg}
-			}
-			return consumed, s.poison(fmt.Errorf("client: PUT %s: early frame type %#x: %w", name, f.typ, server.ErrProtocol))
-		case <-s.done:
-			s.forget(id)
-			return consumed, s.sessionErr()
-		default:
-		}
-		want := int64(len(buf))
-		if size-sent < want {
-			want = size - sent
+	w := frameSink{s: s, id: id, ch: ch, name: name, left: size}
+	defer w.release()
+	if size > 0 {
+		if w.answered() {
+			return consumed, w.err
 		}
 		consumed = true
-		if _, err := io.ReadFull(r, buf[:want]); err != nil {
-			// The body source failed: we cannot complete the declared size,
-			// so this session is unusable; tear it down and report.
+		_, err := io.Copy(&w, r)
+		if w.err != nil {
+			return consumed, w.err
+		}
+		if w.left > 0 {
+			// The body source failed or ran short: we cannot complete the
+			// declared size, so this session is unusable; tear it down.
+			err = cmp.Or(err, io.ErrUnexpectedEOF)
 			s.teardown(fmt.Errorf("client: PUT %s: body source failed: %w", name, err))
 			return consumed, fmt.Errorf("client: PUT %s: reading body: %w", name, err)
 		}
-		if err := s.writeFrame(server.FrameData, id, buf[:want]); err != nil {
-			s.forget(id)
-			return consumed, err
-		}
-		sent += want
 	}
 	if err := s.writeFrame(server.FrameEnd, id, nil); err != nil {
 		s.forget(id)
@@ -636,6 +617,138 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 		return consumed, s.poison(fmt.Errorf("client: PUT %s: bad response %q: %w", name, line, server.ErrProtocol))
 	}
 	return consumed, nil
+}
+
+// errSizeReached stops a body source that offers bytes past the
+// declared size; Put leaves them unread.
+var errSizeReached = errors.New("client: PUT body is longer than its declared size")
+
+// frameSink takes one PUT body and sends it as data frames of request id:
+// DataChunk bytes each but the last, and never more than the declared
+// size. Write sends each whole frame inside p straight from p — the
+// kernel holds the bytes once writeFrame returns, so p is not retained —
+// and gathers a shorter remainder in the staging buffer until that is
+// full or the body ends. ReadFrom, for a source that cannot hand its
+// bytes over, reads every frame into the staging buffer. io.Copy picks
+// the path.
+type frameSink struct {
+	s    *session
+	id   uint32
+	ch   chan frame
+	name string
+	left int64  // body bytes not yet taken
+	buf  []byte // staging: a free-list frame buffer, taken on first use
+	n    int    // bytes staged in buf
+	err  error  // why sending stopped early, once it has
+}
+
+// answered reports whether the request ended before its body did: an
+// early error response (cap exceeded, draining, bad name) means the
+// server is discarding the body, so the sink closes it out; a dead
+// session ends it too. The outcome is in w.err.
+func (w *frameSink) answered() bool {
+	select {
+	case f := <-w.ch:
+		w.s.forget(w.id)
+		msg := f.text()
+		if f.typ == server.FrameErr {
+			w.s.writeFrame(server.FrameEnd, w.id, nil)
+			w.err = &RemoteError{Msg: msg}
+		} else {
+			w.err = w.s.poison(fmt.Errorf("client: PUT %s: early frame type %#x: %w", w.name, f.typ, server.ErrProtocol))
+		}
+		return true
+	case <-w.s.done:
+		w.s.forget(w.id)
+		w.err = w.s.sessionErr()
+		return true
+	default:
+		return false
+	}
+}
+
+// send writes p as one data frame unless the request has ended, and
+// reports whether the body may go on.
+func (w *frameSink) send(p []byte) bool {
+	if w.answered() {
+		return false
+	}
+	if err := w.s.writeFrame(server.FrameData, w.id, p); err != nil {
+		w.s.forget(w.id)
+		w.err = err
+		return false
+	}
+	return true
+}
+
+// stage returns the staging buffer, taking it from the free list first.
+func (w *frameSink) stage() []byte {
+	if w.buf == nil {
+		w.buf = server.GetFrameBuf(server.DataChunk)
+	}
+	return w.buf
+}
+
+// flush sends the staged bytes once they fill a frame or end the body.
+func (w *frameSink) flush() bool {
+	if w.n < len(w.buf) && w.left > 0 {
+		return true
+	}
+	ok := w.send(w.buf[:w.n])
+	w.n = 0
+	return ok
+}
+
+func (w *frameSink) release() {
+	if w.buf != nil {
+		server.PutFrameBuf(w.buf)
+	}
+}
+
+func (w *frameSink) Write(p []byte) (int, error) {
+	if w.err != nil {
+		return 0, w.err
+	}
+	var past error
+	if int64(len(p)) > w.left {
+		p, past = p[:w.left], errSizeReached
+	}
+	var taken int
+	for len(p) > 0 {
+		if w.n == 0 && (len(p) >= server.DataChunk || int64(len(p)) == w.left) {
+			f := p[:min(len(p), server.DataChunk)]
+			w.left -= int64(len(f))
+			if !w.send(f) {
+				return taken, w.err
+			}
+			p, taken = p[len(f):], taken+len(f)
+			continue
+		}
+		c := copy(w.stage()[w.n:], p)
+		w.n += c
+		w.left -= int64(c)
+		p, taken = p[c:], taken+c
+		if !w.flush() {
+			return taken, w.err
+		}
+	}
+	return taken, past
+}
+
+func (w *frameSink) ReadFrom(r io.Reader) (int64, error) {
+	var read int64
+	for w.left > 0 && w.err == nil {
+		want := int(min(int64(len(w.stage())-w.n), w.left))
+		c, err := io.ReadFull(r, w.buf[w.n:w.n+want])
+		w.n += c
+		w.left -= int64(c)
+		read += int64(c)
+		if err != nil {
+			return read, err
+		}
+		w.flush()
+	}
+	return read, w.err
 }
 
 // get streams one GET into w, returning the bytes delivered.

@@ -97,21 +97,35 @@ func TestOneConnectionManyRequests(t *testing.T) {
 }
 
 // TestPutBodySourceFailurePoisonsSession: if the local body source dies
-// mid-PUT the declared size can never be honored, so the session must
-// fail rather than desync the framing.
+// mid-PUT — a reader that runs short, a body handed over by WriteTo that
+// runs short or fails — the declared size can never be honored, so the
+// session must fail rather than desync the framing.
 func TestPutBodySourceFailurePoisonsSession(t *testing.T) {
 	addr := startServer(t)
-	c, err := client.Dial(addr, client.Config{IOTimeout: 10 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	short := io.LimitReader(bytes.NewReader(make([]byte, 1<<20)), 100_000)
-	if err := c.Put("short", short, 1<<20); err == nil {
-		t.Fatal("PUT with short body source succeeded")
-	}
-	if err := c.Ping(); err == nil {
-		t.Fatal("session still usable after body source failure")
+	errSource := errors.New("body source failed")
+	body := make([]byte, 1<<20)
+	for _, tc := range []struct {
+		name string
+		body io.Reader
+		want error
+	}{
+		{"reader-short", io.LimitReader(bytes.NewReader(body), 100_000), io.ErrUnexpectedEOF},
+		{"handed-over-short", &piecesBody{b: body, piece: 64 << 10, stop: 300_000}, io.ErrUnexpectedEOF},
+		{"handed-over-error", &piecesBody{b: body, piece: 64 << 10, stop: 300_000, err: errSource}, errSource},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := client.Dial(addr, client.Config{IOTimeout: 10 * time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if err := c.Put("short", tc.body, int64(len(body))); !errors.Is(err, tc.want) {
+				t.Fatalf("PUT with a failing body source: %v, want %v", err, tc.want)
+			}
+			if err := c.Ping(); err == nil {
+				t.Fatal("session still usable after body source failure")
+			}
+		})
 	}
 }
 

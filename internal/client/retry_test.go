@@ -254,25 +254,38 @@ func TestPutPoisonedAfterBodyConsumed(t *testing.T) {
 	defer c.Close()
 
 	size := int64(8 << 20)
-	err = c.Put("poisoned", &killerReader{proxy: proxy, n: int(size)}, size)
-	if err == nil {
-		t.Fatal("PUT succeeded across a severed connection")
-	}
-	if !errors.Is(err, client.ErrSessionPoisoned) {
-		t.Fatalf("PUT error %v does not wrap ErrSessionPoisoned", err)
-	}
+	// A body read through Read, and one held in memory and handed over
+	// by WriteTo: either way the connection dies mid-body.
+	pieces := 0
+	for _, body := range []io.Reader{
+		&killerReader{proxy: proxy, n: int(size)},
+		&piecesBody{b: make([]byte, size), piece: 1 << 20, onPiece: func() {
+			if pieces++; pieces == 1 {
+				proxy.KillAll()
+				time.Sleep(50 * time.Millisecond)
+			}
+		}},
+	} {
+		err = c.Put("poisoned", body, size)
+		if err == nil {
+			t.Fatal("PUT succeeded across a severed connection")
+		}
+		if !errors.Is(err, client.ErrSessionPoisoned) {
+			t.Fatalf("PUT error %v does not wrap ErrSessionPoisoned", err)
+		}
 
-	// The caller re-stages and retries: the same Client must recover.
-	payload := bytes.Repeat([]byte("restaged"), 8<<10)
-	if err := c.Put("poisoned", bytes.NewReader(payload), int64(len(payload))); err != nil {
-		t.Fatalf("re-staged PUT after poison: %v", err)
-	}
-	var got bytes.Buffer
-	if _, err := c.Get("poisoned", &got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), payload) {
-		t.Fatal("re-staged PUT content mismatch")
+		// The caller re-stages and retries: the same Client must recover.
+		payload := bytes.Repeat([]byte("restaged"), 8<<10)
+		if err := c.Put("poisoned", bytes.NewReader(payload), int64(len(payload))); err != nil {
+			t.Fatalf("re-staged PUT after poison: %v", err)
+		}
+		var got bytes.Buffer
+		if _, err := c.Get("poisoned", &got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), payload) {
+			t.Fatal("re-staged PUT content mismatch")
+		}
 	}
 }
 

@@ -114,32 +114,41 @@ func checkStoredChunks(t *testing.T, nodes []*MemNode, object string, body []byt
 }
 
 // TestOwnedChunkBuffersFailedReplica: one replica push fails while the
-// other chunks of the window are mid-flight. The Put reports the failed
-// chunk and node, everything that did reach a node is the right bytes,
-// and the buffers the failure returned serve the next Put and Get.
+// other chunks of the window are mid-flight, for every shape of body.
+// The Put reports the failed chunk and node, no manifest commits,
+// everything that did reach a node is the right bytes, every buffer is
+// back, and the buffers the failure returned serve the next Put and Get.
 func TestOwnedChunkBuffersFailedReplica(t *testing.T) {
 	noLeaks(t)
 	const chunk = 8 << 10
-	s, nodes, fn := faultCluster(Config{ChunkSize: chunk, Replicas: 2})
 	body := payload(3, 40*chunk+123)
-	fn.refusing(func(name string) bool {
-		_, idx, kind := ParseObjectName(name)
-		return kind == KindChunk && idx >= 5
-	})
-	err := s.Put("ckpt", bytes.NewReader(body), int64(len(body)))
-	var nf *nodeFault
-	if !errors.As(err, &nf) || nf.node != fn.ID() {
-		t.Fatalf("PUT with a failing replica: %v", err)
-	}
-	checkStoredChunks(t, nodes, "ckpt", body, chunk)
-	if _, err := s.Get("ckpt", io.Discard); err == nil {
-		t.Fatal("GET of an uncommitted object succeeded")
-	}
+	for _, shape := range bodyShapes(chunk) {
+		t.Run(shape.name, func(t *testing.T) {
+			s, nodes, fn := faultCluster(Config{ChunkSize: chunk, Replicas: 2})
+			fn.refusing(func(name string) bool {
+				_, idx, kind := ParseObjectName(name)
+				return kind == KindChunk && idx >= 5
+			})
+			err := s.Put("ckpt", shape.body(body), int64(len(body)))
+			var nf *nodeFault
+			if !errors.As(err, &nf) || nf.node != fn.ID() {
+				t.Fatalf("PUT with a failing replica: %v", err)
+			}
+			mustHoldNoBuffers(t, s)
+			mustHaveNoManifest(t, nodes, "ckpt")
+			checkStoredChunks(t, nodes, "ckpt", body, chunk)
+			if _, err := s.Get("ckpt", io.Discard); err == nil {
+				t.Fatal("GET of an uncommitted object succeeded")
+			}
 
-	fn.refusing(nil)
-	mustPut(t, s, "ckpt", body)
-	checkStoredChunks(t, nodes, "ckpt", body, chunk)
-	mustGet(t, s, "ckpt", body)
+			fn.refusing(nil)
+			if err := s.Put("ckpt", shape.body(body), int64(len(body))); err != nil {
+				t.Fatal(err)
+			}
+			checkStoredChunks(t, nodes, "ckpt", body, chunk)
+			mustGet(t, s, "ckpt", body)
+		})
+	}
 }
 
 // TestOwnedChunkBuffersBadReplicas: replicas that are corrupt, too long

@@ -24,6 +24,11 @@ type Node interface {
 	// not change for as long as the node holds chunks — across
 	// reconnects, and across a move to another address.
 	ID() string
+	// Put stores size bytes from r under name. r's bytes are valid only
+	// until Put returns: the coordinator hands a node a reader over the
+	// caller's own body where it can, shared by the chunk's k replica
+	// pushes running at once, so a node keeps nothing of r it has not
+	// copied.
 	Put(name string, r io.Reader, size int64) error
 	Get(name string, w io.Writer) (int64, error)
 	Delete(name string) error

@@ -2,8 +2,10 @@ package stripe
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sort"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"crfs/internal/codec"
 	"crfs/internal/obs"
 	"crfs/internal/server"
+	"crfs/internal/vfs"
 )
 
 // DefaultChunkSize is the stripe unit. Large enough that per-chunk
@@ -93,8 +96,9 @@ type Store struct {
 	ids   []string                 // node IDs, sorted
 	slots map[string]chan struct{} // per-node in-flight caps
 
-	bmu  sync.Mutex // guards bufs
-	bufs [][]byte   // free ChunkSize buffers (see getBuf)
+	bmu  sync.Mutex   // guards bufs
+	bufs [][]byte     // free ChunkSize buffers (see getBuf)
+	held atomic.Int64 // ChunkSize buffers given out and not yet back
 
 	c storeCounters
 }
@@ -107,7 +111,7 @@ var poisonChunkBufs atomic.Bool
 // getBuf returns a buffer of length n owned by the caller: from the
 // Store's free list of ChunkSize buffers, or a one-off allocation for a
 // chunk of an object striped with a larger unit. A buffer has one holder
-// at a time — Put's reader then the chunk's pusher, Get's fetcher then
+// at a time — Put's intake then the chunk's upload, Get's fetcher then
 // the in-order writer — and the last one returns it with putBuf. Every
 // holder sits inside an operation's in-flight window, which is what
 // bounds the buffers alive.
@@ -115,6 +119,7 @@ func (s *Store) getBuf(n int64) []byte {
 	if n > s.cfg.ChunkSize {
 		return make([]byte, n)
 	}
+	s.held.Add(1)
 	s.bmu.Lock()
 	defer s.bmu.Unlock()
 	if last := len(s.bufs) - 1; last >= 0 {
@@ -131,6 +136,7 @@ func (s *Store) putBuf(b []byte) {
 	if int64(cap(b)) != s.cfg.ChunkSize {
 		return
 	}
+	s.held.Add(-1)
 	b = b[:cap(b)]
 	if poisonChunkBufs.Load() {
 		b[0] = 0xDB
@@ -209,6 +215,9 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	if err := server.ValidateName(name); err != nil {
 		return fmt.Errorf("stripe: PUT: %w", err)
 	}
+	if size < 0 {
+		return fmt.Errorf("stripe: PUT %s: negative size %d: %w", name, size, vfs.ErrInvalid)
+	}
 	var sp obs.Span
 	if s.tracer.Enabled() {
 		sp = s.tracer.StartChild("stripe.put", parent)
@@ -225,97 +234,249 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		k = len(s.ids)
 	}
 
-	nchunks := int((size + s.cfg.ChunkSize - 1) / s.cfg.ChunkSize)
 	m := &Manifest{
 		Object:    name,
 		Size:      size,
 		ChunkSize: s.cfg.ChunkSize,
 		Replicas:  k,
-		Chunks:    make([]Chunk, nchunks),
+		Chunks:    make([]Chunk, (size+s.cfg.ChunkSize-1)/s.cfg.ChunkSize),
 	}
 
-	// The body must be read sequentially, but uploads overlap: each
-	// chunk is read into a free-list buffer, fingerprinted, and handed to
-	// a goroutine that pushes its k replicas under the per-node caps and
-	// then returns the buffer. A window slot is held from before the read
-	// until then, so buffered memory is at most inflight × ChunkSize.
-	inflight := len(s.ids) * perNodeInFlight
-	window := make(chan struct{}, inflight)
-	var wg sync.WaitGroup
-	var fmu sync.Mutex
-	var firstErr error
-	setErr := func(err error) {
-		fmu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	// The body is taken in order, but uploads overlap: each chunk goes to
+	// a goroutine that pushes its k replicas at once under the per-node
+	// caps, fingerprinting it on the way, and gives back its window slot. A slot is
+	// held from before the chunk's bytes are taken until its last push
+	// ends, so buffered memory is at most inflight × ChunkSize.
+	p := &chunkPut{s: s, m: m, ctx: ctx, window: make(chan struct{}, len(s.ids)*perNodeInFlight)}
+	if len(m.Chunks) > 0 {
+		_, err := io.Copy(p, r)
+		if p.buf != nil { // a chunk half gathered when the body ended
+			s.putBuf(p.buf)
+			<-p.window
 		}
-		fmu.Unlock()
+		if p.next < len(m.Chunks) {
+			p.setErr(fmt.Errorf("stripe: PUT %s: reading body chunk %d: %w", name, p.next, cmp.Or(err, io.ErrUnexpectedEOF)))
+		}
 	}
-	failed := func() bool {
-		fmu.Lock()
-		defer fmu.Unlock()
-		return firstErr != nil
-	}
-
-	for idx := 0; idx < nchunks; idx++ {
-		if failed() {
-			break
-		}
-		length := s.cfg.ChunkSize
-		if rem := size - int64(idx)*s.cfg.ChunkSize; rem < length {
-			length = rem
-		}
-		window <- struct{}{}
-		buf := s.getBuf(length)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			s.putBuf(buf)
-			<-window
-			setErr(fmt.Errorf("stripe: PUT %s: reading body chunk %d: %w", name, idx, err))
-			break
-		}
-		chunk := Chunk{
-			Offset: int64(idx) * s.cfg.ChunkSize,
-			Length: length,
-			CRC:    codec.Checksum(buf),
-			Nodes:  Place(s.ids, ChunkName(name, idx), k),
-		}
-		m.Chunks[idx] = chunk
-
-		wg.Add(1)
-		go func(idx int, buf []byte, chunk Chunk) {
-			defer wg.Done()
-			defer func() {
-				s.putBuf(buf)
-				<-window
-			}()
-			cname := ChunkName(name, idx)
-			for _, id := range chunk.Nodes {
-				node := s.nodes[id]
-				var csp obs.Span
-				if s.tracer.Enabled() && ctx.Valid() {
-					csp = s.tracer.StartChild("stripe.chunk.put", ctx)
-					csp.AttrInt("idx", int64(idx))
-					csp.Attr("node", id)
-					csp.AttrInt("bytes", chunk.Length)
-				}
-				release := s.slot(id)
-				err := nodePut(node, cname, bytes.NewReader(buf), chunk.Length, csp.Context())
-				release()
-				csp.End()
-				if err != nil {
-					setErr(fmt.Errorf("stripe: PUT %s: chunk %d to %s: %w", name, idx, id, err))
-					return
-				}
-				s.c.chunksPut.Add(1)
-				s.c.bytesPut.Add(chunk.Length)
-			}
-		}(idx, buf, chunk)
-	}
-	wg.Wait()
-	if failed() {
-		return firstErr
+	p.owned.Wait()
+	if err := p.failed(); err != nil {
+		return err
 	}
 	return s.writeManifest(m)
+}
+
+// errSizeReached stops a body source that offers bytes past the declared
+// size; Put leaves them unread.
+var errSizeReached = errors.New("stripe: body is longer than its declared size")
+
+// chunkPut takes one Put's body and cuts it into chunks. Write uploads
+// each whole chunk inside p straight from p and returns once those
+// uploads end, so p is not retained; only a chunk split across two
+// Writes is gathered in a free-list buffer. ReadFrom, for a source that
+// cannot hand its bytes over, reads every chunk into a free-list buffer.
+// io.Copy picks the path. Write and ReadFrom run on the Put's goroutine.
+type chunkPut struct {
+	s      *Store
+	m      *Manifest
+	ctx    obs.SpanContext
+	window chan struct{}  // one slot per chunk taken and not yet uploaded
+	owned  sync.WaitGroup // uploads from free-list buffers
+	lent   sync.WaitGroup // uploads from the bytes of the current Write
+
+	next int    // index of the chunk being taken
+	buf  []byte // free-list buffer gathering chunk next, or nil
+	n    int    // bytes gathered in buf
+
+	mu  sync.Mutex
+	err error // first failure; it wins
+}
+
+func (p *chunkPut) setErr(err error) {
+	p.mu.Lock()
+	if p.err == nil {
+		p.err = err
+	}
+	p.mu.Unlock()
+}
+
+func (p *chunkPut) failed() error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.err
+}
+
+// chunkLen is the length of chunk idx.
+func (p *chunkPut) chunkLen(idx int) int64 {
+	return min(p.m.ChunkSize, p.m.Size-int64(idx)*p.m.ChunkSize)
+}
+
+// begin takes a window slot for chunk next, unless the Put has failed.
+func (p *chunkPut) begin() error {
+	if err := p.failed(); err != nil {
+		return err
+	}
+	p.window <- struct{}{}
+	return nil
+}
+
+func (p *chunkPut) Write(b []byte) (int, error) {
+	defer p.lent.Wait()
+	var taken int
+	for len(b) > 0 {
+		if p.next == len(p.m.Chunks) {
+			return taken, errSizeReached
+		}
+		length := p.chunkLen(p.next)
+		if p.buf == nil {
+			if err := p.begin(); err != nil {
+				return taken, err
+			}
+			if int64(len(b)) >= length {
+				p.dispatch(b[:length], false)
+				b, taken = b[length:], taken+int(length)
+				continue
+			}
+			p.buf = p.s.getBuf(length)
+		}
+		c := copy(p.buf[p.n:], b)
+		p.n += c
+		b, taken = b[c:], taken+c
+		if p.n == len(p.buf) {
+			p.dispatch(p.buf, true)
+			p.buf, p.n = nil, 0
+		}
+	}
+	return taken, nil
+}
+
+func (p *chunkPut) ReadFrom(r io.Reader) (int64, error) {
+	var read int64
+	for p.next < len(p.m.Chunks) {
+		if p.buf == nil {
+			if err := p.begin(); err != nil {
+				return read, err
+			}
+			p.buf = p.s.getBuf(p.chunkLen(p.next))
+		}
+		c, err := io.ReadFull(r, p.buf[p.n:])
+		p.n += c
+		read += int64(c)
+		if err != nil {
+			return read, err
+		}
+		p.dispatch(p.buf, true)
+		p.buf, p.n = nil, 0
+	}
+	return read, nil
+}
+
+// dispatch uploads data as chunk next under the window slot begin took.
+// The goroutine pushes the chunk's replicas together, all from the same
+// bytes: the first itself, fingerprinting the chunk as it goes, and each
+// other one from a goroutine of its own. After the last push it returns
+// data to the free list if it is owned, and gives the slot back.
+func (p *chunkPut) dispatch(data []byte, owned bool) {
+	idx := p.next
+	p.next++
+	wg := &p.lent
+	if owned {
+		wg = &p.owned
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cname := ChunkName(p.m.Object, idx)
+		nodes := Place(p.s.ids, cname, p.m.Replicas)
+		var pushes sync.WaitGroup
+		for _, id := range nodes[1:] {
+			pushes.Add(1)
+			go func() {
+				defer pushes.Done()
+				p.push(idx, cname, id, bytes.NewReader(data), len(data))
+			}()
+		}
+		fp := &fingerprintReader{b: data}
+		p.push(idx, cname, nodes[0], fp, len(data))
+		p.m.Chunks[idx] = Chunk{
+			Offset: int64(idx) * p.m.ChunkSize,
+			Length: int64(len(data)),
+			CRC:    fp.sum(),
+			Nodes:  nodes,
+		}
+		pushes.Wait()
+		if owned {
+			p.s.putBuf(data)
+		}
+		<-p.window
+	}()
+}
+
+// push writes one replica of chunk idx, size bytes from body, to node id
+// under the node's slot.
+func (p *chunkPut) push(idx int, cname, id string, body io.Reader, size int) {
+	s := p.s
+	var csp obs.Span
+	if s.tracer.Enabled() && p.ctx.Valid() {
+		csp = s.tracer.StartChild("stripe.chunk.put", p.ctx)
+		csp.AttrInt("idx", int64(idx))
+		csp.Attr("node", id)
+		csp.AttrInt("bytes", int64(size))
+	}
+	release := s.slot(id)
+	err := nodePut(s.nodes[id], cname, body, int64(size), csp.Context())
+	release()
+	csp.End()
+	if err != nil {
+		p.setErr(fmt.Errorf("stripe: PUT %s: chunk %d to %s: %w", p.m.Object, idx, id, err))
+		return
+	}
+	s.c.chunksPut.Add(1)
+	s.c.bytesPut.Add(int64(size))
+}
+
+// castagnoli is the CRC32-C table behind codec.Checksum, which verifies
+// the fingerprints fingerprintReader takes.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// fingerprintReader is a chunk's body for one of its replica pushes: it
+// fingerprints each piece of b as soon as the node has taken it, while
+// the piece is still in cache, rather than in a pass of its own. WriteTo
+// hands b over in pieces of one data frame, which the client sends as
+// they come.
+type fingerprintReader struct {
+	b   []byte
+	off int    // bytes taken so far
+	crc uint32 // CRC32-C of b[:off]
+}
+
+func (r *fingerprintReader) Read(p []byte) (int, error) {
+	if r.off == len(r.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, r.b[r.off:])
+	r.crc = crc32.Update(r.crc, castagnoli, r.b[r.off:r.off+n])
+	r.off += n
+	return n, nil
+}
+
+func (r *fingerprintReader) WriteTo(w io.Writer) (int64, error) {
+	start := r.off
+	for r.off < len(r.b) {
+		piece := r.b[r.off:min(r.off+server.DataChunk, len(r.b))]
+		n, err := w.Write(piece)
+		r.crc = crc32.Update(r.crc, castagnoli, piece[:n])
+		r.off += n
+		if err != nil {
+			return int64(r.off - start), err
+		}
+	}
+	return int64(r.off - start), nil
+}
+
+// sum is the CRC32-C of all of b, including any part the node did not
+// take: the manifest must fingerprint the chunk, not what one node read.
+func (r *fingerprintReader) sum() uint32 {
+	return crc32.Update(r.crc, castagnoli, r.b[r.off:])
 }
 
 // writeManifest commits m to every node. The copies go out in parallel,

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"crfs/internal/vfs"
 )
 
 // memCluster builds a store over n in-memory nodes with small chunks so
@@ -241,6 +243,14 @@ func TestPutFailsCleanly(t *testing.T) {
 	mustPut(t, s, "halfway", body2)
 	if _, err := s.Scrub(); err != nil {
 		t.Fatal(err)
+	}
+	mustGet(t, s, "halfway", body2)
+
+	// A negative size is refused before any node traffic, and the
+	// version already there stays readable.
+	err = s.Put("halfway", bytes.NewReader(body), -1)
+	if !errors.Is(err, vfs.ErrInvalid) {
+		t.Fatalf("PUT with size -1: %v, want ErrInvalid", err)
 	}
 	mustGet(t, s, "halfway", body2)
 }
