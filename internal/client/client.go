@@ -281,9 +281,16 @@ func (c *Client) simpleRetry(verb string) (string, error) {
 // request table, and the in-flight slots. A session never heals — any
 // transport or framing failure marks it dead and the Client decides
 // whether a fresh one replaces it.
+//
+// Exactly one goroutine reads the connection at any moment. The demux
+// reader reads every frame header and every control payload; a data
+// frame's payload it leaves on the connection for the request the frame
+// belongs to, which reads it (readData) and hands the connection back on
+// turn.
 type session struct {
-	nc net.Conn
-	br *bufio.Reader
+	nc  net.Conn
+	br  *bufio.Reader
+	hdr [server.HeaderLen]byte // the demux reader's header buffer
 
 	wmu sync.Mutex // serializes frame writes (frames are atomic on the wire)
 
@@ -293,6 +300,7 @@ type session struct {
 	ioTimeout   time.Duration
 
 	done chan struct{} // closed once by fail(); wakes every waiter
+	turn chan struct{} // a data frame's reader hands the connection back
 
 	mu      sync.Mutex
 	nextID  uint32
@@ -300,16 +308,14 @@ type session struct {
 	err     error
 }
 
-// frameQueueDepth is how many response frames the demux reader may queue
-// for one request: per in-flight GET the client holds at most this many
-// frame buffers, plus one in the reader's hand and one in the sink's.
-const frameQueueDepth = 2
-
-// frame is one routed response frame. The payload is a buffer from the
-// server package's frame free list, owned by whoever receives the frame:
-// it calls free (or text) when done with the bytes.
+// frame is one routed response frame. A data frame's n payload bytes are
+// still on the connection: its receiver reads them with readData. Any
+// other frame's payload was read by the demux reader into a buffer from
+// the server package's frame free list, owned by whoever receives the
+// frame: it calls free (or text) when done with the bytes.
 type frame struct {
 	typ     uint8
+	n       int
 	payload []byte
 }
 
@@ -334,6 +340,7 @@ func dialSession(addr string, cfg Config) (*session, error) {
 		br:        bufio.NewReaderSize(nc, server.ConnBufSize),
 		ioTimeout: cfg.IOTimeout,
 		done:      make(chan struct{}),
+		turn:      make(chan struct{}, 1),
 		pending:   make(map[uint32]chan frame),
 	}
 	nc.SetDeadline(time.Now().Add(dialTimeout))
@@ -435,21 +442,58 @@ func (s *session) poison(err error) error {
 	return err
 }
 
-// reader is the demux goroutine: it reads every incoming frame into a
-// free-list buffer and hands it to the request that owns it.
+// reader is the demux goroutine. It reads every frame header and routes
+// the frame to the request that owns it. A control frame's payload it
+// reads into a free-list buffer that goes with the frame. A data frame it
+// hands over with its payload still on the connection, and waits until
+// the request has read it; a data frame nobody waits for any more it
+// reads past.
 func (s *session) reader() {
 	for {
-		hdr, payload, err := s.readFrame()
+		hdr, err := s.readHeader()
 		if err != nil {
-			s.fail(fmt.Errorf("client: connection lost: %w", err))
-			s.nc.Close()
+			s.teardown(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		f := frame{typ: hdr.Type, payload: payload}
+		f := frame{typ: hdr.Type, n: int(hdr.Len)}
+		if hdr.Type == server.FrameData && hdr.ReqID != 0 {
+			// Routed under the table lock, so a request either forgets
+			// its id first or finds the frame when it does (forget).
+			s.mu.Lock()
+			routed := false
+			if ch := s.pending[hdr.ReqID]; ch != nil {
+				select {
+				case ch <- f:
+					routed = true
+				default: // the request's terminal frame is already queued
+				}
+			}
+			s.mu.Unlock()
+			if !routed {
+				// Data for a request that is over, or that we already
+				// gave up on; skip it.
+				if _, err := s.br.Discard(f.n); err != nil {
+					s.teardown(fmt.Errorf("client: connection lost: %w", err))
+					return
+				}
+				continue
+			}
+			select {
+			case <-s.turn:
+			case <-s.done:
+				return
+			}
+			continue
+		}
+		f.payload = server.GetFrameBuf(f.n)
+		if _, err := io.ReadFull(s.br, f.payload); err != nil {
+			f.free()
+			s.teardown(fmt.Errorf("client: connection lost: short frame payload: %w", err))
+			return
+		}
 		if hdr.ReqID == 0 {
 			// Connection-level error (protocol violation report): fatal.
-			s.fail(fmt.Errorf("client: server closed the session: %s", f.text()))
-			s.nc.Close()
+			s.teardown(fmt.Errorf("client: server closed the session: %s", f.text()))
 			return
 		}
 		s.mu.Lock()
@@ -469,12 +513,17 @@ func (s *session) reader() {
 	}
 }
 
-// readFrame reads one frame under the optional IO deadline.
-func (s *session) readFrame() (server.Header, []byte, error) {
+// readHeader reads and validates one frame header, under the optional IO
+// deadline; the deadline covers the frame's payload too, whoever reads
+// it.
+func (s *session) readHeader() (server.Header, error) {
 	if s.ioTimeout > 0 {
 		s.nc.SetReadDeadline(time.Now().Add(s.ioTimeout))
 	}
-	return server.ReadFrameBuf(s.br)
+	if _, err := io.ReadFull(s.br, s.hdr[:]); err != nil {
+		return server.Header{}, err
+	}
+	return server.ParseFrameHeader(s.hdr[:])
 }
 
 // begin registers a new request and sends its req frame.
@@ -490,10 +539,11 @@ func (s *session) begin(line string) (uint32, chan frame, error) {
 		s.nextID = 1
 	}
 	id := s.nextID
-	// Lets the reader run ahead of a GET's sink by a frame or two without
-	// stalling the other requests multiplexed on the connection. A PUT
-	// never has more than its one response queued.
-	ch := make(chan frame, frameQueueDepth)
+	// One slot lets the reader route a request's next frame while the
+	// request is busy with the last one. A deeper queue would hold
+	// nothing: the reader hands over one data frame at a time and waits
+	// for it to be read, and a request gets one terminal frame.
+	ch := make(chan frame, 1)
 	s.pending[id] = ch
 	s.mu.Unlock()
 	if err := s.writeFrame(server.FrameReq, id, []byte(line)); err != nil {
@@ -503,10 +553,24 @@ func (s *session) begin(line string) (uint32, chan frame, error) {
 	return id, ch, nil
 }
 
+// forget unregisters request id. A data frame routed to it after its
+// last receive has its payload still on the connection, and the demux
+// reader waiting for it to be read: forget reads past it instead.
 func (s *session) forget(id uint32) {
 	s.mu.Lock()
+	ch := s.pending[id]
 	delete(s.pending, id)
 	s.mu.Unlock()
+	select {
+	case f := <-ch:
+		if f.typ == server.FrameData {
+			// A failed read has torn the session down; nothing is left to do.
+			s.readData(io.Discard, nil, f.n)
+		} else {
+			f.free()
+		}
+	default:
+	}
 }
 
 // writeFrame writes one frame atomically (header and payload in one
@@ -751,91 +815,162 @@ func (w *frameSink) ReadFrom(r io.Reader) (int64, error) {
 	return read, w.err
 }
 
-// get streams one GET into w, returning the bytes delivered.
-func (s *session) get(name string, w io.Writer, ctx obs.SpanContext) (int64, error) {
+// ReadSink is a GET destination that lends the client the memory the
+// next body bytes belong in, so they are read off the connection straight
+// into it rather than into a frame buffer and then copied by Write. (Not
+// io.ReaderFrom: *os.File has one, which from a socket copies through
+// 32 KiB buffers it allocates on every call.)
+type ReadSink interface {
+	io.Writer
+	// Next returns memory for the next body bytes, of which the client
+	// fills a prefix. An empty slice means the sink has no room left; the
+	// rest of the body goes to Write, one call per data frame.
+	Next() []byte
+	// Landed reports that the first n bytes of the memory the last Next
+	// returned now hold the body's next n bytes. Bytes past them are not
+	// the body's, even if the client wrote there.
+	Landed(n int)
+}
+
+// readData reads the n payload bytes of a data frame off the connection
+// into w and hands the connection back to the demux reader. A ReadSink
+// gets the bytes read straight into its memory for as long as it has
+// room; whatever is left is read into a free-list buffer and given to
+// w.Write in one call. It returns the bytes w took. A failed read or a
+// failed Write tears the session down: the stream can no longer be
+// trusted, or the server would keep sending a body nobody takes.
+func (s *session) readData(w io.Writer, rs ReadSink, n int) (int64, error) {
+	if n == 0 {
+		s.turn <- struct{}{}
+		return 0, nil
+	}
+	var took int64
+	for rs != nil {
+		p := rs.Next()
+		if len(p) == 0 {
+			break
+		}
+		p = p[:min(len(p), n)]
+		if _, err := io.ReadFull(s.br, p); err != nil {
+			return took, s.lost(err)
+		}
+		n -= len(p)
+		if n == 0 {
+			s.turn <- struct{}{}
+		}
+		rs.Landed(len(p))
+		took += int64(len(p))
+		if n == 0 {
+			return took, nil
+		}
+	}
+	buf := server.GetFrameBuf(n)
+	if _, err := io.ReadFull(s.br, buf); err != nil {
+		server.PutFrameBuf(buf)
+		return took, s.lost(err)
+	}
+	s.turn <- struct{}{}
+	wn, err := w.Write(buf)
+	server.PutFrameBuf(buf)
+	took += int64(wn)
+	if err != nil {
+		s.teardown(fmt.Errorf("client: sink failed: %w", err))
+		return took, fmt.Errorf("writing body: %w", err)
+	}
+	return took, nil
+}
+
+// lost tears the session down after a failed payload read.
+func (s *session) lost(err error) error {
+	s.teardown(fmt.Errorf("client: connection lost: %w", err))
+	return fmt.Errorf("reading body: %w", err)
+}
+
+// stream runs one request whose answer is a body: its data frames go
+// into w, and the end frame's text is returned for the verb to check.
+// It returns the body bytes w took. This is the one loop every body a
+// client receives goes through.
+func (s *session) stream(line string, w io.Writer) (int64, string, error) {
 	s.acquire()
 	defer s.release()
-	id, ch, err := s.begin("GET " + name + s.traceSuffix(ctx))
+	id, ch, err := s.begin(line)
 	if err != nil {
-		return 0, err
+		return 0, "", err
 	}
 	defer s.forget(id)
+	rs, _ := w.(ReadSink)
 	var n int64
 	for {
 		f, err := s.recv(ch)
 		if err != nil {
-			return n, err
+			return n, "", err
 		}
 		switch f.typ {
 		case server.FrameData:
-			wn, werr := w.Write(f.payload)
-			f.free()
-			n += int64(wn)
-			if werr != nil {
-				// The sink failed; the server keeps streaming. Poison the
-				// session rather than desync the request.
-				s.teardown(fmt.Errorf("client: GET %s: sink failed: %w", name, werr))
-				return n, fmt.Errorf("client: GET %s: writing body: %w", name, werr)
+			wn, err := s.readData(w, rs, f.n)
+			n += wn
+			if err != nil {
+				return n, "", fmt.Errorf("client: %s: %w", label(line), err)
 			}
 		case server.FrameEnd:
-			line := f.text()
-			var size int64
-			if _, err := fmt.Sscanf(line, "OK %d", &size); err != nil || size != n {
-				return n, s.poison(fmt.Errorf("client: GET %s: got %d bytes, trailer %q: %w", name, n, line, server.ErrProtocol))
-			}
-			return n, nil
+			return n, f.text(), nil
 		case server.FrameErr:
-			return n, &RemoteError{Msg: f.text()}
+			return n, "", &RemoteError{Msg: f.text()}
 		default:
 			f.free()
-			return n, s.poison(fmt.Errorf("client: GET %s: unexpected frame type %#x: %w", name, f.typ, server.ErrProtocol))
+			return n, "", s.poison(fmt.Errorf("client: %s: unexpected frame type %#x: %w", label(line), f.typ, server.ErrProtocol))
 		}
 	}
+}
+
+// label is a verb line without its trace field, to name the request in
+// an error.
+func label(line string) string {
+	l, _, _ := strings.Cut(line, " T=")
+	return l
+}
+
+// trailerCount parses the "OK <n>" text of a body's end frame.
+func trailerCount(line string) (int64, bool) {
+	var n int64
+	_, err := fmt.Sscanf(line, "OK %d", &n)
+	return n, err == nil
+}
+
+// get streams one GET into w, returning the bytes delivered.
+func (s *session) get(name string, w io.Writer, ctx obs.SpanContext) (int64, error) {
+	n, line, err := s.stream("GET "+name+s.traceSuffix(ctx), w)
+	if err != nil {
+		return n, err
+	}
+	if size, ok := trailerCount(line); !ok || size != n {
+		return n, s.poison(fmt.Errorf("client: GET %s: got %d bytes, trailer %q: %w", name, n, line, server.ErrProtocol))
+	}
+	return n, nil
 }
 
 // list runs one LIST, buffering the streamed body so a retried LIST
 // never exposes a partial listing.
 func (s *session) list() ([]string, error) {
-	s.acquire()
-	defer s.release()
-	id, ch, err := s.begin("LIST")
+	var body bytes.Buffer
+	_, line, err := s.stream("LIST", &body)
 	if err != nil {
 		return nil, err
 	}
-	defer s.forget(id)
-	var body bytes.Buffer
-	for {
-		f, err := s.recv(ch)
-		if err != nil {
-			return nil, err
-		}
-		switch f.typ {
-		case server.FrameData:
-			body.Write(f.payload)
-			f.free()
-		case server.FrameEnd:
-			var count int
-			line := f.text()
-			if _, err := fmt.Sscanf(line, "OK %d", &count); err != nil {
-				return nil, s.poison(fmt.Errorf("client: LIST: bad trailer %q: %w", line, server.ErrProtocol))
-			}
-			names := make([]string, 0, count)
-			for _, ln := range strings.Split(body.String(), "\n") {
-				if ln != "" {
-					names = append(names, ln)
-				}
-			}
-			if len(names) != count {
-				return nil, s.poison(fmt.Errorf("client: LIST: %d names, trailer count %d: %w", len(names), count, server.ErrProtocol))
-			}
-			return names, nil
-		case server.FrameErr:
-			return nil, &RemoteError{Msg: f.text()}
-		default:
-			f.free()
-			return nil, s.poison(fmt.Errorf("client: LIST: unexpected frame type %#x: %w", f.typ, server.ErrProtocol))
+	count, ok := trailerCount(line)
+	if !ok {
+		return nil, s.poison(fmt.Errorf("client: LIST: bad trailer %q: %w", line, server.ErrProtocol))
+	}
+	names := []string{}
+	for _, ln := range strings.Split(body.String(), "\n") {
+		if ln != "" {
+			names = append(names, ln)
 		}
 	}
+	if int64(len(names)) != count {
+		return nil, s.poison(fmt.Errorf("client: LIST: %d names, trailer count %d: %w", len(names), count, server.ErrProtocol))
+	}
+	return names, nil
 }
 
 // traceDump runs one TRACE, buffering the streamed records body so a
@@ -844,48 +979,27 @@ func (s *session) traceDump(trace obs.TraceID) ([]obs.SpanRecord, error) {
 	if !s.traceCap {
 		return nil, fmt.Errorf("client: TRACE: server does not advertise trace support: %w", server.ErrProtocol)
 	}
-	s.acquire()
-	defer s.release()
 	line := "TRACE"
 	if trace != 0 {
 		line = fmt.Sprintf("TRACE %016x", uint64(trace))
 	}
-	id, ch, err := s.begin(line)
+	var body bytes.Buffer
+	_, trailer, err := s.stream(line, &body)
 	if err != nil {
 		return nil, err
 	}
-	defer s.forget(id)
-	var body bytes.Buffer
-	for {
-		f, err := s.recv(ch)
-		if err != nil {
-			return nil, err
-		}
-		switch f.typ {
-		case server.FrameData:
-			body.Write(f.payload)
-			f.free()
-		case server.FrameEnd:
-			var count int
-			line := f.text()
-			if _, err := fmt.Sscanf(line, "OK %d", &count); err != nil {
-				return nil, s.poison(fmt.Errorf("client: TRACE: bad trailer %q: %w", line, server.ErrProtocol))
-			}
-			recs, err := obs.ParseRecords(body.Bytes())
-			if err != nil {
-				return nil, s.poison(fmt.Errorf("client: TRACE: bad records body: %w: %w", err, server.ErrProtocol))
-			}
-			if len(recs) != count {
-				return nil, s.poison(fmt.Errorf("client: TRACE: %d records, trailer count %d: %w", len(recs), count, server.ErrProtocol))
-			}
-			return recs, nil
-		case server.FrameErr:
-			return nil, &RemoteError{Msg: f.text()}
-		default:
-			f.free()
-			return nil, s.poison(fmt.Errorf("client: TRACE: unexpected frame type %#x: %w", f.typ, server.ErrProtocol))
-		}
+	count, ok := trailerCount(trailer)
+	if !ok {
+		return nil, s.poison(fmt.Errorf("client: TRACE: bad trailer %q: %w", trailer, server.ErrProtocol))
 	}
+	recs, err := obs.ParseRecords(body.Bytes())
+	if err != nil {
+		return nil, s.poison(fmt.Errorf("client: TRACE: bad records body: %w: %w", err, server.ErrProtocol))
+	}
+	if int64(len(recs)) != count {
+		return nil, s.poison(fmt.Errorf("client: TRACE: %d records, trailer count %d: %w", len(recs), count, server.ErrProtocol))
+	}
+	return recs, nil
 }
 
 func (s *session) simple(verb string) (string, error) {

@@ -1,83 +1,14 @@
 package client_test
 
 import (
-	"bufio"
 	"bytes"
-	"fmt"
 	"io"
-	"net"
 	"runtime"
 	"testing"
-	"time"
 
 	"crfs/internal/client"
 	"crfs/internal/osfs"
-	"crfs/internal/server"
 )
-
-// fakeGetServer speaks just enough protocol v2 to answer every GET with
-// body, cut into data frames of the given size — sizes a real crfsd does
-// not send but the protocol allows.
-func fakeGetServer(t *testing.T, body []byte, frame int) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		br := bufio.NewReader(c)
-		if _, err := io.ReadFull(br, make([]byte, len(server.HelloLine))); err != nil {
-			return
-		}
-		server.WriteFrame(c, server.FrameHello, 0, []byte("crfsd/2 maxinflight=8"))
-		for {
-			hdr, _, err := server.ReadFrame(br, nil)
-			if err != nil {
-				return
-			}
-			bw := bufio.NewWriter(c)
-			for off := 0; off < len(body); off += frame {
-				server.WriteFrame(bw, server.FrameData, hdr.ReqID, body[off:min(off+frame, len(body))])
-			}
-			server.WriteFrame(bw, server.FrameEnd, hdr.ReqID, []byte(fmt.Sprintf("OK %d", len(body))))
-			if bw.Flush() != nil {
-				return
-			}
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestGetAcceptsAnyFrameSize: the client restores the right bytes from a
-// server that answers in 1-byte frames and from one that answers in
-// frames of the protocol maximum, four times the size it sends itself.
-func TestGetAcceptsAnyFrameSize(t *testing.T) {
-	for _, tc := range []struct{ size, frame int }{
-		{3000, 1},
-		{3*server.MaxFramePayload + 5, server.MaxFramePayload},
-	} {
-		want := make([]byte, tc.size)
-		for i := range want {
-			want[i] = byte(i*7 + i>>8)
-		}
-		c, err := client.Dial(fakeGetServer(t, want, tc.frame), client.Config{IOTimeout: 10 * time.Second})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got bytes.Buffer
-		n, err := c.Get("img", &got)
-		c.Close()
-		if err != nil || n != int64(tc.size) || !bytes.Equal(got.Bytes(), want) {
-			t.Errorf("%d-byte frames: n=%d err=%v equal=%v", tc.frame, n, err, bytes.Equal(got.Bytes(), want))
-		}
-	}
-}
 
 // loopback is one daemon over a mount on a real directory (memfs would
 // dominate both time and allocations) and one client connection to it.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"crfs/internal/codec"
 	"crfs/internal/obs"
 )
 
@@ -141,7 +140,10 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 	for idx := range m.Chunks {
 		c := m.Chunks[idx]
 		cname := ChunkName(obj, idx)
-		var good []byte
+		// Each replica lands in a free-list chunk buffer, fingerprinted as
+		// it arrives; the first that matches is kept as good until its
+		// repairs are pushed, and the next replica gets a buffer of its own.
+		var good, check []byte
 		var bad []string // reachable replicas needing a rewrite
 		var unreachable int
 		for _, id := range c.Nodes {
@@ -154,20 +156,26 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 				unreachable++
 				continue
 			}
-			var buf bytes.Buffer
-			if _, err := node.Get(cname, &buf); err != nil {
+			if check == nil {
+				check = s.getBuf(c.Length)
+			}
+			sink := chunkSink{buf: check}
+			if _, err := node.Get(cname, &sink); err != nil {
 				bad = append(bad, id)
 				continue
 			}
-			if int64(buf.Len()) != c.Length || codec.Checksum(buf.Bytes()) != c.CRC {
+			if !sink.matches(c) {
 				s.c.checksumFailed.Add(1)
 				bad = append(bad, id)
 				continue
 			}
 			rep.ChunksVerified++
 			if good == nil {
-				good = buf.Bytes()
+				good, check = check, nil
 			}
+		}
+		if check != nil {
+			s.putBuf(check)
 		}
 		if good == nil {
 			if unreachable == 0 {
@@ -183,6 +191,7 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 				s.c.chunksRepaired.Add(1)
 			}
 		}
+		s.putBuf(good)
 	}
 	return m
 }

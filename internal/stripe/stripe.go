@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crfs/internal/client"
 	"crfs/internal/codec"
 	"crfs/internal/obs"
 	"crfs/internal/server"
@@ -112,9 +113,10 @@ var poisonChunkBufs atomic.Bool
 // Store's free list of ChunkSize buffers, or a one-off allocation for a
 // chunk of an object striped with a larger unit. A buffer has one holder
 // at a time — Put's intake then the chunk's upload, Get's fetcher then
-// the in-order writer — and the last one returns it with putBuf. Every
-// holder sits inside an operation's in-flight window, which is what
-// bounds the buffers alive.
+// the in-order writer, Scrub's check of one chunk — and the last one
+// returns it with putBuf. Every Put and Get holder sits inside an
+// operation's in-flight window, and Scrub holds at most two at once,
+// which is what bounds the buffers alive.
 func (s *Store) getBuf(n int64) []byte {
 	if n > s.cfg.ChunkSize {
 		return make([]byte, n)
@@ -434,8 +436,9 @@ func (p *chunkPut) push(idx int, cname, id string, body io.Reader, size int) {
 	s.c.bytesPut.Add(int64(size))
 }
 
-// castagnoli is the CRC32-C table behind codec.Checksum, which verifies
-// the fingerprints fingerprintReader takes.
+// castagnoli is the CRC32-C table behind codec.Checksum: fingerprintReader
+// takes a chunk's fingerprint with it on PUT, and chunkSink checks it on
+// GET and scrub.
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // fingerprintReader is a chunk's body for one of its replica pushes: it
@@ -507,8 +510,8 @@ func (s *Store) writeManifest(m *Manifest) error {
 }
 
 // readManifest fetches and decodes the first intact manifest copy,
-// preferring placement order of the manifest name so repeated reads hit
-// the same copies.
+// trying the nodes in sorted ID order (s.ids) so repeated reads hit the
+// same copies.
 func (s *Store) readManifest(name string) (*Manifest, error) {
 	mname := ManifestName(name)
 	var lastErr error = fmt.Errorf("stripe: GET %s: %w", mname, ErrNoNodes)
@@ -616,21 +619,47 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	return n, nil
 }
 
-// chunkSink collects one fetched chunk in a fixed buffer. Bytes past its
-// end — a replica longer than the manifest says — are counted but not
-// stored, so the length check refuses the replica without failing the
-// transfer it arrived on.
+// chunkSink collects one replica of a chunk in a fixed buffer and
+// fingerprints it as it lands. Over the wire the client reads each data
+// frame straight into the buffer (client.ReadSink), and Landed takes the
+// CRC32-C of the piece right after, while it is in cache; a node that
+// hands bytes to Write is fingerprinted as they are copied in. Bytes past
+// the buffer's end — a replica longer than the manifest says — are
+// counted but not stored, so matches refuses the replica without failing
+// the transfer it arrived on.
 type chunkSink struct {
 	buf []byte
-	n   int64
+	n   int64  // bytes delivered, stored or not
+	crc uint32 // CRC32-C of the bytes stored
+}
+
+var _ client.ReadSink = (*chunkSink)(nil)
+
+func (w *chunkSink) Next() []byte {
+	if w.n >= int64(len(w.buf)) {
+		return nil
+	}
+	return w.buf[w.n:]
+}
+
+func (w *chunkSink) Landed(n int) {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.n:w.n+int64(n)])
+	w.n += int64(n)
 }
 
 func (w *chunkSink) Write(p []byte) (int, error) {
 	if w.n < int64(len(w.buf)) {
-		copy(w.buf[w.n:], p)
+		c := copy(w.buf[w.n:], p)
+		w.crc = crc32.Update(w.crc, castagnoli, p[:c])
 	}
 	w.n += int64(len(p))
 	return len(p), nil
+}
+
+// matches reports whether the sink holds exactly chunk c: its length and
+// its fingerprint.
+func (w *chunkSink) matches(c Chunk) bool {
+	return w.n == c.Length && w.crc == c.CRC
 }
 
 // fetchChunk returns fingerprint-verified bytes for chunk idx, trying
@@ -666,7 +695,7 @@ func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, e
 			}
 			continue
 		}
-		if sink.n != c.Length || codec.Checksum(buf) != c.CRC {
+		if !sink.matches(c) {
 			s.c.checksumFailed.Add(1)
 			lastErr = fmt.Errorf("stripe: GET %s on %s: %d bytes, fingerprint mismatch: %w",
 				cname, id, sink.n, codec.ErrChecksum)

@@ -186,3 +186,77 @@ func TestStripeAllocsPerMiB(t *testing.T) {
 		t.Fatalf("%.1f KiB allocated per MiB of object, floor is %d", quietest, maxStripeAllocKiBPerMiB)
 	}
 }
+
+// TestGetFallsBackOverTheWire: over loopback daemons, where the client
+// reads each chunk straight into the coordinator's chunk buffer, a
+// primary replica that is longer than its chunk by more than a frame,
+// one that is half of it, and one with a byte changed each fail their
+// length or fingerprint check, and the restore reads the other replica.
+func TestGetFallsBackOverTheWire(t *testing.T) {
+	const chunk = 4 * server.DataChunk
+	s, nodes := dialCluster(t, stripe.Config{ChunkSize: chunk, Replicas: 2},
+		startOSDaemon(t), startOSDaemon(t), startOSDaemon(t))
+	body := benchBody()[:5*chunk+1234]
+	if err := s.Put("ckpt", bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if _, err := nodes[0].Get(stripe.ManifestName("ckpt"), &enc); err != nil {
+		t.Fatal(err)
+	}
+	m, err := stripe.DecodeManifest(enc.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	byID := map[string]stripe.Node{}
+	for _, n := range nodes {
+		byID[n.ID()] = n
+	}
+	for idx, bad := range [][]byte{
+		append(bytes.Clone(body[:chunk]), bytes.Repeat([]byte{7}, server.DataChunk+100)...),
+		body[chunk : chunk+chunk/2],
+		append(append(bytes.Clone(body[2*chunk:2*chunk+1000]), ^body[2*chunk+1000]), body[2*chunk+1001:3*chunk]...),
+	} {
+		primary := byID[m.Chunks[idx].Nodes[0]]
+		if err := primary.Put(stripe.ChunkName("ckpt", idx), bytes.NewReader(bad), int64(len(bad))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sink := sliceSink{buf: make([]byte, len(body))}
+	if n, err := s.Get("ckpt", &sink); err != nil || n != int64(len(body)) || !bytes.Equal(sink.buf, body) {
+		t.Fatalf("GET over three bad primaries: n=%d err=%v", n, err)
+	}
+	if st := s.Stats(); st.ChecksumFailed != 3 || st.ReplicaFallbacks != 3 {
+		t.Errorf("ChecksumFailed = %d, ReplicaFallbacks = %d, want 3 each", st.ChecksumFailed, st.ReplicaFallbacks)
+	}
+}
+
+// BenchmarkGet3Nodes is one restore of a 64 MiB object striped in 4 MiB
+// chunks over three loopback daemons, two replicas per chunk: the GET
+// path alone, for profiling.
+func BenchmarkGet3Nodes(b *testing.B) {
+	const object = 64 << 20
+	s, _ := dialCluster(b, stripe.Config{ChunkSize: stripe.DefaultChunkSize, Replicas: 2},
+		startOSDaemon(b), startOSDaemon(b), startOSDaemon(b))
+	body := make([]byte, object)
+	for i := range body {
+		body[i] = byte(i ^ i>>11)
+	}
+	if err := s.Put("ckpt", bytes.NewReader(body), object); err != nil {
+		b.Fatal(err)
+	}
+	sink := sliceSink{buf: make([]byte, object)}
+	b.SetBytes(object)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink.n = 0
+		if _, err := s.Get("ckpt", &sink); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if !bytes.Equal(sink.buf, body) {
+		b.Fatal("restored bytes differ")
+	}
+}
