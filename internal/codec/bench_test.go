@@ -12,13 +12,15 @@ import (
 // the uncompressed payload — the number the "checksum overhead" table
 // in EXPERIMENTS.md reports, free of mount-level noise. The entropy-0.5
 // payload is the repository benchmark's page mix (even 4 KiB pages
-// random, odd ones text), whose random half deflate stores.
+// random, odd ones text), whose random half deflate stores; it comes at
+// 64 KiB and at 4 MiB, the chunk an IO worker encodes, whose 1024 pages
+// show what a cost per page or per run adds up to.
 
 func benchPayload() []byte {
 	return bytes.Repeat([]byte("checkpoint restart state, mildly compressible. "), 64<<10/47)
 }
 
-// benchPayloads are the two 64 KiB payloads, by sub-benchmark suffix.
+// benchPayloads are the payloads, by sub-benchmark suffix.
 func benchPayloads() []struct {
 	suffix string
 	data   []byte
@@ -29,6 +31,7 @@ func benchPayloads() []struct {
 	}{
 		{"", benchPayload()},
 		{"/entropy-0.5", pages(strings.Repeat("RT", 8), 1)},
+		{"/entropy-0.5-4MiB", pages(strings.Repeat("RT", 512), 1)},
 	}
 }
 

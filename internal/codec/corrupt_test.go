@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -139,71 +141,153 @@ func TestCorruptionMatrixPayloadFlips(t *testing.T) {
 	}
 }
 
-// storedBlockFlips returns sampled byte offsets of a deflate frame's
-// stored blocks, located by the flat pages of src they carry verbatim:
-// the four LEN/NLEN bytes in front of each, a few bytes of its data, and
-// the LEN/NLEN of the empty final block a frame ending in a flat page
-// closes with. (A header byte's padding bits are not sampled: inflaters
-// skip them, so a flip there is benign.)
-func storedBlockFlips(t *testing.T, frame, src []byte) (lenNlen, data []int) {
+// storedBlockFlips returns sampled offsets into a stored-block payload
+// that inflates to src: the LEN/NLEN in front of every stored block of
+// every flat run (a run longer than 65,535 bytes takes several blocks), a
+// few bytes of each run's first page, and the LEN/NLEN of the empty final
+// block a payload ending in a flat page closes with. (A header byte's
+// padding bits are not sampled: inflaters skip them, so a flip there is
+// benign.)
+func storedBlockFlips(t *testing.T, payload, src []byte) (lenNlen, data []int) {
 	t.Helper()
 	for off := 0; off+pageSize <= len(src); off += pageSize {
-		if !flatPage(src[off:]) {
-			continue
+		if !flatPage(src[off:]) || off > 0 && flatPage(src[off-pageSize:]) {
+			continue // not the first page of a flat run
 		}
-		at := bytes.Index(frame, src[off:off+pageSize])
+		at := bytes.Index(payload, src[off:off+pageSize])
 		if at < 4 {
-			t.Fatalf("flat page at %d is not stored in the frame", off)
+			t.Fatalf("flat page at %d is not stored in the payload", off)
 		}
-		lenNlen = append(lenNlen, at-4, at-3, at-2, at-1)
 		data = append(data, at, at+1, at+pageSize/2, at+pageSize-1)
+		run := 0
+		for end := off; end+pageSize <= len(src) && flatPage(src[end:]); end += pageSize {
+			run += pageSize
+		}
+		for block := at; ; block += maxStored + 5 {
+			lenNlen = append(lenNlen, block-4, block-3, block-2, block-1)
+			if run -= maxStored; run <= 0 {
+				break
+			}
+		}
 	}
 	if flatPage(src[len(src)-pageSize:]) {
-		for i := len(frame) - 4; i < len(frame); i++ {
+		for i := len(payload) - 4; i < len(payload); i++ {
 			lenNlen = append(lenNlen, i)
 		}
 	}
 	return lenNlen, data
 }
 
-// TestCorruptionMatrixStoredBlocks: the flat pages of a v2 deflate frame
-// travel as stored blocks, which inflate at any contents — the same
-// exposure as a raw payload. A flip in a block's LEN/NLEN (the final empty
-// block's included) must fail the stream itself, as ErrCorrupt; a flip in its
-// data must fail the CRC, as ErrChecksum. Either way every codec-level
-// path — decode, salvage, compaction — refuses the frame and none of them
-// hands back a byte.
+// maxStored is the most one DEFLATE stored block carries.
+const maxStored = 65535
+
+// flipVerdict flips bit of box at `at` and checks that DecodeFrame of the
+// frame fr fails under want — ErrChecksum exactly when want is, any
+// ErrCorrupt when want is ErrCorrupt and either is, ErrCorrupt but never
+// ErrChecksum otherwise — handing back no bytes, and that salvage and
+// compaction refuse the container too. It restores the bit.
+func flipVerdict(t *testing.T, box []byte, fr FrameInfo, at int, bit byte, want error, either bool) {
+	t.Helper()
+	box[at] ^= bit
+	defer func() { box[at] ^= bit }()
+	out, err := DecodeFrame(fr.Header, box[fr.Pos+HeaderSize:fr.End()], nil)
+	if !errors.Is(err, want) || !either && errors.Is(err, ErrChecksum) != (want == ErrChecksum) || out != nil {
+		t.Fatalf("flip %#x at %d: %d bytes, %v; want %v", bit, at, len(out), err, want)
+	}
+	if v := runPaths(t, box, fr); !v.decode || !v.salvage || !v.compact {
+		t.Fatalf("flip %#x at %d passed a path: %+v", bit, at, v)
+	}
+}
+
+// TestCorruptionMatrixStoredBlocks: the frames of the frozen stored-block
+// fixture carry their flat pages as DEFLATE stored blocks, which inflate
+// at any contents — the same exposure as a raw payload. A flip in a
+// block's LEN/NLEN (the final empty block's included) must fail the
+// stream itself, as ErrCorrupt; a flip in its data must fail the CRC, as
+// ErrChecksum. Either way every codec-level path — decode, salvage,
+// compaction — refuses the frame and none of them hands back a byte.
 func TestCorruptionMatrixStoredBlocks(t *testing.T) {
-	src := pages("TRTR", 8)
+	box, err := os.ReadFile(filepath.Join(goldenDir, frozenStoredFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	content, nLen, nData := frozenStoredContent(), 0, 0
+	for _, fr := range frames {
+		base := int(fr.Pos + HeaderSize)
+		src := content[fr.Header.Off : fr.Header.Off+int64(fr.Header.RawLen)]
+		lenNlen, data := storedBlockFlips(t, box[base:fr.End()], src)
+		for _, set := range []struct {
+			at   []int
+			want error
+		}{{lenNlen, ErrCorrupt}, {data, ErrChecksum}} {
+			for _, at := range set.at {
+				for _, bit := range []byte{0x01, 0x80} {
+					flipVerdict(t, box, fr, base+at, bit, set.want, false)
+				}
+			}
+		}
+		nLen, nData = nLen+len(lenNlen), nData+len(data)
+	}
+	t.Logf("%d frames: %d LEN/NLEN and %d data bytes flipped, each two ways", len(frames), nLen, nData)
+}
+
+// TestCorruptionMatrixPagedPayload: a paged payload's flat pages inflate
+// at any contents as stored blocks did, so a flip in one must fail the
+// CRC, as ErrChecksum. A flip of any bit of the tag or the bitmap, or of
+// any byte of the stream, breaks the payload's shape or its stream: it
+// must fail as ErrCorrupt (ErrChecksum when what decodes is the right
+// length but the wrong bytes), unless it decodes to exactly the bytes
+// written — a flip in the stream's padding bits. Either way every
+// codec-level path refuses the frame and none hands back a byte.
+func TestCorruptionMatrixPagedPayload(t *testing.T) {
+	src := append(pages("RTZRRTTR", 8), "tail page"...)
 	box, h, err := EncodeFrame(Deflate(), 0, 0, src, nil)
-	if err != nil || h.Codec != DeflateID {
+	if err != nil || h.Codec != DeflateID || box[HeaderSize] != pagedTag {
 		t.Fatalf("frame: codec %d, %v", h.Codec, err)
 	}
 	fr := FrameInfo{Header: h}
-	lenNlen, data := storedBlockFlips(t, box, src)
-	for _, set := range []struct {
-		name string
-		at   []int
-		want error
-	}{
-		{"len-nlen", lenNlen, ErrCorrupt},
-		{"data", data, ErrChecksum},
-	} {
-		for _, at := range set.at {
+	// The tag, then one bitmap byte for each eight of the nine pages.
+	const stored = HeaderSize + 1 + 2
+	flat, benign := 0, 0
+	for off := 0; off+pageSize <= len(src); off += pageSize {
+		if !flatPage(src[off:]) {
+			continue
+		}
+		at := stored + flat*pageSize
+		if !bytes.Equal(box[at:at+pageSize], src[off:off+pageSize]) {
+			t.Fatalf("flat page at %d is not verbatim at %d", off, at)
+		}
+		for _, i := range []int{at, at + 1, at + pageSize/2, at + pageSize - 1} {
 			for _, bit := range []byte{0x01, 0x80} {
-				box[at] ^= bit
-				out, err := DecodeFrame(h, box[HeaderSize:], nil)
-				if !errors.Is(err, set.want) || errors.Is(err, ErrChecksum) != (set.want == ErrChecksum) || out != nil {
-					t.Fatalf("%s flip %#x at %d: %d bytes, %v; want %v", set.name, bit, at, len(out), err, set.want)
-				}
-				if v := runPaths(t, box, fr); !v.decode || !v.salvage || !v.compact {
-					t.Fatalf("%s flip %#x at %d passed a path: %+v", set.name, bit, at, v)
-				}
-				box[at] ^= bit
+				flipVerdict(t, box, fr, i, bit, ErrChecksum, false)
 			}
 		}
+		flat++
 	}
-	t.Logf("%d LEN/NLEN and %d data bytes flipped, each two ways", len(lenNlen), len(data))
+	for at := HeaderSize; at < stored; at++ { // the tag and the bitmap, every bit
+		for bit := 0; bit < 8; bit++ {
+			flipVerdict(t, box, fr, at, 1<<bit, ErrCorrupt, true)
+		}
+	}
+	for at := stored + flat*pageSize; at < len(box); at++ { // the stream
+		box[at] ^= 0x01
+		out, err := DecodeFrame(h, box[HeaderSize:], nil)
+		box[at] ^= 0x01
+		if err == nil && bytes.Equal(out, src) {
+			benign++
+			continue
+		}
+		flipVerdict(t, box, fr, at, 0x01, ErrCorrupt, true)
+	}
+	t.Logf("%d flat pages sampled, %d tag and bitmap bits, %d stream bytes flipped (%d benign)",
+		flat, 8*(stored-HeaderSize), len(box)-stored-flat*pageSize, benign)
+	if flat != 4 {
+		t.Fatalf("%d flat pages, want the 4 random ones", flat)
+	}
 }
 
 // TestCorruptionMatrixHeaderFields flips the low bit of every header

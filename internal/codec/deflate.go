@@ -3,16 +3,17 @@ package codec
 import (
 	"bytes"
 	"compress/flate"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"slices"
 	"sync"
 )
 
 // deflateCodec compresses chunks with stdlib DEFLATE. Encoder and decoder
-// state is pooled: flate allocates ~64 KB of window per writer, far too
-// much to rebuild for every 4 MB chunk crossing the IO workers.
+// state is pooled: a level-6 flate writer holds ≈ 800 KiB, 640 KiB of it
+// hash tables that every Reset clears, far too much to rebuild for every
+// 4 MiB chunk crossing the IO workers.
 type deflateCodec struct {
 	writers sync.Pool // *deflater
 	readers sync.Pool // *inflater
@@ -66,56 +67,70 @@ func (c *deflateCodec) encoder() (*deflater, error) {
 	return d, nil
 }
 
-// Encode appends one raw DEFLATE stream of src to dst, in runs of 4 KiB
-// pages. A page whose bytes are as evenly spread as random data's (a flat
-// page, see flatPage) cannot compress, so a run of flat pages skips
-// DEFLATE's match search and goes out as stored blocks written here. Every
-// other run goes through the pooled level-6 writer, reset before each run
-// but the first (a match must not reach back across stored bytes the
-// writer never saw) and ended with Flush, or with Close when it ends the
-// stream. A src with no flat page is one run: a single Write and Close,
-// byte for byte what the writer alone produces.
+// pagedTag opens a paged payload. Its BTYPE bits (1–2) are 11, the block
+// type RFC 1951 reserves, so no DEFLATE stream starts with this byte and
+// Decode can tell the two layouts apart by it.
+const pagedTag = 0x06
+
+// Encode appends src to dst in one of two layouts, classifying it in 4 KiB
+// pages. A src with no flat page (see flatPage) is one raw DEFLATE stream,
+// a single Write and Close of the pooled level-6 writer. A page as evenly
+// spread as random data cannot compress, so a src with a flat page is
+// paged: pagedTag, a bitmap with bit i (LSB first) set when page i is
+// flat, the flat pages verbatim in page order, and then one level-6
+// stream of every other page, written run by run with no Reset or Flush
+// between runs. When every page is flat the stream is left out; the
+// payload is then longer than src and EncodeFrame's raw bailout takes it.
 func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
-	var d *deflater
-	defer func() {
-		if d != nil {
-			d.sw.b = nil // don't retain dst
-			c.writers.Put(d)
+	bm, n := len(dst)+1, (len(src)+8*pageSize-1)/(8*pageSize)
+	out := append(append(dst, pagedTag), make([]byte, n)...)
+	for off := 0; off+pageSize <= len(src); off += pageSize {
+		if flatPage(src[off:]) {
+			out[bm+off/pageSize/8] |= 1 << (off / pageSize % 8)
+			out = append(out, src[off:off+pageSize]...)
 		}
-	}()
-	out, synced := dst, false // synced: out ends in a Flush's sync marker
-	flat := flatPage(src)
-	for off := 0; ; {
-		end, nextFlat := runEnd(src, off, flat)
-		last := end == len(src)
-		if flat {
-			out = appendStored(out, src[off:end], synced, last)
-		} else {
-			var err error
-			if d == nil {
-				if d, err = c.encoder(); err != nil {
-					return dst, err
-				}
-			} else {
-				d.fw.Reset(&d.sw)
-			}
-			d.sw.b = out
-			if _, err = d.fw.Write(src[off:end]); err == nil {
-				if last {
-					err = d.fw.Close()
-				} else {
-					err = d.fw.Flush()
-				}
-			}
-			if out = d.sw.b; err != nil {
-				return dst, fmt.Errorf("codec: deflate encode: %w", err)
-			}
-		}
-		if last {
-			return out, nil
-		}
-		off, flat, synced = end, nextFlat, !flat
 	}
+	bitmap := out[bm : bm+n]
+	switch len(out) - bm - n {
+	case 0: // no flat page: one plain stream
+		out, bitmap = dst, nil
+	case len(src):
+		return out, nil
+	}
+	d, err := c.encoder()
+	if err != nil {
+		return dst, err
+	}
+	defer func() {
+		d.sw.b = nil // don't retain dst
+		c.writers.Put(d)
+	}()
+	d.sw.b = out
+	for off := 0; off < len(src) && err == nil; off += pageSize {
+		end := nextFlat(bitmap, off, len(src))
+		if end > off {
+			_, err = d.fw.Write(src[off:end])
+		}
+		off = end // and skip the flat page there
+	}
+	if err == nil {
+		err = d.fw.Close()
+	}
+	if err != nil {
+		return dst, fmt.Errorf("codec: deflate encode: %w", err)
+	}
+	return d.sw.b, nil
+}
+
+// nextFlat returns the offset of the first page at or after off that
+// bitmap marks flat, or n when there is none.
+func nextFlat(bitmap []byte, off, n int) int {
+	for ; off < n; off += pageSize {
+		if i := off / pageSize; i/8 < len(bitmap) && bitmap[i/8]>>(i%8)&1 != 0 {
+			return off
+		}
+	}
+	return n
 }
 
 // pageSize is the unit Encode classifies src in.
@@ -152,57 +167,6 @@ func flatPage(p []byte) bool {
 	return sum < flatLimit
 }
 
-// runEnd returns where the run of pages that starts at off, all of them
-// flat or all not, ends, and whether the page there is flat.
-func runEnd(src []byte, off int, flat bool) (int, bool) {
-	for end := off + pageSize; end < len(src); end += pageSize {
-		if f := flatPage(src[end:]); f != flat {
-			return end, f
-		}
-	}
-	return len(src), false
-}
-
-// maxStored is the most one stored block can carry (LEN is 16 bits).
-const maxStored = 65535
-
-// syncMarker is how a Flush ends the stream: the LEN/NLEN of an empty,
-// non-final stored block, whose header bits precede it.
-var syncMarker = []byte{0x00, 0x00, 0xff, 0xff}
-
-// appendStored appends p as stored blocks of at most maxStored bytes, the
-// last one final when final is set. When synced, out ends in a Flush's
-// sync marker: the empty block it closes takes p's first piece, its
-// LEN/NLEN overwritten, which saves that piece's five header bytes. The
-// marker's header bits are not final; if that piece ends the stream, an
-// empty final block follows it, as Close itself would write.
-func appendStored(out, p []byte, synced, final bool) []byte {
-	if synced && bytes.HasSuffix(out, syncMarker) {
-		n := min(len(p), maxStored)
-		out = appendLenData(out[:len(out)-len(syncMarker)], p[:n])
-		if p = p[n:]; len(p) == 0 && final {
-			return appendLenData(append(out, 1), nil)
-		}
-	}
-	for len(p) > 0 {
-		n := min(len(p), maxStored)
-		hdr := byte(0) // BFINAL 0, BTYPE 00 (stored), then padding to the byte
-		if final && n == len(p) {
-			hdr = 1
-		}
-		out = appendLenData(append(out, hdr), p[:n])
-		p = p[n:]
-	}
-	return out
-}
-
-// appendLenData appends a stored block's LEN, NLEN and data.
-func appendLenData(out, p []byte) []byte {
-	out = binary.LittleEndian.AppendUint16(out, uint16(len(p)))
-	out = binary.LittleEndian.AppendUint16(out, ^uint16(len(p)))
-	return append(out, p...)
-}
-
 // inflater is the pooled decode state: the flate reader and the
 // bytes.Reader it pulls the payload through, kept together so a decode
 // into a presized buffer allocates nothing.
@@ -219,11 +183,27 @@ const maxInflate = 1032
 
 // Decode inflates src into the spare capacity of dst — or into one new
 // buffer of the declared size when dst is short — and then reads one byte
-// more to prove the stream ends where the header says it does. src is in
-// memory, so any inflater error is damage and wraps ErrCorrupt.
+// more to prove the stream ends where the header says it does. A paged
+// payload's flat pages are copied to their offsets and its stream is
+// inflated straight into the ranges between them. src is in memory, so
+// any inflater error is damage and wraps ErrCorrupt.
 func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
 	if rawLen > maxInflate*int64(len(src)) {
 		return dst, fmt.Errorf("%w: declared size %d impossible for a %d-byte deflate stream", ErrCorrupt, rawLen, len(src))
+	}
+	var bitmap, stored []byte
+	stream, paged := src, len(src) > 0 && src[0] == pagedTag
+	if paged {
+		var err error
+		if bitmap, stored, stream, err = splitPaged(src[1:], rawLen); err != nil {
+			return dst, err
+		}
+	}
+	base, end := len(dst), len(dst)+int(rawLen)
+	out := slices.Grow(dst, int(rawLen))[:end]
+	if paged && len(stored) == int(rawLen) { // every page flat, no stream
+		copy(out[base:], stored)
+		return out, nil
 	}
 	z, _ := c.readers.Get().(*inflater)
 	if z == nil {
@@ -234,20 +214,21 @@ func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
 		z.src.Reset(nil) // don't retain src
 		c.readers.Put(z)
 	}()
-	z.src.Reset(src)
+	z.src.Reset(stream)
 	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
 		return dst, fmt.Errorf("codec: deflate reset: %w", err)
 	}
-	base, end := len(dst), len(dst)+int(rawLen)
-	out := slices.Grow(dst, int(rawLen))[:end]
-	for n := base; n < end; {
-		m, err := z.fr.Read(out[n:])
-		n += m
-		if err == io.EOF && n < end {
-			return dst, fmt.Errorf("%w: deflate stream is %d bytes, shorter than declared size %d", ErrCorrupt, n-base, rawLen)
-		}
-		if err != nil && err != io.EOF {
+	for off := 0; off < int(rawLen); off += pageSize {
+		run := nextFlat(bitmap, off, int(rawLen))
+		switch _, err := io.ReadFull(z.fr, out[base+off:base+run]); err {
+		case nil:
+		case io.EOF, io.ErrUnexpectedEOF:
+			return dst, fmt.Errorf("%w: deflate stream ends short of declared size %d", ErrCorrupt, rawLen)
+		default:
 			return dst, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
+		}
+		if off = run; off < int(rawLen) {
+			stored = stored[copy(out[base+off:base+off+pageSize], stored):]
 		}
 	}
 	switch _, err := io.ReadFull(z.fr, z.end[:]); err {
@@ -261,4 +242,34 @@ func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
 		return dst, fmt.Errorf("codec: deflate close: %w", err)
 	}
 	return out, nil
+}
+
+// splitPaged splits a paged payload, past its tag, into its bitmap, its
+// flat pages and its stream. A shape Encode never writes is ErrCorrupt: a
+// payload too short for its bitmap or its flat pages, a bit set for a
+// short tail page or past the last page, no bit set, or a stream beside
+// pages that are all flat.
+func splitPaged(p []byte, rawLen int64) (bitmap, stored, stream []byte, err error) {
+	full, n := int(rawLen/pageSize), int((rawLen+8*pageSize-1)/(8*pageSize))
+	if len(p) < n {
+		return nil, nil, nil, fmt.Errorf("%w: paged deflate payload of %d bytes, its bitmap needs %d", ErrCorrupt, len(p), n)
+	}
+	bitmap, flat := p[:n], 0
+	for i, b := range bitmap {
+		if lo := full - 8*i; lo < 8 && b>>max(lo, 0) != 0 {
+			return nil, nil, nil, fmt.Errorf("%w: paged deflate bitmap marks a page flat past the last full one", ErrCorrupt)
+		}
+		flat += bits.OnesCount8(b)
+	}
+	if flat == 0 {
+		return nil, nil, nil, fmt.Errorf("%w: paged deflate bitmap marks no page flat", ErrCorrupt)
+	}
+	if len(p)-n < flat*pageSize {
+		return nil, nil, nil, fmt.Errorf("%w: paged deflate payload of %d bytes cannot hold its %d flat pages", ErrCorrupt, len(p), flat)
+	}
+	stored, stream = p[n:n+flat*pageSize], p[n+flat*pageSize:]
+	if len(stored) == int(rawLen) && len(stream) != 0 {
+		return nil, nil, nil, fmt.Errorf("%w: paged deflate payload carries a stream beside pages that are all flat", ErrCorrupt)
+	}
+	return bitmap, stored, stream, nil
 }

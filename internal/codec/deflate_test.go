@@ -45,28 +45,54 @@ func inflate(t *testing.T, stream []byte) []byte {
 	return got
 }
 
-// spliceRoundTrip encodes src with the deflate codec and as a v2 frame, and
-// checks that every page the classifier calls flat went out verbatim as
-// stored data, that the codec's stream and a deflate frame's payload both
-// inflate back to src through a bare flate reader, and that DecodeFrame
-// gives src back. It returns the frame's header.
+// spliceRoundTrip encodes src with the deflate codec and as a v2 frame. A
+// src with a flat page must come out paged: pagedTag, a bitmap that marks
+// exactly the pages the classifier calls flat, each flat page verbatim at
+// its computed offset, and then a stream that a bare flate reader inflates
+// to the other pages, in order. A src without one must be a stream that
+// inflates to src. DecodeFrame must give src back either way. It returns
+// the frame's header.
 func spliceRoundTrip(t *testing.T, src []byte) Header {
 	t.Helper()
-	stream, err := Deflate().Encode(nil, src)
+	payload, err := Deflate().Encode(nil, src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for off := 0; off+pageSize <= len(src); off += pageSize {
-		// A stored block holds up to 64 KiB, so at most one block header
-		// falls inside a page: one of its halves is stored contiguously.
-		half := pageSize / 2
-		if flatPage(src[off:]) && !bytes.Contains(stream, src[off:off+half]) &&
-			!bytes.Contains(stream, src[off+half:off+pageSize]) {
-			t.Fatalf("flat page at %d is not stored verbatim", off)
+	var stored, deflated []byte // the flat pages, and every other byte of src
+	for off := 0; off < len(src); off += pageSize {
+		if p := src[off:min(off+pageSize, len(src))]; len(p) == pageSize && flatPage(p) {
+			stored = append(stored, p...)
+		} else {
+			deflated = append(deflated, p...)
 		}
 	}
-	if got := inflate(t, stream); !bytes.Equal(got, src) {
-		t.Fatalf("bare flate reader: %d bytes back, want the %d encoded", len(got), len(src))
+	stream := payload
+	if len(stored) > 0 {
+		n := (len(src) + 8*pageSize - 1) / (8 * pageSize)
+		if len(payload) < 1+n+len(stored) || payload[0] != pagedTag {
+			t.Fatalf("%d flat bytes, but the %d-byte payload is not paged", len(stored), len(payload))
+		}
+		for i := 0; i < 8*n; i++ {
+			off := i * pageSize
+			flat := off+pageSize <= len(src) && flatPage(src[off:])
+			if bit := payload[1+i/8]>>(i%8)&1 == 1; bit != flat {
+				t.Fatalf("bitmap bit %d is %v, page %d flat is %v", i, bit, i, flat)
+			}
+		}
+		for k := 0; k < len(stored); k += pageSize {
+			if at := 1 + n + k; !bytes.Equal(payload[at:at+pageSize], stored[k:k+pageSize]) {
+				t.Fatalf("flat page %d is not verbatim at payload offset %d", k/pageSize, at)
+			}
+		}
+		stream = payload[1+n+len(stored):]
+		if len(deflated) == 0 && len(stream) != 0 {
+			t.Fatalf("every page is flat, yet a %d-byte stream follows them", len(stream))
+		}
+	}
+	if len(deflated) > 0 || len(stored) == 0 {
+		if got := inflate(t, stream); !bytes.Equal(got, deflated) {
+			t.Fatalf("bare flate reader: %d bytes back, want the %d deflated", len(got), len(deflated))
+		}
 	}
 	frame, h, err := EncodeFrame(Deflate(), 0, 0, src, nil)
 	if err != nil {
@@ -79,16 +105,16 @@ func spliceRoundTrip(t *testing.T, src []byte) Header {
 	if err != nil || !bytes.Equal(got, src) {
 		t.Fatalf("DecodeFrame: %d bytes back, want %d: %v", len(got), len(src), err)
 	}
-	if h.Codec == DeflateID && !bytes.Equal(inflate(t, frame[HeaderSize:]), src) {
-		t.Fatal("bare flate reader: frame payload differs")
+	if h.Codec == DeflateID && !bytes.Equal(frame[HeaderSize:], payload) {
+		t.Fatal("the frame's payload is not what Encode wrote")
 	}
 	return h
 }
 
-// TestSpliceRoundTrip covers the frame shapes the splice of stored and
-// compressed runs must get right: where the flat runs sit, a frame the
-// raw bailout takes, a partial page, a flat run longer than one stored
-// block, and nothing at all.
+// TestSpliceRoundTrip covers the page mixes a paged payload must get
+// right: where the flat pages sit, a frame the raw bailout takes, a
+// partial page, a long flat run, a bitmap whose last byte is part used,
+// a chunk the size an IO worker encodes, and nothing at all.
 func TestSpliceRoundTrip(t *testing.T) {
 	random := func(n int, seed int64) []byte { return incompressible(n, seed) }
 	for _, tc := range []struct {
@@ -99,11 +125,15 @@ func TestSpliceRoundTrip(t *testing.T) {
 		{"flat-first", pages("RTTT", 1), DeflateID},
 		{"flat-last", pages("TTTR", 2), DeflateID},
 		{"every-page-flat", pages("RRRR", 3), RawID},
+		{"every-full-page-flat", append(pages("RRRR", 3), random(1000, 3)...), RawID},
 		{"partial-tail", append(pages("TRT", 4), random(1000, 4)...), DeflateID},
 		{"partial-tail-after-flat", append(pages("TTR", 5), random(1000, 5)...), DeflateID},
 		{"flat-run-over-64KiB", pages("T"+strings.Repeat("R", 20)+"T", 6), DeflateID},
 		{"flat-run-over-64KiB-last", pages("T"+strings.Repeat("R", 20), 7), DeflateID},
 		{"flat-first-over-64KiB", pages(strings.Repeat("R", 20)+"TTTTTTTT", 8), DeflateID},
+		{"zero-and-text-runs", pages("ZZRTTRZRT", 9), DeflateID},
+		{"bitmap-byte-part-used", append(pages("TRTRTRTRT", 10), "tail"...), DeflateID},
+		{"chunk-4MiB", pages(strings.Repeat("RT", 512), 11), DeflateID},
 		{"empty", nil, RawID},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,9 +144,9 @@ func TestSpliceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSpliceEveryRunBoundary puts a run boundary at every page index of a
-// 16-page frame: all at once (alternating pages), and one at a time in
-// both directions.
+// TestSpliceEveryRunBoundary puts a boundary between flat and deflated
+// pages at every page index of a 16-page frame: all at once (alternating
+// pages), and one at a time in both directions.
 func TestSpliceEveryRunBoundary(t *testing.T) {
 	const n = 16
 	spliceRoundTrip(t, pages(strings.Repeat("TR", n/2), 1))
@@ -179,7 +209,7 @@ func raceEnabled() bool {
 }
 
 // TestEncodeAllocsNothing: with a warm pool and a dst that already fits,
-// an encode that splices stored and compressed runs allocates nothing.
+// an encode that writes a paged payload allocates nothing.
 func TestEncodeAllocsNothing(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool sheds pooled encoders under the race detector")

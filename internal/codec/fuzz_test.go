@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 )
 
@@ -35,7 +36,7 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(frameBytes(f, Raw(), 0, 0, []byte("abcd")))
 	f.Add(frameBytes(f, Raw(), 7, 4096, bytes.Repeat([]byte{0xAA}, 100)))
 	f.Add(frameBytes(f, Deflate(), 1, 0, bytes.Repeat([]byte("compressible "), 40)))
-	f.Add(frameBytes(f, Deflate(), 2, 0, pages("TRTR", 1))) // carries stored blocks
+	f.Add(frameBytes(f, Deflate(), 2, 0, pages("TRTR", 1))) // paged
 	// Lying EncLen: header promises more payload than follows.
 	lying := frameBytes(f, Raw(), 0, 0, []byte("abcdefgh"))
 	f.Add(lying[:HeaderSize+3])
@@ -66,12 +67,23 @@ func FuzzFrameDecode(f *testing.F) {
 	f.Add(v3)
 
 	// One of each way a deflate stream can disagree with its header
-	// (TestPresizedDecodeRejects): longer, shorter, cut mid-block, rotted.
+	// (TestPresizedDecodeRejects): longer, shorter, cut mid-block, rotted;
+	// then each shape of paged payload Encode never writes.
 	for _, bf := range badDeflateFrames(f) {
 		hdr := make([]byte, HeaderSize)
 		PutHeader(hdr, bf.h)
 		f.Add(append(hdr, bf.payload...))
 	}
+	// Paged payloads that decode: a long bitmap with a partial tail page,
+	// and every page flat with no stream, which Encode leaves to the raw
+	// bailout but Decode reads.
+	f.Add(frameBytes(f, Deflate(), 3, 0, append(pages(strings.Repeat("RTZ", 6), 2), "tail"...)))
+	allFlat := pages("RR", 3)
+	flatOnly := append([]byte{pagedTag, 0x03}, allFlat...)
+	hdr := make([]byte, HeaderSize)
+	PutHeader(hdr, Header{Version: Version2, Codec: DeflateID, Checksum: Checksum(allFlat),
+		RawLen: uint32(len(allFlat)), EncLen: uint32(len(flatOnly))})
+	f.Add(append(hdr, flatOnly...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := ParseHeader(b)
@@ -111,7 +123,9 @@ func FuzzFrameDecode(f *testing.F) {
 
 // FuzzFrameRoundTrip checks that whatever bytes an application writes,
 // Encode/Decode is the identity through both codecs — including the
-// incompressible raw bailout path.
+// incompressible raw bailout path. Arbitrary bytes almost never hold a
+// flat page, so each input also goes through as a mix of full pages that
+// its first bytes choose (pageMix): paged payloads on every run.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{}, int64(0))
 	f.Add([]byte("hello checkpoint"), int64(4096))
@@ -123,39 +137,65 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(pages("RT", 1), int64(0))
 	f.Add(pages("TR", 2), int64(0))
 	f.Add(append(pages("TRTR", 3), "partial page"...), int64(8192))
-	f.Fuzz(func(t *testing.T, payload []byte, off int64) {
+	f.Fuzz(func(t *testing.T, input []byte, off int64) {
 		if off < 0 || off > MaxLogicalOff {
 			return
 		}
-		for _, c := range []Codec{Raw(), Deflate()} {
-			for _, ver := range []uint8{Version1, Version2} {
-				frame, hdr, err := EncodeFrameVersion(c, ver, 3, off, payload, nil)
-				if err != nil {
-					t.Fatalf("%s/v%d: EncodeFrame: %v", c.Name(), ver, err)
-				}
-				if len(frame) > HeaderSize+len(payload) || hdr.EncLen > hdr.RawLen {
-					t.Fatalf("%s/v%d: frame grew the payload: %d > %d (EncLen %d, RawLen %d)",
-						c.Name(), ver, len(frame), HeaderSize+len(payload), hdr.EncLen, hdr.RawLen)
-				}
-				reparsed, err := ParseHeader(frame)
-				if err != nil {
-					t.Fatalf("%s/v%d: reparse own header: %v", c.Name(), ver, err)
-				}
-				if reparsed != hdr {
-					t.Fatalf("%s/v%d: header round trip: %+v != %+v", c.Name(), ver, reparsed, hdr)
-				}
-				if ver >= Version2 && hdr.Checksum != Checksum(payload) {
-					t.Fatalf("%s/v%d: encoder stamped crc %08x, payload is %08x",
-						c.Name(), ver, hdr.Checksum, Checksum(payload))
-				}
-				raw, err := DecodeFrame(hdr, frame[HeaderSize:], nil)
-				if err != nil {
-					t.Fatalf("%s/v%d: DecodeFrame: %v", c.Name(), ver, err)
-				}
-				if !bytes.Equal(raw, payload) {
-					t.Fatalf("%s/v%d: payload round trip mismatch", c.Name(), ver)
-				}
-			}
+		for _, payload := range [][]byte{input, pageMix(input)} {
+			roundTrip(t, payload, off)
 		}
 	})
+}
+
+// pageMix turns each of the first 10 bytes of b into a full page — random
+// (flat) when the byte is 0 mod 3, text when 1, zeros when 2 — and keeps
+// the rest of b as a tail behind them.
+func pageMix(b []byte) []byte {
+	n := min(len(b), 10)
+	out := make([]byte, n*pageSize, n*pageSize+len(b)-n)
+	for i, k := range b[:n] {
+		switch p := out[i*pageSize : (i+1)*pageSize]; k % 3 {
+		case 0:
+			copy(p, incompressible(pageSize, int64(k)))
+		case 1:
+			textPage(p, int(k))
+		}
+	}
+	return append(out, b[n:]...)
+}
+
+// roundTrip encodes payload at off through both codecs and frame versions
+// and checks that each frame decodes back to it.
+func roundTrip(t *testing.T, payload []byte, off int64) {
+	t.Helper()
+	for _, c := range []Codec{Raw(), Deflate()} {
+		for _, ver := range []uint8{Version1, Version2} {
+			frame, hdr, err := EncodeFrameVersion(c, ver, 3, off, payload, nil)
+			if err != nil {
+				t.Fatalf("%s/v%d: EncodeFrame: %v", c.Name(), ver, err)
+			}
+			if len(frame) > HeaderSize+len(payload) || hdr.EncLen > hdr.RawLen {
+				t.Fatalf("%s/v%d: frame grew the payload: %d > %d (EncLen %d, RawLen %d)",
+					c.Name(), ver, len(frame), HeaderSize+len(payload), hdr.EncLen, hdr.RawLen)
+			}
+			reparsed, err := ParseHeader(frame)
+			if err != nil {
+				t.Fatalf("%s/v%d: reparse own header: %v", c.Name(), ver, err)
+			}
+			if reparsed != hdr {
+				t.Fatalf("%s/v%d: header round trip: %+v != %+v", c.Name(), ver, reparsed, hdr)
+			}
+			if ver >= Version2 && hdr.Checksum != Checksum(payload) {
+				t.Fatalf("%s/v%d: encoder stamped crc %08x, payload is %08x",
+					c.Name(), ver, hdr.Checksum, Checksum(payload))
+			}
+			raw, err := DecodeFrame(hdr, frame[HeaderSize:], nil)
+			if err != nil {
+				t.Fatalf("%s/v%d: DecodeFrame: %v", c.Name(), ver, err)
+			}
+			if !bytes.Equal(raw, payload) {
+				t.Fatalf("%s/v%d: payload round trip mismatch", c.Name(), ver)
+			}
+		}
+	}
 }

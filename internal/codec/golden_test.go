@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +67,57 @@ func goldenContainer(t *testing.T, c Codec, verAt func(i int) uint8) []byte {
 		}
 	}
 	return box
+}
+
+// pagedExtents is a write history whose extents hold full pages, flat and
+// not, so each of its deflate frames is paged: a flat page between two
+// deflated ones, a flat page first with a partial page behind, and an
+// overwrite that ends in a flat page.
+func pagedExtents() []struct {
+	off  int64
+	data []byte
+} {
+	return []struct {
+		off  int64
+		data []byte
+	}{
+		ext(0, pages("TRZ", 1)),
+		ext(3*pageSize, append(pages("RT", 2), goldenPayload(700, 5)...)),
+		ext(pageSize, pages("ZR", 3)),
+	}
+}
+
+// frozenStoredFixture is a v2 deflate container the encoder wrote before
+// payloads were paged: each frame one DEFLATE stream, its flat pages
+// spliced in as stored blocks. No encoder writes that layout any more,
+// but compaction copies payloads verbatim, so such containers last, and
+// -update never rewrites this one. Frame i, at the offset where frame
+// i-1 ends, holds pages(kinds, i+1) followed by incompressible(tail, i+1)
+// for each row of frozenStoredFrames: a flat run first and last, a flat
+// run behind a Flush (which took over the Flush's sync marker), a flat
+// run longer than 64 KiB, and zero and text runs.
+const frozenStoredFixture = "deflate-stored-v2.crfc"
+
+var frozenStoredFrames = []struct {
+	kinds string
+	tail  int
+}{
+	{"RTZR", 0},
+	{"Z" + strings.Repeat("R", 17) + "T", 0},
+	{"TRTR", 0},
+	{"RTT", 1000},
+	{"TTRZ", 0},
+	{"TR", 0},
+}
+
+// frozenStoredContent is the logical content of the frozen fixture.
+func frozenStoredContent() []byte {
+	var content []byte
+	for i, f := range frozenStoredFrames {
+		content = append(content, pages(f.kinds, int64(i+1))...)
+		content = append(content, incompressible(f.tail, int64(i+1))...)
+	}
+	return content
 }
 
 func allV1(int) uint8 { return Version1 }
@@ -151,6 +203,14 @@ func goldenFixtures(t *testing.T) map[string][]byte {
 			}
 		}
 	}
+	var paged []byte
+	for i, e := range pagedExtents() {
+		var err error
+		if paged, _, err = EncodeFrame(Deflate(), uint64(i), e.off, e.data, paged); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fix["deflate-paged-v2.crfc"] = paged
 	fix["content.want"] = wantContent()
 	return fix
 }
@@ -248,27 +308,12 @@ func TestGoldenContainers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := bytes.NewReader(box)
-			// Strict scanner accepts the whole container.
-			frames, intact, stopErr := ScanPrefix(r, int64(len(box)))
-			if stopErr != nil || intact != int64(len(box)) {
-				t.Fatalf("strict scan: intact=%d err=%v", intact, stopErr)
-			}
-			if got := replayFrames(t, r, frames); !bytes.Equal(got, want) {
-				t.Fatal("strict scan replay differs from golden content")
-			}
-			// Salvage agrees frame-for-frame and byte-for-byte, and its
-			// checksum accounting reflects each frame's format version.
-			sframes, rep, err := Salvage(r, int64(len(box)))
-			if err != nil || !rep.Clean() || len(sframes) != len(frames) {
-				t.Fatalf("salvage: report=%+v err=%v frames=%d/%d", rep, err, len(sframes), len(frames))
-			}
+			_, rep := readsWhole(t, box, want)
+			// Salvage's checksum accounting reflects each frame's format
+			// version.
 			if rep.ChecksumVerified != tc.verified || rep.ChecksumSkipped != tc.skipped || rep.ChecksumFailures != 0 {
 				t.Fatalf("salvage checksum counts %d/%d/%d, want %d verified, %d skipped",
 					rep.ChecksumVerified, rep.ChecksumSkipped, rep.ChecksumFailures, tc.verified, tc.skipped)
-			}
-			if got := replayFrames(t, r, sframes); !bytes.Equal(got, want) {
-				t.Fatal("salvage replay differs from golden content")
 			}
 		})
 	}
@@ -354,6 +399,28 @@ func TestGoldenContainers(t *testing.T) {
 			}
 		})
 	}
+	t.Run("deflate-paged-v2.crfc", func(t *testing.T) {
+		box, err := os.ReadFile(filepath.Join(goldenDir, "deflate-paged-v2.crfc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var content []byte
+		for _, e := range pagedExtents() {
+			if end := e.off + int64(len(e.data)); end > int64(len(content)) {
+				content = append(content, make([]byte, end-int64(len(content)))...)
+			}
+			copy(content[e.off:], e.data)
+		}
+		frames, rep := readsWhole(t, box, content)
+		for _, fr := range frames {
+			if fr.Header.Codec != DeflateID || box[fr.Pos+HeaderSize] != pagedTag {
+				t.Fatalf("frame at %d is not a paged deflate payload", fr.Pos)
+			}
+		}
+		if rep.ChecksumVerified != len(frames) {
+			t.Fatalf("salvage verified %d of %d checksums", rep.ChecksumVerified, len(frames))
+		}
+	})
 	t.Run("corrupt-fixtures", func(t *testing.T) {
 		// The checked-in bit-rot variants stay derivable from the golden
 		// set, and their verification verdicts are pinned: v1 raw bit rot
@@ -383,4 +450,64 @@ func TestGoldenContainers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// readsWhole checks that box reads as content through the strict scanner,
+// salvage and compaction, whose output must replay content too, and
+// returns its frames and salvage's report.
+func readsWhole(t *testing.T, box, content []byte) ([]FrameInfo, SalvageReport) {
+	t.Helper()
+	r := bytes.NewReader(box)
+	frames, intact, stopErr := ScanPrefix(r, int64(len(box)))
+	if stopErr != nil || intact != int64(len(box)) {
+		t.Fatalf("strict scan: intact=%d err=%v", intact, stopErr)
+	}
+	if got := replayFrames(t, r, frames); !bytes.Equal(got, content) {
+		t.Fatal("strict scan replay differs from the content written")
+	}
+	sframes, rep, err := Salvage(r, int64(len(box)))
+	if err != nil || !rep.Clean() || len(sframes) != len(frames) {
+		t.Fatalf("salvage: report=%+v err=%v frames=%d/%d", rep, err, len(sframes), len(frames))
+	}
+	if got := replayFrames(t, r, sframes); !bytes.Equal(got, content) {
+		t.Fatal("salvage replay differs from the content written")
+	}
+	compacted, idx, _, err := CompactContainer(r, frames, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := replayFrames(t, bytes.NewReader(compacted), idx); !bytes.Equal(got, content) {
+		t.Fatal("compacted replay differs from the content written")
+	}
+	return frames, rep
+}
+
+// TestFrozenStoredBlockContainer: a container of the stored-block layout
+// reads byte-identically through the strict scanner, salvage and
+// compaction, and compacts to itself, payloads copied verbatim. (crfsck
+// and the compact and core tests scrub and mount it.)
+func TestFrozenStoredBlockContainer(t *testing.T) {
+	box, err := os.ReadFile(filepath.Join(goldenDir, frozenStoredFixture))
+	if err != nil {
+		t.Fatal(err)
+	}
+	content := frozenStoredContent()
+	frames, rep := readsWhole(t, box, content)
+	if len(frames) != len(frozenStoredFrames) || rep.ChecksumVerified != len(frames) {
+		t.Fatalf("%d frames, %d checksums verified; want %d of each", len(frames), rep.ChecksumVerified, len(frozenStoredFrames))
+	}
+	for _, fr := range frames {
+		payload := box[fr.Pos+HeaderSize : fr.End()]
+		if fr.Header.Codec != DeflateID || payload[0]&0x06 == 0x06 {
+			t.Fatalf("frame at %d is not a plain deflate stream", fr.Pos)
+		}
+		raw := content[fr.Header.Off : fr.Header.Off+int64(fr.Header.RawLen)]
+		if got := inflate(t, payload); !bytes.Equal(got, raw) {
+			t.Fatalf("frame at %d: a bare flate reader reads other bytes", fr.Pos)
+		}
+	}
+	compacted, _, st, err := CompactContainer(bytes.NewReader(box), frames, nil)
+	if err != nil || !bytes.Equal(compacted, box) || st.FramesDropped != 0 {
+		t.Fatalf("compaction changed the container (%d bytes, %+v, %v)", len(compacted), st, err)
+	}
 }

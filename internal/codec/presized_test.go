@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"compress/flate"
 	"errors"
 	"math"
 	"testing"
@@ -30,13 +31,79 @@ func badDeflateFrames(t testing.TB) []badFrame {
 	cut.EncLen /= 2       // the stream stops mid-block
 	rot.Checksum ^= 1     // the stream is whole, its bytes are not the header's
 	absurd.RawLen = math.MaxUint32
-	return []badFrame{
+	return append([]badFrame{
 		{"longer", longer, payload, ErrCorrupt},
 		{"shorter", shorter, payload, ErrCorrupt},
 		{"truncated", cut, payload[:cut.EncLen], ErrCorrupt},
 		{"crc", rot, payload, ErrChecksum},
 		{"impossible", absurd, payload, ErrCorrupt},
+	}, badPagedFrames(t)...)
+}
+
+// badPagedFrames builds one paged payload of each shape Encode never
+// writes, every one under a header whose length and CRC are those of the
+// bytes it was built from, so only the shape can fail it.
+func badPagedFrames(t testing.TB) []badFrame {
+	t.Helper()
+	src := append(pages("TRT", 1), "tail"...) // page 1 flat, page 3 short
+	frame, h, err := EncodeFrame(Deflate(), 0, 0, src, nil)
+	if err != nil || h.Codec != DeflateID || frame[HeaderSize] != pagedTag || frame[HeaderSize+1] != 0x02 {
+		t.Fatalf("healthy paged frame: codec %d, %v", h.Codec, err)
 	}
+	head := frame[HeaderSize : HeaderSize+2+pageSize] // tag, bitmap, the flat page
+	deflated := append(bytes.Clone(src[:pageSize]), src[2*pageSize:]...)
+	paged := func(p []byte) badFrame {
+		return badFrame{payload: p, h: Header{Version: Version2, Codec: DeflateID,
+			Checksum: h.Checksum, RawLen: h.RawLen, EncLen: uint32(len(p))}, want: ErrCorrupt}
+	}
+	deflate := func(p []byte) []byte { // level-6 DEFLATE of p, as Encode writes it
+		var b bytes.Buffer
+		fw, err := flate.NewWriter(&b, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fw.Write(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	stream := func(p []byte) []byte { return append(bytes.Clone(head), deflate(p)...) }
+	// A bit that marks one more page flat, with that page's bytes there
+	// and the stream of the rest behind them: only the bitmap check can
+	// refuse it.
+	withBit := func(bit byte, rest []byte) []byte {
+		p := append(append(bytes.Clone(head), make([]byte, pageSize)...), deflate(rest)...)
+		p[1] |= bit
+		return p
+	}
+	allFlat := pages("RR", 2)
+	beside := append(append([]byte{pagedTag, 0x03}, allFlat...), 0x03, 0x00) // and an empty stream
+	cases := []struct {
+		name string
+		bf   badFrame
+	}{
+		{"paged-no-bitmap", badFrame{payload: []byte{pagedTag}, h: Header{Version: Version2, Codec: DeflateID,
+			Checksum: Checksum(src[:100]), RawLen: 100, EncLen: 1}, want: ErrCorrupt}},
+		{"paged-short-of-its-flat-page", paged(head[:2+pageSize/2])},
+		{"paged-no-stream", paged(head)},
+		{"paged-spare-bit", paged(withBit(0x80, deflated))},
+		{"paged-tail-page-bit", paged(withBit(0x08, deflated[:2*pageSize]))},
+		{"paged-stream-longer", paged(stream(append(deflated, '!')))},
+		{"paged-stream-shorter", paged(stream(deflated[:len(deflated)-1]))},
+		{"paged-stream-cut", paged(frame[HeaderSize : len(frame)-3])},
+		{"paged-stream-beside-all-flat", badFrame{payload: beside, h: Header{Version: Version2, Codec: DeflateID,
+			Checksum: Checksum(allFlat), RawLen: uint32(len(allFlat)), EncLen: uint32(len(beside))}, want: ErrCorrupt}},
+		{"paged-no-flat-bit", paged(append([]byte{pagedTag, 0x00}, deflate(src)...))},
+	}
+	out := make([]badFrame, len(cases))
+	for i, c := range cases {
+		out[i] = c.bf
+		out[i].name = c.name
+	}
+	return out
 }
 
 // TestPresizedDecodeRejects: the decoder that fills a buffer sized from

@@ -3,6 +3,8 @@ package compact
 import (
 	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -78,8 +80,7 @@ func TestScrubChecksumMatrix(t *testing.T) {
 }
 
 // mixedPages returns n 4 KiB pages, odd ones random bytes and even ones
-// text: a deflate frame of them carries the random pages verbatim, as
-// stored blocks.
+// text: a deflate frame of them is paged, its random pages verbatim.
 func mixedPages(n int, seed int64) []byte {
 	rng := rand.New(rand.NewSource(seed))
 	out := bytes.Repeat([]byte("vma: registers heap stack signal state\n"), n*4096/39+1)[:n*4096]
@@ -89,37 +90,89 @@ func mixedPages(n int, seed int64) []byte {
 	return out
 }
 
+// scrubFlip scrubs a copy of box with bit 0x01 of byte off flipped.
+func scrubFlip(t *testing.T, box []byte, off int) *Report {
+	t.Helper()
+	mut := bytes.Clone(box)
+	mut[off] ^= 0x01
+	m := memfs.New()
+	if err := vfs.WriteFile(m, "rot.crfc", mut); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Scrub(m, ".", ScrubOptions{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 // TestScrubStoredBlockFlips is the scrub arm of the stored-block matrix
-// (internal/codec TestCorruptionMatrixStoredBlocks): a flip in a stored
+// (internal/codec TestCorruptionMatrixStoredBlocks), over the frozen
+// fixture of that layout: the fixture scrubs clean, a flip in a stored
 // block's LEN/NLEN is a corrupt frame, a flip in its data a checksum
 // failure, and the scrub reports each.
 func TestScrubStoredBlockFlips(t *testing.T) {
+	box, err := os.ReadFile(filepath.Join("..", "codec", "testdata", "golden", "deflate-stored-v2.crfc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames, _, err := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	if err != nil || len(frames) != 6 {
+		t.Fatalf("%d frames, %v", len(frames), err)
+	}
+	m := memfs.New()
+	if err := vfs.WriteFile(m, "stored.crfc", box); err != nil {
+		t.Fatal(err)
+	}
+	if rep, err := Scrub(m, ".", ScrubOptions{Workers: 2}); err != nil || !rep.Clean() || rep.ChecksumVerified != 6 {
+		t.Fatalf("the frozen fixture does not scrub clean: %+v, %v", rep, err)
+	}
+	fr := frames[2] // pages text, random, text, random
+	raw, err := codec.DecodeFrame(fr.Header, box[fr.Pos+codec.HeaderSize:fr.End()], nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(box, raw[4096:2*4096]) // the first random page's stored data
+	if at < 4 {
+		t.Fatal("the random page is not stored verbatim")
+	}
+	for _, off := range []int{at - 4, at - 3, at - 2, at - 1, at, at + 2048, at + 4095} {
+		wantSum := int64(0)
+		if off >= at {
+			wantSum = 1
+		}
+		if rep := scrubFlip(t, box, off); rep.Clean() || rep.CorruptFrames != 1 || rep.ChecksumFailures != wantSum {
+			t.Fatalf("flip at %d (stored data at %d): %+v, want 1 corrupt frame, %d checksum failures", off, at, rep, wantSum)
+		}
+	}
+}
+
+// TestScrubPagedFlips is the scrub arm of the paged-payload matrix
+// (internal/codec TestCorruptionMatrixPagedPayload): a flip in a flat
+// page is a checksum failure; a flip in the tag, the bitmap or the
+// stream is a corrupt frame, and the scrub reports each. (The stream's
+// first bit is not sampled: it marks the block that carries every byte
+// final, and a flip there only drops the empty block behind it.)
+func TestScrubPagedFlips(t *testing.T) {
 	src := mixedPages(4, 1)
 	box, h, err := codec.EncodeFrame(codec.Deflate(), 0, 0, src, nil)
 	if err != nil || h.Codec != codec.DeflateID {
 		t.Fatalf("frame: codec %d, %v", h.Codec, err)
 	}
-	at := bytes.Index(box, src[4096:2*4096]) // the first random page's stored data
-	if at < 4 {
-		t.Fatal("the random page is not stored verbatim")
+	const tag, bitmap, flat = codec.HeaderSize, codec.HeaderSize + 1, codec.HeaderSize + 2
+	if !bytes.Equal(box[flat:flat+4096], src[4096:2*4096]) {
+		t.Fatal("the first random page is not verbatim behind the tag and bitmap")
 	}
-	for _, off := range []int{at - 4, at - 3, at - 2, at - 1, at, at + 2048, at + 4095} {
-		mut := bytes.Clone(box)
-		mut[off] ^= 0x01
-		m := memfs.New()
-		if err := vfs.WriteFile(m, "rot.crfc", mut); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := Scrub(m, ".", ScrubOptions{Workers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantSum := int64(0)
-		if off >= at {
-			wantSum = 1
-		}
-		if rep.Clean() || rep.CorruptFrames != 1 || rep.ChecksumFailures != wantSum {
-			t.Fatalf("flip at %d (stored data at %d): %+v, want 1 corrupt frame, %d checksum failures", off, at, rep, wantSum)
+	stream := flat + 2*4096
+	for _, tc := range []struct {
+		off     int
+		wantSum int64
+	}{
+		{tag, 0}, {bitmap, 0}, {flat, 1}, {flat + 2048, 1}, {flat + 2*4096 - 1, 1}, {stream + 8, 0}, {(stream + len(box)) / 2, 0}, {len(box) - 1, 0},
+	} {
+		rep := scrubFlip(t, box, tc.off)
+		if rep.Clean() || rep.CorruptFrames != 1 || tc.wantSum == 1 && rep.ChecksumFailures != 1 {
+			t.Fatalf("flip at %d: %+v, want 1 corrupt frame, %d checksum failures", tc.off, rep, tc.wantSum)
 		}
 	}
 }

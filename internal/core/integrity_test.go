@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -196,76 +198,153 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 	waitPoolWhole(t, fs)
 }
 
-// storedFrameContainer builds a v2 deflate container of `frames` extents,
-// each of 4 KiB pages alternating text and random bytes, so every frame
-// carries its random pages as stored blocks, which inflate at any
-// contents. It returns the container, its content and, for frame `rot`,
-// sampled offsets into its first stored block: the four LEN/NLEN bytes,
-// then two data bytes.
-func storedFrameContainer(t *testing.T, frames, extent, rot int) (box, content []byte, flips []int) {
+// rotTarget is a deflate container to rot: its bytes, its logical
+// content, its frames, the frame the flips go into, and sampled container
+// offsets into that frame — shape flips, which break the payload's
+// layout or its stream and fail as ErrCorrupt, then data flips, into a
+// flat page, which inflates at any contents and fails only its CRC, as
+// ErrChecksum.
+type rotTarget struct {
+	box, content []byte
+	frames       []codec.FrameInfo
+	rot          int
+	shape, data  []int
+	chunk        int64 // a ChunkSize that holds every frame
+	// shapeMaySum lets a shape flip fail as ErrChecksum too: a flip in a
+	// paged payload's stream may inflate to the right length with the
+	// wrong bytes. A stored block's LEN/NLEN flip is always ErrCorrupt.
+	shapeMaySum bool
+}
+
+// firstFlatPage returns where in the container the first page of frame
+// fr that sits verbatim in its payload (a flat page) starts.
+func firstFlatPage(t *testing.T, box, content []byte, fr codec.FrameInfo) int {
 	t.Helper()
+	raw := content[fr.Header.Off : fr.Header.Off+int64(fr.Header.RawLen)]
+	payload := box[fr.Pos+codec.HeaderSize : fr.End()]
+	for off := 0; off+4096 <= len(raw); off += 4096 {
+		if at := bytes.Index(payload, raw[off:off+4096]); at > 0 {
+			return int(fr.Pos+codec.HeaderSize) + at
+		}
+	}
+	t.Fatalf("frame at %d stores no page verbatim", fr.Pos)
+	return 0
+}
+
+// pagedContainer builds a v2 deflate container of `frames` extents, each
+// of 4 KiB pages alternating text and random bytes, so every frame is
+// paged. Frame rot's shape flips are its tag, its bitmap and the last
+// byte of its stream; its data flips the first and last byte of its
+// first random page.
+func pagedContainer(t *testing.T, frames, extent, rot int) rotTarget {
+	t.Helper()
+	rt := rotTarget{rot: rot, chunk: int64(extent), shapeMaySum: true}
 	rng := rand.New(rand.NewSource(int64(frames)))
 	for i := 0; i < frames; i++ {
 		part := compressiblePayload(extent, int64(i+1))
 		for off := 4096; off < extent; off += 2 * 4096 {
 			rng.Read(part[off : off+4096])
 		}
-		start := len(box)
 		var h codec.Header
 		var err error
-		box, h, err = codec.EncodeFrame(codec.Deflate(), uint64(i), int64(i*extent), part, box)
+		rt.box, h, err = codec.EncodeFrame(codec.Deflate(), uint64(i), int64(i*extent), part, rt.box)
 		if err != nil || h.Codec != codec.DeflateID {
 			t.Fatalf("frame %d: codec %d, %v", i, h.Codec, err)
 		}
-		if i == rot {
-			at := bytes.Index(box[start:], part[4096:2*4096])
-			if at < 4 {
-				t.Fatalf("frame %d: its first random page is not stored verbatim", i)
-			}
-			at += start
-			flips = []int{at - 4, at - 3, at - 2, at - 1, at, at + 4095}
-		}
-		content = append(content, part...)
+		rt.content = append(rt.content, part...)
 	}
-	return box, content, flips
+	rt.frames, _, _ = codec.ScanPrefix(bytes.NewReader(rt.box), int64(len(rt.box)))
+	fr := rt.frames[rot]
+	payload := int(fr.Pos + codec.HeaderSize)
+	if at := firstFlatPage(t, rt.box, rt.content, fr); at != payload+2 {
+		t.Fatalf("frame %d: its first random page is at %d, not behind the tag and bitmap", rot, at)
+	}
+	rt.shape = []int{payload, payload + 1, int(fr.End()) - 1}
+	rt.data = []int{payload + 2, payload + 2 + 4095}
+	return rt
+}
+
+// frozenStoredContainer is the frozen fixture of the stored-block layout
+// (internal/codec/testdata/golden/deflate-stored-v2.crfc). Frame rot's
+// shape flips are the LEN/NLEN in front of its first stored page; its
+// data flips that page's first and last byte.
+func frozenStoredContainer(t *testing.T, rot int) rotTarget {
+	t.Helper()
+	box, err := os.ReadFile(filepath.Join("..", "codec", "testdata", "golden", "deflate-stored-v2.crfc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := rotTarget{box: box, rot: rot, chunk: 128 << 10}
+	rt.frames, _, err = codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fr := range rt.frames {
+		raw, err := codec.DecodeFrame(fr.Header, box[fr.Pos+codec.HeaderSize:fr.End()], nil)
+		if err != nil || fr.Header.Off != int64(len(rt.content)) {
+			t.Fatalf("frame at %d: %v", fr.Pos, err)
+		}
+		rt.content = append(rt.content, raw...)
+	}
+	at := firstFlatPage(t, box, rt.content, rt.frames[rot])
+	rt.shape = []int{at - 4, at - 3, at - 2, at - 1}
+	rt.data = []int{at, at + 4095}
+	return rt
+}
+
+// frameRange is the logical range frame i covers.
+func (rt rotTarget) frameRange(i int) (off, end int64) {
+	h := rt.frames[i].Header
+	return h.Off, h.Off + int64(h.RawLen)
 }
 
 // TestReadAtStoredBlockFlips is the read-path arm of the stored-block
-// matrix (internal/codec TestCorruptionMatrixStoredBlocks): a flip in a
-// stored block's LEN/NLEN fails the read as ErrCorrupt, a flip in its data
-// as ErrChecksum, the frames around it still read back, and no read hands
-// back a rotted byte.
+// matrix (internal/codec TestCorruptionMatrixStoredBlocks), over the
+// frozen fixture of that layout: a flip in a stored block's LEN/NLEN fails
+// the read as ErrCorrupt, a flip in its data as ErrChecksum, the frames
+// around it still read back, and no read hands back a rotted byte.
 func TestReadAtStoredBlockFlips(t *testing.T) {
-	const extent = 16 << 10
-	box, content, flips := storedFrameContainer(t, 3, extent, 1)
-	for i, at := range flips {
-		rotted := bytes.Clone(box)
+	readAtFlips(t, frozenStoredContainer(t, 2))
+}
+
+// TestReadAtPagedFlips is the read-path arm of the paged-payload matrix
+// (internal/codec TestCorruptionMatrixPagedPayload), with the verdicts of
+// TestReadAtStoredBlockFlips.
+func TestReadAtPagedFlips(t *testing.T) {
+	readAtFlips(t, pagedContainer(t, 3, 16<<10, 1))
+}
+
+func readAtFlips(t *testing.T, rt rotTarget) {
+	t.Helper()
+	for i, at := range append(rt.shape, rt.data...) {
+		dataFlip := i >= len(rt.shape)
+		rotted := bytes.Clone(rt.box)
 		rotted[at] ^= 0x01
 		back := memfs.New()
 		if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
 			t.Fatal(err)
 		}
-		fs := mount(t, back, Options{ChunkSize: extent, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
+		fs := mount(t, back, Options{ChunkSize: rt.chunk, BufferPoolSize: 4 * rt.chunk, Codec: codec.Deflate()})
 		f, err := fs.Open("ck.img", vfs.ReadOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := make([]byte, extent)
-		for frame := 0; frame < 3; frame++ {
-			off := int64(frame * extent)
+		for frame := range rt.frames {
+			off, end := rt.frameRange(frame)
+			got := make([]byte, end-off)
 			_, err := f.ReadAt(got, off)
-			if frame != 1 {
-				if err != nil || !bytes.Equal(got, content[off:off+extent]) {
+			if frame != rt.rot {
+				if err != nil || !bytes.Equal(got, rt.content[off:end]) {
 					t.Fatalf("flip %d: intact frame %d: %v", i, frame, err)
 				}
 				continue
 			}
-			dataFlip := i >= 4
-			if !errors.Is(err, codec.ErrCorrupt) || errors.Is(err, codec.ErrChecksum) != dataFlip {
+			sum := errors.Is(err, codec.ErrChecksum)
+			if !errors.Is(err, codec.ErrCorrupt) || dataFlip && !sum || !dataFlip && sum && !rt.shapeMaySum {
 				t.Fatalf("flip %d at %d: read of the rotted frame: %v", i, at, err)
 			}
-			if st := fs.Stats(); (st.ChecksumFailed != 0) != dataFlip {
-				t.Fatalf("flip %d at %d: %d checksum failures counted", i, at, st.ChecksumFailed)
+			if st := fs.Stats(); (st.ChecksumFailed != 0) != sum {
+				t.Fatalf("flip %d at %d: %v, yet %d checksum failures counted", i, at, err, st.ChecksumFailed)
 			}
 		}
 		if err := f.Close(); err != nil {
@@ -275,22 +354,33 @@ func TestReadAtStoredBlockFlips(t *testing.T) {
 	}
 }
 
-// TestPrefetchStoredBlockFlips is the read-ahead arm: rot in a late
-// frame's stored block, found by a prefetch or by the read itself, fails
-// the sequential read there with ErrCorrupt, every byte before it is
+// TestPrefetchStoredBlockFlips is the read-ahead arm, over the frozen
+// fixture of the stored-block layout: rot in a late frame's stored block,
+// found by a prefetch or by the read itself, fails the sequential read
+// where it reaches that frame with ErrCorrupt, every byte before it is
 // right, and the frame never enters the read-ahead cache.
 func TestPrefetchStoredBlockFlips(t *testing.T) {
-	const extent = 8 << 10
-	box, content, flips := storedFrameContainer(t, 8, extent, 6)
-	for _, at := range []int{flips[0], flips[len(flips)-1]} {
-		rotted := bytes.Clone(box)
+	prefetchFlips(t, frozenStoredContainer(t, 5))
+}
+
+// TestPrefetchPagedFlips is TestPrefetchStoredBlockFlips over paged
+// payloads.
+func TestPrefetchPagedFlips(t *testing.T) {
+	prefetchFlips(t, pagedContainer(t, 8, 8<<10, 6))
+}
+
+func prefetchFlips(t *testing.T, rt rotTarget) {
+	t.Helper()
+	start, _ := rt.frameRange(rt.rot)
+	for _, at := range []int{rt.shape[0], rt.data[len(rt.data)-1]} {
+		rotted := bytes.Clone(rt.box)
 		rotted[at] ^= 0x01
 		back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
 		if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
 			t.Fatal(err)
 		}
 		fs := mount(t, back, Options{
-			ChunkSize: extent, BufferPoolSize: 64 << 10, IOThreads: 4,
+			ChunkSize: rt.chunk, BufferPoolSize: 8 * rt.chunk, IOThreads: 4,
 			ReadAhead: 4, Codec: codec.Deflate(),
 		})
 		f, err := fs.Open("ck.img", vfs.ReadOnly)
@@ -299,16 +389,24 @@ func TestPrefetchStoredBlockFlips(t *testing.T) {
 		}
 		buf := make([]byte, 2048)
 		var readErr error
-		for off := int64(0); off < int64(len(content)); off += int64(len(buf)) {
+		for off := int64(0); off < int64(len(rt.content)); off += int64(len(buf)) {
 			n, err := f.ReadAt(buf, off)
 			if err != nil {
-				if off != 6*extent {
-					t.Fatalf("flip at %d: read failed at %d, the rotted frame starts at %d: %v", at, off, 6*extent, err)
+				// A stream's small read copies up to selfFetchMax ahead
+				// within its chunk, so where the frame starts inside a
+				// chunk the read that meets the rot may start that far
+				// before it. A copy never crosses a chunk boundary.
+				early := int64(0)
+				if start%rt.chunk != 0 {
+					early = selfFetchMax - 1
+				}
+				if off > start || off+early < start {
+					t.Fatalf("flip at %d: read failed at %d, the rotted frame starts at %d: %v", at, off, start, err)
 				}
 				readErr = err
 				break
 			}
-			if !bytes.Equal(buf[:n], content[off:off+int64(n)]) {
+			if !bytes.Equal(buf[:n], rt.content[off:off+int64(n)]) {
 				t.Fatalf("flip at %d: read at %d served wrong bytes", at, off)
 			}
 		}
@@ -318,10 +416,9 @@ func TestPrefetchStoredBlockFlips(t *testing.T) {
 		if st := fs.Stats(); st.PrefetchedBytes == 0 {
 			t.Fatalf("flip at %d: the read never prefetched: %+v", at, st)
 		}
-		frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 		pf := f.(*file).entry.pf
 		pf.mu.Lock()
-		_, cached := pf.ready[frames[6].Pos]
+		_, cached := pf.ready[rt.frames[rt.rot].Pos]
 		pf.mu.Unlock()
 		if cached {
 			t.Fatalf("flip at %d: the rotted frame sits in the read-ahead cache", at)
