@@ -14,14 +14,16 @@ import (
 // payload is the repository benchmark's page mix (even 4 KiB pages
 // random, odd ones text), whose random half deflate stores; it comes at
 // 64 KiB and at 4 MiB, the chunk an IO worker encodes, whose 1024 pages
-// show what a cost per page or per run adds up to.
+// show what a cost per page or per run adds up to. The first 4 MiB of the
+// test binary are real data without long repeats, where the match search
+// walks its hash chains instead of extending 258-byte matches.
 
 func benchPayload() []byte {
 	return bytes.Repeat([]byte("checkpoint restart state, mildly compressible. "), 64<<10/47)
 }
 
 // benchPayloads are the payloads, by sub-benchmark suffix.
-func benchPayloads() []struct {
+func benchPayloads(b testing.TB) []struct {
 	suffix string
 	data   []byte
 } {
@@ -32,11 +34,12 @@ func benchPayloads() []struct {
 		{"", benchPayload()},
 		{"/entropy-0.5", pages(strings.Repeat("RT", 8), 1)},
 		{"/entropy-0.5-4MiB", pages(strings.Repeat("RT", 512), 1)},
+		{"/binary-4MiB", executable(b, 4<<20)},
 	}
 }
 
 func BenchmarkEncodeFrame(b *testing.B) {
-	for _, p := range benchPayloads() {
+	for _, p := range benchPayloads(b) {
 		payload := p.data
 		for _, c := range []Codec{Raw(), Deflate()} {
 			for _, ver := range []uint8{Version1, Version2} {
@@ -58,7 +61,7 @@ func BenchmarkEncodeFrame(b *testing.B) {
 }
 
 func BenchmarkDecodeFrame(b *testing.B) {
-	for _, p := range benchPayloads() {
+	for _, p := range benchPayloads(b) {
 		payload := p.data
 		for _, c := range []Codec{Raw(), Deflate()} {
 			for _, ver := range []uint8{Version1, Version2} {

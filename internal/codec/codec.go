@@ -26,7 +26,7 @@ const (
 	// RawID stores payloads verbatim. Raw frames are also the
 	// incompressible-data bailout target of every other codec.
 	RawID ID = 0
-	// DeflateID compresses payloads with DEFLATE (compress/flate).
+	// DeflateID compresses payloads with DEFLATE (RFC 1951).
 	DeflateID ID = 1
 )
 

@@ -10,12 +10,14 @@ import (
 	"sync"
 )
 
-// deflateCodec compresses chunks with stdlib DEFLATE. Encoder and decoder
-// state is pooled: a level-6 flate writer holds ≈ 800 KiB, 640 KiB of it
-// hash tables that every Reset clears, far too much to rebuild for every
-// 4 MiB chunk crossing the IO workers.
+// deflateCodec compresses chunks as DEFLATE: it writes streams with an
+// encoder of its own (encoder.go) and reads them with the stdlib inflater.
+// Both states are pooled, one per IO worker at a time: an encoder holds
+// ≈ 460 KiB, a hash table and window chain too large to allocate for every
+// 4 MiB chunk, and a warm one encodes into a presized dst with no
+// allocation.
 type deflateCodec struct {
-	writers sync.Pool // *deflater
+	writers sync.Pool // *encoder
 	readers sync.Pool // *inflater
 }
 
@@ -35,52 +37,19 @@ func mustByID(id ID) Codec {
 func (*deflateCodec) ID() ID       { return DeflateID }
 func (*deflateCodec) Name() string { return "deflate" }
 
-// sliceWriter appends to a byte slice through the io.Writer interface,
-// letting pooled flate writers emit straight into the caller's buffer.
-type sliceWriter struct{ b []byte }
-
-func (w *sliceWriter) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
-}
-
-// deflater is the pooled encode state: the level-6 flate writer and the
-// sliceWriter it emits into, kept together so an encode into a presized
-// dst allocates nothing.
-type deflater struct {
-	sw sliceWriter
-	fw *flate.Writer
-}
-
-// encoder returns a pooled deflater, reset to start a new stream.
-func (c *deflateCodec) encoder() (*deflater, error) {
-	if d, ok := c.writers.Get().(*deflater); ok {
-		d.fw.Reset(&d.sw)
-		return d, nil
-	}
-	d := &deflater{}
-	fw, err := flate.NewWriter(&d.sw, flate.DefaultCompression)
-	if err != nil {
-		return nil, fmt.Errorf("codec: deflate init: %w", err)
-	}
-	d.fw = fw
-	return d, nil
-}
-
 // pagedTag opens a paged payload. Its BTYPE bits (1–2) are 11, the block
 // type RFC 1951 reserves, so no DEFLATE stream starts with this byte and
 // Decode can tell the two layouts apart by it.
 const pagedTag = 0x06
 
 // Encode appends src to dst in one of two layouts, classifying it in 4 KiB
-// pages. A src with no flat page (see flatPage) is one raw DEFLATE stream,
-// a single Write and Close of the pooled level-6 writer. A page as evenly
-// spread as random data cannot compress, so a src with a flat page is
-// paged: pagedTag, a bitmap with bit i (LSB first) set when page i is
-// flat, the flat pages verbatim in page order, and then one level-6
-// stream of every other page, written run by run with no Reset or Flush
-// between runs. When every page is flat the stream is left out; the
-// payload is then longer than src and EncodeFrame's raw bailout takes it.
+// pages. A src with no flat page (see flatPage) is one raw DEFLATE stream.
+// A page as evenly spread as random data cannot compress, so a src with a
+// flat page is paged: pagedTag, a bitmap with bit i (LSB first) set when
+// page i is flat, the flat pages verbatim in page order, and then one
+// stream of every other page, which matches may reach across. When every
+// page is flat the stream is left out; the payload is then longer than src
+// and EncodeFrame's raw bailout takes it.
 func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
 	bm, n := len(dst)+1, (len(src)+8*pageSize-1)/(8*pageSize)
 	out := append(append(dst, pagedTag), make([]byte, n)...)
@@ -97,29 +66,13 @@ func (c *deflateCodec) Encode(dst, src []byte) ([]byte, error) {
 	case len(src):
 		return out, nil
 	}
-	d, err := c.encoder()
-	if err != nil {
-		return dst, err
+	e, _ := c.writers.Get().(*encoder)
+	if e == nil {
+		e = new(encoder)
 	}
-	defer func() {
-		d.sw.b = nil // don't retain dst
-		c.writers.Put(d)
-	}()
-	d.sw.b = out
-	for off := 0; off < len(src) && err == nil; off += pageSize {
-		end := nextFlat(bitmap, off, len(src))
-		if end > off {
-			_, err = d.fw.Write(src[off:end])
-		}
-		off = end // and skip the flat page there
-	}
-	if err == nil {
-		err = d.fw.Close()
-	}
-	if err != nil {
-		return dst, fmt.Errorf("codec: deflate encode: %w", err)
-	}
-	return d.sw.b, nil
+	out = e.stream(out, src, bitmap)
+	c.writers.Put(e)
+	return out, nil
 }
 
 // nextFlat returns the offset of the first page at or after off that

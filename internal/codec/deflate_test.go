@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -35,12 +37,17 @@ func textPage(p []byte, n int) {
 	}
 }
 
-// inflate reads a raw DEFLATE stream back through a bare stdlib reader.
-func inflate(t *testing.T, stream []byte) []byte {
+// inflate reads a raw DEFLATE stream back through a bare stdlib reader,
+// which must end the stream on its last byte.
+func inflate(t testing.TB, stream []byte) []byte {
 	t.Helper()
-	got, err := io.ReadAll(flate.NewReader(bytes.NewReader(stream)))
+	r := bytes.NewReader(stream)
+	got, err := io.ReadAll(flate.NewReader(r))
 	if err != nil {
 		t.Fatalf("bare flate reader: %v", err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("bare flate reader: the stream ends %d bytes before the payload does", r.Len())
 	}
 	return got
 }
@@ -114,7 +121,8 @@ func spliceRoundTrip(t *testing.T, src []byte) Header {
 // TestSpliceRoundTrip covers the page mixes a paged payload must get
 // right: where the flat pages sit, a frame the raw bailout takes, a
 // partial page, a long flat run, a bitmap whose last byte is part used,
-// a chunk the size an IO worker encodes, and nothing at all.
+// a chunk the size an IO worker encodes, a match that src would let run
+// into a flat page, and nothing at all.
 func TestSpliceRoundTrip(t *testing.T) {
 	random := func(n int, seed int64) []byte { return incompressible(n, seed) }
 	for _, tc := range []struct {
@@ -134,6 +142,7 @@ func TestSpliceRoundTrip(t *testing.T) {
 		{"zero-and-text-runs", pages("ZZRTTRZRT", 9), DeflateID},
 		{"bitmap-byte-part-used", append(pages("TRTRTRTRT", 10), "tail"...), DeflateID},
 		{"chunk-4MiB", pages(strings.Repeat("RT", 512), 11), DeflateID},
+		{"match-stops-at-its-run-end", matchPastRunEnd(), DeflateID},
 		{"empty", nil, RawID},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -142,6 +151,19 @@ func TestSpliceRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// matchPastRunEnd is a text page, a flat page, and a page that opens with
+// the text page's last 32 bytes and goes on with the flat page's first
+// half. A match from the end of the text page must stop where its run
+// does: in src the flat page follows it, but in the stream the third page
+// does.
+func matchPastRunEnd() []byte {
+	src := pages("TRZ", 12)
+	third := src[2*pageSize:]
+	copy(third, src[pageSize-32:pageSize])
+	copy(third[32:], src[pageSize:pageSize+pageSize/2])
+	return src
 }
 
 // TestSpliceEveryRunBoundary puts a boundary between flat and deflated
@@ -157,9 +179,11 @@ func TestSpliceEveryRunBoundary(t *testing.T) {
 	}
 }
 
-// TestNoFlatPageEncodesAsPlainDeflate: a payload with no flat page takes
-// the writer's one Write and Close, so its stream is byte for byte what
-// containers held before flat pages were stored.
+// TestNoFlatPageEncodesAsPlainDeflate: a payload with no flat page is one
+// plain stream, with no paged tag in front, that a bare flate reader
+// inflates to src and then ends, every byte of it read. It is also at most
+// 1 % + 16 bytes longer than level 6's stream of src: writing it with our
+// own encoder instead of level 6 costs next to nothing in size.
 func TestNoFlatPageEncodesAsPlainDeflate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -178,21 +202,132 @@ func TestNoFlatPageEncodesAsPlainDeflate(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var want bytes.Buffer
-			fw, err := flate.NewWriter(&want, flate.DefaultCompression)
+			if len(got) > 0 && got[0] == pagedTag {
+				t.Fatal("a payload with no flat page opens with the paged tag")
+			}
+			if back := inflate(t, got); !bytes.Equal(back, tc.src) {
+				t.Fatalf("bare flate reader: %d bytes back, want %d", len(back), len(tc.src))
+			}
+			want := level6(t, tc.src)
+			t.Logf("%d bytes, level 6 %d", len(got), len(want))
+			if len(got) > len(want)+len(want)/100+16 {
+				t.Fatalf("%d bytes, more than 1 %% + 16 over level 6's %d", len(got), len(want))
+			}
+		})
+	}
+}
+
+// level6 returns the stdlib's level-6 stream of src.
+func level6(t testing.TB, src []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	fw, err := flate.NewWriter(&b, flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fw.Write(src); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestEncodeRatioVsLevel6: on real data and on the benchmark's shapes, the
+// stream is no more than 1 % longer than level 6's stream of the same
+// bytes. For the page mix that is the stream of its non-flat pages, the
+// only part of the payload the encoder writes.
+func TestEncodeRatioVsLevel6(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("one goroutine's arithmetic: the race detector only slows it")
+	}
+	var gosrc []byte
+	files, err := filepath.Glob("*.go")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("the package's sources: %v", err)
+	}
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gosrc = append(gosrc, b...)
+	}
+	for _, tc := range []struct {
+		name string
+		src  []byte
+	}{
+		{"go-sources", gosrc},
+		{"executable-4MiB", executable(t, 4<<20)},
+		{"zeros-1MiB", make([]byte, 1<<20)},
+		{"entropy-0.5-4MiB", pages(strings.Repeat("RT", 512), 1)},
+		{"compressible-1MiB", compressible(1<<20, 9)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			payload, err := Deflate().Encode(nil, tc.src)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := fw.Write(tc.src); err != nil {
-				t.Fatal(err)
+			stream, rest := payload, tc.src
+			if len(payload) > 0 && payload[0] == pagedTag {
+				var bitmap []byte
+				if bitmap, _, stream, err = splitPaged(payload[1:], int64(len(tc.src))); err != nil {
+					t.Fatal(err)
+				}
+				rest = nil
+				for off := 0; off < len(tc.src); off += pageSize {
+					end := nextFlat(bitmap, off, len(tc.src))
+					rest = append(rest, tc.src[off:end]...)
+					off = end
+				}
 			}
-			if err := fw.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want.Bytes()) {
-				t.Fatalf("%d bytes, plain level-6 deflate gives %d", len(got), want.Len())
+			want := level6(t, rest)
+			t.Logf("%d bytes in: %d bytes, level 6 %d (%+.2f %%)", len(rest), len(stream), len(want),
+				100*(float64(len(stream))/float64(len(want))-1))
+			if len(stream)*100 > len(want)*101 {
+				t.Fatalf("%d bytes, over 1.01 × level 6's %d", len(stream), len(want))
 			}
 		})
+	}
+}
+
+// executable returns up to n bytes of the running test binary, a real
+// machine-code image without long repeats.
+func executable(t testing.TB, n int) []byte {
+	t.Helper()
+	path, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := io.ReadAll(io.LimitReader(f, int64(n)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestZeroChunkUnderMaxInflate: a 4 MiB chunk of zeros, the best case the
+// encoder meets, encodes at ≈ 1028:1, just under maxInflate, so Decode's
+// guard never refuses a frame the encoder wrote.
+func TestZeroChunkUnderMaxInflate(t *testing.T) {
+	src := make([]byte, 4<<20)
+	frame, h, err := EncodeFrame(Deflate(), 0, 0, src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d bytes in %d: %.1f:1, maxInflate %d:1", len(src), h.EncLen, float64(len(src))/float64(h.EncLen), maxInflate)
+	if h.Codec != DeflateID {
+		t.Fatalf("stored under codec %d", h.Codec)
+	}
+	got, err := DecodeFrame(h, frame[HeaderSize:], nil)
+	if err != nil || !bytes.Equal(got, src) {
+		t.Fatalf("DecodeFrame: %d bytes back, want %d: %v", len(got), len(src), err)
 	}
 }
 

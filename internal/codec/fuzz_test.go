@@ -199,3 +199,63 @@ func roundTrip(t *testing.T, payload []byte, off int64) {
 		}
 	}
 }
+
+// FuzzDeflateStream checks the encoder against the stdlib inflater. Each
+// input, and the page mix its first bytes choose, is encoded as Encode
+// would, leaving its flat pages out: a bare flate reader must inflate the
+// stream to exactly the other bytes, and a fresh encoder and one that has
+// encoded every earlier input must write the same stream.
+func FuzzDeflateStream(f *testing.F) {
+	for _, n := range []int{0, 1, 2, 3} {
+		f.Add(bytes.Repeat([]byte{'x'}, n))
+	}
+	f.Add(bytes.Repeat([]byte{7}, 1<<20)) // distance 1, runs of 258
+	f.Add(benchPayload())                 // period-47 text
+	for _, d := range []int{windowSize, windowSize + 1} {
+		// A 300-byte random block, zeros, and the block again at distance
+		// d: a match at 32768, and one out of reach at 32769.
+		b := make([]byte, d, d+300)
+		copy(b, incompressible(300, int64(d)))
+		f.Add(append(b, b[:300]...))
+	}
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	f.Add(all)
+	f.Add([]byte("xxxx")) // one literal symbol, and no distance code at all
+	// Every pair of byte values once (a de Bruijn sequence), so no 4 bytes
+	// repeat: cut to maxTokens, it is one block of literals exactly.
+	var db []byte
+	for i := 0; i < 256; i++ {
+		db = append(db, byte(i))
+		for j := i + 1; j < 256; j++ {
+			db = append(db, byte(i), byte(j))
+		}
+	}
+	f.Add(db[:maxTokens])
+	f.Add([]byte{0, 1, 2, 1, 1, 0, 2, 1, 0, 1, 't', 'a', 'i', 'l'}) // pageMix: runs between flat pages
+	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	reused := new(encoder)
+	f.Fuzz(func(t *testing.T, input []byte) {
+		for _, src := range [][]byte{input, pageMix(input)} {
+			bitmap := make([]byte, (len(src)+8*pageSize-1)/(8*pageSize))
+			var rest []byte
+			for off := 0; off < len(src); off += pageSize {
+				p := src[off:min(off+pageSize, len(src))]
+				if i := off / pageSize; len(p) == pageSize && flatPage(p) {
+					bitmap[i/8] |= 1 << (i % 8)
+				} else {
+					rest = append(rest, p...)
+				}
+			}
+			stream := new(encoder).stream(nil, src, bitmap)
+			if again := reused.stream(nil, src, bitmap); !bytes.Equal(again, stream) {
+				t.Fatalf("a reused encoder wrote %d bytes, a fresh one %d", len(again), len(stream))
+			}
+			if got := inflate(t, stream); !bytes.Equal(got, rest) {
+				t.Fatalf("bare flate reader: %d bytes back, want %d", len(got), len(rest))
+			}
+		}
+	})
+}

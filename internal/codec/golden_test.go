@@ -3,6 +3,7 @@ package codec
 import (
 	"bytes"
 	"flag"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -13,12 +14,14 @@ import (
 // Golden container fixtures: small checked-in containers (v1 and v2,
 // raw and deflate, multi-frame, with an overwrite history; plus torn
 // variants) that both the strict scanner and the salvage path must keep
-// reading byte-identically — a format-compatibility ratchet. The v1
-// fixtures are frozen: they are generated with EncodeFrameVersion's
-// legacy path, so a -update run reproduces the same bytes forever and
-// the reader's v1 support can never silently rot. Regenerate with `go
-// test ./internal/codec -run TestGolden -update` only for a deliberate,
-// documented format bump.
+// reading byte-identically — a format-compatibility ratchet. The raw v1
+// fixtures are generated with EncodeFrameVersion's legacy path, so a
+// -update run reproduces the same bytes forever and the reader's v1
+// support can never silently rot. The deflate fixtures the stdlib writer
+// once encoded are frozen (frozenDeflateFixtures); the ones -update
+// writes pin what the encoder writes today. Regenerate with `go test
+// ./internal/codec -run TestGolden -update` only for a deliberate,
+// documented format or encoder change.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden container fixtures")
 
@@ -120,6 +123,39 @@ func frozenStoredContent() []byte {
 	return content
 }
 
+// frozenDeflateFixtures are the deflate containers (and the bit-rot
+// variant derived from one) that the stdlib level-6 writer encoded, before
+// deflate streams were written by encoder.go. Today's encoder writes other
+// bytes for them, so -update never rewrites them: they prove that
+// containers the old writer left behind keep reading, scrubbing and
+// compacting. deflate.crfc and deflate-v2.crfc hold the golden history in
+// v1 and v2; deflate-mixed.crfc has its first two frames v1, a v1
+// container a v2 writer appended to; deflate-compacted.crfc is what
+// compacting either gives. The torn files are deflate.crfc and
+// deflate-v2.crfc plus half a fifth frame, what a power cut mid-append
+// leaves. deflate-paged-v2.crfc holds pagedExtents, and
+// deflate-v2-bitrot.crfc is corruptFixtures' flip of deflate-v2.crfc.
+var frozenDeflateFixtures = []string{
+	goldenDir + "/deflate.crfc", goldenDir + "/deflate-v2.crfc", goldenDir + "/deflate-mixed.crfc",
+	goldenDir + "/deflate-compacted.crfc", goldenDir + "/deflate-torn.crfc",
+	goldenDir + "/deflate-v2-torn.crfc", goldenDir + "/deflate-paged-v2.crfc",
+	corruptDir + "/deflate-v2-bitrot.crfc",
+}
+
+// frozenFixtures reads the frozen deflate fixtures, by file name.
+func frozenFixtures(t *testing.T) map[string][]byte {
+	t.Helper()
+	fix := map[string][]byte{}
+	for _, path := range frozenDeflateFixtures {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fix[filepath.Base(path)] = data
+	}
+	return fix
+}
+
 func allV1(int) uint8 { return Version1 }
 func allV2(int) uint8 { return Version2 }
 
@@ -160,57 +196,36 @@ func wantContent() []byte {
 	return img
 }
 
+// goldenFixtures generates every fixture but the frozen ones.
 func goldenFixtures(t *testing.T) map[string][]byte {
 	t.Helper()
-	fix := map[string][]byte{}
-	for _, c := range []Codec{Raw(), Deflate()} {
-		v1 := goldenContainer(t, c, allV1)
-		v2 := goldenContainer(t, c, allV2)
-		fix[c.Name()+".crfc"] = v1
-		fix[c.Name()+"-v2.crfc"] = v2
-		// Compacted variant: the minimal equivalent container (dead
-		// overwritten frame dropped, sequences renumbered) — the ratchet
-		// for the compaction subsystem's output format. Compaction
-		// upgrades v1 input to v2 output, so the fixture is v2 and
-		// compacting either source must reproduce it.
-		frames, intact, serr := ScanPrefix(bytes.NewReader(v1), int64(len(v1)))
-		if serr != nil || intact != int64(len(v1)) {
-			t.Fatalf("golden %s container does not scan: %v", c.Name(), serr)
-		}
-		compacted, _, _, err := CompactContainer(bytes.NewReader(v1), frames, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fix[c.Name()+"-compacted.crfc"] = compacted
-		if c.ID() == DeflateID {
-			// Mixed-version variant: a v1 container a v2 writer appended
-			// to — the upgrade-in-place shape readers must handle.
-			fix["deflate-mixed.crfc"] = goldenContainer(t, c, func(i int) uint8 {
-				if i < 2 {
-					return Version1
-				}
-				return Version2
-			})
-			// Torn variants: the intact frames plus a half-written fifth
-			// frame — the exact shape a power cut mid-append leaves.
-			for ver, name := range map[uint8]string{Version1: "deflate-torn.crfc", Version2: "deflate-v2-torn.crfc"} {
-				src := map[uint8][]byte{Version1: v1, Version2: v2}[ver]
-				half, _, err := EncodeFrameVersion(c, ver, 4, 800, goldenPayload(256, 5), nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				fix[name] = append(bytes.Clone(src), half[:len(half)/2]...)
-			}
-		}
+	raw := goldenContainer(t, Raw(), allV1)
+	fix := map[string][]byte{
+		"raw.crfc":    raw,
+		"raw-v2.crfc": goldenContainer(t, Raw(), allV2),
+		// The history as today's encoder writes it.
+		"deflate-own-v2.crfc": goldenContainer(t, Deflate(), allV2),
 	}
+	// Compacted variant: the minimal equivalent container (dead overwritten
+	// frame dropped, sequences renumbered) — the ratchet for the compaction
+	// subsystem's output format. Compaction upgrades v1 input to v2 output,
+	// so the fixture is v2 and compacting either source must reproduce it.
+	frames, intact, serr := ScanPrefix(bytes.NewReader(raw), int64(len(raw)))
+	if serr != nil || intact != int64(len(raw)) {
+		t.Fatalf("golden raw container does not scan: %v", serr)
+	}
+	compacted, _, _, err := CompactContainer(bytes.NewReader(raw), frames, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fix["raw-compacted.crfc"] = compacted
 	var paged []byte
 	for i, e := range pagedExtents() {
-		var err error
 		if paged, _, err = EncodeFrame(Deflate(), uint64(i), e.off, e.data, paged); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fix["deflate-paged-v2.crfc"] = paged
+	fix["deflate-own-paged-v2.crfc"] = paged
 	fix["content.want"] = wantContent()
 	return fix
 }
@@ -260,11 +275,17 @@ func corruptFixtures(t *testing.T, golden map[string][]byte) map[string][]byte {
 }
 
 func TestGoldenContainers(t *testing.T) {
-	golden := goldenFixtures(t)
+	golden, frozen := goldenFixtures(t), frozenFixtures(t)
+	sources := maps.Clone(golden) // what the bit-rot variants derive from
+	maps.Copy(sources, frozen)
 	if *updateGolden {
+		corrupt := corruptFixtures(t, sources)
+		for name := range frozen {
+			delete(corrupt, name)
+		}
 		for dir, set := range map[string]map[string][]byte{
 			goldenDir:  golden,
-			corruptDir: corruptFixtures(t, golden),
+			corruptDir: corrupt,
 		} {
 			if err := os.MkdirAll(dir, 0o755); err != nil {
 				t.Fatal(err)
@@ -281,8 +302,8 @@ func TestGoldenContainers(t *testing.T) {
 		t.Fatalf("missing golden fixtures (run with -update to generate): %v", err)
 	}
 	// The on-disk fixtures must match the in-memory generation exactly:
-	// the v1 fixtures prove the legacy encode path is frozen, the v2
-	// fixtures pin the current format.
+	// the raw v1 fixtures prove the legacy encode path is frozen, the
+	// others pin the current format and encoder.
 	for name, data := range golden {
 		onDisk, err := os.ReadFile(filepath.Join(goldenDir, name))
 		if err != nil {
@@ -302,6 +323,7 @@ func TestGoldenContainers(t *testing.T) {
 		{"raw-v2.crfc", 4, 0},
 		{"deflate-v2.crfc", 4, 0},
 		{"deflate-mixed.crfc", 2, 2},
+		{"deflate-own-v2.crfc", 4, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			box, err := os.ReadFile(filepath.Join(goldenDir, tc.name))
@@ -399,34 +421,15 @@ func TestGoldenContainers(t *testing.T) {
 			}
 		})
 	}
-	t.Run("deflate-paged-v2.crfc", func(t *testing.T) {
-		box, err := os.ReadFile(filepath.Join(goldenDir, "deflate-paged-v2.crfc"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var content []byte
-		for _, e := range pagedExtents() {
-			if end := e.off + int64(len(e.data)); end > int64(len(content)) {
-				content = append(content, make([]byte, end-int64(len(content)))...)
-			}
-			copy(content[e.off:], e.data)
-		}
-		frames, rep := readsWhole(t, box, content)
-		for _, fr := range frames {
-			if fr.Header.Codec != DeflateID || box[fr.Pos+HeaderSize] != pagedTag {
-				t.Fatalf("frame at %d is not a paged deflate payload", fr.Pos)
-			}
-		}
-		if rep.ChecksumVerified != len(frames) {
-			t.Fatalf("salvage verified %d of %d checksums", rep.ChecksumVerified, len(frames))
-		}
-	})
+	for _, name := range []string{"deflate-paged-v2.crfc", "deflate-own-paged-v2.crfc"} {
+		t.Run(name, func(t *testing.T) { pagedReadsWhole(t, name) })
+	}
 	t.Run("corrupt-fixtures", func(t *testing.T) {
 		// The checked-in bit-rot variants stay derivable from the golden
 		// set, and their verification verdicts are pinned: v1 raw bit rot
 		// passes (the recorded detection gap), v2 bit rot fails as
 		// ErrChecksum.
-		for name, data := range corruptFixtures(t, golden) {
+		for name, data := range corruptFixtures(t, sources) {
 			onDisk, err := os.ReadFile(filepath.Join(corruptDir, name))
 			if err != nil {
 				t.Fatal(err)
@@ -450,6 +453,31 @@ func TestGoldenContainers(t *testing.T) {
 			}
 		}
 	})
+}
+
+// pagedReadsWhole checks that the fixture name holds pagedExtents as paged
+// deflate payloads, each with a verified checksum.
+func pagedReadsWhole(t *testing.T, name string) {
+	box, err := os.ReadFile(filepath.Join(goldenDir, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var content []byte
+	for _, e := range pagedExtents() {
+		if end := e.off + int64(len(e.data)); end > int64(len(content)) {
+			content = append(content, make([]byte, end-int64(len(content)))...)
+		}
+		copy(content[e.off:], e.data)
+	}
+	frames, rep := readsWhole(t, box, content)
+	for _, fr := range frames {
+		if fr.Header.Codec != DeflateID || box[fr.Pos+HeaderSize] != pagedTag {
+			t.Fatalf("frame at %d is not a paged deflate payload", fr.Pos)
+		}
+	}
+	if rep.ChecksumVerified != len(frames) {
+		t.Fatalf("salvage verified %d of %d checksums", rep.ChecksumVerified, len(frames))
+	}
 }
 
 // readsWhole checks that box reads as content through the strict scanner,
