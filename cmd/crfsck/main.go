@@ -12,7 +12,8 @@
 //	                          their longest verified frame prefix
 //	crfsck -compact DIR...    scrub, then compact every container with
 //	                          anything to reclaim (also sweeps stray
-//	                          compaction temps)
+//	                          temps of compaction and crfsd's PUTs; the
+//	                          store must be offline)
 //
 // Exit status follows fsck convention: 0 when every container is clean
 // (and nothing needed compaction repair), 2 when defects were found,

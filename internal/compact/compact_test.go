@@ -80,7 +80,7 @@ func tree(t *testing.T) (*memfs.FS, map[string][]byte) {
 	if err := vfs.WriteFile(m, "ckpt/plain.txt", []byte("not a container, definitely long enough")); err != nil {
 		t.Fatal(err)
 	}
-	if err := vfs.WriteFile(m, "ckpt/stray"+TempSuffix, boxes["ckpt/a.crfc"]); err != nil {
+	if err := vfs.WriteFile(m, "ckpt/stray.crfs-compact~", boxes["ckpt/a.crfc"]); err != nil {
 		t.Fatal(err)
 	}
 	return m, boxes
@@ -107,11 +107,11 @@ func TestWalkFindsContainersOnly(t *testing.T) {
 
 func TestSweepTemps(t *testing.T) {
 	m, _ := tree(t)
-	n, err := SweepTemps(m, ".")
+	n, err := vfs.SweepTemps(m, ".")
 	if err != nil || n != 1 {
 		t.Fatalf("swept %d (err %v), want 1", n, err)
 	}
-	if _, err := m.Stat("ckpt/stray" + TempSuffix); err == nil {
+	if _, err := m.Stat("ckpt/stray.crfs-compact~"); err == nil {
 		t.Fatal("stray temp survived the sweep")
 	}
 }

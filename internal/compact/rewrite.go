@@ -12,8 +12,8 @@ import (
 // The compaction engine: rewrite each container under a backing
 // directory to its minimal equivalent. It is offline — for cold
 // checkpoint stores whose files are closed, the crfsck use case — and
-// the only place the crash-safe replace lives; a mount never rewrites a
-// container.
+// commits each rewrite through vfs.Replace, the crash-safe replace
+// crfsd's PUT commits through too; a mount never rewrites a container.
 
 // CompactFileReport describes one container's compaction outcome.
 type CompactFileReport struct {
@@ -46,13 +46,13 @@ func (r *CompactReport) Format() string {
 	return b.String()
 }
 
-// CompactDir sweeps stray temporaries, then walks every container under
-// root and rewrites those with anything to reclaim. The returned error
-// reports walk-level failures; per-file failures are collected in the
-// report.
+// CompactDir sweeps stray temps (vfs.SweepTemps), then walks every
+// container under root and rewrites those with anything to reclaim. The
+// returned error reports walk-level failures; per-file failures are
+// collected in the report.
 func CompactDir(fsys vfs.FS, root string) (*CompactReport, error) {
 	rep := &CompactReport{}
-	swept, err := SweepTemps(fsys, root)
+	swept, err := vfs.SweepTemps(fsys, root)
 	rep.TempsSwept = swept
 	if err != nil {
 		return rep, err
@@ -73,11 +73,12 @@ func CompactDir(fsys vfs.FS, root string) (*CompactReport, error) {
 	return rep, err
 }
 
-// CompactPath rewrites one container to its minimal equivalent via the
-// crash-safe temp-write + rename protocol. A torn container is compacted
-// from its longest intact frame prefix — the rewrite repairs the tear as
-// a side effect, exactly like open-time salvage followed by repair. A
-// container whose live payloads fail verification is left untouched.
+// CompactPath rewrites one container to its minimal equivalent through
+// vfs.Replace, so a power cut leaves the old container or the new one,
+// never a mix. A torn container is compacted from its longest intact
+// frame prefix — the rewrite repairs the tear as a side effect, exactly
+// like open-time salvage followed by repair. A container whose live
+// payloads fail verification is left untouched.
 func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 	rep := CompactFileReport{Path: path}
 	f, err := fsys.Open(path, vfs.ReadOnly)
@@ -108,13 +109,14 @@ func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 		rep.Err = err.Error()
 		return rep
 	}
-	tmp := path + TempSuffix
-	err = stageReplacement(fsys, tmp, box)
-	if err == nil {
-		err = fsys.Rename(tmp, path)
-	}
+	err = vfs.Replace(fsys, path, func(tf vfs.File) error {
+		if len(box) == 0 {
+			return nil
+		}
+		_, err := tf.WriteAt(box, 0)
+		return err
+	})
 	if err != nil {
-		fsys.Remove(tmp)
 		rep.Err = err.Error()
 		return rep
 	}
@@ -122,26 +124,4 @@ func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 	rep.FramesDropped = st.FramesDropped
 	rep.Reclaimed = size - st.BytesOut
 	return rep
-}
-
-// stageReplacement writes box whole to tmp and syncs it — the first
-// half of the crash-safe replace protocol: a cut before the rename
-// leaves the original untouched plus an inert temporary, a cut after
-// leaves the complete replacement.
-func stageReplacement(fsys vfs.FS, tmp string, box []byte) error {
-	tf, err := fsys.Open(tmp, vfs.WriteOnly|vfs.Create|vfs.Trunc)
-	if err != nil {
-		return err
-	}
-	if len(box) > 0 {
-		if _, err := tf.WriteAt(box, 0); err != nil {
-			tf.Close()
-			return err
-		}
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return err
-	}
-	return tf.Close()
 }

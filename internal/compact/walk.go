@@ -11,27 +11,21 @@
 // from their in-memory index with VerifyFrames and closed ones with
 // ScrubFile, on a Pool of its own for the pass.
 //
-// Compaction replaces containers crash-safely: the compacted image is
-// written to a temporary sibling (TempSuffix), synced, and renamed over
-// the original — a power cut leaves either the old container or the new
-// one, never a mix. Stray temporaries from a cut mid-write are inert (the
-// walk skips them) and are removed by SweepTemps.
+// Compaction replaces containers through vfs.Replace, the one crash-safe
+// replace in the tree: a power cut leaves either the old container or the
+// new one, never a mix. A temp stranded by a cut mid-write is inert (the
+// walk skips every vfs.IsTemp name) and CompactDir's vfs.SweepTemps
+// removes it.
 package compact
 
 import (
 	"crfs/internal/codec"
 	"crfs/internal/vfs"
-	"strings"
 )
-
-// TempSuffix names the temporary sibling a compaction rewrite stages its
-// output in before the atomic rename. Files with this suffix are skipped
-// by Walk and removed by SweepTemps.
-const TempSuffix = ".crfs-compact~"
 
 // Walk calls fn for every frame container under root: every regular file
 // at least one frame header long whose first bytes match the container
-// magic. Compaction temporaries are skipped. fn returning an error stops
+// magic. Temps (vfs.IsTemp) are skipped. fn returning an error stops
 // the walk.
 func Walk(fsys vfs.FS, root string, fn func(path string, size int64) error) error {
 	if root == "" {
@@ -52,7 +46,7 @@ func Walk(fsys vfs.FS, root string, fn func(path string, size int64) error) erro
 			}
 			continue
 		}
-		if strings.HasSuffix(ent.Name, TempSuffix) {
+		if vfs.IsTemp(ent.Name) {
 			continue
 		}
 		info, err := fsys.Stat(path)
@@ -82,39 +76,4 @@ func sniff(fsys vfs.FS, path string) (bool, error) {
 		return false, err
 	}
 	return codec.Sniff(hdr), nil
-}
-
-// SweepTemps removes stray compaction temporaries under root — the inert
-// leftovers of a crash between a rewrite's temp write and its rename —
-// and returns how many were removed.
-func SweepTemps(fsys vfs.FS, root string) (int, error) {
-	if root == "" {
-		root = "."
-	}
-	entries, err := fsys.ReadDir(root)
-	if err != nil {
-		return 0, err
-	}
-	removed := 0
-	for _, ent := range entries {
-		path := ent.Name
-		if root != "." {
-			path = root + "/" + ent.Name
-		}
-		if ent.IsDir {
-			n, err := SweepTemps(fsys, path)
-			removed += n
-			if err != nil {
-				return removed, err
-			}
-			continue
-		}
-		if strings.HasSuffix(ent.Name, TempSuffix) {
-			if err := fsys.Remove(path); err != nil {
-				return removed, err
-			}
-			removed++
-		}
-	}
-	return removed, nil
 }

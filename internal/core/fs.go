@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -12,12 +11,6 @@ import (
 	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
-
-// ErrDestinationOpen reports a Rename whose destination is an open file:
-// re-keying an open entry under a live handle is rejected (see
-// renameLocked). Callers that stage-and-rename (crfsd's PUT commit) test
-// for it with errors.Is and retry once the reader closes.
-var ErrDestinationOpen = errors.New("rename destination is open")
 
 // FS is a CRFS mount: a vfs.FS stacked over a backend vfs.FS.
 type FS struct {
@@ -792,8 +785,9 @@ func (fs *FS) Remove(name string) error {
 // handles do not follow the rename; the source's open-file table entry is
 // then re-keyed under the new name, so handles keep working and a later
 // Open of either name resolves correctly. Renaming over a path that is
-// open is rejected: the destination's handles would keep serving the
-// overwritten file under a name that now means something else.
+// open is rejected with vfs.ErrBusy: the destination's handles would keep
+// serving the overwritten file under a name that now means something
+// else.
 func (fs *FS) Rename(oldName, newName string) error {
 	if err := fs.checkOpen(); err != nil {
 		return err
@@ -843,7 +837,7 @@ func (fs *FS) Rename(oldName, newName string) error {
 // let an Open(newName) build a second entry for the same file.
 func (fs *FS) renameLocked(oldKey, newKey, oldName, newName string, entry *fileEntry) error {
 	if _, ok := fs.files[newKey]; ok && newKey != oldKey {
-		return fmt.Errorf("core: rename %s to %s: %w: %w", oldKey, newKey, ErrDestinationOpen, vfs.ErrInvalid)
+		return fmt.Errorf("core: rename %s to %s: %w: %w", oldKey, newKey, vfs.ErrBusy, vfs.ErrInvalid)
 	}
 	if err := fs.backend.Rename(oldName, newName); err != nil {
 		return err
@@ -920,6 +914,16 @@ func (fs *FS) ReadDir(name string) ([]vfs.DirEntry, error) {
 		return nil, err
 	}
 	return fs.backend.ReadDir(name)
+}
+
+// SyncDir implements vfs.FS (passthrough). It runs outside fs.mu: a
+// directory fsync can wait for a journal commit, and Opens must not
+// stall behind it.
+func (fs *FS) SyncDir(name string) error {
+	if err := fs.checkOpen(); err != nil {
+		return err
+	}
+	return fs.backend.SyncDir(name)
 }
 
 // Truncate implements vfs.FS. Open files are drained first so buffered

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"crfs/internal/codec"
-	"crfs/internal/compact"
 	"crfs/internal/memfs"
 	"crfs/internal/vfs"
 )
@@ -132,7 +131,7 @@ func TestCompactStrayTempSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := vfs.WriteFile(back, "x.img"+compact.TempSuffix, box); err != nil {
+	if err := vfs.WriteFile(back, "x.img.crfs-compact~", box); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := fs.Scrub()
@@ -142,7 +141,7 @@ func TestCompactStrayTempSkipped(t *testing.T) {
 	if got := readBack(t, fs, "x.img", int64(len(content))); !bytes.Equal(got, content) {
 		t.Fatal("content wrong")
 	}
-	if n, err := compact.SweepTemps(back, "."); err != nil || n != 1 {
+	if n, err := vfs.SweepTemps(back, "."); err != nil || n != 1 {
 		t.Fatalf("swept %d (err %v), want 1", n, err)
 	}
 	if err := fs.Unmount(); err != nil {

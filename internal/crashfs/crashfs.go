@@ -311,6 +311,10 @@ func (c *FS) Truncate(name string, size int64) error {
 	return nil
 }
 
+// SyncDir implements vfs.FS (passthrough; the linear model makes every
+// mutation durable in apply order, so it records nothing).
+func (c *FS) SyncDir(name string) error { return c.inner.SyncDir(name) }
+
 // SyncAll implements vfs.Syncer (memfs is always stable).
 func (c *FS) SyncAll() error { return nil }
 

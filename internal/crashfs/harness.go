@@ -398,7 +398,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		for _, pr := range rep.Problems {
 			violate("%s: compaction at crash state failed: %s", pr.Path, pr.Err)
 		}
-		if n, _ := compact.SweepTemps(replayed, "."); n > 0 {
+		if n, _ := vfs.SweepTemps(replayed, "."); n > 0 {
 			violate("%d compaction temporaries survived CompactDir's sweep", n)
 		}
 		for name, got := range first {

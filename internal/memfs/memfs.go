@@ -398,6 +398,9 @@ func extend(data []byte, size int64) []byte {
 // SyncAll implements vfs.Syncer; memfs is always "stable".
 func (m *FS) SyncAll() error { return nil }
 
+// SyncDir implements vfs.FS; memory is always as stable as it gets.
+func (m *FS) SyncDir(string) error { return nil }
+
 type file struct {
 	fs   *FS
 	node *node

@@ -162,6 +162,24 @@ func (o *FS) Truncate(name string, size int64) error {
 	return mapErr(os.Truncate(p, size))
 }
 
+// SyncDir implements vfs.FS: it fsyncs the directory, making the
+// entries created, renamed or removed in it durable.
+func (o *FS) SyncDir(name string) error {
+	p, err := o.hostPath(name)
+	if err != nil {
+		return err
+	}
+	d, err := os.Open(p)
+	if err != nil {
+		return mapErr(err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
 func toInfo(info fs.FileInfo) vfs.FileInfo {
 	return vfs.FileInfo{
 		Name:    info.Name(),

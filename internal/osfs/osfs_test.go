@@ -121,6 +121,48 @@ func TestTruncateAndSync(t *testing.T) {
 	}
 }
 
+// TestSyncDir: the root and a nested directory sync, a missing one is
+// ErrNotExist, and a path climbing out of the root resolves inside it,
+// so a directory beside the root is never reached. vfs.Replace, whose
+// last step is SyncDir, commits over the host filesystem.
+func TestSyncDir(t *testing.T) {
+	outer := t.TempDir()
+	for _, dir := range []string{"store", "beside"} {
+		if err := os.Mkdir(filepath.Join(outer, dir), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fsys, err := New(filepath.Join(outer, "store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fsys.MkdirAll("a/b"); err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range []string{".", "a/b"} {
+		if err := fsys.SyncDir(dir); err != nil {
+			t.Errorf("SyncDir(%q): %v", dir, err)
+		}
+	}
+	for _, dir := range []string{"missing", "../beside"} {
+		if err := fsys.SyncDir(dir); !errors.Is(err, vfs.ErrNotExist) {
+			t.Errorf("SyncDir(%q) = %v, want ErrNotExist", dir, err)
+		}
+	}
+	if err := vfs.Replace(fsys, "a/b/f", func(f vfs.File) error {
+		_, err := f.WriteAt([]byte("replaced"), 0)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(fsys.Root(), "a", "b", "f")); err != nil || string(got) != "replaced" {
+		t.Fatalf("after Replace: %q %v", got, err)
+	}
+	if ents, err := fsys.ReadDir("a/b"); err != nil || len(ents) != 1 {
+		t.Fatalf("a/b holds %v (err %v), want f alone", ents, err)
+	}
+}
+
 func TestWriteOnReadOnlyHandle(t *testing.T) {
 	fsys := newFS(t)
 	vfs.WriteFile(fsys, "f", []byte("x"))

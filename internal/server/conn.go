@@ -622,9 +622,9 @@ func (c *srvConn) runPut(id uint32, req Request, r *inReq, ctx obs.SpanContext) 
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", n)))
 }
 
-// stagePut streams a PUT body into a staging temp and renames it over
-// the target only after a clean close, so a failed or abandoned PUT
-// never leaves a partial file visible under the target name. src yields
+// stagePut streams a PUT body into name through vfs.Replace, so a failed
+// or abandoned PUT never leaves a partial file visible under name and an
+// OK is only sent once the body is on stable storage. src yields
 // successive body slices and io.EOF at the end of the stream; each slice
 // is a free-list buffer stagePut owns and returns once it is written (or
 // refused).
@@ -634,85 +634,40 @@ func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), c
 			return 0, err
 		}
 	}
-	temp := StagingName(name, s.seq.Add(1))
-	// Register the temp as live before it exists on disk, so a periodic
-	// sweep can never race this PUT and reap it mid-stream.
-	defer s.trackStaging(temp)()
-	f, err := s.fs.Open(temp, vfs.WriteOnly|vfs.Create|vfs.Excl)
-	if err != nil {
-		return 0, err
-	}
-	setSpanContext(f, ctx)
-	abort := func(cause error) (int64, error) {
-		s.c.putsAborted.Add(1)
-		// The close error matters on the failure path too: it is where a
-		// pending backend write failure surfaces.
-		if cerr := f.Close(); cerr != nil && !errors.Is(cerr, vfs.ErrClosed) {
-			cause = fmt.Errorf("%w (close: %v)", cause, cerr)
-		}
-		if rerr := s.fs.Remove(temp); rerr != nil {
-			s.cfg.Logf("crfsd: removing staging temp %s: %v", temp, rerr)
-		}
-		return 0, cause
-	}
 	var off int64
-	for {
-		chunk, err := src()
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return abort(err)
-		}
-		n := int64(len(chunk))
-		if off+n > size {
+	err := vfs.Replace(s.fs, name, func(f vfs.File) error {
+		setSpanContext(f, ctx)
+		for {
+			chunk, err := src()
+			if errors.Is(err, io.EOF) {
+				break
+			}
+			if err != nil {
+				return err
+			}
+			n := int64(len(chunk))
+			if off+n > size {
+				PutFrameBuf(chunk)
+				return fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol)
+			}
+			_, werr := f.WriteAt(chunk, off)
 			PutFrameBuf(chunk)
-			return abort(fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol))
+			if werr != nil {
+				return fmt.Errorf("server: PUT %s: %w", name, werr)
+			}
+			off += n
 		}
-		_, werr := f.WriteAt(chunk, off)
-		PutFrameBuf(chunk)
-		if werr != nil {
-			return abort(fmt.Errorf("server: PUT %s: %w", name, werr))
+		if off != size {
+			return fmt.Errorf("server: PUT %s: short body: %d of %d bytes: %w", name, off, size, vfs.ErrInvalid)
 		}
-		off += n
-	}
-	if off != size {
-		return abort(fmt.Errorf("server: PUT %s: short body: %d of %d bytes: %w", name, off, size, vfs.ErrInvalid))
-	}
-	if err := f.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		s.c.putsAborted.Add(1)
-		if rerr := s.fs.Remove(temp); rerr != nil {
-			s.cfg.Logf("crfsd: removing staging temp %s: %v", temp, rerr)
-		}
-		return 0, fmt.Errorf("server: PUT %s: %w", name, err)
-	}
-	if err := s.commitStaged(temp, name); err != nil {
 		return 0, err
 	}
 	s.c.putsCommitted.Add(1)
 	return off, nil
-}
-
-// commitStaged renames the staging temp over the target. A destination
-// held open by a concurrent reader refuses the re-key; that is a
-// transient state, so the rename is retried briefly before giving up
-// and discarding the temp.
-func (s *Server) commitStaged(temp, name string) error {
-	var err error
-	for try := 0; try < 50; try++ {
-		if err = s.fs.Rename(temp, name); err == nil {
-			return nil
-		}
-		if !errors.Is(err, core.ErrDestinationOpen) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	s.c.putsAborted.Add(1)
-	if rerr := s.fs.Remove(temp); rerr != nil {
-		s.cfg.Logf("crfsd: removing staging temp %s: %v", temp, rerr)
-	}
-	return fmt.Errorf("server: commit %s: %w", name, err)
 }
 
 // statLine renders the one-line STAT response from the same metrics

@@ -109,59 +109,6 @@ func TestListStreamsLargeNamespace(t *testing.T) {
 	}
 }
 
-// TestPeriodicSweepRemovesStaleTemps proves the fix for the
-// startup-only sweep: a daemon that never restarts now reclaims
-// aborted-PUT staging temps on the configured cadence — while never
-// touching the temp of a PUT that is still in flight.
-func TestPeriodicSweepRemovesStaleTemps(t *testing.T) {
-	e := newEnv(t, nil, server.Config{SweepInterval: 20 * time.Millisecond})
-	// A stale temp, planted as if an earlier daemon crashed mid-PUT.
-	stale := server.StagingName("dead", 1)
-	writeThrough(t, e.fs, stale, []byte("orphaned"))
-
-	// A live PUT parked mid-body: its temp is registered and must survive.
-	r := dialRaw(t, e.addr)
-	r.send(server.FrameReq, 1, []byte("PUT live 1048576"))
-	r.send(server.FrameData, 1, bytes.Repeat([]byte("x"), 64<<10))
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := e.fs.Open(stale, vfs.ReadOnly); errors.Is(err, vfs.ErrNotExist) {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic sweep never removed the stale staging temp")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	// Sweeps have provably run; the live PUT's temp must still exist.
-	if name := findStaging(t, e.fs, "."); name == "" {
-		t.Fatal("live PUT staging temp was swept mid-flight")
-	}
-
-	// Complete the PUT; it must commit despite the sweeps that ran.
-	r.send(server.FrameData, 1, bytes.Repeat([]byte("x"), (1<<20)-(64<<10)))
-	r.send(server.FrameEnd, 1, nil)
-	for {
-		hdr, payload := r.recv()
-		if hdr.ReqID != 1 {
-			continue
-		}
-		if hdr.Type != server.FrameEnd {
-			t.Fatalf("PUT finished with frame type %#x (%s)", hdr.Type, payload)
-		}
-		break
-	}
-
-	st := e.srv.Stats()
-	if st.SweepsRun == 0 {
-		t.Errorf("SweepsRun = 0 after periodic sweeping")
-	}
-	if st.SweepTempsRemoved == 0 {
-		t.Errorf("SweepTempsRemoved = 0 after removing a stale temp")
-	}
-}
-
 // TestDrainSweepsStaging: a graceful shutdown leaves no staging temps
 // behind for the next daemon to trip over.
 func TestDrainSweepsStaging(t *testing.T) {

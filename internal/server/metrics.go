@@ -72,7 +72,7 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfsd_gets_served_total", "GETs streamed to completion.", sv.GetsServed),
 		metrics.Counter("crfsd_bytes_in_total", "Body payload bytes received from clients.", sv.BytesIn),
 		metrics.Counter("crfsd_bytes_out_total", "Body payload bytes sent to clients.", sv.BytesOut),
-		metrics.Counter("crfsd_staging_sweeps_total", "Staging-sweep passes run (startup, periodic, drain).", sv.SweepsRun),
+		metrics.Counter("crfsd_staging_sweeps_total", "Staging-sweep passes run (startup, drain).", sv.SweepsRun),
 		metrics.Counter("crfsd_staging_temps_removed_total", "Stale PUT staging temps removed by sweeps.", sv.SweepTempsRemoved),
 	}
 }

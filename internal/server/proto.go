@@ -344,7 +344,7 @@ func ParseRequest(line string) (Request, error) {
 
 // ValidateName rejects transfer names the store must not accept: names
 // that escape the backing directory, are not in canonical (clean) form,
-// or collide with the server's staging temps.
+// or name a temp (vfs.IsTemp), which sweeps would remove.
 func ValidateName(name string) error {
 	if name == "" || name == "." {
 		return fmt.Errorf("server: empty name: %w", vfs.ErrInvalid)
@@ -361,28 +361,8 @@ func ValidateName(name string) error {
 			return fmt.Errorf("server: whitespace or control character in name: %w", vfs.ErrInvalid)
 		}
 	}
-	if strings.HasSuffix(name, StagingSuffix) {
-		return fmt.Errorf("server: name %q collides with the staging namespace: %w", name, vfs.ErrInvalid)
+	if vfs.IsTemp(name) {
+		return fmt.Errorf("server: name %q collides with the temp namespace: %w", name, vfs.ErrInvalid)
 	}
 	return nil
-}
-
-// StagingSuffix marks a PUT's staging temp. A PUT streams into
-// "<name><StagingMid><seq><StagingSuffix>" and is renamed over <name>
-// only after a clean close, so a failed PUT never leaves a partial file
-// visible under the target; SweepStaging removes crash leftovers.
-const (
-	StagingSuffix = ".put~"
-	StagingMid    = ".crfsd-"
-)
-
-// StagingName builds the staging temp path for a PUT of name under a
-// server-unique sequence number.
-func StagingName(name string, seq uint64) string {
-	return name + StagingMid + strconv.FormatUint(seq, 10) + StagingSuffix
-}
-
-// IsStagingName reports whether path is a PUT staging temp.
-func IsStagingName(path string) bool {
-	return strings.HasSuffix(path, StagingSuffix) && strings.Contains(path, StagingMid)
 }

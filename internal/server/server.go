@@ -33,11 +33,6 @@ type Config struct {
 	ReadTimeout time.Duration
 	// MaxPutBytes rejects PUTs declaring a larger body (0 = unlimited).
 	MaxPutBytes int64
-	// SweepInterval is the cadence of the background staging sweep that
-	// removes `.put~` temps stranded by aborted PUTs on a long-lived
-	// node (temps of in-flight PUTs are never touched). Negative
-	// disables the background sweep. Default 5m.
-	SweepInterval time.Duration
 	// Logf, when non-nil, receives server event logs.
 	Logf func(format string, args ...any)
 	// Tracer receives the daemon's per-request spans (crfsd.PUT,
@@ -48,10 +43,9 @@ type Config struct {
 
 // Defaults for Config's zero fields.
 const (
-	DefaultMaxConns      = 256
-	DefaultMaxInFlight   = 8
-	DefaultReadTimeout   = time.Minute
-	DefaultSweepInterval = 5 * time.Minute
+	DefaultMaxConns    = 256
+	DefaultMaxInFlight = 8
+	DefaultReadTimeout = time.Minute
 )
 
 const (
@@ -73,9 +67,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = DefaultReadTimeout
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = DefaultSweepInterval
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -129,7 +120,7 @@ type Stats struct {
 	// BytesIn / BytesOut are body payload bytes moved on the wire.
 	BytesIn  int64
 	BytesOut int64
-	// SweepsRun counts staging-sweep passes (startup, periodic, drain).
+	// SweepsRun counts staging-sweep passes (startup, drain).
 	SweepsRun int64
 	// SweepTempsRemoved counts stale staging temps removed by sweeps.
 	SweepTempsRemoved int64
@@ -139,7 +130,6 @@ type Stats struct {
 type Server struct {
 	fs  *core.FS
 	cfg Config
-	seq atomic.Uint64 // staging-name sequence
 
 	tracer *obs.Tracer
 	// Request latency histograms (always on, like the mount's): one per
@@ -151,12 +141,9 @@ type Server struct {
 	done    chan struct{} // closed when Shutdown begins
 	wg      sync.WaitGroup
 
-	sweepOnce sync.Once // starts the periodic staging sweeper
-
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
 	conns     map[*srvConn]struct{}
-	staging   map[string]struct{} // temps of in-flight PUTs, exempt from sweeps
 	draining  bool
 
 	c serverCounters
@@ -180,52 +167,11 @@ func New(fs *core.FS, cfg Config) *Server {
 		done:       make(chan struct{}),
 		listeners:  make(map[net.Listener]struct{}),
 		conns:      make(map[*srvConn]struct{}),
-		staging:    make(map[string]struct{}),
 	}
 }
 
 // Tracer returns the server's span tracer.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
-
-// trackStaging marks a staging temp as owned by an in-flight PUT, and
-// returns the untrack func for when the PUT commits or aborts.
-func (s *Server) trackStaging(temp string) func() {
-	s.mu.Lock()
-	s.staging[temp] = struct{}{}
-	s.mu.Unlock()
-	return func() {
-		s.mu.Lock()
-		delete(s.staging, temp)
-		s.mu.Unlock()
-	}
-}
-
-func (s *Server) stagingLive(temp string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.staging[temp]
-	return ok
-}
-
-// sweeper is the background staging sweep: every SweepInterval it
-// removes `.put~` temps not owned by an in-flight PUT, so aborted-PUT
-// leftovers stop accumulating until the next daemon restart.
-func (s *Server) sweeper() {
-	t := time.NewTicker(s.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			if n, err := s.SweepStaging(); err != nil {
-				s.cfg.Logf("crfsd: staging sweep: %v", err)
-			} else if n > 0 {
-				s.cfg.Logf("crfsd: staging sweep removed %d stale temp(s)", n)
-			}
-		case <-s.done:
-			return
-		}
-	}
-}
 
 // Stats snapshots the server counters.
 func (s *Server) Stats() Stats {
@@ -259,9 +205,6 @@ func (s *Server) Serve(ln net.Listener) error {
 	}
 	s.listeners[ln] = struct{}{}
 	s.mu.Unlock()
-	if s.cfg.SweepInterval > 0 {
-		s.sweepOnce.Do(func() { go s.sweeper() })
-	}
 	defer func() {
 		s.mu.Lock()
 		delete(s.listeners, ln)
@@ -430,12 +373,12 @@ func (s *Server) walkFiles(fn func(path string) error) error {
 	return walk(".")
 }
 
-// ListNames returns every stored object name in sorted order, PUT
-// staging temps excluded — the LIST verb's view of the store.
+// ListNames returns every stored object name in sorted order, temps
+// (vfs.IsTemp) excluded — the LIST verb's view of the store.
 func (s *Server) ListNames() ([]string, error) {
 	names := []string{}
 	err := s.walkFiles(func(path string) error {
-		if !IsStagingName(path) {
+		if !vfs.IsTemp(path) {
 			names = append(names, path)
 		}
 		return nil
@@ -444,22 +387,12 @@ func (s *Server) ListNames() ([]string, error) {
 	return names, err
 }
 
-// SweepStaging removes PUT staging temps left behind by a crashed or
-// killed daemon. It runs at startup, on the periodic sweep cadence, and
-// after a graceful drain; temps belonging to in-flight PUTs are skipped,
-// so sweeping a live server never aborts real traffic.
+// SweepStaging removes the temps (vfs.IsTemp) a crashed or killed
+// daemon left in the store. It must not run while the server is
+// serving, since a live PUT's temp is a temp too: crfsd calls it before
+// Serve, and Shutdown once every request handler has returned.
 func (s *Server) SweepStaging() (int, error) {
-	removed := 0
-	err := s.walkFiles(func(path string) error {
-		if !IsStagingName(path) || s.stagingLive(path) {
-			return nil
-		}
-		if err := s.fs.Remove(path); err != nil {
-			return err
-		}
-		removed++
-		return nil
-	})
+	removed, err := vfs.SweepTemps(s.fs, ".")
 	s.c.sweepsRun.Add(1)
 	s.c.sweepTempsRemoved.Add(int64(removed))
 	return removed, err

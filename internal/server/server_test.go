@@ -353,7 +353,8 @@ func TestPutOverwritesLeaveNoDeadBytes(t *testing.T) {
 	r.send(server.FrameReq, 1, []byte("PUT ckpt.img 1048576"))
 	r.send(server.FrameData, 1, make([]byte, 100<<10))
 	r.nc.Close()
-	// The abort is counted before its staging temp is removed.
+	// The handler sees the cut asynchronously: wait until it has removed
+	// its temp and counted the abort.
 	for deadline := time.Now().Add(10 * time.Second); e.srv.Stats().PutsAborted != 1 || findStaging(t, e.fs, ".") != ""; time.Sleep(5 * time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatalf("the PUT cut mid-body did not abort and remove its staging temp (%q left): %+v",

@@ -10,7 +10,11 @@ package vfs
 
 import (
 	"errors"
+	"fmt"
 	"io/fs"
+	"strconv"
+	"strings"
+	"sync/atomic"
 	"time"
 )
 
@@ -35,6 +39,9 @@ var (
 	ErrNotEmpty = errors.New("directory not empty")
 	// ErrNoSpace reports backend storage exhaustion.
 	ErrNoSpace = errors.New("no space left on device")
+	// ErrBusy reports a Rename refused because its destination is held
+	// open. The state is transient: Replace retries such a rename.
+	ErrBusy = errors.New("rename destination is open")
 )
 
 // OpenFlag selects the access mode and behaviour of Open, mirroring the
@@ -125,6 +132,9 @@ type FS interface {
 	ReadDir(name string) ([]DirEntry, error)
 	// Truncate resizes the named file without opening it.
 	Truncate(name string, size int64) error
+	// SyncDir flushes the named directory's entries to stable storage,
+	// so a file created or renamed into it survives a power cut.
+	SyncDir(name string) error
 }
 
 // Syncer is implemented by filesystems that can flush everything to stable
@@ -144,6 +154,133 @@ func WriteFile(fsys FS, name string, data []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// Replace replaces name with the file write fills, crash-safely: write
+// gets a fresh temp beside name, created with Excl; the temp is then
+// synced, closed and renamed over name, and name's directory is synced.
+// A power cut at any step leaves name holding either its old bytes or
+// all of the new ones, plus at most an inert temp for SweepTemps.
+// Replace returns nil only if every step succeeded; a failure before the
+// rename removes the temp. A rename refused with ErrBusy (a reader holds
+// name open) is retried for up to 100 ms. name's directory must exist.
+func Replace(fsys FS, name string, write func(File) error) error {
+	f, temp, err := createTemp(fsys, name)
+	if err != nil {
+		return err
+	}
+	err = write(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	// Close after a failure too: it is where a pending backend write
+	// failure surfaces.
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	} else if cerr != nil && !errors.Is(cerr, ErrClosed) {
+		err = fmt.Errorf("%w (close: %v)", err, cerr)
+	}
+	if err == nil {
+		err = renameBusy(fsys, temp, name)
+	}
+	if err != nil {
+		if rerr := fsys.Remove(temp); rerr != nil {
+			err = fmt.Errorf("%w (removing temp %s: %v)", err, temp, rerr)
+		}
+		return err
+	}
+	dir, _ := Split(name)
+	if err := fsys.SyncDir(dir); err != nil {
+		return fmt.Errorf("vfs: replace %s: %w", name, err)
+	}
+	return nil
+}
+
+// createTemp opens a fresh temp beside name, stepping past any temp
+// name a stranded file still holds.
+func createTemp(fsys FS, name string) (File, string, error) {
+	for {
+		temp := TempName(name)
+		f, err := fsys.Open(temp, WriteOnly|Create|Excl)
+		if !errors.Is(err, ErrExist) {
+			return f, temp, err
+		}
+	}
+}
+
+// renameBusy renames temp over name, retrying while the rename is
+// refused with ErrBusy, for up to 50 tries 2 ms apart.
+func renameBusy(fsys FS, temp, name string) error {
+	var err error
+	for try := 0; try < 50; try++ {
+		if err = fsys.Rename(temp, name); !errors.Is(err, ErrBusy) {
+			break
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	if err != nil {
+		return fmt.Errorf("vfs: commit %s: %w", name, err)
+	}
+	return nil
+}
+
+// tempSeq numbers the temps this process creates.
+var tempSeq atomic.Uint64
+
+// TempName returns a fresh temp path beside name, "<name>.crfs-<seq>~".
+func TempName(name string) string {
+	return name + ".crfs-" + strconv.FormatUint(tempSeq.Add(1), 10) + "~"
+}
+
+// IsTemp reports whether path names a temp: a TempName, or one of the
+// two forms binaries older than Replace staged in, "<n>.crfsd-<seq>.put~"
+// (crfsd's PUT) and "<n>.crfs-compact~" (offline compaction). A temp is
+// never an object: listings and walks skip it and SweepTemps removes it.
+func IsTemp(path string) bool {
+	base := path[strings.LastIndexByte(path, '/')+1:]
+	rest, ok := strings.CutSuffix(base, "~")
+	if !ok {
+		return false
+	}
+	if put, ok := strings.CutSuffix(rest, ".put"); ok {
+		return strings.Contains(put, ".crfsd-")
+	}
+	i := strings.LastIndex(rest, ".crfs-")
+	if i < 0 {
+		return false
+	}
+	tag := rest[i+len(".crfs-"):]
+	return tag == "compact" || (tag != "" && strings.Trim(tag, "0123456789") == "")
+}
+
+// SweepTemps removes every temp under root and returns how many it
+// removed. A live Replace's temp is a temp too, so SweepTemps must not
+// run beside one on the same tree: it is for startup, drain and offline
+// tools.
+func SweepTemps(fsys FS, root string) (int, error) {
+	entries, err := fsys.ReadDir(root)
+	if err != nil {
+		return 0, err
+	}
+	removed := 0
+	for _, ent := range entries {
+		path := Join(root, ent.Name)
+		if ent.IsDir {
+			n, err := SweepTemps(fsys, path)
+			removed += n
+			if err != nil {
+				return removed, err
+			}
+			continue
+		}
+		if IsTemp(ent.Name) {
+			if err := fsys.Remove(path); err != nil {
+				return removed, err
+			}
+			removed++
+		}
+	}
+	return removed, nil
 }
 
 // ReadFile reads the whole named file from fsys.

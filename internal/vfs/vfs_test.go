@@ -104,3 +104,23 @@ func TestOpenFlag(t *testing.T) {
 		t.Error("zero flag should be ReadOnly and readable")
 	}
 }
+
+func TestIsTemp(t *testing.T) {
+	for _, name := range []string{
+		TempName("ckpt"), TempName("dir/ckpt"), "ckpt.crfs-12~",
+		"ckpt.crfs-compact~", "dir/ckpt.crfs-compact~",
+		"ckpt.crfsd-3.put~", "dir/ckpt.crfsd-3.put~",
+	} {
+		if !IsTemp(name) {
+			t.Errorf("IsTemp(%q) = false, want true", name)
+		}
+	}
+	for _, name := range []string{
+		"ckpt", "ckpt~", "ckpt.crfs-~", "ckpt.crfs-x1~", "ckpt.crfs-1",
+		"ckpt.put~", "ckpt.crfs-compact", "dir.crfs-1~/ckpt", "dir.crfsd-1.put~/ckpt",
+	} {
+		if IsTemp(name) {
+			t.Errorf("IsTemp(%q) = true, want false", name)
+		}
+	}
+}
