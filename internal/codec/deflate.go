@@ -97,24 +97,62 @@ const pageSize = 4096
 // TestFlatPageRates).
 const flatLimit = pageSize*pageSize/256 + 2*pageSize
 
+// flatPage decides most pages from a sample: sliceLen bytes at the start
+// of each sampleStride, m = 512 bytes. Over m uniform bytes Σs² averages
+// m²/256 + m·255/256 (1,534), standard deviation 45. Below sampleFlat (5.7
+// deviations above that mean) a page is flat, above sampleSolid (34) it is
+// not; in between, its full histogram decides against flatLimit.
+const (
+	sliceLen     = 64
+	sampleStride = pageSize / 8
+	sampleLen    = pageSize / sampleStride * sliceLen
+	sampleFlat   = sampleLen*sampleLen/256 + 3*sampleLen/2
+	sampleSolid  = sampleLen*sampleLen/256 + 4*sampleLen
+)
+
 // flatPage reports whether p begins with a full page whose byte histogram
-// is as even as random data's. A short tail is never flat.
+// is as even as random data's; a short tail is never flat. Σs² = m + 2 ×
+// pairs of equal bytes, so a run of equal bytes, whose increments each
+// wait for the one before, ends the sample within one slice.
 func flatPage(p []byte) bool {
 	if len(p) < pageSize {
 		return false
 	}
-	// Four interleaved histograms: a run of equal bytes would otherwise
-	// make every increment wait for the one before it.
-	var h [4][256]uint32
-	for i := 0; i < pageSize; i += 4 {
-		h[0][p[i]]++
-		h[1][p[i+1]]++
-		h[2][p[i+2]]++
-		h[3][p[i+3]]++
+	var h [256]uint16
+	pairs := 0
+	for off := 0; off < pageSize; off += sampleStride {
+		s := (*[sliceLen]byte)(p[off:])
+		for i := 0; i < sliceLen; i += 2 { // two a turn: 1.8× faster than one
+			c0 := h[s[i]]
+			h[s[i]] = c0 + 1
+			c1 := h[s[i+1]]
+			h[s[i+1]] = c1 + 1
+			pairs += int(c0) + int(c1)
+		}
+		if sampleLen+2*pairs > sampleSolid {
+			return false
+		}
+	}
+	return sampleLen+2*pairs < sampleFlat || flatFull(p, &h)
+}
+
+// flatFull reports whether Σcount² over the page p begins with is under
+// flatLimit, given the sampled slices' counts. The bytes between them go
+// to four interleaved tables, so that a run does not stall every count.
+func flatFull(p []byte, sample *[256]uint16) bool {
+	var h [4][256]uint16
+	for off := sliceLen; off < pageSize; off += sampleStride {
+		gap := (*[sampleStride - sliceLen]byte)(p[off:])
+		for i := 0; i < len(gap); i += 4 {
+			h[0][gap[i]]++
+			h[1][gap[i+1]]++
+			h[2][gap[i+2]]++
+			h[3][gap[i+3]]++
+		}
 	}
 	sum := 0
-	for b := range h[0] {
-		n := int(h[0][b] + h[1][b] + h[2][b] + h[3][b])
+	for b, s := range sample {
+		n := int(s + h[0][b] + h[1][b] + h[2][b] + h[3][b])
 		sum += n * n
 	}
 	return sum < flatLimit

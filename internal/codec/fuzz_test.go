@@ -137,6 +137,9 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add(pages("RT", 1), int64(0))
 	f.Add(pages("TR", 2), int64(0))
 	f.Add(append(pages("TRTR", 3), "partial page"...), int64(8192))
+	// Pages built against the classifier's sample (foolingPage).
+	f.Add(foolingPage(true), int64(0))
+	f.Add(append(pages("T", 4), foolingPage(false)...), int64(0))
 	f.Fuzz(func(t *testing.T, input []byte, off int64) {
 		if off < 0 || off > MaxLogicalOff {
 			return
@@ -236,6 +239,8 @@ func FuzzDeflateStream(f *testing.F) {
 	f.Add(db[:maxTokens])
 	f.Add([]byte{0, 1, 2, 1, 1, 0, 2, 1, 0, 1, 't', 'a', 'i', 'l'}) // pageMix: runs between flat pages
 	f.Add([]byte{1, 0, 1, 0, 1, 0, 1, 0, 1, 0})
+	f.Add(append(pages("T", 5), foolingPage(true)...)) // a random sample over zeros reads flat
+	f.Add(foolingPage(false))
 	reused := new(encoder)
 	f.Fuzz(func(t *testing.T, input []byte) {
 		for _, src := range [][]byte{input, pageMix(input)} {
