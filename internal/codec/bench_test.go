@@ -60,7 +60,21 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	}
 }
 
+// coldDst is the rotation of destination buffers the -cold decode rows
+// write to: 64 MiB, more than the caches hold, so every frame lands in
+// memory untouched since its last turn, as a restore's frames do. A pass
+// over the decoded frame then costs what a pass over memory costs, which
+// a reused hot buffer hides.
+func coldDst(size int) [][]byte {
+	bufs := make([][]byte, 64<<20/size)
+	for i := range bufs {
+		bufs[i] = bytes.Repeat([]byte{0xDB}, size)[:0] // faulted in before timing
+	}
+	return bufs
+}
+
 func BenchmarkDecodeFrame(b *testing.B) {
+	var cold [][]byte
 	for _, p := range benchPayloads(b) {
 		payload := p.data
 		for _, c := range []Codec{Raw(), Deflate()} {
@@ -69,7 +83,8 @@ func BenchmarkDecodeFrame(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				b.Run(fmt.Sprintf("%s/v%d%s", c.Name(), ver, p.suffix), func(b *testing.B) {
+				name := fmt.Sprintf("%s/v%d%s", c.Name(), ver, p.suffix)
+				b.Run(name, func(b *testing.B) {
 					b.SetBytes(int64(len(payload)))
 					b.ReportAllocs()
 					// Presized, as the mount's read path hands it over: a decode
@@ -78,6 +93,23 @@ func BenchmarkDecodeFrame(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						buf, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0])
 						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+				if p.suffix != "/entropy-0.5-4MiB" {
+					continue
+				}
+				b.Run(name+"-cold", func(b *testing.B) {
+					if cold == nil {
+						cold = coldDst(len(payload))
+					}
+					b.SetBytes(int64(len(payload)))
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						buf := cold[i%len(cold)]
+						if _, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0]); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -14,6 +14,7 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -48,6 +49,9 @@ type Codec interface {
 	// balloon memory, and may use it to size buffers. Decode must not
 	// retain src.
 	Decode(dst, src []byte, rawLen int64) ([]byte, error)
+	// decodeSum is Decode that, when sum is set, also returns the CRC32-C
+	// of the bytes it appended to dst, taken as it writes them.
+	decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error)
 }
 
 // registry holds the built-in and registered codecs.
@@ -108,11 +112,18 @@ func (rawCodec) Name() string { return "raw" }
 
 func (rawCodec) Encode(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
 
-func (rawCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
+func (r rawCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
+	out, _, err := r.decodeSum(dst, src, rawLen, false)
+	return out, err
+}
+
+func (rawCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error) {
 	if int64(len(src)) > rawLen {
-		return dst, fmt.Errorf("%w: raw payload %d exceeds declared size %d", ErrCorrupt, len(src), rawLen)
+		return dst, 0, fmt.Errorf("%w: raw payload %d exceeds declared size %d", ErrCorrupt, len(src), rawLen)
 	}
-	return append(dst, src...), nil
+	base := len(dst)
+	out := slices.Grow(dst, len(src))[:base+len(src)]
+	return out, copySum(out[base:], src, 0, sum), nil
 }
 
 // Raw returns the passthrough codec.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math/bits"
 	"slices"
@@ -179,22 +180,28 @@ const maxInflate = 1032
 // inflated straight into the ranges between them. src is in memory, so
 // any inflater error is damage and wraps ErrCorrupt.
 func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
+	out, _, err := c.decodeSum(dst, src, rawLen, false)
+	return out, err
+}
+
+// decodeSum is Decode that, when sum is set, sums each run sumPiece bytes
+// at a time as it inflates them and each flat page as it copies it.
+func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error) {
 	if rawLen > maxInflate*int64(len(src)) {
-		return dst, fmt.Errorf("%w: declared size %d impossible for a %d-byte deflate stream", ErrCorrupt, rawLen, len(src))
+		return dst, 0, fmt.Errorf("%w: declared size %d impossible for a %d-byte deflate stream", ErrCorrupt, rawLen, len(src))
 	}
 	var bitmap, stored []byte
 	stream, paged := src, len(src) > 0 && src[0] == pagedTag
 	if paged {
 		var err error
 		if bitmap, stored, stream, err = splitPaged(src[1:], rawLen); err != nil {
-			return dst, err
+			return dst, 0, err
 		}
 	}
 	base, end := len(dst), len(dst)+int(rawLen)
 	out := slices.Grow(dst, int(rawLen))[:end]
 	if paged && len(stored) == int(rawLen) { // every page flat, no stream
-		copy(out[base:], stored)
-		return out, nil
+		return out, copySum(out[base:], stored, 0, sum), nil
 	}
 	z, _ := c.readers.Get().(*inflater)
 	if z == nil {
@@ -207,32 +214,44 @@ func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
 	}()
 	z.src.Reset(stream)
 	if err := z.fr.(flate.Resetter).Reset(&z.src, nil); err != nil {
-		return dst, fmt.Errorf("codec: deflate reset: %w", err)
+		return dst, 0, fmt.Errorf("codec: deflate reset: %w", err)
 	}
+	var crc uint32
 	for off := 0; off < int(rawLen); off += pageSize {
-		run := nextFlat(bitmap, off, int(rawLen))
-		switch _, err := io.ReadFull(z.fr, out[base+off:base+run]); err {
-		case nil:
-		case io.EOF, io.ErrUnexpectedEOF:
-			return dst, fmt.Errorf("%w: deflate stream ends short of declared size %d", ErrCorrupt, rawLen)
-		default:
-			return dst, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
+		run := base + nextFlat(bitmap, off, int(rawLen))
+		for at := base + off; at < run; {
+			piece := out[at:run]
+			if sum {
+				piece = piece[:min(sumPiece, len(piece))]
+			}
+			at += len(piece)
+			switch _, err := io.ReadFull(z.fr, piece); err {
+			case nil:
+			case io.EOF, io.ErrUnexpectedEOF:
+				return dst, 0, fmt.Errorf("%w: deflate stream ends short of declared size %d", ErrCorrupt, rawLen)
+			default:
+				return dst, 0, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
+			}
+			if sum {
+				crc = crc32.Update(crc, castagnoli, piece)
+			}
 		}
-		if off = run; off < int(rawLen) {
-			stored = stored[copy(out[base+off:base+off+pageSize], stored):]
+		if off = run - base; off < int(rawLen) {
+			crc = copySum(out[run:run+pageSize], stored[:pageSize], crc, sum)
+			stored = stored[pageSize:]
 		}
 	}
 	switch _, err := io.ReadFull(z.fr, z.end[:]); err {
 	case io.EOF:
 	case nil:
-		return dst, fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
+		return dst, 0, fmt.Errorf("%w: deflate stream exceeds declared size %d", ErrCorrupt, rawLen)
 	default:
-		return dst, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
+		return dst, 0, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
 	}
 	if err := z.fr.Close(); err != nil {
-		return dst, fmt.Errorf("codec: deflate close: %w", err)
+		return dst, 0, fmt.Errorf("codec: deflate close: %w", err)
 	}
-	return out, nil
+	return out, crc, nil
 }
 
 // splitPaged splits a paged payload, past its tag, into its bitmap, its

@@ -237,6 +237,9 @@ func EncodeFrameVersion(c Codec, version uint8, seq uint64, off int64, src, dst 
 // a mismatch returns ErrChecksum — so every decode path (reads,
 // prefetch, salvage, scrub, compaction) proves payload integrity, not
 // just decodability. v1 headers carry no checksum and skip the check.
+// The codec takes the CRC as it writes each piece of the output,
+// so a frame is not read back from memory to be verified; on any error
+// DecodeFrame returns dst, never the bytes it decoded.
 func DecodeFrame(h Header, payload, dst []byte) ([]byte, error) {
 	if len(payload) != int(h.EncLen) {
 		return dst, fmt.Errorf("%w: payload length %d, header says %d", ErrCorrupt, len(payload), h.EncLen)
@@ -245,18 +248,35 @@ func DecodeFrame(h Header, payload, dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	base := len(dst)
-	out, err := c.Decode(dst, payload, int64(h.RawLen))
+	base, v2 := len(dst), h.Version >= Version2
+	out, sum, err := c.decodeSum(dst, payload, int64(h.RawLen), v2)
 	if err != nil {
 		return dst, err
 	}
 	if len(out)-base != int(h.RawLen) {
 		return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, h.RawLen)
 	}
-	if h.Version >= Version2 {
-		if sum := Checksum(out[base:]); sum != h.Checksum {
-			return dst, fmt.Errorf("%w: crc32c %08x, header says %08x", ErrChecksum, sum, h.Checksum)
-		}
+	if v2 && sum != h.Checksum {
+		return dst, fmt.Errorf("%w: crc32c %08x, header says %08x", ErrChecksum, sum, h.Checksum)
 	}
 	return out, nil
+}
+
+// sumPiece is the most a decode writes before it sums what it wrote. A
+// piece this small is still in cache when the CRC reads it, where a whole
+// 4 MiB frame summed after the decode has to come back from memory.
+const sumPiece = 16 << 10
+
+// copySum copies src into dst, which is as long, sumPiece bytes at a time,
+// and when sum is set folds each piece into crc right after copying it.
+func copySum(dst, src []byte, crc uint32, sum bool) uint32 {
+	if !sum {
+		copy(dst, src)
+		return crc
+	}
+	for off := 0; off < len(src); off += sumPiece {
+		n := copy(dst[off:], src[off:min(off+sumPiece, len(src))])
+		crc = crc32.Update(crc, castagnoli, dst[off:off+n])
+	}
+	return crc
 }

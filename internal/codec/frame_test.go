@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 )
 
@@ -249,4 +251,131 @@ func TestDecodeBoundedByRawLen(t *testing.T) {
 	if _, err := Raw().Decode(nil, make([]byte, 100), 64); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("raw oversize payload: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestDecodeFrameFusedSum: the built-in codecs take a v2 frame's CRC32-C
+// piece by piece as they decode, so DecodeFrame must return what "decode,
+// then Checksum the output" returns — the same bytes, or the same verdict
+// and none of the bytes — for every payload shape the decoders walk
+// differently. dst holds a prefix the sum must not cover and spare
+// capacity poisoned with 0xDB, so a sum taken before the bytes land reads
+// stale ones. Every v2 shape has a flipped stored byte that reads
+// ErrChecksum: the header's CRC, and, unless it decodes to nothing, a
+// sampled payload byte.
+func TestDecodeFrameFusedSum(t *testing.T) {
+	// frame encodes src as a v2 or v1 frame, or hands the codec's payload
+	// over as it is when EncodeFrame's raw bailout would take it.
+	frame := func(c Codec, ver uint8, src []byte, verbatim bool) (Header, []byte) {
+		if !verbatim {
+			box, h, err := EncodeFrameVersion(c, ver, 0, 0, src, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h, box[HeaderSize:]
+		}
+		payload, err := c.Encode(nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Header{Version: ver, Codec: c.ID(), Checksum: Checksum(src),
+			RawLen: uint32(len(src)), EncLen: uint32(len(payload))}, payload
+	}
+	tail := "short tail page"
+	for _, tc := range []struct {
+		name     string
+		c        Codec
+		ver      uint8
+		src      []byte
+		verbatim bool
+		codec    ID
+		paged    bool
+	}{
+		{"plain-stream", Deflate(), Version2, pages("TTTTTTTT", 1), false, DeflateID, false},
+		{"paged-flat-first-middle-last", Deflate(), Version2, pages("RTTRTTR", 2), false, DeflateID, true},
+		{"all-flat", Deflate(), Version2, pages("RRR", 3), true, DeflateID, true},
+		{"short-tail", Deflate(), Version2, append(pages("RT", 4), tail...), false, DeflateID, true},
+		{"run-past-one-piece", Deflate(), Version2, append(pages("TTTTTRTTTTT", 5), tail...), false, DeflateID, true},
+		{"zero-length/deflate", Deflate(), Version2, nil, true, DeflateID, false},
+		{"zero-length/raw", Raw(), Version2, nil, false, RawID, false},
+		{"raw-bailout", Deflate(), Version2, append(pages("RRRRR", 6), tail...), false, RawID, false},
+		{"v1/paged", Deflate(), Version1, append(pages("TTTTTRTTTTT", 7), tail...), false, DeflateID, true},
+		{"v1/raw", Raw(), Version1, append(pages("RRRRR", 8), tail...), false, RawID, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h, payload := frame(tc.c, tc.ver, tc.src, tc.verbatim)
+			paged := h.Codec == DeflateID && len(payload) > 0 && payload[0] == pagedTag
+			if h.Codec != tc.codec || paged != tc.paged {
+				t.Fatalf("shape: codec %d, paged %v; want codec %d, paged %v", h.Codec, paged, tc.codec, tc.paged)
+			}
+			check := func(what string, h Header, payload []byte) ([]byte, error) {
+				t.Helper()
+				want, werr := decodeThenChecksum(h, payload)
+				dst := append(bytes.Repeat([]byte{0xDB}, 3+len(tc.src))[:0], "pre"...)
+				got, err := DecodeFrame(h, payload, dst)
+				if verdict(err) != verdict(werr) {
+					t.Fatalf("%s: DecodeFrame says %v, decode then Checksum says %v", what, err, werr)
+				}
+				if err != nil {
+					if string(got) != "pre" {
+						t.Fatalf("%s: %v, yet dst came back as %d bytes", what, err, len(got))
+					}
+				} else if string(got[:3]) != "pre" || !bytes.Equal(got[3:], want) {
+					t.Fatalf("%s: decoded %d bytes, wrong content", what, len(got)-3)
+				}
+				return got, err
+			}
+			if got, err := check("clean", h, payload); err != nil || !bytes.Equal(got[3:], tc.src) {
+				t.Fatalf("clean frame: %v", err)
+			}
+			bad := h
+			bad.Checksum ^= 1
+			if _, err := check("header CRC flipped", bad, payload); (err != nil) != (h.Version == Version2) {
+				t.Fatalf("header CRC flipped on a v%d frame: %v", h.Version, err)
+			}
+			flipped := slices.Clone(payload)
+			sums := 0
+			for at := 0; at < len(flipped); at += max(1, len(flipped)/512) {
+				flipped[at] ^= 0x01
+				if _, err := check(fmt.Sprintf("byte %d flipped", at), h, flipped); errors.Is(err, ErrChecksum) {
+					sums++
+				}
+				flipped[at] ^= 0x01
+			}
+			if sums == 0 && h.Version == Version2 && h.RawLen > 0 {
+				t.Fatal("no payload flip read ErrChecksum")
+			}
+			t.Logf("%d-byte payload: %d sampled flips read ErrChecksum", len(payload), sums)
+		})
+	}
+}
+
+// decodeThenChecksum is the reference the fused sum is checked against:
+// decode, then one Checksum pass over the output.
+func decodeThenChecksum(h Header, payload []byte) ([]byte, error) {
+	c, err := ByID(h.Codec)
+	if err != nil {
+		return nil, err
+	}
+	out, err := c.Decode(nil, payload, int64(h.RawLen))
+	switch {
+	case err != nil:
+		return nil, err
+	case len(out) != int(h.RawLen):
+		return nil, ErrCorrupt
+	case h.Version >= Version2 && Checksum(out) != h.Checksum:
+		return nil, ErrChecksum
+	}
+	return out, nil
+}
+
+// verdict classes a decode error: none, a checksum mismatch, or other
+// damage.
+func verdict(err error) string {
+	switch {
+	case err == nil:
+		return "ok"
+	case errors.Is(err, ErrChecksum):
+		return "checksum"
+	}
+	return "corrupt"
 }

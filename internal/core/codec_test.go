@@ -193,7 +193,9 @@ func TestIncompressibleFallback(t *testing.T) {
 
 // TestFramedOverwriteAndHoles exercises the log-structured semantics:
 // overwrites resolve last-writer-wins via frame sequence numbers, and
-// holes read as zeros.
+// holes read as zeros. Every read lands in a buffer pre-filled with 0xAA,
+// because a framed read zeroes only the ranges no frame covers: the rows
+// after the Sync read frames alone, across each kind of gap.
 func TestFramedOverwriteAndHoles(t *testing.T) {
 	backend := memfs.New()
 	fs, err := Mount(backend, Options{
@@ -229,19 +231,41 @@ func TestFramedOverwriteAndHoles(t *testing.T) {
 	copy(want[180<<10:], third)
 	want = want[:180<<10+len(third)]
 
-	got := make([]byte, len(want))
-	if _, err := f.ReadAt(got, 0); err != nil && err != io.EOF {
-		t.Fatal(err)
+	readRange := func(what string, lo, hi int) {
+		t.Helper()
+		got := bytes.Repeat([]byte{0xAA}, hi-lo)
+		if _, err := f.ReadAt(got, int64(lo)); err != nil && err != io.EOF {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[lo:hi]) {
+			t.Fatalf("%s [%d, %d): overwrite/hole semantics differ from logical file", what, lo, hi)
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatal("overwrite/hole semantics differ from logical file")
-	}
+	readRange("whole file", 0, len(want))
 	// Reading past EOF must report io.EOF with a short count.
 	tail := make([]byte, 4096)
 	n, err := f.ReadAt(tail, int64(len(want))-100)
 	if n != 100 || err != io.EOF {
 		t.Fatalf("read past EOF: n=%d err=%v, want 100, io.EOF", n, err)
 	}
+
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	readRange("whole file, framed", 0, len(want))
+	readRange("leading hole -> frame", 0, 30<<10)
+	readRange("frame -> hole -> frame", 60<<10, 190<<10)
+	readRange("inside a hole", 100<<10, 150<<10)
+	readRange("newer frame over older", 15<<10, 60<<10)
+	// A buffered extent past the last frame leaves a trailing hole that
+	// only the overlay ends.
+	fourth := compressiblePayload(4<<10, 8)
+	if _, err := f.WriteAt(fourth, 300<<10); err != nil {
+		t.Fatal(err)
+	}
+	want = append(append(want, make([]byte, 300<<10-len(want))...), fourth...)
+	readRange("inside the trailing hole", 200<<10, 290<<10)
+	readRange("frame -> trailing hole -> buffered", 190<<10, len(want))
 }
 
 // TestFramedAppendAcrossRemount reopens an existing container and appends

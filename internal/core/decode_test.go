@@ -150,6 +150,66 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 	}
 }
 
+// TestRawRestoreDecodesNoFrame pins that a raw mount's checkpoint and
+// restore, in BLCR's write and read sizes with read-ahead on, never reach
+// the frame path: the entry is not framed, so readFramedInto is not
+// called, and no frame is decoded, which fetchFrame would count in the
+// checksum counters. Frame decoding and the holes-only clear can then
+// change raw restore speed only through code both paths share.
+func TestRawRestoreDecodesNoFrame(t *testing.T) {
+	const image = 16 << 20
+	back := memfs.New()
+	want := compressiblePayload(image, 5)
+	sizes := blcr.Stream(image, 1)
+	for _, cdc := range []codec.Codec{nil, codec.Raw()} {
+		fs := mount(t, back, Options{Codec: cdc, ReadAhead: 8})
+		w, err := fs.Open("img", vfs.WriteOnly|vfs.Create|vfs.Trunc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var off int64
+		for _, n := range sizes {
+			if _, err := w.WriteAt(want[off:off+n], off); err != nil {
+				t.Fatal(err)
+			}
+			off += n
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := fs.Open("img", vfs.ReadOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, off)
+		var at int64
+		for _, n := range sizes { // BLCR's restore reads the sizes it wrote
+			if rn, err := r.ReadAt(got[at:at+n], at); int64(rn) != n {
+				t.Fatalf("read at %d: %d of %d bytes: %v", at, rn, n, err)
+			}
+			at += n
+		}
+		e := r.(*file).entry
+		e.mu.Lock()
+		framed := e.framed
+		e.mu.Unlock()
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[:off]) {
+			t.Fatal("restored bytes differ")
+		}
+		st := fs.Stats()
+		if framed || st.ChecksumVerified+st.ChecksumSkipped+st.ChecksumFailed != 0 {
+			t.Errorf("codec %v: framed %v, %d frames verified, %d skipped, %d failed; want a plain file and none",
+				cdc, framed, st.ChecksumVerified, st.ChecksumSkipped, st.ChecksumFailed)
+		}
+		if err := fs.Unmount(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestDecodedFramePinnedUnderReaders hunts for a decoded frame's buffer
 // being recycled under a reader. Readers of one deflate container — small
 // reads inside one frame, whole-frame reads, reads across frames — run

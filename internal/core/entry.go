@@ -383,7 +383,7 @@ func (e *fileEntry) setFrames(frames []codec.FrameInfo) {
 }
 
 // overlapFrames appends the frames intersecting [off, end) to buf, in
-// sequence order. The index is sorted by offset and no raw extent exceeds
+// offset order. The index is sorted by offset and no raw extent exceeds
 // maxRawLen, so a frame overlapping the range must start after
 // off-maxRawLen: binary search there and scan forward to end. A read
 // rarely touches more than two frames, so a caller's small array as buf
@@ -401,7 +401,6 @@ func (e *fileEntry) overlapFrames(buf []codec.FrameInfo, off, end int64) []codec
 		}
 	}
 	e.mu.Unlock()
-	slices.SortFunc(buf, func(a, b codec.FrameInfo) int { return cmp.Compare(a.Header.Seq, b.Header.Seq) })
 	return buf
 }
 
@@ -561,19 +560,23 @@ func (e *fileEntry) readPlainInto(p []byte, off int64) error {
 	return nil
 }
 
-// readFramedInto fills p from a frame container: zero-fill (holes read as
-// zeros, like sparse files), then overlay every overlapping frame's
-// decoded bytes in sequence order so later writes shadow earlier ones.
-// stream is readAt's, less a dirty pipeline (rule 2 of the read pipeline).
+// readFramedInto fills p from a frame container: zero-fill the ranges no
+// frame covers (holes read as zeros, like sparse files), then overlay every
+// overlapping frame's decoded bytes in sequence order so later writes
+// shadow earlier ones. stream is readAt's, less a dirty pipeline (rule 2
+// of the read pipeline).
 func (e *fileEntry) readFramedInto(p []byte, off int64, stream bool) error {
 	var few [4]codec.FrameInfo
 	overlap := e.overlapFrames(few[:0], off, off+int64(len(p)))
-	if !(len(overlap) == 1 && overlap[0].Header.Off <= off &&
-		overlap[0].Header.Off+int64(overlap[0].Header.RawLen) >= off+int64(len(p))) {
-		// Only zero-fill when one frame doesn't cover the whole range —
-		// the common sequential chunk read skips the memset entirely.
-		clear(p)
+	covered := off // p below covered is zeroed or under a frame
+	for _, fr := range overlap {
+		if fr.Header.Off > covered {
+			clear(p[covered-off : fr.Header.Off-off])
+		}
+		covered = max(covered, fr.Header.Off+int64(fr.Header.RawLen))
 	}
+	clear(p[min(covered-off, int64(len(p))):])
+	slices.SortFunc(overlap, func(a, b codec.FrameInfo) int { return cmp.Compare(a.Header.Seq, b.Header.Seq) })
 	for _, fr := range overlap {
 		pr, err := e.decodeFrame(fr, stream)
 		if err != nil {

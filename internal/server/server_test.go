@@ -533,7 +533,7 @@ func (f *parkReadsFile) Close() error {
 }
 
 // TestPutCommitsAfterReaderCloses: a PUT whose destination a GET holds
-// open cannot commit yet (core.ErrDestinationOpen). The commit must
+// open cannot commit yet (vfs.ErrBusy). The commit must
 // retry rather than fail, land once the GET closes the file, and read
 // back byte-identical; the GET itself serves the old version whole.
 func TestPutCommitsAfterReaderCloses(t *testing.T) {
