@@ -105,7 +105,7 @@ func (fc *frameCounter) serve() {
 			}
 			b.Write(hello)
 			for {
-				hdr, payload, err := server.ReadFrame(br, nil)
+				hdr, payload, err := server.ReadFrame(br)
 				if err != nil {
 					return
 				}

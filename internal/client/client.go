@@ -320,7 +320,7 @@ type frame struct {
 }
 
 // free returns the frame's payload buffer to the free list.
-func (f frame) free() { server.PutFrameBuf(f.payload) }
+func (f frame) free() { server.FrameBufs.Put(f.payload) }
 
 // text copies the payload out as a string and frees the buffer.
 func (f frame) text() string {
@@ -348,7 +348,7 @@ func dialSession(addr string, cfg Config) (*session, error) {
 		nc.Close()
 		return nil, fmt.Errorf("client: hello: %w", err)
 	}
-	hdr, payload, err := server.ReadFrame(s.br, nil)
+	hdr, payload, err := server.ReadFrame(s.br)
 	if err != nil {
 		nc.Close()
 		return nil, fmt.Errorf("client: reading server hello: %w", err)
@@ -457,19 +457,7 @@ func (s *session) reader() {
 		}
 		f := frame{typ: hdr.Type, n: int(hdr.Len)}
 		if hdr.Type == server.FrameData && hdr.ReqID != 0 {
-			// Routed under the table lock, so a request either forgets
-			// its id first or finds the frame when it does (forget).
-			s.mu.Lock()
-			routed := false
-			if ch := s.pending[hdr.ReqID]; ch != nil {
-				select {
-				case ch <- f:
-					routed = true
-				default: // the request's terminal frame is already queued
-				}
-			}
-			s.mu.Unlock()
-			if !routed {
+			if !s.route(hdr.ReqID, f) {
 				// Data for a request that is over, or that we already
 				// gave up on; skip it.
 				if _, err := s.br.Discard(f.n); err != nil {
@@ -485,7 +473,7 @@ func (s *session) reader() {
 			}
 			continue
 		}
-		f.payload = server.GetFrameBuf(f.n)
+		f.payload = server.FrameBufs.Get(f.n)
 		if _, err := io.ReadFull(s.br, f.payload); err != nil {
 			f.free()
 			s.teardown(fmt.Errorf("client: connection lost: short frame payload: %w", err))
@@ -496,20 +484,25 @@ func (s *session) reader() {
 			s.teardown(fmt.Errorf("client: server closed the session: %s", f.text()))
 			return
 		}
-		s.mu.Lock()
-		ch := s.pending[hdr.ReqID]
-		s.mu.Unlock()
-		if ch == nil {
+		if !s.route(hdr.ReqID, f) {
 			// A response for a request we already gave up on; drop it.
 			f.free()
-			continue
 		}
-		select {
-		case ch <- f:
-		case <-s.done:
-			f.free()
-			return
-		}
+	}
+}
+
+// route hands f to request id under the table lock, so the request
+// either forgets its id first or finds the frame when it does (forget).
+// It reports false when the request is over, or when its slot already
+// holds the terminal frame (a data frame is taken before it is read).
+func (s *session) route(id uint32, f frame) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.pending[id] <- f: // a nil channel (no such request) is never ready
+		return true
+	default:
+		return false
 	}
 }
 
@@ -650,6 +643,7 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 	if err != nil {
 		return false, err
 	}
+	defer s.forget(id)
 	w := frameSink{s: s, id: id, ch: ch, name: name, left: size}
 	defer w.release()
 	if size > 0 {
@@ -670,7 +664,6 @@ func (s *session) put(name string, r io.Reader, size int64, ctx obs.SpanContext)
 		}
 	}
 	if err := s.writeFrame(server.FrameEnd, id, nil); err != nil {
-		s.forget(id)
 		return consumed, err
 	}
 	line, err := s.wait(id, ch)
@@ -713,7 +706,6 @@ type frameSink struct {
 func (w *frameSink) answered() bool {
 	select {
 	case f := <-w.ch:
-		w.s.forget(w.id)
 		msg := f.text()
 		if f.typ == server.FrameErr {
 			w.s.writeFrame(server.FrameEnd, w.id, nil)
@@ -723,7 +715,6 @@ func (w *frameSink) answered() bool {
 		}
 		return true
 	case <-w.s.done:
-		w.s.forget(w.id)
 		w.err = w.s.sessionErr()
 		return true
 	default:
@@ -738,7 +729,6 @@ func (w *frameSink) send(p []byte) bool {
 		return false
 	}
 	if err := w.s.writeFrame(server.FrameData, w.id, p); err != nil {
-		w.s.forget(w.id)
 		w.err = err
 		return false
 	}
@@ -748,7 +738,7 @@ func (w *frameSink) send(p []byte) bool {
 // stage returns the staging buffer, taking it from the free list first.
 func (w *frameSink) stage() []byte {
 	if w.buf == nil {
-		w.buf = server.GetFrameBuf(server.DataChunk)
+		w.buf = server.FrameBufs.Get(server.DataChunk)
 	}
 	return w.buf
 }
@@ -763,11 +753,7 @@ func (w *frameSink) flush() bool {
 	return ok
 }
 
-func (w *frameSink) release() {
-	if w.buf != nil {
-		server.PutFrameBuf(w.buf)
-	}
-}
+func (w *frameSink) release() { server.FrameBufs.Put(w.buf) }
 
 func (w *frameSink) Write(p []byte) (int, error) {
 	if w.err != nil {
@@ -864,14 +850,14 @@ func (s *session) readData(w io.Writer, rs ReadSink, n int) (int64, error) {
 			return took, nil
 		}
 	}
-	buf := server.GetFrameBuf(n)
+	buf := server.FrameBufs.Get(n)
 	if _, err := io.ReadFull(s.br, buf); err != nil {
-		server.PutFrameBuf(buf)
+		server.FrameBufs.Put(buf)
 		return took, s.lost(err)
 	}
 	s.turn <- struct{}{}
 	wn, err := w.Write(buf)
-	server.PutFrameBuf(buf)
+	server.FrameBufs.Put(buf)
 	took += int64(wn)
 	if err != nil {
 		s.teardown(fmt.Errorf("client: sink failed: %w", err))

@@ -50,7 +50,7 @@ func serveGets(c net.Conn, body []byte, frame int, stray []byte) {
 	}
 	server.WriteFrame(c, server.FrameHello, 0, []byte("crfsd/2 maxinflight=8"))
 	for {
-		hdr, _, err := server.ReadFrame(br, nil)
+		hdr, _, err := server.ReadFrame(br)
 		if err != nil {
 			return
 		}

@@ -44,18 +44,6 @@ func waitPoolWhole(t *testing.T, fs *FS) {
 	}
 }
 
-// raceEnabled reports whether the test binary was built with -race, under
-// which sync.Pool drops a quarter of what is put into it on purpose.
-func raceEnabled() bool {
-	bi, _ := debug.ReadBuildInfo()
-	for _, s := range bi.Settings {
-		if s.Key == "-race" {
-			return s.Value == "true"
-		}
-	}
-	return false
-}
-
 // maxRestoreAllocKiBPerMiB is the CI floor of ROADMAP direction 3's
 // allocation half: what restoring through a deflate mount may allocate per
 // MiB it returns. A decode buffer per frame alone would be 1024 KiB per
@@ -116,10 +104,12 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 			if !bytes.Equal(got[:off], want[:off]) {
 				t.Fatal("restored bytes differ")
 			}
-			// The scratch buffers and inflaters sit in sync.Pools, which a
-			// collection empties and which hand an idle P's buffer to a
-			// busy one only after a miss: the steady state is the best of
-			// a few restores, with the collector off.
+			// The encode scratch and the decode buffers are on bounded free
+			// lists, but the inflaters sit in a sync.Pool, which a
+			// collection empties, which hands an idle P's inflater to a
+			// busy one only after a miss, and which drops a quarter of
+			// what is put into it under -race: the steady state is the
+			// best of a few restores, with the collector off.
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			best := -1.0
 			for i := 0; i < 4; i++ {
@@ -134,9 +124,6 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 			}
 			st := fs.Stats()
 			t.Logf("%.2f KiB allocated per MiB restored (%d decode buffers made in five restores)", best, st.DecodeHeapFallbacks)
-			if raceEnabled() {
-				return // sync.Pool sheds buffers under the race detector
-			}
 			if best > maxRestoreAllocKiBPerMiB {
 				t.Errorf("%.1f KiB allocated per MiB restored, floor is %d", best, maxRestoreAllocKiBPerMiB)
 			}

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crfs/internal/freelist"
 	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
@@ -315,11 +316,7 @@ func (fs *FS) takeCopy() *streamCopy {
 // Under test its bytes are poisoned like a recycled chunk's.
 func (fs *FS) putCopy(c *streamCopy) {
 	*c = streamCopy{buf: c.buf}
-	if poisonChunks.Load() {
-		for i := range c.buf {
-			c.buf[i] = 0xDB
-		}
-	}
+	freelist.Poison(c.buf)
 	select {
 	case fs.copies <- c:
 	default:

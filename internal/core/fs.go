@@ -2,12 +2,12 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"crfs/internal/codec"
+	"crfs/internal/freelist"
 	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
@@ -22,7 +22,9 @@ type FS struct {
 	// queue; workers prefer write chunks, and producers never block on it
 	// (a full queue drops the job — read-ahead is best-effort).
 	prefetchq chan prefetchJob
-	encBufs   sync.Pool // *[]byte frame encode scratch, one per in-flight encode
+	// encBufs is the frame encode scratch, one per encode or frame fetch
+	// in flight. It keeps IOThreads idle: one per worker.
+	encBufs freelist.List
 	// decBufs is the free list of buffers frames are decoded into on the
 	// read path (fetchFrame). It keeps idle what one stream's read-ahead
 	// can hold — ReadAhead frames and the one the stream is inside.
@@ -108,10 +110,11 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	fs.decBufs = newFreeList(opts.ReadAhead+1, opts.ChunkSize)
 	fs.copies = make(chan *streamCopy, fs.pool.total)
 	fs.liveChangedLocked() // nothing is open, and nothing else can see fs yet
-	fs.encBufs.New = func() any {
-		b := make([]byte, 0, opts.ChunkSize+codec.HeaderSize)
-		return &b
-	}
+	// An encode buffer holds a chunk's frame stored raw, and headroom for
+	// what a codec writes past the chunk before EncodeFrame's raw bailout
+	// takes a chunk that did not shrink: deflate's page bitmap, or a
+	// stream a few dozen bytes longer than its input.
+	fs.encBufs = freelist.New(int(opts.ChunkSize+codec.HeaderSize+opts.ChunkSize/1024), opts.IOThreads)
 	fs.queue = make(chan *chunk, fs.pool.total)
 	fs.prefetchq = make(chan prefetchJob, fs.pool.total+opts.ReadAhead)
 	fs.workers.Add(opts.IOThreads)
@@ -214,23 +217,20 @@ func (fs *FS) writeChunk(c *chunk) {
 // reservation and the index update are serialized, so workers overlap
 // compression with each other and with backend IO.
 func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error {
-	bp := fs.encBufs.Get().(*[]byte)
-	defer fs.encBufs.Put(bp)
 	fill := c.fill.Load()
+	scratch := fs.encBufs.Get(codec.HeaderSize + int(fill))
+	defer fs.encBufs.Put(scratch)
 	var encSp obs.Span
 	if fs.tracer.Enabled() {
 		encSp = fs.tracer.StartChild("crfs.encode", parent)
 	}
 	encT0 := time.Now()
-	frame, hdr, err := codec.EncodeFrame(fs.opts.Codec, c.seq, c.start, c.buf[:fill], (*bp)[:0])
+	frame, hdr, err := codec.EncodeFrame(fs.opts.Codec, c.seq, c.start, c.buf[:fill], scratch[:0])
 	fs.hist.encode.Observe(int64(time.Since(encT0)))
 	if encSp.Active() {
 		encSp.AttrInt("raw", fill)
 		encSp.AttrInt("enc", int64(len(frame)))
 		encSp.End()
-	}
-	if cap(frame) > cap(*bp) {
-		*bp = frame // keep the grown buffer for the next encode
 	}
 	if err != nil {
 		return err
@@ -344,10 +344,8 @@ func (fs *FS) putReadChunk(c *chunk) {
 // mount with bigger chunks), which gets a heap slice of its own; both
 // count in Stats.DecodeHeapFallbacks. Called with no locks held.
 func (fs *FS) fetchFrame(bf backendHandle, fr codec.FrameInfo) (*prefetched, error) {
-	bp := fs.encBufs.Get().(*[]byte)
-	defer fs.encBufs.Put(bp)
-	enc := slices.Grow((*bp)[:0], int(fr.Header.EncLen))[:fr.Header.EncLen]
-	*bp = enc // a frame from a mount with bigger chunks grew it: keep that
+	enc := fs.encBufs.Get(int(fr.Header.EncLen))
+	defer fs.encBufs.Put(enc)
 	if _, err := bf.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
 		return nil, fmt.Errorf("frame payload at %d: %w", fr.Pos, err)
 	}

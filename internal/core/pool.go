@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"crfs/internal/freelist"
 	"crfs/internal/obs"
 )
 
@@ -153,23 +154,13 @@ func (p *bufferPool) tryGet() *chunk {
 	}
 }
 
-// poisonChunks makes put overwrite every recycled buffer, so a reader
-// that kept copying from a chunk after its last pin was dropped sees 0xDB
-// instead of plausible bytes. Tests set it.
-var poisonChunks atomic.Bool
-
 // put returns a chunk to the pool. It never blocks: the pool's capacity
 // equals the number of chunks in existence, and a free list (newFreeList)
 // that is full leaves the chunk to the collector. Callers release chunks
 // via unpin; put is only called once refs reached zero.
 func (p *bufferPool) put(c *chunk) {
 	c.reset()
-	if poisonChunks.Load() {
-		c.buf[0] = 0xDB
-		for n := 1; n < len(c.buf); n *= 2 {
-			copy(c.buf[n:], c.buf[:n])
-		}
-	}
+	freelist.Poison(c.buf)
 	select {
 	case p.free <- c:
 	default:

@@ -74,6 +74,14 @@ type outFrame struct {
 	last    bool
 }
 
+// buf is the free-list buffer f carries, if any.
+func (f outFrame) buf() []byte {
+	if f.typ != FrameData {
+		return nil
+	}
+	return f.payload
+}
+
 // inReq is one in-flight request's routing state.
 type inReq struct {
 	body       chan bodyItem
@@ -88,6 +96,8 @@ type bodyItem struct {
 	data []byte
 	end  bool
 }
+
+func (it bodyItem) buf() []byte { return it.data }
 
 // handleConn requires the client hello on the first line and serves the
 // connection to completion: one reader (this goroutine), one writer, and
@@ -107,6 +117,9 @@ func (s *Server) handleConn(nc net.Conn) {
 		return
 	}
 	defer s.unregister(c)
+	// Once the reader and every handler are done, nothing queues behind
+	// a writer that is gone.
+	defer giveBack(c.out, outFrame.buf)
 	defer c.handlers.Wait()
 	defer c.close()
 
@@ -176,7 +189,7 @@ func (c *srvConn) sendFrame(f outFrame) bool {
 func (c *srvConn) sendData(id uint32, buf []byte) bool {
 	n := len(buf)
 	if !c.sendFrame(outFrame{typ: FrameData, reqID: id, payload: buf}) {
-		PutFrameBuf(buf)
+		FrameBufs.Put(buf)
 		return false
 	}
 	c.srv.c.bytesOut.Add(int64(n))
@@ -207,7 +220,7 @@ func (c *srvConn) writer() {
 				if err = bw.Flush(); err == nil {
 					err = WriteFrame(c.nc, f.typ, f.reqID, f.payload)
 				}
-				PutFrameBuf(f.payload)
+				FrameBufs.Put(f.payload)
 			} else {
 				err = WriteFrame(bw, f.typ, f.reqID, f.payload)
 			}
@@ -282,7 +295,7 @@ func (c *srvConn) dispatch(hdr Header, payload []byte) bool {
 	if hdr.Type == FrameData && len(payload) > 0 {
 		return c.routeBody(hdr.ReqID, payload, false)
 	}
-	defer PutFrameBuf(payload)
+	defer FrameBufs.Put(payload)
 	switch hdr.Type {
 	case FrameReq:
 		return c.handleReq(hdr.ReqID, string(payload))
@@ -374,7 +387,7 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 			delete(c.rejected, id)
 		}
 		c.mu.Unlock()
-		PutFrameBuf(data)
+		FrameBufs.Put(data)
 		if !drained {
 			c.fatal(fmt.Sprintf("server: body frame for unknown request %d", id))
 		}
@@ -382,7 +395,7 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 	}
 	if !r.expectBody || r.bodyDone {
 		c.mu.Unlock()
-		PutFrameBuf(data)
+		FrameBufs.Put(data)
 		c.fatal(fmt.Sprintf("server: unexpected body frame for request %d", id))
 		return false
 	}
@@ -394,15 +407,36 @@ func (c *srvConn) routeBody(id uint32, data []byte, end bool) bool {
 	c.srv.c.bytesIn.Add(int64(len(data)))
 	select {
 	case r.body <- bodyItem{data: data, end: end}:
+		select {
+		case <-r.abort:
+			// The handler retired the request while the frame was on its
+			// way, and complete may have emptied the queue before it
+			// landed.
+			giveBack(r.body, bodyItem.buf)
+		default:
+		}
 		return true
 	case <-r.abort:
 		// The handler retired this request before the body finished;
 		// complete() registered the id for draining, so drop the frame.
-		PutFrameBuf(data)
+		FrameBufs.Put(data)
 		return true
 	case <-c.dead:
-		PutFrameBuf(data)
+		FrameBufs.Put(data)
 		return false
+	}
+}
+
+// giveBack returns the buffers of the frames left in q once nobody
+// takes from it any more.
+func giveBack[T any](q chan T, buf func(T) []byte) {
+	for {
+		select {
+		case f := <-q:
+			FrameBufs.Put(buf(f))
+		default:
+			return
+		}
 	}
 }
 
@@ -430,6 +464,9 @@ func (c *srvConn) complete(id uint32, typ uint8, payload []byte) {
 	}
 	c.pendingResp++
 	c.mu.Unlock()
+	if r != nil && r.body != nil {
+		giveBack(r.body, bodyItem.buf)
+	}
 	if typ == FrameErr {
 		c.srv.c.requestErrors.Add(1)
 	}
@@ -514,7 +551,7 @@ func (c *srvConn) runTrace(id uint32, req Request) {
 		return
 	}
 	for off := 0; off < len(body); off += DataChunk {
-		buf := GetFrameBuf(min(DataChunk, len(body)-off))
+		buf := FrameBufs.Get(min(DataChunk, len(body)-off))
 		copy(buf, body[off:])
 		if !c.sendData(id, buf) {
 			return
@@ -542,7 +579,7 @@ func (c *srvConn) runList(id uint32) {
 			buf = nil
 		}
 		if buf == nil {
-			buf = GetFrameBuf(DataChunk)[:0]
+			buf = FrameBufs.Get(DataChunk)[:0]
 		}
 		buf = append(buf, n...)
 		buf = append(buf, '\n')
@@ -576,10 +613,10 @@ func (c *srvConn) runGet(id uint32, name string, ctx obs.SpanContext) {
 		if size-off < want {
 			want = size - off
 		}
-		buf := GetFrameBuf(int(want))
+		buf := FrameBufs.Get(int(want))
 		n, rerr := f.ReadAt(buf, off)
 		if n == 0 {
-			PutFrameBuf(buf)
+			FrameBufs.Put(buf)
 		} else if !c.sendData(id, buf[:n]) {
 			return
 		}
@@ -647,11 +684,11 @@ func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), c
 			}
 			n := int64(len(chunk))
 			if off+n > size {
-				PutFrameBuf(chunk)
+				FrameBufs.Put(chunk)
 				return fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol)
 			}
 			_, werr := f.WriteAt(chunk, off)
-			PutFrameBuf(chunk)
+			FrameBufs.Put(chunk)
 			if werr != nil {
 				return fmt.Errorf("server: PUT %s: %w", name, werr)
 			}

@@ -314,7 +314,7 @@ func TestWireCompatFrameSizes(t *testing.T) {
 		}
 		r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 		for {
-			hdr, payload, err := server.ReadFrame(r.nc, nil)
+			hdr, payload, err := server.ReadFrame(r.nc)
 			if err != nil {
 				if ne, ok := err.(net.Error); ok && ne.Timeout() {
 					t.Fatal("connection still open, want close")

@@ -42,10 +42,9 @@ import (
 	"net"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"unicode"
 
+	"crfs/internal/freelist"
 	"crfs/internal/vfs"
 )
 
@@ -93,74 +92,13 @@ const (
 	ConnBufSize = 4 << 10
 )
 
-// The frame free list. One body byte crosses client, wire and daemon in
-// buffers taken from it and handed off by ownership: a buffer has exactly
-// one holder at a time — whoever took it from GetFrameBuf or was handed
-// it — and the last holder returns it with PutFrameBuf. Nobody touches a
-// buffer after handing it off or returning it, which is why the list
-// needs no reference counts. Dropping a buffer instead of returning it is
-// always safe (the collector takes it); teardown paths do.
-//
-// The list is process-wide because client and daemon ends of a loopback
-// pair, and every connection of a daemon, draw from the same steady-state
-// working set. It is a stack: the buffer returned last is taken next, so
-// the memory a transfer cycles through is the buffers actually in flight
-// rather than every buffer the list holds. It retains at most
-// frameBufsKept idle buffers (16 MiB): with the queue depths of this
-// package and of internal/client a dozen concurrent chunk transfers hold
-// up to 36 at a time, so a steady load allocates none.
-const frameBufsKept = 64
-
-var frameBufs struct {
-	sync.Mutex
-	idle [][]byte
-}
-
-// poisonFrameBufs makes PutFrameBuf overwrite every returned buffer, so a
-// holder that kept reading one after giving it up sees 0xDB instead of
-// plausible bytes. Tests set it.
-var poisonFrameBufs atomic.Bool
-
-// GetFrameBuf returns a buffer of length n owned by the caller: from the
-// free list when n fits a data frame, a one-off allocation otherwise (a
-// peer may send up to MaxFramePayload).
-func GetFrameBuf(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	if n > DataChunk {
-		return make([]byte, n)
-	}
-	frameBufs.Lock()
-	if last := len(frameBufs.idle) - 1; last >= 0 {
-		b := frameBufs.idle[last]
-		frameBufs.idle = frameBufs.idle[:last]
-		frameBufs.Unlock()
-		return b[:n]
-	}
-	frameBufs.Unlock()
-	return make([]byte, n, DataChunk)
-}
-
-// PutFrameBuf gives b up to the free list. Buffers that did not come from
-// it (oversized one-offs, nil) are left to the collector.
-func PutFrameBuf(b []byte) {
-	if cap(b) != DataChunk {
-		return
-	}
-	b = b[:DataChunk]
-	if poisonFrameBufs.Load() {
-		b[0] = 0xDB
-		for n := 1; n < len(b); n *= 2 {
-			copy(b[n:], b[:n])
-		}
-	}
-	frameBufs.Lock()
-	if len(frameBufs.idle) < frameBufsKept {
-		frameBufs.idle = append(frameBufs.idle, b)
-	}
-	frameBufs.Unlock()
-}
+// FrameBufs is the frame free list. One body byte crosses client, wire
+// and daemon in buffers from it, handed off by ownership, and every
+// holder gives back what it holds, on abort and teardown paths too. It
+// is process-wide: both ends of a loopback pair and every connection of
+// a daemon draw on one working set. It keeps 64 idle (16 MiB); a dozen
+// concurrent chunk transfers hold up to 36.
+var FrameBufs = freelist.New(DataChunk, 64)
 
 // ErrProtocol reports a violation of the frame format itself (bad
 // header, oversized payload, data for an unknown request): the
@@ -226,17 +164,13 @@ func readHeader(r io.Reader) (Header, error) {
 	return ParseFrameHeader(hdr[:])
 }
 
-// ReadFrame reads one frame from r, appending the payload to buf[:0]
-// (which is grown as needed) and returning the header and payload.
-func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
+// ReadFrame reads one frame from r into a payload of its own.
+func ReadFrame(r io.Reader) (Header, []byte, error) {
 	h, err := readHeader(r)
 	if err != nil {
 		return h, nil, err
 	}
-	if cap(buf) < int(h.Len) {
-		buf = make([]byte, h.Len)
-	}
-	buf = buf[:h.Len]
+	buf := make([]byte, h.Len)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
@@ -245,7 +179,7 @@ func ReadFrame(r io.Reader, buf []byte) (Header, []byte, error) {
 
 // ReadFrameBuf reads one frame from r into a buffer from the free list.
 // The caller owns the returned payload: it hands it on or returns it with
-// PutFrameBuf, and the next ReadFrameBuf never reuses it. When r is a
+// FrameBufs.Put, and the next ReadFrameBuf never reuses it. When r is a
 // bufio.Reader smaller than the payload, all but the payload's first and
 // last few KiB are read from the connection straight into the buffer.
 func ReadFrameBuf(r io.Reader) (Header, []byte, error) {
@@ -253,9 +187,9 @@ func ReadFrameBuf(r io.Reader) (Header, []byte, error) {
 	if err != nil {
 		return h, nil, err
 	}
-	buf := GetFrameBuf(int(h.Len))
+	buf := FrameBufs.Get(int(h.Len))
 	if _, err := io.ReadFull(r, buf); err != nil {
-		PutFrameBuf(buf)
+		FrameBufs.Put(buf)
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
 	return h, buf, nil

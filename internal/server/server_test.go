@@ -64,7 +64,7 @@ func newCodecEnv(t *testing.T, backend vfs.FS, cdc codec.Codec, cfg server.Confi
 		t.Fatal(err)
 	}
 	nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	if _, _, err := server.ReadFrame(bufio.NewReader(nc), nil); err != nil {
+	if _, _, err := server.ReadFrame(bufio.NewReader(nc)); err != nil {
 		t.Fatalf("readiness hello: %v", err)
 	}
 	nc.Close()
@@ -130,7 +130,7 @@ func (r *rawConn) send(typ uint8, id uint32, payload []byte) {
 func (r *rawConn) recv() (server.Header, []byte) {
 	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
-	hdr, payload, err := server.ReadFrame(r.nc, nil)
+	hdr, payload, err := server.ReadFrame(r.nc)
 	if err != nil {
 		r.t.Fatalf("reading frame: %v", err)
 	}
@@ -143,7 +143,7 @@ func (r *rawConn) expectClosed() {
 	r.t.Helper()
 	r.nc.SetReadDeadline(time.Now().Add(10 * time.Second))
 	for {
-		_, _, err := server.ReadFrame(r.nc, nil)
+		_, _, err := server.ReadFrame(r.nc)
 		if err != nil {
 			if ne, ok := err.(net.Error); ok && ne.Timeout() {
 				r.t.Fatal("connection still open, want close")

@@ -76,7 +76,7 @@ func bodyShapes(chunk int) []struct {
 // out has come back.
 func mustHoldNoBuffers(t *testing.T, s *Store) {
 	t.Helper()
-	if n := s.held.Load(); n != 0 {
+	if n := s.bufs.Held(); n != 0 {
 		t.Errorf("%d chunk buffers not given back", n)
 	}
 }
@@ -148,8 +148,8 @@ func TestPutBodyShapes(t *testing.T) {
 						t.Fatal(err)
 					}
 					mustHoldNoBuffers(t, s)
-					if shape.name == "bytes.Reader" && len(s.bufs) != 0 {
-						t.Errorf("a body in memory took %d free-list buffers", len(s.bufs))
+					if n := s.bufs.HighWater(); shape.name == "bytes.Reader" && n != 0 {
+						t.Errorf("a body in memory took %d free-list buffers", n)
 					}
 					got, err := s.readManifest("ckpt")
 					if err != nil {

@@ -12,14 +12,16 @@ import (
 	"time"
 
 	"crfs/internal/codec"
+	"crfs/internal/freelist"
 )
 
-// TestMain runs every test of the package against a poisoning chunk free
-// list: a coordinator stage that touched a chunk buffer after giving it
-// up would push, verify or deliver 0xDB bytes, which the content checks
-// of the package then catch.
+// TestMain runs every test of the package against poisoning free lists:
+// a coordinator stage that touched a chunk buffer after giving it up, or
+// an in-process daemon or client a frame buffer, would push, verify or
+// deliver 0xDB bytes, which the content checks of the package then
+// catch.
 func TestMain(m *testing.M) {
-	poisonChunkBufs.Store(true)
+	freelist.SetPoison(true)
 	os.Exit(m.Run())
 }
 

@@ -157,7 +157,7 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 				continue
 			}
 			if check == nil {
-				check = s.getBuf(c.Length)
+				check = s.bufs.Get(int(c.Length))
 			}
 			sink := chunkSink{buf: check}
 			if _, err := node.Get(cname, &sink); err != nil {
@@ -174,9 +174,7 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 				good, check = check, nil
 			}
 		}
-		if check != nil {
-			s.putBuf(check)
-		}
+		s.bufs.Put(check)
 		if good == nil {
 			if unreachable == 0 {
 				rep.LostChunks++
@@ -191,7 +189,7 @@ func (s *Store) scrubObject(listings map[string][]string, obj string, rep *Repor
 				s.c.chunksRepaired.Add(1)
 			}
 		}
-		s.putBuf(good)
+		s.bufs.Put(good)
 	}
 	return m
 }

@@ -13,6 +13,7 @@ import (
 
 	"crfs/internal/client"
 	"crfs/internal/codec"
+	"crfs/internal/freelist"
 	"crfs/internal/obs"
 	"crfs/internal/server"
 	"crfs/internal/vfs"
@@ -97,60 +98,14 @@ type Store struct {
 	ids   []string                 // node IDs, sorted
 	slots map[string]chan struct{} // per-node in-flight caps
 
-	bmu  sync.Mutex   // guards bufs
-	bufs [][]byte     // free ChunkSize buffers (see getBuf)
-	held atomic.Int64 // ChunkSize buffers given out and not yet back
+	// bufs holds ChunkSize buffers; a chunk of an object striped with a
+	// larger unit gets a one-off. Their holders — Put's intake then the
+	// chunk's upload, Get's fetcher then the in-order writer — sit inside
+	// an operation's in-flight window, and Scrub holds at most two at
+	// once. It keeps one window's worth idle.
+	bufs freelist.List
 
 	c storeCounters
-}
-
-// poisonChunkBufs makes putBuf overwrite every returned buffer, so a
-// holder that kept using one after giving it up sees 0xDB instead of
-// plausible bytes. Tests set it.
-var poisonChunkBufs atomic.Bool
-
-// getBuf returns a buffer of length n owned by the caller: from the
-// Store's free list of ChunkSize buffers, or a one-off allocation for a
-// chunk of an object striped with a larger unit. A buffer has one holder
-// at a time — Put's intake then the chunk's upload, Get's fetcher then
-// the in-order writer, Scrub's check of one chunk — and the last one
-// returns it with putBuf. Every Put and Get holder sits inside an
-// operation's in-flight window, and Scrub holds at most two at once,
-// which is what bounds the buffers alive.
-func (s *Store) getBuf(n int64) []byte {
-	if n > s.cfg.ChunkSize {
-		return make([]byte, n)
-	}
-	s.held.Add(1)
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	if last := len(s.bufs) - 1; last >= 0 {
-		b := s.bufs[last]
-		s.bufs = s.bufs[:last]
-		return b[:n]
-	}
-	return make([]byte, n, s.cfg.ChunkSize)
-}
-
-// putBuf gives b up to the free list, which keeps as many idle buffers
-// as one operation's window uses; the rest go to the collector.
-func (s *Store) putBuf(b []byte) {
-	if int64(cap(b)) != s.cfg.ChunkSize {
-		return
-	}
-	s.held.Add(-1)
-	b = b[:cap(b)]
-	if poisonChunkBufs.Load() {
-		b[0] = 0xDB
-		for n := 1; n < len(b); n *= 2 {
-			copy(b[n:], b[:n])
-		}
-	}
-	s.bmu.Lock()
-	defer s.bmu.Unlock()
-	if len(s.bufs) < len(s.nodes)*perNodeInFlight {
-		s.bufs = append(s.bufs, b)
-	}
 }
 
 // New returns a coordinator over the given nodes. A node listed twice
@@ -173,6 +128,7 @@ func New(cfg Config, nodes ...Node) *Store {
 		s.nodes[n.ID()] = n
 	}
 	sort.Strings(s.ids)
+	s.bufs = freelist.New(int(s.cfg.ChunkSize), len(s.nodes)*perNodeInFlight)
 	return s
 }
 
@@ -253,7 +209,7 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	if len(m.Chunks) > 0 {
 		_, err := io.Copy(p, r)
 		if p.buf != nil { // a chunk half gathered when the body ended
-			s.putBuf(p.buf)
+			s.bufs.Put(p.buf)
 			<-p.window
 		}
 		if p.next < len(m.Chunks) {
@@ -338,7 +294,7 @@ func (p *chunkPut) Write(b []byte) (int, error) {
 				b, taken = b[length:], taken+int(length)
 				continue
 			}
-			p.buf = p.s.getBuf(length)
+			p.buf = p.s.bufs.Get(int(length))
 		}
 		c := copy(p.buf[p.n:], b)
 		p.n += c
@@ -358,7 +314,7 @@ func (p *chunkPut) ReadFrom(r io.Reader) (int64, error) {
 			if err := p.begin(); err != nil {
 				return read, err
 			}
-			p.buf = p.s.getBuf(p.chunkLen(p.next))
+			p.buf = p.s.bufs.Get(int(p.chunkLen(p.next)))
 		}
 		c, err := io.ReadFull(r, p.buf[p.n:])
 		p.n += c
@@ -407,7 +363,7 @@ func (p *chunkPut) dispatch(data []byte, owned bool) {
 		}
 		pushes.Wait()
 		if owned {
-			p.s.putBuf(data)
+			p.s.bufs.Put(data)
 		}
 		<-p.window
 	}()
@@ -591,7 +547,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 				select {
 				case results[idx] <- result{buf: buf, err: err}:
 				case <-done:
-					s.putBuf(buf)
+					s.bufs.Put(buf)
 				}
 			}(idx)
 		}
@@ -604,7 +560,7 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 			return n, res.err
 		}
 		wn, werr := w.Write(res.buf)
-		s.putBuf(res.buf)
+		s.bufs.Put(res.buf)
 		<-window
 		n += int64(wn)
 		if werr != nil {
@@ -664,11 +620,11 @@ func (w *chunkSink) matches(c Chunk) bool {
 
 // fetchChunk returns fingerprint-verified bytes for chunk idx, trying
 // replicas in placement order. The bytes are in a free-list buffer the
-// caller owns and returns with putBuf.
+// caller owns and returns to s.bufs.
 func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
 	c := m.Chunks[idx]
 	cname := ChunkName(m.Object, idx)
-	buf := s.getBuf(c.Length)
+	buf := s.bufs.Get(int(c.Length))
 	var lastErr error
 	for tries, id := range c.Nodes {
 		node, ok := s.nodes[id]
@@ -706,7 +662,7 @@ func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, e
 		}
 		return buf, nil
 	}
-	s.putBuf(buf)
+	s.bufs.Put(buf)
 	return nil, fmt.Errorf("%w: %s: last error: %w", ErrChunkLost, cname, lastErr)
 }
 
