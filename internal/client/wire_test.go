@@ -126,3 +126,43 @@ func TestWireAllocsPerMiB(t *testing.T) {
 		t.Fatalf("%.1f KiB allocated per MiB moved, floor is %d", perMiB, maxWireAllocKiBPerMiB)
 	}
 }
+
+// maxGetAllocKiBPerMiB is the floor of a restore alone. A daemon over an
+// osfs mount sends a GET's frames from the backing file by descriptor
+// (sendfile) and the client reads them into the sink's memory, so neither
+// end has a buffer to allocate per frame; what is left is per request.
+const maxGetAllocKiBPerMiB = 0.25
+
+// TestGetAllocsPerMiB GETs a 32 MiB object from an osfs mount four times
+// over loopback after a warm-up and holds the process-wide allocation
+// count to the floor.
+func TestGetAllocsPerMiB(t *testing.T) {
+	const gets = 4
+	c := loopback(t)
+	body := benchBody()
+	if err := c.Put("ckpt", bytes.NewReader(body), benchObject); err != nil {
+		t.Fatal(err)
+	}
+	sink := sliceSink{buf: make([]byte, benchObject)}
+	get := func() {
+		sink.n = 0
+		if _, err := c.Get("ckpt", &sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get() // warm-up
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < gets; i++ {
+		get()
+	}
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(sink.buf, body) {
+		t.Fatal("restored bytes differ")
+	}
+	perMiB := float64(after.TotalAlloc-before.TotalAlloc) / 1024 / (gets * benchObject >> 20)
+	t.Logf("%.3f KiB allocated per MiB restored, %d mallocs per GET", perMiB, (after.Mallocs-before.Mallocs)/gets)
+	if perMiB > maxGetAllocKiBPerMiB {
+		t.Fatalf("%.3f KiB allocated per MiB restored, floor is %.2f", perMiB, maxGetAllocKiBPerMiB)
+	}
+}

@@ -172,6 +172,37 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
+// ReadFD implements vfs.FDReader while the range is on a backend that can
+// send by descriptor as ReadAt would return it: a plain file (no frame
+// container) with no chunk active or in flight, no backend failure, and
+// the range inside the file. That is checked, and the backend sends,
+// under one read hold of truncMu, as readAt reads. Anything else is false.
+func (f *file) ReadFD(off, n int64, send func(fd uintptr) error) (bool, error) {
+	if err := f.checkOpen(); err != nil {
+		return false, err
+	}
+	if !f.flag.Readable() {
+		return false, fmt.Errorf("core: read %s: %w", f.name, vfs.ErrReadOnly)
+	}
+	e := f.entry
+	bf, ok := e.backendFile.(vfs.FDReader)
+	e.truncMu.RLock()
+	defer e.truncMu.RUnlock()
+	e.mu.Lock()
+	ok = ok && !e.framed && e.firstErr == nil && e.active == nil && len(e.inflight) == 0 &&
+		off >= 0 && n >= 0 && off+n <= e.logicalSize
+	e.mu.Unlock()
+	if !ok || send == nil {
+		return ok, nil
+	}
+	if ok, err := bf.ReadFD(off, n, send); !ok || err != nil {
+		return ok, err
+	}
+	e.calls.reads.Add(1)
+	e.calls.bytesRead.Add(n)
+	return true, nil
+}
+
 // streamCopy is a short copy of a file that one handle serves a stream of
 // small reads from: buf[:n] is what the bytes at off read as when the
 // entry had counted writes writes and its read-ahead generation was gen.

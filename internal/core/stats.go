@@ -129,7 +129,8 @@ type Stats struct {
 	// Writes counts application WriteAt calls absorbed by aggregation.
 	Writes int64
 	// Reads counts application ReadAt calls (served by the
-	// buffered-read-through overlay; clean plain files pass through).
+	// buffered-read-through overlay; clean plain files pass through) and
+	// ranges sent by descriptor (ReadFD).
 	Reads int64
 	// Syncs counts application Sync calls.
 	Syncs int64

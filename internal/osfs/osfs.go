@@ -8,6 +8,7 @@
 package osfs
 
 import (
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
@@ -39,12 +40,12 @@ func (o *FS) Root() string { return o.root }
 
 // hostPath maps a vfs name to a host path. vfs.Clean anchors names at the
 // filesystem root, so ".." segments cannot escape o.root.
-func (o *FS) hostPath(name string) (string, error) {
+func (o *FS) hostPath(name string) string {
 	clean := vfs.Clean(name)
 	if clean == "." {
-		return o.root, nil
+		return o.root
 	}
-	return filepath.Join(o.root, filepath.FromSlash(clean)), nil
+	return filepath.Join(o.root, filepath.FromSlash(clean))
 }
 
 func osFlag(flag vfs.OpenFlag) int {
@@ -71,79 +72,47 @@ func osFlag(flag vfs.OpenFlag) int {
 
 // Open implements vfs.FS.
 func (o *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
-	p, err := o.hostPath(name)
+	f, err := os.OpenFile(o.hostPath(name), osFlag(flag), 0o644)
 	if err != nil {
 		return nil, err
-	}
-	f, err := os.OpenFile(p, osFlag(flag), 0o644)
-	if err != nil {
-		return nil, mapErr(err)
 	}
 	return &file{f: f, name: vfs.Clean(name), flag: flag}, nil
 }
 
 // Mkdir implements vfs.FS.
 func (o *FS) Mkdir(name string) error {
-	p, err := o.hostPath(name)
-	if err != nil {
-		return err
-	}
-	return mapErr(os.Mkdir(p, 0o755))
+	return os.Mkdir(o.hostPath(name), 0o755)
 }
 
 // MkdirAll implements vfs.FS.
 func (o *FS) MkdirAll(name string) error {
-	p, err := o.hostPath(name)
-	if err != nil {
-		return err
-	}
-	return mapErr(os.MkdirAll(p, 0o755))
+	return os.MkdirAll(o.hostPath(name), 0o755)
 }
 
 // Remove implements vfs.FS.
 func (o *FS) Remove(name string) error {
-	p, err := o.hostPath(name)
-	if err != nil {
-		return err
-	}
-	return mapErr(os.Remove(p))
+	return os.Remove(o.hostPath(name))
 }
 
 // Rename implements vfs.FS.
 func (o *FS) Rename(oldName, newName string) error {
-	po, err := o.hostPath(oldName)
-	if err != nil {
-		return err
-	}
-	pn, err := o.hostPath(newName)
-	if err != nil {
-		return err
-	}
-	return mapErr(os.Rename(po, pn))
+	return os.Rename(o.hostPath(oldName), o.hostPath(newName))
 }
 
 // Stat implements vfs.FS.
 func (o *FS) Stat(name string) (vfs.FileInfo, error) {
-	p, err := o.hostPath(name)
+	info, err := os.Stat(o.hostPath(name))
 	if err != nil {
 		return vfs.FileInfo{}, err
-	}
-	info, err := os.Stat(p)
-	if err != nil {
-		return vfs.FileInfo{}, mapErr(err)
 	}
 	return toInfo(info), nil
 }
 
 // ReadDir implements vfs.FS.
 func (o *FS) ReadDir(name string) ([]vfs.DirEntry, error) {
-	p, err := o.hostPath(name)
+	ents, err := os.ReadDir(o.hostPath(name))
 	if err != nil {
 		return nil, err
-	}
-	ents, err := os.ReadDir(p)
-	if err != nil {
-		return nil, mapErr(err)
 	}
 	out := make([]vfs.DirEntry, len(ents))
 	for i, e := range ents {
@@ -155,23 +124,15 @@ func (o *FS) ReadDir(name string) ([]vfs.DirEntry, error) {
 
 // Truncate implements vfs.FS.
 func (o *FS) Truncate(name string, size int64) error {
-	p, err := o.hostPath(name)
-	if err != nil {
-		return err
-	}
-	return mapErr(os.Truncate(p, size))
+	return os.Truncate(o.hostPath(name), size)
 }
 
 // SyncDir implements vfs.FS: it fsyncs the directory, making the
 // entries created, renamed or removed in it durable.
 func (o *FS) SyncDir(name string) error {
-	p, err := o.hostPath(name)
+	d, err := os.Open(o.hostPath(name))
 	if err != nil {
 		return err
-	}
-	d, err := os.Open(p)
-	if err != nil {
-		return mapErr(err)
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
@@ -188,13 +149,6 @@ func toInfo(info fs.FileInfo) vfs.FileInfo {
 		ModTime: info.ModTime(),
 		IsDir:   info.IsDir(),
 	}
-}
-
-func mapErr(err error) error {
-	if err == nil {
-		return nil
-	}
-	return err // os errors already satisfy errors.Is(..., fs.ErrNotExist) etc.
 }
 
 type file struct {
@@ -223,32 +177,16 @@ func (f *file) Truncate(size int64) error { return f.f.Truncate(size) }
 func (f *file) Sync() error               { return f.f.Sync() }
 func (f *file) Close() error {
 	err := f.f.Close()
-	if err != nil && isAlreadyClosed(err) {
+	if errors.Is(err, fs.ErrClosed) {
 		return fmt.Errorf("osfs: close %s: %w", f.name, vfs.ErrClosed)
 	}
 	return err
 }
 
-func isAlreadyClosed(err error) bool {
-	var pe *fs.PathError
-	if ok := asPathError(err, &pe); ok {
-		return pe.Err == fs.ErrClosed
-	}
-	return err == fs.ErrClosed
-}
-
-func asPathError(err error, target **fs.PathError) bool {
-	pe, ok := err.(*fs.PathError)
-	if ok {
-		*target = pe
-	}
-	return ok
-}
-
 func (f *file) Stat() (vfs.FileInfo, error) {
 	info, err := f.f.Stat()
 	if err != nil {
-		return vfs.FileInfo{}, mapErr(err)
+		return vfs.FileInfo{}, err
 	}
 	return toInfo(info), nil
 }

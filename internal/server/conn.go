@@ -2,12 +2,14 @@ package server
 
 import (
 	"bufio"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"crfs/internal/core"
@@ -49,9 +51,11 @@ type srvConn struct {
 	nc  net.Conn
 	br  *bufio.Reader
 
-	out  chan outFrame
-	dead chan struct{} // closed on teardown; unblocks every sender/receiver
-	once sync.Once
+	out        chan outFrame
+	dead       chan struct{} // closed on teardown; unblocks every sender/receiver
+	writerDone chan struct{} // closed when the writer has returned
+	once       sync.Once
+	fds        *fdSender // nil: GET bodies go out buffered only
 
 	mu          sync.Mutex
 	inFlight    map[uint32]*inReq
@@ -66,12 +70,47 @@ type srvConn struct {
 // outFrame is one queued frame toward the client. A data frame's payload
 // is a free-list buffer the writer owns from the moment it is queued and
 // returns once written. last marks the graceful-close sentinel: flush
-// everything written so far, then close.
+// everything written so far, then close. A descriptor frame carries no
+// buffer: its body is n bytes of get's file at off (sendFD).
 type outFrame struct {
 	typ     uint8
 	reqID   uint32
 	payload []byte
 	last    bool
+	get     *fdGet
+	off     int64
+	n       int
+}
+
+// fdGet is a GET whose data frames go by descriptor. The writer counts
+// them in sent and closes done after the last; the handler closes the
+// file only after that, or after the writer has returned.
+type fdGet struct {
+	vfs.FDReader
+	size int64
+	sent int
+	done chan struct{}
+}
+
+// fdSender is the writer's sendfile(2) state (newFDSender: Linux, TCP).
+// Its method values are made once, so a frame allocates nothing.
+type fdSender struct {
+	rc       syscall.RawConn
+	send     func(fd uintptr) error  // sendFD, for vfs.FDReader.ReadFD
+	loop     func(sock uintptr) bool // step, for rc.Write
+	in, left int                     // the file's descriptor, bytes to send
+	off      int64
+	err      error
+}
+
+// sendFD sends left bytes of fd at off. While the socket is full it waits
+// in the poller, which applies the connection's write deadline.
+func (s *fdSender) sendFD(fd uintptr) error {
+	s.in, s.err = int(fd), nil
+	if err := s.rc.Write(s.loop); err != nil {
+		return err
+	}
+	return s.err
 }
 
 // buf is the free-list buffer f carries, if any.
@@ -104,13 +143,15 @@ func (it bodyItem) buf() []byte { return it.data }
 // a handler goroutine per in-flight request.
 func (s *Server) handleConn(nc net.Conn) {
 	c := &srvConn{
-		srv:      s,
-		nc:       nc,
-		br:       bufio.NewReaderSize(nc, ConnBufSize),
-		out:      make(chan outFrame, outQueueDepth),
-		dead:     make(chan struct{}),
-		inFlight: make(map[uint32]*inReq),
-		rejected: make(map[uint32]bool),
+		srv:        s,
+		nc:         nc,
+		br:         bufio.NewReaderSize(nc, ConnBufSize),
+		out:        make(chan outFrame, outQueueDepth),
+		dead:       make(chan struct{}),
+		writerDone: make(chan struct{}),
+		fds:        newFDSender(nc),
+		inFlight:   make(map[uint32]*inReq),
+		rejected:   make(map[uint32]bool),
 	}
 	if !s.register(c) {
 		nc.Close()
@@ -203,8 +244,9 @@ func (c *srvConn) sendData(id uint32, buf []byte) bool {
 // collect in a small buffer flushed when the queue momentarily empties;
 // a data frame goes out as one vectored write of header and payload,
 // after a flush so frames stay in queue order, and its buffer returns to
-// the free list.
+// the free list. A descriptor frame goes out as its header, then sendFD.
 func (c *srvConn) writer() {
+	defer close(c.writerDone)
 	bw := bufio.NewWriterSize(c.nc, ConnBufSize)
 	for {
 		select {
@@ -216,7 +258,12 @@ func (c *srvConn) writer() {
 				return
 			}
 			var err error
-			if f.typ == FrameData {
+			if f.get != nil {
+				err = c.sendFD(bw, f)
+				if f.off+int64(f.n) == f.get.size {
+					close(f.get.done)
+				}
+			} else if f.typ == FrameData {
 				if err = bw.Flush(); err == nil {
 					err = WriteFrame(c.nc, f.typ, f.reqID, f.payload)
 				}
@@ -237,6 +284,25 @@ func (c *srvConn) writer() {
 			return
 		}
 	}
+}
+
+// sendFD sends descriptor frame f: its header, flushed with what bw
+// holds, then its body by descriptor. A file no longer sendable so
+// (another handle wrote it, which crfsd never does) or a short send fails
+// the connection, so the client never takes wrong bytes for the file's.
+func (c *srvConn) sendFD(bw *bufio.Writer, f outFrame) error {
+	var hdr [HeaderLen]byte
+	PutHeader(hdr[:], Header{Type: FrameData, ReqID: f.reqID, Len: uint32(f.n)})
+	bw.Write(hdr[:])
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	c.fds.off, c.fds.left = f.off, f.n
+	if ok, err := f.get.ReadFD(f.off, int64(f.n), c.fds.send); !ok || err != nil {
+		return cmp.Or(err, io.ErrShortWrite)
+	}
+	f.get.sent++
+	return nil
 }
 
 // readWindow returns how long the reader may wait for the next frame:
@@ -524,7 +590,7 @@ func (c *srvConn) run(id uint32, req Request, r *inReq) {
 		c.complete(id, FrameEnd, []byte("OK"))
 	case "GET":
 		t0 := time.Now()
-		c.runGet(id, req.Name, sp.Context())
+		c.runGet(id, req.Name, &sp)
 		c.srv.getSeconds.Observe(int64(time.Since(t0)))
 	case "PUT":
 		t0 := time.Now()
@@ -593,25 +659,50 @@ func (c *srvConn) runList(id uint32) {
 // runGet streams a file as data frames. Any failure — before the first
 // byte or mid-stream — is an error frame, never bytes on the body
 // stream, so the client can never mistake error text for file content.
-func (c *srvConn) runGet(id uint32, name string, ctx obs.SpanContext) {
+// A file that can be sent by descriptor, on a connection that can, goes
+// out in descriptor frames (sp's fd_frames counts those sent), and is
+// closed only once the writer is done with them.
+func (c *srvConn) runGet(id uint32, name string, sp *obs.Span) {
 	f, err := c.srv.fs.Open(name, vfs.ReadOnly)
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
 	}
 	defer f.Close()
-	setSpanContext(f, ctx)
+	setSpanContext(f, sp.Context())
 	info, err := f.Stat()
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
 	}
 	size := info.Size
+	var g *fdGet
+	if fd, ok := f.(vfs.FDReader); ok && c.fds != nil && size > 0 {
+		if ok, _ := fd.ReadFD(0, min(size, DataChunk), nil); ok {
+			g = &fdGet{FDReader: fd, size: size, done: make(chan struct{})}
+		}
+	}
+	defer func() {
+		sent := 0
+		if g != nil {
+			select {
+			case <-g.done:
+			case <-c.writerDone:
+			}
+			sent = g.sent
+		}
+		sp.AttrInt("fd_frames", int64(sent))
+	}()
 	var off int64
 	for off < size {
-		want := int64(DataChunk)
-		if size-off < want {
-			want = size - off
+		want := min(size-off, DataChunk)
+		if g != nil {
+			if !c.sendFrame(outFrame{typ: FrameData, reqID: id, get: g, off: off, n: int(want)}) {
+				return
+			}
+			c.srv.c.bytesOut.Add(want)
+			off += want
+			continue
 		}
 		buf := FrameBufs.Get(int(want))
 		n, rerr := f.ReadAt(buf, off)

@@ -231,6 +231,60 @@ func TestOwnedChunkBuffersSinkFails(t *testing.T) {
 	mustGet(t, s, "ckpt", body)
 }
 
+// TestFailedGetGivesBackEveryBuffer: a restore that stops early — its
+// sink fails at the first chunk or mid-object, or a chunk is lost on
+// every replica mid-object — gives back every chunk buffer its fetchers
+// took, those fetched ahead of the failure and those landing after it,
+// by the time Get returns.
+func TestFailedGetGivesBackEveryBuffer(t *testing.T) {
+	const chunk = 8 << 10
+	body := payload(11, 40*chunk)
+	errFull := errors.New("sink full")
+	failAt := func(chunks int) io.Writer {
+		var n int
+		return writerFunc(func(p []byte) (int, error) {
+			if n >= chunks*chunk {
+				return 0, errFull
+			}
+			n += len(p)
+			return len(p), nil
+		})
+	}
+	for _, tc := range []struct {
+		name string
+		prep func(t *testing.T, s *Store, nodes []*MemNode)
+		sink io.Writer
+		want error
+	}{
+		{"sink fails at chunk 0", nil, failAt(0), errFull},
+		{"sink fails mid-object", nil, failAt(17), errFull},
+		{"chunk lost on every replica mid-object", func(t *testing.T, s *Store, nodes []*MemNode) {
+			m, err := s.readManifest("ckpt")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, n := range nodes {
+				if contains(m.Chunks[17].Nodes, n.ID()) {
+					n.Corrupt(ChunkName("ckpt", 17))
+				}
+			}
+		}, io.Discard, ErrChunkLost},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			noLeaks(t)
+			s, nodes := memCluster(3, Config{ChunkSize: chunk, Replicas: 2})
+			mustPut(t, s, "ckpt", body)
+			if tc.prep != nil {
+				tc.prep(t, s, nodes)
+			}
+			if _, err := s.Get("ckpt", tc.sink); !errors.Is(err, tc.want) {
+				t.Fatalf("GET: %v, want %v", err, tc.want)
+			}
+			mustHoldNoBuffers(t, s)
+		})
+	}
+}
+
 type writerFunc func(p []byte) (int, error)
 
 func (f writerFunc) Write(p []byte) (int, error) { return f(p) }

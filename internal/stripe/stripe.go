@@ -524,25 +524,33 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	}
 	results := make([]chan result, len(m.Chunks))
 	for i := range results {
-		results[i] = make(chan result, 1)
+		results[i] = make(chan result)
 	}
 	// One fetcher per chunk, gated by a global window and the per-node
 	// caps; the writer drains results strictly in order. Slots are taken
 	// in chunk order and a chunk's slot is held until its bytes are
 	// written, so at most inflight chunk buffers are alive however far
-	// the sink falls behind.
+	// the sink falls behind. A result goes only to the writer waiting for
+	// it, so a fetcher the writer gave up on returns its buffer, and Get
+	// returns once every fetcher has.
 	inflight := len(s.ids) * perNodeInFlight
 	window := make(chan struct{}, inflight)
 	done := make(chan struct{})
+	var fetchers sync.WaitGroup
+	defer fetchers.Wait()
 	defer close(done)
+	fetchers.Add(1)
 	go func() {
+		defer fetchers.Done()
 		for idx := range m.Chunks {
 			select {
 			case window <- struct{}{}:
 			case <-done:
 				return
 			}
+			fetchers.Add(1)
 			go func(idx int) {
+				defer fetchers.Done()
 				buf, err := s.fetchChunk(m, idx, ctx)
 				select {
 				case results[idx] <- result{buf: buf, err: err}:

@@ -113,6 +113,16 @@ type File interface {
 	Name() string
 }
 
+// FDReader is a File whose bytes a server can have the kernel copy from
+// an operating-system descriptor to a socket (sendfile(2)). ReadFD calls
+// send with a descriptor holding [off, off+n) at off as ReadAt would
+// return it, keeps it so until send returns, and returns send's error; a
+// nil send only asks. It answers false, calling nothing, when the range
+// cannot be read so now: ReadAt still serves it. Linux backends only.
+type FDReader interface {
+	ReadFD(off, n int64, send func(fd uintptr) error) (bool, error)
+}
+
 // FS is the filesystem interface CRFS is mounted over and also the
 // interface CRFS itself exposes upward ("stackable filesystem", §IV).
 type FS interface {
