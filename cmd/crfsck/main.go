@@ -17,7 +17,8 @@
 //
 // Exit status follows fsck convention: 0 when every container is clean
 // (and nothing needed compaction repair), 2 when defects were found,
-// 1 on operational errors.
+// 1 on operational errors — among them a container of the retired v1
+// frame format, which crfsck refuses and never repairs or compacts.
 package main
 
 import (
@@ -70,7 +71,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // check scrubs (and with doCompact compacts) every dir, printing one
 // report each. defects is proven damage (corrupt frames, torn
 // containers); opErrs is a file that could not be verified at all
-// (backend open/read failure), never reported as corruption; the error
+// (backend open/read failure, or a v1 container), never reported as
+// corruption; the error
 // is a directory that could not be walked, which stops the run.
 func check(stdout io.Writer, dirs []string, o compact.ScrubOptions, doCompact bool) (defects, opErrs bool, _ error) {
 	for _, dir := range dirs {

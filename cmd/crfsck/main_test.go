@@ -35,32 +35,50 @@ func copyFixtures(t *testing.T, dir string, keep func(name string) bool) string 
 }
 
 // TestExitStatus pins the fsck-style exit status over the codec fixtures:
-// 2 for proven damage, 0 for a clean directory, 1 for a usage error.
+// 2 for proven damage, 0 for a clean directory, 1 for a usage error or a
+// container crfsck cannot read — a v1 container, whose payloads carry no
+// checksum, is refused and, under -repair or -compact, left byte for byte
+// as it was.
 func TestExitStatus(t *testing.T) {
 	const fixtures = "../../internal/codec/testdata"
 	healthy := copyFixtures(t, fixtures+"/golden", func(name string) bool {
 		return strings.HasSuffix(name, ".crfc") && !strings.HasSuffix(name, "-torn.crfc")
 	})
-	// The recorded v1 gap: a flipped byte in a v1 raw container scrubs
-	// clean, because raw payloads decode at any contents and v1 carries no
-	// checksum. If this ever exits nonzero, v1 grew verification it does
-	// not carry and the compatibility contract broke.
-	v1gap := copyFixtures(t, fixtures+"/corrupt", func(name string) bool { return name == "raw-v1-bitrot.crfc" })
+	all := func(string) bool { return true }
+	v1 := []string{copyFixtures(t, fixtures+"/v1", all), copyFixtures(t, fixtures+"/v1", all), copyFixtures(t, fixtures+"/v1", all)}
 	for _, tc := range []struct {
 		name string
 		args []string
 		want int
 	}{
 		{"golden set holds a torn container", []string{fixtures + "/golden"}, 2},
-		{"bit-rotted v2 containers fail their checksum", []string{fixtures + "/corrupt"}, 2},
+		{"bit-rotted containers fail their checksum", []string{fixtures + "/corrupt"}, 2},
 		{"healthy copy scrubs clean and compacts", []string{"-compact", healthy}, 0},
-		{"v1 gap stays pinned", []string{v1gap}, 0},
+		{"v1 container refused", []string{v1[0]}, 1},
+		{"v1 container refused by -repair", []string{"-repair", v1[1]}, 1},
+		{"v1 container refused by -compact", []string{"-compact", v1[2]}, 1},
 		{"no directory given", nil, 1},
 		{"directory does not exist", []string{filepath.Join(healthy, "missing")}, 1},
 	} {
 		var stdout, stderr bytes.Buffer
 		if got := run(tc.args, &stdout, &stderr); got != tc.want {
 			t.Errorf("%s: crfsck %v exited %d, want %d\nstdout: %sstderr: %s", tc.name, tc.args, got, tc.want, &stdout, &stderr)
+		}
+	}
+	for _, dir := range v1 {
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 5 {
+			t.Fatalf("%s: %d entries, want the 5 fixtures (%v)", dir, len(entries), err)
+		}
+		for _, e := range entries {
+			got, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(fixtures, "v1", e.Name()))
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: crfsck changed a v1 container (%v)", e.Name(), err)
+			}
 		}
 	}
 }

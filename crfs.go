@@ -152,10 +152,13 @@ var (
 	ErrInvalid  = vfs.ErrInvalid
 	ErrReadOnly = vfs.ErrReadOnly
 	// ErrCorrupt reports a malformed or inconsistent container frame;
-	// ErrChecksum is its sub-error for a v2 payload that decoded but
-	// failed its CRC32-C (errors.Is(err, ErrCorrupt) holds for both).
+	// ErrChecksum is its sub-error for a payload that decoded but failed
+	// its CRC32-C (errors.Is(err, ErrCorrupt) holds for both).
 	ErrCorrupt  = codec.ErrCorrupt
 	ErrChecksum = codec.ErrChecksum
+	// ErrFrameVersion reports a container of the retired v1 frame format,
+	// whose payloads carry no checksum: it is refused, never read.
+	ErrFrameVersion = codec.ErrFrameVersion
 )
 
 // Mount stacks CRFS over a backend filesystem.

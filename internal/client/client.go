@@ -474,7 +474,7 @@ func (s *session) reader() {
 			continue
 		}
 		f.payload = server.FrameBufs.Get(f.n)
-		if _, err := io.ReadFull(s.br, f.payload); err != nil {
+		if err := server.ReadPayload(s.br, f.payload); err != nil {
 			f.free()
 			s.teardown(fmt.Errorf("client: connection lost: short frame payload: %w", err))
 			return
@@ -837,7 +837,7 @@ func (s *session) readData(w io.Writer, rs ReadSink, n int) (int64, error) {
 			break
 		}
 		p = p[:min(len(p), n)]
-		if _, err := io.ReadFull(s.br, p); err != nil {
+		if err := server.ReadPayload(s.br, p); err != nil {
 			return took, s.lost(err)
 		}
 		n -= len(p)
@@ -851,7 +851,7 @@ func (s *session) readData(w io.Writer, rs ReadSink, n int) (int64, error) {
 		}
 	}
 	buf := server.FrameBufs.Get(n)
-	if _, err := io.ReadFull(s.br, buf); err != nil {
+	if err := server.ReadPayload(s.br, buf); err != nil {
 		server.FrameBufs.Put(buf)
 		return took, s.lost(err)
 	}

@@ -270,3 +270,52 @@ func TestGetOneWritePerFrameToFile(t *testing.T) {
 		}
 	}
 }
+
+// TestGetCutAfterDataHeader: a connection that closes right after a data
+// frame's header, before any byte of its payload, truncated the body the
+// header promised. The GET must fail with io.ErrUnexpectedEOF, never
+// with an io.EOF a caller could take for a clean end — into a plain
+// writer and into a sink that lends its memory alike.
+func TestGetCutAfterDataHeader(t *testing.T) {
+	first := pattern(1000)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer c.Close()
+				br := bufio.NewReader(c)
+				if _, err := io.ReadFull(br, make([]byte, len(server.HelloLine))); err != nil {
+					return
+				}
+				server.WriteFrame(c, server.FrameHello, 0, []byte("crfsd/2 maxinflight=8"))
+				hdr, _, err := server.ReadFrame(br)
+				if err != nil {
+					return
+				}
+				var out bytes.Buffer
+				server.WriteFrame(&out, server.FrameData, hdr.ReqID, first)
+				server.WriteFrame(&out, server.FrameData, hdr.ReqID, first)
+				c.Write(out.Bytes()[:len(first)+2*server.HeaderLen])
+			}()
+		}
+	}()
+	for _, w := range []io.Writer{new(bytes.Buffer), &bufSink{buf: make([]byte, 4000)}} {
+		c, err := client.Dial(ln.Addr().String(), client.Config{IOTimeout: 10 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := c.Get("img", w)
+		c.Close()
+		if n != int64(len(first)) || !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			t.Fatalf("%T: GET cut after a data header: n=%d err=%v; want %d bytes and io.ErrUnexpectedEOF", w, n, err, len(first))
+		}
+	}
+}

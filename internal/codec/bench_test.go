@@ -7,10 +7,9 @@ import (
 	"testing"
 )
 
-// Frame encode/decode microbenchmarks, split by codec, frame version and
-// payload. The v1-vs-v2 delta is the isolated cost of the CRC32-C over
-// the uncompressed payload — the number the "checksum overhead" table
-// in EXPERIMENTS.md reports, free of mount-level noise. The entropy-0.5
+// Frame encode/decode microbenchmarks, split by codec and payload; each
+// name carries the frame version (v2), which the numbers EXPERIMENTS.md
+// reports are filed under. The entropy-0.5
 // payload is the repository benchmark's page mix (even 4 KiB pages
 // random, odd ones text), whose random half deflate stores; it comes at
 // 64 KiB and at 4 MiB, the chunk an IO worker encodes, whose 1024 pages
@@ -42,20 +41,18 @@ func BenchmarkEncodeFrame(b *testing.B) {
 	for _, p := range benchPayloads(b) {
 		payload := p.data
 		for _, c := range []Codec{Raw(), Deflate()} {
-			for _, ver := range []uint8{Version1, Version2} {
-				b.Run(fmt.Sprintf("%s/v%d%s", c.Name(), ver, p.suffix), func(b *testing.B) {
-					b.SetBytes(int64(len(payload)))
-					b.ReportAllocs()
-					var buf []byte
-					for i := 0; i < b.N; i++ {
-						var err error
-						buf, _, err = EncodeFrameVersion(c, ver, uint64(i), 0, payload, buf[:0])
-						if err != nil {
-							b.Fatal(err)
-						}
+			b.Run(fmt.Sprintf("%s/v%d%s", c.Name(), Version, p.suffix), func(b *testing.B) {
+				b.SetBytes(int64(len(payload)))
+				b.ReportAllocs()
+				var buf []byte
+				for i := 0; i < b.N; i++ {
+					var err error
+					buf, _, err = EncodeFrame(c, uint64(i), 0, payload, buf[:0])
+					if err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -78,43 +75,41 @@ func BenchmarkDecodeFrame(b *testing.B) {
 	for _, p := range benchPayloads(b) {
 		payload := p.data
 		for _, c := range []Codec{Raw(), Deflate()} {
-			for _, ver := range []uint8{Version1, Version2} {
-				frame, hdr, err := EncodeFrameVersion(c, ver, 0, 0, payload, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				name := fmt.Sprintf("%s/v%d%s", c.Name(), ver, p.suffix)
-				b.Run(name, func(b *testing.B) {
-					b.SetBytes(int64(len(payload)))
-					b.ReportAllocs()
-					// Presized, as the mount's read path hands it over: a decode
-					// into a buffer that already fits allocates nothing.
-					buf := make([]byte, 0, len(payload))
-					for i := 0; i < b.N; i++ {
-						buf, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0])
-						if err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-				if p.suffix != "/entropy-0.5-4MiB" {
-					continue
-				}
-				b.Run(name+"-cold", func(b *testing.B) {
-					if cold == nil {
-						cold = coldDst(len(payload))
-					}
-					b.SetBytes(int64(len(payload)))
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						buf := cold[i%len(cold)]
-						if _, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0]); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+			frame, hdr, err := EncodeFrame(c, 0, 0, payload, nil)
+			if err != nil {
+				b.Fatal(err)
 			}
+			name := fmt.Sprintf("%s/v%d%s", c.Name(), Version, p.suffix)
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(payload)))
+				b.ReportAllocs()
+				// Presized, as the mount's read path hands it over: a decode
+				// into a buffer that already fits allocates nothing.
+				buf := make([]byte, 0, len(payload))
+				for i := 0; i < b.N; i++ {
+					buf, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0])
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+			if p.suffix != "/entropy-0.5-4MiB" {
+				continue
+			}
+			b.Run(name+"-cold", func(b *testing.B) {
+				if cold == nil {
+					cold = coldDst(len(payload))
+				}
+				b.SetBytes(int64(len(payload)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf := cold[i%len(cold)]
+					if _, err = DecodeFrame(hdr, frame[HeaderSize:], buf[:0]); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -42,16 +42,15 @@ type Codec interface {
 	// Encode appends the encoded form of src to dst and returns the
 	// extended slice. Encode must not retain src.
 	Encode(dst, src []byte) ([]byte, error)
-	// Decode appends the decoded form of src to dst and returns the
-	// extended slice. rawLen is the expected decoded size (from the
+	// decodeSum appends the decoded form of src to dst and returns the
+	// extended slice with the CRC32-C of the bytes it appended, taken as
+	// it writes them. rawLen is the expected decoded size (from the
 	// frame header): implementations must fail rather than produce more
 	// than rawLen bytes, so a corrupt or adversarial payload cannot
-	// balloon memory, and may use it to size buffers. Decode must not
-	// retain src.
-	Decode(dst, src []byte, rawLen int64) ([]byte, error)
-	// decodeSum is Decode that, when sum is set, also returns the CRC32-C
-	// of the bytes it appended to dst, taken as it writes them.
-	decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error)
+	// balloon memory, and may use it to size buffers. decodeSum must not
+	// retain src. It is unexported, so every Codec is one of this
+	// package's; frames are decoded through DecodeFrame.
+	decodeSum(dst, src []byte, rawLen int64) ([]byte, uint32, error)
 }
 
 // registry holds the built-in and registered codecs.
@@ -112,18 +111,13 @@ func (rawCodec) Name() string { return "raw" }
 
 func (rawCodec) Encode(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
 
-func (r rawCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
-	out, _, err := r.decodeSum(dst, src, rawLen, false)
-	return out, err
-}
-
-func (rawCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error) {
+func (rawCodec) decodeSum(dst, src []byte, rawLen int64) ([]byte, uint32, error) {
 	if int64(len(src)) > rawLen {
 		return dst, 0, fmt.Errorf("%w: raw payload %d exceeds declared size %d", ErrCorrupt, len(src), rawLen)
 	}
 	base := len(dst)
 	out := slices.Grow(dst, len(src))[:base+len(src)]
-	return out, copySum(out[base:], src, 0, sum), nil
+	return out, copySum(out[base:], src, 0), nil
 }
 
 // Raw returns the passthrough codec.

@@ -172,8 +172,7 @@ type CompactStats struct {
 	FramesLive       int   // input frames kept
 	FramesDropped    int   // input frames dropped as dead
 	FramesOut        int   // frames in the output (kept + synthesized marker)
-	FramesUpgraded   int   // v1 input frames rewritten with v2 checksummed headers
-	ChecksumVerified int   // v2 input payloads whose CRC32-C re-verified during the copy
+	ChecksumVerified int   // input payloads whose CRC32-C re-verified during the copy
 	LiveBytes        int64 // input footprint of the kept frames
 	DeadBytes        int64 // input footprint of the dropped frames
 	BytesOut         int64 // size of the compacted container
@@ -185,13 +184,10 @@ type CompactStats struct {
 // numbers renumbered densely from zero (relative order preserved), plus a
 // synthesized zero-extent marker when the logical size would otherwise be
 // lost. Every copied payload is decode-verified first — a container that
-// fails verification (including a v2 checksum mismatch) is never
-// rewritten (that is scrub's condition to report, not compaction's to
-// destroy). v1 frames are upgraded in passing: the payload bytes are kept
-// verbatim but the rewritten header is Version2, stamped with the CRC32-C
-// of the just-decoded payload, so compaction doubles as the container
-// migration path. Returns the extended slice, the compacted container's
-// frame index, and the rewrite statistics.
+// fails verification (including a checksum mismatch) is never rewritten
+// (that is scrub's condition to report, not compaction's to destroy).
+// Returns the extended slice, the compacted container's frame index, and
+// the rewrite statistics.
 //
 // CompactContainer is idempotent: compacting a compacted container finds
 // every frame live and reproduces it byte-identically.
@@ -232,16 +228,8 @@ func CompactContainer(r io.ReaderAt, frames []FrameInfo, dst []byte) ([]byte, []
 			if raw, err = DecodeFrame(h, payload, raw[:0]); err != nil {
 				return dst[:base], nil, CompactStats{}, fmt.Errorf("codec: compact: frame at %d: %w", fr.Pos, err)
 			}
-			if h.Version >= Version2 {
-				st.ChecksumVerified++
-			} else {
-				h.Checksum = Checksum(raw)
-			}
+			st.ChecksumVerified++
 		}
-		if h.Version < Version2 {
-			st.FramesUpgraded++
-		}
-		h.Version = Version
 		pos := int64(len(dst) - base)
 		PutHeader(hdr, h)
 		dst = append(dst, hdr...)
@@ -249,7 +237,7 @@ func CompactContainer(r io.ReaderAt, frames []FrameInfo, dst []byte) ([]byte, []
 		index = append(index, FrameInfo{Header: h, Pos: pos})
 	}
 	if lv.NeedMarker {
-		h := Header{Version: Version, Codec: RawID, Seq: seq, Off: lv.Logical}
+		h := Header{Codec: RawID, Seq: seq, Off: lv.Logical}
 		pos := int64(len(dst) - base)
 		PutHeader(hdr, h)
 		dst = append(dst, hdr...)

@@ -9,17 +9,18 @@ import (
 	"testing"
 )
 
-// Corruption-injection matrix. The v2 format exists to close one precise
-// gap: decode-based verification proves a payload *decodes to the
-// declared length*, not that it holds the bytes that were written — a
+// Corruption-injection matrix. The payload checksum exists to close one
+// precise gap: decode-based verification proves a payload *decodes to
+// the declared length*, not that it holds the bytes that were written — a
 // stored-raw payload decodes "successfully" at any contents, and some
 // DEFLATE streams survive in-window flips. This file flips every payload
-// byte and every header field of the golden write history, across
-// raw/deflate and v1/v2, and pins the exact verdict on each codec-level
-// decode path (direct decode, salvage, compaction). The scrub and
-// read/prefetch paths are pinned by the twin matrices in
-// internal/compact and internal/core, which funnel through the same
-// DecodeFrame.
+// byte and every header field of the golden write history, raw and
+// deflate, and pins the exact verdict on each codec-level decode path
+// (direct decode, salvage, compaction). The v1 rows flip the retired v1
+// fixtures, which carry no checksum: whatever the flip, no path may read
+// a frame of them. The scrub and read/prefetch paths are pinned by the
+// twin matrices in internal/compact and internal/core, which funnel
+// through the same DecodeFrame.
 
 // corruptPaths runs one corrupted container through the codec-level
 // decode paths and reports which detected the damage.
@@ -52,92 +53,86 @@ func runPaths(t *testing.T, box []byte, fr FrameInfo) corruptVerdict {
 }
 
 // TestCorruptionMatrixPayloadFlips flips every payload byte of every
-// frame and demands: v2 detects 100% of flips on every decode path that
-// touches the frame; v1-raw detects 0% (the recorded detection gap that
-// motivated the format bump); v1-deflate is recorded as incomplete —
-// whatever flate happens to catch, the matrix proves v2 catches all.
+// frame and demands that every decode path that touches the frame detects
+// 100% of the flips. The v1 rows flip every byte past the first header of
+// a v1 fixture, which decode-based verification alone passed for every
+// raw flip and ≈ 73 % of deflate ones: the container must stay refused.
 func TestCorruptionMatrixPayloadFlips(t *testing.T) {
 	for _, c := range []Codec{Raw(), Deflate()} {
-		for _, ver := range []uint8{Version1, Version2} {
-			name := fmt.Sprintf("%s/v%d", c.Name(), ver)
-			t.Run(name, func(t *testing.T) {
-				box := goldenContainer(t, c, func(int) uint8 { return ver })
-				frames, intact, serr := ScanPrefix(bytes.NewReader(box), int64(len(box)))
-				if serr != nil || intact != int64(len(box)) {
-					t.Fatal(serr)
+		t.Run(c.Name()+"/v1", func(t *testing.T) {
+			box, err := os.ReadFile(filepath.Join(v1Dir, c.Name()+".crfc"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := HeaderSize; off < len(box); off++ {
+				box[off] ^= 0x01
+				v1Refused(t, box)
+				box[off] ^= 0x01
+			}
+		})
+		name := c.Name() + "/v2"
+		t.Run(name, func(t *testing.T) {
+			box := goldenContainer(t, c)
+			frames, intact, serr := ScanPrefix(bytes.NewReader(box), int64(len(box)))
+			if serr != nil || intact != int64(len(box)) {
+				t.Fatal(serr)
+			}
+			lv := Analyze(frames)
+			live := map[int64]bool{}
+			for _, fr := range lv.Live {
+				live[fr.Pos] = true
+			}
+			// A flip only matters if it changes what the frame decodes
+			// to; a flip in non-load-bearing flate bits (padding, dead
+			// bits) that decodes to identical bytes is benign and every
+			// verifier rightly passes it. A "miss" is a *harmful* flip
+			// — decoded output differs from what was written — that a
+			// path passed anyway: silent corruption.
+			pristine := map[int64][]byte{}
+			for _, fr := range frames {
+				dec, derr := DecodeFrame(fr.Header, box[fr.Pos+HeaderSize:fr.End()], nil)
+				if derr != nil {
+					t.Fatal(derr)
 				}
-				lv := Analyze(frames)
-				live := map[int64]bool{}
-				for _, fr := range lv.Live {
-					live[fr.Pos] = true
-				}
-				// A flip only matters if it changes what the frame decodes
-				// to; a flip in non-load-bearing flate bits (padding, dead
-				// bits) that decodes to identical bytes is benign and every
-				// verifier rightly passes it. A "miss" is a *harmful* flip
-				// — decoded output differs from what was written — that a
-				// path passed anyway: silent corruption.
-				pristine := map[int64][]byte{}
-				for _, fr := range frames {
+				pristine[fr.Pos] = dec
+			}
+			flips, benign, decMiss, salMiss, cmpMiss := 0, 0, 0, 0, 0
+			for _, fr := range frames {
+				for off := fr.Pos + HeaderSize; off < fr.End(); off++ {
+					box[off] ^= 0x01
 					dec, derr := DecodeFrame(fr.Header, box[fr.Pos+HeaderSize:fr.End()], nil)
-					if derr != nil {
-						t.Fatal(derr)
-					}
-					pristine[fr.Pos] = dec
-				}
-				flips, benign, decMiss, salMiss, cmpMiss := 0, 0, 0, 0, 0
-				for _, fr := range frames {
-					for off := fr.Pos + HeaderSize; off < fr.End(); off++ {
+					if derr == nil && bytes.Equal(dec, pristine[fr.Pos]) {
+						benign++
 						box[off] ^= 0x01
-						dec, derr := DecodeFrame(fr.Header, box[fr.Pos+HeaderSize:fr.End()], nil)
-						if derr == nil && bytes.Equal(dec, pristine[fr.Pos]) {
-							benign++
-							box[off] ^= 0x01
-							continue
-						}
-						v := runPaths(t, box, fr)
-						box[off] ^= 0x01
-						flips++
-						if !v.decode {
-							decMiss++
-						}
-						if !v.salvage {
-							salMiss++
-						}
-						// Compaction drops dead frames without decoding
-						// them; a flip there is discarded, not copied, so
-						// only live frames count against the compact path.
-						if live[fr.Pos] && !v.compact {
-							cmpMiss++
-						}
+						continue
+					}
+					v := runPaths(t, box, fr)
+					box[off] ^= 0x01
+					flips++
+					if !v.decode {
+						decMiss++
+					}
+					if !v.salvage {
+						salMiss++
+					}
+					// Compaction drops dead frames without decoding
+					// them; a flip there is discarded, not copied, so
+					// only live frames count against the compact path.
+					if live[fr.Pos] && !v.compact {
+						cmpMiss++
 					}
 				}
-				t.Logf("%s: %d harmful flips (%d benign), missed decode=%d salvage=%d compact=%d",
-					name, flips, benign, decMiss, salMiss, cmpMiss)
-				if flips == 0 {
-					t.Fatal("no harmful flips generated; the matrix proved nothing")
-				}
-				if ver == Version2 {
-					if decMiss != 0 || salMiss != 0 || cmpMiss != 0 {
-						t.Fatalf("v2 must detect every harmful payload flip; missed decode=%d salvage=%d compact=%d",
-							decMiss, salMiss, cmpMiss)
-					}
-					return
-				}
-				if c.ID() == RawID {
-					// The recorded gap: raw payloads decode at any
-					// contents, so v1 verification passes every flip. If
-					// this ever starts failing, the gap closed some other
-					// way and the v2 rationale needs re-examination.
-					if decMiss != flips || salMiss != flips {
-						t.Fatalf("v1-raw unexpectedly detected payload flips: missed %d/%d decode, %d/%d salvage",
-							decMiss, flips, salMiss, flips)
-					}
-				} else if decMiss == 0 {
-					t.Log("v1-deflate detected every harmful flip in this history (stream-dependent; not guaranteed)")
-				}
-			})
-		}
+			}
+			t.Logf("%s: %d harmful flips (%d benign), missed decode=%d salvage=%d compact=%d",
+				name, flips, benign, decMiss, salMiss, cmpMiss)
+			if flips == 0 {
+				t.Fatal("no harmful flips generated; the matrix proved nothing")
+			}
+			if decMiss != 0 || salMiss != 0 || cmpMiss != 0 {
+				t.Fatalf("every harmful payload flip must be detected; missed decode=%d salvage=%d compact=%d",
+					decMiss, salMiss, cmpMiss)
+			}
+		})
 	}
 }
 
@@ -291,51 +286,63 @@ func TestCorruptionMatrixPagedPayload(t *testing.T) {
 }
 
 // TestCorruptionMatrixHeaderFields flips the low bit of every header
-// field of the first frame and pins the verdict per format version:
-// structural fields (magic, version, lengths) are caught by parsing or
-// decode in both formats; the v2 checksum field is caught by the CRC
-// itself; and in-bounds flips of seq, reserved, and off are the
-// documented residual gap — the CRC covers the payload, not the header.
+// field of the first frame and pins the verdict: structural fields
+// (magic, version, lengths) are caught by parsing or decode; the checksum
+// field is caught by the CRC itself; and in-bounds flips of seq,
+// reserved, and off are the documented residual gap — the CRC covers the
+// payload, not the header. In a v1 fixture, every flip leaves the
+// container unread: a flip of the magic or the version byte makes it no
+// container at all, any other flip leaves it refused as ErrFrameVersion.
 func TestCorruptionMatrixHeaderFields(t *testing.T) {
 	type verdict int
 	const (
 		detected verdict = iota // salvage must stop short (and flag the frame)
 		silent                  // documented residual: container still verifies clean
+		unread                  // v1: salvage keeps no frame
 	)
 	cases := []struct {
 		field   string
 		byteOff int64
-		v1, v2  verdict
+		want    verdict
 	}{
-		{"magic", 0, detected, detected},
-		{"version", 4, detected, detected},
-		{"codec", 5, detected, detected},
-		{"reserved", 6, silent, silent},
-		{"seq", 8, silent, silent},
-		// Byte 12 is the high half of the v1 seq (an in-bounds flip is
-		// invisible) and the v2 payload CRC (any flip is a mismatch).
-		{"seq-high/checksum", 12, silent, detected},
-		{"off", 16, silent, silent},
-		{"rawlen", 24, detected, detected},
+		{"magic", 0, detected},
+		{"version", 4, detected},
+		{"codec", 5, detected},
+		{"reserved", 6, silent},
+		{"seq", 8, silent},
+		// Byte 12 is the payload CRC (any flip is a mismatch); in v1 it
+		// was the high half of the sequence number.
+		{"seq-high/checksum", 12, detected},
+		{"off", 16, silent},
+		{"rawlen", 24, detected},
 		// An enclen flip desyncs the frame chain; with deflate the flipped
 		// frame itself may still inflate (a stream short one byte can
 		// carry all its output), so detection lands on the *next* header,
 		// not necessarily at byte 0.
-		{"enclen", 28, detected, detected},
+		{"enclen", 28, detected},
 	}
 	for _, c := range []Codec{Raw(), Deflate()} {
-		for _, ver := range []uint8{Version1, Version2} {
-			box := goldenContainer(t, c, func(int) uint8 { return ver })
+		v1, err := os.ReadFile(filepath.Join(v1Dir, c.Name()+".crfc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ver, box := range map[int][]byte{1: v1, 2: goldenContainer(t, c)} {
 			for _, tc := range cases {
 				name := fmt.Sprintf("%s/v%d/%s", c.Name(), ver, tc.field)
 				t.Run(name, func(t *testing.T) {
-					want := tc.v1
-					if ver == Version2 {
-						want = tc.v2
+					want := tc.want
+					if ver == 1 {
+						want = unread
 					}
 					mut := bytes.Clone(box)
 					mut[tc.byteOff] ^= 0x01
-					_, rep, err := Salvage(bytes.NewReader(mut), int64(len(mut)))
+					frames, rep, err := Salvage(bytes.NewReader(mut), int64(len(mut)))
+					if want == unread {
+						if structural := tc.byteOff < 5; len(frames) != 0 || structural == errors.Is(err, ErrFrameVersion) {
+							t.Fatalf("flip of %s: salvage kept %d frames, %v", tc.field, len(frames), err)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -354,7 +361,7 @@ func TestCorruptionMatrixHeaderFields(t *testing.T) {
 					}
 					// The checksum-field case must be attributed to the CRC
 					// specifically, not to a structural accident.
-					if tc.field == "seq-high/checksum" && ver == Version2 {
+					if tc.field == "seq-high/checksum" {
 						h := bytes.Clone(mut[:HeaderSize])
 						ph, perr := ParseHeader(h)
 						if perr != nil {
@@ -378,7 +385,7 @@ func TestCorruptionMatrixHeaderFields(t *testing.T) {
 // ErrChecksum (distinguishable from a structural tear) and the intact
 // frames past it must be counted, never silently discarded.
 func TestSalvagePreservesChecksumIdentity(t *testing.T) {
-	box := goldenContainer(t, Raw(), allV2)
+	box := goldenContainer(t, Raw())
 	frames, _, err := ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +409,7 @@ func TestSalvagePreservesChecksumIdentity(t *testing.T) {
 		t.Fatalf("dropped %d frames, want 3 (rotted + 2 intact past it)", rep.FramesDropped)
 	}
 	// The scan's stop error itself carries the ErrChecksum identity.
-	_, _, _, _, stopErr := scanPrefix(bytes.NewReader(box), int64(len(box)), true)
+	_, _, _, stopErr := scanPrefix(bytes.NewReader(box), int64(len(box)), true)
 	if !errors.Is(stopErr, ErrChecksum) || !errors.Is(stopErr, ErrCorrupt) {
 		t.Fatalf("stop error %v must wrap ErrChecksum and ErrCorrupt", stopErr)
 	}

@@ -40,7 +40,7 @@ func (*deflateCodec) Name() string { return "deflate" }
 
 // pagedTag opens a paged payload. Its BTYPE bits (1–2) are 11, the block
 // type RFC 1951 reserves, so no DEFLATE stream starts with this byte and
-// Decode can tell the two layouts apart by it.
+// decodeSum can tell the two layouts apart by it.
 const pagedTag = 0x06
 
 // Encode appends src to dst in one of two layouts, classifying it in 4 KiB
@@ -173,20 +173,15 @@ type inflater struct {
 // and is refused before a buffer is sized from it.
 const maxInflate = 1032
 
-// Decode inflates src into the spare capacity of dst — or into one new
+// decodeSum inflates src into the spare capacity of dst — or into one new
 // buffer of the declared size when dst is short — and then reads one byte
 // more to prove the stream ends where the header says it does. A paged
 // payload's flat pages are copied to their offsets and its stream is
-// inflated straight into the ranges between them. src is in memory, so
-// any inflater error is damage and wraps ErrCorrupt.
-func (c *deflateCodec) Decode(dst, src []byte, rawLen int64) ([]byte, error) {
-	out, _, err := c.decodeSum(dst, src, rawLen, false)
-	return out, err
-}
-
-// decodeSum is Decode that, when sum is set, sums each run sumPiece bytes
-// at a time as it inflates them and each flat page as it copies it.
-func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byte, uint32, error) {
+// inflated straight into the ranges between them. Each run is summed
+// sumPiece bytes at a time as it is inflated, and each flat page as it is
+// copied. src is in memory, so any inflater error is damage and wraps
+// ErrCorrupt.
+func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64) ([]byte, uint32, error) {
 	if rawLen > maxInflate*int64(len(src)) {
 		return dst, 0, fmt.Errorf("%w: declared size %d impossible for a %d-byte deflate stream", ErrCorrupt, rawLen, len(src))
 	}
@@ -201,7 +196,7 @@ func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byt
 	base, end := len(dst), len(dst)+int(rawLen)
 	out := slices.Grow(dst, int(rawLen))[:end]
 	if paged && len(stored) == int(rawLen) { // every page flat, no stream
-		return out, copySum(out[base:], stored, 0, sum), nil
+		return out, copySum(out[base:], stored, 0), nil
 	}
 	z, _ := c.readers.Get().(*inflater)
 	if z == nil {
@@ -220,10 +215,7 @@ func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byt
 	for off := 0; off < int(rawLen); off += pageSize {
 		run := base + nextFlat(bitmap, off, int(rawLen))
 		for at := base + off; at < run; {
-			piece := out[at:run]
-			if sum {
-				piece = piece[:min(sumPiece, len(piece))]
-			}
+			piece := out[at:min(at+sumPiece, run)]
 			at += len(piece)
 			switch _, err := io.ReadFull(z.fr, piece); err {
 			case nil:
@@ -232,12 +224,10 @@ func (c *deflateCodec) decodeSum(dst, src []byte, rawLen int64, sum bool) ([]byt
 			default:
 				return dst, 0, fmt.Errorf("%w: deflate decode: %w", ErrCorrupt, err)
 			}
-			if sum {
-				crc = crc32.Update(crc, castagnoli, piece)
-			}
+			crc = crc32.Update(crc, castagnoli, piece)
 		}
 		if off = run - base; off < int(rawLen) {
-			crc = copySum(out[run:run+pageSize], stored[:pageSize], crc, sum)
+			crc = copySum(out[run:run+pageSize], stored[:pageSize], crc)
 			stored = stored[pageSize:]
 		}
 	}

@@ -13,27 +13,25 @@ import (
 // independently (so IO workers compress and decompress in parallel) and
 // prefixed by a fixed self-describing header.
 //
-// Frame header layout (little-endian, 32 bytes, both versions):
+// Frame header layout (little-endian, 32 bytes):
 //
-//	offset  size  v1 field                v2 field
-//	0       4     magic "CRFC"            magic "CRFC"
-//	4       1     format version (1)      format version (2)
-//	5       1     codec ID                codec ID
-//	6       2     reserved, zero          reserved, zero
-//	8       8     frame sequence number   sequence number (4) + CRC32-C (4)
-//	16      8     logical file offset     logical file offset
-//	24      4     raw payload length      raw payload length
-//	28      4     encoded payload length  encoded payload length
+//	offset  size  field
+//	0       4     magic "CRFC"
+//	4       1     format version (2)
+//	5       1     codec ID
+//	6       2     reserved, zero
+//	8       4     frame sequence number
+//	12      4     CRC32-C of the uncompressed payload
+//	16      8     logical file offset
+//	24      4     raw payload length
+//	28      4     encoded payload length
 //
-// Version 2 narrows the sequence number to 32 bits — v1 already bounded
-// it to 2^56 because real writers count flushed chunks, and compaction
-// renumbers densely from zero, so 2^32 is equally unreachable — and
-// spends the freed 4 bytes on a CRC32-C (Castagnoli) of the frame's
-// *uncompressed* payload. Every decode path verifies it, so bit rot in a
+// Every decode path verifies the CRC32-C (Castagnoli), so bit rot in a
 // stored-raw payload (which decodes "successfully" at any contents) or a
 // DEFLATE stream flipped inside a stored block is detected instead of
-// served. Offset, raw length, and encoded length live at the same byte
-// offsets in both versions.
+// served. Version 1, the original layout, spent bytes 8–16 on a 64-bit
+// sequence number and carried no checksum; a container that starts with
+// a v1 header is refused (ErrFrameVersion), never read unchecked.
 //
 // Frames are appended in completion order, which concurrency can permute;
 // the sequence number, assigned in flush order, restores write order at
@@ -41,16 +39,10 @@ import (
 
 // Frame container constants.
 const (
-	// HeaderSize is the size of the fixed frame header in bytes, the
-	// same for every format version.
+	// HeaderSize is the size of the fixed frame header in bytes.
 	HeaderSize = 32
-	// Version1 is the original checksum-less frame format.
-	Version1 = 1
-	// Version2 adds a CRC32-C of the uncompressed payload to the header.
-	Version2 = 2
-	// Version is the frame format version written by default. Readers
-	// accept every version up to it.
-	Version = Version2
+	// Version is the frame format version, the only one written or read.
+	Version = 2
 	// MaxPayload is the largest raw payload one frame can carry.
 	MaxPayload = math.MaxUint32
 	// MaxLogicalOff bounds a frame's logical offset (64 PiB) — far past
@@ -59,17 +51,10 @@ const (
 	// logical sizes that callers might allocate for. It also keeps
 	// Off+RawLen safely inside int64.
 	MaxLogicalOff = 1 << 56
-	// MaxSeq bounds a v1 frame's sequence number the same way: sequence
-	// numbers count flushed chunks, so 2^56 can never be reached by a
-	// real writer, while a crafted value near MaxUint64 would overflow
-	// the scanner's next-sequence computation to 0 and make every frame
-	// appended afterwards sort below the existing ones — silently
-	// resurrecting overwritten data.
-	MaxSeq = 1 << 56
-	// MaxSeqV2 is the v2 bound: the sequence number is stored in 32
-	// bits. A v2 writer appending to a (crafted) v1 container whose
-	// sequences exceed it fails the write loudly rather than wrapping.
-	MaxSeqV2 = math.MaxUint32
+	// MaxSeq bounds a frame's sequence number: the field is 32 bits wide.
+	// A writer whose next sequence would pass it fails the write loudly
+	// rather than wrapping.
+	MaxSeq = math.MaxUint32
 )
 
 // Magic identifies a CRFS frame container ("CRFS Chunk").
@@ -81,62 +66,59 @@ var (
 	ErrNotFramed = errors.New("codec: not a CRFS frame container")
 	// ErrCorrupt reports a malformed or inconsistent frame.
 	ErrCorrupt = errors.New("codec: corrupt frame")
-	// ErrChecksum reports a v2 frame whose payload decoded to the
-	// declared length but does not match its stored CRC32-C — proven bit
-	// rot, as opposed to the structural damage ErrCorrupt covers.
-	// ErrChecksum wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds
-	// for both and errors.Is(err, ErrChecksum) distinguishes them.
+	// ErrChecksum reports a frame whose payload decoded to the declared
+	// length but does not match its stored CRC32-C — proven bit rot, as
+	// opposed to the structural damage ErrCorrupt covers. ErrChecksum
+	// wraps ErrCorrupt, so errors.Is(err, ErrCorrupt) holds for both and
+	// errors.Is(err, ErrChecksum) distinguishes them.
 	ErrChecksum = fmt.Errorf("%w: payload checksum mismatch", ErrCorrupt)
+	// ErrFrameVersion reports a header of the retired v1 format, whose
+	// payloads carry no checksum. It does not wrap ErrCorrupt: a v1
+	// container is not damage to salvage or repair but a format this
+	// module no longer reads, and every caller leaves it as it is.
+	// ScanPrefix returns it only for the header at offset 0; a v1 header
+	// behind a v2 frame is ordinary damage (ErrCorrupt).
+	ErrFrameVersion = errors.New("codec: v1 frame container (payloads carry no checksum); not readable")
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Checksum returns the CRC32-C (Castagnoli) of p, the per-frame payload
-// checksum v2 headers carry. Checksum(nil) is 0, so zero-extent marker
-// and pad frames carry a zero checksum naturally.
+// checksum headers carry. Checksum(nil) is 0, so zero-extent marker and
+// pad frames carry a zero checksum naturally.
 func Checksum(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
 // Header is the decoded form of a frame header.
 type Header struct {
-	Version  uint8  // format version (Version1 or Version2; 0 serializes as current)
 	Codec    ID     // codec of the payload (RawID after incompressible bailout)
 	Seq      uint64 // flush-order sequence number within the file
-	Checksum uint32 // CRC32-C of the raw (uncompressed) payload; v2 only
+	Checksum uint32 // CRC32-C of the raw (uncompressed) payload
 	Off      int64  // logical file offset of the raw extent
 	RawLen   uint32 // decoded payload length
 	EncLen   uint32 // encoded payload length as stored
 }
 
 // PutHeader serializes h into b, which must be at least HeaderSize long.
-// A zero Version serializes as the current version. PutHeader is the
-// low-level stamp and does not validate bounds; EncodeFrame and
-// ParseHeader do.
+// PutHeader is the low-level stamp and does not validate bounds;
+// EncodeFrame and ParseHeader do.
 func PutHeader(b []byte, h Header) {
 	_ = b[HeaderSize-1]
-	v := h.Version
-	if v == 0 {
-		v = Version
-	}
 	copy(b[0:4], Magic[:])
-	b[4] = v
+	b[4] = Version
 	b[5] = byte(h.Codec)
 	b[6], b[7] = 0, 0
-	if v == Version1 {
-		binary.LittleEndian.PutUint64(b[8:16], h.Seq)
-	} else {
-		binary.LittleEndian.PutUint32(b[8:12], uint32(h.Seq))
-		binary.LittleEndian.PutUint32(b[12:16], h.Checksum)
-	}
+	binary.LittleEndian.PutUint32(b[8:12], uint32(h.Seq))
+	binary.LittleEndian.PutUint32(b[12:16], h.Checksum)
 	binary.LittleEndian.PutUint64(b[16:24], uint64(h.Off))
 	binary.LittleEndian.PutUint32(b[24:28], h.RawLen)
 	binary.LittleEndian.PutUint32(b[28:32], h.EncLen)
 }
 
-// ParseHeader decodes and validates a frame header. Both format versions
-// parse; versions from the future are rejected as corrupt so a torn or
-// crafted header takes the caller's salvage/demote path instead of being
-// misread under today's layout.
+// ParseHeader decodes and validates a frame header. A v1 header is
+// ErrFrameVersion; any other version but Version is rejected as corrupt,
+// so a torn or crafted header takes the caller's salvage/demote path
+// instead of being misread under today's layout.
 func ParseHeader(b []byte) (Header, error) {
 	if len(b) < HeaderSize {
 		return Header{}, fmt.Errorf("%w: short header (%d bytes)", ErrNotFramed, len(b))
@@ -144,27 +126,23 @@ func ParseHeader(b []byte) (Header, error) {
 	if !Sniff(b) {
 		return Header{}, ErrNotFramed
 	}
-	if b[4] != Version1 && b[4] != Version2 {
+	switch b[4] {
+	case Version:
+	case 1:
+		return Header{}, ErrFrameVersion
+	default:
 		return Header{}, fmt.Errorf("%w: unsupported frame version %d", ErrCorrupt, b[4])
 	}
 	h := Header{
-		Version: b[4],
-		Codec:   ID(b[5]),
-		Off:     int64(binary.LittleEndian.Uint64(b[16:24])),
-		RawLen:  binary.LittleEndian.Uint32(b[24:28]),
-		EncLen:  binary.LittleEndian.Uint32(b[28:32]),
-	}
-	if h.Version == Version1 {
-		h.Seq = binary.LittleEndian.Uint64(b[8:16])
-	} else {
-		h.Seq = uint64(binary.LittleEndian.Uint32(b[8:12]))
-		h.Checksum = binary.LittleEndian.Uint32(b[12:16])
+		Codec:    ID(b[5]),
+		Seq:      uint64(binary.LittleEndian.Uint32(b[8:12])),
+		Checksum: binary.LittleEndian.Uint32(b[12:16]),
+		Off:      int64(binary.LittleEndian.Uint64(b[16:24])),
+		RawLen:   binary.LittleEndian.Uint32(b[24:28]),
+		EncLen:   binary.LittleEndian.Uint32(b[28:32]),
 	}
 	if h.Off < 0 || h.Off > MaxLogicalOff {
 		return Header{}, fmt.Errorf("%w: implausible logical offset %d", ErrCorrupt, h.Off)
-	}
-	if h.Seq > MaxSeq {
-		return Header{}, fmt.Errorf("%w: implausible sequence number %d", ErrCorrupt, h.Seq)
 	}
 	return h, nil
 }
@@ -174,43 +152,23 @@ func Sniff(b []byte) bool {
 	return len(b) >= len(Magic) && [4]byte(b[:4]) == Magic
 }
 
-// EncodeFrame encodes src as one current-version frame — header plus
-// payload — appended to dst, and returns the extended slice with the
+// EncodeFrame encodes src as one frame — header, with the CRC32-C of src,
+// plus payload — appended to dst, and returns the extended slice with the
 // header describing it. When c does not shrink the payload
 // (incompressible data), the frame is stored raw instead, so a frame's
 // encoded length never exceeds its raw length: compression can only save
 // backend IO, never amplify it beyond the fixed header.
 func EncodeFrame(c Codec, seq uint64, off int64, src, dst []byte) ([]byte, Header, error) {
-	return EncodeFrameVersion(c, Version, seq, off, src, dst)
-}
-
-// EncodeFrameVersion is EncodeFrame with an explicit format version:
-// Version2 (the default) stamps the payload's CRC32-C into the header;
-// Version1 writes the legacy checksum-less layout. No mount writes v1
-// any more; it stays as the frozen generator behind the golden
-// fixtures, the corruption matrix, the mixed-version read tests and the
-// v1-vs-v2 encode/decode benchmarks.
-func EncodeFrameVersion(c Codec, version uint8, seq uint64, off int64, src, dst []byte) ([]byte, Header, error) {
-	if version != Version1 && version != Version2 {
-		return dst, Header{}, fmt.Errorf("codec: cannot encode frame version %d", version)
-	}
 	if int64(len(src)) > MaxPayload {
 		return dst, Header{}, fmt.Errorf("codec: frame payload %d exceeds %d bytes", len(src), int64(MaxPayload))
 	}
 	if off < 0 || off > MaxLogicalOff {
 		return dst, Header{}, fmt.Errorf("codec: frame offset %d out of range [0, %d]", off, int64(MaxLogicalOff))
 	}
-	maxSeq := uint64(MaxSeq)
-	if version >= Version2 {
-		maxSeq = MaxSeqV2
+	if seq > MaxSeq {
+		return dst, Header{}, fmt.Errorf("codec: frame sequence %d exceeds %d", seq, uint64(MaxSeq))
 	}
-	if seq > maxSeq {
-		return dst, Header{}, fmt.Errorf("codec: frame sequence %d exceeds %d", seq, maxSeq)
-	}
-	h := Header{Version: version, Codec: c.ID(), Seq: seq, Off: off, RawLen: uint32(len(src))}
-	if version >= Version2 {
-		h.Checksum = Checksum(src)
-	}
+	h := Header{Codec: c.ID(), Seq: seq, Checksum: Checksum(src), Off: off, RawLen: uint32(len(src))}
 	base := len(dst)
 	dst = append(dst, make([]byte, HeaderSize)...)
 	if c.ID() != RawID {
@@ -232,13 +190,12 @@ func EncodeFrameVersion(c Codec, version uint8, seq uint64, off int64, src, dst 
 
 // DecodeFrame decodes one frame payload described by h, appending the raw
 // bytes to dst. The codec named by the header is resolved from the
-// registry, so any mount can read any registered codec's frames. For v2
-// headers the decoded bytes are verified against the header's CRC32-C —
-// a mismatch returns ErrChecksum — so every decode path (reads,
-// prefetch, salvage, scrub, compaction) proves payload integrity, not
-// just decodability. v1 headers carry no checksum and skip the check.
-// The codec takes the CRC as it writes each piece of the output,
-// so a frame is not read back from memory to be verified; on any error
+// registry, so any mount can read any registered codec's frames. The
+// decoded bytes are verified against the header's CRC32-C — a mismatch
+// returns ErrChecksum — so every decode path (reads, prefetch, salvage,
+// scrub, compaction) proves payload integrity, not just decodability.
+// The codec takes the CRC as it writes each piece of the output, so a
+// frame is not read back from memory to be verified; on any error
 // DecodeFrame returns dst, never the bytes it decoded.
 func DecodeFrame(h Header, payload, dst []byte) ([]byte, error) {
 	if len(payload) != int(h.EncLen) {
@@ -248,15 +205,15 @@ func DecodeFrame(h Header, payload, dst []byte) ([]byte, error) {
 	if err != nil {
 		return dst, err
 	}
-	base, v2 := len(dst), h.Version >= Version2
-	out, sum, err := c.decodeSum(dst, payload, int64(h.RawLen), v2)
+	base := len(dst)
+	out, sum, err := c.decodeSum(dst, payload, int64(h.RawLen))
 	if err != nil {
 		return dst, err
 	}
 	if len(out)-base != int(h.RawLen) {
 		return dst, fmt.Errorf("%w: decoded %d bytes, header says %d", ErrCorrupt, len(out)-base, h.RawLen)
 	}
-	if v2 && sum != h.Checksum {
+	if sum != h.Checksum {
 		return dst, fmt.Errorf("%w: crc32c %08x, header says %08x", ErrChecksum, sum, h.Checksum)
 	}
 	return out, nil
@@ -268,12 +225,8 @@ func DecodeFrame(h Header, payload, dst []byte) ([]byte, error) {
 const sumPiece = 16 << 10
 
 // copySum copies src into dst, which is as long, sumPiece bytes at a time,
-// and when sum is set folds each piece into crc right after copying it.
-func copySum(dst, src []byte, crc uint32, sum bool) uint32 {
-	if !sum {
-		copy(dst, src)
-		return crc
-	}
+// and folds each piece into crc right after copying it.
+func copySum(dst, src []byte, crc uint32) uint32 {
 	for off := 0; off < len(src); off += sumPiece {
 		n := copy(dst[off:], src[off:min(off+sumPiece, len(src))])
 		crc = crc32.Update(crc, castagnoli, dst[off:off+n])

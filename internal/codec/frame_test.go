@@ -9,21 +9,12 @@ import (
 	"testing"
 )
 
-// TestHeaderGoldenBytes pins the on-disk v1 frame header layout. If this
-// test breaks, existing containers become unreadable: bump Version and
-// add migration instead of editing the expectation.
+// TestHeaderGoldenBytes pins the retired v1 header layout, which ParseHeader
+// recognizes only to refuse: a 64-bit sequence number in bytes 8–16 and
+// no checksum. Its fields would parse under v2's layout, so the version
+// byte alone must turn it away, as ErrFrameVersion and not as damage.
 func TestHeaderGoldenBytes(t *testing.T) {
-	h := Header{
-		Version: Version1,
-		Codec:   DeflateID,           // 0x01
-		Seq:     0x00234567_89abcdef, // within MaxSeq
-		Off:     0x0007060504030201,  // within MaxLogicalOff
-		RawLen:  0xaabbccdd,
-		EncLen:  0x11223344,
-	}
-	b := make([]byte, HeaderSize)
-	PutHeader(b, h)
-	want := "" +
+	b, err := hex.DecodeString("" +
 		"43524643" + // magic "CRFC"
 		"01" + // version 1
 		"01" + // codec id: deflate
@@ -31,28 +22,22 @@ func TestHeaderGoldenBytes(t *testing.T) {
 		"efcdab8967452300" + // seq, little-endian
 		"0102030405060700" + // logical offset, little-endian
 		"ddccbbaa" + // raw length, little-endian
-		"44332211" // encoded length, little-endian
-	if got := hex.EncodeToString(b); got != want {
-		t.Fatalf("header layout changed:\n got %s\nwant %s", got, want)
-	}
-	back, err := ParseHeader(b)
+		"44332211") // encoded length, little-endian
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back != h {
-		t.Fatalf("ParseHeader(PutHeader(h)) = %+v, want %+v", back, h)
+	if h, err := ParseHeader(b); !errors.Is(err, ErrFrameVersion) || errors.Is(err, ErrCorrupt) || h != (Header{}) {
+		t.Fatalf("ParseHeader of a v1 header = %+v, %v; want ErrFrameVersion", h, err)
 	}
 }
 
-// TestHeaderGoldenBytesV2 pins the v2 layout the same way: the sequence
-// number narrows to 32 bits and the freed 4 bytes carry the payload
-// CRC32-C. Offset, raw length, and encoded length keep their v1 byte
-// offsets.
+// TestHeaderGoldenBytesV2 pins the on-disk frame header layout. If this
+// test breaks, existing containers become unreadable: bump Version and
+// add migration instead of editing the expectation.
 func TestHeaderGoldenBytesV2(t *testing.T) {
 	h := Header{
-		Version:  Version2,
 		Codec:    DeflateID,          // 0x01
-		Seq:      0x89abcdef,         // within MaxSeqV2
+		Seq:      0x89abcdef,         // within MaxSeq
 		Checksum: 0x67452301,         // payload CRC32-C
 		Off:      0x0007060504030201, // within MaxLogicalOff
 		RawLen:   0xaabbccdd,
@@ -79,13 +64,6 @@ func TestHeaderGoldenBytesV2(t *testing.T) {
 	}
 	if back != h {
 		t.Fatalf("ParseHeader(PutHeader(h)) = %+v, want %+v", back, h)
-	}
-	// The zero Version serializes as the current version (v2).
-	cur := h
-	cur.Version = 0
-	PutHeader(b, cur)
-	if b[4] != Version {
-		t.Fatalf("zero Version serialized as %d, want %d", b[4], Version)
 	}
 }
 
@@ -114,38 +92,28 @@ func TestParseHeaderRejects(t *testing.T) {
 	if _, err := ParseHeader(huge); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("implausible offset: %v, want ErrCorrupt", err)
 	}
-	// Sequence numbers near MaxUint64 would overflow the container
-	// scanner's nextSeq computation to zero (fuzz-found); they are as
-	// implausible as a 2^62 offset and must be rejected the same way.
-	// Only v1 headers can carry one — the v2 field is 32 bits wide.
-	overSeq := make([]byte, HeaderSize)
-	PutHeader(overSeq, Header{Version: Version1, Codec: RawID, Seq: ^uint64(0)})
-	if _, err := ParseHeader(overSeq); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("implausible seq: %v, want ErrCorrupt", err)
-	}
 	// Version 3 from the future must be rejected, not misread under
-	// today's layout.
-	v3 := bytes.Clone(b)
-	v3[4] = 3
-	if _, err := ParseHeader(v3); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("v3 header: %v, want ErrCorrupt", err)
+	// today's layout; version 1 is refused as a retired format.
+	for ver, want := range map[byte]error{0: ErrCorrupt, 1: ErrFrameVersion, 3: ErrCorrupt} {
+		other := bytes.Clone(b)
+		other[4] = ver
+		if _, err := ParseHeader(other); !errors.Is(err, want) {
+			t.Errorf("v%d header: %v, want %v", ver, err, want)
+		}
 	}
 }
 
-// TestEncodeFrameVersionBounds pins the per-version encode guards: only
-// versions 1 and 2 encode, and the v2 sequence bound is 2^32-1.
-func TestEncodeFrameVersionBounds(t *testing.T) {
-	if _, _, err := EncodeFrameVersion(Raw(), 3, 0, 0, nil, nil); err == nil {
-		t.Error("encoded a version-3 frame")
+// TestEncodeFrameBounds pins the encode guards: the sequence bound is
+// 2^32-1, the field's width, and the offset bound MaxLogicalOff.
+func TestEncodeFrameBounds(t *testing.T) {
+	if _, h, err := EncodeFrame(Raw(), MaxSeq, MaxLogicalOff, nil, nil); err != nil || h.Seq != MaxSeq {
+		t.Errorf("frame at the bounds: %+v, %v", h, err)
 	}
-	if _, _, err := EncodeFrameVersion(Raw(), 0, 0, 0, nil, nil); err == nil {
-		t.Error("encoded a version-0 frame")
+	if _, _, err := EncodeFrame(Raw(), MaxSeq+1, 0, nil, nil); err == nil {
+		t.Error("frame accepted a sequence past MaxSeq")
 	}
-	if _, _, err := EncodeFrameVersion(Raw(), Version2, MaxSeqV2+1, 0, nil, nil); err == nil {
-		t.Error("v2 frame accepted a sequence past MaxSeqV2")
-	}
-	if _, _, err := EncodeFrameVersion(Raw(), Version1, MaxSeqV2+1, 0, nil, nil); err != nil {
-		t.Errorf("v1 frame rejected a legal sequence: %v", err)
+	if _, _, err := EncodeFrame(Raw(), 0, MaxLogicalOff+1, nil, nil); err == nil {
+		t.Error("frame accepted an offset past MaxLogicalOff")
 	}
 }
 
@@ -248,26 +216,26 @@ func TestDecodeBoundedByRawLen(t *testing.T) {
 	if len(out) > 65 {
 		t.Fatalf("decode buffered %d bytes despite 64-byte bound", len(out))
 	}
-	if _, err := Raw().Decode(nil, make([]byte, 100), 64); !errors.Is(err, ErrCorrupt) {
+	if _, err := decode(Raw(), nil, make([]byte, 100), 64); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("raw oversize payload: %v, want ErrCorrupt", err)
 	}
 }
 
-// TestDecodeFrameFusedSum: the built-in codecs take a v2 frame's CRC32-C
+// TestDecodeFrameFusedSum: the built-in codecs take a frame's CRC32-C
 // piece by piece as they decode, so DecodeFrame must return what "decode,
 // then Checksum the output" returns — the same bytes, or the same verdict
 // and none of the bytes — for every payload shape the decoders walk
 // differently. dst holds a prefix the sum must not cover and spare
 // capacity poisoned with 0xDB, so a sum taken before the bytes land reads
-// stale ones. Every v2 shape has a flipped stored byte that reads
+// stale ones. Every shape has a flipped stored byte that reads
 // ErrChecksum: the header's CRC, and, unless it decodes to nothing, a
 // sampled payload byte.
 func TestDecodeFrameFusedSum(t *testing.T) {
-	// frame encodes src as a v2 or v1 frame, or hands the codec's payload
-	// over as it is when EncodeFrame's raw bailout would take it.
-	frame := func(c Codec, ver uint8, src []byte, verbatim bool) (Header, []byte) {
+	// frame encodes src as a frame, or hands the codec's payload over as
+	// it is when EncodeFrame's raw bailout would take it.
+	frame := func(c Codec, src []byte, verbatim bool) (Header, []byte) {
 		if !verbatim {
-			box, h, err := EncodeFrameVersion(c, ver, 0, 0, src, nil)
+			box, h, err := EncodeFrame(c, 0, 0, src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,32 +245,29 @@ func TestDecodeFrameFusedSum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Header{Version: ver, Codec: c.ID(), Checksum: Checksum(src),
+		return Header{Codec: c.ID(), Checksum: Checksum(src),
 			RawLen: uint32(len(src)), EncLen: uint32(len(payload))}, payload
 	}
 	tail := "short tail page"
 	for _, tc := range []struct {
 		name     string
 		c        Codec
-		ver      uint8
 		src      []byte
 		verbatim bool
 		codec    ID
 		paged    bool
 	}{
-		{"plain-stream", Deflate(), Version2, pages("TTTTTTTT", 1), false, DeflateID, false},
-		{"paged-flat-first-middle-last", Deflate(), Version2, pages("RTTRTTR", 2), false, DeflateID, true},
-		{"all-flat", Deflate(), Version2, pages("RRR", 3), true, DeflateID, true},
-		{"short-tail", Deflate(), Version2, append(pages("RT", 4), tail...), false, DeflateID, true},
-		{"run-past-one-piece", Deflate(), Version2, append(pages("TTTTTRTTTTT", 5), tail...), false, DeflateID, true},
-		{"zero-length/deflate", Deflate(), Version2, nil, true, DeflateID, false},
-		{"zero-length/raw", Raw(), Version2, nil, false, RawID, false},
-		{"raw-bailout", Deflate(), Version2, append(pages("RRRRR", 6), tail...), false, RawID, false},
-		{"v1/paged", Deflate(), Version1, append(pages("TTTTTRTTTTT", 7), tail...), false, DeflateID, true},
-		{"v1/raw", Raw(), Version1, append(pages("RRRRR", 8), tail...), false, RawID, false},
+		{"plain-stream", Deflate(), pages("TTTTTTTT", 1), false, DeflateID, false},
+		{"paged-flat-first-middle-last", Deflate(), pages("RTTRTTR", 2), false, DeflateID, true},
+		{"all-flat", Deflate(), pages("RRR", 3), true, DeflateID, true},
+		{"short-tail", Deflate(), append(pages("RT", 4), tail...), false, DeflateID, true},
+		{"run-past-one-piece", Deflate(), append(pages("TTTTTRTTTTT", 5), tail...), false, DeflateID, true},
+		{"zero-length/deflate", Deflate(), nil, true, DeflateID, false},
+		{"zero-length/raw", Raw(), nil, false, RawID, false},
+		{"raw-bailout", Deflate(), append(pages("RRRRR", 6), tail...), false, RawID, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h, payload := frame(tc.c, tc.ver, tc.src, tc.verbatim)
+			h, payload := frame(tc.c, tc.src, tc.verbatim)
 			paged := h.Codec == DeflateID && len(payload) > 0 && payload[0] == pagedTag
 			if h.Codec != tc.codec || paged != tc.paged {
 				t.Fatalf("shape: codec %d, paged %v; want codec %d, paged %v", h.Codec, paged, tc.codec, tc.paged)
@@ -329,8 +294,8 @@ func TestDecodeFrameFusedSum(t *testing.T) {
 			}
 			bad := h
 			bad.Checksum ^= 1
-			if _, err := check("header CRC flipped", bad, payload); (err != nil) != (h.Version == Version2) {
-				t.Fatalf("header CRC flipped on a v%d frame: %v", h.Version, err)
+			if _, err := check("header CRC flipped", bad, payload); !errors.Is(err, ErrChecksum) {
+				t.Fatalf("header CRC flipped: %v", err)
 			}
 			flipped := slices.Clone(payload)
 			sums := 0
@@ -341,7 +306,7 @@ func TestDecodeFrameFusedSum(t *testing.T) {
 				}
 				flipped[at] ^= 0x01
 			}
-			if sums == 0 && h.Version == Version2 && h.RawLen > 0 {
+			if sums == 0 && h.RawLen > 0 {
 				t.Fatal("no payload flip read ErrChecksum")
 			}
 			t.Logf("%d-byte payload: %d sampled flips read ErrChecksum", len(payload), sums)
@@ -356,13 +321,13 @@ func decodeThenChecksum(h Header, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	out, err := c.Decode(nil, payload, int64(h.RawLen))
+	out, err := decode(c, nil, payload, int64(h.RawLen))
 	switch {
 	case err != nil:
 		return nil, err
 	case len(out) != int(h.RawLen):
 		return nil, ErrCorrupt
-	case h.Version >= Version2 && Checksum(out) != h.Checksum:
+	case Checksum(out) != h.Checksum:
 		return nil, ErrChecksum
 	}
 	return out, nil

@@ -7,16 +7,10 @@ import (
 	"testing"
 )
 
-// frameBytes builds a well-formed frame (current version) for seeding
-// the fuzzers; frameBytesV pins the frame version explicitly.
+// frameBytes builds a well-formed frame for seeding the fuzzers.
 func frameBytes(t testing.TB, c Codec, seq uint64, off int64, payload []byte) []byte {
 	t.Helper()
-	return frameBytesV(t, c, Version, seq, off, payload)
-}
-
-func frameBytesV(t testing.TB, c Codec, ver uint8, seq uint64, off int64, payload []byte) []byte {
-	t.Helper()
-	frame, _, err := EncodeFrameVersion(c, ver, seq, off, payload, nil)
+	frame, _, err := EncodeFrame(c, seq, off, payload, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,22 +43,21 @@ func FuzzFrameDecode(f *testing.F) {
 	garble := bytes.Clone(frameBytes(f, Raw(), 0, 0, []byte("garbagegarbage")))
 	garble[5] = byte(DeflateID)
 	f.Add(garble)
-	// Both on-disk versions, plus v2-specific mutations: a zeroed
-	// checksum field, a flipped payload bit under an intact checksum, and
-	// version 3 from the future (must reject, not misread as today's
-	// layout — the v2 bump moved fields inside the same 32 bytes once
-	// already).
-	f.Add(frameBytesV(f, Raw(), Version1, 5, 128, []byte("legacy v1 frame")))
-	f.Add(frameBytesV(f, Deflate(), Version2, 6, 256, bytes.Repeat([]byte("v2 "), 50)))
-	crcZero := bytes.Clone(frameBytesV(f, Raw(), Version2, 0, 0, []byte("checksummed")))
+	// Checksum mutations: a zeroed checksum field, a flipped payload bit
+	// under an intact checksum; and versions 1 (retired, refused) and 3
+	// (from the future, must reject, not misread as today's layout).
+	f.Add(frameBytes(f, Deflate(), 6, 256, bytes.Repeat([]byte("v2 "), 50)))
+	crcZero := bytes.Clone(frameBytes(f, Raw(), 0, 0, []byte("checksummed")))
 	crcZero[12], crcZero[13], crcZero[14], crcZero[15] = 0, 0, 0, 0
 	f.Add(crcZero)
-	bitrot := bytes.Clone(frameBytesV(f, Raw(), Version2, 0, 0, []byte("checksummed")))
+	bitrot := bytes.Clone(frameBytes(f, Raw(), 0, 0, []byte("checksummed")))
 	bitrot[HeaderSize+3] ^= 0x01
 	f.Add(bitrot)
-	v3 := bytes.Clone(frameBytesV(f, Raw(), Version2, 0, 0, []byte("x")))
-	v3[4] = 3
-	f.Add(v3)
+	for _, ver := range []byte{1, 3} {
+		other := bytes.Clone(frameBytes(f, Raw(), 0, 0, []byte("x")))
+		other[4] = ver
+		f.Add(other)
+	}
 
 	// One of each way a deflate stream can disagree with its header
 	// (TestPresizedDecodeRejects): longer, shorter, cut mid-block, rotted;
@@ -81,20 +74,23 @@ func FuzzFrameDecode(f *testing.F) {
 	allFlat := pages("RR", 3)
 	flatOnly := append([]byte{pagedTag, 0x03}, allFlat...)
 	hdr := make([]byte, HeaderSize)
-	PutHeader(hdr, Header{Version: Version2, Codec: DeflateID, Checksum: Checksum(allFlat),
+	PutHeader(hdr, Header{Codec: DeflateID, Checksum: Checksum(allFlat),
 		RawLen: uint32(len(allFlat)), EncLen: uint32(len(flatOnly))})
 	f.Add(append(hdr, flatOnly...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		h, err := ParseHeader(b)
+		if v1 := len(b) >= HeaderSize && Sniff(b) && b[4] == 1; v1 != errors.Is(err, ErrFrameVersion) {
+			t.Fatalf("ParseHeader of a v1 header (%v): %v", v1, err)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrNotFramed) && !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, ErrNotFramed) && !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrFrameVersion) {
 				t.Fatalf("ParseHeader: unexpected error class %v", err)
 			}
 			return
 		}
-		if h.Version != Version1 && h.Version != Version2 {
-			t.Fatalf("ParseHeader accepted version %d", h.Version)
+		if b[4] != Version {
+			t.Fatalf("ParseHeader accepted version %d", b[4])
 		}
 		if h.Off < 0 || h.Off > MaxLogicalOff {
 			t.Fatalf("ParseHeader accepted implausible offset %d", h.Off)
@@ -105,18 +101,15 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		raw, err := DecodeFrame(h, payload, nil)
 		if err != nil {
-			if errors.Is(err, ErrChecksum) && h.Version < Version2 {
-				t.Fatal("checksum verdict on a frame that carries no checksum")
-			}
 			return // malformed payloads must error, and did
 		}
 		if len(raw) != int(h.RawLen) {
 			t.Fatalf("DecodeFrame returned %d bytes, header says %d", len(raw), h.RawLen)
 		}
-		// A v2 decode that succeeded IS the checksum proof: recomputing
-		// must agree, whatever bytes the fuzzer built the frame from.
-		if h.Version >= Version2 && Checksum(raw) != h.Checksum {
-			t.Fatalf("v2 decode passed with crc %08x over header %08x", Checksum(raw), h.Checksum)
+		// A decode that succeeded IS the checksum proof: recomputing must
+		// agree, whatever bytes the fuzzer built the frame from.
+		if Checksum(raw) != h.Checksum {
+			t.Fatalf("decode passed with crc %08x over header %08x", Checksum(raw), h.Checksum)
 		}
 	})
 }
@@ -167,38 +160,35 @@ func pageMix(b []byte) []byte {
 	return append(out, b[n:]...)
 }
 
-// roundTrip encodes payload at off through both codecs and frame versions
-// and checks that each frame decodes back to it.
+// roundTrip encodes payload at off through both codecs and checks that
+// each frame decodes back to it.
 func roundTrip(t *testing.T, payload []byte, off int64) {
 	t.Helper()
 	for _, c := range []Codec{Raw(), Deflate()} {
-		for _, ver := range []uint8{Version1, Version2} {
-			frame, hdr, err := EncodeFrameVersion(c, ver, 3, off, payload, nil)
-			if err != nil {
-				t.Fatalf("%s/v%d: EncodeFrame: %v", c.Name(), ver, err)
-			}
-			if len(frame) > HeaderSize+len(payload) || hdr.EncLen > hdr.RawLen {
-				t.Fatalf("%s/v%d: frame grew the payload: %d > %d (EncLen %d, RawLen %d)",
-					c.Name(), ver, len(frame), HeaderSize+len(payload), hdr.EncLen, hdr.RawLen)
-			}
-			reparsed, err := ParseHeader(frame)
-			if err != nil {
-				t.Fatalf("%s/v%d: reparse own header: %v", c.Name(), ver, err)
-			}
-			if reparsed != hdr {
-				t.Fatalf("%s/v%d: header round trip: %+v != %+v", c.Name(), ver, reparsed, hdr)
-			}
-			if ver >= Version2 && hdr.Checksum != Checksum(payload) {
-				t.Fatalf("%s/v%d: encoder stamped crc %08x, payload is %08x",
-					c.Name(), ver, hdr.Checksum, Checksum(payload))
-			}
-			raw, err := DecodeFrame(hdr, frame[HeaderSize:], nil)
-			if err != nil {
-				t.Fatalf("%s/v%d: DecodeFrame: %v", c.Name(), ver, err)
-			}
-			if !bytes.Equal(raw, payload) {
-				t.Fatalf("%s/v%d: payload round trip mismatch", c.Name(), ver)
-			}
+		frame, hdr, err := EncodeFrame(c, 3, off, payload, nil)
+		if err != nil {
+			t.Fatalf("%s: EncodeFrame: %v", c.Name(), err)
+		}
+		if len(frame) > HeaderSize+len(payload) || hdr.EncLen > hdr.RawLen {
+			t.Fatalf("%s: frame grew the payload: %d > %d (EncLen %d, RawLen %d)",
+				c.Name(), len(frame), HeaderSize+len(payload), hdr.EncLen, hdr.RawLen)
+		}
+		reparsed, err := ParseHeader(frame)
+		if err != nil {
+			t.Fatalf("%s: reparse own header: %v", c.Name(), err)
+		}
+		if reparsed != hdr {
+			t.Fatalf("%s: header round trip: %+v != %+v", c.Name(), reparsed, hdr)
+		}
+		if hdr.Checksum != Checksum(payload) {
+			t.Fatalf("%s: encoder stamped crc %08x, payload is %08x", c.Name(), hdr.Checksum, Checksum(payload))
+		}
+		raw, err := DecodeFrame(hdr, frame[HeaderSize:], nil)
+		if err != nil {
+			t.Fatalf("%s: DecodeFrame: %v", c.Name(), err)
+		}
+		if !bytes.Equal(raw, payload) {
+			t.Fatalf("%s: payload round trip mismatch", c.Name())
 		}
 	}
 }

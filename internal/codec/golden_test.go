@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"maps"
 	"os"
@@ -11,23 +12,23 @@ import (
 	"testing"
 )
 
-// Golden container fixtures: small checked-in containers (v1 and v2,
-// raw and deflate, multi-frame, with an overwrite history; plus torn
-// variants) that both the strict scanner and the salvage path must keep
-// reading byte-identically — a format-compatibility ratchet. The raw v1
-// fixtures are generated with EncodeFrameVersion's legacy path, so a
-// -update run reproduces the same bytes forever and the reader's v1
-// support can never silently rot. The deflate fixtures the stdlib writer
-// once encoded are frozen (frozenDeflateFixtures); the ones -update
-// writes pin what the encoder writes today. Regenerate with `go test
-// ./internal/codec -run TestGolden -update` only for a deliberate,
-// documented format or encoder change.
+// Golden container fixtures: small checked-in containers (raw and
+// deflate, multi-frame, with an overwrite history; plus torn variants)
+// that both the strict scanner and the salvage path must keep reading
+// byte-identically — a format-compatibility ratchet. The deflate fixtures
+// the stdlib writer once encoded are frozen (frozenDeflateFixtures); the
+// ones -update writes pin what the encoder writes today. Regenerate with
+// `go test ./internal/codec -run TestGolden -update` only for a
+// deliberate, documented format or encoder change. The containers in
+// testdata/v1 were written in the retired v1 format, and every reader
+// must refuse them (ErrFrameVersion); nothing regenerates them.
 
 var updateGolden = flag.Bool("update", false, "rewrite golden container fixtures")
 
 const (
 	goldenDir  = "testdata/golden"
 	corruptDir = "testdata/corrupt"
+	v1Dir      = "testdata/v1"
 )
 
 // goldenPayload builds a deterministic, mildly compressible payload.
@@ -57,14 +58,13 @@ func goldenExtents() []struct {
 	}
 }
 
-// goldenContainer encodes the golden history as one container, with a
-// per-frame format version chosen by verAt (frame index -> version).
-func goldenContainer(t *testing.T, c Codec, verAt func(i int) uint8) []byte {
+// goldenContainer encodes the golden history as one container.
+func goldenContainer(t *testing.T, c Codec) []byte {
 	t.Helper()
 	var box []byte
 	for i, e := range goldenExtents() {
 		var err error
-		box, _, err = EncodeFrameVersion(c, verAt(i), uint64(i), e.off, e.data, box)
+		box, _, err = EncodeFrame(c, uint64(i), e.off, e.data, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,16 +128,13 @@ func frozenStoredContent() []byte {
 // deflate streams were written by encoder.go. Today's encoder writes other
 // bytes for them, so -update never rewrites them: they prove that
 // containers the old writer left behind keep reading, scrubbing and
-// compacting. deflate.crfc and deflate-v2.crfc hold the golden history in
-// v1 and v2; deflate-mixed.crfc has its first two frames v1, a v1
-// container a v2 writer appended to; deflate-compacted.crfc is what
-// compacting either gives. The torn files are deflate.crfc and
-// deflate-v2.crfc plus half a fifth frame, what a power cut mid-append
-// leaves. deflate-paged-v2.crfc holds pagedExtents, and
+// compacting. deflate-v2.crfc holds the golden history;
+// deflate-compacted.crfc is what compacting it gives, and
+// deflate-v2-torn.crfc is it plus half a fifth frame, what a power cut
+// mid-append leaves. deflate-paged-v2.crfc holds pagedExtents, and
 // deflate-v2-bitrot.crfc is corruptFixtures' flip of deflate-v2.crfc.
 var frozenDeflateFixtures = []string{
-	goldenDir + "/deflate.crfc", goldenDir + "/deflate-v2.crfc", goldenDir + "/deflate-mixed.crfc",
-	goldenDir + "/deflate-compacted.crfc", goldenDir + "/deflate-torn.crfc",
+	goldenDir + "/deflate-v2.crfc", goldenDir + "/deflate-compacted.crfc",
 	goldenDir + "/deflate-v2-torn.crfc", goldenDir + "/deflate-paged-v2.crfc",
 	corruptDir + "/deflate-v2-bitrot.crfc",
 }
@@ -155,9 +152,6 @@ func frozenFixtures(t *testing.T) map[string][]byte {
 	}
 	return fix
 }
-
-func allV1(int) uint8 { return Version1 }
-func allV2(int) uint8 { return Version2 }
 
 // replayFrames decodes frames in sequence order onto a logical image.
 func replayFrames(t *testing.T, r *bytes.Reader, frames []FrameInfo) []byte {
@@ -199,17 +193,15 @@ func wantContent() []byte {
 // goldenFixtures generates every fixture but the frozen ones.
 func goldenFixtures(t *testing.T) map[string][]byte {
 	t.Helper()
-	raw := goldenContainer(t, Raw(), allV1)
+	raw := goldenContainer(t, Raw())
 	fix := map[string][]byte{
-		"raw.crfc":    raw,
-		"raw-v2.crfc": goldenContainer(t, Raw(), allV2),
+		"raw-v2.crfc": raw,
 		// The history as today's encoder writes it.
-		"deflate-own-v2.crfc": goldenContainer(t, Deflate(), allV2),
+		"deflate-own-v2.crfc": goldenContainer(t, Deflate()),
 	}
 	// Compacted variant: the minimal equivalent container (dead overwritten
 	// frame dropped, sequences renumbered) — the ratchet for the compaction
-	// subsystem's output format. Compaction upgrades v1 input to v2 output,
-	// so the fixture is v2 and compacting either source must reproduce it.
+	// subsystem's output format.
 	frames, intact, serr := ScanPrefix(bytes.NewReader(raw), int64(len(raw)))
 	if serr != nil || intact != int64(len(raw)) {
 		t.Fatalf("golden raw container does not scan: %v", serr)
@@ -232,11 +224,12 @@ func goldenFixtures(t *testing.T) map[string][]byte {
 
 // corruptFixtures derives the checked-in bit-rot variants the fsck CI
 // job and the regression tests consume: a golden container with one
-// payload byte flipped such that decode-based (v1) verification still
-// PASSES — the recorded detection gap — while the v2 CRC32-C fails.
-// Raw payloads pass v1 trivially (any contents decode); for deflate the
-// flip position is searched deterministically for a stream that still
-// inflates to the declared length.
+// payload byte flipped such that the payload still decodes to the
+// declared length, only to other bytes — what a reader without payload
+// checksums would serve — while the CRC32-C fails. Raw payloads decode at
+// any contents; for deflate the flip position is searched
+// deterministically for a stream that still inflates to the declared
+// length.
 func corruptFixtures(t *testing.T, golden map[string][]byte) map[string][]byte {
 	t.Helper()
 	flipSilent := func(name string) []byte {
@@ -249,26 +242,31 @@ func corruptFixtures(t *testing.T, golden map[string][]byte) map[string][]byte {
 			t.Fatalf("%s does not scan: %v", name, err)
 		}
 		for _, fr := range frames {
-			h1 := fr.Header
-			h1.Version, h1.Checksum = Version1, 0
-			orig, err := DecodeFrame(h1, box[fr.Pos+HeaderSize:fr.End()], nil)
+			c, err := ByID(fr.Header.Codec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Decode with the checksum left unchecked.
+			decode := func() ([]byte, error) {
+				out, _, err := c.decodeSum(nil, box[fr.Pos+HeaderSize:fr.End()], int64(fr.Header.RawLen))
+				return out, err
+			}
+			orig, err := decode()
 			if err != nil {
 				t.Fatal(err)
 			}
 			for off := fr.Pos + HeaderSize; off < fr.End(); off++ {
 				box[off] ^= 0x01
-				got, err := DecodeFrame(h1, box[fr.Pos+HeaderSize:fr.End()], nil)
-				if err == nil && !bytes.Equal(got, orig) {
-					return box // decodes cleanly under v1, but to rotten bytes
+				if got, err := decode(); err == nil && !bytes.Equal(got, orig) {
+					return box // decodes cleanly, but to rotten bytes
 				}
 				box[off] ^= 0x01
 			}
 		}
-		t.Fatalf("%s: no silent-under-v1 payload flip exists", name)
+		t.Fatalf("%s: no payload flip decodes cleanly", name)
 		return nil
 	}
 	return map[string][]byte{
-		"raw-v1-bitrot.crfc":     flipSilent("raw.crfc"),
 		"raw-v2-bitrot.crfc":     flipSilent("raw-v2.crfc"),
 		"deflate-v2-bitrot.crfc": flipSilent("deflate-v2.crfc"),
 	}
@@ -302,8 +300,7 @@ func TestGoldenContainers(t *testing.T) {
 		t.Fatalf("missing golden fixtures (run with -update to generate): %v", err)
 	}
 	// The on-disk fixtures must match the in-memory generation exactly:
-	// the raw v1 fixtures prove the legacy encode path is frozen, the
-	// others pin the current format and encoder.
+	// they pin the format and the encoder.
 	for name, data := range golden {
 		onDisk, err := os.ReadFile(filepath.Join(goldenDir, name))
 		if err != nil {
@@ -313,122 +310,106 @@ func TestGoldenContainers(t *testing.T) {
 			t.Fatalf("%s: checked-in fixture differs from regenerated bytes", name)
 		}
 	}
-	type intactCase struct {
-		name              string
-		verified, skipped int
-	}
-	for _, tc := range []intactCase{
-		{"raw.crfc", 0, 4},
-		{"deflate.crfc", 0, 4},
-		{"raw-v2.crfc", 4, 0},
-		{"deflate-v2.crfc", 4, 0},
-		{"deflate-mixed.crfc", 2, 2},
-		{"deflate-own-v2.crfc", 4, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			box, err := os.ReadFile(filepath.Join(goldenDir, tc.name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, rep := readsWhole(t, box, want)
-			// Salvage's checksum accounting reflects each frame's format
-			// version.
-			if rep.ChecksumVerified != tc.verified || rep.ChecksumSkipped != tc.skipped || rep.ChecksumFailures != 0 {
-				t.Fatalf("salvage checksum counts %d/%d/%d, want %d verified, %d skipped",
-					rep.ChecksumVerified, rep.ChecksumSkipped, rep.ChecksumFailures, tc.verified, tc.skipped)
-			}
-		})
-	}
-	for _, name := range []string{"raw-compacted.crfc", "deflate-compacted.crfc"} {
-		t.Run(name, func(t *testing.T) {
-			base := name[:len(name)-len("-compacted.crfc")]
-			want, err := os.ReadFile(filepath.Join(goldenDir, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Compacting the v1 source and the v2 source must both
-			// reproduce the same (v2) fixture: payload bytes are copied
-			// verbatim and v1 headers upgrade to exactly the checksummed
-			// headers the v2 writer emits.
-			for src, wantUpgraded := range map[string]int{base + ".crfc": 3, base + "-v2.crfc": 0} {
-				box, err := os.ReadFile(filepath.Join(goldenDir, src))
-				if err != nil {
-					t.Fatal(err)
-				}
-				r := bytes.NewReader(box)
-				frames, intact, serr := ScanPrefix(r, int64(len(box)))
-				if serr != nil || intact != int64(len(box)) {
-					t.Fatalf("scan %s: %v", src, serr)
-				}
-				got, idx, st, err := CompactContainer(r, frames, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("compacting %s no longer reproduces the golden compacted fixture", src)
-				}
-				if st.FramesDropped != 1 {
-					t.Fatalf("dropped %d frames, the golden history has exactly 1 dead frame", st.FramesDropped)
-				}
-				if st.FramesUpgraded != wantUpgraded {
-					t.Fatalf("compacting %s upgraded %d frames, want %d", src, st.FramesUpgraded, wantUpgraded)
-				}
-				for _, fr := range idx {
-					if fr.Header.Version != Version2 {
-						t.Fatalf("compacted output still carries a v%d frame at %d", fr.Header.Version, fr.Pos)
-					}
-				}
-				// The compacted fixture itself replays the golden content and
-				// re-compacts to itself (idempotence ratchet).
-				content, err := os.ReadFile(filepath.Join(goldenDir, "content.want"))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if replay := replayFrames(t, bytes.NewReader(got), idx); !bytes.Equal(replay, content) {
-					t.Fatal("golden compacted fixture replays different content")
-				}
-				again, _, _, err := CompactContainer(bytes.NewReader(got), idx, nil)
-				if err != nil || !bytes.Equal(again, got) {
-					t.Fatalf("golden compacted fixture is not a compaction fixed point (err=%v)", err)
-				}
-			}
-		})
-	}
-	for _, name := range []string{"deflate-torn.crfc", "deflate-v2-torn.crfc"} {
+	for _, name := range []string{"raw-v2.crfc", "deflate-v2.crfc", "deflate-own-v2.crfc"} {
 		t.Run(name, func(t *testing.T) {
 			box, err := os.ReadFile(filepath.Join(goldenDir, name))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := bytes.NewReader(box)
-			if _, _, stopErr := ScanPrefix(r, int64(len(box))); stopErr == nil {
-				t.Fatal("strict scan accepted the torn fixture")
-			}
-			frames, rep, err := Salvage(r, int64(len(box)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Clean() || len(frames) != 4 {
-				t.Fatalf("salvage kept %d frames (report %+v), want the 4 intact ones", len(frames), rep)
-			}
-			// A torn tail is structural damage, not bit rot: it must never
-			// be misreported as a checksum failure.
-			if rep.ChecksumFailures != 0 {
-				t.Fatalf("torn tail misclassified as %d checksum failures", rep.ChecksumFailures)
-			}
-			if got := replayFrames(t, r, frames); !bytes.Equal(got, want) {
-				t.Fatal("salvaged torn fixture differs from golden content")
+			if _, rep := readsWhole(t, box, want); rep.ChecksumVerified != 4 || rep.ChecksumFailures != 0 {
+				t.Fatalf("salvage checksum counts %d/%d, want 4 verified", rep.ChecksumVerified, rep.ChecksumFailures)
 			}
 		})
 	}
+	for _, name := range []string{"raw-compacted.crfc", "deflate-compacted.crfc"} {
+		t.Run(name, func(t *testing.T) {
+			src := name[:len(name)-len("-compacted.crfc")] + "-v2.crfc"
+			compacted, err := os.ReadFile(filepath.Join(goldenDir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Compacting the source reproduces the fixture: payload bytes
+			// are copied verbatim and sequences renumbered densely.
+			box, err := os.ReadFile(filepath.Join(goldenDir, src))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := bytes.NewReader(box)
+			frames, intact, serr := ScanPrefix(r, int64(len(box)))
+			if serr != nil || intact != int64(len(box)) {
+				t.Fatalf("scan %s: %v", src, serr)
+			}
+			got, idx, st, err := CompactContainer(r, frames, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, compacted) {
+				t.Fatalf("compacting %s no longer reproduces the golden compacted fixture", src)
+			}
+			if st.FramesDropped != 1 || st.ChecksumVerified != 3 {
+				t.Fatalf("dropped %d frames, verified %d; the golden history has exactly 1 dead frame and 3 live",
+					st.FramesDropped, st.ChecksumVerified)
+			}
+			// The compacted fixture itself replays the golden content and
+			// re-compacts to itself (idempotence ratchet).
+			if replay := replayFrames(t, bytes.NewReader(got), idx); !bytes.Equal(replay, want) {
+				t.Fatal("golden compacted fixture replays different content")
+			}
+			again, _, _, err := CompactContainer(bytes.NewReader(got), idx, nil)
+			if err != nil || !bytes.Equal(again, got) {
+				t.Fatalf("golden compacted fixture is not a compaction fixed point (err=%v)", err)
+			}
+		})
+	}
+	t.Run("deflate-v2-torn.crfc", func(t *testing.T) {
+		box, err := os.ReadFile(filepath.Join(goldenDir, "deflate-v2-torn.crfc"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := bytes.NewReader(box)
+		if _, _, stopErr := ScanPrefix(r, int64(len(box))); stopErr == nil {
+			t.Fatal("strict scan accepted the torn fixture")
+		}
+		frames, rep, err := Salvage(r, int64(len(box)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Clean() || len(frames) != 4 {
+			t.Fatalf("salvage kept %d frames (report %+v), want the 4 intact ones", len(frames), rep)
+		}
+		// A torn tail is structural damage, not bit rot: it must never
+		// be misreported as a checksum failure.
+		if rep.ChecksumFailures != 0 {
+			t.Fatalf("torn tail misclassified as %d checksum failures", rep.ChecksumFailures)
+		}
+		if got := replayFrames(t, r, frames); !bytes.Equal(got, want) {
+			t.Fatal("salvaged torn fixture differs from golden content")
+		}
+	})
 	for _, name := range []string{"deflate-paged-v2.crfc", "deflate-own-paged-v2.crfc"} {
 		t.Run(name, func(t *testing.T) { pagedReadsWhole(t, name) })
 	}
+	// The retired v1 containers: each is refused whole, before any payload
+	// is read, and never as damage.
+	v1, err := os.ReadDir(v1Dir)
+	if err != nil || len(v1) != 5 {
+		t.Fatalf("%s holds %d containers, want 5 (%v)", v1Dir, len(v1), err)
+	}
+	for _, e := range v1 {
+		t.Run(e.Name(), func(t *testing.T) {
+			box, err := os.ReadFile(filepath.Join(v1Dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !Sniff(box) || box[4] != 1 {
+				t.Fatal("not a v1 container")
+			}
+			v1Refused(t, box)
+		})
+	}
 	t.Run("corrupt-fixtures", func(t *testing.T) {
 		// The checked-in bit-rot variants stay derivable from the golden
-		// set, and their verification verdicts are pinned: v1 raw bit rot
-		// passes (the recorded detection gap), v2 bit rot fails as
-		// ErrChecksum.
+		// set, and each fails as ErrChecksum.
 		for name, data := range corruptFixtures(t, sources) {
 			onDisk, err := os.ReadFile(filepath.Join(corruptDir, name))
 			if err != nil {
@@ -441,18 +422,26 @@ func TestGoldenContainers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			switch name {
-			case "raw-v1-bitrot.crfc":
-				if !rep.Clean() || rep.ChecksumFailures != 0 {
-					t.Fatalf("%s: v1 verification unexpectedly caught raw bit rot: %+v", name, rep)
-				}
-			default:
-				if rep.Clean() || rep.ChecksumFailures != 1 {
-					t.Fatalf("%s: v2 bit rot not caught as a checksum failure: %+v", name, rep)
-				}
+			if rep.Clean() || rep.ChecksumFailures != 1 {
+				t.Fatalf("%s: bit rot not caught as a checksum failure: %+v", name, rep)
 			}
 		}
 	})
+}
+
+// v1Refused checks that the strict scanner and salvage refuse box, a
+// container that starts with a v1 header, as ErrFrameVersion — not as
+// damage, which salvage would cut to a prefix — and keep no frame.
+func v1Refused(t *testing.T, box []byte) {
+	t.Helper()
+	r := bytes.NewReader(box)
+	frames, intact, stopErr := ScanPrefix(r, int64(len(box)))
+	if !errors.Is(stopErr, ErrFrameVersion) || errors.Is(stopErr, ErrCorrupt) || len(frames) != 0 || intact != 0 {
+		t.Fatalf("strict scan: %d frames, intact=%d, %v; want ErrFrameVersion", len(frames), intact, stopErr)
+	}
+	if frames, _, err := Salvage(r, int64(len(box))); !errors.Is(err, ErrFrameVersion) || len(frames) != 0 {
+		t.Fatalf("salvage: %d frames, %v; want ErrFrameVersion", len(frames), err)
+	}
 }
 
 // pagedReadsWhole checks that the fixture name holds pagedExtents as paged

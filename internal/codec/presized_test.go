@@ -53,7 +53,7 @@ func badPagedFrames(t testing.TB) []badFrame {
 	head := frame[HeaderSize : HeaderSize+2+pageSize] // tag, bitmap, the flat page
 	deflated := append(bytes.Clone(src[:pageSize]), src[2*pageSize:]...)
 	paged := func(p []byte) badFrame {
-		return badFrame{payload: p, h: Header{Version: Version2, Codec: DeflateID,
+		return badFrame{payload: p, h: Header{Codec: DeflateID,
 			Checksum: h.Checksum, RawLen: h.RawLen, EncLen: uint32(len(p))}, want: ErrCorrupt}
 	}
 	deflate := func(p []byte) []byte { // level-6 DEFLATE of p, as Encode writes it
@@ -85,7 +85,7 @@ func badPagedFrames(t testing.TB) []badFrame {
 		name string
 		bf   badFrame
 	}{
-		{"paged-no-bitmap", badFrame{payload: []byte{pagedTag}, h: Header{Version: Version2, Codec: DeflateID,
+		{"paged-no-bitmap", badFrame{payload: []byte{pagedTag}, h: Header{Codec: DeflateID,
 			Checksum: Checksum(src[:100]), RawLen: 100, EncLen: 1}, want: ErrCorrupt}},
 		{"paged-short-of-its-flat-page", paged(head[:2+pageSize/2])},
 		{"paged-no-stream", paged(head)},
@@ -94,7 +94,7 @@ func badPagedFrames(t testing.TB) []badFrame {
 		{"paged-stream-longer", paged(stream(append(deflated, '!')))},
 		{"paged-stream-shorter", paged(stream(deflated[:len(deflated)-1]))},
 		{"paged-stream-cut", paged(frame[HeaderSize : len(frame)-3])},
-		{"paged-stream-beside-all-flat", badFrame{payload: beside, h: Header{Version: Version2, Codec: DeflateID,
+		{"paged-stream-beside-all-flat", badFrame{payload: beside, h: Header{Codec: DeflateID,
 			Checksum: Checksum(allFlat), RawLen: uint32(len(allFlat)), EncLen: uint32(len(beside))}, want: ErrCorrupt}},
 		{"paged-no-flat-bit", paged(append([]byte{pagedTag, 0x00}, deflate(src)...))},
 	}

@@ -51,11 +51,8 @@ type SalvageReport struct {
 	// file that merely begins with the magic bytes.
 	FirstHeaderValid bool
 	// ChecksumVerified counts kept frames whose payload CRC32-C matched
-	// its v2 header; ChecksumSkipped counts kept frames that carried no
-	// checksum (v1 headers and zero-extent frames, which have no payload
-	// to verify).
+	// (zero-extent frames have no payload to verify and are not counted).
 	ChecksumVerified int
-	ChecksumSkipped  int
 	// ChecksumFailures counts frames whose payload decoded to the
 	// declared length but failed its CRC32-C — proven bit rot, as opposed
 	// to a structural tear. The prefix rule stops the scan there, so any
@@ -93,23 +90,25 @@ const maxResync = 8 << 20
 // whose payload lies entirely inside size. intact is the container
 // offset just past the last intact frame. stopErr is nil when the whole
 // container parsed; it wraps ErrCorrupt or ErrNotFramed when the chain
-// is torn at intact, and is the backend's own error when a read inside
-// the supposedly-present bytes failed (callers must not truncate on
-// that — the bytes may be fine and the backend transiently unreadable).
+// is torn at intact. It is ErrFrameVersion when the container starts
+// with a v1 header, and the backend's own error when a read inside the
+// supposedly-present bytes failed. Callers must not truncate on either:
+// a v1 container is a format this module does not read, and on a read
+// failure the bytes may be fine and the backend transiently unreadable.
 //
 // ScanPrefix reads only the 32-byte headers, seeking over payloads, so
 // indexing a multi-gigabyte checkpoint costs one small read per frame.
 // It does not verify payload contents; Salvage does.
 func ScanPrefix(r io.ReaderAt, size int64) (frames []FrameInfo, intact int64, stopErr error) {
-	frames, intact, _, _, stopErr = scanPrefix(r, size, false)
+	frames, intact, _, stopErr = scanPrefix(r, size, false)
 	return frames, intact, stopErr
 }
 
-func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, intact int64, verified, skipped int, stopErr error) {
+func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, intact int64, verified int, stopErr error) {
 	hdr := make([]byte, HeaderSize)
 	var payload, raw []byte // reused across frames
-	fail := func(off int64, err error) ([]FrameInfo, int64, int, int, error) {
-		return frames, off, verified, skipped, err
+	fail := func(off int64, err error) ([]FrameInfo, int64, int, error) {
+		return frames, off, verified, err
 	}
 	for off := int64(0); off < size; {
 		if size-off < HeaderSize {
@@ -124,6 +123,10 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 			return fail(off, fmt.Errorf("codec: frame header at %d: %w", off, err))
 		}
 		h, err := ParseHeader(hdr)
+		if errors.Is(err, ErrFrameVersion) && off > 0 {
+			// Behind a v2 frame, a v1 header is damage, not a v1 container.
+			err = fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 		if err != nil {
 			return fail(off, fmt.Errorf("frame at %d: %w", off, err))
 		}
@@ -134,7 +137,7 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 		}
 		if verify && h.RawLen > 0 {
 			// Recovery-path integrity check: the payload must decode to
-			// exactly RawLen bytes and, for v2 frames, match its CRC32-C.
+			// exactly RawLen bytes and match its CRC32-C.
 			// Zero-extent frames (pads stamped over failed writes,
 			// extension markers) carry no decodable payload and are
 			// validated by their bounds alone.
@@ -157,18 +160,12 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 				// shape, not a backend failure.
 				return fail(off, fmt.Errorf("%w: frame at %d: payload does not decode: %v", ErrCorrupt, off, err))
 			}
-			if h.Version >= Version2 {
-				verified++
-			} else {
-				skipped++
-			}
-		} else if verify {
-			skipped++
+			verified++
 		}
 		frames = append(frames, FrameInfo{Header: h, Pos: off})
 		off = next
 	}
-	return frames, size, verified, skipped, nil
+	return frames, size, verified, nil
 }
 
 // Salvage recovers the longest intact frame prefix of a possibly-torn
@@ -176,15 +173,15 @@ func scanPrefix(r io.ReaderAt, size int64, verify bool) (frames []FrameInfo, int
 // was kept and what was truncated. The returned error is non-nil only
 // when the backend itself failed to produce bytes it claims to have —
 // never for a torn or garbage tail, which is the condition Salvage
-// exists to absorb.
+// exists to absorb. A container that starts with a v1 header is
+// ErrFrameVersion: salvage never reads one.
 func Salvage(r io.ReaderAt, size int64) ([]FrameInfo, SalvageReport, error) {
-	frames, intact, verified, skipped, stopErr := scanPrefix(r, size, true)
+	frames, intact, verified, stopErr := scanPrefix(r, size, true)
 	rep := SalvageReport{
 		FramesKept:       len(frames),
 		IntactBytes:      intact,
 		TruncatedBytes:   size - intact,
 		ChecksumVerified: verified,
-		ChecksumSkipped:  skipped,
 	}
 	if stopErr != nil {
 		if !errors.Is(stopErr, ErrCorrupt) && !errors.Is(stopErr, ErrNotFramed) {

@@ -81,6 +81,11 @@ func TestScanPrefixTornCases(t *testing.T) {
 			}
 			return b
 		}, 1, frame1End},
+		{"v1 header behind a v2 frame", func(b []byte) []byte {
+			b = bytes.Clone(b)
+			b[frame1End+4] = 1
+			return b
+		}, 1, frame1End},
 		{"torn inside first frame", func(b []byte) []byte {
 			return b[:HeaderSize+3]
 		}, 0, 0},

@@ -244,7 +244,7 @@ func TestCompactPathInputs(t *testing.T) {
 	// A payload, its overwrite (a dead frame), then the extension marker.
 	extended := buildContainer(t, codec.Deflate(), [2]int{0, 600}, [2]int{0, 600})
 	marker := make([]byte, codec.HeaderSize)
-	codec.PutHeader(marker, codec.Header{Version: codec.Version, Codec: codec.RawID, Seq: 2, Off: 9000})
+	codec.PutHeader(marker, codec.Header{Codec: codec.RawID, Seq: 2, Off: 9000})
 	extended = append(extended, marker...)
 
 	for _, tc := range []struct {

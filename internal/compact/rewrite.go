@@ -78,7 +78,7 @@ func CompactDir(fsys vfs.FS, root string) (*CompactReport, error) {
 // never a mix. A torn container is compacted from its longest intact
 // frame prefix — the rewrite repairs the tear as a side effect, exactly
 // like open-time salvage followed by repair. A container whose live
-// payloads fail verification is left untouched.
+// payloads fail verification, or a v1 container, is left untouched.
 func CompactPath(fsys vfs.FS, path string, size int64) CompactFileReport {
 	rep := CompactFileReport{Path: path}
 	f, err := fsys.Open(path, vfs.ReadOnly)

@@ -42,14 +42,12 @@ type FileReport struct {
 	// behind a parseable header (bit rot, torn reserved ranges).
 	CorruptFrames int
 	// ChecksumFailures counts the subset of CorruptFrames whose payload
-	// decoded to the declared length but failed its v2 CRC32-C — proven
-	// bit rot that v1's decode-based verification would have passed.
+	// decoded to the declared length but failed its CRC32-C — proven bit
+	// rot that decode-based verification alone would have passed.
 	ChecksumFailures int
-	// ChecksumVerified and ChecksumSkipped split the verified frames into
-	// those proven by a v2 payload checksum and those that carried none
-	// (v1 frames and zero-extent markers).
+	// ChecksumVerified counts the verified frames proven by their payload
+	// checksum (zero-extent markers carry none).
 	ChecksumVerified int
-	ChecksumSkipped  int
 	// FramesDiscarded counts frames that verified intact but sat past the
 	// repair truncation point: the prefix rule gave them up because an
 	// earlier frame was corrupt. Nonzero only when Repaired.
@@ -60,7 +58,8 @@ type FileReport struct {
 	// Repaired reports the container was truncated to its verified
 	// prefix.
 	Repaired bool
-	// Err is a backend failure that prevented scrubbing the file.
+	// Err is what prevented scrubbing the file: a backend failure, or a
+	// container of the retired v1 format (codec.ErrFrameVersion).
 	Err string
 }
 
@@ -74,7 +73,6 @@ func (f *FileReport) Record(res VerifyResult) {
 	f.CorruptFrames = res.Corrupt
 	f.ChecksumFailures = res.ChecksumFailed
 	f.ChecksumVerified = res.ChecksumVerified
-	f.ChecksumSkipped = res.ChecksumSkipped
 	if res.Failed > 0 {
 		f.Err = res.Err
 	}
@@ -91,9 +89,8 @@ type Report struct {
 	Frames           int64 // frames verified intact
 	Bytes            int64 // payload bytes verified
 	CorruptFrames    int64
-	ChecksumFailures int64 // corrupt frames proven by a v2 CRC mismatch
-	ChecksumVerified int64 // verified frames proven by their v2 checksum
-	ChecksumSkipped  int64 // verified frames that carried no checksum (v1, markers)
+	ChecksumFailures int64 // corrupt frames proven by a CRC mismatch
+	ChecksumVerified int64 // verified frames proven by their checksum
 	FramesDiscarded  int64 // intact frames given up by prefix repairs
 	TornContainers   int
 	TornBytes        int64
@@ -115,7 +112,6 @@ func (r *Report) Add(f FileReport) {
 	r.CorruptFrames += int64(f.CorruptFrames)
 	r.ChecksumFailures += int64(f.ChecksumFailures)
 	r.ChecksumVerified += int64(f.ChecksumVerified)
-	r.ChecksumSkipped += int64(f.ChecksumSkipped)
 	r.FramesDiscarded += int64(f.FramesDiscarded)
 	if f.TornBytes > 0 {
 		r.TornContainers++
@@ -132,9 +128,9 @@ func (r *Report) Add(f FileReport) {
 // Format renders the report as a short multi-line summary.
 func (r *Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scrub: containers=%d frames-verified=%d bytes=%d corrupt-frames=%d checksum-failures=%d checksum-verified=%d checksum-skipped=%d torn=%d (%d bytes) repaired=%d discarded-frames=%d\n",
+	fmt.Fprintf(&b, "scrub: containers=%d frames-verified=%d bytes=%d corrupt-frames=%d checksum-failures=%d checksum-verified=%d torn=%d (%d bytes) repaired=%d discarded-frames=%d\n",
 		r.Containers, r.Frames, r.Bytes, r.CorruptFrames, r.ChecksumFailures,
-		r.ChecksumVerified, r.ChecksumSkipped, r.TornContainers, r.TornBytes,
+		r.ChecksumVerified, r.TornContainers, r.TornBytes,
 		r.Repaired, r.FramesDiscarded)
 	for _, f := range r.Problems {
 		fmt.Fprintf(&b, "  %s: frames=%d corrupt=%d checksum-failures=%d torn-bytes=%d repaired=%v discarded=%d%s\n",
@@ -151,8 +147,8 @@ func (r *Report) Format() string {
 type frameScratch struct{ payload, raw []byte }
 
 // verifyFrame reads one frame's payload through r and proves it decodes
-// to exactly the length its header declares — and, for v2 frames, that
-// the decoded bytes match the header's CRC32-C. The returned error wraps
+// to exactly the length its header declares and that the decoded bytes
+// match the header's CRC32-C. The returned error wraps
 // codec.ErrCorrupt for payload damage (codec.ErrChecksum for the CRC
 // case specifically) and is the backend's own error when the bytes could
 // not be read at all.
@@ -229,9 +225,8 @@ type VerifyResult struct {
 	Verified         int   // frames whose payload verified intact
 	Bytes            int64 // payload bytes covered by the verified frames
 	Corrupt          int   // frames proven corrupt (undecodable payload or CRC mismatch)
-	ChecksumFailed   int   // corrupt frames proven by a v2 CRC mismatch specifically
-	ChecksumVerified int   // intact frames proven by their v2 payload checksum
-	ChecksumSkipped  int   // intact frames carrying no checksum (v1, zero-extent)
+	ChecksumFailed   int   // corrupt frames proven by a CRC mismatch specifically
+	ChecksumVerified int   // intact frames proven by their payload checksum
 	FirstCorrupt     int64 // container offset of the first corrupt frame, -1 when none
 	Failed           int   // frames unverifiable because the backend failed to read
 	Err              string
@@ -249,7 +244,7 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 		submit = func(j func()) { j() }
 	}
 	var ok, badPos, okBytes, failed atomic.Int64
-	var sumOK, sumSkip, sumBad atomic.Int64
+	var sumOK, sumBad atomic.Int64
 	badPos.Store(-1)
 	var errMu sync.Mutex
 	var firstErr string
@@ -268,10 +263,8 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 				ok.Add(1)
 				okBytes.Add(int64(fr.Header.RawLen))
 				intact[i] = true
-				if fr.Header.RawLen > 0 && fr.Header.Version >= codec.Version2 {
+				if fr.Header.RawLen > 0 {
 					sumOK.Add(1)
-				} else {
-					sumSkip.Add(1)
 				}
 			case errors.Is(err, codec.ErrChecksum):
 				sumBad.Add(1)
@@ -303,7 +296,6 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 		Bytes:            okBytes.Load(),
 		ChecksumFailed:   int(sumBad.Load()),
 		ChecksumVerified: int(sumOK.Load()),
-		ChecksumSkipped:  int(sumSkip.Load()),
 		FirstCorrupt:     badPos.Load(),
 		Failed:           int(failed.Load()),
 		Err:              firstErr,
@@ -342,7 +334,7 @@ func ScrubFile(fsys vfs.FS, path string, size int64, repair bool, submit Submit)
 	frames, intact, stopErr := codec.ScanPrefix(f, size)
 	if stopErr != nil {
 		if !errors.Is(stopErr, codec.ErrCorrupt) && !errors.Is(stopErr, codec.ErrNotFramed) {
-			fr.Err = stopErr.Error() // backend failure, not damage
+			fr.Err = stopErr.Error() // a v1 container or a backend failure, not damage
 			return fr
 		}
 		fr.TornBytes = size - intact

@@ -15,66 +15,32 @@ import (
 
 // The scrub-path arm of the corruption-injection matrix (the codec-level
 // arms live in internal/codec/corrupt_test.go): the same payload flip,
-// pushed through Scrub, with the verdict pinned per frame version.
+// pushed through Scrub.
 
-// buildContainerV is buildContainer at an explicit frame version.
-func buildContainerV(t *testing.T, c codec.Codec, ver uint8, extents ...[2]int) []byte {
-	t.Helper()
-	var box []byte
-	for i, e := range extents {
-		var err error
-		box, _, err = codec.EncodeFrameVersion(c, ver, uint64(i), int64(e[0]), payload(e[1], i+1), box)
+// TestScrubChecksumMatrix flips one raw payload byte and scrubs: the flip
+// is a counted checksum failure. (A v1 container, which carries no
+// checksum, is refused whole: core's TestV1ContainersRefused.)
+func TestScrubChecksumMatrix(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		m := memfs.New()
+		box := buildContainer(t, codec.Raw(), [2]int{0, 300}, [2]int{300, 300}, [2]int{600, 300})
+		frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+		box[frames[1].Pos+codec.HeaderSize+7] ^= 0x01
+		if err := vfs.WriteFile(m, "rot.crfc", box); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := Scrub(m, ".", ScrubOptions{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	return box
-}
-
-// TestScrubChecksumMatrix flips one raw payload byte and scrubs. Under v1
-// the flip sails through — a raw payload decodes at any contents, so the
-// scrub reports the tree clean while serving rotted bytes. That recorded
-// miss is the reason the v2 format exists; the v2 half of the table proves
-// the same flip is now a counted checksum failure.
-func TestScrubChecksumMatrix(t *testing.T) {
-	cases := []struct {
-		ver       uint8
-		wantClean bool
-	}{
-		{codec.Version1, true}, // the v1 gap, pinned so it can never silently reopen
-		{codec.Version2, false},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 4} {
-			m := memfs.New()
-			box := buildContainerV(t, codec.Raw(), tc.ver, [2]int{0, 300}, [2]int{300, 300}, [2]int{600, 300})
-			frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
-			box[frames[1].Pos+codec.HeaderSize+7] ^= 0x01
-			if err := vfs.WriteFile(m, "rot.crfc", box); err != nil {
-				t.Fatal(err)
-			}
-			rep, err := Scrub(m, ".", ScrubOptions{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Clean() != tc.wantClean {
-				t.Fatalf("v%d workers=%d: clean=%v, want %v: %+v", tc.ver, workers, rep.Clean(), tc.wantClean, rep)
-			}
-			if tc.ver == codec.Version1 {
-				if rep.ChecksumSkipped != 3 || rep.ChecksumVerified != 0 || rep.ChecksumFailures != 0 {
-					t.Fatalf("v1 counters: %+v, want all 3 frames checksum-skipped", rep)
-				}
-				continue
-			}
-			if rep.CorruptFrames != 1 || rep.ChecksumFailures != 1 {
-				t.Fatalf("v2 flip not attributed to the checksum: %+v", rep)
-			}
-			if rep.ChecksumVerified != 2 || rep.ChecksumSkipped != 0 {
-				t.Fatalf("v2 counters: %+v, want the 2 intact frames checksum-verified", rep)
-			}
-			if !strings.Contains(rep.Format(), "checksum-failures=1") {
-				t.Fatalf("report does not surface the failure:\n%s", rep.Format())
-			}
+		if rep.Clean() || rep.CorruptFrames != 1 || rep.ChecksumFailures != 1 {
+			t.Fatalf("workers=%d: flip not attributed to the checksum: %+v", workers, rep)
+		}
+		if rep.ChecksumVerified != 2 {
+			t.Fatalf("workers=%d: counters %+v, want the 2 intact frames checksum-verified", workers, rep)
+		}
+		if !strings.Contains(rep.Format(), "checksum-failures=1") {
+			t.Fatalf("report does not surface the failure:\n%s", rep.Format())
 		}
 	}
 }
@@ -184,7 +150,7 @@ func TestScrubPagedFlips(t *testing.T) {
 // data loss starts.
 func TestScrubRepairCountsDiscardedFrames(t *testing.T) {
 	m := memfs.New()
-	box := buildContainerV(t, codec.Raw(), codec.Version2,
+	box := buildContainer(t, codec.Raw(),
 		[2]int{0, 200}, [2]int{200, 200}, [2]int{400, 200}, [2]int{600, 200})
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	box[frames[1].Pos+codec.HeaderSize] ^= 0x01 // rot frame 1; frames 2,3 stay intact
@@ -225,7 +191,7 @@ func TestScrubRepairCountsDiscardedFrames(t *testing.T) {
 // repair accounting depends on: Intact lines up with the input order even
 // when verification fans out across workers.
 func TestVerifyFramesIntactVerdicts(t *testing.T) {
-	box := buildContainerV(t, codec.Raw(), codec.Version2,
+	box := buildContainer(t, codec.Raw(),
 		[2]int{0, 300}, [2]int{300, 300}, [2]int{600, 300})
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	box[frames[2].Pos+codec.HeaderSize+5] ^= 0x01

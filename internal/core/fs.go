@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -361,7 +362,7 @@ func (fs *FS) fetchFrame(bf backendHandle, fr codec.FrameInfo) (*prefetched, err
 	}
 	var err error
 	pr.buf, err = codec.DecodeFrame(fr.Header, enc, dst)
-	fs.stats.checksumResult(fr.Header.Version, err)
+	fs.stats.checksumResult(err)
 	if err != nil {
 		fs.putReadChunk(pr.c)
 		return nil, err
@@ -562,9 +563,9 @@ func (fs *FS) indexEntry(entry *fileEntry, key string, flag vfs.OpenFlag, size i
 	}
 	probe, perr := probeContainer(r, size)
 	if perr != nil {
-		// Could not read the prefix at all: refuse rather than guess —
-		// writing plain bytes into what may be a container would corrupt
-		// it, and a read-only open would misreport sizes.
+		// A v1 container, or the file could not be read: refuse rather
+		// than guess — writing plain bytes into what may be a container
+		// would corrupt it, and a read would serve encoded bytes.
 		return fmt.Errorf("core: open %s: sniff: %w", key, perr)
 	}
 	for attempt := 0; probe.salvaged && attempt < 3; attempt++ {
@@ -626,7 +627,6 @@ func (fs *FS) indexEntry(entry *fileEntry, key string, flag vfs.OpenFlag, size i
 		fs.stats.salvageFramesDropped.Add(int64(probe.report.FramesDropped))
 		fs.stats.salvageBytesTruncated.Add(probe.report.TruncatedBytes)
 		fs.stats.checksumVerified.Add(int64(probe.report.ChecksumVerified))
-		fs.stats.checksumSkipped.Add(int64(probe.report.ChecksumSkipped))
 		fs.stats.checksumFailed.Add(int64(probe.report.ChecksumFailures))
 		if fs.opts.RepairOnOpen {
 			entry.pendingRepair = probe.report.IntactBytes
@@ -651,11 +651,11 @@ type containerProbe struct {
 // a container with at least one intact frame — or a parseable first
 // header, the signature of a brand-new container torn inside its first
 // frame — is served from its intact prefix rather than demoted. err
-// reports that the prefix could not be read at all (an IO failure,
-// distinct from a mismatch — the caller must not guess
-// plain-vs-container in that case). Open, Stat, and Truncate all route
-// through this single probe so classification policy cannot drift
-// between them.
+// reports a magic-matched file the probe cannot classify: a backend read
+// failed (the caller must not guess plain-vs-container then), or the
+// container starts with a v1 header (codec.ErrFrameVersion). Open, Stat,
+// and Truncate all route through this single probe so classification
+// policy cannot drift between them.
 func probeContainer(r backendHandle, size int64) (containerProbe, error) {
 	var p containerProbe
 	if size < codec.HeaderSize {
@@ -669,17 +669,26 @@ func probeContainer(r backendHandle, size int64) (containerProbe, error) {
 		return p, nil
 	}
 	p.sniffed = true
-	if frames, _, stopErr := codec.ScanPrefix(r, size); stopErr == nil {
+	frames, _, stopErr := codec.ScanPrefix(r, size)
+	if stopErr == nil {
 		p.frames, p.ok = frames, true
 		p.logical, p.nextSeq = frameExtent(frames)
 		return p, nil
 	}
+	if !errors.Is(stopErr, codec.ErrCorrupt) && !errors.Is(stopErr, codec.ErrNotFramed) {
+		// A v1 container or a read failure mid-scan. Demoting to plain
+		// would serve encoded bytes as content, and salvage would
+		// truncate a healthy container on a transient failure.
+		return p, stopErr
+	}
 	frames, report, err := codec.Salvage(r, size)
-	if err != nil || (len(frames) == 0 && !report.FirstHeaderValid) {
-		// Unreadable mid-scan, or nothing frame-like beyond the magic
-		// bytes: keep the seed demote-to-plain policy. (A transient read
-		// failure must not salvage-truncate a healthy container, and a
-		// plain file starting with "CRFC" must stay readable.)
+	if err != nil {
+		return p, err
+	}
+	if len(frames) == 0 && !report.FirstHeaderValid {
+		// Nothing frame-like beyond the magic bytes: keep the seed
+		// demote-to-plain policy, so a plain file starting with "CRFC"
+		// stays readable.
 		return p, nil
 	}
 	p.frames, p.ok, p.salvaged, p.report = frames, true, true, report

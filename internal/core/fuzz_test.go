@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"testing"
 
@@ -38,19 +39,13 @@ func (h *fuzzHandle) Truncate(size int64) error                { panic("probe mu
 func (h *fuzzHandle) Sync() error                              { panic("probe must not sync") }
 func (h *fuzzHandle) Close() error                             { return nil }
 
-// containerBytes builds a valid container from (off, payload) extents at
-// the current frame version; containerBytesV pins the version per frame.
+// containerBytes builds a valid container from (off, payload) extents.
 func containerBytes(t testing.TB, c codec.Codec, extents ...[]byte) []byte {
-	t.Helper()
-	return containerBytesV(t, c, func(int) uint8 { return codec.Version }, extents...)
-}
-
-func containerBytesV(t testing.TB, c codec.Codec, verAt func(i int) uint8, extents ...[]byte) []byte {
 	t.Helper()
 	var out []byte
 	var off int64
 	for i, p := range extents {
-		frame, _, err := codec.EncodeFrameVersion(c, verAt(i), uint64(i), off, p, nil)
+		frame, _, err := codec.EncodeFrame(c, uint64(i), off, p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -85,18 +80,15 @@ func FuzzProbeContainer(f *testing.F) {
 	liar[28] = 0xFF
 	liar[29] = 0xFF
 	f.Add(liar)
-	// Version-mix and checksum-mutation shapes: a pure v1 container, a
-	// v1-then-v2 history (legacy file appended by a new writer), a v2
-	// container with a rotted payload byte, and a v3 frame mid-chain.
-	v1 := func(int) uint8 { return codec.Version1 }
-	mix := func(i int) uint8 {
-		if i < 1 {
-			return codec.Version1
-		}
-		return codec.Version2
-	}
-	f.Add(containerBytesV(f, codec.Raw(), v1, []byte("old"), []byte("format"), []byte("file")))
-	f.Add(containerBytesV(f, codec.Deflate(), mix, bytes.Repeat([]byte("v1 half "), 20), bytes.Repeat([]byte("v2 half "), 20)))
+	// Version and checksum-mutation shapes: a container whose first
+	// header says v1 (refused), a v1 version byte behind a v2 frame
+	// (damage), a rotted payload byte, and a v3 frame mid-chain.
+	v1 := bytes.Clone(containerBytes(f, codec.Raw(), []byte("old"), []byte("format"), []byte("file")))
+	v1[4] = 1
+	f.Add(v1)
+	v1Mid := bytes.Clone(containerBytes(f, codec.Deflate(), bytes.Repeat([]byte("v2 half "), 20), []byte("v1 half")))
+	v1Mid[bytes.LastIndex(v1Mid, codec.Magic[:])+4] = 1
+	f.Add(v1Mid)
 	rotted := bytes.Clone(containerBytes(f, codec.Raw(), []byte("checksummed"), []byte("payload")))
 	rotted[codec.HeaderSize+2] ^= 0x01
 	f.Add(rotted)
@@ -114,8 +106,13 @@ func FuzzProbeContainer(f *testing.F) {
 		if h.maxReq > size+codec.HeaderSize {
 			t.Fatalf("probe requested bytes up to %d of a %d-byte file", h.maxReq, size)
 		}
+		// In-memory reads cannot fail: the one refusal is a container
+		// whose first header is v1.
+		if v1 := size >= codec.HeaderSize && codec.Sniff(data) && data[4] == 1; v1 != (err != nil) || err != nil && !errors.Is(err, codec.ErrFrameVersion) {
+			t.Fatalf("v1 first header %v, probe error %v", v1, err)
+		}
 		if err != nil {
-			t.Fatalf("in-memory reads cannot fail, got %v", err)
+			return
 		}
 		if !p.sniffed && p.ok {
 			t.Fatal("ok without a magic match")
@@ -142,7 +139,7 @@ func FuzzProbeContainer(f *testing.F) {
 			if fr.Header.Off < 0 || fr.Header.Off > codec.MaxLogicalOff {
 				t.Fatalf("accepted frame with implausible offset %d", fr.Header.Off)
 			}
-			if v := fr.Header.Version; v != codec.Version1 && v != codec.Version2 {
+			if v := data[fr.Pos+4]; v != codec.Version {
 				t.Fatalf("accepted frame with version %d", v)
 			}
 			if fr.Header.Seq >= p.nextSeq {

@@ -17,17 +17,17 @@ import (
 // The mount-level arms of the corruption-injection matrix: the live read
 // path and the read-ahead prefetcher (the codec and scrub arms live in
 // internal/codec and internal/compact). Raw-codec frames are used
-// throughout because they are the worst case for v1: a raw payload
-// decodes at any contents, so every flip is silent without the checksum.
+// throughout because they are the worst case: a raw payload decodes at
+// any contents, so every flip is silent without the checksum.
 
-// rawContainer builds a raw-frame container of `frames` extents at an
-// explicit frame version and returns it with its logical content.
-func rawFrameContainer(t *testing.T, ver uint8, frames, extent int) (box, content []byte) {
+// rawFrameContainer builds a raw-frame container of `frames` extents and
+// returns it with its logical content.
+func rawFrameContainer(t *testing.T, frames, extent int) (box, content []byte) {
 	t.Helper()
 	for i := 0; i < frames; i++ {
 		part := compressiblePayload(extent, int64(i+1))
 		var err error
-		box, _, err = codec.EncodeFrameVersion(codec.Raw(), ver, uint64(i), int64(i*extent), part, box)
+		box, _, err = codec.EncodeFrame(codec.Raw(), uint64(i), int64(i*extent), part, box)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -37,114 +37,55 @@ func rawFrameContainer(t *testing.T, ver uint8, frames, extent int) (box, conten
 }
 
 // TestReadAtChecksumMatrix pins the live read path's verdict on bit rot
-// that lands while a handle is open (past open-time salvage): a v2 frame
-// fails the read with ErrChecksum and counts it; the same flip under v1
-// is served as if nothing happened — the recorded gap.
+// that lands while a handle is open (past open-time salvage): the frame
+// fails the read with ErrChecksum and counts it.
 func TestReadAtChecksumMatrix(t *testing.T) {
-	for _, ver := range []uint8{codec.Version1, codec.Version2} {
-		box, content := rawFrameContainer(t, ver, 3, 8<<10)
-		back := memfs.New()
-		if err := vfs.WriteFile(back, "ck.img", box); err != nil {
-			t.Fatal(err)
-		}
-		fs := mount(t, back, Options{ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
-		f, err := fs.Open("ck.img", vfs.ReadOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Clean read first: the whole file round-trips and the verify
-		// counters attribute every frame.
-		got := make([]byte, len(content))
-		if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, content) {
-			t.Fatalf("v%d: clean read: %v", ver, err)
-		}
-		st := fs.Stats()
-		if ver == codec.Version2 && (st.ChecksumVerified == 0 || st.ChecksumFailed != 0) {
-			t.Fatalf("v2 clean read counters: %+v", st)
-		}
-		if ver == codec.Version1 && (st.ChecksumSkipped == 0 || st.ChecksumVerified != 0) {
-			t.Fatalf("v1 clean read counters: %+v", st)
-		}
-		// Rot frame 1's payload behind the open handle's back.
-		frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
-		rotted := bytes.Clone(box)
-		rotted[frames[1].Pos+codec.HeaderSize+100] ^= 0x01
-		if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
-			t.Fatal(err)
-		}
-		_, err = f.ReadAt(got, 0)
-		switch ver {
-		case codec.Version2:
-			if !errors.Is(err, codec.ErrChecksum) || !errors.Is(err, codec.ErrCorrupt) {
-				t.Fatalf("v2 read of rotted frame: %v, want ErrChecksum", err)
-			}
-			if st := fs.Stats(); st.ChecksumFailed == 0 {
-				t.Fatalf("v2 rot not counted: %+v", st)
-			}
-		case codec.Version1:
-			// The v1 gap, pinned: the read succeeds and serves rot.
-			if err != nil {
-				t.Fatalf("v1 read of rotted frame unexpectedly failed: %v", err)
-			}
-			if bytes.Equal(got, content) {
-				t.Fatal("rot did not change the bytes; the flip was lost")
-			}
-			if st := fs.Stats(); st.ChecksumFailed != 0 {
-				t.Fatalf("v1 frame cannot fail a checksum it does not carry: %+v", st)
-			}
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		waitPoolWhole(t, fs) // the failed decode gave its buffer back
+	box, content := rawFrameContainer(t, 3, 8<<10)
+	back := memfs.New()
+	if err := vfs.WriteFile(back, "ck.img", box); err != nil {
+		t.Fatal(err)
 	}
+	fs := mount(t, back, Options{ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
+	f, err := fs.Open("ck.img", vfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Clean read first: the whole file round-trips and the verify
+	// counters attribute every frame.
+	got := make([]byte, len(content))
+	if _, err := f.ReadAt(got, 0); err != nil || !bytes.Equal(got, content) {
+		t.Fatalf("clean read: %v", err)
+	}
+	if st := fs.Stats(); st.ChecksumVerified == 0 || st.ChecksumFailed != 0 {
+		t.Fatalf("clean read counters: %+v", st)
+	}
+	// Rot frame 1's payload behind the open handle's back.
+	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
+	rotted := bytes.Clone(box)
+	rotted[frames[1].Pos+codec.HeaderSize+100] ^= 0x01
+	if err := vfs.WriteFile(back, "ck.img", rotted); err != nil {
+		t.Fatal(err)
+	}
+	if _, err = f.ReadAt(got, 0); !errors.Is(err, codec.ErrChecksum) || !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("read of rotted frame: %v, want ErrChecksum", err)
+	}
+	if st := fs.Stats(); st.ChecksumFailed == 0 {
+		t.Fatalf("rot not counted: %+v", st)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waitPoolWhole(t, fs) // the failed decode gave its buffer back
 }
 
-// TestPrefetchChecksumMatrix drives the read-ahead pipeline over both
-// frame versions: prefetched v2 frames count as verified, v1 as skipped,
-// and rot under a v2 prefetch is counted and never served.
+// TestPrefetchChecksumMatrix drives the read-ahead pipeline: prefetched
+// frames count as verified, and rot under a prefetch is counted and never
+// served.
 func TestPrefetchChecksumMatrix(t *testing.T) {
-	for _, ver := range []uint8{codec.Version1, codec.Version2} {
-		box, content := rawFrameContainer(t, ver, 8, 8<<10)
-		// The read delay gives the workers a head start; with a
-		// zero-latency backend the reader steals every job back before a
-		// worker publishes (see TestReadAheadSequential).
-		back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
-		if err := vfs.WriteFile(back, "ck.img", box); err != nil {
-			t.Fatal(err)
-		}
-		fs := mount(t, back, Options{
-			ChunkSize: 8 << 10, BufferPoolSize: 64 << 10, IOThreads: 4,
-			ReadAhead: 4, Codec: codec.Deflate(),
-		})
-		f, err := fs.Open("ck.img", vfs.ReadOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readSequential(t, f, content, 2048)
-		readSequential(t, f, content, 2048)
-		time.Sleep(20 * time.Millisecond) // let in-flight jobs publish
-		readSequential(t, f, content, 2048)
-		st := fs.Stats()
-		if st.PrefetchedBytes == 0 {
-			t.Fatalf("v%d: sequential read never prefetched: %+v", ver, st)
-		}
-		if ver == codec.Version2 && (st.ChecksumVerified == 0 || st.ChecksumFailed != 0) {
-			t.Fatalf("v2 prefetch counters: %+v", st)
-		}
-		if ver == codec.Version1 && (st.ChecksumSkipped == 0 || st.ChecksumVerified != 0) {
-			t.Fatalf("v1 prefetch counters: %+v", st)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Rot under the prefetcher: corrupt a late v2 frame after open, read
-	// sequentially. Whether the failing decode happens on the prefetch
-	// path or the read path, the read must error with ErrChecksum — a
-	// prefetched frame that failed its CRC is dropped, never served.
-	box, content := rawFrameContainer(t, codec.Version2, 8, 8<<10)
+	box, content := rawFrameContainer(t, 8, 8<<10)
+	// The read delay gives the workers a head start; with a
+	// zero-latency backend the reader steals every job back before a
+	// worker publishes (see TestReadAheadSequential).
 	back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
 	if err := vfs.WriteFile(back, "ck.img", box); err != nil {
 		t.Fatal(err)
@@ -155,6 +96,28 @@ func TestPrefetchChecksumMatrix(t *testing.T) {
 	})
 	f, err := fs.Open("ck.img", vfs.ReadOnly)
 	if err != nil {
+		t.Fatal(err)
+	}
+	readSequential(t, f, content, 2048)
+	readSequential(t, f, content, 2048)
+	time.Sleep(20 * time.Millisecond) // let in-flight jobs publish
+	readSequential(t, f, content, 2048)
+	st := fs.Stats()
+	if st.PrefetchedBytes == 0 {
+		t.Fatalf("sequential read never prefetched: %+v", st)
+	}
+	if st.ChecksumVerified == 0 || st.ChecksumFailed != 0 {
+		t.Fatalf("prefetch counters: %+v", st)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rot under the prefetcher: corrupt a late frame after open, read
+	// sequentially. Whether the failing decode happens on the prefetch
+	// path or the read path, the read must error with ErrChecksum — a
+	// prefetched frame that failed its CRC is dropped, never served.
+	if f, err = fs.Open("ck.img", vfs.ReadOnly); err != nil {
 		t.Fatal(err)
 	}
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
@@ -431,12 +394,13 @@ func prefetchFlips(t *testing.T, rt rotTarget) {
 }
 
 // TestScrubCountsChecksums pins the online scrub's counter threading: a
-// mixed-version mount (v1 container pre-seeded, v2 written by the mount)
-// splits verified/skipped correctly in both the scrub report and Stats.
+// mixed-codec mount (raw-frame container pre-seeded, deflate written by
+// the mount) counts every frame verified in both the scrub report and
+// Stats.
 func TestScrubCountsChecksums(t *testing.T) {
 	back := memfs.New()
-	v1box, _ := rawFrameContainer(t, codec.Version1, 3, 4<<10)
-	if err := vfs.WriteFile(back, "old.img", v1box); err != nil {
+	rawBox, _ := rawFrameContainer(t, 3, 4<<10)
+	if err := vfs.WriteFile(back, "old.img", rawBox); err != nil {
 		t.Fatal(err)
 	}
 	fs := mount(t, back, Options{ChunkSize: 8 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
@@ -448,14 +412,11 @@ func TestScrubCountsChecksums(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("clean mount scrubbed dirty: %+v", rep)
 	}
-	if rep.ChecksumSkipped < 3 || rep.ChecksumVerified < 3 {
-		t.Fatalf("mixed-version scrub counters: verified=%d skipped=%d, want >=3 each",
-			rep.ChecksumVerified, rep.ChecksumSkipped)
+	if rep.ChecksumVerified < 6 {
+		t.Fatalf("mixed-codec scrub counters: verified=%d, want >= 6", rep.ChecksumVerified)
 	}
-	st := fs.Stats()
-	if st.ChecksumVerified < rep.ChecksumVerified || st.ChecksumSkipped < rep.ChecksumSkipped {
-		t.Fatalf("scrub counters not folded into Stats: %+v vs report verified=%d skipped=%d",
-			st, rep.ChecksumVerified, rep.ChecksumSkipped)
+	if st := fs.Stats(); st.ChecksumVerified < rep.ChecksumVerified {
+		t.Fatalf("scrub counters not folded into Stats: %+v vs report verified=%d", st, rep.ChecksumVerified)
 	}
 }
 
@@ -466,7 +427,7 @@ func TestScrubCountsChecksums(t *testing.T) {
 // structurally intact chain is scanned headers-only at open — payload rot
 // behind it is the read path's and the scrub's to catch.)
 func TestOpenSalvageCountsChecksumFailure(t *testing.T) {
-	box, content := rawFrameContainer(t, codec.Version2, 3, 8<<10)
+	box, content := rawFrameContainer(t, 3, 8<<10)
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	box[frames[2].Pos+codec.HeaderSize+9] ^= 0x01      // rot the last frame...
 	box = append(box, "torn tail from a power cut"...) // ...behind a tear

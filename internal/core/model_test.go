@@ -322,7 +322,7 @@ func (h *modelHarness) open(name string) {
 // read semantics of any model file, which verify() proves right after.
 func (h *modelHarness) scrubAfterCorruption(back vfs.FS) {
 	h.t.Helper()
-	box, _ := rawFrameContainer(h.t, codec.Version2, 3, 1024)
+	box, _ := rawFrameContainer(h.t, 3, 1024)
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	box[frames[1].Pos+codec.HeaderSize+13] ^= 0x01
 	if err := vfs.WriteFile(back, "victim.crfc", box); err != nil {
@@ -345,13 +345,13 @@ func (h *modelHarness) scrubAfterCorruption(back vfs.FS) {
 	h.verify("scrub-after-corruption")
 }
 
-// TestModelMixedVersion pre-seeds the backend with legacy v1 containers,
-// then drives the standard op sequence over them through a v2-writing
-// mount: every overwrite and append mixes v2 frames into a v1 chain, and
-// the differential contract must hold at every step, across a planted
+// TestModelMixedCodec pre-seeds the backend with raw-codec containers,
+// then drives the standard op sequence over them through a deflate mount:
+// every overwrite and append mixes deflate frames into a raw-frame chain,
+// and the differential contract must hold at every step, across a planted
 // mid-sequence corruption scrub, and across a remount that reindexes the
 // mixed containers from scratch.
-func TestModelMixedVersion(t *testing.T) {
+func TestModelMixedCodec(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		back := memfs.New()
 		model := newModelFS()
@@ -360,8 +360,7 @@ func TestModelMixedVersion(t *testing.T) {
 			for j := 0; j < 3+i; j++ {
 				part := compressiblePayload(1200, seed*100+int64(i*8+j))
 				var err error
-				box, _, err = codec.EncodeFrameVersion(codec.Raw(), codec.Version1,
-					uint64(j), int64(j)*1200, part, box)
+				box, _, err = codec.EncodeFrame(codec.Raw(), uint64(j), int64(j)*1200, part, box)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -383,7 +382,7 @@ func TestModelMixedVersion(t *testing.T) {
 			framed:  true,
 			rng:     rand.New(rand.NewSource(seed)),
 		}
-		h.verify(fmt.Sprintf("seed %d pre-seeded v1 state", seed))
+		h.verify(fmt.Sprintf("seed %d pre-seeded raw-frame state", seed))
 		for i := 0; i < 250; i++ {
 			desc := h.step()
 			h.verify(fmt.Sprintf("mixed seed %d op %d %s", seed, i, desc))

@@ -6,9 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"crfs/internal/codec"
+	"crfs/internal/compact"
 	"crfs/internal/memfs"
 	"crfs/internal/vfs"
 )
@@ -165,7 +168,7 @@ func TestGoldenFixturesThroughMount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("golden fixtures missing: %v", err)
 	}
-	for _, name := range []string{"raw.crfc", "deflate.crfc", "deflate-torn.crfc"} {
+	for _, name := range []string{"raw-v2.crfc", "deflate-v2.crfc", "deflate-v2-torn.crfc"} {
 		box, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -177,6 +180,119 @@ func TestGoldenFixturesThroughMount(t *testing.T) {
 		fs := mount(t, back, Options{ChunkSize: 16 << 10, BufferPoolSize: 64 << 10})
 		if got := readThrough(t, fs, "golden.img"); !bytes.Equal(got, want) {
 			t.Fatalf("%s: mount read differs from golden content", name)
+		}
+	}
+}
+
+// TestV1ContainersRefused: each retired v1 fixture is refused with
+// codec.ErrFrameVersion by a raw and a deflate mount's open, never
+// demoted to plain (which would serve its encoded bytes) nor salvaged;
+// scrub with repair reports it and compaction leaves it, both without
+// changing a byte.
+func TestV1ContainersRefused(t *testing.T) {
+	dir := filepath.Join("..", "codec", "testdata", "v1")
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 5 {
+		t.Fatalf("%s: %d containers, want 5 (%v)", dir, len(entries), err)
+	}
+	for _, e := range entries {
+		box, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := memfs.New()
+		if err := vfs.WriteFile(back, "old.img", box); err != nil {
+			t.Fatal(err)
+		}
+		for _, cdc := range []codec.Codec{codec.Raw(), codec.Deflate()} {
+			fs := mount(t, back, Options{ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: cdc})
+			for _, flag := range []vfs.OpenFlag{vfs.ReadOnly, vfs.WriteOnly} {
+				if f, err := fs.Open("old.img", flag); !errors.Is(err, codec.ErrFrameVersion) || errors.Is(err, codec.ErrCorrupt) {
+					if f != nil {
+						f.Close()
+					}
+					t.Fatalf("%s: %s mount, open(%v): %v; want ErrFrameVersion", e.Name(), cdc.Name(), flag, err)
+				}
+			}
+			if st := fs.Stats(); st.ContainersSalvaged != 0 || st.ChecksumVerified != 0 {
+				t.Fatalf("%s: %s mount read the container: %+v", e.Name(), cdc.Name(), st)
+			}
+		}
+		scrub := compact.ScrubFile(back, "old.img", int64(len(box)), true, nil)
+		comp := compact.CompactPath(back, "old.img", int64(len(box)))
+		for what, msg := range map[string]string{"scrub -repair": scrub.Err, "compaction": comp.Err} {
+			if !strings.Contains(msg, codec.ErrFrameVersion.Error()) {
+				t.Fatalf("%s: %s error %q, want ErrFrameVersion", e.Name(), what, msg)
+			}
+		}
+		if scrub.Repaired || comp.Compacted {
+			t.Fatalf("%s: scrub %+v, compaction %+v rewrote a v1 container", e.Name(), scrub, comp)
+		}
+		if got, err := vfs.ReadFile(back, "old.img"); err != nil || !bytes.Equal(got, box) {
+			t.Fatalf("%s: bytes changed (%v)", e.Name(), err)
+		}
+	}
+}
+
+// flakyFS fails every ReadAt at or past offset 32 — behind a container's
+// first frame header — while fail is set.
+type flakyFS struct {
+	vfs.FS
+	fail atomic.Bool
+}
+
+var errFlaky = errors.New("flaky read")
+
+func (f *flakyFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
+	file, err := f.FS.Open(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	return flakyFile{file, &f.fail}, nil
+}
+
+type flakyFile struct {
+	vfs.File
+	fail *atomic.Bool
+}
+
+func (f flakyFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.fail.Load() && off >= codec.HeaderSize {
+		return 0, errFlaky
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestOpenRefusesUnreadableContainer: a backend read failure while open
+// scans a container fails the open with that error — demoting the file to
+// plain would serve its encoded bytes as its content — and an open after
+// the fault clears reads the content.
+func TestOpenRefusesUnreadableContainer(t *testing.T) {
+	content := compressiblePayload(200<<10, 11)
+	var box []byte
+	for i := 0; i < 4; i++ {
+		var err error
+		part := content[i*50<<10 : (i+1)*50<<10]
+		if box, _, err = codec.EncodeFrame(codec.Deflate(), uint64(i), int64(i*50<<10), part, box); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cdc := range []codec.Codec{codec.Raw(), codec.Deflate()} {
+		back := &flakyFS{FS: memfs.New()}
+		if err := vfs.WriteFile(back, "ck.img", box); err != nil {
+			t.Fatal(err)
+		}
+		fs := mount(t, back, Options{ChunkSize: 64 << 10, BufferPoolSize: 256 << 10, Codec: cdc})
+		back.fail.Store(true)
+		if f, err := fs.Open("ck.img", vfs.ReadOnly); !errors.Is(err, errFlaky) {
+			if f != nil {
+				f.Close()
+			}
+			t.Fatalf("%s mount: open over a failing backend: %v, want the backend's error", cdc.Name(), err)
+		}
+		back.fail.Store(false)
+		if got := readThrough(t, fs, "ck.img"); !bytes.Equal(got, content) {
+			t.Fatalf("%s mount: read %d bytes after the fault cleared, want the %d-byte content", cdc.Name(), len(got), len(content))
 		}
 	}
 }

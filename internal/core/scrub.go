@@ -42,7 +42,6 @@ func (fs *FS) Scrub() (*compact.Report, error) {
 	fs.stats.framesVerified.Add(rep.Frames)
 	fs.stats.scrubCorruptions.Add(rep.CorruptFrames)
 	fs.stats.checksumVerified.Add(rep.ChecksumVerified)
-	fs.stats.checksumSkipped.Add(rep.ChecksumSkipped)
 	fs.stats.checksumFailed.Add(rep.ChecksumFailures)
 	return rep, err
 }

@@ -103,18 +103,14 @@ type statCounters struct {
 
 	checksumVerified atomic.Int64
 	checksumFailed   atomic.Int64
-	checksumSkipped  atomic.Int64
 }
 
 // checksumResult classifies one frame decode for the integrity counters:
-// a v2 frame whose payload matched its CRC32-C, a failure, or a v1 frame
-// that carried no checksum to check.
-func (c *statCounters) checksumResult(version uint8, err error) {
+// a payload that matched its CRC32-C, or one that failed it.
+func (c *statCounters) checksumResult(err error) {
 	switch {
-	case err == nil && version >= codec.Version2:
-		c.checksumVerified.Add(1)
 	case err == nil:
-		c.checksumSkipped.Add(1)
+		c.checksumVerified.Add(1)
 	case errors.Is(err, codec.ErrChecksum):
 		c.checksumFailed.Add(1)
 	}
@@ -222,17 +218,14 @@ type Stats struct {
 	FramesVerified int64
 	// ScrubCorruptions counts frames that failed scrub verification.
 	ScrubCorruptions int64
-	// ChecksumVerified counts frame payloads whose v2 CRC32-C matched at
+	// ChecksumVerified counts frame payloads whose CRC32-C matched at
 	// decode time, on any decode path: reads, prefetch, open-time
 	// salvage, and scrub.
 	ChecksumVerified int64
 	// ChecksumFailed counts payloads that decoded to the declared length
-	// but failed their v2 checksum — proven bit rot surfaced as
-	// ErrChecksum rather than served.
+	// but failed their checksum — proven bit rot surfaced as ErrChecksum
+	// rather than served.
 	ChecksumFailed int64
-	// ChecksumSkipped counts decoded payloads that carried no checksum
-	// (legacy v1 frames); they are decode-verified only.
-	ChecksumSkipped int64
 }
 
 // AggregationRatio returns application writes per backend write, the
@@ -294,6 +287,5 @@ func (fs *FS) Stats() Stats {
 
 		ChecksumVerified: fs.stats.checksumVerified.Load(),
 		ChecksumFailed:   fs.stats.checksumFailed.Load(),
-		ChecksumSkipped:  fs.stats.checksumSkipped.Load(),
 	}
 }

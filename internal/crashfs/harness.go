@@ -32,7 +32,7 @@ import (
 //  5. Checksums hold at every crash state: a power cut can only shorten
 //     the backend log, never flip landed bytes, so no frame a verify
 //     mount decodes — on the read path or under a full scrub — may fail
-//     its v2 payload checksum. A torn v2 frame must fail structurally
+//     its payload checksum. A torn frame must fail structurally
 //     (salvage truncates at the tear, counted as torn bytes), never
 //     decode to phantom data behind a CRC the writer did not stamp.
 //
@@ -102,11 +102,10 @@ type HarnessResult struct {
 	// by the per-point compact-and-reread check.
 	RecordCompactions, PointCompactions int64
 	// Integrity totals across all verify mounts (reads plus the rule-5
-	// per-point scrub): v2 payloads whose checksum matched, payloads that
-	// carried no checksum (v1 frames, zero-extent markers), and failures.
+	// per-point scrub): payloads whose checksum matched, and failures.
 	// ChecksumFailed > 0 is always also a violation — crash states carry
 	// no bit rot, only tears.
-	ChecksumVerified, ChecksumSkipped, ChecksumFailed int64
+	ChecksumVerified, ChecksumFailed int64
 }
 
 // ack is one durability acknowledgment: after step Step returned, every
@@ -427,11 +426,10 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 	}
 	st := vfs2.Stats()
 	if st.ChecksumFailed > 0 {
-		violate("crash state failed %d payload checksums; torn v2 frames must fail structurally, not decode to phantom data",
+		violate("crash state failed %d payload checksums; torn frames must fail structurally, not decode to phantom data",
 			st.ChecksumFailed)
 	}
 	res.ChecksumVerified += st.ChecksumVerified
-	res.ChecksumSkipped += st.ChecksumSkipped
 	res.ChecksumFailed += st.ChecksumFailed
 	res.Salvaged += st.ContainersSalvaged
 	res.Repaired += st.ContainersRepaired

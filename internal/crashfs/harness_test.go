@@ -52,9 +52,9 @@ var crashMatrix = map[string]HarnessConfig{
 func crashRow(t *testing.T, row string) {
 	cfg := crashMatrix[row]
 	res := runHarness(t, cfg)
-	t.Logf("%s: %d mutations, %d points, salvaged=%d repaired=%d truncated=%d bytes, compactions record=%d point=%d, checksums verified=%d skipped=%d",
+	t.Logf("%s: %d mutations, %d points, salvaged=%d repaired=%d truncated=%d bytes, compactions record=%d point=%d, checksums verified=%d",
 		row, res.Mutations, res.Points, res.Salvaged, res.Repaired, res.BytesTruncated,
-		res.RecordCompactions, res.PointCompactions, res.ChecksumVerified, res.ChecksumSkipped)
+		res.RecordCompactions, res.PointCompactions, res.ChecksumVerified)
 	if cfg.Codec.Name() != "raw" {
 		// Torn cuts inside frame writes must exercise salvage: the contract
 		// holds *because* torn containers are recovered, not refused.

@@ -123,9 +123,9 @@ var ioLocks = map[lockClass]bool{
 // codecIOFuncs are the expensive entrypoints of any package whose import
 // path ends in internal/codec.
 var codecIOFuncs = map[string]bool{
-	"EncodeFrame": true, "EncodeFrameVersion": true, "DecodeFrame": true,
+	"EncodeFrame": true, "DecodeFrame": true,
 	"ScanPrefix": true, "Salvage": true, "CompactContainer": true,
-	"Encode": true, "Decode": true,
+	"Encode": true,
 }
 
 // backendIOMethods are the backendHandle methods that reach the backing
@@ -320,9 +320,9 @@ func (c *checker) isCodecIO(f *types.Func) bool {
 	if !codecIOFuncs[f.Name()] {
 		return false
 	}
-	// Encode/Decode count only as methods (the Codec interface); the
-	// rest are package-level entrypoints.
-	if f.Name() == "Encode" || f.Name() == "Decode" {
+	// Encode counts only as a method (the Codec interface); the rest are
+	// package-level entrypoints.
+	if f.Name() == "Encode" {
 		sig, ok := f.Type().(*types.Signature)
 		return ok && sig.Recv() != nil
 	}

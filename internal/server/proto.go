@@ -164,6 +164,17 @@ func readHeader(r io.Reader) (Header, error) {
 	return ParseFrameHeader(hdr[:])
 }
 
+// ReadPayload reads a frame's len(p) payload bytes from r. Its header
+// promised them, so a stream that ends before the first of them is as
+// truncated as one that ends inside them: both are io.ErrUnexpectedEOF,
+// never the io.EOF that would read as a clean end.
+func ReadPayload(r io.Reader, p []byte) error {
+	if _, err := io.ReadFull(r, p); err != io.EOF {
+		return err
+	}
+	return io.ErrUnexpectedEOF
+}
+
 // ReadFrame reads one frame from r into a payload of its own.
 func ReadFrame(r io.Reader) (Header, []byte, error) {
 	h, err := readHeader(r)
@@ -171,7 +182,7 @@ func ReadFrame(r io.Reader) (Header, []byte, error) {
 		return h, nil, err
 	}
 	buf := make([]byte, h.Len)
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := ReadPayload(r, buf); err != nil {
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
 	return h, buf, nil
@@ -188,7 +199,7 @@ func ReadFrameBuf(r io.Reader) (Header, []byte, error) {
 		return h, nil, err
 	}
 	buf := FrameBufs.Get(int(h.Len))
-	if _, err := io.ReadFull(r, buf); err != nil {
+	if err := ReadPayload(r, buf); err != nil {
 		FrameBufs.Put(buf)
 		return h, nil, fmt.Errorf("server: short frame payload: %w", err)
 	}
