@@ -54,6 +54,12 @@
 // decoding frame containers transparently, with the next chunks/frames
 // prefetched in parallel on the IO workers — and written to DSTDIR as a
 // plain file.
+//
+// Copies and restores replace their destination files atomically: each
+// file is written to a temp beside its name, synced and renamed over it,
+// so a copy or restore that fails leaves the previous file as it was.
+// Every mode runs the same two loops over the store it reaches (a mount,
+// a daemon or the striped store, each a vfs.Objects).
 package main
 
 import (
@@ -69,7 +75,9 @@ import (
 	crfs "crfs"
 	"crfs/internal/client"
 	"crfs/internal/obs"
+	"crfs/internal/osfs"
 	"crfs/internal/stripe"
+	"crfs/internal/vfs"
 )
 
 // traceRun is the -trace plumbing: a local tracer recording crfscp's
@@ -147,17 +155,6 @@ func (t *traceRun) write(dump func(obs.TraceID) []obs.SpanRecord) error {
 	return nil
 }
 
-// setSpanContext plants a trace context on a mount file handle so the
-// core pipeline's spans join the operation's trace.
-func setSpanContext(f crfs.File, ctx obs.SpanContext) {
-	if !ctx.Valid() {
-		return
-	}
-	if t, ok := f.(interface{ SetSpanContext(obs.SpanContext) }); ok {
-		t.SetSpanContext(ctx)
-	}
-}
-
 // usageError is a wrong argument count for the selected mode: run prints
 // the text as is and exits 2.
 type usageError string
@@ -202,11 +199,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var err error
 	switch {
 	case *nodesList != "":
-		err = stripedMode(stdout, stderr, strings.Split(*nodesList, ","), *restore, *scrub, stripe.Config{
+		err = striped(stdout, stderr, strings.Split(*nodesList, ","), *restore, *scrub, stripe.Config{
 			ChunkSize: *stripeChunk, Replicas: *replicas, Tracer: trun.tracer(),
-		}, args, trun)
+		}, args, *bs, trun)
 	case *serverAddr != "":
-		err = serverMode(stdout, *serverAddr, *restore, *scrub, args, trun)
+		err = remote(stdout, *serverAddr, *restore, *scrub, args, *bs, trun)
 	case *scrub:
 		err = usageError("usage: crfscp -server host:port -scrub\n" +
 			"       crfscp -nodes a:9000,b:9000,... -scrub          (a local directory is scrubbed by crfsck)")
@@ -217,12 +214,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads,
 			RepairOnOpen: *repair, Tracer: trun.tracer(),
 		}
-		srcs, dst := args[:len(args)-1], args[len(args)-1]
 		if *restore {
 			opts.ReadAhead = crfs.RestoreReadAhead
-			err = restoreAll(stdout, srcs, dst, *bs, opts, trun)
-		} else if opts.Codec, err = crfs.LookupCodec(*codecName); err == nil {
-			err = copyAll(stdout, srcs, dst, *bs, opts, trun)
+		} else {
+			opts.Codec, err = crfs.LookupCodec(*codecName)
+		}
+		if err == nil {
+			err = local(stdout, *restore, args, *bs, opts, trun)
 		}
 	}
 	var usage usageError
@@ -237,8 +235,55 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// copyAll copies each src into a CRFS mount over dst.
-func copyAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Options, trun *traceRun) error {
+// local copies into a CRFS mount over DSTDIR, or restores through a
+// CRFS mount over each source's directory. Mounts are shared per source
+// directory, so the per-mount stats aggregate all files restored from
+// that directory.
+func local(stdout io.Writer, restore bool, args []string, bs int, opts crfs.Options, trun *traceRun) error {
+	srcs, dst := args[:len(args)-1], args[len(args)-1]
+	if restore {
+		mounts := make(map[string]*crfs.FS)
+		defer func() {
+			for _, fs := range mounts {
+				fs.Unmount()
+			}
+		}()
+		total, el, err := restoreFiles(srcs, dst, bs, "restore", trun, func(src string) (vfs.Objects, string, error) {
+			dir := filepath.Dir(src)
+			fs, ok := mounts[dir]
+			if !ok {
+				var err error
+				if fs, err = crfs.MountDir(dir, opts); err != nil {
+					return nil, "", err
+				}
+				mounts[dir] = fs
+			}
+			return vfs.Tree{FS: fs}, filepath.Base(src), nil
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stdout, "restored %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+		for dir, fs := range mounts {
+			delete(mounts, dir)
+			if err := fs.Unmount(); err != nil {
+				return err
+			}
+			st := fs.Stats()
+			var hitPct float64
+			if lookups := st.PrefetchHits + st.PrefetchMisses; lookups > 0 {
+				hitPct = 100 * float64(st.PrefetchHits) / float64(lookups)
+			}
+			fmt.Fprintf(stdout, "%s: reads=%d bytes=%d, prefetch: hits=%d misses=%d (%.1f%% hit) wasted=%d bytes=%d\n",
+				dir, st.Reads, st.BytesRead, st.PrefetchHits, st.PrefetchMisses, hitPct, st.PrefetchWasted, st.PrefetchedBytes)
+			if st.ContainersSalvaged > 0 || st.ContainersRepaired > 0 {
+				fmt.Fprintf(stdout, "%s: recovery: scanned=%d salvaged=%d repaired=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d\n",
+					dir, st.ContainersScanned, st.ContainersSalvaged, st.ContainersRepaired,
+					st.SalvageFramesDropped, st.SalvageBytesTruncated, st.FailedChunks)
+			}
+		}
+		return trun.write(nil)
+	}
 	if err := os.MkdirAll(dst, 0o755); err != nil {
 		return err
 	}
@@ -246,25 +291,13 @@ func copyAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Opti
 	if err != nil {
 		return err
 	}
-	start := time.Now()
-	var total int64
-	for _, src := range srcs {
-		sp := trun.span("crfscp.copy", src)
-		n, err := copyOne(fs, src, bs, sp.Context())
-		sp.End()
-		if err != nil {
-			fs.Unmount()
-			return err
-		}
-		total += n
+	total, el, err := putFiles(vfs.Tree{FS: fs}, srcs, bs, "copy", trun)
+	if uerr := fs.Unmount(); err == nil {
+		err = uerr
 	}
-	if err := fs.Unmount(); err != nil {
+	if err != nil {
 		return err
 	}
-	if err := trun.write(nil); err != nil {
-		return err
-	}
-	el := time.Since(start).Seconds()
 	st := fs.Stats()
 	fmt.Fprintf(stdout, "copied %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
 	fmt.Fprintf(stdout, "app writes: %d, backend writes: %d (aggregation %.1fx), pool waits: %d\n",
@@ -273,139 +306,12 @@ func copyAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Opti
 		fmt.Fprintf(stdout, "codec: in=%d out=%d ratio=%.2fx frames=%d raw-frames=%d\n",
 			st.CodecBytesIn, st.CodecBytesOut, st.CompressionRatio(), st.Frames, st.RawFrames)
 	}
-	return nil
-}
-
-func copyOne(fs *crfs.FS, src string, bs int, ctx obs.SpanContext) (int64, error) {
-	in, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	out, err := fs.Open(filepath.Base(src), crfs.WriteOnly|crfs.Create|crfs.Trunc)
-	if err != nil {
-		return 0, err
-	}
-	setSpanContext(out, ctx)
-	buf := make([]byte, bs)
-	var off int64
-	for {
-		n, err := in.Read(buf)
-		if n > 0 {
-			if _, werr := out.WriteAt(buf[:n], off); werr != nil {
-				out.Close()
-				return off, werr
-			}
-			off += int64(n)
-		}
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			out.Close()
-			return off, err
-		}
-	}
-	return off, out.Close()
-}
-
-// restoreAll copies each src out of a CRFS mount over its directory into
-// dst as a plain file. Mounts are shared per source directory, so the
-// per-mount stats aggregate all files restored from that directory.
-func restoreAll(stdout io.Writer, srcs []string, dst string, bs int, opts crfs.Options, trun *traceRun) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	mounts := make(map[string]*crfs.FS)
-	defer func() {
-		for _, fs := range mounts {
-			fs.Unmount()
-		}
-	}()
-	start := time.Now()
-	var total int64
-	for _, src := range srcs {
-		dir := filepath.Dir(src)
-		fs, ok := mounts[dir]
-		if !ok {
-			var err error
-			fs, err = crfs.MountDir(dir, opts)
-			if err != nil {
-				return err
-			}
-			mounts[dir] = fs
-		}
-		sp := trun.span("crfscp.restore", src)
-		n, err := restoreOne(fs, filepath.Base(src), filepath.Join(dst, filepath.Base(src)), bs, sp.Context())
-		sp.End()
-		if err != nil {
-			return err
-		}
-		total += n
-	}
-	el := time.Since(start).Seconds()
-	fmt.Fprintf(stdout, "restored %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
-	for dir, fs := range mounts {
-		if err := fs.Unmount(); err != nil {
-			delete(mounts, dir)
-			return err
-		}
-		delete(mounts, dir)
-		st := fs.Stats()
-		var hitPct float64
-		if lookups := st.PrefetchHits + st.PrefetchMisses; lookups > 0 {
-			hitPct = 100 * float64(st.PrefetchHits) / float64(lookups)
-		}
-		fmt.Fprintf(stdout, "%s: reads=%d bytes=%d, prefetch: hits=%d misses=%d (%.1f%% hit) wasted=%d bytes=%d\n",
-			dir, st.Reads, st.BytesRead, st.PrefetchHits, st.PrefetchMisses, hitPct, st.PrefetchWasted, st.PrefetchedBytes)
-		if st.ContainersSalvaged > 0 || st.ContainersRepaired > 0 {
-			fmt.Fprintf(stdout, "%s: recovery: scanned=%d salvaged=%d repaired=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d\n",
-				dir, st.ContainersScanned, st.ContainersSalvaged, st.ContainersRepaired,
-				st.SalvageFramesDropped, st.SalvageBytesTruncated, st.FailedChunks)
-		}
-	}
 	return trun.write(nil)
 }
 
-// restoreOne streams one file out of the mount into a plain destination
-// file with sequential bs-sized reads — the access pattern the restart
-// read pipeline accelerates.
-func restoreOne(fs *crfs.FS, name, dst string, bs int, ctx obs.SpanContext) (int64, error) {
-	in, err := fs.Open(name, crfs.ReadOnly)
-	if err != nil {
-		return 0, err
-	}
-	defer in.Close()
-	setSpanContext(in, ctx)
-	out, err := os.Create(dst)
-	if err != nil {
-		return 0, err
-	}
-	buf := make([]byte, bs)
-	var off int64
-	for {
-		n, rerr := in.ReadAt(buf, off)
-		if n > 0 {
-			if _, werr := out.Write(buf[:n]); werr != nil {
-				out.Close()
-				return off, werr
-			}
-			off += int64(n)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			out.Close()
-			return off, rerr
-		}
-	}
-	return off, out.Close()
-}
-
-// serverMode moves files over the wire to/from a crfsd daemon on one
-// persistent protocol-v2 connection.
-func serverMode(stdout io.Writer, addr string, restore, scrub bool, args []string, trun *traceRun) error {
+// remote moves files to or from a crfsd daemon, or has it scrub its
+// store, on one persistent protocol-v2 connection.
+func remote(stdout io.Writer, addr string, restore, scrub bool, args []string, bs int, trun *traceRun) error {
 	if scrub != (len(args) == 0) || (restore && (scrub || len(args) < 2)) {
 		return usageError("usage: crfscp -server host:port SRC...\n" +
 			"       crfscp -server host:port -restore NAME... DSTDIR\n" +
@@ -416,7 +322,8 @@ func serverMode(stdout io.Writer, addr string, restore, scrub bool, args []strin
 		return err
 	}
 	defer c.Close()
-	if scrub {
+	switch {
+	case scrub:
 		line, err := c.Scrub()
 		if err != nil {
 			return fmt.Errorf("SCRUB: %w", err)
@@ -425,79 +332,34 @@ func serverMode(stdout io.Writer, addr string, restore, scrub bool, args []strin
 		if !strings.Contains(line, " clean=true") {
 			return fmt.Errorf("scrub on %s found defects", addr)
 		}
-		return trun.write(clientDump(c))
-	}
-	start := time.Now()
-	var total int64
-	if restore {
-		dst := args[len(args)-1]
-		if err := os.MkdirAll(dst, 0o755); err != nil {
+	case restore:
+		total, el, err := restoreFiles(args[:len(args)-1], args[len(args)-1], bs, "GET", trun, from(c))
+		if err != nil {
 			return err
 		}
-		for _, name := range args[:len(args)-1] {
-			out, err := os.Create(filepath.Join(dst, filepath.Base(name)))
-			if err != nil {
-				return err
-			}
-			sp := trun.span("crfscp.get", name)
-			n, err := c.GetTraced(name, out, sp.Context())
-			sp.End()
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("GET %s: %w", name, err)
-			}
-			total += n
-		}
-		el := time.Since(start).Seconds()
 		fmt.Fprintf(stdout, "fetched %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
-		return trun.write(clientDump(c))
-	}
-	for _, src := range args {
-		in, err := os.Open(src)
+	default:
+		total, el, err := putFiles(c, args, bs, "PUT", trun)
 		if err != nil {
 			return err
 		}
-		info, err := in.Stat()
-		if err != nil {
-			in.Close()
-			return err
+		fmt.Fprintf(stdout, "uploaded %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
+		if line, err := c.Stat(); err == nil {
+			fmt.Fprintln(stdout, line)
 		}
-		sp := trun.span("crfscp.put", src)
-		err = c.PutTraced(filepath.Base(src), in, info.Size(), sp.Context())
-		sp.End()
-		in.Close()
-		if err != nil {
-			return fmt.Errorf("PUT %s: %w", src, err)
-		}
-		total += info.Size()
 	}
-	el := time.Since(start).Seconds()
-	fmt.Fprintf(stdout, "uploaded %d bytes in %.3fs (%.1f MB/s)\n", total, el, float64(total)/el/(1<<20))
-	if line, err := c.Stat(); err == nil {
-		fmt.Fprintln(stdout, line)
-	}
-	return trun.write(clientDump(c))
-}
-
-// clientDump adapts a single-daemon client to the traceRun dump shape;
-// a daemon without trace support contributes nothing.
-func clientDump(c *client.Client) func(obs.TraceID) []obs.SpanRecord {
-	return func(id obs.TraceID) []obs.SpanRecord {
-		recs, err := c.TraceDump(id)
-		if err != nil {
-			return nil
-		}
+	// A daemon without trace support contributes no spans.
+	return trun.write(func(id obs.TraceID) []obs.SpanRecord {
+		recs, _ := c.TraceDump(id)
 		return recs
-	}
+	})
 }
 
-// stripedMode moves checkpoints through the striped multi-node store:
+// striped moves checkpoints through the striped multi-node store:
 // chunks fan out to (and stream back from) every listed daemon in
 // parallel, with replication and manifest fingerprints carrying the
 // durability story.
-func stripedMode(stdout, stderr io.Writer, addrs []string, restore, scrub bool, cfg stripe.Config, args []string, trun *traceRun) error {
+func striped(stdout, stderr io.Writer, addrs []string, restore, scrub bool, cfg stripe.Config, args []string, bs int, trun *traceRun) error {
 	if !scrub && (len(args) < 1 || (restore && len(args) < 2)) {
 		return usageError("usage: crfscp -nodes a:9000,b:9000,... SRC...          (a node is host:port or id=host:port)\n" +
 			"       crfscp -nodes a:9000,b:9000,... -restore NAME... DSTDIR\n" +
@@ -536,66 +398,124 @@ func stripedMode(stdout, stderr io.Writer, addrs []string, restore, scrub bool, 
 		return fmt.Errorf("crfscp: no stripe nodes reachable")
 	}
 	s := stripe.New(cfg, nodes...)
-
-	start := time.Now()
-	if scrub {
+	switch {
+	case scrub:
+		start := time.Now()
 		rep, err := s.Scrub()
 		fmt.Fprintf(stdout, "scrub over %d nodes in %.3fs: %s\n", len(nodes), time.Since(start).Seconds(), rep)
-		if err == nil {
-			err = trun.write(s.TraceDumps)
-		}
-		return err
-	}
-	var total int64
-	if restore {
-		dst := args[len(args)-1]
-		if err := os.MkdirAll(dst, 0o755); err != nil {
+		if err != nil {
 			return err
 		}
-		for _, name := range args[:len(args)-1] {
-			out, err := os.Create(filepath.Join(dst, filepath.Base(name)))
-			if err != nil {
-				return err
-			}
-			sp := trun.span("crfscp.get", name)
-			n, err := s.GetTraced(name, out, sp.Context())
-			sp.End()
-			if cerr := out.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				return fmt.Errorf("striped GET %s: %w", name, err)
-			}
-			total += n
+	case restore:
+		total, el, err := restoreFiles(args[:len(args)-1], args[len(args)-1], bs, "striped GET", trun, from(s))
+		if err != nil {
+			return err
 		}
-		el := time.Since(start).Seconds()
 		st := s.Stats()
 		fmt.Fprintf(stdout, "restored %d bytes from %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
 		fmt.Fprintf(stdout, "chunks=%d fallbacks=%d checksum_failures=%d\n", st.ChunksGot, st.ReplicaFallbacks, st.ChecksumFailed)
-		return trun.write(s.TraceDumps)
+	default:
+		total, el, err := putFiles(s, args, bs, "striped PUT", trun)
+		if err != nil {
+			return err
+		}
+		st := s.Stats()
+		fmt.Fprintf(stdout, "striped %d bytes to %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
+		fmt.Fprintf(stdout, "chunk replicas=%d replica bytes=%d\n", st.ChunksPut, st.BytesPut)
 	}
-	for _, src := range args {
+	return trun.write(s.TraceDumps)
+}
+
+// putFiles puts each source file into objs under its base name, and
+// returns the bytes put and the seconds taken. verb names the operation
+// in errors.
+func putFiles(objs vfs.Objects, srcs []string, bs int, verb string, trun *traceRun) (int64, float64, error) {
+	start := time.Now()
+	var total int64
+	for _, src := range srcs {
 		in, err := os.Open(src)
 		if err != nil {
-			return err
+			return total, 0, err
 		}
 		info, err := in.Stat()
-		if err != nil {
-			in.Close()
-			return err
+		if err == nil {
+			sp := trun.span("crfscp.put", src)
+			err = vfs.PutTraced(objs, filepath.Base(src), source{in, bs}, info.Size(), sp.Context())
+			sp.End()
 		}
-		sp := trun.span("crfscp.put", src)
-		err = s.PutTraced(filepath.Base(src), in, info.Size(), sp.Context())
-		sp.End()
 		in.Close()
 		if err != nil {
-			return fmt.Errorf("striped PUT %s: %w", src, err)
+			return total, 0, fmt.Errorf("%s %s: %w", verb, src, err)
 		}
 		total += info.Size()
 	}
-	el := time.Since(start).Seconds()
-	st := s.Stats()
-	fmt.Fprintf(stdout, "striped %d bytes to %d nodes in %.3fs (%.1f MB/s)\n", total, len(nodes), el, float64(total)/el/(1<<20))
-	fmt.Fprintf(stdout, "chunk replicas=%d replica bytes=%d\n", st.ChunksPut, st.BytesPut)
-	return trun.write(s.TraceDumps)
+	return total, time.Since(start).Seconds(), nil
+}
+
+// restoreFiles writes each name, fetched from the store at(name) gives,
+// to a file of its base name in dst, and returns the bytes restored and
+// the seconds taken. Each file is replaced crash-safely (vfs.Replace):
+// a restore that fails leaves the previous copy as it was.
+func restoreFiles(names []string, dst string, bs int, verb string, trun *traceRun, at func(string) (vfs.Objects, string, error)) (int64, float64, error) {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return 0, 0, err
+	}
+	out, err := osfs.New(dst)
+	if err != nil {
+		return 0, 0, err
+	}
+	start := time.Now()
+	var total int64
+	for _, name := range names {
+		objs, key, err := at(name)
+		if err != nil {
+			return total, 0, err
+		}
+		sp := trun.span("crfscp.get", name)
+		err = vfs.Replace(out, filepath.Base(name), func(f vfs.File) error {
+			n, err := vfs.GetTraced(objs, key, sink{io.NewOffsetWriter(f, 0), bs}, sp.Context())
+			total += n
+			return err
+		})
+		sp.End()
+		if err != nil {
+			return total, 0, fmt.Errorf("%s %s: %w", verb, name, err)
+		}
+	}
+	return total, time.Since(start).Seconds(), nil
+}
+
+// from is the at of restoreFiles for a store holding every name.
+func from(objs vfs.Objects) func(string) (vfs.Objects, string, error) {
+	return func(name string) (vfs.Objects, string, error) { return objs, name, nil }
+}
+
+// source is a file being put. A writer that reads for itself (a
+// daemon's frame sink, the stripe's chunker) is given the file; any
+// other (a mount's temp) gets it in bs-sized writes, the checkpoint
+// write size a local copy simulates.
+type source struct {
+	f  *os.File
+	bs int
+}
+
+func (s source) Read(p []byte) (int, error) { return s.f.Read(p) }
+
+func (s source) WriteTo(w io.Writer) (int64, error) {
+	if rf, ok := w.(io.ReaderFrom); ok {
+		return rf.ReadFrom(s.f)
+	}
+	return io.CopyBuffer(w, struct{ io.Reader }{s.f}, make([]byte, s.bs))
+}
+
+// sink is a restored file's writer. A mount hands it a reader, which it
+// reads in bs-sized ReadAt calls, the restart read size a local restore
+// simulates; a daemon or the stripe writes it whole frames and chunks.
+type sink struct {
+	io.Writer
+	bs int
+}
+
+func (s sink) ReadFrom(r io.Reader) (int64, error) {
+	return io.CopyBuffer(s.Writer, struct{ io.Reader }{r}, make([]byte, s.bs))
 }

@@ -291,3 +291,170 @@ func TestTraceSummaryCountsOverwrittenSpans(t *testing.T) {
 		t.Errorf("summary %q, want %q", line, want)
 	}
 }
+
+// TestModes pins what each copy/restore mode does end to end: two files
+// copied, restored and compared, each step's first summary line, a local
+// copy's one application write per -bs block, and a traced daemon round
+// trip that gathers spans from crfscp and the daemon.
+func TestModes(t *testing.T) {
+	const bs = 4096
+	sizes := []int{300_001, 70_000}
+	wantWrites := 0
+	for _, n := range sizes {
+		wantWrites += (n + bs - 1) / bs
+	}
+	for _, mode := range []string{"local-raw", "local-deflate", "server"} {
+		t.Run(mode, func(t *testing.T) {
+			tmp := t.TempDir()
+			var srcs, names []string
+			images := make(map[string][]byte)
+			for i, n := range sizes {
+				name := fmt.Sprintf("ckpt%d.img", i)
+				image := bytes.Repeat([]byte(fmt.Sprintf("%s rank %d ", mode, i)), n/10+1)[:n]
+				rand.New(rand.NewSource(int64(i))).Read(image[:n/2])
+				src := filepath.Join(tmp, name)
+				if err := os.WriteFile(src, image, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				srcs, names = append(srcs, src), append(names, name)
+				images[name] = image
+			}
+			store, out := filepath.Join(tmp, "store"), filepath.Join(tmp, "out")
+			var put, restore []string
+			var putLine, restoreLine string
+			switch mode {
+			case "local-raw", "local-deflate":
+				codec := strings.TrimPrefix(mode, "local-")
+				put = append([]string{"-bs", fmt.Sprint(bs), "-codec", codec}, append(srcs, store)...)
+				restore = []string{"-restore", "-bs", fmt.Sprint(bs)}
+				for _, name := range names {
+					restore = append(restore, filepath.Join(store, name))
+				}
+				restore = append(restore, out)
+				putLine, restoreLine = "copied ", "restored "
+			case "server":
+				if err := os.Mkdir(store, 0o755); err != nil {
+					t.Fatal(err)
+				}
+				d := startDaemon(t, "n0", store)
+				t.Cleanup(func() { d.stop(t) })
+				trace := filepath.Join(tmp, "trace.json")
+				put = append([]string{"-server", d.addr, "-trace", trace}, srcs...)
+				restore = append(append([]string{"-server", d.addr, "-restore", "-trace", trace}, names...), out)
+				putLine, restoreLine = "uploaded ", "fetched "
+			}
+			got := crfscp(t, 0, put...)
+			if !strings.HasPrefix(got, putLine) {
+				t.Errorf("copy summary %q, want it to start %q", got, putLine)
+			}
+			if strings.HasPrefix(mode, "local") && !strings.Contains(got, fmt.Sprintf("\napp writes: %d,", wantWrites)) {
+				t.Errorf("copy summary %q, want app writes: %d", got, wantWrites)
+			}
+			if mode == "server" && !strings.Contains(got, " from 2 processes -> ") {
+				t.Errorf("traced upload %q, want spans from 2 processes", got)
+			}
+			got = crfscp(t, 0, restore...)
+			if !strings.HasPrefix(got, restoreLine) {
+				t.Errorf("restore summary %q, want it to start %q", got, restoreLine)
+			}
+			if mode == "server" && !strings.Contains(got, " from 2 processes -> ") {
+				t.Errorf("traced restore %q, want spans from 2 processes", got)
+			}
+			for name, image := range images {
+				if b, err := os.ReadFile(filepath.Join(out, name)); err != nil || !bytes.Equal(b, image) {
+					t.Errorf("%s: restored %d bytes (err %v), want the %d-byte image", name, len(b), err, len(image))
+				}
+			}
+		})
+	}
+}
+
+// checkKept fails unless dir holds exactly the files of want, with
+// their bytes: no temp beside them.
+func checkKept(t *testing.T, dir string, want map[string][]byte) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(want) {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Errorf("%s holds %q, want only %d file(s)", dir, names, len(want))
+	}
+	for name, b := range want {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !bytes.Equal(got, b) {
+			t.Errorf("%s: %d bytes (err %v), want the previous %d-byte copy", name, len(got), err, len(b))
+		}
+	}
+}
+
+// TestFailedRestoreKeepsPreviousCopy: a restore that fails — the name is
+// missing, or a chunk is lost on every replica after earlier chunks were
+// delivered — exits 1 and leaves the previous copy in DSTDIR as it was,
+// with no temp beside it.
+func TestFailedRestoreKeepsPreviousCopy(t *testing.T) {
+	tmp := t.TempDir()
+	image := make([]byte, 3<<20)
+	rand.New(rand.NewSource(7)).Read(image)
+	src := filepath.Join(tmp, "ckpt.img")
+	if err := os.WriteFile(src, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	previous := bytes.Repeat([]byte("previous good copy "), 50_000)
+
+	t.Run("server missing name", func(t *testing.T) {
+		store, out := filepath.Join(tmp, "store"), filepath.Join(tmp, "out-server")
+		for _, dir := range []string{store, out} {
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d := startDaemon(t, "n0", store)
+		t.Cleanup(func() { d.stop(t) })
+		crfscp(t, 0, "-server", d.addr, src)
+		if err := os.WriteFile(filepath.Join(out, "missing.img"), previous, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		crfscp(t, 1, "-server", d.addr, "-restore", "missing.img", out)
+		checkKept(t, out, map[string][]byte{"missing.img": previous})
+	})
+
+	t.Run("nodes chunk lost", func(t *testing.T) {
+		out := filepath.Join(tmp, "out-nodes")
+		if err := os.Mkdir(out, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var list []string
+		var dirs []string
+		for i := 0; i < 3; i++ {
+			dir := filepath.Join(tmp, fmt.Sprintf("n%d", i))
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			d := startDaemon(t, fmt.Sprintf("n%d", i), dir)
+			t.Cleanup(func() { d.stop(t) })
+			list, dirs = append(list, d.id+"="+d.addr), append(dirs, dir)
+		}
+		nodes := strings.Join(list, ",")
+		crfscp(t, 0, "-nodes", nodes, "-stripe-chunk", "1048576", src)
+		// Chunk 2 of 3 goes from every replica: chunks 0 and 1 reach the
+		// destination before the restore fails.
+		lost := 0
+		for _, dir := range dirs {
+			if err := os.Remove(filepath.Join(dir, "ckpt.img.s00000002")); err == nil {
+				lost++
+			}
+		}
+		if lost != 2 {
+			t.Fatalf("removed %d replicas of chunk 2, want 2", lost)
+		}
+		if err := os.WriteFile(filepath.Join(out, "ckpt.img"), previous, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		crfscp(t, 1, "-nodes", nodes, "-restore", "ckpt.img", out)
+		checkKept(t, out, map[string][]byte{"ckpt.img": previous})
+	})
+}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net"
 	"strconv"
 	"strings"
@@ -60,8 +61,16 @@ type RemoteError struct {
 
 func (e *RemoteError) Error() string { return e.Msg }
 
+// Is reports the server's answer for a name that does not exist as
+// fs.ErrNotExist (vfs.ErrNotExist): the wire carries error text, the
+// server says absence in fs.ErrNotExist's words, and this is where it
+// gets its type back.
+func (e *RemoteError) Is(target error) bool {
+	return target == fs.ErrNotExist && strings.Contains(e.Msg, fs.ErrNotExist.Error())
+}
+
 // Client is a protocol-v2 client: a live session plus the redial policy
-// that replaces it when it dies.
+// that replaces it when it dies. It is the daemon's vfs.Objects.
 type Client struct {
 	addr string
 	cfg  Config

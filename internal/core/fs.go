@@ -888,8 +888,13 @@ func (fs *FS) Stat(name string) (vfs.FileInfo, error) {
 	}
 	if err == nil && !info.IsDir && info.Size >= codec.HeaderSize {
 		// No open entry: sniff for a frame container so Stat reports the
-		// decoded size the mount's reads will serve.
-		if p, perr := fs.probeClosed(name); perr == nil && p.ok {
+		// decoded size the mount's reads will serve, or the error its
+		// Open would fail with.
+		p, perr := fs.probeClosed(name)
+		if perr != nil {
+			return vfs.FileInfo{}, perr
+		}
+		if p.ok {
 			info.Size = p.logical
 		}
 	}

@@ -297,6 +297,55 @@ func TestOpenRefusesUnreadableContainer(t *testing.T) {
 	}
 }
 
+// TestStatReportsProbeError: Stat of a closed file fails with the error
+// its Open fails with — a v1 container's ErrFrameVersion, a backend read
+// error behind the first frame header — instead of reporting the
+// encoded size; a good container stats at its decoded size.
+func TestStatReportsProbeError(t *testing.T) {
+	dir := filepath.Join("..", "codec", "testdata", "v1")
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 5 {
+		t.Fatalf("%s: %d containers, want 5 (%v)", dir, len(entries), err)
+	}
+	content := compressiblePayload(200<<10, 12)
+	var good []byte
+	for i := 0; i < 4; i++ {
+		part := content[i*50<<10 : (i+1)*50<<10]
+		if good, _, err = codec.EncodeFrame(codec.Deflate(), uint64(i), int64(i*50<<10), part, good); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cdc := range []codec.Codec{codec.Raw(), codec.Deflate()} {
+		back := &flakyFS{FS: memfs.New()}
+		for _, e := range entries {
+			box, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(back, e.Name(), box); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := vfs.WriteFile(back, "ck.img", good); err != nil {
+			t.Fatal(err)
+		}
+		fs := mount(t, back, Options{ChunkSize: 64 << 10, BufferPoolSize: 256 << 10, Codec: cdc})
+		for _, e := range entries {
+			if info, err := fs.Stat(e.Name()); !errors.Is(err, codec.ErrFrameVersion) {
+				t.Errorf("%s mount: Stat(%s) = %d bytes, %v; want ErrFrameVersion", cdc.Name(), e.Name(), info.Size, err)
+			}
+		}
+		back.fail.Store(true)
+		if info, err := fs.Stat("ck.img"); !errors.Is(err, errFlaky) {
+			t.Errorf("%s mount: Stat over a failing backend = %d bytes, %v; want the backend's error", cdc.Name(), info.Size, err)
+		}
+		back.fail.Store(false)
+		if info, err := fs.Stat("ck.img"); err != nil || info.Size != int64(len(content)) {
+			t.Errorf("%s mount: Stat of a good container = %d bytes, %v; want %d", cdc.Name(), info.Size, err, len(content))
+		}
+	}
+}
+
 // TestErrorPropagation is the table-driven error-propagation contract:
 // an injected backend write failure — full or torn — must surface
 // exactly once on Sync/Close (not swallowed, not duplicated), for raw

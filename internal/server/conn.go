@@ -583,7 +583,7 @@ func (c *srvConn) run(id uint32, req Request, r *inReq) {
 		// Idempotent: deleting a name that is already gone succeeds, so
 		// distributed cleanup (stripe delete, stray GC) can retry and race
 		// freely.
-		if err := c.srv.fs.Remove(req.Name); err != nil && !errors.Is(err, vfs.ErrNotExist) {
+		if err := c.srv.tree.Delete(req.Name); err != nil {
 			c.complete(id, FrameErr, []byte(err.Error()))
 			return
 		}
@@ -629,7 +629,7 @@ func (c *srvConn) runTrace(id uint32, req Request) {
 // runList streams the store's object names (staging temps excluded),
 // newline-terminated, as data frames closed by an "OK <count>" end frame.
 func (c *srvConn) runList(id uint32) {
-	names, err := c.srv.ListNames()
+	names, err := c.srv.tree.List()
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
@@ -664,12 +664,17 @@ func (c *srvConn) runList(id uint32) {
 // closed only once the writer is done with them.
 func (c *srvConn) runGet(id uint32, name string, sp *obs.Span) {
 	f, err := c.srv.fs.Open(name, vfs.ReadOnly)
+	if errors.Is(err, vfs.ErrNotExist) {
+		// Absence is said in vfs.ErrNotExist's words, which the client
+		// types back, whatever words the backend used.
+		err = fmt.Errorf("server: GET %s: %w", name, vfs.ErrNotExist)
+	}
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
 	}
 	defer f.Close()
-	setSpanContext(f, sp.Context())
+	vfs.SetSpanContext(f, sp.Context())
 	info, err := f.Stat()
 	if err != nil {
 		c.complete(id, FrameErr, []byte(err.Error()))
@@ -728,74 +733,58 @@ func (c *srvConn) runGet(id uint32, name string, sp *obs.Span) {
 	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", size)))
 }
 
-// runPut streams the request body into a staging temp and commits it
-// under the target name only on clean completion.
+// runPut streams the request body into name through the mount's Put,
+// which stages it in a temp and commits it under name only once the
+// whole body is on stable storage.
 func (c *srvConn) runPut(id uint32, req Request, r *inReq, ctx obs.SpanContext) {
-	src := func() ([]byte, error) {
-		select {
-		case item := <-r.body:
-			if item.end {
-				return nil, io.EOF
-			}
-			return item.data, nil
-		case <-c.dead:
-			return nil, fmt.Errorf("server: connection lost mid-PUT: %w", net.ErrClosed)
-		}
-	}
-	n, err := c.srv.stagePut(req.Name, req.Size, src, ctx)
-	if err != nil {
+	body := &putBody{c: c, r: r, name: req.Name, size: req.Size}
+	if err := c.srv.tree.PutTraced(req.Name, body, req.Size, ctx); err != nil {
+		c.srv.c.putsAborted.Add(1)
 		c.complete(id, FrameErr, []byte(err.Error()))
 		return
 	}
-	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", n)))
+	c.srv.c.putsCommitted.Add(1)
+	c.complete(id, FrameEnd, []byte(fmt.Sprintf("OK %d", req.Size)))
 }
 
-// stagePut streams a PUT body into name through vfs.Replace, so a failed
-// or abandoned PUT never leaves a partial file visible under name and an
-// OK is only sent once the body is on stable storage. src yields
-// successive body slices and io.EOF at the end of the stream; each slice
-// is a free-list buffer stagePut owns and returns once it is written (or
-// refused).
-func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), ctx obs.SpanContext) (int64, error) {
-	if dir, _ := vfs.Split(name); dir != "." {
-		if err := s.fs.MkdirAll(dir); err != nil {
-			return 0, err
+// putBody is a PUT's body as its data frames arrive. WriteTo hands each
+// frame's free-list buffer to the writer as it is and gives it back once
+// written or refused; a body longer than its declared size is refused
+// before any of the excess is written.
+type putBody struct {
+	c    *srvConn
+	r    *inReq
+	name string
+	size int64
+}
+
+// Read is never called: io.Copy takes a putBody through WriteTo.
+func (b *putBody) Read([]byte) (int, error) { return 0, errors.ErrUnsupported }
+
+func (b *putBody) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	for {
+		var buf []byte
+		select {
+		case item := <-b.r.body:
+			if item.end {
+				return n, nil
+			}
+			buf = item.data
+		case <-b.c.dead:
+			return n, fmt.Errorf("server: connection lost mid-PUT: %w", net.ErrClosed)
+		}
+		if n+int64(len(buf)) > b.size {
+			FrameBufs.Put(buf)
+			return n, fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", b.name, b.size, ErrProtocol)
+		}
+		wn, err := w.Write(buf)
+		FrameBufs.Put(buf)
+		n += int64(wn)
+		if err != nil {
+			return n, fmt.Errorf("server: PUT %s: %w", b.name, err)
 		}
 	}
-	var off int64
-	err := vfs.Replace(s.fs, name, func(f vfs.File) error {
-		setSpanContext(f, ctx)
-		for {
-			chunk, err := src()
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				return err
-			}
-			n := int64(len(chunk))
-			if off+n > size {
-				FrameBufs.Put(chunk)
-				return fmt.Errorf("server: PUT %s: body exceeds declared size %d: %w", name, size, ErrProtocol)
-			}
-			_, werr := f.WriteAt(chunk, off)
-			FrameBufs.Put(chunk)
-			if werr != nil {
-				return fmt.Errorf("server: PUT %s: %w", name, werr)
-			}
-			off += n
-		}
-		if off != size {
-			return fmt.Errorf("server: PUT %s: short body: %d of %d bytes: %w", name, off, size, vfs.ErrInvalid)
-		}
-		return nil
-	})
-	if err != nil {
-		s.c.putsAborted.Add(1)
-		return 0, err
-	}
-	s.c.putsCommitted.Add(1)
-	return off, nil
 }
 
 // statLine renders the one-line STAT response from the same metrics
@@ -803,19 +792,6 @@ func (s *Server) stagePut(name string, size int64, src func() ([]byte, error), c
 // WithStat in Metrics().
 func statLine(s *Server) string {
 	return metrics.StatLine(s.Metrics())
-}
-
-// setSpanContext plants a propagated trace context on a mount file
-// handle so the core pipeline's spans (write, chunk seal, encode,
-// backend write, prefetch) join the client's trace. Backends whose
-// handles do not trace are silently skipped.
-func setSpanContext(f vfs.File, ctx obs.SpanContext) {
-	if !ctx.Valid() {
-		return
-	}
-	if t, ok := f.(interface{ SetSpanContext(obs.SpanContext) }); ok {
-		t.SetSpanContext(ctx)
-	}
 }
 
 // scrubLine runs a scrub pass and renders its one-line summary.

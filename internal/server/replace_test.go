@@ -223,9 +223,33 @@ var replaceRows = []struct {
 		}
 		return rec, old, replace, read
 	}},
+	// The mount's own Put (vfs.Tree over core over the recorder), as a
+	// local crfscp copy makes it: one Sync through the mount.
+	{row: "mount", name: "dir/ckpt", setup: func(t *testing.T) (*recFS, []byte, func() error, func() []byte) {
+		rec := &recFS{FS: memfs.New()}
+		fs, err := core.Mount(rec, core.Options{ChunkSize: 64 << 10, BufferPoolSize: 8 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { fs.Unmount() })
+		old := versionedBody("dir/ckpt", 1, 200<<10)
+		writeThrough(t, fs, "dir/ckpt", old)
+		replace := func() error {
+			next := versionedBody("dir/ckpt", 2, 300<<10)
+			syncs := fs.Stats().Syncs
+			if err := (vfs.Tree{FS: fs}).Put("dir/ckpt", bytes.NewReader(next), int64(len(next))); err != nil {
+				return err
+			}
+			if n := fs.Stats().Syncs - syncs; n != 1 {
+				return fmt.Errorf("Put made %d Syncs through the mount, want 1", n)
+			}
+			return nil
+		}
+		return rec, old, replace, func() []byte { return readThrough(t, fs, "dir/ckpt") }
+	}},
 }
 
-// TestReplaceOrder: both callers of vfs.Replace commit a replacement as
+// TestReplaceOrder: every caller of vfs.Replace commits a replacement as
 // write → Sync → Close → Rename over the name → sync of its directory,
 // and a fault at any of the first four steps fails the caller, removes
 // the temp and leaves the old bytes under the name.

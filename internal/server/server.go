@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -128,8 +127,9 @@ type Stats struct {
 
 // Server serves the crfsd protocol against a CRFS mount.
 type Server struct {
-	fs  *core.FS
-	cfg Config
+	fs   *core.FS
+	tree vfs.Tree // the mount's Objects view: PUT, DEL and LIST go through it
+	cfg  Config
 
 	tracer *obs.Tracer
 	// Request latency histograms (always on, like the mount's): one per
@@ -159,6 +159,7 @@ func New(fs *core.FS, cfg Config) *Server {
 	}
 	return &Server{
 		fs:         fs,
+		tree:       vfs.Tree{FS: fs},
 		cfg:        cfg,
 		tracer:     tracer,
 		putSeconds: obs.NewHistogram(obs.LatencyBounds),
@@ -346,45 +347,6 @@ func (s *Server) unregister(c *srvConn) {
 	s.mu.Lock()
 	delete(s.conns, c)
 	s.mu.Unlock()
-}
-
-// walkFiles calls fn for every regular file under the mount root.
-func (s *Server) walkFiles(fn func(path string) error) error {
-	var walk func(dir string) error
-	walk = func(dir string) error {
-		ents, err := s.fs.ReadDir(dir)
-		if err != nil {
-			return err
-		}
-		for _, e := range ents {
-			path := vfs.Join(dir, e.Name)
-			if e.IsDir {
-				if err := walk(path); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := fn(path); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return walk(".")
-}
-
-// ListNames returns every stored object name in sorted order, temps
-// (vfs.IsTemp) excluded — the LIST verb's view of the store.
-func (s *Server) ListNames() ([]string, error) {
-	names := []string{}
-	err := s.walkFiles(func(path string) error {
-		if !vfs.IsTemp(path) {
-			names = append(names, path)
-		}
-		return nil
-	})
-	sort.Strings(names)
-	return names, err
 }
 
 // SweepStaging removes the temps (vfs.IsTemp) a crashed or killed

@@ -1,53 +1,39 @@
 package stripe
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"crfs/internal/client"
-	"crfs/internal/obs"
 	"crfs/internal/vfs"
 )
 
 // Node is one storage benefactor the coordinator stripes over: a flat
-// object namespace with whole-object put/get, idempotent delete, and a
-// listing. The production implementation is a crfsd daemon reached over
-// protocol v2 (ClientNode); tests use in-process nodes with fault
-// injection.
+// object store (vfs.Objects) with a stable identity. Put's r is valid
+// only until Put returns: the coordinator hands a node a reader over the
+// caller's own body where it can, shared by the chunk's k replica pushes
+// running at once, so a node keeps nothing of r it has not copied. A
+// node that is also vfs.Traced gets each chunk transfer's trace context.
+// The production implementation is a crfsd daemon reached over protocol
+// v2 (ClientNode); tests use in-process nodes with fault injection.
 type Node interface {
+	vfs.Objects
 	// ID is the node's stable identity; placement hashes it, so it must
 	// not change for as long as the node holds chunks — across
 	// reconnects, and across a move to another address.
 	ID() string
-	// Put stores size bytes from r under name. r's bytes are valid only
-	// until Put returns: the coordinator hands a node a reader over the
-	// caller's own body where it can, shared by the chunk's k replica
-	// pushes running at once, so a node keeps nothing of r it has not
-	// copied.
-	Put(name string, r io.Reader, size int64) error
-	Get(name string, w io.Writer) (int64, error)
-	Delete(name string) error
-	List() ([]string, error)
 	Close() error
 }
-
-// ErrNotExist reports a missing object on a node, normalized across
-// node implementations so the coordinator can tell absence (repairable)
-// from transport failure (node unreachable).
-var ErrNotExist = errors.New("stripe: object does not exist")
 
 // ClientNode is a Node backed by a crfsd daemon over protocol v2. The
 // underlying client redials and retries idempotent requests, so a
 // bounced daemon looks like a slow request, not a dead node.
 type ClientNode struct {
-	id   string
-	addr string
-	c    *client.Client
+	id string
+	*client.Client
 }
 
 // DialNode connects to a crfsd daemon as a stripe node whose identity is
@@ -65,79 +51,10 @@ func DialNodeID(id, addr string, redials int) (*ClientNode, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stripe: node %s: %w", addr, err)
 	}
-	return &ClientNode{id: id, addr: addr, c: c}, nil
+	return &ClientNode{id: id, Client: c}, nil
 }
 
 func (n *ClientNode) ID() string { return n.id }
-
-func (n *ClientNode) Put(name string, r io.Reader, size int64) error {
-	return n.PutTraced(name, r, size, obs.SpanContext{})
-}
-
-func (n *ClientNode) Get(name string, w io.Writer) (int64, error) {
-	return n.GetTraced(name, w, obs.SpanContext{})
-}
-
-func (n *ClientNode) Delete(name string) error { return n.c.Delete(name) }
-func (n *ClientNode) List() ([]string, error)  { return n.c.List() }
-func (n *ClientNode) Close() error             { return n.c.Close() }
-
-// PutTraced implements the optional traced-node upgrade: the chunk
-// span's trace ID rides the PUT verb line to the daemon.
-func (n *ClientNode) PutTraced(name string, r io.Reader, size int64, ctx obs.SpanContext) error {
-	return n.c.PutTraced(name, r, size, ctx)
-}
-
-// GetTraced is the traced variant of Get (see PutTraced).
-func (n *ClientNode) GetTraced(name string, w io.Writer, ctx obs.SpanContext) (int64, error) {
-	nn, err := n.c.GetTraced(name, w, ctx)
-	// The wire protocol carries error strings, not types; this is the
-	// normalization boundary for absence.
-	var re *client.RemoteError
-	if errors.As(err, &re) && strings.Contains(re.Msg, "not exist") {
-		return nn, fmt.Errorf("stripe: node %s: GET %s: %w", n.addr, name, ErrNotExist)
-	}
-	return nn, err
-}
-
-// TraceDump fetches the daemon's span ring, filtered to one trace when
-// trace is nonzero.
-func (n *ClientNode) TraceDump(trace obs.TraceID) ([]obs.SpanRecord, error) {
-	return n.c.TraceDump(trace)
-}
-
-// tracedPutter and tracedGetter are the optional upgrades a Node may
-// implement to receive trace contexts; nodes without them are served
-// untraced, so MemNode and older daemons keep working unchanged.
-type tracedPutter interface {
-	PutTraced(name string, r io.Reader, size int64, ctx obs.SpanContext) error
-}
-
-type tracedGetter interface {
-	GetTraced(name string, w io.Writer, ctx obs.SpanContext) (int64, error)
-}
-
-// nodePut writes one object to a node, propagating ctx when the node
-// supports it.
-func nodePut(n Node, name string, r io.Reader, size int64, ctx obs.SpanContext) error {
-	if ctx.Valid() {
-		if tp, ok := n.(tracedPutter); ok {
-			return tp.PutTraced(name, r, size, ctx)
-		}
-	}
-	return n.Put(name, r, size)
-}
-
-// nodeGet reads one object from a node, propagating ctx when the node
-// supports it.
-func nodeGet(n Node, name string, w io.Writer, ctx obs.SpanContext) (int64, error) {
-	if ctx.Valid() {
-		if tg, ok := n.(tracedGetter); ok {
-			return tg.GetTraced(name, w, ctx)
-		}
-	}
-	return n.Get(name, w)
-}
 
 // MemNode is an in-memory Node for tests and hermetic benchmarks, with
 // fault injection: it can be taken down (every call fails as if the
@@ -241,7 +158,7 @@ func (n *MemNode) Get(name string, w io.Writer) (int64, error) {
 	delay, unit := n.readDelay, n.delayUnit
 	n.mu.Unlock()
 	if !ok {
-		return 0, fmt.Errorf("stripe: node %s: GET %s: %w", n.id, name, ErrNotExist)
+		return 0, fmt.Errorf("stripe: node %s: GET %s: %w", n.id, name, vfs.ErrNotExist)
 	}
 	if delay > 0 && unit > 0 {
 		time.Sleep(delay * time.Duration((int64(len(data))+unit-1)/unit))

@@ -381,7 +381,7 @@ func (p *chunkPut) push(idx int, cname, id string, body io.Reader, size int) {
 		csp.AttrInt("bytes", int64(size))
 	}
 	release := s.slot(id)
-	err := nodePut(s.nodes[id], cname, body, int64(size), csp.Context())
+	err := vfs.PutTraced(s.nodes[id], cname, body, int64(size), csp.Context())
 	release()
 	csp.End()
 	if err != nil {
@@ -649,7 +649,7 @@ func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, e
 		}
 		sink := chunkSink{buf: buf}
 		release := s.slot(id)
-		_, err := nodeGet(node, cname, &sink, csp.Context())
+		_, err := vfs.GetTraced(node, cname, &sink, csp.Context())
 		release()
 		csp.End()
 		if err != nil {
@@ -693,7 +693,7 @@ func (s *Store) Delete(name string) error {
 				}
 			}
 		}
-	} else if errors.Is(err, ErrNotExist) {
+	} else if errors.Is(err, vfs.ErrNotExist) {
 		err = nil
 	}
 	mname := ManifestName(name)

@@ -21,6 +21,12 @@ import (
 // startOSDaemon serves a default mount over a real directory (memfs would
 // dominate both time and allocations) on loopback until the test ends.
 func startOSDaemon(tb testing.TB) string {
+	addr, _ := osDaemon(tb)
+	return addr
+}
+
+// osDaemon is startOSDaemon returning the daemon's mount too.
+func osDaemon(tb testing.TB) (string, *crfs.FS) {
 	tb.Helper()
 	back, err := osfs.New(tb.TempDir())
 	if err != nil {
@@ -43,7 +49,7 @@ func startOSDaemon(tb testing.TB) string {
 		srv.Shutdown(ctx)
 		fs.Unmount()
 	})
-	return ln.Addr().String()
+	return ln.Addr().String(), fs
 }
 
 // dialCluster dials one node per address under the IDs n0, n1, ...
