@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"net"
@@ -135,7 +136,7 @@ func TestStripedPutKillRestoreScrub(t *testing.T) {
 	// Rot one replica on the stopped node's disk, then bring the node
 	// back: it serves the rotted bytes until scrub repairs them from the
 	// surviving replica.
-	chunks, err := filepath.Glob(filepath.Join(nodes[1].dir, "ckpt.img.s????????"))
+	chunks, err := filepath.Glob(filepath.Join(nodes[1].dir, "*.c"))
 	if err != nil || len(chunks) == 0 {
 		t.Fatalf("no chunk replica on the stopped node (err %v)", err)
 	}
@@ -441,10 +442,12 @@ func TestFailedRestoreKeepsPreviousCopy(t *testing.T) {
 		nodes := strings.Join(list, ",")
 		crfscp(t, 0, "-nodes", nodes, "-stripe-chunk", "1048576", src)
 		// Chunk 2 of 3 goes from every replica: chunks 0 and 1 reach the
-		// destination before the restore fails.
+		// destination before the restore fails. A chunk is stored under the
+		// hex SHA-256 of its bytes.
 		lost := 0
+		chunk2 := fmt.Sprintf("%x.c", sha256.Sum256(image[2<<20:3<<20]))
 		for _, dir := range dirs {
-			if err := os.Remove(filepath.Join(dir, "ckpt.img.s00000002")); err == nil {
+			if err := os.Remove(filepath.Join(dir, chunk2)); err == nil {
 				lost++
 			}
 		}

@@ -232,7 +232,7 @@ func TestPutBodySourceFails(t *testing.T) {
 			}
 			mustHoldNoBuffers(t, s)
 			mustHaveNoManifest(t, nodes, "ckpt")
-			checkStoredChunks(t, nodes, "ckpt", body, chunk)
+			checkStoredChunks(t, nodes, body, chunk)
 		})
 	}
 }

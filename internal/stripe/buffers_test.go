@@ -95,23 +95,29 @@ func faultCluster(cfg Config) (*Store, []*MemNode, *faultNode) {
 	return s, nodes, fns[0]
 }
 
-// checkStoredChunks demands that every chunk replica any node holds for
-// object is the matching slice of body.
-func checkStoredChunks(t *testing.T, nodes []*MemNode, object string, body []byte, chunkSize int) {
+// chunkNames returns the content name of each chunkSize piece of body.
+func chunkNames(body []byte, chunkSize int) []string {
+	var names []string
+	for lo := 0; lo < len(body); lo += chunkSize {
+		names = append(names, contentName(body[lo:min(lo+chunkSize, len(body))]))
+	}
+	return names
+}
+
+// checkStoredChunks demands that every replica any node holds of a chunk
+// of body is the matching slice of body.
+func checkStoredChunks(t *testing.T, nodes []*MemNode, body []byte, chunkSize int) {
 	t.Helper()
-	for _, n := range nodes {
-		n.mu.Lock()
-		for name, data := range n.objects {
-			obj, idx, kind := ParseObjectName(name)
-			if kind != KindChunk || obj != object {
-				continue
-			}
-			lo := idx * chunkSize
-			if hi := min(lo+chunkSize, len(body)); !bytes.Equal(data, body[lo:hi]) {
+	for idx, name := range chunkNames(body, chunkSize) {
+		lo := idx * chunkSize
+		want := body[lo:min(lo+chunkSize, len(body))]
+		for _, n := range nodes {
+			n.mu.Lock()
+			if data, ok := n.objects[name]; ok && !bytes.Equal(data, want) {
 				t.Errorf("node %s holds wrong bytes for %s", n.ID(), name)
 			}
+			n.mu.Unlock()
 		}
-		n.mu.Unlock()
 	}
 }
 
@@ -127,10 +133,8 @@ func TestOwnedChunkBuffersFailedReplica(t *testing.T) {
 	for _, shape := range bodyShapes(chunk) {
 		t.Run(shape.name, func(t *testing.T) {
 			s, nodes, fn := faultCluster(Config{ChunkSize: chunk, Replicas: 2})
-			fn.refusing(func(name string) bool {
-				_, idx, kind := ParseObjectName(name)
-				return kind == KindChunk && idx >= 5
-			})
+			late := chunkNames(body, chunk)[5:]
+			fn.refusing(func(name string) bool { return contains(late, name) })
 			err := s.Put("ckpt", shape.body(body), int64(len(body)))
 			var nf *nodeFault
 			if !errors.As(err, &nf) || nf.node != fn.ID() {
@@ -138,7 +142,7 @@ func TestOwnedChunkBuffersFailedReplica(t *testing.T) {
 			}
 			mustHoldNoBuffers(t, s)
 			mustHaveNoManifest(t, nodes, "ckpt")
-			checkStoredChunks(t, nodes, "ckpt", body, chunk)
+			checkStoredChunks(t, nodes, body, chunk)
 			if _, err := s.Get("ckpt", io.Discard); err == nil {
 				t.Fatal("GET of an uncommitted object succeeded")
 			}
@@ -147,7 +151,7 @@ func TestOwnedChunkBuffersFailedReplica(t *testing.T) {
 			if err := s.Put("ckpt", shape.body(body), int64(len(body))); err != nil {
 				t.Fatal(err)
 			}
-			checkStoredChunks(t, nodes, "ckpt", body, chunk)
+			checkStoredChunks(t, nodes, body, chunk)
 			mustGet(t, s, "ckpt", body)
 		})
 	}
@@ -175,7 +179,7 @@ func TestOwnedChunkBuffersBadReplicas(t *testing.T) {
 		byID[n.ID()] = n
 	}
 	for idx, c := range m.Chunks {
-		n, name := byID[c.Nodes[0]], ChunkName("ckpt", idx)
+		n, name := byID[c.Nodes[0]], c.Name
 		switch idx % 3 {
 		case 0:
 			n.Corrupt(name)
@@ -197,7 +201,7 @@ func TestOwnedChunkBuffersBadReplicas(t *testing.T) {
 
 	// Now the second replica of one chunk goes bad too.
 	const lost = 17
-	byID[m.Chunks[lost].Nodes[1]].Corrupt(ChunkName("ckpt", lost))
+	byID[m.Chunks[lost].Nodes[1]].Corrupt(m.Chunks[lost].Name)
 	var sink bytes.Buffer
 	_, err = s.Get("ckpt", &sink)
 	if !errors.Is(err, ErrChunkLost) || !errors.Is(err, codec.ErrChecksum) {
@@ -265,7 +269,7 @@ func TestFailedGetGivesBackEveryBuffer(t *testing.T) {
 			}
 			for _, n := range nodes {
 				if contains(m.Chunks[17].Nodes, n.ID()) {
-					n.Corrupt(ChunkName("ckpt", 17))
+					n.Corrupt(m.Chunks[17].Name)
 				}
 			}
 		}, io.Discard, ErrChunkLost},

@@ -2,7 +2,9 @@ package stripe
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crfs/internal/codec"
@@ -15,9 +17,9 @@ func sampleManifest() *Manifest {
 		ChunkSize: 4 << 20,
 		Replicas:  2,
 		Chunks: []Chunk{
-			{Offset: 0, Length: 4 << 20, CRC: 0xdeadbeef, Nodes: []string{"n1", "n2"}},
-			{Offset: 4 << 20, Length: 4 << 20, CRC: 0x01020304, Nodes: []string{"n3", "n1"}},
-			{Offset: 8 << 20, Length: 2 << 20, CRC: 0, Nodes: []string{"n2", "n3"}},
+			{Offset: 0, Length: 4 << 20, CRC: 0xdeadbeef, Name: contentName([]byte("0")), Nodes: []string{"n1", "n2"}},
+			{Offset: 4 << 20, Length: 4 << 20, CRC: 0x01020304, Name: contentName([]byte("1")), Nodes: []string{"n3", "n1"}},
+			{Offset: 8 << 20, Length: 2 << 20, CRC: 0, Name: contentName([]byte("2")), Nodes: []string{"n2", "n3"}},
 		},
 	}
 }
@@ -76,8 +78,9 @@ func TestManifestDetectsCorruption(t *testing.T) {
 }
 
 func TestObjectNames(t *testing.T) {
-	if got := ChunkName("a/b.ckpt", 7); got != "a/b.ckpt.s00000007" {
-		t.Fatalf("ChunkName = %q", got)
+	const abc = "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad" // SHA-256 of "abc"
+	if got := contentName([]byte("abc")); got != abc+".c" {
+		t.Fatalf("contentName = %q", got)
 	}
 	if got := ManifestName("a/b.ckpt"); got != "a/b.ckpt.crfsm" {
 		t.Fatalf("ManifestName = %q", got)
@@ -85,28 +88,59 @@ func TestObjectNames(t *testing.T) {
 	cases := []struct {
 		in   string
 		obj  string
-		idx  int
 		kind Kind
 	}{
-		{"a/b.ckpt.crfsm", "a/b.ckpt", 0, KindManifest},
-		{"a/b.ckpt.s00000007", "a/b.ckpt", 7, KindChunk},
-		{"x.s12345678", "x", 12345678, KindChunk},
-		{"plain-object", "", 0, KindOther},
-		{"x.s123", "", 0, KindOther},       // wrong width
-		{"x.sabcdefgh", "", 0, KindOther},  // not a number
-		{".crfsm", "", 0, KindOther},       // no object part
-		{"x.s00000001x", "", 0, KindOther}, // trailing junk
+		{"a/b.ckpt.crfsm", "a/b.ckpt", KindManifest},
+		{abc + ".c", "", KindChunk},
+		{abc + ".crfsm", abc, KindManifest},
+		{"plain-object", "", KindOther},
+		{"a/b.ckpt.s00000007", "", KindOther}, // the index names CRFSM 1 used
+		{abc[1:] + ".c", "", KindOther},       // one digit short
+		{abc + "0.c", "", KindOther},          // one digit long
+		{strings.ToUpper(abc) + ".c", "", KindOther},
+		{"dir/" + abc[4:] + ".c", "", KindOther},
+		{abc + ".d", "", KindOther},
+		{".crfsm", "", KindOther}, // no object part
 	}
 	for _, tc := range cases {
 		obj, idx, kind := ParseObjectName(tc.in)
-		if obj != tc.obj || idx != tc.idx || kind != tc.kind {
-			t.Errorf("ParseObjectName(%q) = (%q, %d, %v), want (%q, %d, %v)",
-				tc.in, obj, idx, kind, tc.obj, tc.idx, tc.kind)
+		if obj != tc.obj || idx != 0 || kind != tc.kind {
+			t.Errorf("ParseObjectName(%q) = (%q, %d, %v), want (%q, 0, %v)",
+				tc.in, obj, idx, kind, tc.obj, tc.kind)
 		}
 	}
-	// Names must round-trip through the classifier.
-	obj, idx, kind := ParseObjectName(ChunkName("deep/dir/name", 42))
-	if obj != "deep/dir/name" || idx != 42 || kind != KindChunk {
-		t.Fatalf("chunk name did not round-trip: %q %d %v", obj, idx, kind)
+}
+
+// TestManifestVersionRefused: a CRFSM 1 copy, intact and self-checked,
+// is refused with ErrManifestVersion rather than read: its chunks were
+// named by object and index, and an overwrite may have replaced them.
+func TestManifestVersionRefused(t *testing.T) {
+	v1 := []byte("CRFSM 1\nobject a\nsize 10\nchunksize 4194304\nreplicas 2\nchunks 1\n" +
+		"chunk 0 0 10 deadbeef n1,n2\n")
+	v1 = append(v1, fmt.Sprintf("sum %08x\n", codec.Checksum(v1))...)
+	if m, err := DecodeManifest(v1); !errors.Is(err, ErrManifestVersion) {
+		t.Fatalf("CRFSM 1 copy: %+v, %v; want ErrManifestVersion", m, err)
+	}
+}
+
+// TestDecodeManifestAllocs pins the decode of a 16-chunk manifest at
+// one allocation for each chunk's name and each distinct node ID, plus
+// four: the manifest, its object name, its chunk table and one array of
+// node IDs.
+func TestDecodeManifestAllocs(t *testing.T) {
+	m := &Manifest{Object: "app/rank3.ckpt", Size: 64 << 20, ChunkSize: 4 << 20, Replicas: 2}
+	ids := []string{"n1", "n2", "n3"}
+	for i := range 16 {
+		m.Chunks = append(m.Chunks, Chunk{
+			Offset: int64(i) << 22, Length: 4 << 20, CRC: uint32(i) * 0x9E3779B9,
+			Name: contentName([]byte{byte(i)}), Nodes: []string{ids[i%3], ids[(i+1)%3]},
+		})
+	}
+	enc := m.Encode()
+	if got, err := DecodeManifest(enc); err != nil || !reflect.DeepEqual(got, m) {
+		t.Fatalf("roundtrip: %v\n%+v\n%+v", err, got, m)
+	}
+	if n, want := testing.AllocsPerRun(100, func() { DecodeManifest(enc) }), float64(4+16+len(ids)); n != want {
+		t.Errorf("decoding a 16-chunk manifest over %d nodes: %v allocations, want %v", len(ids), n, want)
 	}
 }

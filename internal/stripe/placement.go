@@ -11,8 +11,9 @@
 package stripe
 
 import (
-	"hash/fnv"
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 )
 
 // Place returns the k nodes that should hold key, chosen from nodes by
@@ -37,11 +38,9 @@ func Place(nodes []string, key string, k int) []string {
 	for _, id := range nodes {
 		s = append(s, scored{id: id, score: hrwScore(id, key)})
 	}
-	sort.Slice(s, func(i, j int) bool {
-		if s[i].score != s[j].score {
-			return s[i].score > s[j].score
-		}
-		return s[i].id < s[j].id // total order even on score collisions
+	slices.SortFunc(s, func(a, b scored) int {
+		// Descending score; IDs give a total order even on collisions.
+		return cmp.Or(cmp.Compare(b.score, a.score), strings.Compare(a.id, b.id))
 	})
 	if k > len(s) {
 		k = len(s)
@@ -61,11 +60,13 @@ func Place(nodes []string, key string, k int) []string {
 // an object to the same primary and serialize restores. Placement only
 // needs determinism and spread, not cryptographic strength.
 func hrwScore(node, key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(node))
-	h.Write([]byte{0})
-	h.Write([]byte(key))
-	return fmix64(h.Sum64())
+	h := uint64(14695981039346656037) // FNV-1a offset basis
+	for _, part := range [...]string{node, "\x00", key} {
+		for i := 0; i < len(part); i++ {
+			h = (h ^ uint64(part[i])) * 1099511628211 // FNV-1a prime
+		}
+	}
+	return fmix64(h)
 }
 
 // fmix64 is the MurmurHash3 finalizer: every input bit avalanches to

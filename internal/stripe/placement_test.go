@@ -83,7 +83,7 @@ func TestPlaceSpreadsChunksOfOneObject(t *testing.T) {
 	counts := map[string]int{}
 	const chunks = 48
 	for i := 0; i < chunks; i++ {
-		counts[Place(nodes, ChunkName("one-object.ckpt", i), 2)[0]]++
+		counts[Place(nodes, fmt.Sprintf("one-object.ckpt.s%08d", i), 2)[0]]++
 	}
 	for _, id := range nodes {
 		if counts[id] == 0 {

@@ -23,7 +23,7 @@ func simRestore(nNodes, nChunks int, chunkSize int64) des.Time {
 		links[ids[i]] = simnet.NewLink(env, simnet.GigEBps, simnet.GigELatency)
 	}
 	for c := 0; c < nChunks; c++ {
-		primary := Place(ids, ChunkName("sim.ckpt", c), 1)[0]
+		primary := Place(ids, fmt.Sprintf("sim.ckpt.s%08d", c), 1)[0]
 		link := links[primary]
 		env.Spawn(fmt.Sprintf("chunk-%d", c), func(p *des.Proc) {
 			link.Transfer(p, chunkSize)
@@ -89,7 +89,7 @@ func TestSimRebalanceMovesMinimalBytes(t *testing.T) {
 	link := simnet.NewLink(env, simnet.GigEBps, simnet.GigELatency)
 	var movedBytes int64
 	for c := 0; c < nChunks; c++ {
-		key := ChunkName("rb.ckpt", c)
+		key := fmt.Sprintf("rb.ckpt.s%08d", c)
 		old := Place(before, key, k)
 		for _, id := range Place(after, key, k) {
 			if !contains(old, id) {

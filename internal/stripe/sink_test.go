@@ -112,7 +112,7 @@ func TestScrubBoundsOverlongReplica(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			holder, cname := byID[m.Chunks[0].Nodes[tc.long]], ChunkName("ckpt", 0)
+			holder, cname := byID[m.Chunks[0].Nodes[tc.long]], m.Chunks[0].Name
 			holder.mu.Lock()
 			holder.objects[cname] = payload(71, 4*chunk)
 			holder.mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -84,15 +85,28 @@ type Stats struct {
 	ChecksumFailed   int64 // chunk reads whose fingerprint did not match
 	ChunksRepaired   int64 // bad or missing replicas rewritten from good copies
 	ManifestsFixed   int64 // manifest copies rewritten by scrub
-	StraysDeleted    int64 // unreferenced objects garbage-collected
+	StraysDeleted    int64 // chunk replicas no manifest references, swept
 }
 
 // Store is the striped-store coordinator. It is safe for concurrent
 // use. Membership is fixed at New: nodes, ids and slots are never
 // written afterwards.
+//
+// Chunks are named by their content and never overwritten; the sweep
+// deletes those no committed manifest references. Within one Store, mu
+// orders the sweep against everything that relies on a chunk staying:
+// a Put holds it shared from its listing of the nodes until its
+// manifest commits, a Get from its manifest read until its last chunk
+// is delivered, and the sweep holds it exclusively. Across processes
+// nothing orders them, so a node set has one writing coordinator at a
+// time: a Store that puts, deletes or scrubs beside another Store doing
+// any of those over the same nodes may sweep chunks the other's Put is
+// about to reference. Leftovers of failed Puts, and of two overwrites
+// of one name racing, are swept by the next Scrub.
 type Store struct {
 	cfg    Config
 	tracer *obs.Tracer
+	mu     sync.RWMutex
 
 	nodes map[string]Node
 	ids   []string                 // node IDs, sorted
@@ -156,10 +170,13 @@ func (s *Store) slot(id string) func() {
 }
 
 // Put stripes size bytes from r across the membership as one
-// checkpoint object. Chunks upload with bounded parallelism (the
-// per-node in-flight cap times the node count); the manifest commits
-// last, to every node, so a failed Put never leaves a restorable-looking
-// object — at worst unreferenced chunks that scrub collects.
+// checkpoint object. Each chunk is named by its content and pushed only
+// to the placed nodes that do not hold that name yet, with bounded
+// parallelism (the per-node in-flight cap times the node count); the
+// manifest commits last, to every node, so a failed Put never leaves a
+// restorable-looking object and never touches the version it was to
+// replace — at worst unreferenced chunks that the next sweep collects.
+// An overwrite sweeps the chunks the replaced version alone used.
 func (s *Store) Put(name string, r io.Reader, size int64) error {
 	return s.PutTraced(name, r, size, obs.SpanContext{})
 }
@@ -183,29 +200,44 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 		sp.AttrInt("bytes", size)
 		defer sp.End()
 	}
-	ctx := sp.Context()
 	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
-	k := s.cfg.Replicas
-	if k > len(s.ids) {
-		k = len(s.ids)
+	held, overwrite, err := s.put(name, r, size, sp.Context())
+	if err == nil && overwrite {
+		s.sweep(held.holds)
 	}
+	return err
+}
 
+// put is Put under the shared lock: it lists every node, uploads the
+// chunks no placed node holds and commits the manifest. It returns the
+// nodes' listings, and whether one held a manifest of name.
+func (s *Store) put(name string, r io.Reader, size int64, ctx obs.SpanContext) (held holdings, overwrite bool, err error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	// A node that does not list is taken to hold nothing; a push to it
+	// then fails the Put.
+	held, _ = s.listAll()
+	_, overwrite = slices.BinarySearch(held.objects(), name)
 	m := &Manifest{
 		Object:    name,
 		Size:      size,
 		ChunkSize: s.cfg.ChunkSize,
-		Replicas:  k,
+		Replicas:  min(s.cfg.Replicas, len(s.ids)),
 		Chunks:    make([]Chunk, (size+s.cfg.ChunkSize-1)/s.cfg.ChunkSize),
 	}
 
 	// The body is taken in order, but uploads overlap: each chunk goes to
-	// a goroutine that pushes its k replicas at once under the per-node
-	// caps, fingerprinting it on the way, and gives back its window slot. A slot is
-	// held from before the chunk's bytes are taken until its last push
-	// ends, so buffered memory is at most inflight × ChunkSize.
-	p := &chunkPut{s: s, m: m, ctx: ctx, window: make(chan struct{}, len(s.ids)*perNodeInFlight)}
+	// a goroutine that names it, pushes it to the placed nodes lacking it
+	// at once under the per-node caps, fingerprinting it on the way, and
+	// gives back its window slot. A slot is held from before the chunk's
+	// bytes are taken until its last push ends, so buffered memory is at
+	// most inflight × ChunkSize.
+	p := &chunkPut{
+		s: s, m: m, ctx: ctx, window: make(chan struct{}, len(s.ids)*perNodeInFlight),
+		held: held, pushed: make(map[replica]bool),
+	}
 	if len(m.Chunks) > 0 {
 		_, err := io.Copy(p, r)
 		if p.buf != nil { // a chunk half gathered when the body ended
@@ -218,9 +250,55 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	}
 	p.owned.Wait()
 	if err := p.failed(); err != nil {
-		return err
+		return nil, false, err
 	}
-	return s.writeManifest(m)
+	return held, overwrite, s.writeManifest(m)
+}
+
+// replica is one chunk name on one node.
+type replica struct{ node, name string }
+
+// holdings maps a node ID to the object names the node listed, sorted.
+type holdings map[string][]string
+
+func (h holdings) holds(r replica) bool { return h.find(r) >= 0 }
+
+// find returns the index of r's name in its node's listing, or -1.
+func (h holdings) find(r replica) int {
+	names := h[r.node]
+	if i := sort.SearchStrings(names, r.name); i < len(names) && names[i] == r.name {
+		return i
+	}
+	return -1
+}
+
+// objects returns the names of the objects with a manifest copy in h,
+// sorted.
+func (h holdings) objects() []string {
+	var objs []string
+	for _, names := range h {
+		for _, n := range names {
+			if obj, _, kind := ParseObjectName(n); kind == KindManifest {
+				objs = append(objs, obj)
+			}
+		}
+	}
+	slices.Sort(objs)
+	return slices.Compact(objs)
+}
+
+// listAll lists every node, leaving out and counting those that do not
+// answer.
+func (s *Store) listAll() (h holdings, missing int) {
+	h = make(holdings, len(s.ids))
+	for _, id := range s.ids {
+		if names, err := s.nodes[id].List(); err == nil {
+			h[id] = names
+		} else {
+			missing++
+		}
+	}
+	return h, missing
 }
 
 // errSizeReached stops a body source that offers bytes past the declared
@@ -245,8 +323,10 @@ type chunkPut struct {
 	buf  []byte // free-list buffer gathering chunk next, or nil
 	n    int    // bytes gathered in buf
 
-	mu  sync.Mutex
-	err error // first failure; it wins
+	held   holdings // what the nodes listed before the first chunk was taken
+	mu     sync.Mutex
+	pushed map[replica]bool // replicas this Put pushes
+	err    error            // first failure; it wins
 }
 
 func (p *chunkPut) setErr(err error) {
@@ -329,10 +409,11 @@ func (p *chunkPut) ReadFrom(r io.Reader) (int64, error) {
 }
 
 // dispatch uploads data as chunk next under the window slot begin took.
-// The goroutine pushes the chunk's replicas together, all from the same
-// bytes: the first itself, fingerprinting the chunk as it goes, and each
-// other one from a goroutine of its own. After the last push it returns
-// data to the free list if it is owned, and gives the slot back.
+// The goroutine names the chunk by hashing data and pushes it to each
+// placed node that lacks the name, all at once and all from data: the
+// first push itself, fingerprinting the chunk as it goes, and each other
+// one from a goroutine of its own. After the last push it returns data
+// to the free list if it is owned, and gives the slot back.
 func (p *chunkPut) dispatch(data []byte, owned bool) {
 	idx := p.next
 	p.next++
@@ -343,22 +424,30 @@ func (p *chunkPut) dispatch(data []byte, owned bool) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		cname := ChunkName(p.m.Object, idx)
-		nodes := Place(p.s.ids, cname, p.m.Replicas)
+		name := contentName(data)
+		nodes := Place(p.s.ids, name, p.m.Replicas)
+		need := p.claim(name, nodes)
 		var pushes sync.WaitGroup
-		for _, id := range nodes[1:] {
+		for _, id := range need[min(1, len(need)):] {
 			pushes.Add(1)
 			go func() {
 				defer pushes.Done()
-				p.push(idx, cname, id, bytes.NewReader(data), len(data))
+				p.push(idx, name, id, bytes.NewReader(data), len(data))
 			}()
 		}
-		fp := &fingerprintReader{b: data}
-		p.push(idx, cname, nodes[0], fp, len(data))
+		var crc uint32
+		if len(need) > 0 {
+			fp := &fingerprintReader{b: data}
+			p.push(idx, name, need[0], fp, len(data))
+			crc = fp.sum()
+		} else {
+			crc = crc32.Checksum(data, castagnoli)
+		}
 		p.m.Chunks[idx] = Chunk{
 			Offset: int64(idx) * p.m.ChunkSize,
 			Length: int64(len(data)),
-			CRC:    fp.sum(),
+			CRC:    crc,
+			Name:   name,
 			Nodes:  nodes,
 		}
 		pushes.Wait()
@@ -367,6 +456,22 @@ func (p *chunkPut) dispatch(data []byte, owned bool) {
 		}
 		<-p.window
 	}()
+}
+
+// claim returns the nodes among placed that neither listed name nor are
+// pushed it by this Put already, and marks it pushed to them: an equal
+// chunk later in the Put is pushed nowhere.
+func (p *chunkPut) claim(name string, placed []string) []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var need []string
+	for _, id := range placed {
+		if r := (replica{id, name}); !p.held.holds(r) && !p.pushed[r] {
+			p.pushed[r] = true
+			need = append(need, id)
+		}
+	}
+	return need
 }
 
 // push writes one replica of chunk idx, size bytes from body, to node id
@@ -472,26 +577,46 @@ func (s *Store) readManifest(name string) (*Manifest, error) {
 	mname := ManifestName(name)
 	var lastErr error = fmt.Errorf("stripe: GET %s: %w", mname, ErrNoNodes)
 	for _, id := range s.ids {
-		var buf bytes.Buffer
-		if _, err := s.nodes[id].Get(mname, &buf); err != nil {
-			lastErr = err
-			continue
+		m, err := s.readCopy(id, mname)
+		if err == nil {
+			return m, nil
 		}
-		m, err := DecodeManifest(buf.Bytes())
-		if err != nil {
-			lastErr = fmt.Errorf("stripe: manifest copy on %s: %w", id, err)
-			continue
-		}
-		return m, nil
+		lastErr = err
 	}
 	return nil, lastErr
+}
+
+// readCopy fetches and decodes node id's copy of manifest mname. The
+// copy lands in a free-list buffer, or in a one-off when it is longer
+// than a chunk.
+func (s *Store) readCopy(id, mname string) (*Manifest, error) {
+	sink := chunkSink{buf: s.bufs.Get(int(s.cfg.ChunkSize))}
+	defer func() { s.bufs.Put(sink.buf) }()
+	for {
+		if _, err := s.nodes[id].Get(mname, &sink); err != nil {
+			return nil, err
+		}
+		if sink.n <= int64(len(sink.buf)) {
+			break
+		}
+		s.bufs.Put(sink.buf)
+		sink = chunkSink{buf: s.bufs.Get(int(sink.n))}
+	}
+	m, err := DecodeManifest(sink.buf[:sink.n])
+	if err != nil {
+		return nil, fmt.Errorf("stripe: manifest copy on %s: %w", id, err)
+	}
+	return m, nil
 }
 
 // Get restores object name into w, striping reads across the replica
 // holders with bounded parallelism and delivering chunks strictly in
 // order. Every chunk is verified against its manifest fingerprint; a
 // bad or unreachable replica fails over to the next, so the restore
-// succeeds as long as one clean copy of every chunk survives.
+// succeeds as long as one clean copy of every chunk survives. No sweep
+// of this Store runs until the last chunk is delivered, so a Get racing
+// an overwrite of its name delivers one version whole — and w must not
+// wait on a Put, Delete or Scrub of this Store.
 func (s *Store) Get(name string, w io.Writer) (int64, error) {
 	return s.GetTraced(name, w, obs.SpanContext{})
 }
@@ -513,6 +638,8 @@ func (s *Store) GetTraced(name string, w io.Writer, parent obs.SpanContext) (int
 	if len(s.ids) == 0 {
 		return 0, ErrNoNodes
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	m, err := s.readManifest(name)
 	if err != nil {
 		return 0, err
@@ -631,7 +758,7 @@ func (w *chunkSink) matches(c Chunk) bool {
 // caller owns and returns to s.bufs.
 func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, error) {
 	c := m.Chunks[idx]
-	cname := ChunkName(m.Object, idx)
+	cname := c.Name
 	buf := s.bufs.Get(int(c.Length))
 	var lastErr error
 	for tries, id := range c.Nodes {
@@ -674,35 +801,82 @@ func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, e
 	return nil, fmt.Errorf("%w: %s: last error: %w", ErrChunkLost, cname, lastErr)
 }
 
-// Delete removes object name: every chunk replica the manifest
-// references, then every manifest copy. Missing pieces are fine — the
-// verb is idempotent end to end.
+// Delete removes object name: every manifest copy, then — once every
+// copy is gone — the chunk replicas no other manifest references. A
+// missing name is fine: the verb is idempotent end to end.
 func (s *Store) Delete(name string) error {
 	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
-	m, err := s.readManifest(name)
-	if err == nil {
-		for idx, c := range m.Chunks {
-			cname := ChunkName(name, idx)
-			for _, id := range c.Nodes {
-				if node, ok := s.nodes[id]; ok {
-					if derr := node.Delete(cname); derr != nil && err == nil {
-						err = derr
-					}
-				}
-			}
-		}
-	} else if errors.Is(err, vfs.ErrNotExist) {
-		err = nil
-	}
+	m, _ := s.readManifest(name) // when it does not read, its chunks are left to the next Scrub
 	mname := ManifestName(name)
+	var err error
 	for _, id := range s.ids {
 		if derr := s.nodes[id].Delete(mname); derr != nil && err == nil {
 			err = derr
 		}
 	}
+	if err == nil && m != nil {
+		used := make(map[replica]bool)
+		for _, c := range m.Chunks {
+			for _, id := range c.Nodes {
+				used[replica{id, c.Name}] = true
+			}
+		}
+		s.sweep(func(r replica) bool { return used[r] })
+	}
 	return err
+}
+
+// sweep deletes every chunk replica that is a candidate (all of them
+// when candidate is nil) and that no committed manifest references, and
+// returns how many it deleted. Under the exclusive lock no Put or Get of
+// this Store is in flight, so it lists every node and reads every
+// object's manifest now, the copy a Get would read: an overwrite that
+// raced the caller's is seen. When a node does not list, or a listed
+// manifest does not read, what the store references is not known, and
+// it deletes nothing.
+func (s *Store) sweep(candidate func(replica) bool) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	listed, missing := s.listAll()
+	if missing > 0 {
+		return 0
+	}
+	// referenced[id][i] is set once a manifest places listed[id][i] on id.
+	referenced := make(map[string][]bool, len(listed))
+	for id, names := range listed {
+		referenced[id] = make([]bool, len(names))
+	}
+	for _, obj := range listed.objects() {
+		m, err := s.readManifest(obj)
+		switch {
+		case errors.Is(err, vfs.ErrNotExist) || errors.Is(err, ErrManifestVersion):
+			continue // gone since the listing, or naming no content-named chunk
+		case err != nil:
+			return 0
+		}
+		for _, c := range m.Chunks {
+			for _, id := range c.Nodes {
+				if i := listed.find(replica{id, c.Name}); i >= 0 {
+					referenced[id][i] = true
+				}
+			}
+		}
+	}
+	deleted := 0
+	for id, names := range listed {
+		for i, n := range names {
+			if referenced[id][i] || !isContentName(n) || (candidate != nil && !candidate(replica{id, n})) {
+				continue
+			}
+			if s.nodes[id].Delete(n) == nil {
+				deleted++
+				s.c.straysDeleted.Add(1)
+			}
+		}
+	}
+	return deleted
 }
 
 // List returns the store's object names — the union of manifests

@@ -204,9 +204,10 @@ func TestDeleteRemovesEverything(t *testing.T) {
 	if err := s.Delete("doomed"); err != nil {
 		t.Fatal(err)
 	}
+	doomed := append(chunkNames(payload(19, 64<<10), 4<<10), ManifestName("doomed"))
 	for _, n := range nodes {
 		for _, obj := range n.Objects() {
-			if o, _, _ := ParseObjectName(obj); o == "doomed" {
+			if contains(doomed, obj) {
 				t.Errorf("node %s still holds %s", n.ID(), obj)
 			}
 		}
@@ -220,7 +221,7 @@ func TestDeleteRemovesEverything(t *testing.T) {
 
 // TestPutFailsCleanly: a Put that cannot complete (a node dies
 // mid-upload) must not leave a restorable-looking object; the manifest
-// never commits and strays are orphans until a manifest exists.
+// never commits, and the chunks that did land are swept by a scrub.
 func TestPutFailsCleanly(t *testing.T) {
 	s, nodes := memCluster(2, Config{ChunkSize: 4 << 10, Replicas: 2})
 	nodes[1].SetDown(true)
@@ -237,7 +238,7 @@ func TestPutFailsCleanly(t *testing.T) {
 		t.Fatalf("List after failed put = %v, %v", names, err)
 	}
 	// After the node returns, a fresh Put under the same name wins and
-	// scrub GCs the stale strays against the new manifest.
+	// scrub sweeps the failed Put's chunks.
 	nodes[1].SetDown(false)
 	body2 := payload(37, 32<<10)
 	mustPut(t, s, "halfway", body2)

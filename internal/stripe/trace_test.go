@@ -96,8 +96,9 @@ func collectTrace(s *stripe.Store, ctr *obs.Tracer, trace obs.TraceID, want []st
 // the wire.
 func TestTracePropagation(t *testing.T) {
 	// With these IDs every node is the primary of at least one of the
-	// object's 8 chunks (3/2/3), so the restore — which reads primaries
-	// only — reaches every daemon.
+	// object's 8 distinct chunks (4/3/1), so the restore — which reads
+	// primaries only — reaches every daemon. Chunks are placed by their
+	// content names, so the payload decides this too.
 	var daemons []*tracedNode
 	for _, id := range []string{"node-0", "node-1", "node-2"} {
 		d := startTracedNode(t, id)
@@ -112,7 +113,7 @@ func TestTracePropagation(t *testing.T) {
 
 	payload := make([]byte, 512<<10)
 	for i := range payload {
-		payload[i] = byte(i * 31)
+		payload[i] = byte(i*31 + i>>16) // i>>16 keeps the 64 KiB chunks distinct
 	}
 
 	psp := ctr.Start("client.put")

@@ -3,6 +3,7 @@ package stripe_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -108,12 +109,25 @@ const (
 	benchChunk  = 1 << 20
 )
 
-func benchBody() []byte {
-	body := make([]byte, benchObject)
+// benchBody is an object of distinct 1 MiB chunks: without the i>>20
+// term every 512 KiB would repeat, and a Put would name every chunk the
+// same.
+func benchBody() []byte { return distinctBody(benchObject) }
+
+func distinctBody(n int) []byte {
+	body := make([]byte, n)
 	for i := range body {
-		body[i] = byte(i ^ i>>11)
+		body[i] = byte(i ^ i>>11 ^ i>>20)
 	}
 	return body
+}
+
+// stamp writes cycle into the head of every chunk of body, so each
+// cycle's Put finds none of its chunks on the nodes and uploads them all.
+func stamp(body []byte, cycle int) {
+	for off := 0; off < len(body); off += benchChunk {
+		binary.LittleEndian.PutUint64(body[off:], uint64(cycle))
+	}
 }
 
 // sliceSink restores into a preallocated buffer, so the sink itself
@@ -144,7 +158,9 @@ func putGet(tb testing.TB, s *stripe.Store, body []byte, r *bytes.Reader, sink *
 }
 
 // BenchmarkPutGet3Nodes is one checkpoint and one restore of a 32 MiB
-// object over three loopback daemons, two replicas per chunk.
+// object over three loopback daemons, two replicas per chunk. Every
+// chunk is new to the nodes, so the Put hashes and uploads all of them,
+// and sweeps the previous cycle's.
 func BenchmarkPutGet3Nodes(b *testing.B) {
 	s, _ := dialCluster(b, stripe.Config{ChunkSize: benchChunk, Replicas: 2},
 		startOSDaemon(b), startOSDaemon(b), startOSDaemon(b))
@@ -155,6 +171,7 @@ func BenchmarkPutGet3Nodes(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		stamp(body, i)
 		putGet(b, s, body, &r, &sink)
 	}
 }
@@ -178,6 +195,7 @@ func TestStripeAllocsPerMiB(t *testing.T) {
 	// judges the quietest of three cycles.
 	quietest := math.Inf(1)
 	for i := 0; i < 3; i++ {
+		stamp(body, i+1) // every chunk new to the nodes: the Put uploads all of them
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		putGet(t, s, body, &r, &sink)
@@ -224,7 +242,7 @@ func TestGetFallsBackOverTheWire(t *testing.T) {
 		append(append(bytes.Clone(body[2*chunk:2*chunk+1000]), ^body[2*chunk+1000]), body[2*chunk+1001:3*chunk]...),
 	} {
 		primary := byID[m.Chunks[idx].Nodes[0]]
-		if err := primary.Put(stripe.ChunkName("ckpt", idx), bytes.NewReader(bad), int64(len(bad))); err != nil {
+		if err := primary.Put(m.Chunks[idx].Name, bytes.NewReader(bad), int64(len(bad))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,10 +262,7 @@ func BenchmarkGet3Nodes(b *testing.B) {
 	const object = 64 << 20
 	s, _ := dialCluster(b, stripe.Config{ChunkSize: stripe.DefaultChunkSize, Replicas: 2},
 		startOSDaemon(b), startOSDaemon(b), startOSDaemon(b))
-	body := make([]byte, object)
-	for i := range body {
-		body[i] = byte(i ^ i>>11)
-	}
+	body := distinctBody(object)
 	if err := s.Put("ckpt", bytes.NewReader(body), object); err != nil {
 		b.Fatal(err)
 	}
