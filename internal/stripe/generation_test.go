@@ -218,3 +218,174 @@ func TestGetHoldsOffTheSweep(t *testing.T) {
 	}
 	mustGet(t, s, "ckpt", v2)
 }
+
+// unplaced counts the chunk replicas on nodes that no manifest copy on
+// any of them places there.
+func unplaced(t *testing.T, nodes []*MemNode) int {
+	t.Helper()
+	placed := map[replica]bool{}
+	for _, n := range nodes {
+		for _, name := range n.Objects() {
+			if _, _, kind := ParseObjectName(name); kind != KindManifest {
+				continue
+			}
+			var copy bytes.Buffer
+			if _, err := n.Get(name, &copy); err != nil {
+				t.Fatal(err)
+			}
+			m, err := DecodeManifest(copy.Bytes())
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, n.ID(), err)
+			}
+			for _, c := range m.Chunks {
+				for _, id := range c.Nodes {
+					placed[replica{id, c.Name}] = true
+				}
+			}
+		}
+	}
+	count := 0
+	for _, n := range nodes {
+		for _, name := range n.Objects() {
+			if _, _, kind := ParseObjectName(name); kind == KindChunk && !placed[replica{n.ID(), name}] {
+				count++
+			}
+		}
+	}
+	return count
+}
+
+// TestSweepKeepsWhatAnyCopyPlaces: a Store over two of three nodes
+// overwrites an object whose old version the third node, the first in
+// ID order, still holds a copy of. Back over all three, the next sweep
+// keeps what every copy places: the new version still restores from the
+// two nodes that took it, and the old copy's replicas on the third node
+// stay.
+func TestSweepKeepsWhatAnyCopyPlaces(t *testing.T) {
+	const chunk = 4 << 10
+	cfg := Config{ChunkSize: chunk, Replicas: 2}
+	all, nodes := memCluster(3, cfg)
+	v1, v2 := payload(401, 10*chunk), payload(403, 10*chunk)
+	mustPut(t, all, "ckpt", v1)
+	mustPut(t, all, "other", payload(405, 3*chunk))
+	part := New(cfg, nodes[1], nodes[2])
+	mustPut(t, part, "ckpt", v2)
+	old, err := all.readCopy(nodes[0].ID(), ManifestName("ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mustPut(t, all, "other", payload(407, 3*chunk)) // an overwrite, so a sweep
+	mustGet(t, part, "ckpt", v2)
+	for _, c := range old.Chunks {
+		if contains(c.Nodes, nodes[0].ID()) && !contains(nodes[0].Objects(), c.Name) {
+			t.Errorf("the sweep deleted %s from %s, where the old copy places it", c.Name, nodes[0].ID())
+		}
+	}
+}
+
+// TestSweepStopsAtAnUnreadableCopy: while one node's copy of a manifest
+// does not decode, what that copy places is not known, so an overwrite
+// deletes nothing. The scrub that rewrites the copy then sweeps what the
+// overwrite left.
+func TestSweepStopsAtAnUnreadableCopy(t *testing.T) {
+	const chunk = 4 << 10
+	s, nodes := memCluster(3, Config{ChunkSize: chunk, Replicas: 2})
+	mustPut(t, s, "a", payload(411, 6*chunk))
+	mustPut(t, s, "b", payload(413, 6*chunk))
+	if !nodes[2].Corrupt(ManifestName("b")) {
+		t.Fatal("no copy of b's manifest to corrupt")
+	}
+	before := replicas(nodes)
+	v2 := payload(415, 6*chunk)
+	mustPut(t, s, "a", v2)
+	after := replicas(nodes)
+	for r := range before {
+		if !after[r] {
+			t.Fatalf("the overwrite swept %s from %s with a manifest copy unread", r.name, r.node)
+		}
+	}
+	rep, err := s.Scrub()
+	if err != nil || rep.ManifestsFixed != 1 || rep.StraysDeleted != 12 {
+		t.Fatalf("scrub: %v (%s)", err, rep)
+	}
+	if n := unplaced(t, nodes); n != 0 {
+		t.Fatalf("%d replicas no manifest places after the scrub", n)
+	}
+	mustGet(t, s, "a", v2)
+}
+
+// replicas returns every chunk replica the nodes hold.
+func replicas(nodes []*MemNode) map[replica]bool {
+	held := map[replica]bool{}
+	for _, n := range nodes {
+		for _, name := range n.Objects() {
+			if _, _, kind := ParseObjectName(name); kind == KindChunk {
+				held[replica{n.ID(), name}] = true
+			}
+		}
+	}
+	return held
+}
+
+// TestScrubChecksEveryPlacementOfAName: two Stores over different pairs
+// of three nodes put the same bytes under two names, so the two
+// manifests place the one chunk on different nodes. A scrub over all
+// three checks the chunk on every node either manifest places it on,
+// and rewrites the rotten replica only the second one places.
+func TestScrubChecksEveryPlacementOfAName(t *testing.T) {
+	const chunk = 4 << 10
+	cfg := Config{ChunkSize: chunk, Replicas: 2}
+	all, nodes := memCluster(3, cfg)
+	body := payload(417, chunk)
+	mustPut(t, New(cfg, nodes[0], nodes[1]), "x", body)
+	mustPut(t, New(cfg, nodes[0], nodes[2]), "y", body)
+	name := contentName(body)
+	if !nodes[2].Corrupt(name) {
+		t.Fatalf("%s holds no %s", nodes[2].ID(), name)
+	}
+	rep, err := all.Scrub()
+	if err != nil || rep.ChunksVerified != 2 || rep.ChunksRepaired != 1 || rep.LostChunks != 0 {
+		t.Fatalf("scrub: %v (%s)", err, rep)
+	}
+	var got bytes.Buffer
+	if _, err := nodes[2].Get(name, &got); err != nil || !bytes.Equal(got.Bytes(), body) {
+		t.Fatalf("%s's replica after the scrub: %v", nodes[2].ID(), err)
+	}
+	mustGet(t, all, "y", body)
+}
+
+// TestOverwritesSweepInProportion: a sweep reads every manifest copy, so
+// overwrites and deletes sweep only once the versions they replaced
+// since the last sweep reach a quarter of the objects. Over eight
+// objects the first overwrite leaves its old replicas and the second
+// sweeps both versions'; deletes count the same way.
+func TestOverwritesSweepInProportion(t *testing.T) {
+	const chunk = 4 << 10
+	s, nodes := memCluster(3, Config{ChunkSize: chunk, Replicas: 2})
+	bodies := make([][]byte, 8)
+	for i := range bodies {
+		bodies[i] = payload(421+i, 3*chunk)
+		mustPut(t, s, fmt.Sprintf("obj%d", i), bodies[i])
+	}
+	steps := []struct {
+		op     func()
+		strays int
+	}{
+		{func() { bodies[0] = payload(431, 3*chunk); mustPut(t, s, "obj0", bodies[0]) }, 6},
+		{func() { bodies[1] = payload(433, 3*chunk); mustPut(t, s, "obj1", bodies[1]) }, 0},
+		{func() { s.Delete("obj6"); bodies[6] = nil }, 6},
+		{func() { s.Delete("obj7"); bodies[7] = nil }, 0},
+	}
+	for i, step := range steps {
+		step.op()
+		if n := unplaced(t, nodes); n != step.strays {
+			t.Fatalf("step %d: %d replicas no manifest places, want %d", i, n, step.strays)
+		}
+	}
+	for i, body := range bodies {
+		if body != nil {
+			mustGet(t, s, fmt.Sprintf("obj%d", i), body)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package stripe
 import (
 	"bytes"
 	"cmp"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -89,24 +90,39 @@ type Stats struct {
 }
 
 // Store is the striped-store coordinator. It is safe for concurrent
-// use. Membership is fixed at New: nodes, ids and slots are never
-// written afterwards.
+// use, but a sweep waits for every Put and Get in flight and holds off
+// new ones while it runs, so an overwrite that sweeps returns only
+// after the Gets running when it committed have delivered. Membership
+// is fixed at New: nodes, ids and slots are never written afterwards.
 //
 // Chunks are named by their content and never overwritten; the sweep
 // deletes those no committed manifest references. Within one Store, mu
 // orders the sweep against everything that relies on a chunk staying:
 // a Put holds it shared from its listing of the nodes until its
 // manifest commits, a Get from its manifest read until its last chunk
-// is delivered, and the sweep holds it exclusively. Across processes
-// nothing orders them, so a node set has one writing coordinator at a
-// time: a Store that puts, deletes or scrubs beside another Store doing
-// any of those over the same nodes may sweep chunks the other's Put is
-// about to reference. Leftovers of failed Puts, and of two overwrites
-// of one name racing, are swept by the next Scrub.
+// is delivered, and the sweep holds it exclusively. So a Put's body and
+// a Get's sink must not wait on a Put, Delete or Scrub of the same
+// Store, nor on a Get of it once a sweep may be queued. Across
+// processes nothing orders them, so a node set has one writing
+// coordinator at a time: a Store that puts, deletes or scrubs beside
+// another Store doing any of those over the same nodes may sweep chunks
+// the other's Put is about to reference. Leftovers of failed Puts, and
+// of two overwrites of one name racing, are swept by the next sweep.
 type Store struct {
 	cfg    Config
 	tracer *obs.Tracer
 	mu     sync.RWMutex
+
+	// superseded counts the versions overwrites and deletes replaced
+	// since the last sweep; it is written under mu held exclusively.
+	// objects is how many objects the last listing showed.
+	superseded int64
+	objects    atomic.Int64
+	// epoch is bumped as every Put and every Scrub's repair pass starts
+	// and as it ends: a Put that finds it one past the value its own
+	// start made knows that nothing else added a manifest since it
+	// listed the nodes.
+	epoch atomic.Int64
 
 	nodes map[string]Node
 	ids   []string                 // node IDs, sorted
@@ -176,7 +192,9 @@ func (s *Store) slot(id string) func() {
 // manifest commits last, to every node, so a failed Put never leaves a
 // restorable-looking object and never touches the version it was to
 // replace — at worst unreferenced chunks that the next sweep collects.
-// An overwrite sweeps the chunks the replaced version alone used.
+// An overwrite counts toward the next sweep (see collect) and may run
+// it. r must not wait on a Put, Delete or Scrub of this Store, nor on a
+// Get of it: a sweep queued behind this Put holds the Get off.
 func (s *Store) Put(name string, r io.Reader, size int64) error {
 	return s.PutTraced(name, r, size, obs.SpanContext{})
 }
@@ -203,23 +221,30 @@ func (s *Store) PutTraced(name string, r io.Reader, size int64, parent obs.SpanC
 	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
-	held, overwrite, err := s.put(name, r, size, sp.Context())
+	held, epoch, overwrite, err := s.put(name, r, size, sp.Context())
 	if err == nil && overwrite {
-		s.sweep(held.holds)
+		s.collect(held, epoch)
 	}
 	return err
 }
 
 // put is Put under the shared lock: it lists every node, uploads the
-// chunks no placed node holds and commits the manifest. It returns the
-// nodes' listings, and whether one held a manifest of name.
-func (s *Store) put(name string, r io.Reader, size int64, ctx obs.SpanContext) (held holdings, overwrite bool, err error) {
+// chunks no placed node holds and commits the manifest. It reports
+// whether a node held a manifest of name, and for such an overwrite what
+// the nodes hold once it has committed, as far as its listing and its
+// own pushes tell (nil when a node did not list), and the epoch after
+// it.
+func (s *Store) put(name string, r io.Reader, size int64, ctx obs.SpanContext) (held holdings, epoch int64, overwrite bool, err error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	epoch = s.epoch.Add(1) + 1
+	defer s.epoch.Add(1)
 	// A node that does not list is taken to hold nothing; a push to it
 	// then fails the Put.
-	held, _ = s.listAll()
-	_, overwrite = slices.BinarySearch(held.objects(), name)
+	held, missing := s.listAll()
+	objs := held.objects()
+	s.objects.Store(int64(len(objs)))
+	_, overwrite = slices.BinarySearch(objs, name)
 	m := &Manifest{
 		Object:    name,
 		Size:      size,
@@ -250,9 +275,20 @@ func (s *Store) put(name string, r io.Reader, size int64, ctx obs.SpanContext) (
 	}
 	p.owned.Wait()
 	if err := p.failed(); err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
-	return held, overwrite, s.writeManifest(m)
+	if err := s.writeManifest(m); err != nil || missing > 0 || !overwrite {
+		return nil, 0, overwrite, err
+	}
+	for r := range p.pushed {
+		held[r.node] = append(held[r.node], r.name)
+	}
+	for id, names := range held {
+		names = append(names, ManifestName(name))
+		slices.Sort(names)
+		held[id] = slices.Compact(names)
+	}
+	return held, epoch, overwrite, nil
 }
 
 // replica is one chunk name on one node.
@@ -260,8 +296,6 @@ type replica struct{ node, name string }
 
 // holdings maps a node ID to the object names the node listed, sorted.
 type holdings map[string][]string
-
-func (h holdings) holds(r replica) bool { return h.find(r) >= 0 }
 
 // find returns the index of r's name in its node's listing, or -1.
 func (h holdings) find(r replica) int {
@@ -466,7 +500,7 @@ func (p *chunkPut) claim(name string, placed []string) []string {
 	defer p.mu.Unlock()
 	var need []string
 	for _, id := range placed {
-		if r := (replica{id, name}); !p.held.holds(r) && !p.pushed[r] {
+		if r := (replica{id, name}); p.held.find(r) < 0 && !p.pushed[r] {
 			p.pushed[r] = true
 			need = append(need, id)
 		}
@@ -586,27 +620,36 @@ func (s *Store) readManifest(name string) (*Manifest, error) {
 	return nil, lastErr
 }
 
-// readCopy fetches and decodes node id's copy of manifest mname. The
-// copy lands in a free-list buffer, or in a one-off when it is longer
-// than a chunk.
+// readCopy fetches and decodes node id's copy of manifest mname.
 func (s *Store) readCopy(id, mname string) (*Manifest, error) {
-	sink := chunkSink{buf: s.bufs.Get(int(s.cfg.ChunkSize))}
-	defer func() { s.bufs.Put(sink.buf) }()
-	for {
-		if _, err := s.nodes[id].Get(mname, &sink); err != nil {
-			return nil, err
-		}
-		if sink.n <= int64(len(sink.buf)) {
-			break
-		}
-		s.bufs.Put(sink.buf)
-		sink = chunkSink{buf: s.bufs.Get(int(sink.n))}
+	b, err := s.fetchCopy(id, mname)
+	if err != nil {
+		return nil, err
 	}
-	m, err := DecodeManifest(sink.buf[:sink.n])
+	defer s.bufs.Put(b)
+	m, err := DecodeManifest(b)
 	if err != nil {
 		return nil, fmt.Errorf("stripe: manifest copy on %s: %w", id, err)
 	}
 	return m, nil
+}
+
+// fetchCopy returns the bytes of node id's copy of manifest mname in a
+// free-list buffer, or in a one-off when it is longer than a chunk; the
+// caller gives it back to s.bufs.
+func (s *Store) fetchCopy(id, mname string) ([]byte, error) {
+	sink := chunkSink{buf: s.bufs.Get(int(s.cfg.ChunkSize))}
+	for {
+		if _, err := s.nodes[id].Get(mname, &sink); err != nil {
+			s.bufs.Put(sink.buf)
+			return nil, err
+		}
+		if sink.n <= int64(len(sink.buf)) {
+			return sink.buf[:sink.n], nil
+		}
+		s.bufs.Put(sink.buf)
+		sink = chunkSink{buf: s.bufs.Get(int(sink.n))}
+	}
 }
 
 // Get restores object name into w, striping reads across the replica
@@ -802,13 +845,13 @@ func (s *Store) fetchChunk(m *Manifest, idx int, ctx obs.SpanContext) ([]byte, e
 }
 
 // Delete removes object name: every manifest copy, then — once every
-// copy is gone — the chunk replicas no other manifest references. A
-// missing name is fine: the verb is idempotent end to end.
+// copy is gone — it counts toward the next sweep (see collect), which
+// deletes the chunk replicas no other manifest references. A missing
+// name is fine: the verb is idempotent end to end.
 func (s *Store) Delete(name string) error {
 	if len(s.ids) == 0 {
 		return ErrNoNodes
 	}
-	m, _ := s.readManifest(name) // when it does not read, its chunks are left to the next Scrub
 	mname := ManifestName(name)
 	var err error
 	for _, id := range s.ids {
@@ -816,46 +859,59 @@ func (s *Store) Delete(name string) error {
 			err = derr
 		}
 	}
-	if err == nil && m != nil {
-		used := make(map[replica]bool)
-		for _, c := range m.Chunks {
-			for _, id := range c.Nodes {
-				used[replica{id, c.Name}] = true
-			}
-		}
-		s.sweep(func(r replica) bool { return used[r] })
+	if err == nil {
+		s.collect(nil, 0)
 	}
 	return err
 }
 
-// sweep deletes every chunk replica that is a candidate (all of them
-// when candidate is nil) and that no committed manifest references, and
-// returns how many it deleted. Under the exclusive lock no Put or Get of
-// this Store is in flight, so it lists every node and reads every
-// object's manifest now, the copy a Get would read: an overwrite that
-// raced the caller's is seen. When a node does not list, or a listed
-// manifest does not read, what the store references is not known, and
-// it deletes nothing.
-func (s *Store) sweep(candidate func(replica) bool) int {
+// supersededShare sets how often overwrites and deletes sweep: once the
+// versions they replaced since the last sweep reach 1/supersededShare
+// of the objects last listed.
+const supersededShare = 4
+
+// collect counts one replaced version and sweeps when one is due. A
+// sweep reads every manifest copy in the store, so sweeping after every
+// overwrite would cost a job that re-checkpoints N objects N² manifest
+// reads a generation; this way an overwrite pays for the copies of about
+// supersededShare objects, and the versions waiting to be swept are
+// about 1/supersededShare of the objects at most. The sweep works from
+// held, what a Put that ended at epoch saw the nodes hold, when no other
+// Put or Scrub has started or ended since; otherwise it lists the nodes.
+func (s *Store) collect(held holdings, epoch int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	listed, missing := s.listAll()
-	if missing > 0 {
-		return 0
+	if s.superseded++; s.superseded*supersededShare < s.objects.Load() {
+		return
+	}
+	if s.epoch.Load() != epoch {
+		held = nil
+	}
+	s.sweep(held)
+}
+
+// sweep deletes every chunk replica that no committed manifest places on
+// its node, and returns how many it deleted. The caller holds mu
+// exclusively, so no Put or Get of this Store is in flight: it lists
+// every node, unless given what they hold, and reads every copy of every
+// listed manifest, and keeps a replica any intact copy places — copies
+// differ when a node missed an overwrite, and both versions stay until a
+// scrub rewrites every copy as the first intact one. When a node does
+// not list, or a copy does not read or decode, what the store
+// references is not known, and it deletes nothing.
+func (s *Store) sweep(listed holdings) int {
+	if listed == nil {
+		var missing int
+		if listed, missing = s.listAll(); missing > 0 {
+			return 0
+		}
 	}
 	// referenced[id][i] is set once a manifest places listed[id][i] on id.
 	referenced := make(map[string][]bool, len(listed))
 	for id, names := range listed {
 		referenced[id] = make([]bool, len(names))
 	}
-	for _, obj := range listed.objects() {
-		m, err := s.readManifest(obj)
-		switch {
-		case errors.Is(err, vfs.ErrNotExist) || errors.Is(err, ErrManifestVersion):
-			continue // gone since the listing, or naming no content-named chunk
-		case err != nil:
-			return 0
-		}
+	mark := func(m *Manifest) {
 		for _, c := range m.Chunks {
 			for _, id := range c.Nodes {
 				if i := listed.find(replica{id, c.Name}); i >= 0 {
@@ -864,19 +920,68 @@ func (s *Store) sweep(candidate func(replica) bool) int {
 			}
 		}
 	}
-	deleted := 0
-	for id, names := range listed {
-		for i, n := range names {
-			if referenced[id][i] || !isContentName(n) || (candidate != nil && !candidate(replica{id, n})) {
-				continue
-			}
-			if s.nodes[id].Delete(n) == nil {
-				deleted++
-				s.c.straysDeleted.Add(1)
-			}
+	objs := listed.objects()
+	for _, obj := range objs {
+		if !s.markCopies(listed, obj, mark) {
+			return 0
 		}
 	}
-	return deleted
+	s.objects.Store(int64(len(objs)))
+	s.superseded = 0
+	// Each node deletes its own replicas, all nodes at once.
+	var deleted atomic.Int64
+	var wg sync.WaitGroup
+	for id, names := range listed {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, n := range names {
+				if !referenced[id][i] && isContentName(n) && s.nodes[id].Delete(n) == nil {
+					deleted.Add(1)
+					s.c.straysDeleted.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return int(deleted.Load())
+}
+
+// markCopies reads every copy of obj's manifest that listed shows and
+// marks what each places; a copy equal to one read before is not decoded
+// again. It reports whether every copy read: one gone since the listing
+// counts as read, and so does one in the old format, which names no
+// content-named chunk.
+func (s *Store) markCopies(listed holdings, obj string, mark func(*Manifest)) bool {
+	mname := ManifestName(obj)
+	var seen [][sha256.Size]byte
+	for _, id := range s.ids {
+		if listed.find(replica{id, mname}) < 0 {
+			continue
+		}
+		b, err := s.fetchCopy(id, mname)
+		if errors.Is(err, vfs.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			return false
+		}
+		sum := sha256.Sum256(b)
+		if slices.Contains(seen, sum) {
+			s.bufs.Put(b)
+			continue
+		}
+		seen = append(seen, sum)
+		m, err := DecodeManifest(b)
+		s.bufs.Put(b)
+		switch {
+		case err == nil:
+			mark(m)
+		case !errors.Is(err, ErrManifestVersion):
+			return false
+		}
+	}
+	return true
 }
 
 // List returns the store's object names — the union of manifests
