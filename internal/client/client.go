@@ -956,8 +956,10 @@ func (s *session) list() ([]string, error) {
 	if !ok {
 		return nil, s.poison(fmt.Errorf("client: LIST: bad trailer %q: %w", line, server.ErrProtocol))
 	}
-	names := []string{}
-	for _, ln := range strings.Split(body.String(), "\n") {
+	names := make([]string, 0, max(count, 0))
+	for rest := body.String(); rest != ""; {
+		var ln string
+		ln, rest, _ = strings.Cut(rest, "\n")
 		if ln != "" {
 			names = append(names, ln)
 		}

@@ -115,6 +115,7 @@ type backendHandle interface {
 	ReadAt(p []byte, off int64) (int, error)
 	Truncate(size int64) error
 	Sync() error
+	Stat() (vfs.FileInfo, error)
 	Close() error
 }
 

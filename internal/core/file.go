@@ -409,14 +409,24 @@ func (f *file) Sync() error {
 	return e.backendFile.Sync()
 }
 
-// Stat implements vfs.File. It resolves the entry's *current* table key,
-// not the open-time name: the path may have been renamed since the open,
-// and the handle must keep describing its file.
+// Stat implements vfs.File. Like fstat(2) it describes the open file,
+// not whatever a rename has since put under its path.
 func (f *file) Stat() (vfs.FileInfo, error) {
 	if err := f.checkOpen(); err != nil {
 		return vfs.FileInfo{}, err
 	}
-	return f.fs.Stat(f.entry.pathName())
+	e := f.entry
+	info, err := e.backendFile.Stat()
+	if err != nil {
+		return vfs.FileInfo{}, err
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.framed || e.logicalSize > info.Size {
+		info.Size = e.logicalSize
+	}
+	_, info.Name = vfs.Split(e.name)
+	return info, nil
 }
 
 // Close implements vfs.File: enqueue the remaining partial chunk, block

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"crfs/internal/codec"
+	"crfs/internal/vfs"
 )
 
 // fuzzHandle serves a byte slice through the backendHandle interface and
@@ -37,6 +38,7 @@ func (h *fuzzHandle) ReadAt(p []byte, off int64) (int, error) {
 func (h *fuzzHandle) WriteAt(p []byte, off int64) (int, error) { panic("probe must not write") }
 func (h *fuzzHandle) Truncate(size int64) error                { panic("probe must not truncate") }
 func (h *fuzzHandle) Sync() error                              { panic("probe must not sync") }
+func (h *fuzzHandle) Stat() (vfs.FileInfo, error)              { panic("probe must not stat") }
 func (h *fuzzHandle) Close() error                             { return nil }
 
 // containerBytes builds a valid container from (off, payload) extents.

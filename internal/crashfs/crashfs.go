@@ -1,18 +1,19 @@
 // Package crashfs is the power-cut fault-injection backend of CRFS's
 // crash-consistency test substrate. It wraps a fresh in-memory
 // filesystem, records every mutation that reaches it — in the exact
-// order the backend applied them — and can reconstruct the state a
-// power cut at any byte boundary of any write would have left behind,
-// by replaying a prefix of the mutation log into a fresh memfs.
+// order the backend applied them, file and directory syncs included —
+// and can reconstruct the state a power cut at any byte boundary of any
+// write would have left behind, by replaying a prefix of the mutation
+// log into a fresh memfs.
 //
-// The crash model is a linear persistence history: mutations become
-// durable in apply order, and a cut at (mutation k, byte b) means
+// A cut at (mutation k, byte b) replays in one of two models. Linear:
 // mutations 0..k-1 landed whole, the first b bytes of write k landed,
-// and nothing after ever happened. Real disks can reorder writes across
-// barriers; CRFS's own durability surface (Sync/Close return only after
-// the backend acknowledged the file's chunks) is what the model is
-// built to check, and memfs acknowledges synchronously, so the linear
-// model is exact for this stack.
+// and nothing after ever happened; it finds a torn frame or a rename
+// made before its data, never a missing sync. Volatile: metadata
+// (creates, truncates, mkdirs, removes, renames) still lands in order,
+// but a file's writes since its last Sync (or SyncAll) are lost, as
+// ext4 and XFS allow without data journaling; a rename carries a file's
+// synced state to its new name.
 //
 // Known limitation: replay is path-based, so mutations issued through a
 // handle of an already-removed file (POSIX unlink-of-open semantics)
@@ -48,27 +49,20 @@ const (
 	KindRemove
 	// KindRename records a Rename.
 	KindRename
+	// KindSync records a Sync through a writable handle, or a SyncAll
+	// (Name "").
+	KindSync
+	// KindSyncDir records a SyncDir.
+	KindSyncDir
 )
 
+var kindNames = [...]string{"open", "write", "truncate", "mkdir", "mkdirall", "remove", "rename", "sync", "syncdir"}
+
 func (k Kind) String() string {
-	switch k {
-	case KindOpen:
-		return "open"
-	case KindWrite:
-		return "write"
-	case KindTruncate:
-		return "truncate"
-	case KindMkdir:
-		return "mkdir"
-	case KindMkdirAll:
-		return "mkdirall"
-	case KindRemove:
-		return "remove"
-	case KindRename:
-		return "rename"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= 0 && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Mutation is one recorded state change, in apply order.
@@ -84,10 +78,12 @@ type Mutation struct {
 
 // Point designates a crash instant: mutations 0..Mut-1 are durable and,
 // when Bytes > 0, the first Bytes bytes of mutation Mut (which must be a
-// write) also landed before the cut.
+// write) also landed before the cut. Volatile replays it in the volatile
+// model, where a torn write, never synced, is lost.
 type Point struct {
-	Mut   int
-	Bytes int64
+	Mut      int
+	Bytes    int64
+	Volatile bool
 }
 
 // FS wraps an in-memory filesystem it owns and logs every mutation.
@@ -169,17 +165,57 @@ func (c *FS) Replay(p Point) (*memfs.FS, error) {
 		}
 	}
 	out := memfs.New()
+	var lost []bool
+	if p.Volatile {
+		lost = unsynced(log[:p.Mut])
+	}
 	for i := 0; i < p.Mut; i++ {
+		if lost != nil && lost[i] {
+			continue
+		}
 		if err := apply(out, log[i], -1); err != nil {
 			return nil, fmt.Errorf("crashfs: replay mutation %d (%s %s): %w", i, log[i].Kind, log[i].Name, err)
 		}
 	}
-	if p.Bytes > 0 {
+	if p.Bytes > 0 && !p.Volatile {
 		if err := apply(out, log[p.Mut], p.Bytes); err != nil {
 			return nil, fmt.Errorf("crashfs: replay torn mutation %d: %w", p.Mut, err)
 		}
 	}
 	return out, nil
+}
+
+// unsynced marks the writes of log no later sync of their file covers,
+// which the volatile model loses. A file is followed by path across
+// renames; a path created after a remove or rename names a new file.
+func unsynced(log []Mutation) []bool {
+	ids := map[string]int{}
+	fileOf := make([]int, len(log))
+	lastSync := map[int]int{}
+	syncAll := -1
+	for i, m := range log {
+		switch {
+		case m.Kind == KindOpen || m.Kind == KindWrite:
+			if ids[m.Name] == 0 {
+				ids[m.Name] = i + 1
+			}
+			fileOf[i] = ids[m.Name]
+		case m.Kind == KindSync && m.Name == "":
+			syncAll = i
+		case m.Kind == KindSync:
+			lastSync[ids[m.Name]] = i
+		case m.Kind == KindRename:
+			ids[m.New] = ids[m.Name]
+			fallthrough
+		case m.Kind == KindRemove:
+			delete(ids, m.Name)
+		}
+	}
+	lost := make([]bool, len(log))
+	for i, m := range log {
+		lost[i] = m.Kind == KindWrite && i > syncAll && i > lastSync[fileOf[i]]
+	}
+	return lost
 }
 
 // apply re-executes one mutation on fs; nbytes >= 0 truncates a write's
@@ -218,6 +254,8 @@ func apply(fs *memfs.FS, m Mutation, nbytes int64) error {
 		return fs.Remove(m.Name)
 	case KindRename:
 		return fs.Rename(m.Name, m.New)
+	case KindSync, KindSyncDir:
+		return nil
 	default:
 		return fmt.Errorf("crashfs: unknown mutation kind %d", m.Kind)
 	}
@@ -233,21 +271,18 @@ func (c *FS) recordLocked(m Mutation) {
 // are recorded; pure read opens pass through.
 func (c *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	mutates := flag&vfs.Create != 0 || (flag&vfs.Trunc != 0 && flag.Writable())
-	if !mutates {
-		f, err := c.inner.Open(name, flag)
-		if err != nil {
-			return nil, err
-		}
-		return &file{fs: c, inner: f, name: vfs.Clean(name)}, nil
+	if mutates {
+		c.mu.Lock()
+		defer c.mu.Unlock()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	f, err := c.inner.Open(name, flag)
 	if err != nil {
 		return nil, err
 	}
-	c.recordLocked(Mutation{Kind: KindOpen, Name: vfs.Clean(name), Flag: flag})
-	return &file{fs: c, inner: f, name: vfs.Clean(name)}, nil
+	if mutates {
+		c.recordLocked(Mutation{Kind: KindOpen, Name: vfs.Clean(name), Flag: flag})
+	}
+	return &file{fs: c, inner: f, name: vfs.Clean(name), writable: flag.Writable()}, nil
 }
 
 // Mkdir implements vfs.FS.
@@ -311,18 +346,33 @@ func (c *FS) Truncate(name string, size int64) error {
 	return nil
 }
 
-// SyncDir implements vfs.FS (passthrough; the linear model makes every
-// mutation durable in apply order, so it records nothing).
-func (c *FS) SyncDir(name string) error { return c.inner.SyncDir(name) }
+// SyncDir implements vfs.FS. Both models keep metadata in order, so a
+// replayed SyncDir changes nothing; it is logged so a test can see it.
+func (c *FS) SyncDir(name string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err := c.inner.SyncDir(name)
+	if err == nil {
+		c.recordLocked(Mutation{Kind: KindSyncDir, Name: vfs.Clean(name)})
+	}
+	return err
+}
 
-// SyncAll implements vfs.Syncer (memfs is always stable).
-func (c *FS) SyncAll() error { return nil }
+// SyncAll implements vfs.Syncer: in the volatile model it makes every
+// file's writes so far durable.
+func (c *FS) SyncAll() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.recordLocked(Mutation{Kind: KindSync})
+	return nil
+}
 
 // file wraps an inner handle and records its mutations.
 type file struct {
-	fs    *FS
-	inner vfs.File
-	name  string
+	fs       *FS
+	inner    vfs.File
+	name     string
+	writable bool
 }
 
 func (f *file) Name() string { return f.name }
@@ -356,10 +406,18 @@ func (f *file) Truncate(size int64) error {
 	return nil
 }
 
-// Sync implements vfs.File. memfs persists synchronously, so a sync is
-// not a mutation: every logged write before this call is already
-// durable in the crash model.
-func (f *file) Sync() error { return f.inner.Sync() }
+// Sync implements vfs.File. Through a writable handle it is logged: in
+// the volatile model it makes the file's writes so far durable. A
+// read-only handle wrote nothing, so its Sync is not logged.
+func (f *file) Sync() error {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	err := f.inner.Sync()
+	if err == nil && f.writable {
+		f.fs.recordLocked(Mutation{Kind: KindSync, Name: f.name})
+	}
+	return err
+}
 
 // Stat implements vfs.File.
 func (f *file) Stat() (vfs.FileInfo, error) { return f.inner.Stat() }

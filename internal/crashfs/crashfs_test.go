@@ -158,3 +158,41 @@ func TestReadsNotRecorded(t *testing.T) {
 		t.Fatalf("log grew from %d to %d on read-only traffic", n, c.Len())
 	}
 }
+
+// TestReplayVolatile: in the volatile model a file keeps only the writes
+// a later Sync of it (or a SyncAll) covers, a rename carries that state
+// to the new name, and metadata lands in order either way.
+func TestReplayVolatile(t *testing.T) {
+	c := New()
+	f, _ := c.Open("tmp", vfs.WriteOnly|vfs.Create)
+	f.WriteAt([]byte("synced"), 0)
+	f.Sync()
+	f.WriteAt([]byte("LOST"), 0)
+	f.Close()
+	c.Rename("tmp", "a")
+	vfs.WriteFile(c, "b", []byte("unsynced"))
+	c.SyncDir(".")
+	if k := c.Mutations()[c.Len()-1].Kind; k != KindSyncDir {
+		t.Fatalf("last mutation %s, want syncdir", k)
+	}
+	n := c.Len()
+	c.SyncAll()
+	for _, tc := range []struct {
+		p    Point
+		a, b string
+	}{
+		{Point{Mut: n}, "LOSTed", "unsynced"},
+		{Point{Mut: n, Volatile: true}, "synced", ""},
+		{Point{Mut: n + 1, Volatile: true}, "LOSTed", "unsynced"},
+	} {
+		st, err := c.Replay(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, aerr := vfs.ReadFile(st, "a")
+		b, berr := vfs.ReadFile(st, "b")
+		if aerr != nil || berr != nil || string(a) != tc.a || string(b) != tc.b {
+			t.Errorf("%+v: a=%q (%v) b=%q (%v), want %q and %q", tc.p, a, aerr, b, berr, tc.a, tc.b)
+		}
+	}
+}

@@ -89,6 +89,8 @@ type HarnessConfig struct {
 	// Stride subsamples crash points (every Stride-th point, plus the
 	// first and last); <= 1 checks every point.
 	Stride int
+	// Volatile replays every point in the volatile model.
+	Volatile bool
 }
 
 // HarnessResult summarizes a run.
@@ -301,6 +303,7 @@ func RunHarness(cfg HarnessConfig, steps []Step) (*HarnessResult, error) {
 
 // verifyPoint checks the durability contract for one crash point.
 func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byte, acks []ack, res *HarnessResult) error {
+	p.Volatile = cfg.Volatile
 	replayed, err := crash.Replay(p)
 	if err != nil {
 		return err

@@ -551,12 +551,16 @@ func (f *file) Sync() error {
 	return nil
 }
 
-// Stat implements vfs.File.
+// Stat implements vfs.File. Like fstat(2) it describes the open file,
+// not whatever a rename has since put under its name.
 func (f *file) Stat() (vfs.FileInfo, error) {
 	if err := f.checkOpen(); err != nil {
 		return vfs.FileInfo{}, err
 	}
-	return f.fs.Stat(f.name)
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	_, base := vfs.Split(f.name)
+	return vfs.FileInfo{Name: base, Size: f.node.size, ModTime: f.node.modTime}, nil
 }
 
 // Close implements vfs.File.

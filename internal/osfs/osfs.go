@@ -13,7 +13,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"crfs/internal/vfs"
 )
@@ -108,7 +107,7 @@ func (o *FS) Stat(name string) (vfs.FileInfo, error) {
 	return toInfo(info), nil
 }
 
-// ReadDir implements vfs.FS.
+// ReadDir implements vfs.FS; os.ReadDir already sorts by name.
 func (o *FS) ReadDir(name string) ([]vfs.DirEntry, error) {
 	ents, err := os.ReadDir(o.hostPath(name))
 	if err != nil {
@@ -118,7 +117,6 @@ func (o *FS) ReadDir(name string) ([]vfs.DirEntry, error) {
 	for i, e := range ents {
 		out[i] = vfs.DirEntry{Name: e.Name(), IsDir: e.IsDir()}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out, nil
 }
 

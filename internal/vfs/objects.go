@@ -130,7 +130,10 @@ func (t Tree) List() ([]string, error) {
 			return err
 		}
 		for _, e := range ents {
-			path := Join(dir, e.Name)
+			path := e.Name
+			if dir != "." {
+				path = dir + "/" + e.Name
+			}
 			if e.IsDir {
 				if err := walk(path); err != nil {
 					return err

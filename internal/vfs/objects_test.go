@@ -2,10 +2,12 @@ package vfs_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"crfs/internal/memfs"
+	"crfs/internal/osfs"
 	"crfs/internal/vfs"
 )
 
@@ -34,6 +36,38 @@ func TestTreePutRefusals(t *testing.T) {
 		}
 		if ents, err := m.ReadDir("dir"); err != nil || len(ents) != 1 {
 			t.Errorf("%s: dir holds %v (err %v), want only f", tc.what, ents, err)
+		}
+	}
+}
+
+// TestTreeListAllocs: a List of 40 objects in one directory — about what
+// a striped store's node holds per checkpoint — allocates a few objects
+// per entry: the entry, its path and the names slice's growth, no
+// path.Join or Clean per entry and no re-sort of osfs's sorted listing
+// (263 on memfs and 239 on osfs when it did both).
+func TestTreeListAllocs(t *testing.T) {
+	o, err := osfs.New(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		fsys  vfs.FS
+		limit float64
+	}{{memfs.New(), 180}, {o, 155}} {
+		if err := tc.fsys.MkdirAll("ckpt"); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 40; i++ {
+			if err := vfs.WriteFile(tc.fsys, fmt.Sprintf("ckpt/rank%02d.c", i), nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree := vfs.Tree{FS: tc.fsys}
+		if names, err := tree.List(); err != nil || len(names) != 40 || names[0] != "ckpt/rank00.c" {
+			t.Fatalf("%T: List = %d names (%v), %v", tc.fsys, len(names), names[:min(len(names), 1)], err)
+		}
+		if a := testing.AllocsPerRun(20, func() { tree.List() }); a > tc.limit {
+			t.Errorf("%T: List of 40 objects made %.0f allocations, want <= %.0f", tc.fsys, a, tc.limit)
 		}
 	}
 }
