@@ -33,19 +33,22 @@ import (
 // absence, what a name reads before its first Put and after a Delete; an
 // empty body is a non-nil empty slice. An acked Put or Delete narrows the
 // set to its own version, a Put in flight, racing or failed by a fault
-// adds its version, and a Put whose body source failed adds nothing.
+// adds its version, and a Put whose body source failed adds nothing. Only
+// the goroutine driving the door uses it.
 type model struct {
-	mu  sync.Mutex
 	may map[string][][]byte
 	// down, while a fault hook holds a node down, is the typed error the
 	// door may report for a name that may be absent, when the down node
 	// is the last it asked.
 	down error
+	// raced, for a door whose racing overwrites can leave its copies of a
+	// name disagreeing (the stripe doors: ROADMAP "Divergent manifest
+	// copies"), holds the raced names, which a Get does not pin until the
+	// next acked Put or Delete; nil for every other door.
+	raced map[string]bool
 }
 
 func (m *model) versions(name string) [][]byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if v, ok := m.may[name]; ok {
 		return slices.Clip(v)
 	}
@@ -53,12 +56,11 @@ func (m *model) versions(name string) [][]byte {
 }
 
 func (m *model) set(name string, vs ...[]byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.may[name] = vs
+	delete(m.raced, name)
 }
 
-func (m *model) add(name string, v []byte) { m.set(name, append(m.versions(name), v)...) }
+func (m *model) add(name string, v []byte) { m.may[name] = append(m.versions(name), v) }
 
 // check holds one Get to the contract: nil error and the bytes of a
 // version name may read, or, where name may be absent, vfs.ErrNotExist
@@ -70,7 +72,7 @@ func (m *model) check(name string, got []byte, err error, narrow bool) error {
 	absent := errors.Is(err, vfs.ErrNotExist) || m.down != nil && errors.Is(err, m.down)
 	for _, v := range may {
 		if err == nil && v != nil && bytes.Equal(v, got) || v == nil && absent {
-			if narrow {
+			if narrow && !m.raced[name] {
 				m.set(name, v)
 			}
 			return nil
@@ -189,6 +191,9 @@ type run struct {
 func drive(t *testing.T, d door, seed int64, n int, sizes []int, pos func() int) *run {
 	_, faults := d.(faulty)
 	r := &run{t: t, d: d, rng: rand.New(rand.NewSource(seed)), m: model{may: map[string][][]byte{}}, pos: pos}
+	if _, ok := d.(interface{ copiesMayDiverge() }); ok {
+		r.m.raced = map[string]bool{}
+	}
 	for i, o := range gen(r.rng, n, sizes, faults) {
 		r.saw[o.kind]++
 		r.do(o)
@@ -212,9 +217,9 @@ func drive(t *testing.T, d door, seed int64, n int, sizes []int, pos func() int)
 func (r *run) do(o op) {
 	switch o.kind {
 	case kPut:
-		if prev := r.m.versions(o.name); len(prev) == 1 && prev[0] != nil {
-			r.grew = r.grew || o.size > len(prev[0])
-			r.shrank = r.shrank || o.size < len(prev[0])
+		for _, prev := range r.m.versions(o.name) {
+			r.grew = r.grew || prev != nil && o.size > len(prev)
+			r.shrank = r.shrank || prev != nil && o.size < len(prev)
 		}
 		if err := r.put(o.name, r.next(o.size)); err != nil {
 			r.t.Errorf("put %s (%d bytes): %v", o.name, o.size, err)
@@ -275,6 +280,9 @@ func (r *run) do(o op) {
 			acked = prev
 		}
 		r.m.set(o.name, acked...)
+		if r.m.raced != nil {
+			r.m.raced[o.name] = true
+		}
 		r.get(o.name, true)
 	case kFault:
 		r.d.(faulty).Fault(r)
@@ -350,8 +358,6 @@ func (r *run) list() {
 		r.t.Errorf("list = %q, %v: want sorted names", listed, err)
 		return
 	}
-	r.m.mu.Lock()
-	defer r.m.mu.Unlock()
 	for _, name := range listed {
 		if _, ok := r.m.may[name]; !ok {
 			r.t.Errorf("list shows %s, which was never put", name)

@@ -194,6 +194,8 @@ func (d *stripeDoor) Restart(t *testing.T) {
 	scrub(t, d.s)
 }
 
+func (*stripeDoor) copiesMayDiverge() {}
+
 func scrub(t *testing.T, s *stripe.Store) {
 	if rep, err := s.Scrub(); err != nil || rep.LostChunks != 0 || rep.LostManifests != 0 {
 		t.Errorf("scrub: %v (%s)", err, rep)

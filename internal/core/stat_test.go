@@ -209,3 +209,30 @@ func TestOpenSeesBehindTheBackContainer(t *testing.T) {
 		t.Fatalf("open after behind-the-back swap read %q", got)
 	}
 }
+
+// TestHandleStatDescribesTheOpenFile: a handle's Stat, like fstat,
+// describes the file it reads, also once another file is renamed over its
+// path behind the mount's back — the state a GET that opens a name while
+// a Put commits over it is left in. Stat by path sized a read of 3 bytes
+// at 9.
+func TestHandleStatDescribesTheOpenFile(t *testing.T) {
+	back := memfs.New()
+	backendWrite(t, back, "ckpt", []byte("old"))
+	backendWrite(t, back, "next", []byte("new bytes"))
+	fs, err := Mount(back, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Unmount()
+	f, err := fs.Open("ckpt", vfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := back.Rename("next", "ckpt"); err != nil {
+		t.Fatal(err)
+	}
+	if info, err := f.Stat(); err != nil || info.Size != 3 || info.Name != "ckpt" {
+		t.Fatalf("Stat of the open handle = %+v, %v; want the 3-byte file it reads", info, err)
+	}
+}
