@@ -1,15 +1,85 @@
 package server_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"time"
 
 	"crfs/internal/server"
 	"crfs/internal/vfs"
 )
+
+// TestListDelRoundtrip exercises the v2 LIST and DEL verbs the striped
+// store's scrub and delete passes depend on.
+func TestListDelRoundtrip(t *testing.T) {
+	e := newEnv(t, nil, server.Config{})
+	c := e.client(t)
+
+	names, err := c.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(names) != 0 {
+		t.Fatalf("LIST on empty store = %v", names)
+	}
+
+	for _, name := range []string{"b-ckpt", "a-ckpt", "dir/nested"} {
+		body := []byte("body of " + name)
+		if err := c.Put(name, bytes.NewReader(body), int64(len(body))); err != nil {
+			t.Fatalf("PUT %s: %v", name, err)
+		}
+	}
+	names, err = c.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"a-ckpt", "b-ckpt", "dir/nested"}
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("LIST = %v, want %v (sorted)", names, want)
+	}
+
+	if err := c.Delete("b-ckpt"); err != nil {
+		t.Fatalf("DEL: %v", err)
+	}
+	// DEL is idempotent: a repeat, and a never-existed name, both succeed.
+	if err := c.Delete("b-ckpt"); err != nil {
+		t.Fatalf("repeat DEL: %v", err)
+	}
+	if err := c.Delete("never-existed"); err != nil {
+		t.Fatalf("DEL of missing name: %v", err)
+	}
+	names, err = c.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(names, []string{"a-ckpt", "dir/nested"}) {
+		t.Fatalf("LIST after DEL = %v", names)
+	}
+	var sink bytes.Buffer
+	if _, err := c.Get("b-ckpt", &sink); err == nil {
+		t.Fatal("GET of deleted name succeeded")
+	}
+}
+
+// TestListExcludesStagingTemps: in-flight PUT staging temps are an
+// implementation detail and must never appear in listings.
+func TestListExcludesStagingTemps(t *testing.T) {
+	e := newEnv(t, nil, server.Config{})
+	writeThrough(t, e.fs, "real", []byte("data"))
+	writeThrough(t, e.fs, server.StagingName("real", 3), []byte("staged"))
+	c := e.client(t)
+	names, err := c.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(names, []string{"real"}) {
+		t.Fatalf("LIST = %v, want [real]", names)
+	}
+}
 
 // TestListStreamsLargeNamespace pushes the listing body across several
 // data frames and checks the count trailer agrees.

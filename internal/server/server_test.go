@@ -169,6 +169,20 @@ func TestPingStatScrubRoundtrip(t *testing.T) {
 	}
 }
 
+func TestPutGetRoundtrip(t *testing.T) {
+	e := newEnv(t, nil, server.Config{})
+	c := e.client(t)
+	body := bytes.Repeat([]byte("checkpoint"), 40000) // ~400 KB, several chunks
+	if err := c.Put("ckpt/rank0", bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatalf("put: %v", err)
+	}
+	var got bytes.Buffer
+	n, err := c.Get("ckpt/rank0", &got)
+	if err != nil || n != int64(len(body)) || !bytes.Equal(got.Bytes(), body) {
+		t.Fatalf("get: n=%d err=%v equal=%v", n, err, bytes.Equal(got.Bytes(), body))
+	}
+}
+
 func TestZeroSizePut(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	c := e.client(t)
