@@ -51,9 +51,9 @@
 //
 // -restore runs the opposite direction (the restart half of C/R): each
 // SRC is read sequentially *through* a CRFS mount over its directory —
-// decoding frame containers transparently, with the next chunks/frames
-// prefetched in parallel on the IO workers — and written to DSTDIR as a
-// plain file.
+// decoding frame containers transparently, with a container's next frames
+// decoded ahead in parallel on the IO workers — and written to DSTDIR as
+// a plain file.
 //
 // Copies and restores replace their destination files atomically: each
 // file is written to a temp beside its name, synced and renamed over it,

@@ -28,13 +28,14 @@
 // transparently, and incompressible chunks fall back to raw frames. The
 // default raw codec keeps the seed passthrough behavior byte-identical.
 //
-// Restart — the sequential read-back of a checkpoint image — has its own
-// pipeline (Options.ReadAhead): a handle detected reading sequentially
-// triggers prefetch of the next chunks or frames, fetched and decoded in
-// parallel on the same IO workers, so restart throughput is no longer
-// bounded by single-stream backend latency. Prefetched bytes are
-// invalidated by writes, truncates, and renames, and buffered writes
-// always shadow them, so read results never change — only their cost.
+// Restart — the sequential read-back of a checkpoint image — reads a
+// plain file straight through, as the paper does. A frame container has
+// its own pipeline (Options.ReadAhead): a handle detected reading one
+// sequentially has its next frames fetched and decoded in parallel on the
+// same IO workers, so restart is no longer bounded by one core's inflate.
+// Prefetched frames are invalidated by writes, truncates, and renames,
+// and buffered writes always shadow them, so read results never change —
+// only their cost.
 //
 // Crash consistency is a stated contract: everything acknowledged by
 // Sync or Close survives a crash byte-identically, overwritten data is

@@ -70,6 +70,10 @@ type Result struct {
 	AvgTime float64
 	// MinTime/MaxTime bound the per-process completion spread.
 	MinTime, MaxTime float64
+	// RestartTime is the mean per-process time, in seconds, to open the
+	// image again after the checkpoint barrier, read it back in BLCR's
+	// sizes and close it (RunRestart only; 0 otherwise).
+	RestartTime float64
 	// DiskStats aggregates the traced disks (node-local: node 0's disk;
 	// shared: every server disk).
 	DiskStats disk.Stats
@@ -81,7 +85,15 @@ type Result struct {
 
 // RunCheckpoint executes one coordinated checkpoint and returns its
 // measurements. It is deterministic in Config (including Seed).
-func RunCheckpoint(cfg Config) Result {
+func RunCheckpoint(cfg Config) Result { return run(cfg, false) }
+
+// RunRestart is RunCheckpoint followed by a restart (§V-F): after the
+// checkpoint barrier every process reads its image back through the same
+// filesystem — the CRFS mount when cfg.UseCRFS — as BLCR's restart does
+// (blcr.Restart). Result.RestartTime holds the mean restart time.
+func RunRestart(cfg Config) Result { return run(cfg, true) }
+
+func run(cfg Config, restart bool) Result {
 	res := Result{Config: cfg}
 	img, err := cfg.Stack.ImageBytes(cfg.Class, cfg.Nodes*cfg.ProcsPerNode)
 	if err != nil {
@@ -145,6 +157,7 @@ func RunCheckpoint(cfg Config) Result {
 	// meet at the barrier before resuming.
 	nprocs := cfg.Nodes * cfg.ProcsPerNode
 	logs := make([]*metrics.ProcLog, nprocs)
+	restartTimes := make([]float64, nprocs)
 	barrier := des.NewWaitGroup(env)
 	barrier.Add(nprocs)
 	for n := 0; n < cfg.Nodes; n++ {
@@ -156,11 +169,17 @@ func RunCheckpoint(cfg Config) Result {
 				fs := writerFS[n]
 				fs.AddDirtier()
 				stream := blcr.Stream(img, cfg.Seed*7919+int64(rank))
-				f := fs.Open(p, fmt.Sprintf("ckpt/rank%d.img", rank))
+				name := fmt.Sprintf("ckpt/rank%d.img", rank)
+				f := fs.Open(p, name)
 				blcr.Checkpoint(p, f, stream, logs[rank])
 				fs.RemoveDirtier()
 				barrier.Done()
 				barrier.Wait(p) // all ranks resume together
+				if restart {
+					t0 := p.Now()
+					blcr.Restart(p, fs.Open(p, name), stream)
+					restartTimes[rank] = des.Seconds(p.Now() - t0)
+				}
 			})
 		}
 	}
@@ -170,6 +189,9 @@ func RunCheckpoint(cfg Config) Result {
 	times := metrics.WriteTimes(logs)
 	sum := metrics.Summarize(times)
 	res.AvgTime, res.MinTime, res.MaxTime = sum.Mean, sum.Min, sum.Max
+	if restart {
+		res.RestartTime = metrics.Summarize(restartTimes).Mean
+	}
 	for _, l := range logs {
 		res.TotalBytes += l.TotalBytes()
 	}

@@ -268,11 +268,9 @@ func (r *run) do(o op) {
 		}
 		var acked [][]byte
 		for i, err := range errs {
-			// A reader holding the name open may refuse a mount's rename
-			// past Replace's retries; the Put then fails whole.
 			if err == nil {
 				acked = append(acked, vs[i])
-			} else if !errors.Is(err, vfs.ErrBusy) {
+			} else {
 				r.t.Errorf("racing put %s: %v", o.name, err)
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"time"
 	"unsafe"
 
+	"crfs/internal/codec"
 	"crfs/internal/memfs"
 	"crfs/internal/obs"
 	"crfs/internal/vfs"
@@ -78,17 +79,18 @@ func streamRead(t *testing.T, f vfs.File, want []byte, off, bs int) {
 }
 
 // TestCoreAllocsPerCall is the allocation floor of the core call path: a
-// small sequential WriteAt, and a small sequential ReadAt served by
-// read-ahead, allocate nothing per call once the stream is warm. What is
-// left is per chunk or per block (a handful of allocations every 4096
-// calls here), which AllocsPerRun's per-run average rounds away.
+// small sequential WriteAt, and a small sequential ReadAt served from its
+// handle's copy, allocate nothing per call once the stream is warm. What
+// is left is per chunk (a handful of allocations every 4096 calls here),
+// which AllocsPerRun's per-run average rounds away.
 func TestCoreAllocsPerCall(t *testing.T) {
 	const (
 		chunk = 2 << 20
 		bs    = 512
 		calls = 4 * chunk / bs
 	)
-	fs := mount(t, memfs.New(), Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 2, ReadAhead: 8})
+	back := newReadCountFS(memfs.New())
+	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 2, ReadAhead: 8})
 	w, err := fs.Open("img", vfs.WriteOnly|vfs.Create|vfs.Trunc)
 	if err != nil {
 		t.Fatal(err)
@@ -135,8 +137,9 @@ func TestCoreAllocsPerCall(t *testing.T) {
 	if perRead != 0 {
 		t.Errorf("ReadAt allocates %.0f times per call, want 0", perRead)
 	}
-	if st := fs.Stats(); float64(st.PrefetchHits) < 0.99*float64(st.PrefetchHits+st.PrefetchMisses) {
-		t.Errorf("the measured reads were not served by read-ahead: hits %d, misses %d", st.PrefetchHits, st.PrefetchMisses)
+	// A warm copy holds selfFetchMax bytes: one backend read per 32 calls.
+	if n, _ := back.reads("img"); n > int64(2*calls+1)*bs/selfFetchMax+64 {
+		t.Errorf("%d reads of %d B made %d backend reads: they were not served from the handle's copy", 2*calls+1, bs, n)
 	}
 }
 
@@ -155,76 +158,11 @@ func TestSizeClasses(t *testing.T) {
 	}
 }
 
-// TestReadAheadFairShare runs two concurrent restart readers of small
-// reads over a pool of four chunks. Each entry's read-ahead is entitled to
-// half the pool, so neither reader starves the other: the backend sees
-// each block about once — not one read per call from the reader that came
-// second — and the reads that reach the cache mostly hit it.
-//
-// Hits and misses count base reads, and a stream's 512 B calls reach the
-// base only to refill the handle's 16 KiB copy: four times per 64 KiB
-// block. A block no worker read ahead costs its reader one miss (the
-// refill that fetches the rest of the block) and three hits, so a reader
-// that fetched every block itself — still one backend read per block,
-// still fair — reads 0.75, less the stream's first reads. A reader denied
-// its share reads the backend at every refill and misses them all. Hence
-// 0.7.
-func TestReadAheadFairShare(t *testing.T) {
-	const (
-		chunk  = 64 << 10
-		blocks = 32
-		bs     = 512
-	)
-	back := newReadCountFS(memfs.New())
-	names := []string{"rank0.img", "rank1.img"}
-	want := make([][]byte, len(names))
-	for i, name := range names {
-		want[i] = writeThroughMountChunk(t, back, nil, name, blocks*chunk, chunk)
-	}
-	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 4, ReadAhead: 8})
-	handles := make([]vfs.File, len(names))
-	for i, name := range names { // both open before either reads: the share is 2 throughout
-		f, err := fs.Open(name, vfs.ReadOnly)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		handles[i] = f
-	}
-	var wg sync.WaitGroup
-	for i := range names {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			streamRead(t, handles[i], want[i], 0, bs)
-		}(i)
-	}
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	for i, name := range names {
-		calls := handles[i].(*file).entry.calls
-		hits, misses := calls.prefetchHits.Load(), calls.prefetchMisses.Load()
-		if frac := float64(hits) / float64(hits+misses); frac < 0.7 {
-			t.Errorf("%s: %d hits, %d misses (%.3f), want >= 0.7", name, hits, misses, frac)
-		}
-		if n, _ := back.reads(name); n > blocks+4 {
-			t.Errorf("%s: %d backend reads for %d blocks, want <= %d", name, n, blocks, blocks+4)
-		}
-	}
-	if st := fs.Stats(); st.PrefetchSelfFetched == 0 {
-		t.Errorf("no block was fetched by its reader: %+v", st)
-	}
-}
-
 // TestReadAheadSurvivesWriterPressure reads a file sequentially in small
 // calls while a writer on another file is kept starved for pool chunks by
-// a slow backend. The blocked writer's reclaim ticks take nothing from a
-// stream that is being read within its share — the block it is inside and
-// the one fetched ahead of it — so the reader never fetches a byte twice.
-// (Every chunk the reader gives up by consuming it goes to the writer, so
-// it ends up reading the backend directly: out-competed, not evicted.)
+// a slow backend. A plain stream's read-ahead is its handle's copy, which
+// is not the pool's: the blocked writer's reclaim ticks have nothing of
+// the reader's to take, and the reader never reads a byte twice.
 func TestReadAheadSurvivesWriterPressure(t *testing.T) {
 	const (
 		chunk  = 1 << 20 // a block outlasts dozens of reclaim ticks
@@ -243,14 +181,7 @@ func TestReadAheadSurvivesWriterPressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	// The stream gets going first: the reader holds the block it is in
-	// and, once a worker has fetched it, the next one.
-	streamRead(t, r, want[:chunk/2], 0, bs)
-	for deadline := time.Now().Add(5 * time.Second); fs.raChunks.Load() < 2; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("read-ahead holds %d chunks, want the stream's share of 2", fs.raChunks.Load())
-		}
-	}
+	streamRead(t, r, want[:chunk/2], 0, bs) // the stream gets going first
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -277,144 +208,47 @@ func TestReadAheadSurvivesWriterPressure(t *testing.T) {
 	st := fs.Stats()
 	_, got := back.reads("restart.img")
 	if limit := int64(float64(len(want)) * 1.05); got > limit {
-		t.Errorf("backend read %d bytes of a %d-byte file, want <= %d: read-ahead was taken from a live stream and fetched again",
+		t.Errorf("backend read %d bytes of a %d-byte file, want <= %d: the stream read bytes twice",
 			got, len(want), limit)
 	}
-	if st.PrefetchReclaimed != 0 || st.PrefetchWasted != 0 {
-		t.Errorf("a live stream within its share lost read-ahead to the writer: reclaimed %d, wasted %d", st.PrefetchReclaimed, st.PrefetchWasted)
+	if st.PrefetchWasted != 0 {
+		t.Errorf("a live stream lost read-ahead to the writer: wasted %d", st.PrefetchWasted)
 	}
-	t.Logf("pool waits %d, self-fetched %d, hits %d, misses %d", st.PoolWaits, st.PrefetchSelfFetched, st.PrefetchHits, st.PrefetchMisses)
+	t.Logf("pool waits %d", st.PoolWaits)
 }
 
-// TestIdleReadAheadYieldsToWriter is the other half of the reclaim rule:
-// a stream nobody reads any more does not keep its share. Once a writer
-// has waited on the pool for idleTicks ticks, the quiet stream's blocks go
-// back to it.
-func TestIdleReadAheadYieldsToWriter(t *testing.T) {
-	const chunk = 64 << 10
-	back := memfs.New(memfs.WithWriteDelay(time.Millisecond))
-	want := writeThroughMountChunk(t, back, nil, "restart.img", 8*chunk, chunk)
-	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 1, ReadAhead: 8})
-	w, err := fs.Open("ckpt.img", vfs.WriteOnly|vfs.Create|vfs.Trunc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := fs.Open("restart.img", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	streamRead(t, r, want[:chunk/2], 0, 512) // the stream holds its block, then goes quiet
-	if fs.raChunks.Load() == 0 {
-		t.Fatal("the stream holds no read-ahead to give back")
-	}
-	p := make([]byte, chunk)
-	for off, deadline := int64(0), time.Now().Add(10*time.Second); fs.raChunks.Load() > 0; off = (off + chunk) % (8 * chunk) {
-		if time.Now().After(deadline) {
-			t.Fatalf("a writer under pool pressure never got the idle stream's %d chunks back: %+v",
-				fs.raChunks.Load(), fs.Stats())
-		}
-		if _, err := w.WriteAt(p, off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Stats(); st.PrefetchReclaimed == 0 {
-		t.Errorf("read-ahead went away without a reclaim: %+v", st)
-	}
-	streamRead(t, r, want, chunk/2, 512) // the stream picks up where it stopped, correctly
-}
-
-// TestReadAheadReclaimedWhenItHoldsThePool pins the liveness half of the
-// reclaim rule: read-ahead that holds every chunk of the pool gives all of
-// it back to a blocked writer, however recently it was read — a reader
-// can never sit on the last chunk a writer needs.
-func TestReadAheadReclaimedWhenItHoldsThePool(t *testing.T) {
-	const chunk = 4096
-	back := memfs.New()
-	want := writeThroughMountChunk(t, back, nil, "restart.img", 8*chunk, chunk)
-	// One chunk: whatever read-ahead holds is the whole pool.
-	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: chunk, IOThreads: 1, ReadAhead: 4})
-	r, err := fs.Open("restart.img", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	buf := make([]byte, 64)
-	for off := 0; off < 4*len(buf); off += len(buf) { // a stream, and its block fetched
-		if _, err := r.ReadAt(buf, int64(off)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := fs.raChunks.Load(); got != 1 {
-		t.Fatalf("read-ahead holds %d chunks, want the pool's only one", got)
-	}
-	w, err := fs.Open("ckpt.img", vfs.WriteOnly|vfs.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		_, err := w.WriteAt(make([]byte, 100), 0)
-		done <- err
-	}()
-	select {
-	case err := <-done:
+// TestPlainRestoreLeavesPoolFree: a plain file's restart reads go straight
+// to the backend, so a sequential restore of several blocks with no writes
+// holds no buffer-pool chunk at any read — the pool is the write path's —
+// and reads each backend byte exactly once.
+func TestPlainRestoreLeavesPoolFree(t *testing.T) {
+	const (
+		chunk  = 64 << 10
+		blocks = 8
+	)
+	back := newReadCountFS(memfs.New())
+	want := writeThroughMountChunk(t, back, nil, "restart.img", blocks*chunk, chunk)
+	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 4, ReadAhead: 8})
+	for _, bs := range []int{512, 8 << 10, chunk} {
+		r, err := fs.Open("restart.img", vfs.ReadOnly)
 		if err != nil {
 			t.Fatal(err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer starved: read-ahead kept the pool's only chunk")
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if st := fs.Stats(); st.PrefetchReclaimed == 0 {
-		t.Errorf("the chunk came back without a reclaim: %+v", st)
-	}
-	// The reader carries on, correctly, from the backend or a new fetch.
-	readSequential(t, r, want, len(buf))
-}
-
-// TestSelfFetchedExtentStartsMidBlock: a reader's own fetch covers its
-// block from the offset it missed at, not from the block's start. Another
-// handle reading the same block from an earlier offset must miss that
-// extent cleanly and read the backend.
-func TestSelfFetchedExtentStartsMidBlock(t *testing.T) {
-	const chunk = 64 << 10
-	back := memfs.New()
-	want := writeThroughMountChunk(t, back, nil, "img", 2*chunk, chunk)
-	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 4 * chunk, IOThreads: 2, ReadAhead: 4})
-	a, err := fs.Open("img", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := fs.Open("img", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	buf := make([]byte, 256)
-	for off := int64(8192); off < 8192+4*256; off += 256 { // a's stream starts 8 KiB into block 0
-		if _, err := a.ReadAt(buf, off); err != nil {
+		_, before := back.reads("restart.img") // the open sniffed for a frame header
+		buf := make([]byte, bs)
+		for off := 0; off < len(want); off += bs {
+			if n, err := r.ReadAt(buf, int64(off)); n != bs || err != nil || !bytes.Equal(buf, want[off:off+bs]) {
+				t.Fatalf("%d B reads: read at %d: n=%d err=%v", bs, off, n, err)
+			}
+			if free := len(fs.pool.free); free != fs.pool.total {
+				t.Fatalf("%d B reads: after the read at %d, %d of %d pool chunks are free", bs, off, free, fs.pool.total)
+			}
+		}
+		if _, after := back.reads("restart.img"); after-before != int64(len(want)) {
+			t.Errorf("%d B reads: the backend read %d bytes of a %d-byte file", bs, after-before, len(want))
+		}
+		if err := r.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if !bytes.Equal(buf, want[off:off+256]) {
-			t.Fatalf("a: mismatch at %d", off)
-		}
-	}
-	if fs.Stats().PrefetchSelfFetched == 0 {
-		t.Fatal("a's stream did not fetch its block")
-	}
-	for _, off := range []int64{0, 4096, 8192 - 256, 8192 - 128, 8192 + 512} { // before, across and inside the extent
-		if _, err := b.ReadAt(buf, off); err != nil {
-			t.Fatalf("b at %d: %v", off, err)
-		}
-		if !bytes.Equal(buf, want[off:off+256]) {
-			t.Fatalf("b: mismatch at %d", off)
 		}
 	}
 }
@@ -566,12 +400,12 @@ func TestUnsampledCallsReadNoClock(t *testing.T) {
 // on the mount's monotonic clock — the enqueue stamp and the pickup both
 // read it, so no dwell is negative whatever the wall clock does — and
 // they observe every chunk and read-ahead job that went through the
-// queues.
+// queues (a container's restore: only frames are read ahead).
 func TestQueueDwellOnMonotonicClock(t *testing.T) {
 	const chunk = 64 << 10
 	tr := obs.New(1 << 12) // holds every span of the cycle
 	tr.SetEnabled(true)
-	fs, err := Mount(memfs.New(), Options{ChunkSize: chunk, BufferPoolSize: 8 * chunk, IOThreads: 2, ReadAhead: 4, Tracer: tr})
+	fs, err := Mount(memfs.New(), Options{ChunkSize: chunk, BufferPoolSize: 8 * chunk, IOThreads: 2, ReadAhead: 4, Codec: codec.Deflate(), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 
 	if e.pf != nil && len(p) > 0 {
 		// Invalidate read-ahead before the first byte enters the pipeline:
-		// a prefetched block overlapping this write would serve stale base
+		// a prefetched frame overlapping this write would serve stale base
 		// bytes once the write's chunk retires from the overlay.
 		e.pf.invalidate()
 	}
@@ -162,8 +162,7 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 		switch op.Kind {
 		case chunker.OpNewChunk:
 			// May block (pool backpressure); under pressure the mount
-			// flushes other files' partial chunks and takes back the
-			// read-ahead that competes unfairly (reclaimPool).
+			// flushes other files' partial chunks (reclaimPool).
 			c := e.fs.pool.get(e)
 			c.entry = e
 			c.ctx = ctx
@@ -471,7 +470,9 @@ func (e *fileEntry) planRead(off, end int64) (plan readPlan, size int64, framed,
 // passes reads through only because checkpoint streams are write-only).
 // Precedence, lowest first: the durable base (backend bytes, or decoded
 // frames for a container), the in-flight chunks in flush order, the
-// active partial chunk. A clean plain file stays pure passthrough.
+// active partial chunk. A plain file's base is a direct backend read into
+// p, and on a mount without read-ahead a clean plain file stays pure
+// passthrough.
 //
 // truncMu serializes reads against truncation: a truncate mutates the
 // entry's logical state and the backend bytes non-atomically, and a read
@@ -482,8 +483,8 @@ func (e *fileEntry) planRead(off, end int64) (plan readPlan, size int64, framed,
 // against each other; only the rare truncate excludes them.
 //
 // stream says the calling handle recognised this read as part of a
-// sequential stream; it only matters to read-ahead (prefetcher.readBase
-// for a plain file, decodeFrame for a container).
+// sequential stream; it only matters to a container's read-ahead
+// (decodeFrame).
 func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	e.truncMu.RLock()
 	defer e.truncMu.RUnlock()
@@ -500,8 +501,10 @@ func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	}
 	if !framed && !dirty && len(plan.overlays) == 0 && e.pf == nil {
 		// Clean plain file: seed passthrough, byte-identical semantics.
-		// (With read-ahead enabled the generic path below runs instead,
-		// so clean sequential restart reads can hit the prefetch cache.)
+		// (With read-ahead enabled the path below runs instead, and bounds
+		// the read by the size it planned against: a stream then never
+		// reads past that into a hole that a concurrent writer's chunks,
+		// landing out of order, leave for a moment.)
 		return e.backendFile.ReadAt(p, off)
 	}
 	if off >= size {
@@ -524,11 +527,9 @@ func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	}
 	if base {
 		if framed {
-			err = e.readFramedInto(p, off, stream && !dirty)
-		} else if e.pf != nil {
 			// Rule 2 of the read pipeline: nothing is fetched into the
 			// read-ahead cache while the write pipeline is dirty.
-			err = e.pf.readBase(p, off, size, stream && !dirty)
+			err = e.readFramedInto(p, off, stream && !dirty)
 		} else {
 			err = e.readPlainInto(p, off)
 		}
@@ -637,7 +638,7 @@ func (e *fileEntry) decodeFrame(fr codec.FrameInfo, stream bool) (*prefetched, e
 	}
 	e.decMu.Unlock()
 	if old != nil {
-		e.fs.putReadChunk(old.c)
+		old.c.unpin()
 	}
 	return pr, nil
 }
@@ -656,7 +657,7 @@ func (e *fileEntry) dropDecoded(invalidate bool) {
 	}
 	e.decMu.Unlock()
 	if old != nil {
-		e.fs.putReadChunk(old.c)
+		old.c.unpin()
 	}
 }
 

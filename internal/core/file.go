@@ -28,11 +28,11 @@ type file struct {
 	// per-handle — two restart readers interleaving offsets on shared
 	// handles would defeat any shared-state detector — while the
 	// prefetched data itself is cached on the shared entry. Guarded by mu.
-	// (seqRun is an int32 so that it fills the padding after mu: with
-	// copy added, a file stays in the 96-byte size class.)
-	seqRun int32 // consecutive reads that continued exactly at seqEnd, counted up to seqThreshold
-	seqEnd int64 // end offset of the last read
-	planAt int64 // stream offset at which read-ahead is next planned
+	// (seqRun is an int32 and planned a bool so that both fill the padding
+	// after mu: with copy added, a file stays in the 96-byte size class.)
+	seqRun  int32 // consecutive reads that continued exactly at seqEnd, counted up to seqThreshold
+	planned bool  // read-ahead was planned for the current run
+	seqEnd  int64 // end offset of the last read
 
 	// copy is what the handle serves its stream's small reads from (nil
 	// until the first one). Guarded by mu.
@@ -167,7 +167,11 @@ func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	calls.reads.Add(1)
 	calls.bytesRead.Add(int64(n))
 	if r.plan && n > 0 {
-		f.planReadAhead(off + int64(n))
+		var ctx obs.SpanContext
+		if f.fs.tracer.Enabled() {
+			ctx = f.spanCtx()
+		}
+		f.entry.pf.schedule(off+int64(n), ctx)
 	}
 	return n, err
 }
@@ -208,6 +212,8 @@ func (f *file) ReadFD(off, n int64, send func(fd uintptr) error) (bool, error) {
 // entry had counted writes writes and its read-ahead generation was gen.
 // It holds while both still are and the entry has not failed (valid).
 // Copies come from the mount's free list (FS.copies) and go back at Close.
+// It is the only read-ahead a plain file has: what one refill reads past
+// the call that made it.
 type streamCopy struct {
 	buf    []byte // selfFetchMax bytes
 	off, n int64
@@ -246,9 +252,9 @@ type readRoute struct {
 // off, before the read runs (the detector assumes the read will be full;
 // a short one simply breaks the run). The read is part of a recognised
 // stream when it is at least the seqThreshold-th back-to-back sequential
-// one, and read-ahead is due to be planned once it has been served: when
-// the stream is first recognised, and from then on each time it enters a
-// new unit of planning (planReadAhead), never per call.
+// one, and read-ahead is due to be planned once it has been served when
+// the stream is first recognised; from then on a container's stream plans
+// by itself as it enters each frame (decodeFrame), never per call.
 //
 // A stream's small read (shorter than selfFetchMax) that lies inside the
 // handle's valid copy is served from it here, under the detector's lock.
@@ -267,14 +273,15 @@ func (f *file) noteRead(p []byte, off int64) (r readRoute) {
 	f.mu.Lock()
 	seq := off == f.seqEnd
 	if !seq {
-		f.seqRun, f.planAt = 0, 0
+		f.seqRun, f.planned = 0, false
 	}
 	if f.seqRun < seqThreshold {
 		f.seqRun++
 	}
 	f.seqEnd = off + n
 	r.stream = f.seqRun >= seqThreshold
-	r.plan = r.stream && f.seqEnd >= f.planAt
+	r.plan = r.stream && !f.planned
+	f.planned = f.planned || r.plan
 	c := f.copy
 	if c != nil && !(seq && small) {
 		c.run = 0
@@ -301,7 +308,8 @@ func (f *file) noteRead(p []byte, off int64) (r readRoute) {
 
 // refill reads want bytes at off into c — a copy noteRead took from the
 // handle — through the entry's read path, overlay, truncMu, read-ahead
-// and all, exactly as a read of that size would go; serves p from them;
+// and all, exactly as a read of that size would go (on a clean plain file,
+// one backend read); serves p from them;
 // and gives the copy back to the handle. The snapshot the copy is valid
 // under is loaded before the read.
 func (f *file) refill(c *streamCopy, want int64, p []byte, off int64) (int, error) {
@@ -352,20 +360,6 @@ func (fs *FS) putCopy(c *streamCopy) {
 	case fs.copies <- c:
 	default:
 	}
-}
-
-// planReadAhead schedules read-ahead of what follows from on the IO
-// workers and records where the stream must have got to before it is
-// planned again.
-func (f *file) planReadAhead(from int64) {
-	var ctx obs.SpanContext
-	if f.fs.tracer.Enabled() {
-		ctx = f.spanCtx()
-	}
-	next := f.entry.pf.schedule(from, ctx)
-	f.mu.Lock()
-	f.planAt = next
-	f.mu.Unlock()
 }
 
 // Truncate implements vfs.File.

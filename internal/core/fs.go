@@ -35,24 +35,25 @@ type FS struct {
 	files  map[string]*fileEntry // open-file hash table, keyed by clean path
 	closed bool
 	// live is every entry with an open handle: the table's entries plus
-	// those Remove or Unmount unlinked from it that have not seen their
-	// last close. It is what pool reclaim walks (an unlinked entry still
-	// pins chunks) and what callTotals sums; closedCalls is the fold of the
-	// shards of entries that left it. raShare is the read-ahead share
-	// that follows from len(live), kept for readers that hold no fs.mu.
+	// those Remove, Rename or Unmount unlinked from it that have not seen
+	// their last close. It is what pool reclaim walks (an unlinked entry
+	// still pins chunks) and what callTotals sums; closedCalls is the fold
+	// of the shards of entries that left it.
 	live        map[*fileEntry]struct{}
 	closedCalls *callShard
-	raShare     atomic.Int32
 	workers     sync.WaitGroup
 
 	stats statCounters
+	// _ keeps tracer and the read-mostly fields after it on a cache line
+	// of their own, away from the counters above that IO workers bump,
+	// and FS in the 512-byte size class, whose slots are cache-line
+	// aligned (TestSizeClasses).
+	_ [24]byte
 
-	// partials counts entries holding a partly filled active chunk and
-	// raChunks the pool chunks read-ahead holds (cached or being fetched):
-	// the two kinds of chunk reclaimPool can free, counted so a blocked
-	// writer knows without walking the table whether a walk is worth it.
+	// partials counts entries holding a partly filled active chunk, the
+	// one kind of chunk reclaimPool can free: a blocked writer knows
+	// without walking the table whether a walk is worth it.
 	partials atomic.Int32
-	raChunks atomic.Int32
 
 	// tracer records pipeline spans (Options.Tracer, defaulting to
 	// obs.Default); hist holds the always-on per-stage histograms.
@@ -70,9 +71,8 @@ type FS struct {
 	monotonic func() int64
 
 	// copies is the free list of the copies handles serve streams of small
-	// reads from (streamCopy). It keeps one per pool chunk idle: as many
-	// streams as read-ahead can give a share of the pool, at 1/256 of a
-	// default chunk each.
+	// reads from (streamCopy). It keeps one per pool chunk idle, at 1/256
+	// of a default chunk each.
 	copies chan *streamCopy
 }
 
@@ -110,7 +110,6 @@ func Mount(backend vfs.FS, opts Options) (*FS, error) {
 	fs.pool = newBufferPool(opts.BufferPoolSize, opts.ChunkSize, fs.reclaimPool)
 	fs.decBufs = newFreeList(opts.ReadAhead+1, opts.ChunkSize)
 	fs.copies = make(chan *streamCopy, fs.pool.total)
-	fs.liveChangedLocked() // nothing is open, and nothing else can see fs yet
 	// An encode buffer holds a chunk's frame stored raw, and headroom for
 	// what a codec writes past the chunk before EncodeFrame's raw bailout
 	// takes a chunk that did not shrink: deflate's page bitmap, or a
@@ -284,17 +283,12 @@ func (fs *FS) writeFramed(e *fileEntry, c *chunk, parent obs.SpanContext) error 
 }
 
 // reclaimPool is what a writer blocked on the buffer pool runs on every
-// reclaim tick. It does only what can free a chunk: it flushes other
-// files' partial chunks (skip is the caller, whose writeMu is held) when
-// any exist, and takes back read-ahead when read-ahead holds chunks —
-// from each open file only what competes unfairly (prefetcher.reclaim),
-// and everything only when read-ahead holds the whole pool, the one state
-// in which no write chunk is on its way back to the writer. When neither
-// kind of chunk exists the tick is two atomic loads, and the writer is
-// simply waiting for an IO worker.
+// reclaim tick: it flushes other files' partial chunks (skip is the
+// caller, whose writeMu is held), the only chunks that would otherwise sit
+// in the pool without ever coming back. When no file holds one, the tick
+// is one atomic load, and the writer is simply waiting for an IO worker.
 func (fs *FS) reclaimPool(skip *fileEntry) {
-	flush, readAhead := fs.partials.Load() > 0, fs.raChunks.Load()
-	if !flush && readAhead == 0 {
+	if fs.partials.Load() == 0 {
 		return
 	}
 	fs.mu.Lock()
@@ -303,43 +297,16 @@ func (fs *FS) reclaimPool(skip *fileEntry) {
 		entries = append(entries, e)
 	}
 	fs.mu.Unlock()
-	share, all := fs.readAheadShare(), int(readAhead) >= fs.pool.total
 	for _, e := range entries {
-		if flush && e != skip {
+		if e != skip {
 			e.tryFlushTail()
 		}
-		if readAhead > 0 && e.pf != nil {
-			e.pf.reclaim(share, all)
-		}
 	}
-}
-
-// getReadChunk takes a pool chunk for a read-ahead block without blocking;
-// putReadChunk drops the reference a chunk of the read path came with — a
-// block's pool chunk or a decoded frame's buffer (nil, a frame on the
-// heap, has none). Together they keep FS.raChunks, the pool chunks
-// reclaimPool can ask read-ahead for.
-func (fs *FS) getReadChunk() *chunk {
-	c := fs.pool.tryGet()
-	if c != nil {
-		fs.raChunks.Add(1)
-	}
-	return c
-}
-
-func (fs *FS) putReadChunk(c *chunk) {
-	if c == nil {
-		return
-	}
-	if c.pool == fs.pool {
-		fs.raChunks.Add(-1)
-	}
-	c.unpin()
 }
 
 // fetchFrame reads one frame's payload through bf into the mount's encode
 // scratch and decodes it into a buffer from the decode free list, whose
-// reference the returned frame holds (putReadChunk). A buffer is allocated
+// reference the returned frame holds (the holder unpins it). A buffer is allocated
 // only when none is idle — more frames are decoded and not yet read than
 // the list keeps — and for a frame larger than a chunk (one written by a
 // mount with bigger chunks), which gets a heap slice of its own; both
@@ -364,21 +331,10 @@ func (fs *FS) fetchFrame(bf backendHandle, fr codec.FrameInfo) (*prefetched, err
 	pr.buf, err = codec.DecodeFrame(fr.Header, enc, dst)
 	fs.stats.checksumResult(err)
 	if err != nil {
-		fs.putReadChunk(pr.c)
+		pr.c.unpin()
 		return nil, err
 	}
 	return pr, nil
-}
-
-// readAheadShare is how many pool chunks one entry's read-ahead may hold,
-// cached and being fetched together: an even share of the pool among the
-// entries with an open handle, and never less than one.
-func (fs *FS) readAheadShare() int { return int(fs.raShare.Load()) }
-
-// liveChangedLocked recomputes the share after fs.live gained or lost an
-// entry. Caller holds fs.mu.
-func (fs *FS) liveChangedLocked() {
-	fs.raShare.Store(int32(max(1, fs.pool.total/max(1, len(fs.live)))))
 }
 
 // enqueue hands a filled chunk to the work queue.
@@ -521,7 +477,6 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	entry.refs = 1
 	fs.files[key] = entry
 	fs.live[entry] = struct{}{}
-	fs.liveChangedLocked()
 	fs.mu.Unlock()
 	fs.stats.opens.Add(1)
 	return &file{fs: fs, entry: entry, name: key, flag: flag}, nil
@@ -717,7 +672,6 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 			delete(fs.files, name)
 		}
 		delete(fs.live, entry)
-		fs.liveChangedLocked()
 		fs.closedCalls.merge(entry.calls)
 	}
 	entry.mu.Unlock()
@@ -792,9 +746,9 @@ func (fs *FS) Remove(name string) error {
 // handles do not follow the rename; the source's open-file table entry is
 // then re-keyed under the new name, so handles keep working and a later
 // Open of either name resolves correctly. Renaming over a path that is
-// open is rejected with vfs.ErrBusy: the destination's handles would keep
-// serving the overwritten file under a name that now means something
-// else.
+// open evicts the destination's entry from the table, as Remove does: its
+// handles keep working against the replaced file until their last close,
+// like POSIX rename over an open file, backend permitting.
 func (fs *FS) Rename(oldName, newName string) error {
 	if err := fs.checkOpen(); err != nil {
 		return err
@@ -843,13 +797,14 @@ func (fs *FS) Rename(oldName, newName string) error {
 // (rare) stalls concurrent opens for one backend round-trip rather than
 // let an Open(newName) build a second entry for the same file.
 func (fs *FS) renameLocked(oldKey, newKey, oldName, newName string, entry *fileEntry) error {
-	if _, ok := fs.files[newKey]; ok && newKey != oldKey {
-		return fmt.Errorf("core: rename %s to %s: %w: %w", oldKey, newKey, vfs.ErrBusy, vfs.ErrInvalid)
-	}
 	if err := fs.backend.Rename(oldName, newName); err != nil {
 		return err
 	}
-	if entry != nil && newKey != oldKey {
+	if newKey == oldKey {
+		return nil
+	}
+	delete(fs.files, newKey) // an open destination is replaced: evicted, as on Remove
+	if entry != nil {
 		delete(fs.files, oldKey)
 		fs.files[newKey] = entry
 		entry.mu.Lock()

@@ -47,14 +47,17 @@ type Options struct {
 	// Defaults to 4.
 	IOThreads int
 	// ReadAhead enables the restart read pipeline and sets its depth: a
-	// file handle detected reading sequentially triggers prefetch of the
-	// next ReadAhead chunks (plain files) or frames (containers), fetched
-	// and decoded in parallel on the IO workers and served to subsequent
-	// reads from a per-file cache. 0 (the default) disables read-ahead
-	// and keeps the seed read path byte-identical. Prefetched bytes are
-	// invalidated by writes, truncates, and renames, and buffered writes
-	// always shadow them (the overlay-wins rule), so enabling read-ahead
-	// never changes read results — only their cost.
+	// file handle detected reading a frame container sequentially
+	// triggers prefetch of the next ReadAhead frames, fetched and decoded
+	// in parallel on the IO workers and served to subsequent reads from a
+	// per-file cache, and a handle streaming any file in small reads
+	// serves them from a short copy of what follows. A plain file's reads
+	// otherwise go straight to the backend, which reads ahead by itself.
+	// 0 (the default) disables both and keeps the seed read path
+	// byte-identical. Prefetched bytes are invalidated by writes,
+	// truncates, and renames, and buffered writes always shadow them (the
+	// overlay-wins rule), so enabling read-ahead never changes read
+	// results — only their cost.
 	ReadAhead int
 	// RepairOnOpen makes the first open of a frame container with a torn
 	// tail (a crash mid-append) rewrite the file: the backend is

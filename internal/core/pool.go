@@ -142,8 +142,7 @@ func (p *bufferPool) get(skip *fileEntry) *chunk {
 }
 
 // tryGet returns a free chunk holding its pipeline reference, or nil if
-// the pool is empty. The read-ahead path uses it so prefetch can never
-// stall (or deadlock against) a writer blocked in get.
+// the pool is empty: get's fast path, and a free list's (take).
 func (p *bufferPool) tryGet() *chunk {
 	select {
 	case c := <-p.free:

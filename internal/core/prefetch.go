@@ -1,8 +1,6 @@
 package core
 
 import (
-	"io"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -13,12 +11,14 @@ import (
 )
 
 // Restart read pipeline: sequential-read detection on a file handle
-// triggers read-ahead of the next chunks (plain files) or frames
-// (containers), fetched and decoded in parallel on the same IO worker
-// pool that drains the write queue. Completed prefetches are cached
-// per-entry and served as the durable *base* of the buffered-read-through
-// overlay — in-flight and active chunks still win over prefetched bytes,
-// exactly as they win over backend bytes.
+// triggers read-ahead of a container's next frames, fetched and decoded in
+// parallel on the same IO worker pool that drains the write queue.
+// Completed prefetches are cached per-entry and served as the durable
+// *base* of the buffered-read-through overlay — in-flight and active
+// chunks still win over prefetched bytes, exactly as they win over backend
+// bytes. A plain file's base read goes straight to the backend (§IV-D.1):
+// the kernel already reads ahead under a real backend, and copying its
+// blocks through the mount would only add a copy.
 //
 // Correctness hinges on two rules:
 //
@@ -33,51 +33,43 @@ import (
 //     own window (generation already bumped, payload not yet buffered)
 //     can publish pre-write bytes, but they die no later than the moment
 //     the write's chunk leaves the overlay.
-//  2. Clean-pipeline fetch. Backend bytes are fetched into the cache
-//     only while the entry's write pipeline is fully drained (no active
-//     or in-flight chunks); fetching alongside buffered writes would only
-//     produce blocks that rule 1 is about to discard.
+//  2. Clean-pipeline fetch. Frames are fetched into the cache only while
+//     the entry's write pipeline is fully drained (no active or in-flight
+//     chunks); fetching alongside buffered writes would only produce
+//     frames that rule 1 is about to discard.
 //
-// Both rules bind the two kinds of fetch alike: a job an IO worker runs
-// ahead of the stream, and the rest of the block a stream of small reads
-// is inside, which the reader fetches itself on a miss (fetchSelf) —
-// read-ahead only ever covers blocks *past* the reader, so without it
-// every block a worker did not finish in time would be read 512 bytes at
-// a time.
+// The generation also tells a handle's copy of a stream of small reads
+// (streamCopy) that it no longer reads as the file does.
 //
 // Nothing the read path holds lives on the bare heap in steady state: a
-// reader copies under a pin and the last unpin recycles the buffer. Plain-
-// file blocks are fetched into buffer-pool chunks taken with the
-// non-blocking tryGet — read-ahead never steals buffers from a blocked
-// writer. One entry's read-ahead holds at most an even share of the pool
-// (FS.readAheadShare), so the second restart reader finds chunks left,
-// and a writer blocked on the pool takes back only what competes
-// unfairly (reclaim). Frames are decoded into buffers of the mount's
-// decode free list (FS.decBufs), like the one-frame decode cache they
-// feed: they are not the pool's, so a container is read ahead to the full
-// depth however small the pool is — every frame a stream will need is on
-// a worker at once, and a restore keeps all cores busy to its last frame
-// whichever of its files runs ahead. Only a frame that finds the free
-// list empty, or is larger than a chunk, is decoded into fresh memory
-// (Stats.DecodeHeapFallbacks).
+// reader copies under a pin and the last unpin recycles the buffer.
+// Frames are decoded into buffers of the mount's decode free list
+// (FS.decBufs), like the one-frame decode cache they feed: they are not
+// the buffer pool's, which holds write chunks only, so a container is read
+// ahead to the full depth however small the pool is — every frame a
+// stream will need is on a worker at once, and a restore keeps all cores
+// busy to its last frame whichever of its files runs ahead. Only a frame
+// that finds the free list empty, or is larger than a chunk, is decoded
+// into fresh memory (Stats.DecodeHeapFallbacks).
 
 // seqThreshold is how many back-to-back sequential reads a handle must
 // issue before it counts as a stream and read-ahead starts.
 const seqThreshold = 2
 
-// selfFetchMax is the largest read that makes its reader fetch the rest of
-// its block: the fetch costs one more copy of every byte it serves, which
-// is cheaper than a backend call per read only while reads are small (a
-// call into a page-cache backend costs about what copying 16 KiB does).
-// Larger reads go straight to the backend into the caller's buffer.
+// selfFetchMax is the size of a handle's copy of its stream of small
+// reads (streamCopy), and so the most one refill reads: serving a read
+// from the copy costs one more copy of its bytes, which is cheaper than a
+// backend call per read only while reads are small (a call into a
+// page-cache backend costs about what copying 16 KiB does). Larger reads
+// go straight to the backend into the caller's buffer.
 const selfFetchMax = 16 << 10
 
-// prefetched is one fetched extent — a plain block or a decoded frame —
-// in an entry's read-ahead cache or its one-frame decode cache.
+// prefetched is one decoded frame in an entry's read-ahead cache or its
+// one-frame decode cache.
 type prefetched struct {
 	start int64  // logical offset of buf[0]
 	buf   []byte // the bytes (never mutated once published)
-	c     *chunk // pool chunk (block) or decode buffer (frame) backing buf; nil for a frame on the heap
+	c     *chunk // decode buffer backing buf; nil for a frame on the heap
 	hit   bool   // served at least one read (distinguishes wasted fetches)
 }
 
@@ -94,28 +86,20 @@ type prefetcher struct {
 
 	mu      sync.Mutex
 	cond    *sync.Cond              // broadcast whenever ready/pending change
-	ready   map[int64]*prefetched   // completed fetches, keyed by block start (plain) or frame pos (framed)
+	ready   map[int64]*prefetched   // completed fetches, keyed by frame pos
 	order   []int64                 // ready keys in publish order, for FIFO capacity eviction
 	pending map[int64]*pendingFetch // keys with a fetch scheduled or running, not yet published
-	pos     int64                   // block a reader last hit or fetched: where the stream is
-
-	// idle counts the reclaim ticks of blocked writers since a read last
-	// consulted the plain-block cache (which zeroes it): the age, in
-	// ticks, of a stream that may have gone quiet.
-	idle atomic.Int32
 }
 
 // pendingFetch tracks one fetch that has not published yet. started flips
-// when a worker picks the job up (a reader's own fetch is born started):
-// readers wait only for started fetches (bounded by one backend
-// round-trip / decode) and *steal* unstarted ones — a job starved behind a
-// sustained checkpoint write stream must never turn read-ahead into a
-// read dependency. A stolen job is cancelled: the worker finds its
-// pending marker gone and skips the fetch entirely. pooled marks a fetch
-// that lands in a pool chunk and so counts against the entry's share.
+// when a worker picks the job up: readers wait only for started fetches
+// (bounded by one backend round-trip and decode) and *steal* unstarted
+// ones — a job starved behind a sustained checkpoint write stream must
+// never turn read-ahead into a read dependency. A stolen job is
+// cancelled: the worker finds its pending marker gone and skips the fetch
+// entirely.
 type pendingFetch struct {
 	started bool
-	pooled  bool
 }
 
 func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
@@ -129,7 +113,7 @@ func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
 	return pf
 }
 
-// depth returns the configured read-ahead depth (chunks/frames).
+// depth returns the configured read-ahead depth in frames.
 func (pf *prefetcher) depth() int { return pf.fs.opts.ReadAhead }
 
 // invalidate bumps the generation and drops every cached and in-flight
@@ -152,7 +136,7 @@ func (pf *prefetcher) invalidate() {
 		if !pr.hit {
 			wasted++
 		}
-		pf.fs.putReadChunk(pr.c)
+		pr.c.unpin()
 	}
 	clear(pf.ready)
 	clear(pf.pending)
@@ -164,89 +148,57 @@ func (pf *prefetcher) invalidate() {
 	}
 }
 
-// schedule plans read-ahead past a sequential read that ended at from,
-// enqueueing block- or frame-fetch jobs on the IO workers: up to depth()
-// of them, and for a plain file no more than the entry's share of the
-// pool has room for. ctx parents the resulting fetch spans (zero when
-// tracing is off). It returns the stream offset at which the handle
-// should plan again: the next block boundary for a plain file — one plan
-// per block entered, whatever the size of the calls — and never for a
-// container, whose stream plans again by itself each time it enters a
-// frame (decodeFrame). Called with no locks of the entry held but
-// truncMu, shared.
-func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) (next int64) {
+// schedule plans read-ahead of a container's next frames past a
+// sequential read that ended at from, enqueueing up to depth() frame
+// fetch-and-decode jobs on the IO workers; a plain file has nothing to
+// plan. ctx parents the resulting fetch spans (zero when tracing is off).
+// A cached frame that is not among the next ones — a seek or a second
+// handle's stream left it behind — would hold its buffer for nothing: an
+// entry keeps at most depth frames ahead. Called with no locks of the
+// entry held but truncMu, shared.
+func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 	e := pf.e
 	e.mu.Lock()
-	framed := e.framed
-	size := e.logicalSize
-	var locs []codec.FrameInfo
-	if framed {
-		locs = e.nextFramesLocked(from, pf.depth())
+	if !e.framed {
+		e.mu.Unlock()
+		return
 	}
+	locs := e.nextFramesLocked(from, pf.depth())
 	e.mu.Unlock()
 
 	var jobs []prefetchJob
 	pf.mu.Lock()
 	gen := pf.gen.Load()
-	if framed {
-		// A cached frame that is not among the next ones — a seek or a
-		// second handle's stream left it behind — would hold its buffer
-		// for nothing: an entry keeps at most depth frames ahead.
-		for k, pr := range pf.ready {
-			if slices.ContainsFunc(locs, func(fr codec.FrameInfo) bool { return fr.Pos == k }) {
-				continue
-			}
-			if !pr.hit {
-				pf.fs.stats.prefetchWasted.Add(1)
-			}
-			pf.fs.putReadChunk(pr.c)
-			pf.removeLocked(k)
+	for k, pr := range pf.ready {
+		if slices.ContainsFunc(locs, func(fr codec.FrameInfo) bool { return fr.Pos == k }) {
+			continue
 		}
+		if !pr.hit {
+			pf.fs.stats.prefetchWasted.Add(1)
+		}
+		pr.c.unpin()
+		pf.removeLocked(k)
 	}
-	share, held := pf.fs.readAheadShare(), pf.pooledLocked()
-	// add schedules the fetch of j.key unless it is cached or under way,
-	// and reports whether there is room to go on. Only a plain block
-	// takes a pool chunk, and so room in the entry's share.
-	add := func(j prefetchJob) bool {
-		if len(pf.pending) >= pf.depth() || (!framed && held >= share) {
-			return false
+	for _, fr := range locs {
+		if len(pf.pending) >= pf.depth() {
+			break
 		}
-		if _, ok := pf.ready[j.key]; ok {
-			return true
+		if _, ok := pf.ready[fr.Pos]; ok {
+			continue
 		}
-		if _, ok := pf.pending[j.key]; ok {
-			return true
+		if _, ok := pf.pending[fr.Pos]; ok {
+			continue
 		}
-		j.e, j.gen, j.ctx, j.ps = e, gen, ctx, &pendingFetch{pooled: !framed}
-		pf.pending[j.key] = j.ps
-		held++
+		j := prefetchJob{e: e, gen: gen, ctx: ctx, ps: &pendingFetch{}, fr: fr}
+		pf.pending[fr.Pos] = j.ps
 		jobs = append(jobs, j)
-		return true
-	}
-	if framed {
-		next = math.MaxInt64
-		for _, fr := range locs {
-			if !add(prefetchJob{key: fr.Pos, framed: true, fr: fr}) {
-				break
-			}
-		}
-	} else {
-		bs := pf.fs.opts.ChunkSize
-		next = (from/bs + 1) * bs
-		first := ((from + bs - 1) / bs) * bs // first whole block past the read
-		for b := first; b < first+int64(pf.depth())*bs && b < size; b += bs {
-			if !add(prefetchJob{key: b, n: bs}) {
-				break
-			}
-		}
 	}
 	pf.mu.Unlock()
 	for _, j := range jobs {
 		if !pf.fs.enqueuePrefetch(j) {
-			pf.drop(j.key)
+			pf.drop(j.fr.Pos)
 		}
 	}
-	return next
 }
 
 // nextFramesLocked returns up to n frames starting at or past from, in
@@ -268,107 +220,6 @@ func (e *fileEntry) nextFramesLocked(from int64, n int) []codec.FrameInfo {
 	return out
 }
 
-// pooled reports whether pr lives in a chunk of the buffer pool (a plain
-// block) rather than a decode buffer or the heap (a frame).
-func (pf *prefetcher) pooled(pr *prefetched) bool {
-	return pr.c != nil && pr.c.pool == pf.fs.pool
-}
-
-// pooledLocked counts the pool chunks the entry's read-ahead holds or is
-// about to: cached plain blocks plus plain fetches not yet published.
-// Caller holds pf.mu.
-func (pf *prefetcher) pooledLocked() (n int) {
-	for _, pr := range pf.ready {
-		if pf.pooled(pr) {
-			n++
-		}
-	}
-	for _, ps := range pf.pending {
-		if ps.pooled {
-			n++
-		}
-	}
-	return n
-}
-
-// evictLocked gives pool chunks back until the entry's read-ahead holds
-// at most limit: it drops cached plain blocks and cancels fetches no
-// worker has started (the worker finds the marker gone and skips the
-// job), whichever is farthest from the stream's position first, and never
-// the block starting at keep (-1: none is exempt). A fetch under way
-// cannot be taken back, so the count may stay above limit. It returns how
-// many blocks and jobs it dropped. Caller holds pf.mu.
-func (pf *prefetcher) evictLocked(limit int, keep int64) (dropped int) {
-	var wasted int64
-	for held := pf.pooledLocked(); held > limit; held-- {
-		far, dist := int64(-1), int64(-1)
-		farther := func(k int64) {
-			if d := max(k-pf.pos, pf.pos-k); k != keep && d > dist {
-				far, dist = k, d
-			}
-		}
-		for k, pr := range pf.ready {
-			if pf.pooled(pr) {
-				farther(k)
-			}
-		}
-		for k, ps := range pf.pending {
-			if ps.pooled && !ps.started {
-				farther(k)
-			}
-		}
-		if far < 0 {
-			break
-		}
-		if pr, ok := pf.ready[far]; ok {
-			if !pr.hit {
-				wasted++
-			}
-			pf.fs.putReadChunk(pr.c)
-			pf.removeLocked(far)
-		} else {
-			delete(pf.pending, far)
-		}
-		dropped++
-	}
-	if wasted > 0 {
-		pf.fs.stats.prefetchWasted.Add(wasted)
-	}
-	return dropped
-}
-
-// idleTicks is how many reclaim ticks of a blocked writer (reclaimTick
-// apart) a stream may go unread before its read-ahead counts as abandoned:
-// about 10 ms, the longest the runtime lets a runnable reader wait for a
-// processor behind busy goroutines. Anything shorter takes the cache from
-// under streams that are merely descheduled, and the backend then reads
-// the rest of their blocks twice.
-const idleTicks = 50
-
-// reclaim is one open file's part of a blocked writer's reclaim tick
-// (FS.reclaimPool). Checkpoint writes outrank restart read-ahead for pool
-// buffers, but a stream that is being read keeps its share of them: only
-// blocks held beyond share go back, unless no read came by the cache for
-// idleTicks ticks or read-ahead holds the whole pool (all) — then every
-// cached block does. Decoded frames are not in pool chunks and are left
-// alone, and the generation is not bumped: the evicted blocks were valid,
-// just expensive to keep.
-func (pf *prefetcher) reclaim(share int, all bool) {
-	pf.mu.Lock()
-	if len(pf.ready) == 0 {
-		pf.mu.Unlock()
-		return
-	}
-	if pf.idle.Add(1) > idleTicks || all {
-		share = 0
-	}
-	dropped := pf.evictLocked(share, -1)
-	pf.mu.Unlock()
-	if dropped > 0 {
-		pf.fs.stats.prefetchReclaimed.Add(int64(dropped))
-	}
-}
-
 // drop removes a pending marker (job skipped or failed), releasing any
 // reader waiting for that key to duplicate the fetch itself.
 func (pf *prefetcher) drop(key int64) {
@@ -387,7 +238,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	if gen != pf.gen.Load() {
 		pf.cond.Broadcast()
 		pf.mu.Unlock()
-		pf.fs.putReadChunk(pr.c)
+		pr.c.unpin()
 		if !pr.hit {
 			pf.fs.stats.prefetchWasted.Add(1)
 		}
@@ -395,7 +246,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	}
 	if old, ok := pf.ready[key]; ok {
 		// Shouldn't happen (pending excludes re-schedule), but never leak.
-		pf.fs.putReadChunk(old.c)
+		old.c.unpin()
 	} else {
 		pf.order = append(pf.order, key)
 	}
@@ -408,7 +259,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 			if !old.hit {
 				wasted++
 			}
-			pf.fs.putReadChunk(old.c)
+			old.c.unpin()
 			delete(pf.ready, k)
 		}
 	}
@@ -429,149 +280,6 @@ func (pf *prefetcher) removeLocked(key int64) {
 			break
 		}
 	}
-}
-
-// readBase fills p (at logical offset off) for a plain entry of logical
-// size size, serving each chunk-aligned segment from the read-ahead cache
-// when present and from the backend otherwise. It preserves
-// readPlainInto's contract: bytes the backend does not have read as
-// zeros. stream says the read belongs to a recognised sequential stream
-// over a clean write pipeline, which is what lets a miss fetch the rest
-// of its block into the cache (copyPlain) — if the read is a small one
-// (selfFetchMax) inside one block: the bytes of a large read go straight
-// from the backend into the caller's buffer.
-func (pf *prefetcher) readBase(p []byte, off, size int64, stream bool) error {
-	bs := pf.fs.opts.ChunkSize
-	end := off + int64(len(p))
-	for cur := off; cur < end; {
-		bstart := cur - cur%bs
-		segEnd := min(bstart+bs, end)
-		seg := p[cur-off : segEnd-off]
-		fetchEnd := cur
-		if stream && len(seg) == len(p) && len(p) <= selfFetchMax {
-			fetchEnd = min(bstart+bs, size)
-		}
-		if !pf.copyPlain(seg, cur, bstart, fetchEnd) {
-			n, err := pf.e.backendFile.ReadAt(seg, cur)
-			if err != nil && err != io.EOF {
-				return err
-			}
-			clear(seg[n:])
-		}
-		cur = segEnd
-	}
-	return nil
-}
-
-// copyPlain serves seg (logical offset cur, inside the block starting at
-// bstart) from the cache. A block a worker is actively fetching is
-// awaited rather than refetched — duplicating the backend read would
-// waste exactly the bandwidth read-ahead is trying to overlap — but a
-// job still queued is stolen (awaitOrSteal) so a starved queue never
-// blocks a read. A cached extent that does not cover the segment — the
-// fetch stopped short of it (backend EOF at fetch time), or a reader
-// fetched it for itself from an offset past this one — is a miss: the
-// backend read is the authority on bytes the fetch did not capture. A
-// segment that reaches the end of the cached block consumes it —
-// sequential readers pass each block exactly once, so keeping it would
-// only displace fresh blocks.
-//
-// On a miss with nothing cached or under way for the block, a reader
-// fetches [cur, fetchEnd) — the rest of the block it is inside — for
-// itself (fetchEnd == cur: not a stream of small reads, don't), if the
-// entry's share of the pool has a chunk free.
-func (pf *prefetcher) copyPlain(seg []byte, cur, bstart, fetchEnd int64) bool {
-	segEnd := cur + int64(len(seg))
-	if pf.idle.Load() != 0 {
-		pf.idle.Store(0)
-	}
-	pf.mu.Lock()
-	if share := pf.fs.readAheadShare(); len(pf.ready)+len(pf.pending) > share {
-		// The share shrank (more files were opened): the stream gives the
-		// excess back at its next read, farthest block first.
-		pf.evictLocked(share, bstart)
-	}
-	pr, ok := pf.ready[bstart]
-	for !ok && pf.awaitOrStealLocked(bstart) {
-		pr, ok = pf.ready[bstart]
-	}
-	if !ok || cur < pr.start || segEnd > pr.start+int64(len(pr.buf)) {
-		var c *chunk
-		gen := pf.gen.Load()
-		if !ok && fetchEnd > segEnd {
-			c = pf.reserveSelfLocked(bstart)
-		}
-		pf.mu.Unlock()
-		pf.e.calls.prefetchMisses.Add(1)
-		return c != nil && pf.fetchSelf(c, gen, seg, cur, bstart, fetchEnd)
-	}
-	pr.hit = true
-	pf.pos = bstart
-	consumed := segEnd == pr.start+int64(len(pr.buf))
-	if consumed {
-		pf.removeLocked(bstart)
-	}
-	// Pin for the copy while the entry is still reachable (cache ref held
-	// or just transferred to us); the buffer cannot recycle under the copy.
-	if !consumed {
-		pr.c.pin()
-	}
-	pf.mu.Unlock()
-	copy(seg, pr.buf[cur-pr.start:])
-	if consumed {
-		pf.fs.putReadChunk(pr.c) // the cache's reference, transferred to us
-	} else {
-		pr.c.unpin()
-	}
-	pf.e.calls.prefetchHits.Add(1)
-	return true
-}
-
-// reserveSelfLocked takes the pool chunk for a reader's own fetch of the
-// block at bstart and marks the fetch pending, so a second reader of the
-// block waits for it instead of fetching again. It returns nil — the
-// reader then reads from the backend directly, as it would without
-// read-ahead — when the pool has no chunk free or the entry's share is
-// used up by blocks that are not farther from the stream than this one.
-// Caller holds pf.mu.
-func (pf *prefetcher) reserveSelfLocked(bstart int64) *chunk {
-	pf.pos = bstart
-	share := pf.fs.readAheadShare()
-	if pf.pooledLocked()-pf.evictLocked(share-1, bstart) >= share {
-		return nil
-	}
-	c := pf.fs.getReadChunk()
-	if c != nil {
-		pf.pending[bstart] = &pendingFetch{started: true, pooled: true}
-	}
-	return c
-}
-
-// fetchSelf reads [cur, fetchEnd) — the rest of the block a stream of
-// small reads is inside — into c, serves seg from it, and publishes the
-// extent under gen, the generation loaded before the fetch (rule 1; rule
-// 2 was the caller's: it asks only over a clean pipeline). The reader is
-// inside its read (truncMu held shared), so the bytes are as good for
-// seg as a direct backend read even when the publish is refused. It
-// returns false, leaving seg to that direct read, when the backend
-// failed or has less than seg.
-func (pf *prefetcher) fetchSelf(c *chunk, gen uint64, seg []byte, cur, bstart, fetchEnd int64) bool {
-	n, err := pf.e.backendFile.ReadAt(c.buf[:fetchEnd-cur], cur)
-	if (err != nil && err != io.EOF) || n < len(seg) {
-		pf.fs.putReadChunk(c)
-		pf.drop(bstart)
-		return false
-	}
-	copy(seg, c.buf)
-	if n == len(seg) {
-		// The backend had nothing past seg: there is no block to cache.
-		pf.fs.putReadChunk(c)
-		pf.drop(bstart)
-		return true
-	}
-	pf.fs.stats.prefetchSelf.Add(1)
-	pf.publish(bstart, &prefetched{start: cur, buf: c.buf[:n], c: c, hit: true}, gen)
-	return true
 }
 
 // takeFrame removes and returns a prefetched decoded frame, or nil. A
@@ -600,7 +308,7 @@ func (pf *prefetcher) takeFrame(pos int64) *prefetched {
 }
 
 // awaitOrStealLocked resolves a reader's encounter with a possibly
-// pending key: no pending job means a plain miss (false); a started job
+// pending key: no pending job means a miss (false); a started job
 // is awaited (one cond wait, then the caller re-checks); an unstarted
 // job — still queued behind write chunks, possibly for a long time — is
 // cancelled by removing its marker, so the reader fetches synchronously
@@ -620,17 +328,13 @@ func (pf *prefetcher) awaitOrStealLocked(key int64) bool {
 	return true
 }
 
-// prefetchJob is one read-ahead unit handed to the IO workers: a
-// chunk-aligned backend block (plain entries) or one frame to fetch and
-// decode (containers).
+// prefetchJob is one read-ahead unit handed to the IO workers: one frame
+// of a container to fetch and decode.
 type prefetchJob struct {
-	e      *fileEntry
-	gen    uint64        // prefetch generation at schedule time
-	ps     *pendingFetch // the job's pending marker; gone or replaced: the job was cancelled
-	key    int64         // cache key: block start (plain) or frame pos (framed)
-	n      int64         // plain: block length to fetch
-	framed bool
-	fr     codec.FrameInfo // framed: the frame to decode
+	e   *fileEntry
+	gen uint64          // prefetch generation at schedule time
+	ps  *pendingFetch   // the job's pending marker; gone or replaced: the job was cancelled
+	fr  codec.FrameInfo // the frame; its pos is the cache key
 
 	enqueuedAt int64           // fs.monotonic() at enqueue (0: not stamped), for queue-wait dwell
 	ctx        obs.SpanContext // parents the fetch span under the triggering read
@@ -646,19 +350,19 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	if j.enqueuedAt != 0 {
 		fs.hist.queueWaitPrefetch.Observe(fs.monotonic() - j.enqueuedAt)
 	}
+	key := j.fr.Pos
 	var sp obs.Span
 	if fs.tracer.Enabled() {
 		sp = fs.tracer.StartChild("crfs.prefetch", j.ctx)
-		sp.AttrInt("key", j.key)
+		sp.AttrInt("key", key)
 		defer sp.End()
 	}
 	pf := j.e.pf
 	e := j.e
 	pf.mu.Lock()
-	if pf.pending[j.key] != j.ps {
-		// Stolen by a reader, cancelled for room, or invalidated while
-		// queued. (A marker under the same key may be a reader's own fetch
-		// of the block: identity, not presence, is what the job claims.)
+	if pf.pending[key] != j.ps {
+		// Stolen by a reader, or invalidated while queued and perhaps
+		// scheduled again: identity, not presence, is what the job claims.
 		pf.mu.Unlock()
 		return
 	}
@@ -668,30 +372,14 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	clean := e.doneChunks == e.writeChunks && (e.active == nil || e.active.fill.Load() == 0)
 	e.mu.Unlock()
 	if !clean {
-		pf.drop(j.key)
+		pf.drop(key)
 		return
 	}
-	if j.framed {
-		if pr, err := fs.fetchFrame(e.backendFile, j.fr); err != nil {
-			pf.drop(j.key)
-		} else {
-			pf.publish(j.key, pr, j.gen)
-		}
-		return
+	if pr, err := fs.fetchFrame(e.backendFile, j.fr); err != nil {
+		pf.drop(key)
+	} else {
+		pf.publish(key, pr, j.gen)
 	}
-	c := pf.fs.getReadChunk()
-	if c == nil {
-		// Pool exhausted by writers: read-ahead yields rather than compete.
-		pf.drop(j.key)
-		return
-	}
-	n, err := e.backendFile.ReadAt(c.buf[:j.n], j.key)
-	if (err != nil && err != io.EOF) || n == 0 {
-		pf.fs.putReadChunk(c)
-		pf.drop(j.key)
-		return
-	}
-	pf.publish(j.key, &prefetched{start: j.key, buf: c.buf[:n], c: c}, j.gen)
 }
 
 // enqueuePrefetch hands a job to the IO workers without blocking: a full

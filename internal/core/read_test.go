@@ -452,23 +452,55 @@ func TestRenameRekeysOpenEntry(t *testing.T) {
 	}
 }
 
-func TestRenameOverOpenDestinationRejected(t *testing.T) {
-	back := memfs.New()
-	fs := mount(t, back, Options{})
-	if err := vfs.WriteFile(fs, "src", []byte("source")); err != nil {
-		t.Fatal(err)
-	}
-	dst, err := fs.Open("dst", vfs.ReadWrite|vfs.Create)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dst.Close()
-	if err := fs.Rename("src", "dst"); !errors.Is(err, vfs.ErrInvalid) {
-		t.Errorf("rename over open destination = %v, want ErrInvalid", err)
-	}
-	// The destination handle still serves its own file.
-	if _, err := dst.WriteAt([]byte("x"), 0); err != nil {
-		t.Errorf("destination handle broken after rejected rename: %v", err)
+// TestRenameOverOpenDestination: a rename over a name that is open
+// replaces it, as on POSIX. The destination's entry leaves the table, as
+// on Remove: its handle keeps reading and writing the replaced file until
+// its last close, while the name, opened again, is the renamed file.
+func TestRenameOverOpenDestination(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cdc  codec.Codec
+	}{
+		{"raw", nil},
+		{"deflate", codec.Deflate()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := mount(t, memfs.New(), Options{ReadAhead: 4, Codec: tc.cdc})
+			if err := vfs.WriteFile(fs, "src", []byte("source")); err != nil {
+				t.Fatal(err)
+			}
+			if err := vfs.WriteFile(fs, "dst", []byte("old destination")); err != nil {
+				t.Fatal(err)
+			}
+			dst, err := fs.Open("dst", vfs.ReadWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dst.Close()
+			if err := fs.Rename("src", "dst"); err != nil {
+				t.Fatalf("rename over an open destination: %v", err)
+			}
+			if got, err := vfs.ReadFile(fs, "dst"); err != nil || string(got) != "source" {
+				t.Fatalf("dst after the rename = %q, %v; want the source", got, err)
+			}
+			// The open handle still serves the file it opened.
+			if _, err := dst.WriteAt([]byte("OLD"), 0); err != nil {
+				t.Fatalf("destination handle broken after the rename: %v", err)
+			}
+			buf := make([]byte, 15)
+			if n, err := dst.ReadAt(buf, 0); (err != nil && err != io.EOF) || string(buf[:n]) != "OLD destination" {
+				t.Fatalf("destination handle reads %q, %v; want the replaced file", buf[:n], err)
+			}
+			if err := dst.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := vfs.ReadFile(fs, "dst"); err != nil || string(got) != "source" {
+				t.Fatalf("dst after the replaced file's last close = %q, %v; want the source", got, err)
+			}
+			if _, err := fs.Stat("src"); !errors.Is(err, vfs.ErrNotExist) {
+				t.Fatalf("src after the rename: %v, want ErrNotExist", err)
+			}
+		})
 	}
 }
 

@@ -91,10 +91,8 @@ type statCounters struct {
 	salvageFramesDropped  atomic.Int64
 	salvageBytesTruncated atomic.Int64
 
-	prefetchWasted    atomic.Int64
-	prefetchBytes     atomic.Int64
-	prefetchSelf      atomic.Int64
-	prefetchReclaimed atomic.Int64
+	prefetchWasted atomic.Int64
+	prefetchBytes  atomic.Int64
 
 	decodeHeapFallbacks atomic.Int64
 
@@ -163,31 +161,20 @@ type Stats struct {
 	// pipeline was dirty (buffered or in-flight chunks outstanding) —
 	// each one is a read that the drain-based path would have stalled on.
 	ReadDrainsAvoided int64
-	// PrefetchHits counts base-read segments (plain blocks or container
-	// frames) served from the read-ahead cache.
+	// PrefetchHits counts container frames a read took from the
+	// read-ahead cache. A plain file has no read-ahead cache: its base
+	// reads go straight to the backend and count neither way.
 	PrefetchHits int64
-	// PrefetchMisses counts base-read segments that consulted the
-	// read-ahead cache and fell back to a synchronous backend fetch.
+	// PrefetchMisses counts container frames a read looked for in the
+	// read-ahead cache and then fetched and decoded itself.
 	PrefetchMisses int64
-	// PrefetchWasted counts prefetched extents discarded unread —
+	// PrefetchWasted counts prefetched frames discarded unread —
 	// invalidated by a mutation, evicted by capacity, or fetched by a job
 	// whose generation went stale before publish.
 	PrefetchWasted int64
-	// PrefetchedBytes is the total bytes published into read-ahead caches.
+	// PrefetchedBytes is the total decoded bytes published into
+	// read-ahead caches.
 	PrefetchedBytes int64
-	// PrefetchSelfFetched counts plain-file blocks a sequential reader of
-	// small reads fetched for itself: the rest of the block it was inside,
-	// read into a pool chunk on a cache miss and published like a worker's
-	// fetch. (Each also counts one PrefetchMiss — the read that fetched.)
-	PrefetchSelfFetched int64
-	// PrefetchReclaimed counts cached read-ahead blocks given back to a
-	// writer blocked on the buffer pool: blocks held beyond the entry's
-	// even share of the pool, the blocks of a stream nobody has read for
-	// about 10 ms of the writer's waiting, or — only when read-ahead held
-	// every chunk of the pool — all of them. Read-ahead being evicted
-	// under mixed load shows up as this counter rising with
-	// PrefetchWasted.
-	PrefetchReclaimed int64
 	// DecodeHeapFallbacks counts frames decoded into freshly allocated
 	// memory rather than a recycled decode buffer: the mount's free list
 	// had none idle (its first restores, or more frames decoded and not
@@ -271,8 +258,6 @@ func (fs *FS) Stats() Stats {
 		PrefetchWasted:    fs.stats.prefetchWasted.Load(),
 		PrefetchedBytes:   fs.stats.prefetchBytes.Load(),
 
-		PrefetchSelfFetched: fs.stats.prefetchSelf.Load(),
-		PrefetchReclaimed:   fs.stats.prefetchReclaimed.Load(),
 		DecodeHeapFallbacks: fs.stats.decodeHeapFallbacks.Load(),
 
 		FailedChunks:          fs.stats.failedChunks.Load(),

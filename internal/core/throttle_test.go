@@ -82,7 +82,9 @@ func (f *inflightFile) ReadAt(p []byte, off int64) (int, error) {
 // a slow backend: at most IOThreads chunk writes are ever in flight at once
 // (the throttle), and IOThreads do meet there (the workers overlap).
 // Then one reader streams a file in chunk-sized reads, past selfFetchMax,
-// with read-ahead eight deep: its own misses add one read to the workers'.
+// with read-ahead eight deep. A container's frames are fetched by the
+// workers, and the reader's own misses add one read to theirs; a plain
+// file is read by the reader alone, one read at a time.
 func TestBackendCallsBoundedByIOThreads(t *testing.T) {
 	const (
 		chunk     = 64 << 10
@@ -140,6 +142,12 @@ func TestBackendCallsBoundedByIOThreads(t *testing.T) {
 			defer f.Close()
 			readSequential(t, f, data, chunk)
 			t.Logf("peak in flight: %d writes, %d reads", back.writes.peak.Load(), back.reads.peak.Load())
+			if tc.cdc == nil {
+				if got, ahead := back.reads.peak.Load(), fs.Stats().PrefetchedBytes; got != 1 || ahead != 0 {
+					t.Errorf("%d backend reads in flight at once and %d bytes read ahead, want 1 and none: a plain file is read straight through", got, ahead)
+				}
+				return
+			}
 			if got := back.reads.peak.Load(); got > ioThreads+1 {
 				t.Errorf("%d backend reads in flight at once, want at most IOThreads+1 = %d", got, ioThreads+1)
 			}

@@ -480,26 +480,29 @@ func AblationChunk() Report {
 	return Report{ID: "ablation-chunk", Title: "Chunk size sweep", Rows: rows, Text: b.String()}
 }
 
-// Restart exercises §V-F: reads pass straight through, CRFS does not
-// change layout, and restart time is unaffected by CRFS.
-func Restart() Report {
-	run := func(useCRFS bool) float64 {
-		r := cluster.RunCheckpoint(cluster.Config{
-			Nodes: 4, ProcsPerNode: 8, Backend: cluster.Ext3, UseCRFS: useCRFS,
-			Stack: mpi.MVAPICH2, Class: workload.ClassB, Seed: seed,
-		})
-		return r.AvgTime
+// restartConfig is the restart experiment's testbed: 32 MVAPICH2
+// processes checkpointing class B to node-local ext3.
+func restartConfig(useCRFS bool) cluster.Config {
+	return cluster.Config{
+		Nodes: 4, ProcsPerNode: 8, Backend: cluster.Ext3, UseCRFS: useCRFS,
+		Stack: mpi.MVAPICH2, Class: workload.ClassB, Seed: seed,
 	}
-	// The write phases differ; the restart claim is about reads, which
-	// both modes pass through identically — measured by the read path
-	// being byte-identical (validated in unit tests). Here we report
-	// the checkpoint times for context.
-	nat, cr := run(false), run(true)
+}
+
+// Restart exercises §V-F: reads pass straight through and CRFS does not
+// change layout, so restart time is unaffected by CRFS. Every process
+// reads its image back in BLCR's sizes after the checkpoint, once through
+// the CRFS mount and once natively; the row is the difference of the mean
+// restart times, which is what passing each read through FUSE in
+// request-sized pieces costs.
+func Restart() Report {
+	nat, cr := cluster.RunRestart(restartConfig(false)), cluster.RunRestart(restartConfig(true))
 	var b strings.Builder
-	fmt.Fprintf(&b, "checkpoint (write) native=%.2fs crfs=%.2fs\n", nat, cr)
-	b.WriteString("restart reads pass through CRFS unchanged; no layout translation\n")
+	fmt.Fprintf(&b, "checkpoint (write) native=%.2fs crfs=%.2fs\n", nat.AvgTime, cr.AvgTime)
+	fmt.Fprintf(&b, "restart (read)     native=%.4fs crfs=%.4fs, %.1f MiB per process, %d processes per node\n",
+		nat.RestartTime, cr.RestartTime, float64(cr.ImageBytes)/(1<<20), cr.Config.ProcsPerNode)
 	rows := []Row{
-		{Name: "restart overhead of CRFS", Paper: 0, Measured: 0, Unit: "s"},
+		{Name: "restart overhead of CRFS", Paper: 0, Measured: cr.RestartTime - nat.RestartTime, Unit: "s"},
 	}
 	return Report{ID: "restart", Title: "Restart read path", Rows: rows, Text: b.String()}
 }

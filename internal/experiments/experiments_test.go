@@ -3,6 +3,9 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"crfs/internal/cluster"
+	"crfs/internal/fuse"
 )
 
 func TestIDsAndUnknown(t *testing.T) {
@@ -16,6 +19,28 @@ func TestIDsAndUnknown(t *testing.T) {
 	sorted := SortedIDs()
 	if len(sorted) != len(ids) {
 		t.Error("SortedIDs lost entries")
+	}
+}
+
+// TestRestartRowMeasured: the restart row is the difference of two
+// simulated restarts, not a constant. It is positive — every read crosses
+// FUSE in request-sized pieces — and it grows when the requests shrink
+// from big_writes' 128 KiB to one page.
+func TestRestartRowMeasured(t *testing.T) {
+	row := Restart().Rows[0]
+	if row.Measured <= 0 {
+		t.Fatalf("restart overhead of CRFS = %v s, want the cost of the FUSE read path (> 0)", row.Measured)
+	}
+	overhead := func(maxRead int) float64 {
+		crfs := restartConfig(true)
+		crfs.CRFS.FUSE.MaxWrite = maxRead
+		return cluster.RunRestart(crfs).RestartTime - cluster.RunRestart(restartConfig(false)).RestartTime
+	}
+	if got := overhead(fuse.BigWritesMaxWrite); got != row.Measured {
+		t.Errorf("the row reads %v s, its runs %v s", row.Measured, got)
+	}
+	if small := overhead(fuse.DefaultMaxWrite); small <= row.Measured {
+		t.Errorf("restart overhead with 4 KiB requests %v s, with 128 KiB %v s: want more for smaller requests", small, row.Measured)
 	}
 }
 

@@ -36,12 +36,10 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		// Mount: read path and prefetch.
 		metrics.Counter("crfs_reads_from_buffer_total", "ReadAt calls served at least partially from buffered data.", st.ReadsFromBuffer),
 		metrics.Counter("crfs_read_drains_avoided_total", "Reads that arrived while the pipeline was dirty and did not stall.", st.ReadDrainsAvoided),
-		metrics.Counter("crfs_prefetch_hits_total", "Base-read segments served from the read-ahead cache.", st.PrefetchHits),
-		metrics.Counter("crfs_prefetch_misses_total", "Base-read segments that fell back to a synchronous fetch.", st.PrefetchMisses),
-		metrics.Counter("crfs_prefetch_wasted_total", "Prefetched extents discarded unread.", st.PrefetchWasted),
-		metrics.Counter("crfs_prefetch_bytes_total", "Bytes published into read-ahead caches.", st.PrefetchedBytes),
-		metrics.Counter("crfs_prefetch_self_fetched_total", "Blocks a sequential reader of small reads fetched for itself on a miss.", st.PrefetchSelfFetched).WithStat("prefetch_self"),
-		metrics.Counter("crfs_prefetch_reclaimed_total", "Cached read-ahead blocks given back to writers blocked on the pool.", st.PrefetchReclaimed).WithStat("prefetch_reclaimed"),
+		metrics.Counter("crfs_prefetch_hits_total", "Container frames served from the read-ahead cache.", st.PrefetchHits),
+		metrics.Counter("crfs_prefetch_misses_total", "Container frames a read fetched and decoded itself.", st.PrefetchMisses),
+		metrics.Counter("crfs_prefetch_wasted_total", "Prefetched frames discarded unread.", st.PrefetchWasted),
+		metrics.Counter("crfs_prefetch_bytes_total", "Decoded bytes published into read-ahead caches.", st.PrefetchedBytes),
 		metrics.Counter("crfs_decode_heap_fallbacks_total", "Frames decoded into fresh memory because the decode free list was empty or the frame exceeds a chunk.", st.DecodeHeapFallbacks).WithStat("decode_heap_fallbacks"),
 		// Mount: recovery.
 		metrics.Counter("crfs_failed_chunks_total", "Aggregation chunks whose backend write failed.", st.FailedChunks).WithStat("failed_chunks"),

@@ -532,11 +532,11 @@ func (f *parkReadsFile) Close() error {
 	return f.File.Close()
 }
 
-// TestPutCommitsAfterReaderCloses: a PUT whose destination a GET holds
-// open cannot commit yet (vfs.ErrBusy). The commit must
-// retry rather than fail, land once the GET closes the file, and read
-// back byte-identical; the GET itself serves the old version whole.
-func TestPutCommitsAfterReaderCloses(t *testing.T) {
+// TestPutCommitsWhileReaderHoldsName: a PUT whose destination a GET holds
+// open commits without waiting for the GET, as a rename over an open file
+// does on POSIX. The parked GET still serves the old version whole, and a
+// GET after the commit reads the new one byte-identical.
+func TestPutCommitsWhileReaderHoldsName(t *testing.T) {
 	const name = "ckpt"
 	backend := &parkReadsFS{FS: memfs.New(), name: name,
 		parked: make(chan struct{}), staged: make(chan struct{}), release: make(chan struct{})}
@@ -567,20 +567,23 @@ func TestPutCommitsAfterReaderCloses(t *testing.T) {
 	putDone := make(chan error, 1)
 	go func() { putDone <- putter.Put(name, bytes.NewReader(next), int64(len(next))) }()
 	await(backend.staged, "the PUT to stage its body")
-	// The first rename follows the staging close at once; no event marks
-	// it, so it gets a window, well inside the commit's retry budget.
 	select {
 	case err := <-putDone:
-		t.Fatalf("PUT returned while a GET held its destination open: %v", err)
-	case <-time.After(20 * time.Millisecond):
+		if err != nil {
+			t.Fatalf("PUT while a GET held its destination open: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the PUT waited for the GET holding its destination open")
+	}
+	select {
+	case err := <-getDone:
+		t.Fatalf("the GET returned while its reads were parked: %v", err)
+	default:
 	}
 	release()
 
 	if err := <-getDone; err != nil || !bytes.Equal(got.Bytes(), old) {
-		t.Fatalf("GET of the open destination: err=%v, old version intact=%v", err, bytes.Equal(got.Bytes(), old))
-	}
-	if err := <-putDone; err != nil {
-		t.Fatalf("PUT after the reader closed: %v", err)
+		t.Fatalf("GET of the replaced file: err=%v, old version intact=%v", err, bytes.Equal(got.Bytes(), old))
 	}
 	var back bytes.Buffer
 	if _, err := getter.Get(name, &back); err != nil || !bytes.Equal(back.Bytes(), next) {

@@ -39,9 +39,6 @@ var (
 	ErrNotEmpty = errors.New("directory not empty")
 	// ErrNoSpace reports backend storage exhaustion.
 	ErrNoSpace = errors.New("no space left on device")
-	// ErrBusy reports a Rename refused because its destination is held
-	// open. The state is transient: Replace retries such a rename.
-	ErrBusy = errors.New("rename destination is open")
 )
 
 // OpenFlag selects the access mode and behaviour of Open, mirroring the
@@ -172,8 +169,8 @@ func WriteFile(fsys FS, name string, data []byte) error {
 // A power cut at any step leaves name holding either its old bytes or
 // all of the new ones, plus at most an inert temp for SweepTemps.
 // Replace returns nil only if every step succeeded; a failure before the
-// rename removes the temp. A rename refused with ErrBusy (a reader holds
-// name open) is retried for up to 100 ms. name's directory must exist.
+// rename removes the temp. A reader holding name open keeps reading the
+// old file until it closes it. name's directory must exist.
 func Replace(fsys FS, name string, write func(File) error) error {
 	f, temp, err := createTemp(fsys, name)
 	if err != nil {
@@ -191,7 +188,9 @@ func Replace(fsys FS, name string, write func(File) error) error {
 		err = fmt.Errorf("%w (close: %v)", err, cerr)
 	}
 	if err == nil {
-		err = renameBusy(fsys, temp, name)
+		if err = fsys.Rename(temp, name); err != nil {
+			err = fmt.Errorf("vfs: commit %s: %w", name, err)
+		}
 	}
 	if err != nil {
 		if rerr := fsys.Remove(temp); rerr != nil {
@@ -216,22 +215,6 @@ func createTemp(fsys FS, name string) (File, string, error) {
 			return f, temp, err
 		}
 	}
-}
-
-// renameBusy renames temp over name, retrying while the rename is
-// refused with ErrBusy, for up to 50 tries 2 ms apart.
-func renameBusy(fsys FS, temp, name string) error {
-	var err error
-	for try := 0; try < 50; try++ {
-		if err = fsys.Rename(temp, name); !errors.Is(err, ErrBusy) {
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	if err != nil {
-		return fmt.Errorf("vfs: commit %s: %w", name, err)
-	}
-	return nil
 }
 
 // tempSeq numbers the temps this process creates.
