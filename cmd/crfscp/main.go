@@ -214,9 +214,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads,
 			RepairOnOpen: *repair, Tracer: trun.tracer(),
 		}
-		if *restore {
-			opts.ReadAhead = crfs.RestoreReadAhead
-		} else {
+		if !*restore {
 			opts.Codec, err = crfs.LookupCodec(*codecName)
 		}
 		if err == nil {

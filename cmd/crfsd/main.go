@@ -111,7 +111,7 @@ func run(args []string, stop <-chan os.Signal) (code int) {
 	}
 	fs, err := crfs.MountDir(*dir, crfs.Options{
 		ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads, Codec: cdc,
-		ReadAhead: crfs.RestoreReadAhead, RepairOnOpen: *repair, Tracer: tr,
+		RepairOnOpen: *repair, Tracer: tr,
 	})
 	if err != nil {
 		log.Print(err)

@@ -29,13 +29,14 @@
 // default raw codec keeps the seed passthrough behavior byte-identical.
 //
 // Restart — the sequential read-back of a checkpoint image — reads a
-// plain file straight through, as the paper does. A frame container has
-// its own pipeline (Options.ReadAhead): a handle detected reading one
-// sequentially has its next frames fetched and decoded in parallel on the
-// same IO workers, so restart is no longer bounded by one core's inflate.
-// Prefetched frames are invalidated by writes, truncates, and renames,
-// and buffered writes always shadow them, so read results never change —
-// only their cost.
+// plain file straight through, as the paper does, bounded by the file's
+// size when each read began. A frame container has its own pipeline, on
+// every mount (Options.ReadAhead sets its depth): a handle detected
+// reading one sequentially has its next frames fetched and decoded in
+// parallel on the same IO workers, so restart is no longer bounded by one
+// core's inflate. Prefetched frames are invalidated by writes, truncates,
+// and renames, and buffered writes always shadow them, so read results
+// never change — only their cost.
 //
 // Crash consistency is a stated contract: everything acknowledged by
 // Sync or Close survives a crash byte-identically, overwritten data is
@@ -119,17 +120,15 @@ const (
 	Trunc     = vfs.Trunc
 )
 
-// Defaults chosen by the paper's evaluation (§V-B).
+// Defaults chosen by the paper's evaluation (§V-B), and the read-ahead
+// depth in frames: Options.ReadAhead 0 selects DefaultReadAhead, as 0
+// selects the other defaults (the repository benchmark writes the same 8).
 const (
 	DefaultBufferPoolSize = core.DefaultBufferPoolSize
 	DefaultChunkSize      = core.DefaultChunkSize
 	DefaultIOThreads      = core.DefaultIOThreads
+	DefaultReadAhead      = core.DefaultReadAhead
 )
-
-// RestoreReadAhead is the Options.ReadAhead depth the tools mount with
-// wherever checkpoints are read back (crfsd GET streams, crfscp
-// -restore; the repository benchmark writes the same 8).
-const RestoreReadAhead = 8
 
 // RawCodec returns the passthrough chunk codec (the default): backend
 // output is byte-identical to a codec-less mount.

@@ -77,6 +77,6 @@ func main() {
 		log.Fatal("restart through CRFS: image corrupted")
 	}
 	st := fs2.Stats()
-	fmt.Printf("restart through CRFS: image intact, passthrough reads=%d, backend writes=%d\n",
+	fmt.Printf("restart through CRFS: image intact, reads=%d, backend writes=%d\n",
 		st.Reads, st.BackendWrites)
 }

@@ -57,14 +57,14 @@ func compactClosed(t *testing.T, back vfs.FS, name string) compact.CompactFileRe
 // rewrite-heavy container reclaims every dead byte the rewrites
 // accumulated (at least a tenth of the container) and reads stay
 // byte-identical — through the live mount and after remount — across raw
-// and deflate, with and without read-ahead.
+// and deflate, at the default read-ahead depth and at depth 4.
 func TestCompactExplicit(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		cdc       codec.Codec
 		readAhead int
 	}{
-		{"deflate", codec.Deflate(), 0},
+		{"deflate/default", codec.Deflate(), 0},
 		{"deflate/readahead", codec.Deflate(), 4},
 		{"raw-codec-mount", nil, 0}, // raw mounts have no containers; nothing to compact
 	} {

@@ -28,7 +28,7 @@ func mount(t *testing.T, backend vfs.FS, opts Options) *FS {
 func TestMountDefaults(t *testing.T) {
 	fs := mount(t, memfs.New(), Options{})
 	o := fs.Options()
-	if o.BufferPoolSize != DefaultBufferPoolSize || o.ChunkSize != DefaultChunkSize || o.IOThreads != DefaultIOThreads {
+	if o.BufferPoolSize != DefaultBufferPoolSize || o.ChunkSize != DefaultChunkSize || o.IOThreads != DefaultIOThreads || o.ReadAhead != DefaultReadAhead {
 		t.Errorf("defaults not applied: %+v", o)
 	}
 }
@@ -39,6 +39,9 @@ func TestMountInvalidOptions(t *testing.T) {
 	}
 	if _, err := Mount(memfs.New(), Options{IOThreads: -2}); err == nil {
 		t.Error("negative IO threads accepted")
+	}
+	if _, err := Mount(memfs.New(), Options{ReadAhead: -1}); err == nil {
+		t.Error("negative read-ahead depth accepted")
 	}
 	if _, err := Mount(nil, Options{}); err == nil {
 		t.Error("nil backend accepted")

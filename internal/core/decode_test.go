@@ -51,10 +51,10 @@ func waitPoolWhole(t *testing.T, fs *FS) {
 const maxRestoreAllocKiBPerMiB = 16
 
 // TestFramedRestoreAllocsPerMiB restores a 16 MiB deflate image in BLCR's
-// read sizes and in 512 B reads, with read-ahead and without, and holds
-// the process-wide allocation count of a warm restore to the floor. The
-// mount is the shipped default (4 MiB chunks, a pool of four), as the
-// repository benchmark mounts it.
+// read sizes and in 512 B reads, and holds the process-wide allocation
+// count of a warm restore to the floor. The mount is the shipped default
+// (4 MiB chunks, a pool of four, read-ahead 8), as the repository
+// benchmark mounts it.
 func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 	const image = 16 << 20
 	back := memfs.New()
@@ -72,17 +72,14 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 	}
 	got := make([]byte, image)
 	for _, tc := range []struct {
-		name      string
-		sizes     []int64
-		readAhead int
+		name  string
+		sizes []int64
 	}{
-		{"blcr/readahead", blcr.Stream(image, 1), 8},
-		{"blcr/demand", blcr.Stream(image, 1), 0},
-		{"512B/readahead", small, 8},
-		{"512B/demand", small, 0},
+		{"blcr/readahead", blcr.Stream(image, 1)},
+		{"512B/readahead", small},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fs := mount(t, back, Options{Codec: codec.Deflate(), ReadAhead: tc.readAhead})
+			fs := mount(t, back, Options{Codec: codec.Deflate()})
 			var off int64 // what one restore reads: blcr.Stream stops a little short of the image
 			restore := func() {
 				f, err := fs.Open("img", vfs.ReadOnly)
@@ -129,7 +126,7 @@ func TestFramedRestoreAllocsPerMiB(t *testing.T) {
 			}
 			// One stream holds the frame it is inside and at most ReadAhead
 			// ahead of it, and this image has four.
-			if most := int64(min(image/DefaultChunkSize, tc.readAhead+1)); st.DecodeHeapFallbacks > most {
+			if most := int64(min(image/DefaultChunkSize, DefaultReadAhead+1)); st.DecodeHeapFallbacks > most {
 				t.Errorf("%d decode buffers were made for a stream that holds at most %d", st.DecodeHeapFallbacks, most)
 			}
 			waitPoolWhole(t, fs)

@@ -104,8 +104,8 @@ type fileEntry struct {
 	decPos int64
 	decGen uint64
 
-	// pf is the entry's read-ahead state (restart read pipeline), nil
-	// when Options.ReadAhead is 0. Immutable after newFileEntry.
+	// pf is the entry's read-ahead state (restart read pipeline), never
+	// nil. Immutable after newFileEntry.
 	pf *prefetcher
 }
 
@@ -129,9 +129,7 @@ func newFileEntry(fs *FS, name string, backend backendHandle, chunkSize int64) *
 		pendingRepair: -1,
 	}
 	e.cond = sync.NewCond(&e.mu)
-	if fs.opts.ReadAhead > 0 {
-		e.pf = newPrefetcher(fs, e)
-	}
+	e.pf = newPrefetcher(fs, e)
 	return e
 }
 
@@ -150,7 +148,7 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 		return 0, e.firstErr
 	}
 
-	if e.pf != nil && len(p) > 0 {
+	if len(p) > 0 {
 		// Invalidate read-ahead before the first byte enters the pipeline:
 		// a prefetched frame overlapping this write would serve stale base
 		// bytes once the write's chunk retires from the overlay.
@@ -297,17 +295,15 @@ func (e *fileEntry) drainReport() error {
 // base. complete returns the retired chunks; the caller must unpin each
 // (their pipeline references) outside the lock.
 func (e *fileEntry) complete(c *chunk, err error) []*chunk {
-	if e.pf != nil {
-		// Retirement hands this chunk's extent from the overlay to the
-		// durable base, so any prefetched base bytes predate it — including
-		// bytes fetched by a job that was scheduled *during* the write
-		// (after write()'s invalidate but before the payload was buffered,
-		// a window in which the pipeline still looks clean and the
-		// generation already looks current). Invalidating here, strictly
-		// before the in-flight removal below, closes that window: a reader
-		// that plans after retirement finds the cache already empty.
-		e.pf.invalidate()
-	}
+	// Retirement hands this chunk's extent from the overlay to the durable
+	// base, so any prefetched base bytes predate it — including bytes
+	// fetched by a job that was scheduled *during* the write (after
+	// write()'s invalidate but before the payload was buffered, a window in
+	// which the pipeline still looks clean and the generation already looks
+	// current). Invalidating here, strictly before the in-flight removal
+	// below, closes that window: a reader that plans after retirement finds
+	// the cache already empty.
+	e.pf.invalidate()
 	e.mu.Lock()
 	e.doneChunks++
 	if err != nil {
@@ -471,8 +467,9 @@ func (e *fileEntry) planRead(off, end int64) (plan readPlan, size int64, framed,
 // Precedence, lowest first: the durable base (backend bytes, or decoded
 // frames for a container), the in-flight chunks in flush order, the
 // active partial chunk. A plain file's base is a direct backend read into
-// p, and on a mount without read-ahead a clean plain file stays pure
-// passthrough.
+// p, bounded by the size the read planned against: a read never reaches
+// past it into a hole that a concurrent writer's chunks, landing out of
+// order, leave for a moment.
 //
 // truncMu serializes reads against truncation: a truncate mutates the
 // entry's logical state and the backend bytes non-atomically, and a read
@@ -498,14 +495,6 @@ func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	}
 	if len(plan.overlays) > 0 {
 		e.fs.stats.readsFromBuffer.Add(1)
-	}
-	if !framed && !dirty && len(plan.overlays) == 0 && e.pf == nil {
-		// Clean plain file: seed passthrough, byte-identical semantics.
-		// (With read-ahead enabled the path below runs instead, and bounds
-		// the read by the size it planned against: a stream then never
-		// reads past that into a hole that a concurrent writer's chunks,
-		// landing out of order, leave for a moment.)
-		return e.backendFile.ReadAt(p, off)
 	}
 	if off >= size {
 		return 0, io.EOF
@@ -612,12 +601,9 @@ func (e *fileEntry) decodeFrame(fr codec.FrameInfo, stream bool) (*prefetched, e
 	// The stream leaves the cached frame: its buffer goes back first, so
 	// the next decode can take it.
 	e.dropDecoded(false)
-	var pr *prefetched
-	if e.pf != nil {
-		pr = e.pf.takeFrame(fr.Pos) // a worker may have decoded it already
-		if stream {
-			e.pf.schedule(fr.Header.Off+1, obs.SpanContext{})
-		}
+	pr := e.pf.takeFrame(fr.Pos) // a worker may have decoded it already
+	if stream {
+		e.pf.schedule(fr.Header.Off+1, obs.SpanContext{})
 	}
 	if pr == nil {
 		var err error
@@ -669,11 +655,9 @@ func (e *fileEntry) dropDecoded(invalidate bool) {
 func (e *fileEntry) truncate(size int64) error {
 	e.truncMu.Lock()
 	defer e.truncMu.Unlock()
-	if e.pf != nil {
-		// Any truncate outcome (shrink, reset, extend) can change what the
-		// base reads as; drop read-ahead before the backend changes.
-		e.pf.invalidate()
-	}
+	// Any truncate outcome (shrink, reset, extend) can change what the base
+	// reads as; drop read-ahead before the backend changes.
+	e.pf.invalidate()
 	e.mu.Lock()
 	framed, logical := e.framed, e.logicalSize
 	name := e.name

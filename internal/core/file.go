@@ -125,9 +125,10 @@ func (fs *FS) sampleStart(count int64) (t0 int64, timed bool) {
 // frames for a container) patched with this file's in-flight chunks and
 // active partial chunk, in write order. The read never flushes or waits
 // on the pipeline, so one reader cannot stall the asynchronous write
-// path; clean plain files stay pure passthrough. A stream of small reads
-// is served from a short copy of the file the handle holds (streamCopy),
-// which a read that misses it refills through that same path.
+// path; a plain file's durable bytes are one backend read, bounded by the
+// file's size when the read began. A stream of small reads is served from
+// a short copy of the file the handle holds (streamCopy), which a read
+// that misses it refills through that same path.
 func (f *file) ReadAt(p []byte, off int64) (int, error) {
 	if err := f.checkOpen(); err != nil {
 		return 0, err
@@ -265,9 +266,6 @@ type readRoute struct {
 // reads, and a lone small read amid large ones copies nothing extra.
 func (f *file) noteRead(p []byte, off int64) (r readRoute) {
 	e := f.entry
-	if e.pf == nil {
-		return r
-	}
 	n := int64(len(p))
 	small := n > 0 && n < selfFetchMax
 	f.mu.Lock()

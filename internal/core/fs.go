@@ -682,9 +682,7 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 	// Return the buffers the read path holds before the backend handle
 	// goes away; in-flight jobs die on the generation bump.
 	entry.dropDecoded(true)
-	if entry.pf != nil {
-		entry.pf.invalidate()
-	}
+	entry.pf.invalidate()
 	return entry.backendFile.Close()
 }
 
@@ -810,12 +808,10 @@ func (fs *FS) renameLocked(oldKey, newKey, oldName, newName string, entry *fileE
 		entry.mu.Lock()
 		entry.name = newKey
 		entry.mu.Unlock()
-		if entry.pf != nil {
-			// Backends whose handles do not follow a rename may serve the
-			// new path's bytes from here on; prefetched extents of the old
-			// identity must not survive the switch.
-			entry.pf.invalidate()
-		}
+		// Backends whose handles do not follow a rename may serve the new
+		// path's bytes from here on; prefetched extents of the old identity
+		// must not survive the switch.
+		entry.pf.invalidate()
 	}
 	return nil
 }
@@ -1009,9 +1005,7 @@ func (fs *FS) Unmount() error {
 			firstErr = err
 		}
 		e.dropDecoded(true)
-		if e.pf != nil {
-			e.pf.invalidate()
-		}
+		e.pf.invalidate()
 		if err := e.backendFile.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}

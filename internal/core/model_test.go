@@ -411,17 +411,18 @@ func TestModelMixedCodec(t *testing.T) {
 }
 
 // TestModelDifferential runs the random op sequences over every mount
-// flavour the read and write pipelines distinguish: raw and deflate, with
-// and without read-ahead. Run under -race in CI.
+// flavour the read and write pipelines distinguish, raw and deflate, each
+// at the default read-ahead depth (Options.ReadAhead 0) and at depth 4.
+// Run under -race in CI.
 func TestModelDifferential(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		cdc       codec.Codec
 		readAhead int
 	}{
-		{"raw", nil, 0},
+		{"raw/default", nil, 0},
 		{"raw/readahead", nil, 4},
-		{"deflate", codec.Deflate(), 0},
+		{"deflate/default", codec.Deflate(), 0},
 		{"deflate/readahead", codec.Deflate(), 4},
 	} {
 		tc := tc

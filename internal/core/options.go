@@ -25,11 +25,12 @@ import (
 
 // Defaults chosen by the paper's evaluation (§V-B): a 16 MB buffer pool of
 // 4 MB chunks drained by 4 IO threads saturates a node's checkpoint streams
-// while bounding memory.
+// while bounding memory. A restart stream reads 8 frames ahead.
 const (
 	DefaultBufferPoolSize = 16 << 20
 	DefaultChunkSize      = 4 << 20
 	DefaultIOThreads      = 4
+	DefaultReadAhead      = 8
 )
 
 // Options configures a CRFS mount. The zero value selects the paper's
@@ -46,18 +47,16 @@ type Options struct {
 	// queue; it throttles concurrent writes reaching the backend.
 	// Defaults to 4.
 	IOThreads int
-	// ReadAhead enables the restart read pipeline and sets its depth: a
-	// file handle detected reading a frame container sequentially
-	// triggers prefetch of the next ReadAhead frames, fetched and decoded
-	// in parallel on the IO workers and served to subsequent reads from a
-	// per-file cache, and a handle streaming any file in small reads
-	// serves them from a short copy of what follows. A plain file's reads
-	// otherwise go straight to the backend, which reads ahead by itself.
-	// 0 (the default) disables both and keeps the seed read path
-	// byte-identical. Prefetched bytes are invalidated by writes,
-	// truncates, and renames, and buffered writes always shadow them (the
-	// overlay-wins rule), so enabling read-ahead never changes read
-	// results — only their cost.
+	// ReadAhead is the depth of the restart read pipeline: a file handle
+	// detected reading a frame container sequentially triggers prefetch
+	// of the next ReadAhead frames, fetched and decoded in parallel on the
+	// IO workers and served to subsequent reads from a per-file cache,
+	// and a handle streaming any file in small reads serves them from a
+	// short copy of what follows. A plain file's reads otherwise go
+	// straight to the backend, which reads ahead by itself. Defaults to 8
+	// frames. Prefetched bytes are invalidated by writes, truncates, and
+	// renames, and buffered writes always shadow them (the overlay-wins
+	// rule), so the depth never changes read results — only their cost.
 	ReadAhead int
 	// RepairOnOpen makes the first open of a frame container with a torn
 	// tail (a crash mid-append) rewrite the file: the backend is
@@ -100,6 +99,9 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.IOThreads == 0 {
 		o.IOThreads = DefaultIOThreads
+	}
+	if o.ReadAhead == 0 {
+		o.ReadAhead = DefaultReadAhead
 	}
 	if o.Codec == nil {
 		o.Codec = codec.Raw()

