@@ -34,9 +34,10 @@
 // every mount (Options.ReadAhead sets its depth): a handle detected
 // reading one sequentially has its next frames fetched and decoded in
 // parallel on the same IO workers, so restart is no longer bounded by one
-// core's inflate. Prefetched frames are invalidated by writes, truncates,
-// and renames, and buffered writes always shadow them, so read results
-// never change — only their cost.
+// core's inflate. A decoded frame stays valid until its container is
+// reset (a write appends a new frame, which reads apply over the older
+// ones); truncates and renames drop decoded frames, and buffered writes
+// always shadow them, so read results never change — only their cost.
 //
 // Crash consistency is a stated contract: everything acknowledged by
 // Sync or Close survives a crash byte-identically, overwritten data is

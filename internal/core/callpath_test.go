@@ -143,18 +143,24 @@ func TestCoreAllocsPerCall(t *testing.T) {
 	}
 }
 
-// TestSizeClasses pins the allocation size classes of two structs whose
+// TestSizeClasses pins the allocation size classes of three structs whose
 // layout was measured. FS must stay in the 512-byte class, whose slots
 // are cache-line aligned: at 472 bytes it fell into the 480-byte class and
 // daemon-mixed spent ~7 % more CPU. A file is allocated per open, and
 // stripe-gen opens one per chunk: it stays in the 96-byte class, which a
-// streamCopy pointer fits only because seqRun fills mu's padding.
+// streamCopy pointer fits only because seqRun fills mu's padding. A
+// prefetcher is allocated with every entry, frames or not, and stays in
+// the 80-byte class it had before it held the current frame: cur took the
+// place of its FS pointer (it reaches the mount through its entry).
 func TestSizeClasses(t *testing.T) {
 	if n := unsafe.Sizeof(FS{}); n <= 480 || n > 512 {
 		t.Errorf("FS is %d bytes, want 481..512 (the 512-byte size class)", n)
 	}
 	if n := unsafe.Sizeof(file{}); n > 96 {
 		t.Errorf("file is %d bytes, want at most 96 (the 96-byte size class)", n)
+	}
+	if n := unsafe.Sizeof(prefetcher{}); n > 80 {
+		t.Errorf("prefetcher is %d bytes, want at most 80 (the 80-byte size class)", n)
 	}
 }
 

@@ -17,8 +17,9 @@ import (
 )
 
 // Tests of the decoded-frame buffers: a frame is decoded into a buffer of
-// the mount's decode free list that read-ahead, the one-frame decode cache
-// and the readers copying from it share by reference count.
+// the mount's decode free list that read-ahead, the frame a stream is
+// inside (prefetcher.cur) and the readers copying from it share by
+// reference count.
 
 // waitPoolWhole fails unless every chunk of the mount's pool and every
 // decode buffer comes back to its free list: a pin that was never dropped,

@@ -25,10 +25,12 @@ type fileEntry struct {
 
 	// calls is the entry's shard of the per-call counters and latency
 	// histograms (see callShard); backendFile is the backend handle every
-	// handle of the path shares. Both are immutable from newFileEntry to
-	// the last close, so workers, Sync and Close read them with no lock.
+	// handle of the path shares, and writable says whether it was opened
+	// for writing. All three are immutable from Open to the last close, so
+	// workers, Sync and Close read them with no lock.
 	calls       *callShard
 	backendFile backendHandle
+	writable    bool
 
 	// writeMu serializes the write/flush path of this file so that the
 	// aggregation ops of one write are applied atomically even when the
@@ -39,7 +41,7 @@ type fileEntry struct {
 
 	// truncMu serializes truncation (exclusive) against the overlay read
 	// path (shared): see readAt. Lock order: truncMu before writeMu
-	// before mu/decMu; the prefetcher's mutex is independent.
+	// before mu before the prefetcher's mutex.
 	truncMu sync.RWMutex
 
 	// mu guards everything below. cond (on mu) is signalled by IO workers
@@ -90,21 +92,7 @@ type fileEntry struct {
 	// means no repair is due.
 	pendingRepair int64
 
-	// decMu guards the one-frame decode cache, which makes sequential
-	// small reads of a container cheap. The cache holds the read-path
-	// reference of the decode buffer its frame (dec, at container offset
-	// decPos) lives in: a reader pins the frame under decMu, copies after dropping
-	// the lock, and unpins — the write overlay's rule — so replacing or
-	// dropping the cached frame never recycles a buffer under a copy, and
-	// concurrent reads of different frames decode in parallel. decGen
-	// bumps on container reset so an in-flight decode can't republish a
-	// pre-reset frame into the cache.
-	decMu  sync.Mutex
-	dec    *prefetched
-	decPos int64
-	decGen uint64
-
-	// pf is the entry's read-ahead state (restart read pipeline), never
+	// pf holds the entry's decoded frames (restart read pipeline), never
 	// nil. Immutable after newFileEntry.
 	pf *prefetcher
 }
@@ -129,7 +117,7 @@ func newFileEntry(fs *FS, name string, backend backendHandle, chunkSize int64) *
 		pendingRepair: -1,
 	}
 	e.cond = sync.NewCond(&e.mu)
-	e.pf = newPrefetcher(fs, e)
+	e.pf = newPrefetcher(e)
 	return e
 }
 
@@ -146,13 +134,6 @@ func (e *fileEntry) write(p []byte, off int64, ctx obs.SpanContext) (int, error)
 		e.mu.Lock()
 		defer e.mu.Unlock()
 		return 0, e.firstErr
-	}
-
-	if len(p) > 0 {
-		// Invalidate read-ahead before the first byte enters the pipeline:
-		// a prefetched frame overlapping this write would serve stale base
-		// bytes once the write's chunk retires from the overlay.
-		e.pf.invalidate()
 	}
 
 	e.ops = e.agg.Write(off, int64(len(p)), e.ops[:0])
@@ -292,18 +273,11 @@ func (e *fileEntry) drainReport() error {
 // Retirement happens in the same critical section that bumps doneChunks;
 // for framed entries the frame index was updated first (under mu, in
 // writeFramed), so a retired chunk's bytes are always in the durable
-// base. complete returns the retired chunks; the caller must unpin each
-// (their pipeline references) outside the lock.
+// base. Retirement leaves the decoded frames alone: the chunk's frame is
+// a new one in the index, and a read applies it over every older frame it
+// overlaps, cached or not. complete returns the retired chunks; the caller
+// must unpin each (their pipeline references) outside the lock.
 func (e *fileEntry) complete(c *chunk, err error) []*chunk {
-	// Retirement hands this chunk's extent from the overlay to the durable
-	// base, so any prefetched base bytes predate it — including bytes
-	// fetched by a job that was scheduled *during* the write (after
-	// write()'s invalidate but before the payload was buffered, a window in
-	// which the pipeline still looks clean and the generation already looks
-	// current). Invalidating here, strictly before the in-flight removal
-	// below, closes that window: a reader that plans after retirement finds
-	// the cache already empty.
-	e.pf.invalidate()
 	e.mu.Lock()
 	e.doneChunks++
 	if err != nil {
@@ -516,9 +490,7 @@ func (e *fileEntry) readAt(p []byte, off int64, stream bool) (int, error) {
 	}
 	if base {
 		if framed {
-			// Rule 2 of the read pipeline: nothing is fetched into the
-			// read-ahead cache while the write pipeline is dirty.
-			err = e.readFramedInto(p, off, stream && !dirty)
+			err = e.readFramedInto(p, off, stream)
 		} else {
 			err = e.readPlainInto(p, off)
 		}
@@ -554,8 +526,7 @@ func (e *fileEntry) readPlainInto(p []byte, off int64) error {
 // readFramedInto fills p from a frame container: zero-fill the ranges no
 // frame covers (holes read as zeros, like sparse files), then overlay every
 // overlapping frame's decoded bytes in sequence order so later writes
-// shadow earlier ones. stream is readAt's, less a dirty pipeline (rule 2
-// of the read pipeline).
+// shadow earlier ones. stream is readAt's.
 func (e *fileEntry) readFramedInto(p []byte, off int64, stream bool) error {
 	var few [4]codec.FrameInfo
 	overlap := e.overlapFrames(few[:0], off, off+int64(len(p)))
@@ -576,75 +547,29 @@ func (e *fileEntry) readFramedInto(p []byte, off int64, stream bool) error {
 		lo := max(fr.Header.Off, off)
 		hi := min(fr.Header.Off+int64(fr.Header.RawLen), off+int64(len(p)))
 		copy(p[lo-off:hi-off], pr.buf[lo-fr.Header.Off:hi-fr.Header.Off])
-		pr.c.unpin()
+		pr.unpin()
 	}
 	return nil
 }
 
 // decodeFrame returns a frame's decoded bytes, pinned for the caller's
-// copy (the caller unpins). It serves from the one-frame cache when a
-// previous read hit the same frame, then from the read-ahead cache, and
-// otherwise decodes outside any lock (concurrent readers of different
-// frames don't serialize behind one inflater); either way the frame ends
-// up in the one-frame cache. A stream plans its read-ahead here, as it
+// copy (the caller unpins). It serves from the prefetcher — the current
+// frame when a previous read was inside it, else the read-ahead cache —
+// and otherwise decodes outside any lock (concurrent readers of different
+// frames don't serialize behind one inflater); either way the frame
+// becomes the current one. A stream plans its read-ahead here, as it
 // enters a frame: the workers then inflate the next frames while this one
 // is decoded and copied, however few calls the stream reads it in.
 func (e *fileEntry) decodeFrame(fr codec.FrameInfo, stream bool) (*prefetched, error) {
-	e.decMu.Lock()
-	if pr := e.dec; pr != nil && e.decPos == fr.Pos {
-		pr.c.pin() // the cache's reference is held under decMu, so refs > 0
-		e.decMu.Unlock()
+	pr, gen := e.pf.takeFrame(fr, stream)
+	if pr != nil {
 		return pr, nil
 	}
-	gen := e.decGen
-	e.decMu.Unlock()
-	// The stream leaves the cached frame: its buffer goes back first, so
-	// the next decode can take it.
-	e.dropDecoded(false)
-	pr := e.pf.takeFrame(fr.Pos) // a worker may have decoded it already
-	if stream {
-		e.pf.schedule(fr.Header.Off+1, obs.SpanContext{})
+	pr, err := e.fs.fetchFrame(e.backendFile, fr)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s: %w", e.pathName(), err)
 	}
-	if pr == nil {
-		var err error
-		if pr, err = e.fs.fetchFrame(e.backendFile, fr); err != nil {
-			return nil, fmt.Errorf("core: %s: %w", e.pathName(), err)
-		}
-	}
-	// The frame's read-path reference moves to the one-frame cache; the
-	// caller copies under a pin of its own. If the container was reset
-	// since gen was loaded the frame is not cached — positions restart
-	// from zero after a truncate, so pos alone would alias old and new
-	// frames — and only that pin remains.
-	pr.c.pin()
-	old := pr
-	e.decMu.Lock()
-	if e.decGen == gen {
-		old, e.dec, e.decPos = e.dec, pr, fr.Pos
-	}
-	e.decMu.Unlock()
-	if old != nil {
-		old.c.unpin()
-	}
-	return pr, nil
-}
-
-// dropDecoded empties the one-frame decode cache and gives its buffer back
-// (a reader still copying from it holds a pin; the last unpin recycles).
-// invalidate says the container's frame positions are about to mean
-// something else (reset, last close): the generation bump keeps a decode
-// that is under way from publishing a frame of the old layout.
-func (e *fileEntry) dropDecoded(invalidate bool) {
-	e.decMu.Lock()
-	old := e.dec
-	e.dec = nil
-	if invalidate {
-		e.decGen++
-	}
-	e.decMu.Unlock()
-	if old != nil {
-		old.c.unpin()
-	}
+	return e.pf.keep(pr, gen), nil
 }
 
 // truncate resizes a drained entry. Raw entries pass through. A frame
@@ -705,15 +630,6 @@ func (e *fileEntry) resetContainer() error {
 	if err := e.waitDrained(); err != nil {
 		return err
 	}
-	// Readers are excluded for the whole reset by truncMu (the caller,
-	// truncate, holds it) — that exclusion, not the generation, is what
-	// prevents a read from planning against pre-reset frames and then
-	// touching post-truncate bytes. Clearing the one-frame decode cache
-	// is still required (a post-reset frame can land at a cached pos and
-	// alias it), and the generation bump keeps any decode that is *not*
-	// under truncMu — a prefetch job's publish racing this reset — from
-	// repopulating caches with pre-reset data.
-	e.dropDecoded(true)
 	if err := e.backendFile.Truncate(0); err != nil {
 		return err
 	}
@@ -727,6 +643,12 @@ func (e *fileEntry) resetContainer() error {
 	e.appendOff = 0
 	e.logicalSize = 0
 	e.mu.Unlock()
+	// Positions restart from zero, so every decoded frame goes. Readers
+	// are excluded for the whole reset by truncMu (the caller, truncate,
+	// holds it); the generation bump, after the index is emptied, is for
+	// what is not under truncMu: a prefetch job of the old layout, and a
+	// schedule that read the old index (it loads the generation first).
+	e.pf.invalidate()
 	return nil
 }
 

@@ -229,11 +229,12 @@ type streamCopy struct {
 // valid reports whether the copy still reads as e does. That takes
 // nothing but the snapshot, loaded before the refill read e: every write
 // counts itself as its last step, after its bytes are in the pipeline
-// and the size is set; truncate, rename, chunk retirement and the last
-// close bump the generation, and a truncate holds truncMu exclusively, so
-// no refill straddles one; and a backend failure, which reads must report
-// from then on, sets failed (complete bumps the generation before it
-// records the failure, so a refill can fall between the two).
+// and the size is set, so a refill that overlapped a write is stale once
+// the write returns; a chunk's retirement changes where its bytes are
+// read from, not what they read as; truncate, rename and the last close
+// bump the generation, and a truncate holds truncMu exclusively, so no
+// refill straddles one; and a backend failure, which reads must report
+// from then on, sets failed.
 func (c *streamCopy) valid(e *fileEntry) bool {
 	return e.calls.writes.Load() == c.writes && e.pf.gen.Load() == c.gen && !e.failed.Load()
 }

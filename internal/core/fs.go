@@ -317,7 +317,7 @@ func (fs *FS) fetchFrame(bf backendHandle, fr codec.FrameInfo) (*prefetched, err
 	if _, err := bf.ReadAt(enc, fr.Pos+codec.HeaderSize); err != nil {
 		return nil, fmt.Errorf("frame payload at %d: %w", fr.Pos, err)
 	}
-	pr := &prefetched{start: fr.Header.Off}
+	pr := &prefetched{pos: fr.Pos}
 	var dst []byte
 	fresh := true
 	if int64(fr.Header.RawLen) <= fs.opts.ChunkSize {
@@ -352,6 +352,27 @@ func (fs *FS) checkOpen() error {
 	return nil
 }
 
+// shareLocked gives a new handle of key the open entry (§IV-A "If the
+// file is already opened, the reference counter ... is incremented"). All
+// handles of a path share the first opener's backend handle, so it refuses
+// what that handle cannot serve: a truncating open, which would reset a
+// file other handles are using, and a writable open of an entry whose
+// backend handle is read-only, whose writes no IO worker could land.
+// Caller holds fs.mu.
+func (fs *FS) shareLocked(entry *fileEntry, key string, flag vfs.OpenFlag) (vfs.File, error) {
+	switch {
+	case flag&vfs.Trunc != 0 && flag.Writable():
+		return nil, fmt.Errorf("core: open %s: truncate of file with active writers unsupported: %w", key, vfs.ErrInvalid)
+	case flag.Writable() && !entry.writable:
+		return nil, fmt.Errorf("core: open %s for writing: the file is open read-only: %w", key, vfs.ErrInvalid)
+	}
+	entry.mu.Lock()
+	entry.refs++
+	entry.mu.Unlock()
+	fs.stats.opens.Add(1)
+	return &file{fs: fs, entry: entry, name: key, flag: flag}, nil
+}
+
 // Open implements vfs.FS. Every open — including read-only — is routed
 // through the open-file table so all handles of a path share one entry:
 // writable handles share a single aggregation pipeline (§IV-A), and
@@ -370,18 +391,9 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 
 	fs.mu.Lock()
 	if entry, ok := fs.files[key]; ok {
-		// File already open: share the entry (§IV-A "If the file is
-		// already opened, the reference counter ... is incremented").
-		if trunc {
-			fs.mu.Unlock()
-			return nil, fmt.Errorf("core: open %s: truncate of file with active writers unsupported: %w", key, vfs.ErrInvalid)
-		}
-		entry.mu.Lock()
-		entry.refs++
-		entry.mu.Unlock()
+		f, err := fs.shareLocked(entry, key, flag)
 		fs.mu.Unlock()
-		fs.stats.opens.Add(1)
-		return &file{fs: fs, entry: entry, name: key, flag: flag}, nil
+		return f, err
 	}
 	fs.mu.Unlock()
 
@@ -404,6 +416,7 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	}
 
 	entry := newFileEntry(fs, key, bf, fs.opts.ChunkSize)
+	entry.writable = flag.Writable()
 	entry.logicalSize = info.Size
 	var indexErr error
 	if trunc {
@@ -427,20 +440,12 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 	}
 	if entry, ok := fs.files[key]; ok {
 		// Lost a race with another opener; share theirs, with the same
-		// truncate guard as the first-pass check. The backend was opened
-		// without Trunc, so the live entry's state is undamaged.
-		if trunc {
-			fs.mu.Unlock()
-			bf.Close()
-			return nil, fmt.Errorf("core: open %s: truncate of file with active writers unsupported: %w", key, vfs.ErrInvalid)
-		}
-		entry.mu.Lock()
-		entry.refs++
-		entry.mu.Unlock()
+		// guards as the first-pass check. The backend was opened without
+		// Trunc, so the live entry's state is undamaged.
+		f, err := fs.shareLocked(entry, key, flag)
 		fs.mu.Unlock()
 		bf.Close()
-		fs.stats.opens.Add(1)
-		return &file{fs: fs, entry: entry, name: key, flag: flag}, nil
+		return f, err
 	}
 	if indexErr != nil {
 		fs.mu.Unlock()
@@ -681,7 +686,6 @@ func (fs *FS) releaseEntry(entry *fileEntry) error {
 	}
 	// Return the buffers the read path holds before the backend handle
 	// goes away; in-flight jobs die on the generation bump.
-	entry.dropDecoded(true)
 	entry.pf.invalidate()
 	return entry.backendFile.Close()
 }
@@ -1004,7 +1008,6 @@ func (fs *FS) Unmount() error {
 		if err := e.drainReport(); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		e.dropDecoded(true)
 		e.pf.invalidate()
 		if err := e.backendFile.Close(); err != nil && firstErr == nil {
 			firstErr = err

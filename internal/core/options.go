@@ -54,9 +54,10 @@ type Options struct {
 	// and a handle streaming any file in small reads serves them from a
 	// short copy of what follows. A plain file's reads otherwise go
 	// straight to the backend, which reads ahead by itself. Defaults to 8
-	// frames. Prefetched bytes are invalidated by writes, truncates, and
-	// renames, and buffered writes always shadow them (the overlay-wins
-	// rule), so the depth never changes read results — only their cost.
+	// frames. A decoded frame stays valid until its container resets (a
+	// write appends a new frame, which reads apply over the older ones),
+	// and buffered writes always shadow it (the overlay-wins rule), so the
+	// depth never changes read results — only their cost.
 	ReadAhead int
 	// RepairOnOpen makes the first open of a frame container with a torn
 	// tail (a crash mid-append) rewrite the file: the backend is

@@ -61,8 +61,8 @@ func (c *chunk) reset() {
 
 // pin takes a reader reference. Callers must guarantee the chunk is still
 // reachable from its entry (hold entry.mu while it is the active chunk or
-// on the in-flight list, decMu or the prefetcher's mutex while a cache of
-// the read path holds it): reachability implies the owner's reference is
+// on the in-flight list, the prefetcher's mutex while it holds a decoded
+// frame's buffer): reachability implies the owner's reference is
 // still held, so refs cannot concurrently hit zero. A nil chunk stands for
 // a heap slice (a decoded frame larger than a chunk): nothing to pin.
 func (c *chunk) pin() {

@@ -20,23 +20,17 @@ import (
 // the kernel already reads ahead under a real backend, and copying its
 // blocks through the mount would only add a copy.
 //
-// Correctness hinges on two rules:
-//
-//  1. Generation invalidation. Every mutation of the entry — write,
-//     truncate, container reset, rename, and, decisively, every chunk
-//     *retirement* (the moment the overlay hands an extent's authority
-//     to the durable base) — bumps the prefetch generation and drops
-//     the cache. A fetch captures the generation before it reads and
-//     publishes only if it is unchanged, so a fetch that raced a
-//     mutation is discarded, never served. The retirement bump is the
-//     one that makes the rule airtight: a fetch begun inside write()'s
-//     own window (generation already bumped, payload not yet buffered)
-//     can publish pre-write bytes, but they die no later than the moment
-//     the write's chunk leaves the overlay.
-//  2. Clean-pipeline fetch. Frames are fetched into the cache only while
-//     the entry's write pipeline is fully drained (no active or in-flight
-//     chunks); fetching alongside buffered writes would only produce
-//     frames that rule 1 is about to discard.
+// Correctness rests on one rule: a decoded frame stays valid until its
+// container resets. A frame at a container position never changes — a
+// write appends a new frame, and a read applies every frame overlapping
+// it in sequence order, so a cached frame a later write shadows is still
+// the right base below it. What does move what a position holds bumps the
+// prefetch generation and empties every cache of the entry: truncate,
+// container reset, rename (for backends whose handles do not follow one),
+// the last close and Unmount. A fetch or decode captures the generation
+// before it reads and publishes only if it is unchanged, so one that raced
+// such a change is discarded, never served. Writes and chunk retirements
+// leave the caches alone.
 //
 // The generation also tells a handle's copy of a stream of small reads
 // (streamCopy) that it no longer reads as the file does.
@@ -44,10 +38,10 @@ import (
 // Nothing the read path holds lives on the bare heap in steady state: a
 // reader copies under a pin and the last unpin recycles the buffer.
 // Frames are decoded into buffers of the mount's decode free list
-// (FS.decBufs), like the one-frame decode cache they feed: they are not
-// the buffer pool's, which holds write chunks only, so a container is read
-// ahead to the full depth however small the pool is — every frame a
-// stream will need is on a worker at once, and a restore keeps all cores
+// (FS.decBufs), like the frame a stream is inside (prefetcher.cur): they
+// are not the buffer pool's, which holds write chunks only, so a container
+// is read ahead to the full depth however small the pool is — every frame
+// a stream will need is on a worker at once, and a restore keeps all cores
 // busy to its last frame whichever of its files runs ahead. Only a frame
 // that finds the free list empty, or is larger than a chunk, is decoded
 // into fresh memory (Stats.DecodeHeapFallbacks).
@@ -64,28 +58,41 @@ const seqThreshold = 2
 // go straight to the backend into the caller's buffer.
 const selfFetchMax = 16 << 10
 
-// prefetched is one decoded frame in an entry's read-ahead cache or its
-// one-frame decode cache.
+// prefetched is one decoded frame: in an entry's read-ahead cache, or the
+// frame a stream is inside (prefetcher.cur).
 type prefetched struct {
-	start int64  // logical offset of buf[0]
-	buf   []byte // the bytes (never mutated once published)
-	c     *chunk // decode buffer backing buf; nil for a frame on the heap
-	hit   bool   // served at least one read (distinguishes wasted fetches)
+	pos int64  // container position of the frame
+	buf []byte // the bytes (never mutated once published)
+	c   *chunk // decode buffer backing buf; nil for a frame on the heap
+	hit bool   // served at least one read (distinguishes wasted fetches)
 }
 
-// prefetcher holds one entry's read-ahead state. Its mutex is a leaf
-// lock: it is never held while acquiring entry.mu, fs.mu, or decMu.
-type prefetcher struct {
-	fs *FS
-	e  *fileEntry
+// unpin drops a reference to the frame's buffer; a nil frame has none.
+func (pr *prefetched) unpin() {
+	if pr != nil {
+		pr.c.unpin()
+	}
+}
 
-	// gen is bumped by invalidate, under mu; stale fetches don't publish.
-	// It is atomic so a handle can check its copy (streamCopy) against it
-	// without taking mu.
+// prefetcher holds one entry's decoded frames: the read-ahead cache and
+// the frame a stream is inside. Its mutex is the leaf lock: it is never
+// held while acquiring another, nor across a decode or backend call.
+type prefetcher struct {
+	e *fileEntry
+
+	// gen is bumped by invalidate, under mu; stale fetches and decodes
+	// don't publish. It is atomic so a handle can check its copy
+	// (streamCopy) against it without taking mu.
 	gen atomic.Uint64
 
-	mu      sync.Mutex
-	cond    *sync.Cond              // broadcast whenever ready/pending change
+	mu   sync.Mutex
+	cond *sync.Cond // broadcast whenever ready/pending change
+	// cur is the frame the last read decoded or took from ready; it holds
+	// the frame's read-path reference, and a reader copies from it under
+	// a pin of its own, so replacing or dropping it never recycles a
+	// buffer under a copy. nil when no read has entered a frame since the
+	// last invalidate.
+	cur     *prefetched
 	ready   map[int64]*prefetched   // completed fetches, keyed by frame pos
 	order   []int64                 // ready keys in publish order, for FIFO capacity eviction
 	pending map[int64]*pendingFetch // keys with a fetch scheduled or running, not yet published
@@ -102,9 +109,8 @@ type pendingFetch struct {
 	started bool
 }
 
-func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
+func newPrefetcher(e *fileEntry) *prefetcher {
 	pf := &prefetcher{
-		fs:      fs,
 		e:       e,
 		ready:   make(map[int64]*prefetched),
 		pending: make(map[int64]*pendingFetch),
@@ -114,23 +120,22 @@ func newPrefetcher(fs *FS, e *fileEntry) *prefetcher {
 }
 
 // depth returns the configured read-ahead depth in frames.
-func (pf *prefetcher) depth() int { return pf.fs.opts.ReadAhead }
+func (pf *prefetcher) depth() int { return pf.e.fs.opts.ReadAhead }
 
-// invalidate bumps the generation and drops every cached and in-flight
-// prefetch of the entry: fetches under way will see the bumped generation
-// and discard their bytes instead of publishing them. The pending set is
-// cleared too — readers must not keep waiting on jobs that may never run
-// again (the workers drain the write queue first, and at unmount they
-// stop) — so a waiting reader wakes and falls back to its own synchronous
-// fetch. It runs on every write call, so with nothing cached or scheduled
-// (a checkpoint stream nobody reads) it is the generation bump alone.
+// invalidate bumps the generation and drops every decoded frame of the
+// entry — the current one, the cached ones and those in flight: fetches
+// and decodes under way will see the bumped generation and discard their
+// bytes instead of publishing them. The pending set is cleared too —
+// readers must not keep waiting on jobs that may never run again (the
+// workers drain the write queue first, and at unmount they stop) — so a
+// waiting reader wakes and falls back to its own synchronous fetch. It
+// runs when what a container position holds may change (see the package
+// comment), never on a write.
 func (pf *prefetcher) invalidate() {
 	pf.mu.Lock()
 	pf.gen.Add(1)
-	if len(pf.ready)+len(pf.pending) == 0 {
-		pf.mu.Unlock()
-		return
-	}
+	cur := pf.cur
+	pf.cur = nil
 	var wasted int64
 	for _, pr := range pf.ready {
 		if !pr.hit {
@@ -143,8 +148,9 @@ func (pf *prefetcher) invalidate() {
 	pf.order = pf.order[:0]
 	pf.cond.Broadcast()
 	pf.mu.Unlock()
+	cur.unpin()
 	if wasted > 0 {
-		pf.fs.stats.prefetchWasted.Add(wasted)
+		pf.e.fs.stats.prefetchWasted.Add(wasted)
 	}
 }
 
@@ -154,10 +160,14 @@ func (pf *prefetcher) invalidate() {
 // plan. ctx parents the resulting fetch spans (zero when tracing is off).
 // A cached frame that is not among the next ones — a seek or a second
 // handle's stream left it behind — would hold its buffer for nothing: an
-// entry keeps at most depth frames ahead. Called with no locks of the
-// entry held but truncMu, shared.
+// entry keeps at most depth frames ahead. Called with no lock of the
+// entry held but, from decodeFrame, truncMu shared.
 func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 	e := pf.e
+	// The generation is loaded before the index is read: a reset that
+	// empties the index between the two bumps it after, so jobs planned
+	// from the old frames die at publish.
+	gen := pf.gen.Load()
 	e.mu.Lock()
 	if !e.framed {
 		e.mu.Unlock()
@@ -168,13 +178,12 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 
 	var jobs []prefetchJob
 	pf.mu.Lock()
-	gen := pf.gen.Load()
 	for k, pr := range pf.ready {
 		if slices.ContainsFunc(locs, func(fr codec.FrameInfo) bool { return fr.Pos == k }) {
 			continue
 		}
 		if !pr.hit {
-			pf.fs.stats.prefetchWasted.Add(1)
+			pf.e.fs.stats.prefetchWasted.Add(1)
 		}
 		pr.c.unpin()
 		pf.removeLocked(k)
@@ -195,7 +204,7 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 	}
 	pf.mu.Unlock()
 	for _, j := range jobs {
-		if !pf.fs.enqueuePrefetch(j) {
+		if !e.fs.enqueuePrefetch(j) {
 			pf.drop(j.fr.Pos)
 		}
 	}
@@ -204,7 +213,7 @@ func (pf *prefetcher) schedule(from int64, ctx obs.SpanContext) {
 // nextFramesLocked returns up to n frames starting at or past from, in
 // index (offset) order — the frames a sequential reader will decode
 // next. A frame already straddling from is excluded: the reader decoded
-// it to get here, and it lives in the one-frame decode cache, so
+// it to get here, and it is the prefetcher's current frame (cur), so
 // re-fetching it would only produce a wasted duplicate. Pad frames
 // (RawLen 0) are skipped. Caller holds e.mu.
 func (e *fileEntry) nextFramesLocked(from int64, n int) []codec.FrameInfo {
@@ -240,7 +249,7 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 		pf.mu.Unlock()
 		pr.c.unpin()
 		if !pr.hit {
-			pf.fs.stats.prefetchWasted.Add(1)
+			pf.e.fs.stats.prefetchWasted.Add(1)
 		}
 		return
 	}
@@ -265,9 +274,9 @@ func (pf *prefetcher) publish(key int64, pr *prefetched, gen uint64) {
 	}
 	pf.cond.Broadcast()
 	pf.mu.Unlock()
-	pf.fs.stats.prefetchBytes.Add(int64(len(pr.buf)))
+	pf.e.fs.stats.prefetchBytes.Add(int64(len(pr.buf)))
 	if wasted > 0 {
-		pf.fs.stats.prefetchWasted.Add(wasted)
+		pf.e.fs.stats.prefetchWasted.Add(wasted)
 	}
 }
 
@@ -282,29 +291,67 @@ func (pf *prefetcher) removeLocked(key int64) {
 	}
 }
 
-// takeFrame removes and returns a prefetched decoded frame, or nil. A
+// takeFrame returns the decoded frame fr, pinned for the caller's copy
+// (the caller unpins), or nil and the generation a decode of it is to be
+// kept under (keep). A read still inside the current frame gets cur.
+// Otherwise the frame comes from the read-ahead cache and becomes cur: a
 // frame actively decoding on a worker is awaited — a synchronous
-// duplicate decode of a multi-megabyte frame costs far more CPU than
-// the wait — while a job still queued is stolen so a starved queue
-// never blocks a read. The cache's reference on the frame's buffer
-// transfers to the caller (who hands it to the entry's one-frame decode
-// cache).
-func (pf *prefetcher) takeFrame(pos int64) *prefetched {
+// duplicate decode of a multi-megabyte frame costs far more CPU than the
+// wait — while a job still queued is stolen so a starved queue never
+// blocks a read. On a miss cur's buffer goes back before the caller
+// decodes, so the decode can take it. A stream entering a frame plans
+// the read-ahead past it.
+func (pf *prefetcher) takeFrame(fr codec.FrameInfo, stream bool) (pr *prefetched, gen uint64) {
 	pf.mu.Lock()
 	for {
-		if pr, ok := pf.ready[pos]; ok {
-			pr.hit = true
-			pf.removeLocked(pos)
+		if pr = pf.cur; pr != nil && pr.pos == fr.Pos {
+			pr.c.pin() // cur's reference is held under mu, so refs > 0
 			pf.mu.Unlock()
-			pf.e.calls.prefetchHits.Add(1)
-			return pr
+			return pr, 0
 		}
-		if !pf.awaitOrStealLocked(pos) {
-			pf.mu.Unlock()
-			pf.e.calls.prefetchMisses.Add(1)
-			return nil
+		var ok bool
+		if pr, ok = pf.ready[fr.Pos]; ok {
+			pr.hit = true
+			pf.removeLocked(fr.Pos)
+			pr.c.pin()
+			break
+		}
+		if !pf.awaitOrStealLocked(fr.Pos) {
+			gen = pf.gen.Load()
+			break
 		}
 	}
+	// The cache's reference on a hit moves to cur.
+	old := pf.cur
+	pf.cur = pr
+	pf.mu.Unlock()
+	old.unpin()
+	if pr != nil {
+		pf.e.calls.prefetchHits.Add(1)
+	} else {
+		pf.e.calls.prefetchMisses.Add(1)
+	}
+	if stream {
+		pf.schedule(fr.Header.Off+1, obs.SpanContext{})
+	}
+	return pr, gen
+}
+
+// keep makes pr, a frame a reader decoded itself after takeFrame missed
+// under gen, the current frame, and returns it pinned for the caller's
+// copy. If the generation moved meanwhile the frame is not kept — after a
+// reset, positions restart from zero, so pos alone would alias old and
+// new frames — and only the caller's pin remains.
+func (pf *prefetcher) keep(pr *prefetched, gen uint64) *prefetched {
+	pr.c.pin()
+	old := pr
+	pf.mu.Lock()
+	if pf.gen.Load() == gen {
+		old, pf.cur = pf.cur, pr
+	}
+	pf.mu.Unlock()
+	old.unpin()
+	return pr
 }
 
 // awaitOrStealLocked resolves a reader's encounter with a possibly
@@ -343,9 +390,8 @@ type prefetchJob struct {
 // runPrefetch executes one job on an IO worker. The job first claims its
 // pending marker (a reader may have stolen it while the job queued
 // behind write chunks — then the fetch is skipped entirely); the fetch
-// starts only if the entry's write pipeline is clean (see the package
-// comment's rule 2) and publishes only if the generation is unchanged
-// (rule 1).
+// publishes only if the generation is unchanged (see the package
+// comment).
 func (fs *FS) runPrefetch(j prefetchJob) {
 	if j.enqueuedAt != 0 {
 		fs.hist.queueWaitPrefetch.Observe(fs.monotonic() - j.enqueuedAt)
@@ -358,7 +404,6 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 		defer sp.End()
 	}
 	pf := j.e.pf
-	e := j.e
 	pf.mu.Lock()
 	if pf.pending[key] != j.ps {
 		// Stolen by a reader, or invalidated while queued and perhaps
@@ -368,14 +413,7 @@ func (fs *FS) runPrefetch(j prefetchJob) {
 	}
 	j.ps.started = true
 	pf.mu.Unlock()
-	e.mu.Lock()
-	clean := e.doneChunks == e.writeChunks && (e.active == nil || e.active.fill.Load() == 0)
-	e.mu.Unlock()
-	if !clean {
-		pf.drop(key)
-		return
-	}
-	if pr, err := fs.fetchFrame(e.backendFile, j.fr); err != nil {
+	if pr, err := fs.fetchFrame(j.e.backendFile, j.fr); err != nil {
 		pf.drop(key)
 	} else {
 		pf.publish(key, pr, j.gen)

@@ -14,6 +14,7 @@ import (
 
 	"crfs/internal/codec"
 	"crfs/internal/memfs"
+	"crfs/internal/osfs"
 	"crfs/internal/vfs"
 )
 
@@ -398,6 +399,118 @@ func TestReadOnlyHandleSeesBufferedWrites(t *testing.T) {
 			t.Fatalf("read-only handle read %q, want %q", got, want)
 		}
 	})
+}
+
+// TestWritableOpenOfReadOnlyEntryRefused: every handle of a path shares
+// the first opener's backend handle, so while a path is open read-only a
+// writable open is refused with vfs.ErrInvalid before it accepts a byte —
+// on the first look at the table, and when it loses the race to install
+// the entry to a read-only opener. The reader is not disturbed, and once
+// it closes the path opens for writing again.
+func TestWritableOpenOfReadOnlyEntryRefused(t *testing.T) {
+	for _, bk := range []string{"memfs", "osfs"} {
+		for _, cd := range []struct {
+			name string
+			cdc  codec.Codec
+		}{{"raw", nil}, {"deflate", codec.Deflate()}} {
+			t.Run(bk+"/"+cd.name, func(t *testing.T) {
+				var back vfs.FS = memfs.New()
+				if bk == "osfs" {
+					var err error
+					if back, err = osfs.New(t.TempDir()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				gated := &openGateFS{FS: back}
+				fs := mount(t, gated, Options{ChunkSize: 4096, BufferPoolSize: 64 << 10, IOThreads: 2, Codec: cd.cdc})
+				want := bytes.Repeat([]byte("read-only "), 1000)
+				if err := vfs.WriteFile(fs, "f", want); err != nil {
+					t.Fatal(err)
+				}
+				check := func(r vfs.File) {
+					t.Helper()
+					got := make([]byte, len(want))
+					if n, err := r.ReadAt(got, 0); (err != nil && err != io.EOF) || !bytes.Equal(got[:n], want) {
+						t.Fatalf("reader read %d bytes, %v; want the file unchanged", n, err)
+					}
+				}
+				r, err := fs.Open("f", vfs.ReadOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, flag := range []vfs.OpenFlag{vfs.WriteOnly, vfs.ReadWrite, vfs.WriteOnly | vfs.Create} {
+					if w, err := fs.Open("f", flag); !errors.Is(err, vfs.ErrInvalid) {
+						if w != nil {
+							w.WriteAt([]byte("lost"), 0)
+							w.Close()
+						}
+						t.Fatalf("open %#x beside a read-only handle: err = %v, want vfs.ErrInvalid", flag, err)
+					}
+				}
+				check(r)
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				// The writer finds the table empty, and a reader installs the
+				// entry while the writer's backend open is held.
+				gated.arm()
+				opened := make(chan error, 1)
+				go func() {
+					w, err := fs.Open("f", vfs.ReadWrite)
+					if w != nil {
+						w.Close()
+					}
+					opened <- err
+				}()
+				<-gated.held
+				r, err = fs.Open("f", vfs.ReadOnly)
+				if err != nil {
+					t.Fatal(err)
+				}
+				close(gated.gate)
+				if err := <-opened; !errors.Is(err, vfs.ErrInvalid) {
+					t.Fatalf("writable open that lost the race to a read-only one: err = %v, want vfs.ErrInvalid", err)
+				}
+				check(r)
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+
+				w, err := fs.Open("f", vfs.WriteOnly)
+				if err != nil {
+					t.Fatalf("writable open once the reader closed: %v", err)
+				}
+				if _, err := w.WriteAt([]byte("W"), 0); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// openGateFS holds the next writable backend Open after arm: it closes
+// held and blocks until gate is closed.
+type openGateFS struct {
+	vfs.FS
+	armed      atomic.Bool
+	held, gate chan struct{}
+}
+
+func (g *openGateFS) arm() {
+	g.held, g.gate = make(chan struct{}), make(chan struct{})
+	g.armed.Store(true)
+}
+
+func (g *openGateFS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
+	if flag.Writable() && g.armed.CompareAndSwap(true, false) {
+		close(g.held)
+		<-g.gate
+	}
+	return g.FS.Open(name, flag)
 }
 
 func TestReadInHoleBetweenBufferedExtents(t *testing.T) {

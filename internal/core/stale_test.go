@@ -145,11 +145,11 @@ func TestStreamReadsNeverOutliveGeneration(t *testing.T) {
 			h.stream(h.f, 12) // durable: the base must be fresh
 		})
 		t.Run(tc.name+"/write-window", func(t *testing.T) {
-			// A write bumps the generation first and counts itself last, so
-			// a refill between the two reads the bytes from before the write
-			// under the generation after it. Hold a write there — waiting for
-			// a pool chunk while every chunk is another file's write stuck in
-			// the backend — stream on through it, then let it go.
+			// A write counts itself as its last step, so a refill while it
+			// runs reads the bytes from before the write under the write
+			// count it will move. Hold a write there — waiting for a pool
+			// chunk while every chunk is another file's write stuck in the
+			// backend — stream on through it, then let it go.
 			back := memfs.New()
 			gate := make(chan struct{})
 			h := newStreamHuntOver(t, tc.cdc, back, &gatedFS{FS: back, gate: gate, match: func([]byte) bool { return true }})
@@ -169,15 +169,14 @@ func TestStreamReadsNeverOutliveGeneration(t *testing.T) {
 			for h.fs.Stats().PoolWaits == 0 {
 				time.Sleep(100 * time.Microsecond)
 			}
-			pf := h.f.(*file).entry.pf
-			gen := pf.gen.Load()
+			waits := h.fs.Stats().PoolWaits
 			at := h.off + huntRead // what the next read refills the copy with
 			wrote := make(chan error, 1)
 			go func() {
 				_, err := h.f.WriteAt(patch, at)
 				wrote <- err
 			}()
-			for pf.gen.Load() == gen {
+			for h.fs.Stats().PoolWaits == waits { // the write is blocked on the pool
 				time.Sleep(100 * time.Microsecond)
 			}
 			h.stream(h.f, 1) // the write has not landed: the old bytes

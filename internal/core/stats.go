@@ -169,8 +169,9 @@ type Stats struct {
 	// read-ahead cache and then fetched and decoded itself.
 	PrefetchMisses int64
 	// PrefetchWasted counts prefetched frames discarded unread —
-	// invalidated by a mutation, evicted by capacity, or fetched by a job
-	// whose generation went stale before publish.
+	// invalidated by a truncate, reset, rename, last close or Unmount,
+	// evicted by capacity or a seek, or fetched by a job whose generation
+	// went stale before publish. A write wastes none.
 	PrefetchWasted int64
 	// PrefetchedBytes is the total decoded bytes published into
 	// read-ahead caches.

@@ -1,17 +1,18 @@
 // Package lockorder enforces the internal/core lock hierarchy documented
 // in DESIGN.md "Concurrency invariants":
 //
-//	fileEntry.truncMu → fileEntry.writeMu → FS.mu → fileEntry.mu → fileEntry.decMu
+//	fileEntry.truncMu → fileEntry.writeMu → FS.mu → fileEntry.mu → prefetcher.mu
 //
 // Two rules are checked:
 //
 //  1. Order: acquiring a ranked lock while holding one of higher rank is
 //     a violation — directly, or by calling a same-package function
 //     whose transitive may-acquire set contains a lower-ranked lock.
-//  2. No IO under mu: while fileEntry.mu or fileEntry.decMu is held, no
-//     codec encode/decode entrypoint and no backendHandle method may be
-//     called (the expensive encode/decode and all backend IO run outside
-//     those locks by design; writeMu/truncMu intentionally cover IO).
+//  2. No IO under mu: while fileEntry.mu or prefetcher.mu (the lock over
+//     an entry's decoded frames) is held, no codec encode/decode
+//     entrypoint and no backendHandle method may be called (the expensive
+//     encode/decode and all backend IO run outside those locks by design;
+//     writeMu/truncMu intentionally cover IO).
 //
 // The analysis is a source-order approximation, not a CFG dataflow: an
 // early-exit branch that unlocks and returns does not clear the lock for
@@ -107,17 +108,17 @@ var ranks = map[lockClass]int{
 	{"fileEntry", "writeMu"}: 1,
 	{"FS", "mu"}:             2,
 	{"fileEntry", "mu"}:      3,
-	{"fileEntry", "decMu"}:   4,
+	{"prefetcher", "mu"}:     4,
 }
 
 // orderDoc is appended to order-violation findings.
-const orderDoc = "documented order: truncMu → writeMu → FS.mu → mu → decMu"
+const orderDoc = "documented order: truncMu → writeMu → FS.mu → mu → prefetcher.mu"
 
 // ioLocks are the classes that must never be held across encode/decode
 // or backend calls.
 var ioLocks = map[lockClass]bool{
-	{"fileEntry", "mu"}:    true,
-	{"fileEntry", "decMu"}: true,
+	{"fileEntry", "mu"}:  true,
+	{"prefetcher", "mu"}: true,
 }
 
 // codecIOFuncs are the expensive entrypoints of any package whose import
@@ -584,7 +585,7 @@ func (c *checker) call(call *ast.CallExpr, h *heldSet) {
 	}
 	if cls, held := h.anyIOLock(); held && (c.isCodecIO(callee) || c.isBackendIO(call, callee)) {
 		c.reportf(call.Pos(),
-			"call to %s while holding %s: encode/decode and backend IO must run outside mu/decMu",
+			"call to %s while holding %s: encode/decode and backend IO must run outside mu and prefetcher.mu",
 			callee.Name(), cls)
 		return
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // TestCoreLockOrder checks internal/core itself: any finding is a lock
-// order inversion or IO under mu/decMu in production code.
+// order inversion or IO under mu or prefetcher.mu in production code.
 func TestCoreLockOrder(t *testing.T) {
 	findings, funcs, err := Check(filepath.Join("..", "core"))
 	if err != nil {

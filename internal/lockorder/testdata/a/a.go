@@ -18,10 +18,15 @@ type fileEntry struct {
 	writeMu sync.Mutex
 	truncMu sync.RWMutex
 	mu      sync.Mutex
-	decMu   sync.Mutex
 
 	backendFile backendHandle
 	frames      []codec.FrameInfo
+	pf          *prefetcher
+}
+
+type prefetcher struct {
+	mu sync.Mutex
+	e  *fileEntry
 }
 
 type backendHandle interface {
@@ -38,8 +43,8 @@ func goodOrder(fs *FS, e *fileEntry) {
 	e.writeMu.Lock()
 	fs.mu.Lock()
 	e.mu.Lock()
-	e.decMu.Lock()
-	e.decMu.Unlock()
+	e.pf.mu.Lock()
+	e.pf.mu.Unlock()
 	e.mu.Unlock()
 	fs.mu.Unlock()
 	e.writeMu.Unlock()
@@ -93,11 +98,12 @@ func ioUnderMu(e *fileEntry, buf []byte) {
 	codec.DecodeFrame(codec.Header{}, buf, nil) // clean
 }
 
-// ioUnderDecMu: the decode cache lock has the same IO exclusion.
-func ioUnderDecMu(e *fileEntry, buf []byte) {
-	e.decMu.Lock()
-	defer e.decMu.Unlock()
-	e.backendFile.WriteAt(buf, 0) // want `call to WriteAt while holding fileEntry\.decMu`
+// ioUnderPrefetcherMu: the lock over decoded frames has the same IO
+// exclusion.
+func (pf *prefetcher) ioUnderPrefetcherMu(buf []byte) {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	pf.e.backendFile.WriteAt(buf, 0) // want `call to WriteAt while holding prefetcher\.mu`
 }
 
 // acquiresTrunc is a helper whose transitive summary includes truncMu.

@@ -230,14 +230,13 @@ func TestDescriptorGetFallsBack(t *testing.T) {
 		e, back := newFDEnv(t, nil, tr)
 		want := namedPattern("img", size)
 		writeThrough(t, e.fs, "img", want)
-		opened := make(chan vfs.File, 1)
+		// The second handle is opened before the GET: a writable open of
+		// a path open only for reading is refused.
+		w, err := e.fs.Open("img", vfs.ReadWrite)
+		if err != nil {
+			t.Fatal(err)
+		}
 		dirty := func() {
-			w, err := e.fs.Open("img", vfs.ReadWrite)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			opened <- w
 			if _, err := w.WriteAt([]byte("written by a second handle"), 2*server.DataChunk+10); err != nil {
 				t.Error(err)
 			}
@@ -245,10 +244,8 @@ func TestDescriptorGetFallsBack(t *testing.T) {
 		back.afterFirst.Store(&dirty)
 		var got bytes.Buffer
 		n, err := e.client(t).Get("img", &got)
-		select {
-		case w := <-opened:
-			w.Close()
-		default:
+		if err := w.Close(); err != nil {
+			t.Error(err)
 		}
 		if err == nil || !strings.Contains(err.Error(), "session lost") {
 			t.Fatalf("GET of a file dirtied mid-GET: n=%d err=%v, want the session lost", n, err)
