@@ -5,7 +5,7 @@
 // Usage:
 //
 //	crfscp [-chunk 4194304] [-pool 16777216] [-threads 4] [-bs 8192] [-codec raw|deflate] SRC... DSTDIR
-//	crfscp -restore [-repair] SRC... DSTDIR
+//	crfscp -restore SRC... DSTDIR
 //	crfscp -server host:9000 SRC...           (upload to a crfsd daemon)
 //	crfscp -server host:9000 -restore NAME... DSTDIR
 //	crfscp -server host:9000 -scrub           (verify the daemon's store)
@@ -33,9 +33,9 @@
 // when none is given), so a daemon listed as n1=... keeps its chunks
 // when it moves to another host or port.
 //
-// -repair enables crash recovery on open: a frame container with a torn
-// tail (a power cut mid-checkpoint) is truncated to its longest intact
-// frame prefix instead of being re-salvaged on every mount.
+// A frame container with a torn tail (a power cut mid-checkpoint)
+// restores as its longest intact frame prefix; the restore never writes
+// to the source directory (crfsck -repair cuts the tail off offline).
 //
 // With -codec deflate the destination files are CRFS frame containers:
 // chunks are compressed in parallel on the IO workers, cutting the bytes
@@ -181,7 +181,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	bs := fl.Int("bs", 8192, "copy block size (simulates small checkpoint writes)")
 	codecName := fl.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
 	restore := fl.Bool("restore", false, "restore direction: read SRC files through a CRFS mount, write plain copies to DSTDIR")
-	repair := fl.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
 	serverAddr := fl.String("server", "", "copy to/from a crfsd daemon at this address instead of a local mount")
 	nodesList := fl.String("nodes", "", "comma-separated crfsd addresses, each host:port or id=host:port: stripe across these daemons instead of a single server")
 	replicas := fl.Int("replicas", stripe.DefaultReplicas, "with -nodes: copies of each chunk")
@@ -211,8 +210,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		err = usageError("usage: crfscp [flags] SRC... DSTDIR")
 	default:
 		opts := crfs.Options{
-			ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads,
-			RepairOnOpen: *repair, Tracer: trun.tracer(),
+			ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads, Tracer: trun.tracer(),
 		}
 		if !*restore {
 			opts.Codec, err = crfs.LookupCodec(*codecName)

@@ -252,7 +252,7 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 // deployment setting); otherwise the value is a constant.
 func TestFlagSurface(t *testing.T) {
 	want := []string{
-		"bs", "chunk", "codec", "nodes", "pool", "repair", "replicas",
+		"bs", "chunk", "codec", "nodes", "pool", "replicas",
 		"restore", "scrub", "server", "stripe-chunk", "threads", "trace",
 	}
 	var got []string

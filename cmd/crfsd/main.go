@@ -36,7 +36,7 @@
 // Usage:
 //
 //	crfsd -dir /scratch/ckpt -addr :9000 -debug-addr 127.0.0.1:9100
-//	crfsd -dir /scratch/ckpt -codec deflate -repair
+//	crfsd -dir /scratch/ckpt -codec deflate
 package main
 
 import (
@@ -81,7 +81,6 @@ func run(args []string, stop <-chan os.Signal) (code int) {
 	pool := fl.Int64("pool", crfs.DefaultBufferPoolSize, "buffer pool size")
 	threads := fl.Int("threads", crfs.DefaultIOThreads, "IO threads")
 	codecName := fl.String("codec", "raw", "chunk codec: "+strings.Join(crfs.CodecNames(), "|"))
-	repair := fl.Bool("repair", false, "truncate torn frame containers to their intact prefix on first open (crash recovery)")
 	debugAddr := fl.String("debug-addr", "", "serve live introspection on this address: /metrics, /debug/pprof/, /debug/trace (empty disables)")
 	trace := fl.Bool("trace", false, "record pipeline and request spans into the in-memory trace ring")
 	slowMS := fl.Int("slow-ms", 0, "log any traced request slower than this many milliseconds, with its span tree (0 disables)")
@@ -110,8 +109,7 @@ func run(args []string, stop <-chan os.Signal) (code int) {
 		tr.SetLogf(log.Printf)
 	}
 	fs, err := crfs.MountDir(*dir, crfs.Options{
-		ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads, Codec: cdc,
-		RepairOnOpen: *repair, Tracer: tr,
+		ChunkSize: *chunk, BufferPoolSize: *pool, IOThreads: *threads, Codec: cdc, Tracer: tr,
 	})
 	if err != nil {
 		log.Print(err)
@@ -174,8 +172,8 @@ func run(args []string, stop <-chan os.Signal) (code int) {
 		log.Printf("crfsd: debug on http://%s", dln.Addr())
 	}
 
-	log.Printf("crfsd: serving %s on %s (chunk=%d pool=%d threads=%d codec=%s repair=%v max-conns=%d)",
-		*dir, ln.Addr(), *chunk, *pool, *threads, cdc.Name(), *repair, *maxConns)
+	log.Printf("crfsd: serving %s on %s (chunk=%d pool=%d threads=%d codec=%s max-conns=%d)",
+		*dir, ln.Addr(), *chunk, *pool, *threads, cdc.Name(), *maxConns)
 
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()

@@ -158,7 +158,7 @@ func TestStopSignalDrainsAndUnmounts(t *testing.T) {
 func TestFlagSurface(t *testing.T) {
 	want := []string{
 		"addr", "chunk", "codec", "debug-addr", "dir", "max-conns",
-		"max-put-bytes", "pool", "repair", "slow-ms", "threads", "trace",
+		"max-put-bytes", "pool", "slow-ms", "threads", "trace",
 	}
 	logs := captureLog(t)
 	if code := run([]string{"-h"}, make(chan os.Signal)); code != 0 {

@@ -44,8 +44,9 @@
 // never resurrected, and unsynced tails only ever shorten a file. A
 // frame container torn by a crash mid-append is salvaged at open — reads
 // serve the longest intact frame prefix instead of failing the file —
-// and Options.RepairOnOpen additionally truncates the backend file to
-// that prefix. The Containers* and Salvage* fields of Stats report
+// and an open that can append first truncates the backend file to that
+// prefix, so no frame past the tear can parse again; a read-only open
+// never writes. The Containers* and Salvage* fields of Stats report
 // salvage activity, and backend write failures surface exactly once, at
 // the next Sync or Close. The contract is enforced by a crash-point
 // enumeration harness (internal/crashfs, TestCrashPoints*) that replays

@@ -147,7 +147,7 @@ func TestErrorsExported(t *testing.T) {
 
 // TestOptionsSurface pins the configuration fields of every layer, the
 // way each command's TestFlagSurface pins its flags: together they are
-// the settable values of the system (20 fields here). A new name here
+// the settable values of the system (18 fields here). A new name here
 // has to come with the two callers that need different values (or say
 // why it is a deployment setting); otherwise the value is a constant.
 func TestOptionsSurface(t *testing.T) {
@@ -155,8 +155,8 @@ func TestOptionsSurface(t *testing.T) {
 		cfg  any
 		want []string
 	}{
-		{crfs.Options{}, []string{"BufferPoolSize", "ChunkSize", "IOThreads", "ReadAhead", "RepairOnOpen", "Codec", "Tracer"}},
-		{server.Config{}, []string{"MaxConns", "MaxInFlight", "ReadTimeout", "MaxPutBytes", "Logf", "Tracer"}},
+		{crfs.Options{}, []string{"BufferPoolSize", "ChunkSize", "IOThreads", "ReadAhead", "Codec", "Tracer"}},
+		{server.Config{}, []string{"MaxConns", "ReadTimeout", "MaxPutBytes", "Logf", "Tracer"}},
 		{client.Config{}, []string{"IOTimeout", "Redials"}},
 		{stripe.Config{}, []string{"ChunkSize", "Replicas", "Tracer"}},
 		{compact.ScrubOptions{}, []string{"Workers", "Repair"}},

@@ -53,8 +53,8 @@ func TestHelloAdvertisesCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if got := c.MaxInFlight(); got != server.DefaultMaxInFlight {
-		t.Fatalf("MaxInFlight = %d, want %d", got, server.DefaultMaxInFlight)
+	if got := c.MaxInFlight(); got != 8 {
+		t.Fatalf("MaxInFlight = %d, want the daemon's cap 8", got)
 	}
 }
 

@@ -474,11 +474,10 @@ func TestTornContainerPolicy(t *testing.T) {
 		t.Fatalf("RecoveryStats = %+v, want salvage of %d bytes", st, len("garbage tail!!"))
 	}
 	if st.ContainersRepaired != 0 {
-		t.Fatalf("repaired %d containers without RepairOnOpen", st.ContainersRepaired)
+		t.Fatalf("repaired %d containers on a read-only open", st.ContainersRepaired)
 	}
-	// Writable open appends after the intact prefix; the extension is
-	// readable and survives a remount (the junk was overwritten in place,
-	// keeping the container a parseable prefix).
+	// Writable open cuts the junk off and appends after the intact
+	// prefix; the extension is readable and survives a remount.
 	wf, err := fs.Open("torn.img", vfs.WriteOnly)
 	if err != nil {
 		t.Fatalf("writable open of salvaged container: %v", err)

@@ -86,10 +86,10 @@ type fileEntry struct {
 	frameSeq  uint64
 
 	// pendingRepair (>= 0) marks a container whose torn tail was dropped
-	// at open (reads serve the intact frame prefix, appends land right
-	// after it) and asks Open to truncate the backend to that prefix
-	// once the entry wins the table race (Options.RepairOnOpen); -1
-	// means no repair is due.
+	// by a writable open (reads serve the intact frame prefix, appends
+	// land right after it) and asks Open to truncate the backend to that
+	// prefix once the entry wins the table race; -1 means no repair is
+	// due.
 	pendingRepair int64
 
 	// pf holds the entry's decoded frames (restart read pipeline), never

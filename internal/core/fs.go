@@ -453,11 +453,12 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 		return nil, indexErr
 	}
 	if entry.pendingRepair >= 0 {
-		// RepairOnOpen: cut the salvaged container's torn tail off the
-		// backend file, while the entry is still private and fs.mu
-		// excludes both sharers and re-probes — the same window the
-		// deferred Trunc below uses. The cost is one backend ftruncate on
-		// the rare damaged-container open.
+		// An open that can append cuts the salvaged container's torn
+		// tail off the backend file before anything is appended, while
+		// the entry is still private and fs.mu excludes both sharers and
+		// re-probes — the same window the deferred Trunc below uses. The
+		// cost is one backend ftruncate on the rare damaged-container
+		// open.
 		if err := fs.backend.Truncate(key, entry.pendingRepair); err != nil {
 			fs.mu.Unlock()
 			bf.Close()
@@ -497,9 +498,12 @@ func (fs *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 //
 // A container whose tail fails to parse — the signature of a crash
 // mid-append — is salvaged instead of refused: the entry serves the
-// longest intact frame prefix, new frames append right after it, and
-// with Options.RepairOnOpen the backend file is truncated to the prefix
-// once the entry wins the table race (see Open).
+// longest intact frame prefix, and an open that can append truncates
+// the backend file to that prefix once the entry wins the table race
+// (see Open), before any frame lands. The cut is not optional: frames
+// appended out of order leave whole frames beyond a hole, and an append
+// that fills the hole would make them parse again. A read-only open
+// never writes to the backend.
 func (fs *FS) indexEntry(entry *fileEntry, key string, flag vfs.OpenFlag, size int64) error {
 	if size < codec.HeaderSize {
 		if size == 0 && fs.opts.framedWrites() {
@@ -532,7 +536,7 @@ func (fs *FS) indexEntry(entry *fileEntry, key string, flag vfs.OpenFlag, size i
 		// A salvage verdict must not come from a probe that raced another
 		// writer (a closing entry's tail landing, a direct backend write):
 		// transient holes look exactly like a torn tail, and acting on the
-		// stale probe would hide — or with RepairOnOpen, destroy — frames
+		// stale probe would hide — or, for a writable open, cut — frames
 		// that are about to be durable. Only a verdict confirmed by a
 		// stable backend size stands; a file that keeps churning refuses
 		// the open rather than guess.
@@ -579,16 +583,13 @@ func (fs *FS) indexEntry(entry *fileEntry, key string, flag vfs.OpenFlag, size i
 	entry.appendOff = size
 	entry.frameSeq = probe.nextSeq
 	if probe.salvaged {
-		// Appends land immediately after the intact prefix, overwriting
-		// the junk, so the container stays a parseable prefix even if the
-		// junk is never repaired away.
 		entry.appendOff = probe.report.IntactBytes
 		fs.stats.containersSalvaged.Add(1)
 		fs.stats.salvageFramesDropped.Add(int64(probe.report.FramesDropped))
 		fs.stats.salvageBytesTruncated.Add(probe.report.TruncatedBytes)
 		fs.stats.checksumVerified.Add(int64(probe.report.ChecksumVerified))
 		fs.stats.checksumFailed.Add(int64(probe.report.ChecksumFailures))
-		if fs.opts.RepairOnOpen {
+		if flag.Writable() {
 			entry.pendingRepair = probe.report.IntactBytes
 		}
 	}

@@ -59,16 +59,6 @@ type Options struct {
 	// and buffered writes always shadow it (the overlay-wins rule), so the
 	// depth never changes read results — only their cost.
 	ReadAhead int
-	// RepairOnOpen makes the first open of a frame container with a torn
-	// tail (a crash mid-append) rewrite the file: the backend is
-	// truncated to the longest intact frame prefix — exactly the bytes
-	// reads would serve anyway — so the damage is cleared once instead of
-	// re-salvaged on every remount. Off by default: salvage then serves
-	// reads from the intact prefix without mutating the backend, and
-	// appends overwrite the torn tail in place. Either way, data the
-	// application never had acknowledged by Sync or Close is all that can
-	// be dropped.
-	RepairOnOpen bool
 	// Codec selects the chunk codec IO workers apply before the backend
 	// write. nil or the raw codec selects passthrough: chunks land
 	// verbatim at their file offsets and backend output is byte-identical

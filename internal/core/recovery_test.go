@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -56,18 +58,29 @@ func TestSalvageOnOpenServesIntactPrefix(t *testing.T) {
 	}
 }
 
-func TestRepairOnOpenTruncatesBackend(t *testing.T) {
+// TestWritableOpenCutsTornContainer: a read-only open serves a torn
+// container's intact prefix and leaves the backend alone; the first open
+// that can append truncates the backend to that prefix, once.
+func TestWritableOpenCutsTornContainer(t *testing.T) {
 	back, payload := tornBackend(t, "ck.img", 40<<10, "torn tail garbage bytes")
 	before, _ := back.Stat("ck.img")
-	fs := mount(t, back, Options{
-		ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate(), RepairOnOpen: true,
-	})
+	fs := mount(t, back, Options{ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate()})
 	if got := readThrough(t, fs, "ck.img"); !bytes.Equal(got, payload) {
-		t.Fatal("repaired read differs")
+		t.Fatal("salvaged read differs")
+	}
+	if info, _ := back.Stat("ck.img"); info.Size != before.Size || fs.Stats().ContainersRepaired != 0 {
+		t.Fatalf("read-only open changed the backend: size %d -> %d, stats %+v", before.Size, info.Size, fs.Stats())
+	}
+	f, err := fs.Open("ck.img", vfs.WriteOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
 	}
 	st := fs.Stats()
-	if st.ContainersSalvaged != 1 || st.ContainersRepaired != 1 {
-		t.Fatalf("recovery stats %+v, want 1 salvaged + 1 repaired", st)
+	if st.ContainersSalvaged != 2 || st.ContainersRepaired != 1 {
+		t.Fatalf("recovery stats %+v, want 2 salvaged + 1 repaired", st)
 	}
 	after, err := back.Stat("ck.img")
 	if err != nil {
@@ -85,6 +98,168 @@ func TestRepairOnOpenTruncatesBackend(t *testing.T) {
 	if st := fs2.Stats(); st.ContainersSalvaged != 0 {
 		t.Fatalf("repaired container salvaged again: %+v", st)
 	}
+}
+
+// holeContainer is the shape out-of-order appends leave after a crash:
+// frame 0 over [0, chunk), then a zeroed hole the size of a raw frame of
+// chunk bytes, where frame 1 was reserved but never written, then frames
+// with seqs 2 .. 1+tail over the following chunks. It returns the
+// container and frame 0's payload.
+func holeContainer(t *testing.T, chunk, tail int) ([]byte, []byte) {
+	t.Helper()
+	p0 := compressiblePayload(chunk, 60)
+	box, _, err := codec.EncodeFrame(codec.Deflate(), 0, 0, p0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	box = append(box, make([]byte, codec.HeaderSize+chunk)...)
+	for seq := 2; seq < 2+tail; seq++ {
+		if box, _, err = codec.EncodeFrame(codec.Deflate(), uint64(seq), int64(seq*chunk), compressiblePayload(chunk, int64(60+seq)), box); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return box, p0
+}
+
+func incompressible(n int, seed int64) []byte {
+	b := make([]byte, n)
+	rand.New(rand.NewSource(seed)).Read(b)
+	return b
+}
+
+// checkRemount remounts back and wants name to read as want, chunk by
+// chunk.
+func checkRemount(t *testing.T, back vfs.FS, opts Options, name string, want []byte) {
+	t.Helper()
+	got := readThrough(t, mount(t, back, opts), name)
+	if len(got) != len(want) {
+		t.Fatalf("remount size = %d, want %d", len(got), len(want))
+	}
+	for off := 0; off < len(want); off += int(opts.ChunkSize) {
+		end := min(off+int(opts.ChunkSize), len(want))
+		if !bytes.Equal(got[off:end], want[off:end]) {
+			t.Fatalf("remount bytes [%d, %d) differ from what was acknowledged", off, end)
+		}
+	}
+}
+
+// TestAppendAfterSalvageKeepsAckedBytes: an acknowledged write that fills
+// the hole of an out-of-order tear becomes frame seq 1, exactly the size
+// of the hole. Were the old frames 2 and 3 left past it, a remount would
+// parse them again: the file would grow past what was acknowledged, and
+// frame 2 (seq 2) would win over the write.
+func TestAppendAfterSalvageKeepsAckedBytes(t *testing.T) {
+	const chunk = 16 << 10
+	for _, cdc := range []codec.Codec{codec.Deflate(), codec.Raw()} {
+		t.Run(cdc.Name(), func(t *testing.T) {
+			box, p0 := holeContainer(t, chunk, 2)
+			back := memfs.New()
+			if err := vfs.WriteFile(back, "ck.img", box); err != nil {
+				t.Fatal(err)
+			}
+			opts := Options{ChunkSize: chunk, BufferPoolSize: 64 << 10, Codec: cdc}
+			fs := mount(t, back, opts)
+			if info, err := fs.Stat("ck.img"); err != nil || info.Size != chunk {
+				t.Fatalf("Stat = %+v, %v; want the salvaged %d", info, err, chunk)
+			}
+			acked := incompressible(chunk, 58)
+			f, err := fs.Open("ck.img", vfs.ReadWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.WriteAt(acked, 2*chunk); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := append(append(bytes.Clone(p0), make([]byte, chunk)...), acked...)
+			checkRemount(t, back, opts, "ck.img", want)
+		})
+	}
+}
+
+// statGateFS holds the next backend Stat after arm — the stable-size
+// check that follows a salvage verdict — until gate is closed.
+type statGateFS struct {
+	vfs.FS
+	armed      atomic.Bool
+	held, gate chan struct{}
+}
+
+func (g *statGateFS) arm() {
+	g.held, g.gate = make(chan struct{}), make(chan struct{})
+	g.armed.Store(true)
+}
+
+func (g *statGateFS) Stat(name string) (vfs.FileInfo, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.held)
+		<-g.gate
+	}
+	return g.FS.Stat(name)
+}
+
+// TestTornContainerCutOnceUnderRacingWritableOpens: two writable opens
+// both reach a salvage verdict on the same torn container. The first to
+// win the table cuts the tail and appends a synced frame that brings the
+// backend back to its torn size, so the second's verdict stands; it
+// shares the live entry and must not cut again.
+func TestTornContainerCutOnceUnderRacingWritableOpens(t *testing.T) {
+	const chunk = 16 << 10
+	box, p0 := holeContainer(t, chunk, 0)
+	back := memfs.New()
+	if err := vfs.WriteFile(back, "ck.img", box); err != nil {
+		t.Fatal(err)
+	}
+	gated := &statGateFS{FS: back}
+	opts := Options{ChunkSize: chunk, BufferPoolSize: 64 << 10, Codec: codec.Deflate()}
+	fs := mount(t, gated, opts)
+
+	gated.arm()
+	type opened struct {
+		f   vfs.File
+		err error
+	}
+	second := make(chan opened, 1)
+	go func() {
+		f, err := fs.Open("ck.img", vfs.ReadWrite)
+		second <- opened{f, err}
+	}()
+	<-gated.held
+	release := sync.OnceFunc(func() { close(gated.gate) })
+	defer release()
+	acked1, acked2 := incompressible(chunk, 1), incompressible(chunk, 2)
+	w1, err := fs.Open("ck.img", vfs.ReadWrite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w1.WriteAt(acked1, chunk); err != nil {
+		t.Fatal(err)
+	}
+	if err := w1.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := back.Stat("ck.img"); info.Size != int64(len(box)) {
+		t.Fatalf("backend size %d after the first append, want the torn size %d", info.Size, len(box))
+	}
+	release()
+	o := <-second
+	if o.err != nil {
+		t.Fatal(o.err)
+	}
+	if _, err := o.f.WriteAt(acked2, 2*chunk); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []vfs.File{o.f, w1} {
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fs.Stats(); st.ContainersRepaired != 1 {
+		t.Fatalf("ContainersRepaired = %d, want 1", st.ContainersRepaired)
+	}
+	checkRemount(t, back, opts, "ck.img", append(append(bytes.Clone(p0), acked1...), acked2...))
 }
 
 // TestSalvageNeverResurrectsOverwrites: with an overwrite history in the

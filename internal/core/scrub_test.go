@@ -48,7 +48,7 @@ func rewriteWorkload(t *testing.T, fs *FS, name string, size, chunk int64, passe
 // TestScrubOnline covers the online scrub: clean mounts verify
 // everything, and corruption is found behind the mount's back while
 // another container is verified through its open entry. The scrub only
-// reports — repair is crfsck -repair or RepairOnOpen.
+// reports — repair is crfsck -repair or a writable open.
 func TestScrubOnline(t *testing.T) {
 	back := memfs.New()
 	fs := mount(t, back, Options{ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 4, Codec: codec.Deflate()})

@@ -120,8 +120,8 @@ func TestStatFrozenClockSeesRewrite(t *testing.T) {
 }
 
 // TestStatTornContainerDoesNotRepair: Stat of a torn container reports the
-// intact prefix's logical size and leaves the backend file alone even on a
-// RepairOnOpen mount — only the Open path repairs.
+// intact prefix's logical size and leaves the backend file alone — only a
+// writable Open repairs.
 func TestStatTornContainerDoesNotRepair(t *testing.T) {
 	back, payload := tornBackend(t, "ck.img", 40<<10, "torn tail garbage bytes")
 	before, err := vfs.ReadFile(back, "ck.img")
@@ -129,7 +129,7 @@ func TestStatTornContainerDoesNotRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := mount(t, back, Options{
-		ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate(), RepairOnOpen: true,
+		ChunkSize: 16 << 10, BufferPoolSize: 64 << 10, Codec: codec.Deflate(),
 	})
 	if got := statSize(t, fs, "ck.img"); got != int64(len(payload)) {
 		t.Fatalf("Stat of torn container = %d, want intact prefix %d", got, len(payload))

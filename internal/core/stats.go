@@ -193,7 +193,7 @@ type Stats struct {
 	// open, with reads served from the longest intact frame prefix.
 	ContainersSalvaged int64
 	// ContainersRepaired counts salvaged containers whose backend file
-	// was truncated to the intact prefix (Options.RepairOnOpen).
+	// was truncated to the intact prefix by a writable open.
 	ContainersRepaired int64
 	// SalvageFramesDropped is the best-effort count of frames lost past
 	// the tears of salvaged containers.

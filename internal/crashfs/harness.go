@@ -37,10 +37,12 @@ import (
 //     decode to phantom data behind a CRC the writer did not stamp.
 //
 // The record mount runs with IOThreads = 1 so the backend log is the
-// flush order — the linear-history model crashfs replays. Concurrency
-// inside one mutation is irrelevant to the model; cross-file ordering
-// with many IO threads would only interleave logs without changing any
-// single file's frame chain.
+// flush order — the linear-history model crashfs replays. More IO
+// threads would change what a cut leaves, not just interleave logs: a
+// file's frames then land out of order, so a cut can leave a hole where
+// one frame was reserved with later frames already written past it.
+// That shape is not enumerated here; core's
+// TestAppendAfterSalvageKeepsAckedBytes builds it by hand.
 
 // StepKind discriminates workload steps.
 type StepKind int
@@ -72,7 +74,8 @@ type HarnessConfig struct {
 	// ChunkSize is the mount's aggregation chunk size (small, so the
 	// workload spans many chunks). Defaults to 64.
 	ChunkSize int64
-	// Repair sets RepairOnOpen on the verify mounts.
+	// Repair opens every file read-write on the verify mounts, so each
+	// open cuts a torn container to its intact prefix before reading.
 	Repair bool
 	// Compaction runs the offline compactor (compact.CompactDir) over
 	// the recorded store after the workload's final acknowledgment, so
@@ -313,7 +316,6 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		BufferPoolSize: 16 * cfg.ChunkSize,
 		IOThreads:      1,
 		Codec:          cfg.Codec,
-		RepairOnOpen:   cfg.Repair,
 	}
 	vfs2, err := core.Mount(replayed, opts)
 	if err != nil {
@@ -327,6 +329,10 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		}
 	}
 	framed := cfg.Codec != nil && cfg.Codec.ID() != codec.RawID
+	flag := vfs.ReadOnly
+	if cfg.Repair {
+		flag = vfs.ReadWrite
+	}
 	last := len(snaps) - 1
 	first := map[string][]byte{} // what each file read as, before the crash state is compacted
 	for name := range snaps[last] {
@@ -340,7 +346,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		if ackStep >= 0 {
 			ackContent = snaps[ackStep][name]
 		}
-		got, rerr := readAll(vfs2, name)
+		got, rerr := readAll(vfs2, name, flag)
 		if rerr != nil {
 			if len(ackContent) > 0 {
 				violate("%s: unreadable after remount: %v", name, rerr)
@@ -404,7 +410,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 			violate("%d compaction temporaries survived CompactDir's sweep", n)
 		}
 		for name, got := range first {
-			again, rerr := readAll(vfs2, name)
+			again, rerr := readAll(vfs2, name, flag)
 			if rerr != nil {
 				violate("%s: unreadable after crash-state compaction: %v", name, rerr)
 			} else if !bytes.Equal(again, got) {
@@ -441,9 +447,10 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 	return nil
 }
 
-// readAll reads a file's full logical content through the mount.
-func readAll(fs *core.FS, name string) ([]byte, error) {
-	f, err := fs.Open(name, vfs.ReadOnly)
+// readAll reads a file's full logical content through the mount, opened
+// with flag.
+func readAll(fs *core.FS, name string, flag vfs.OpenFlag) ([]byte, error) {
+	f, err := fs.Open(name, flag)
 	if err != nil {
 		return nil, err
 	}

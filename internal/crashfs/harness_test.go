@@ -71,7 +71,7 @@ func crashRow(t *testing.T, row string) {
 		}
 	}
 	if cfg.Repair && res.Repaired != res.Salvaged {
-		t.Errorf("RepairOnOpen repaired %d of %d salvages", res.Repaired, res.Salvaged)
+		t.Errorf("read-write opens repaired %d of %d salvages", res.Repaired, res.Salvaged)
 	}
 	// Compaction enabled: the offline compactor rewrites the recorded
 	// store after the final acknowledgment (its temp write and rename are

@@ -24,7 +24,7 @@ const maxRequestLine = 4096
 
 // Queue depths, in frames. Together with the in-flight cap they bound the
 // frame buffers one connection can hold (DESIGN.md, "crfsd protocol v2"):
-// MaxInFlight × bodyQueueDepth inbound plus outQueueDepth outbound, each
+// maxInFlight × bodyQueueDepth inbound plus outQueueDepth outbound, each
 // up to DataChunk bytes. They are as shallow as overlap needs — one stage
 // fills a frame while the next empties one. Every further slot is another
 // 256 KiB a transfer may cycle through, and how full a deep queue runs,
@@ -327,7 +327,7 @@ func (c *srvConn) serve() {
 	// "T=<id>" verb-line field; older clients ignore unknown hello
 	// fields, older servers never emit it, so both directions degrade.
 	hello := fmt.Sprintf("crfsd/2 maxinflight=%d maxframe=%d trace=1",
-		c.srv.cfg.MaxInFlight, MaxFramePayload)
+		maxInFlight, MaxFramePayload)
 	if !c.sendFrame(outFrame{typ: FrameHello, payload: []byte(hello)}) {
 		return
 	}
@@ -399,9 +399,9 @@ func (c *srvConn) handleReq(id uint32, line string) bool {
 		reject = perr
 	case c.draining:
 		reject = fmt.Errorf("server: draining: %w", vfs.ErrClosed)
-	case len(c.inFlight) >= c.srv.cfg.MaxInFlight:
+	case len(c.inFlight) >= maxInFlight:
 		c.srv.c.inFlightCapped.Add(1)
-		reject = fmt.Errorf("server: in-flight cap %d exceeded: %w", c.srv.cfg.MaxInFlight, vfs.ErrInvalid)
+		reject = fmt.Errorf("server: in-flight cap %d exceeded: %w", maxInFlight, vfs.ErrInvalid)
 	case req.Verb == "PUT" && c.srv.cfg.MaxPutBytes > 0 && req.Size > c.srv.cfg.MaxPutBytes:
 		reject = fmt.Errorf("server: PUT size %d exceeds cap %d: %w", req.Size, c.srv.cfg.MaxPutBytes, vfs.ErrInvalid)
 	}

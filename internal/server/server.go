@@ -21,10 +21,6 @@ type Config struct {
 	// connection beyond the cap waits in the accept loop for a slot —
 	// backpressure, not rejection. Default 256.
 	MaxConns int
-	// MaxInFlight caps concurrently handled requests per connection;
-	// the cap is advertised in the hello frame and a request beyond it
-	// is failed with an error frame. Default 8.
-	MaxInFlight int
 	// ReadTimeout bounds the wait for client bytes while a request body
 	// is being streamed (and for the hello line of a new connection). A
 	// stalled client hits it and the connection is torn down, aborting
@@ -43,11 +39,14 @@ type Config struct {
 // Defaults for Config's zero fields.
 const (
 	DefaultMaxConns    = 256
-	DefaultMaxInFlight = 8
 	DefaultReadTimeout = time.Minute
 )
 
 const (
+	// maxInFlight caps concurrently handled requests per connection; the
+	// cap is advertised in the hello frame and a request beyond it is
+	// failed with an error frame.
+	maxInFlight = 8
 	// writeTimeout bounds each frame/segment write toward the client; a
 	// client that stops draining its GET hits it.
 	writeTimeout = time.Minute
@@ -60,9 +59,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.MaxConns <= 0 {
 		c.MaxConns = DefaultMaxConns
-	}
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = DefaultMaxInFlight
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = DefaultReadTimeout

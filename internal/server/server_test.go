@@ -639,24 +639,29 @@ func TestUnparseablePutLineBodyDrained(t *testing.T) {
 }
 
 func TestInFlightCap(t *testing.T) {
-	e := newEnv(t, nil, server.Config{MaxInFlight: 1})
+	e := newEnv(t, nil, server.Config{})
 	r := dialRaw(t, e.addr)
-	// Request 1 occupies the only slot: a PUT whose body never finishes.
-	r.send(server.FrameReq, 1, []byte("PUT slow 1048576"))
-	r.send(server.FrameReq, 2, []byte("STAT"))
+	// Requests 1..8 fill the eight slots: PUTs whose bodies have not come.
+	for id := uint32(1); id <= 8; id++ {
+		r.send(server.FrameReq, id, []byte(fmt.Sprintf("PUT slow%d 16", id)))
+	}
+	r.send(server.FrameReq, 9, []byte("STAT"))
 	hdr, payload := r.recv()
-	if hdr.Type != server.FrameErr || hdr.ReqID != 2 || !strings.Contains(string(payload), "in-flight cap") {
+	if hdr.Type != server.FrameErr || hdr.ReqID != 9 || !strings.Contains(string(payload), "in-flight cap 8") {
 		t.Fatalf("over-cap request: type %#x id %d %q", hdr.Type, hdr.ReqID, payload)
 	}
-	// Finish request 1; the connection must still be healthy.
-	r.send(server.FrameData, 1, make([]byte, 64<<10))
-	body := make([]byte, 1<<20-64<<10)
-	for off := 0; off < len(body); off += 64 << 10 {
-		r.send(server.FrameData, 1, body[off:off+64<<10])
+	// Finish the PUTs; the connection must still be healthy.
+	for id := uint32(1); id <= 8; id++ {
+		r.send(server.FrameData, id, make([]byte, 16))
+		r.send(server.FrameEnd, id, nil)
 	}
-	r.send(server.FrameEnd, 1, nil)
-	if hdr, _ := r.recv(); hdr.Type != server.FrameEnd || hdr.ReqID != 1 {
-		t.Fatalf("PUT completion: type %#x id %d", hdr.Type, hdr.ReqID)
+	done := map[uint32]bool{}
+	for len(done) < 8 {
+		hdr, payload := r.recv()
+		if hdr.Type != server.FrameEnd || hdr.ReqID < 1 || hdr.ReqID > 8 || done[hdr.ReqID] {
+			t.Fatalf("PUT completion: type %#x id %d %q", hdr.Type, hdr.ReqID, payload)
+		}
+		done[hdr.ReqID] = true
 	}
 }
 

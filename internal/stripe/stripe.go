@@ -606,16 +606,25 @@ func (s *Store) writeManifest(m *Manifest) error {
 
 // readManifest fetches and decodes the first intact manifest copy,
 // trying the nodes in sorted ID order (s.ids) so repeated reads hit the
-// same copies.
+// same copies. With no intact copy, a node that answered "absent" makes
+// the error vfs.ErrNotExist, whatever a down node answered.
 func (s *Store) readManifest(name string) (*Manifest, error) {
 	mname := ManifestName(name)
+	var absent error
 	var lastErr error = fmt.Errorf("stripe: GET %s: %w", mname, ErrNoNodes)
 	for _, id := range s.ids {
 		m, err := s.readCopy(id, mname)
-		if err == nil {
+		switch {
+		case err == nil:
 			return m, nil
+		case errors.Is(err, vfs.ErrNotExist):
+			absent = err
+		default:
+			lastErr = err
 		}
-		lastErr = err
+	}
+	if absent != nil {
+		return nil, absent
 	}
 	return nil, lastErr
 }

@@ -256,6 +256,26 @@ func TestPutFailsCleanly(t *testing.T) {
 	mustGet(t, s, "halfway", body2)
 }
 
+// TestGetAbsentNameWithLastNodeDown: a name no node holds reads as
+// vfs.ErrNotExist even when the last node in ID order is down; with every
+// node down it is the down node's error.
+func TestGetAbsentNameWithLastNodeDown(t *testing.T) {
+	s, nodes := memCluster(3, Config{ChunkSize: 4 << 10, Replicas: 2})
+	body := payload(41, 16<<10)
+	mustPut(t, s, "held", body)
+	nodes[2].SetDown(true)
+	if _, err := s.Get("never", &bytes.Buffer{}); !errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("GET of a name no node holds, last node down: %v, want ErrNotExist", err)
+	}
+	mustGet(t, s, "held", body)
+	for _, n := range nodes {
+		n.SetDown(true)
+	}
+	if _, err := s.Get("never", &bytes.Buffer{}); !errors.Is(err, vfs.ErrClosed) || errors.Is(err, vfs.ErrNotExist) {
+		t.Fatalf("GET with every node down: %v, want the down node's ErrClosed", err)
+	}
+}
+
 func TestNoNodes(t *testing.T) {
 	s := New(Config{})
 	if err := s.Put("x", bytes.NewReader(nil), 0); !errors.Is(err, ErrNoNodes) {
