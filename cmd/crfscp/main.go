@@ -272,9 +272,9 @@ func local(stdout io.Writer, restore bool, args []string, bs int, opts crfs.Opti
 			}
 			fmt.Fprintf(stdout, "%s: reads=%d bytes=%d, prefetch: hits=%d misses=%d (%.1f%% hit) wasted=%d bytes=%d\n",
 				dir, st.Reads, st.BytesRead, st.PrefetchHits, st.PrefetchMisses, hitPct, st.PrefetchWasted, st.PrefetchedBytes)
-			if st.ContainersSalvaged > 0 || st.ContainersRepaired > 0 {
-				fmt.Fprintf(stdout, "%s: recovery: scanned=%d salvaged=%d repaired=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d\n",
-					dir, st.ContainersScanned, st.ContainersSalvaged, st.ContainersRepaired,
+			if st.ContainersSalvaged > 0 {
+				fmt.Fprintf(stdout, "%s: recovery: scanned=%d salvaged=%d frames-dropped=%d bytes-truncated=%d failed-chunks=%d\n",
+					dir, st.ContainersScanned, st.ContainersSalvaged,
 					st.SalvageFramesDropped, st.SalvageBytesTruncated, st.FailedChunks)
 			}
 		}

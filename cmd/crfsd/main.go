@@ -30,8 +30,8 @@
 // A PUT is staged in a fresh file written once, front to back, so a
 // daemon's containers hold no dead frames; compaction is offline work
 // (crfsck -compact, for containers rewritten in place by other mounts).
-// The SCRUB verb (crfscp -server ADDR -scrub) verifies every stored
-// frame on the live mount and only reports; crfsck -repair repairs.
+// The SCRUB verb (crfscp -server ADDR -scrub) runs crfsck's verifier
+// over the store's directory and only reports; crfsck -repair repairs.
 //
 // Usage:
 //

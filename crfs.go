@@ -57,9 +57,10 @@
 // is offline work: crfsck -compact rewrites each container under a
 // backing directory to its minimal equivalent — byte-identical reads,
 // dead bytes reclaimed — via a crash-safe temp-write + rename replace.
-// FS.Scrub re-verifies every frame of every container on a live mount
-// over a worker pool of its own; crfsck runs the same verifier offline
-// and, with -repair, truncates damage to the verified prefix.
+// Scrub is offline work too: crfsck re-verifies every frame of every
+// container under a backing directory over a worker pool of its own and,
+// with -repair, truncates damage to the verified prefix; crfsd's SCRUB
+// runs the same verifier over its mount's backend.
 //
 // Quick start:
 //
@@ -79,7 +80,6 @@ package crfs
 
 import (
 	"crfs/internal/codec"
-	"crfs/internal/compact"
 	"crfs/internal/core"
 	"crfs/internal/memfs"
 	"crfs/internal/osfs"
@@ -107,9 +107,6 @@ type (
 	DirEntry = vfs.DirEntry
 	// OpenFlag selects open modes.
 	OpenFlag = vfs.OpenFlag
-	// ScrubReport is an FS.Scrub pass's findings (per-frame verification
-	// totals and the containers with defects).
-	ScrubReport = compact.Report
 )
 
 // Open flags, re-exported for call-site convenience.

@@ -63,21 +63,6 @@ type FileReport struct {
 	Err string
 }
 
-// Record enters one VerifyFrames pass over the container's frames into
-// the report. Backend failures make the file unverifiable (Err), not
-// corrupt: the bytes may be fine and the backend transiently sick, so
-// nothing is ever repaired on them.
-func (f *FileReport) Record(res VerifyResult) {
-	f.Frames = res.Verified
-	f.Bytes = res.Bytes
-	f.CorruptFrames = res.Corrupt
-	f.ChecksumFailures = res.ChecksumFailed
-	f.ChecksumVerified = res.ChecksumVerified
-	if res.Failed > 0 {
-		f.Err = res.Err
-	}
-}
-
 // Damaged reports whether the container has any defect.
 func (f FileReport) Damaged() bool {
 	return f.CorruptFrames > 0 || f.TornBytes > 0 || f.Err != ""
@@ -181,20 +166,19 @@ func verifyFrame(r io.ReaderAt, fr codec.FrameInfo, sc *frameScratch) error {
 // submitted unit. nil means run inline (serial verification).
 type Submit func(func())
 
-// Pool is the worker pool of one scrub pass, offline (Scrub) or over a
-// live mount (core.FS.Scrub): a fixed set of goroutines draining a job
-// channel.
-type Pool struct {
+// pool is the worker pool of one scrub pass: a fixed set of goroutines
+// draining a job channel.
+type pool struct {
 	jobs chan func()
 	wg   sync.WaitGroup
 }
 
-// NewPool starts workers goroutines (minimum 1); Close stops them.
-func NewPool(workers int) *Pool {
+// newPool starts workers goroutines (minimum 1); Close stops them.
+func newPool(workers int) *pool {
 	if workers < 1 {
 		workers = 1
 	}
-	p := &Pool{jobs: make(chan func())}
+	p := &pool{jobs: make(chan func())}
 	p.wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -208,20 +192,20 @@ func NewPool(workers int) *Pool {
 }
 
 // Submit hands j to a worker, blocking until one takes it.
-func (p *Pool) Submit(j func()) { p.jobs <- j }
+func (p *pool) Submit(j func()) { p.jobs <- j }
 
 // Close waits for every submitted unit and stops the workers.
-func (p *Pool) Close() {
+func (p *pool) Close() {
 	close(p.jobs)
 	p.wg.Wait()
 }
 
-// VerifyResult is one VerifyFrames pass's outcome. Corruption (payload
+// verifyResult is one verifyFrames pass's outcome. Corruption (payload
 // proven not to match its header) and backend failure (the bytes could
 // not be read at all) are kept apart: only proven corruption may ever
 // feed the repair rule — truncating on a transient read error would
 // turn a flaky backend into permanent data loss.
-type VerifyResult struct {
+type verifyResult struct {
 	Verified         int   // frames whose payload verified intact
 	Bytes            int64 // payload bytes covered by the verified frames
 	Corrupt          int   // frames proven corrupt (undecodable payload or CRC mismatch)
@@ -236,10 +220,10 @@ type VerifyResult struct {
 	Intact []bool
 }
 
-// VerifyFrames fans frame verification out through submit. Verification
+// verifyFrames fans frame verification out through submit. Verification
 // is read-only and order-independent; the first-corruption position is
 // what the prefix repair rule needs.
-func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) VerifyResult {
+func verifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) verifyResult {
 	if submit == nil {
 		submit = func(j func()) { j() }
 	}
@@ -291,7 +275,7 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 		})
 	}
 	wg.Wait()
-	res := VerifyResult{
+	res := verifyResult{
 		Verified:         int(ok.Load()),
 		Bytes:            okBytes.Load(),
 		ChecksumFailed:   int(sumBad.Load()),
@@ -311,7 +295,7 @@ func VerifyFrames(r io.ReaderAt, frames []codec.FrameInfo, submit Submit) Verify
 // prefix. The returned error reports walk-level failures only; per-file
 // defects and failures are data, collected in the report.
 func Scrub(fsys vfs.FS, root string, o ScrubOptions) (*Report, error) {
-	p := NewPool(o.Workers)
+	p := newPool(o.Workers)
 	defer p.Close()
 	rep := &Report{}
 	err := Walk(fsys, root, func(path string, size int64) error {
@@ -339,8 +323,18 @@ func ScrubFile(fsys vfs.FS, path string, size int64, repair bool, submit Submit)
 		}
 		fr.TornBytes = size - intact
 	}
-	res := VerifyFrames(f, frames, submit)
-	fr.Record(res)
+	res := verifyFrames(f, frames, submit)
+	fr.Frames = res.Verified
+	fr.Bytes = res.Bytes
+	fr.CorruptFrames = res.Corrupt
+	fr.ChecksumFailures = res.ChecksumFailed
+	fr.ChecksumVerified = res.ChecksumVerified
+	if res.Failed > 0 {
+		// Backend failures make the file unverifiable, not corrupt: the
+		// bytes may be fine and the backend transiently sick, so nothing
+		// is ever repaired on them.
+		fr.Err = res.Err
+	}
 	if !repair || !fr.Damaged() || fr.Err != "" {
 		return fr
 	}

@@ -195,9 +195,9 @@ func TestVerifyFramesIntactVerdicts(t *testing.T) {
 		[2]int{0, 300}, [2]int{300, 300}, [2]int{600, 300})
 	frames, _, _ := codec.ScanPrefix(bytes.NewReader(box), int64(len(box)))
 	box[frames[2].Pos+codec.HeaderSize+5] ^= 0x01
-	p := NewPool(4)
+	p := newPool(4)
 	defer p.Close()
-	res := VerifyFrames(bytes.NewReader(box), frames, p.Submit)
+	res := verifyFrames(bytes.NewReader(box), frames, p.Submit)
 	want := []bool{true, true, false}
 	if len(res.Intact) != len(want) {
 		t.Fatalf("Intact has %d entries for %d frames", len(res.Intact), len(frames))

@@ -6,10 +6,10 @@
 // container-walk core.
 //
 // The engines in this package operate on a backing directory exposed as
-// a vfs.FS (the crfsck command). The compactor is offline only. The
-// scrub also runs over a live mount: core.FS.Scrub verifies open files
-// from their in-memory index with VerifyFrames and closed ones with
-// ScrubFile, on a Pool of its own for the pass.
+// a vfs.FS: the crfsck command runs them offline, and crfsd's SCRUB runs
+// Scrub over its mount's backend. Neither goes through a mount, so
+// neither sees an open file's in-memory state; the walk skips temps, so
+// what crfsd scrubs is committed and never appended to.
 //
 // Compaction replaces containers through vfs.Replace, the one crash-safe
 // replace in the tree: a power cut leaves either the old container or the

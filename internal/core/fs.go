@@ -48,7 +48,7 @@ type FS struct {
 	// of their own, away from the counters above that IO workers bump,
 	// and FS in the 512-byte size class, whose slots are cache-line
 	// aligned (TestSizeClasses).
-	_ [24]byte
+	_ [40]byte
 
 	// partials counts entries holding a partly filled active chunk, the
 	// one kind of chunk reclaimPool can free: a blocked writer knows

@@ -69,7 +69,7 @@ type Options struct {
 	// any CRFS mount decode containers transparently.
 	Codec codec.Codec
 	// Tracer receives the mount's pipeline spans (write/read/sync, chunk
-	// seal, encode, backend write, prefetch, scrub). nil selects
+	// seal, encode, backend write, prefetch). nil selects
 	// the process-wide obs.Default tracer, which starts disabled — the
 	// per-span cost is then one atomic load. Latency histograms are
 	// independent of the tracer and always on.

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"crfs/internal/codec"
+	"crfs/internal/compact"
 	"crfs/internal/memfs"
 	"crfs/internal/vfs"
 )
@@ -45,10 +45,10 @@ func rewriteWorkload(t *testing.T, fs *FS, name string, size, chunk int64, passe
 	return content
 }
 
-// TestScrubOnline covers the online scrub: clean mounts verify
-// everything, and corruption is found behind the mount's back while
-// another container is verified through its open entry. The scrub only
-// reports — repair is crfsck -repair or a writable open.
+// TestScrubOnline runs the scrub engine over a live mount's backend:
+// the containers the mount wrote verify clean, and corruption planted
+// behind the mount's back is found. The scrub only reports — repair is
+// crfsck -repair or a writable open.
 func TestScrubOnline(t *testing.T) {
 	back := memfs.New()
 	fs := mount(t, back, Options{ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 4, Codec: codec.Deflate()})
@@ -57,12 +57,9 @@ func TestScrubOnline(t *testing.T) {
 	if err := fs.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fs.Scrub()
+	rep, err := compact.Scrub(back, ".", compact.ScrubOptions{Workers: 4})
 	if err != nil || !rep.Clean() || rep.Containers != 2 || rep.Frames == 0 {
 		t.Fatalf("clean scrub: %+v err=%v", rep, err)
-	}
-	if st := fs.Stats(); st.FramesVerified != rep.Frames || st.ScrubCorruptions != 0 {
-		t.Fatalf("stats not threaded: verified %d corruptions %d vs report frames %d", st.FramesVerified, st.ScrubCorruptions, rep.Frames)
 	}
 
 	// Corrupt a payload byte of the closed b.img behind the mount's back.
@@ -81,13 +78,7 @@ func TestScrubOnline(t *testing.T) {
 	if err := vfs.WriteFile(back, "b.img", box); err != nil {
 		t.Fatal(err)
 	}
-	// Keep a.img open so the open-entry path is exercised too.
-	fa, err := fs.Open("a.img", vfs.ReadOnly)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fa.Close()
-	rep2, err := fs.Scrub()
+	rep2, err := compact.Scrub(back, ".", compact.ScrubOptions{Workers: 4})
 	if err != nil || rep2.Clean() || rep2.CorruptFrames != 1 || rep2.Repaired != 0 {
 		t.Fatalf("corruption not found: %+v err=%v", rep2, err)
 	}
@@ -108,7 +99,7 @@ func TestScrubFindsNothingOnRawMount(t *testing.T) {
 	if err := fs.SyncAll(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fs.Scrub()
+	rep, err := compact.Scrub(back, ".", compact.ScrubOptions{Workers: 2})
 	if err != nil || rep.Containers != 0 {
 		t.Fatalf("raw mount scrub saw %d containers (err %v)", rep.Containers, err)
 	}
@@ -119,7 +110,7 @@ func TestScrubFindsNothingOnRawMount(t *testing.T) {
 
 // TestCompactStrayTempSkipped: a stray compaction temporary (crash
 // between the offline engine's temp write and its rename) is invisible
-// to opens and to the live scrub's walk, and sweeping removes it.
+// to opens and to the scrub's walk, and sweeping removes it.
 func TestCompactStrayTempSkipped(t *testing.T) {
 	back := memfs.New()
 	fs := mount(t, back, Options{ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 2, Codec: codec.Deflate()})
@@ -134,7 +125,7 @@ func TestCompactStrayTempSkipped(t *testing.T) {
 	if err := vfs.WriteFile(back, "x.img.crfs-compact~", box); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := fs.Scrub()
+	rep, err := compact.Scrub(back, ".", compact.ScrubOptions{Workers: 2})
 	if err != nil || rep.Containers != 1 {
 		t.Fatalf("scrub saw %d containers (stray temp not skipped?) err=%v", rep.Containers, err)
 	}
@@ -146,34 +137,5 @@ func TestCompactStrayTempSkipped(t *testing.T) {
 	}
 	if err := fs.Unmount(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestScrubUnmountNoHang: Unmount racing an in-flight Scrub must not
-// strand it — the pass's pool is its own, so the verification units keep
-// running (against fresh backend handles) whatever the mount's IO
-// workers do. The scrubber must return, not hang.
-func TestScrubUnmountNoHang(t *testing.T) {
-	for i := 0; i < 20; i++ {
-		back := memfs.New(memfs.WithReadDelay(200 * time.Microsecond))
-		fs := mount(t, back, Options{ChunkSize: 512, BufferPoolSize: 16 << 10, IOThreads: 2, Codec: codec.Deflate()})
-		rewriteWorkload(t, fs, "big.img", 32<<10, 512, 0)
-		if err := fs.SyncAll(); err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			fs.Scrub() // errors/defect reports irrelevant; it must return
-		}()
-		time.Sleep(time.Duration(i%5) * 500 * time.Microsecond)
-		if err := fs.Unmount(); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-done:
-		case <-time.After(30 * time.Second):
-			t.Fatal("Scrub hung across Unmount")
-		}
 	}
 }

@@ -96,9 +96,6 @@ type statCounters struct {
 
 	decodeHeapFallbacks atomic.Int64
 
-	framesVerified   atomic.Int64
-	scrubCorruptions atomic.Int64
-
 	checksumVerified atomic.Int64
 	checksumFailed   atomic.Int64
 }
@@ -201,18 +198,15 @@ type Stats struct {
 	// SalvageBytesTruncated is the container bytes dropped past the
 	// intact prefixes of salvaged containers.
 	SalvageBytesTruncated int64
-	// FramesVerified counts container frames whose payload the scrub
-	// engine read back and decode-verified intact.
-	FramesVerified int64
-	// ScrubCorruptions counts frames that failed scrub verification.
-	ScrubCorruptions int64
 	// ChecksumVerified counts frame payloads whose CRC32-C matched at
-	// decode time, on any decode path: reads, prefetch, open-time
-	// salvage, and scrub.
+	// decode time on the mount's own decode paths: reads, prefetch and
+	// open-time salvage. A scrub (crfsck, crfsd's SCRUB) runs beside the
+	// mount over its backend and is not counted here.
 	ChecksumVerified int64
 	// ChecksumFailed counts payloads that decoded to the declared length
 	// but failed their checksum — proven bit rot surfaced as ErrChecksum
-	// rather than served.
+	// rather than served — on the same paths; scrub failures are not
+	// counted here either.
 	ChecksumFailed int64
 }
 
@@ -267,9 +261,6 @@ func (fs *FS) Stats() Stats {
 		ContainersRepaired:    fs.stats.containersRepaired.Load(),
 		SalvageFramesDropped:  fs.stats.salvageFramesDropped.Load(),
 		SalvageBytesTruncated: fs.stats.salvageBytesTruncated.Load(),
-
-		FramesVerified:   fs.stats.framesVerified.Load(),
-		ScrubCorruptions: fs.stats.scrubCorruptions.Load(),
 
 		ChecksumVerified: fs.stats.checksumVerified.Load(),
 		ChecksumFailed:   fs.stats.checksumFailed.Load(),

@@ -31,8 +31,8 @@ import (
 //     RecoveryStats reflecting it.
 //  5. Checksums hold at every crash state: a power cut can only shorten
 //     the backend log, never flip landed bytes, so no frame a verify
-//     mount decodes — on the read path or under a full scrub — may fail
-//     its payload checksum. A torn frame must fail structurally
+//     mount decodes on the read path, and none a full scrub of the crash
+//     state verifies, may fail its payload checksum. A torn frame must fail structurally
 //     (salvage truncates at the tear, counted as torn bytes), never
 //     decode to phantom data behind a CRC the writer did not stamp.
 //
@@ -106,8 +106,8 @@ type HarnessResult struct {
 	// Compaction totals: containers rewritten in the recorded store and
 	// by the per-point compact-and-reread check.
 	RecordCompactions, PointCompactions int64
-	// Integrity totals across all verify mounts (reads plus the rule-5
-	// per-point scrub): payloads whose checksum matched, and failures.
+	// Integrity totals across all verify mounts' reads and the rule-5
+	// per-point scrubs: payloads whose checksum matched, and failures.
 	// ChecksumFailed > 0 is always also a violation — crash states carry
 	// no bit rot, only tears.
 	ChecksumVerified, ChecksumFailed int64
@@ -424,7 +424,7 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 		// nothing acknowledged). Tears are expected debris — salvage has
 		// already bounded them — but a corrupt or checksum-failing frame
 		// cannot come from a cut: the log only ever loses its tail.
-		srep, serr := vfs2.Scrub()
+		srep, serr := compact.Scrub(replayed, ".", compact.ScrubOptions{Workers: 1})
 		if serr != nil {
 			return serr
 		}
@@ -432,6 +432,8 @@ func verifyPoint(crash *FS, cfg HarnessConfig, p Point, snaps []map[string][]byt
 			violate("crash-state scrub found %d corrupt frames (%d checksum failures); a cut can only tear, not rot",
 				srep.CorruptFrames, srep.ChecksumFailures)
 		}
+		res.ChecksumVerified += srep.ChecksumVerified
+		res.ChecksumFailed += srep.ChecksumFailures
 	}
 	st := vfs2.Stats()
 	if st.ChecksumFailed > 0 {

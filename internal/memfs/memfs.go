@@ -78,10 +78,6 @@ func WithTornWrite(n int, frac float64) Option {
 	}
 }
 
-// WithCapacity bounds the total number of stored bytes; writes beyond the
-// bound fail with vfs.ErrNoSpace, like a full device.
-func WithCapacity(n int64) Option { return func(m *FS) { m.capacity = n } }
-
 type node struct {
 	isDir    bool
 	data     []byte
@@ -108,8 +104,6 @@ type FS struct {
 	tornFrac      float64
 	tornDone      bool
 	writes        int // completed writes, for failure injection
-	capacity      int64
-	used          int64
 	now           func() time.Time
 
 	// Counters for tests and stats reporting.
@@ -128,7 +122,6 @@ func New(opts ...Option) *FS {
 		failAfter:     -1,
 		readFailAfter: -1,
 		tornAfter:     -1,
-		capacity:      -1,
 		now:           time.Now,
 	}
 	for _, o := range opts {
@@ -193,7 +186,6 @@ func (m *FS) Open(name string, flag vfs.OpenFlag) (vfs.File, error) {
 		parent.children[base] = true
 	}
 	if flag&vfs.Trunc != 0 && flag.Writable() {
-		m.used -= int64(len(n.data))
 		n.data = nil
 		n.size = 0
 	}
@@ -267,7 +259,6 @@ func (m *FS) Remove(name string) error {
 	dir, base := vfs.Split(key)
 	delete(m.nodes[dir].children, base)
 	delete(m.nodes, key)
-	m.used -= int64(len(n.data))
 	return nil
 }
 
@@ -283,11 +274,8 @@ func (m *FS) Rename(oldName, newName string) error {
 	if newKey == "." || oldKey == "." {
 		return fmt.Errorf("memfs: rename involving root: %w", vfs.ErrInvalid)
 	}
-	if existing, ok := m.nodes[newKey]; ok {
-		if existing.isDir {
-			return fmt.Errorf("memfs: rename to %s: %w", newKey, vfs.ErrIsDir)
-		}
-		m.used -= int64(len(existing.data))
+	if existing, ok := m.nodes[newKey]; ok && existing.isDir {
+		return fmt.Errorf("memfs: rename to %s: %w", newKey, vfs.ErrIsDir)
 	}
 	dir, base := vfs.Split(newKey)
 	parent, ok := m.nodes[dir]
@@ -376,10 +364,8 @@ func (m *FS) truncateLocked(n *node, size int64) {
 	if !m.discard {
 		switch {
 		case size < int64(len(n.data)):
-			m.used -= int64(len(n.data)) - size
 			n.data = n.data[:size]
 		case size > int64(len(n.data)):
-			m.used += size - int64(len(n.data))
 			n.data = extend(n.data, size)
 		}
 	}
@@ -460,12 +446,7 @@ func (f *file) WriteAt(p []byte, off int64) (int, error) {
 	}
 	end := off + int64(len(p))
 	if !m.discard {
-		grow := end - int64(len(f.node.data))
-		if grow > 0 {
-			if m.capacity >= 0 && m.used+grow > m.capacity {
-				return 0, fmt.Errorf("memfs: write %s: %w", f.name, vfs.ErrNoSpace)
-			}
-			m.used += grow
+		if end > int64(len(f.node.data)) {
 			f.node.data = extend(f.node.data, end)
 		}
 		copy(f.node.data[off:end], p)

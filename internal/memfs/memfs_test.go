@@ -298,25 +298,6 @@ func TestTornWriteZeroFraction(t *testing.T) {
 	}
 }
 
-func TestCapacity(t *testing.T) {
-	m := New(WithCapacity(10))
-	f, _ := m.Open("f", vfs.WriteOnly|vfs.Create)
-	defer f.Close()
-	if _, err := f.WriteAt(make([]byte, 10), 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteAt(make([]byte, 1), 10); !errors.Is(err, vfs.ErrNoSpace) {
-		t.Errorf("over-capacity write: %v, want ErrNoSpace", err)
-	}
-	// Removing frees space.
-	if err := m.Remove("f"); err != nil {
-		t.Fatal(err)
-	}
-	if err := vfs.WriteFile(m, "g", make([]byte, 10)); err != nil {
-		t.Errorf("write after free: %v", err)
-	}
-}
-
 func TestConcurrentWriters(t *testing.T) {
 	m := New()
 	const workers = 8
@@ -424,7 +405,7 @@ func TestReadErrorInjection(t *testing.T) {
 // bytes a shrink left in the slice's spare capacity must never resurface
 // when a later write or truncate extends the file again.
 func TestExtendAfterShrinkReadsZeros(t *testing.T) {
-	m := New(WithCapacity(64))
+	m := New()
 	vfs.WriteFile(m, "f", bytes.Repeat([]byte{0xEE}, 32))
 	if err := m.Truncate("f", 4); err != nil {
 		t.Fatal(err)
@@ -439,14 +420,6 @@ func TestExtendAfterShrinkReadsZeros(t *testing.T) {
 	want[19] = 1
 	if !bytes.Equal(got, want) {
 		t.Fatalf("after shrink+extend: %v", got)
-	}
-	// Accounting follows the file's length, never its capacity: 20 of 64
-	// bytes are used, so exactly 44 more fit.
-	if _, err := f.WriteAt(make([]byte, 45), 20); !errors.Is(err, vfs.ErrNoSpace) {
-		t.Errorf("write past capacity: %v, want ErrNoSpace", err)
-	}
-	if _, err := f.WriteAt(make([]byte, 44), 20); err != nil {
-		t.Errorf("write up to capacity: %v", err)
 	}
 }
 

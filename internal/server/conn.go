@@ -12,7 +12,7 @@ import (
 	"syscall"
 	"time"
 
-	"crfs/internal/core"
+	"crfs/internal/compact"
 	"crfs/internal/metrics"
 	"crfs/internal/obs"
 	"crfs/internal/vfs"
@@ -569,7 +569,7 @@ func (c *srvConn) run(id uint32, req Request, r *inReq) {
 	case "STAT":
 		c.complete(id, FrameEnd, []byte(statLine(c.srv)))
 	case "SCRUB":
-		line, err := scrubLine(c.srv.fs)
+		line, err := scrubLine(c.srv)
 		if err != nil {
 			c.complete(id, FrameErr, []byte(err.Error()))
 			return
@@ -794,9 +794,14 @@ func statLine(s *Server) string {
 	return metrics.StatLine(s.Metrics())
 }
 
-// scrubLine runs a scrub pass and renders its one-line summary.
-func scrubLine(fs *core.FS) (string, error) {
-	rep, err := fs.Scrub()
+// scrubLine runs the offline scrub engine over the mount's backend and
+// renders its one-line summary. The daemon writes only into temps, which
+// the walk skips, so every container it verifies is committed and never
+// appended to; one a GET holds open is judged by its bytes all the same.
+func scrubLine(s *Server) (string, error) {
+	rep, err := compact.Scrub(s.fs.Backend(), ".", compact.ScrubOptions{Workers: s.fs.Options().IOThreads})
+	s.c.framesVerified.Add(rep.Frames)
+	s.c.scrubCorruptions.Add(rep.CorruptFrames)
 	if err != nil {
 		return "", err
 	}

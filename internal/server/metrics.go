@@ -45,15 +45,14 @@ func (s *Server) Metrics() []metrics.PromMetric {
 		metrics.Counter("crfs_failed_chunks_total", "Aggregation chunks whose backend write failed.", st.FailedChunks).WithStat("failed_chunks"),
 		metrics.Counter("crfs_containers_scanned_total", "Opens that probed a frame container.", st.ContainersScanned).WithStat("scanned"),
 		metrics.Counter("crfs_containers_salvaged_total", "Containers whose torn tail was dropped at open.", st.ContainersSalvaged).WithStat("salvaged"),
-		metrics.Counter("crfs_containers_repaired_total", "Salvaged containers truncated to the intact prefix.", st.ContainersRepaired).WithStat("repaired"),
 		metrics.Counter("crfs_salvage_frames_dropped_total", "Frames lost past the tears of salvaged containers.", st.SalvageFramesDropped).WithStat("salvage_frames_dropped"),
 		metrics.Counter("crfs_salvage_bytes_truncated_total", "Container bytes dropped past intact prefixes.", st.SalvageBytesTruncated).WithStat("salvage_bytes_truncated"),
-		// Mount: compaction and scrub.
-		metrics.Counter("crfs_frames_verified_total", "Frames decode-verified intact by the scrub engine.", st.FramesVerified).WithStat("frames_verified"),
-		metrics.Counter("crfs_scrub_corruptions_total", "Frames that failed scrub verification.", st.ScrubCorruptions).WithStat("scrub_corruptions"),
+		// SCRUB passes over the mount's backend (server counters).
+		metrics.Counter("crfs_frames_verified_total", "Frames decode-verified intact by SCRUB passes.", sv.FramesVerified).WithStat("frames_verified"),
+		metrics.Counter("crfs_scrub_corruptions_total", "Frames that failed SCRUB verification.", sv.ScrubCorruptions).WithStat("scrub_corruptions"),
 		// Mount: integrity.
-		metrics.Counter("crfs_checksum_verified_total", "Frame payloads whose CRC32-C matched at decode time.", st.ChecksumVerified).WithStat("checksum_verified"),
-		metrics.Counter("crfs_checksum_failed_total", "Frame payloads that failed their checksum (proven bit rot).", st.ChecksumFailed).WithStat("checksum_failed"),
+		metrics.Counter("crfs_checksum_verified_total", "Frame payloads whose CRC32-C matched when the mount decoded them (SCRUB not included).", st.ChecksumVerified).WithStat("checksum_verified"),
+		metrics.Counter("crfs_checksum_failed_total", "Frame payloads the mount decoded that failed their checksum (proven bit rot; SCRUB not included).", st.ChecksumFailed).WithStat("checksum_failed"),
 		// Tracing: the span ring's own losses.
 		metrics.Counter("crfs_trace_spans_overwritten_total", "Finished spans the full trace ring overwrote; a trace dump may be missing them.", s.tracer.Overwritten()),
 		// Server.

@@ -325,7 +325,7 @@ func TestPutIntoTempNamespaceRefused(t *testing.T) {
 
 // TestTempsInEveryFormAreSwept: temps of the current form and of both
 // older ones, top-level and nested, are one namespace — never an object
-// to LIST, compact.Walk or the live scrub, and removed by the daemon's
+// to LIST, compact.Walk or SCRUB, and removed by the daemon's
 // startup sweep and by offline compaction alike.
 func TestTempsInEveryFormAreSwept(t *testing.T) {
 	back := memfs.New()
@@ -363,8 +363,8 @@ func TestTempsInEveryFormAreSwept(t *testing.T) {
 	}); err != nil || !reflect.DeepEqual(walked, []string{"ckpt", "dir/x"}) {
 		t.Errorf("compact.Walk saw %v (err %v), want [ckpt dir/x]", walked, err)
 	}
-	if rep, err := e.fs.Scrub(); err != nil || rep.Containers != 2 {
-		t.Errorf("live scrub saw %d containers (err %v), want 2", rep.Containers, err)
+	if line, err := e.client(t).Scrub(); err != nil || !strings.Contains(line, " containers=2 ") {
+		t.Errorf("SCRUB = %q (err %v), want containers=2", line, err)
 	}
 
 	if n, err := e.srv.SweepStaging(); err != nil || n != len(temps) {

@@ -87,6 +87,9 @@ type serverCounters struct {
 
 	sweepsRun         atomic.Int64
 	sweepTempsRemoved atomic.Int64
+
+	framesVerified   atomic.Int64
+	scrubCorruptions atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of server activity, the network
@@ -119,6 +122,11 @@ type Stats struct {
 	SweepsRun int64
 	// SweepTempsRemoved counts stale staging temps removed by sweeps.
 	SweepTempsRemoved int64
+	// FramesVerified counts container frames SCRUB passes read back and
+	// verified intact.
+	FramesVerified int64
+	// ScrubCorruptions counts frames that failed SCRUB verification.
+	ScrubCorruptions int64
 }
 
 // Server serves the crfsd protocol against a CRFS mount.
@@ -188,6 +196,9 @@ func (s *Server) Stats() Stats {
 
 		SweepsRun:         s.c.sweepsRun.Load(),
 		SweepTempsRemoved: s.c.sweepTempsRemoved.Load(),
+
+		FramesVerified:   s.c.framesVerified.Load(),
+		ScrubCorruptions: s.c.scrubCorruptions.Load(),
 	}
 }
 

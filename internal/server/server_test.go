@@ -169,6 +169,45 @@ func TestPingStatScrubRoundtrip(t *testing.T) {
 	}
 }
 
+// TestScrubSeesTornContainerHeldOpen: SCRUB judges a container by its
+// bytes on the backend, whoever holds it open. A torn object open for
+// reading through the daemon's mount still reports torn=1, clean=false,
+// and the pass's frames land in the server's scrub counters.
+func TestScrubSeesTornContainerHeldOpen(t *testing.T) {
+	back := memfs.New()
+	e := newCodecEnv(t, back, codec.Deflate(), server.Config{})
+	c := e.client(t)
+	body := versionedBody("torn", 1, 256<<10) // four 64 KiB frames
+	if err := c.Put("torn", bytes.NewReader(body), int64(len(body))); err != nil {
+		t.Fatal(err)
+	}
+	info, err := back.Stat("torn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Truncate("torn", info.Size-100); err != nil { // cut into the last frame
+		t.Fatal(err)
+	}
+	f, err := e.fs.Open("torn", vfs.ReadOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	line, err := c.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(line, " corrupt_frames=0 torn=1 clean=false") {
+		t.Fatalf("SCRUB with the torn object open = %q, want torn=1 clean=false", line)
+	}
+	if !strings.Contains(line, " frames=3 ") {
+		t.Fatalf("SCRUB = %q, want the three intact frames verified", line)
+	}
+	if st := e.srv.Stats(); st.FramesVerified != 3 || st.ScrubCorruptions != 0 {
+		t.Fatalf("server scrub counters: verified %d corruptions %d, want 3 and 0", st.FramesVerified, st.ScrubCorruptions)
+	}
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	e := newEnv(t, nil, server.Config{})
 	c := e.client(t)

@@ -307,9 +307,9 @@ func (h holdings) find(r replica) int {
 }
 
 // objects returns the names of the objects with a manifest copy in h,
-// sorted.
+// sorted; never nil.
 func (h holdings) objects() []string {
-	var objs []string
+	objs := []string{}
 	for _, names := range h {
 		for _, n := range names {
 			if obj, _, kind := ParseObjectName(n); kind == KindManifest {
@@ -996,29 +996,11 @@ func (s *Store) markCopies(listed holdings, obj string, mark func(*Manifest)) bo
 // List returns the store's object names — the union of manifests
 // visible on reachable nodes — sorted.
 func (s *Store) List() ([]string, error) {
-	seen := make(map[string]bool)
-	var reachable int
-	for _, id := range s.ids {
-		names, err := s.nodes[id].List()
-		if err != nil {
-			continue
-		}
-		reachable++
-		for _, n := range names {
-			if obj, _, kind := ParseObjectName(n); kind == KindManifest {
-				seen[obj] = true
-			}
-		}
-	}
-	if reachable == 0 && len(s.ids) > 0 {
+	h, missing := s.listAll()
+	if missing > 0 && missing == len(s.ids) {
 		return nil, fmt.Errorf("stripe: LIST: %w", ErrNoNodes)
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out, nil
+	return h.objects(), nil
 }
 
 // TraceDumps collects the span rings of every node that supports trace

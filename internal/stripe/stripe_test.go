@@ -276,6 +276,20 @@ func TestGetAbsentNameWithLastNodeDown(t *testing.T) {
 	}
 }
 
+// TestListWhenNodesAreDown: List fails with ErrNoNodes only when no node
+// answers; otherwise an empty store lists as a non-nil empty slice.
+func TestListWhenNodesAreDown(t *testing.T) {
+	s, nodes := memCluster(2, Config{ChunkSize: 4 << 10, Replicas: 2})
+	nodes[0].SetDown(true)
+	if names, err := s.List(); err != nil || names == nil || len(names) != 0 {
+		t.Fatalf("List with one node up = %#v, %v; want a non-nil empty slice", names, err)
+	}
+	nodes[1].SetDown(true)
+	if _, err := s.List(); !errors.Is(err, ErrNoNodes) {
+		t.Fatalf("List with every node down: %v, want ErrNoNodes", err)
+	}
+}
+
 func TestNoNodes(t *testing.T) {
 	s := New(Config{})
 	if err := s.Put("x", bytes.NewReader(nil), 0); !errors.Is(err, ErrNoNodes) {

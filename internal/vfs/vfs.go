@@ -37,8 +37,6 @@ var (
 	ErrReadOnly = errors.New("file not open for writing")
 	// ErrNotEmpty reports removal of a non-empty directory.
 	ErrNotEmpty = errors.New("directory not empty")
-	// ErrNoSpace reports backend storage exhaustion.
-	ErrNoSpace = errors.New("no space left on device")
 )
 
 // OpenFlag selects the access mode and behaviour of Open, mirroring the
